@@ -656,234 +656,6 @@ def measure_steady_state(
     }
 
 
-# ----------------------------------------------------------------------
-# net backend: wire-path throughput (real sockets, in-process cluster)
-# ----------------------------------------------------------------------
-
-
-def _percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an unsorted sample (0 when empty)."""
-    if not values:
-        return 0.0
-    vals = sorted(values)
-    idx = min(len(vals) - 1, max(0, int(round(q * (len(vals) - 1)))))
-    return vals[idx]
-
-
-def _run_net_point(spec: Any, label: str) -> Dict[str, Any]:
-    """One in-process cluster run, aggregated into a bench row.
-
-    The throughput span is the largest *per-node* first-submit to
-    last-delivery window: each node's clock is its own monotonic epoch
-    (NetScheduler counts ms since runtime start), so cross-node
-    min/max subtraction would mix epochs. Per-node spans stay on one
-    clock and the max is the conservative (lowest-throughput) choice.
-    Every point — sequential or open — also runs the statistical
-    safety checks over the on-disk logs; a bench row with violations
-    is a broken measurement, not a slow one.
-    """
-    import asyncio
-    import shutil
-    import tempfile
-
-    from ..net.cluster import make_topology, run_cluster_inprocess
-    from ..net.differential import verify_cluster_logs
-
-    rundir = Path(tempfile.mkdtemp(prefix="repro-netbench-"))
-    try:
-        t0 = time.perf_counter()
-        result = asyncio.run(run_cluster_inprocess(make_topology(spec), rundir))
-        wall_s = time.perf_counter() - t0
-        violations = len(verify_cluster_logs(result))
-    finally:
-        shutil.rmtree(rundir, ignore_errors=True)
-
-    summaries = [o.summary for o in result.outcomes.values() if o.summary]
-    submitted = sum(s.get("submitted", 0) for s in summaries)
-    span_ms = 0.0
-    for s in summaries:
-        first, last = s.get("first_submit_ms"), s.get("last_deliver_ms")
-        if first is not None and last is not None:
-            span_ms = max(span_ms, last - first)
-    latencies: List[float] = []
-    for s in summaries:
-        latencies.extend(s.get("latencies_ms", []))
-    frames = sum(s["transport"].get("frames_sent", 0) for s in summaries)
-    byts = sum(s["transport"].get("bytes_sent", 0) for s in summaries)
-    writes = sum(s["transport"].get("writes", 0) for s in summaries)
-    return {
-        "label": label,
-        "driver_mode": spec.driver_mode,
-        "codec": spec.codec,
-        "coalesce": spec.coalesce,
-        "batching_ms": spec.batching_ms,
-        "clients": spec.clients if spec.driver_mode == "open" else 1,
-        "window": spec.window if spec.driver_mode == "open" else 1,
-        "ok": result.ok,
-        "violations": violations,
-        "submitted": submitted,
-        "span_ms": round(span_ms, 1),
-        "msgs_per_sec": (
-            round(submitted / (span_ms / 1000.0), 1) if span_ms > 0 else 0.0
-        ),
-        "p50_ms": round(_percentile(latencies, 0.50), 3),
-        "p99_ms": round(_percentile(latencies, 0.99), 3),
-        "frames_sent": frames,
-        "bytes_sent": byts,
-        "writes": writes,
-        "bytes_per_frame": round(byts / frames, 1) if frames else 0.0,
-        "coalesce_ratio": round(frames / writes, 2) if writes else 0.0,
-        "wall_s": round(wall_s, 3),
-    }
-
-
-def measure_net_throughput(
-    n_groups: int = 2,
-    group_size: int = 3,
-    n_messages: int = 64,
-    seed: int = 1,
-    client_counts: tuple = (2, 4, 8),
-    window: int = 8,
-    batching_ms: float = 5.0,
-    repeats: int = 2,
-    run_timeout_s: float = 60.0,
-) -> Dict[str, Any]:
-    """Wire-path throughput: PR-9 sequential/JSON config vs the overhaul.
-
-    All points run the same topology as in-process clusters over real
-    localhost sockets:
-
-    * **baseline** — the sequential driver (one outstanding message,
-      gated on its own delivery), canonical-JSON codec, one socket
-      write per frame, no batching: exactly the PR-9 wire path;
-    * **open-binary-cK** — the overhaul at each client count in
-      ``client_counts``: open-loop driver, binary codec, write
-      coalescing, and the §7.1 ack/bump batching layer at
-      ``batching_ms`` (closed loop: every window full from the start,
-      the saturation point);
-    * **open-json** — the largest client count with the JSON codec and
-      everything else identical, so the bytes/frame comparison is
-      measured at identical load.
-
-    Each point runs ``repeats`` times keeping the best msgs/sec row —
-    real sockets on a shared machine are noisy, and best-of mirrors the
-    wall-clock convention of the sim benches. Headline numbers:
-    ``speedup_vs_seq`` (best open-binary msgs/sec over the baseline;
-    acceptance bar >= 3x) and ``codec_bytes_ratio`` (JSON bytes/frame
-    over binary bytes/frame at the same load; acceptance bar >= 1.5x).
-    """
-    from ..net.cluster import ClusterSpec
-
-    def best_of(spec: Any, label: str) -> Dict[str, Any]:
-        rows = [_run_net_point(spec, label) for _ in range(max(1, repeats))]
-        return max(rows, key=lambda r: r["msgs_per_sec"])
-
-    common = dict(
-        n_groups=n_groups,
-        group_size=group_size,
-        n_messages=n_messages,
-        seed=seed,
-        run_timeout_s=run_timeout_s,
-    )
-    points = [
-        best_of(
-            ClusterSpec(codec="json", coalesce=False, **common),
-            "seq-json-nocoalesce",
-        )
-    ]
-    for clients in client_counts:
-        points.append(
-            best_of(
-                ClusterSpec(
-                    driver_mode="open",
-                    clients=clients,
-                    window=window,
-                    codec="binary",
-                    coalesce=True,
-                    batching_ms=batching_ms,
-                    **common,
-                ),
-                f"open-binary-c{clients}",
-            )
-        )
-    top = max(client_counts)
-    points.append(
-        best_of(
-            ClusterSpec(
-                driver_mode="open",
-                clients=top,
-                window=window,
-                codec="json",
-                coalesce=True,
-                batching_ms=batching_ms,
-                **common,
-            ),
-            f"open-json-c{top}",
-        )
-    )
-
-    baseline = points[0]
-    open_binary = [p for p in points if p["codec"] == "binary"]
-    open_json = points[-1]
-    best = max(open_binary, key=lambda p: p["msgs_per_sec"])
-    speedup = (
-        best["msgs_per_sec"] / baseline["msgs_per_sec"]
-        if baseline["msgs_per_sec"]
-        else 0.0
-    )
-    bytes_ratio = (
-        open_json["bytes_per_frame"] / best["bytes_per_frame"]
-        if best["bytes_per_frame"]
-        else 0.0
-    )
-    return {
-        "point": f"net-g{n_groups}x{group_size}-m{n_messages}-w{window}",
-        "n_groups": n_groups,
-        "group_size": group_size,
-        "n_messages": n_messages,
-        "window": window,
-        "batching_ms": batching_ms,
-        "repeats": repeats,
-        "client_counts": list(client_counts),
-        "cpu_count": os.cpu_count(),
-        "points": points,
-        "all_ok": all(p["ok"] and p["violations"] == 0 for p in points),
-        "baseline_msgs_per_sec": baseline["msgs_per_sec"],
-        "best_open_msgs_per_sec": best["msgs_per_sec"],
-        "best_open_label": best["label"],
-        "speedup_vs_seq": round(speedup, 2),
-        "bytes_per_frame_json": open_json["bytes_per_frame"],
-        "bytes_per_frame_binary": best["bytes_per_frame"],
-        "codec_bytes_ratio": round(bytes_ratio, 2),
-    }
-
-
-def net_history_row(net: Dict[str, Any], note: str = "") -> Dict[str, Any]:
-    """History-log row for one :func:`measure_net_throughput` result.
-
-    Tagged ``backend: "net"`` so the trajectory dashboard renders these
-    rows as their own section — wire-path msgs/sec is not comparable to
-    the simulator's events/sec column.
-    """
-    from datetime import datetime, timezone
-
-    best = max(
-        (p for p in net["points"] if p["codec"] == "binary"),
-        key=lambda p: p["msgs_per_sec"],
-    )
-    return {
-        "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "point": net["point"],
-        "backend": "net",
-        "msgs_per_sec": best["msgs_per_sec"],
-        "p50_ms": best["p50_ms"],
-        "p99_ms": best["p99_ms"],
-        "speedup_vs_seq": net["speedup_vs_seq"],
-        "codec_bytes_ratio": net["codec_bytes_ratio"],
-        "note": note,
-    }
-
-
 def update_bench(key: str, payload: Any, path: Optional[Path] = None) -> Path:
     """Merge ``payload`` under ``key`` into ``BENCH_perf.json``.
 
@@ -1031,46 +803,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--json", action="store_true", help="print the row as JSON"
     )
-    parser.add_argument(
-        "--net",
-        action="store_true",
-        help="measure the net backend's wire-path throughput instead "
-        "(open-loop driver + binary codec + coalescing vs the "
-        "sequential/JSON baseline) and record it under the "
-        "net_throughput key of BENCH_perf.json",
-    )
-    parser.add_argument(
-        "--net-messages",
-        type=int,
-        default=64,
-        help="messages per net-throughput point (default 64)",
-    )
     args = parser.parse_args(argv)
-
-    if args.net:
-        net = measure_net_throughput(n_messages=args.net_messages)
-        update_bench("net_throughput", net)
-        if args.json:
-            print(json.dumps(net, indent=2, sort_keys=True))
-        else:
-            for p in net["points"]:
-                print(
-                    f"{p['label']}: {p['msgs_per_sec']:,.0f} msg/s "
-                    f"p50={p['p50_ms']:.1f}ms p99={p['p99_ms']:.1f}ms "
-                    f"{p['bytes_per_frame']:.0f} B/frame "
-                    f"coalesce={p['coalesce_ratio']:.2f} "
-                    f"violations={p['violations']}"
-                )
-            print(
-                f"{net['point']}: {net['speedup_vs_seq']:.2f}x vs sequential, "
-                f"binary {net['codec_bytes_ratio']:.2f}x smaller frames "
-                f"({'OK' if net['all_ok'] else 'FAILED'})"
-            )
-        if args.append_history:
-            path = append_history(net_history_row(net, note=args.note))
-            update_experiments_history(read_history())
-            print(f"appended to {path.name}; EXPERIMENTS.md table regenerated")
-        return 0 if net["all_ok"] else 1
 
     row = measure_history_row(repeats=args.repeats, note=args.note)
     if args.json:

@@ -88,9 +88,10 @@ def history_markdown(rows: List[Dict[str, Any]]) -> str:
     Rows come in two shapes, split into separate sections by their
     ``backend`` tag: simulator smoke-point measurements (``perf
     --append-history``; wall seconds and events/sec) and net-backend
-    wire-path measurements (``perf --net --append-history``; msgs/sec
-    over real sockets). The two are not comparable — the Δ column of
-    each section tracks its own previous row only.
+    wire-path measurements (``backend: "net"``; msgs/sec over real
+    sockets — written by the since-deleted ``perf --net``, superseded
+    by ``bench/``, still rendered). The two are not comparable — the Δ
+    column of each section tracks its own previous row only.
     """
     sim_rows = [r for r in rows if r.get("backend") != "net"]
     net_rows = [r for r in rows if r.get("backend") == "net"]

@@ -6,8 +6,10 @@ asyncio TCP sockets with real wall clocks:
 * :mod:`repro.net.runtime` — the backend-agnostic seam
   (:class:`~repro.net.runtime.Runtime`, the ``SchedulerAPI`` /
   ``TransportAPI`` / ``LeaderOracle`` protocols) plus the sim adapter;
-* :mod:`repro.net.codec` — length-prefixed JSON framing for the wire
-  messages (lossless round trips, exhaustive registry);
+* :mod:`repro.net.codec` — length-prefixed framing for the wire
+  messages in two self-describing body formats, canonical JSON and
+  compact binary, both derived from one message schema (lossless
+  round trips, exhaustive over the message classes);
 * :mod:`repro.net.transport` — per-peer connection manager with
   reconnect + exponential backoff;
 * :mod:`repro.net.election` — heartbeat-based Ω;

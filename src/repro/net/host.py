@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
@@ -41,7 +41,7 @@ from ..core.config import GroupConfig
 from ..core.process import PrimCastProcess
 from ..sim.costs import CostModel
 from ..sim.rng import child_rng
-from .codec import decode_message, encode_hb_frame, encode_msg_frame
+from .codec import encode_hb_frame, encode_msg_frame
 from .election import DEFAULT_HB_INTERVAL_MS, DEFAULT_SUSPECT_MS, HeartbeatOmega
 from .runtime import Runtime, SchedulerAPI, TransportAPI
 from .transport import Transport
@@ -295,55 +295,23 @@ class Topology:
     rate_hz: float = 0.0
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "groups": [list(g) for g in self.groups],
-            "addresses": {str(pid): [h, p] for pid, (h, p) in self.addresses.items()},
-            "seed": self.seed,
-            "n_messages": self.n_messages,
-            "driver_pid": self.driver_pid,
-            "extra_group_p": self.extra_group_p,
-            "hb_interval_ms": self.hb_interval_ms,
-            "suspect_ms": self.suspect_ms,
-            "hb_grace_ms": self.hb_grace_ms,
-            "run_timeout_s": self.run_timeout_s,
-            "linger_ms": self.linger_ms,
-            "hold_after": self.hold_after,
-            "codec": self.codec,
-            "coalesce": self.coalesce,
-            "batching_ms": self.batching_ms,
-            "driver_mode": self.driver_mode,
-            "clients": self.clients,
-            "window": self.window,
-            "rate_hz": self.rate_hz,
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["groups"] = [list(g) for g in self.groups]
+        data["addresses"] = {
+            str(pid): [h, p] for pid, (h, p) in self.addresses.items()
         }
+        return data
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "Topology":
-        # .get() with the field defaults keeps PR-9 topology files valid.
-        return cls(
-            groups=[list(g) for g in data["groups"]],
-            addresses={
-                int(pid): (hp[0], int(hp[1]))
-                for pid, hp in data["addresses"].items()
-            },
-            seed=data["seed"],
-            n_messages=data["n_messages"],
-            driver_pid=data["driver_pid"],
-            extra_group_p=data["extra_group_p"],
-            hb_interval_ms=data["hb_interval_ms"],
-            suspect_ms=data["suspect_ms"],
-            hb_grace_ms=data.get("hb_grace_ms"),
-            run_timeout_s=data["run_timeout_s"],
-            linger_ms=data["linger_ms"],
-            hold_after=data.get("hold_after"),
-            codec=data.get("codec", "json"),
-            coalesce=data.get("coalesce", True),
-            batching_ms=data.get("batching_ms", 0.0),
-            driver_mode=data.get("driver_mode", "seq"),
-            clients=data.get("clients", 4),
-            window=data.get("window", 4),
-            rate_hz=data.get("rate_hz", 0.0),
-        )
+        # Absent keys take the field defaults, which keeps PR-9 topology
+        # files valid.
+        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        kwargs["groups"] = [list(g) for g in data["groups"]]
+        kwargs["addresses"] = {
+            int(pid): (hp[0], int(hp[1])) for pid, hp in data["addresses"].items()
+        }
+        return cls(**kwargs)
 
     def make_config(self) -> GroupConfig:
         return GroupConfig(self.groups)
@@ -559,15 +527,9 @@ class NetNode:
         t = frame.get("t")
         if t == "m":
             assert self.proc is not None and self.runtime is not None
-            # Binary frames arrive with the message already decoded by
-            # the FrameDecoder ("msg"); JSON frames carry the tagged
-            # dict form ("m").
-            msg = frame.get("msg")
-            if msg is None:
-                msg = decode_message(frame["m"])
             if self.omega is not None:
                 self.omega.heard_from(src)
-            self.proc.enqueue_message(int(frame.get("src", src)), msg)
+            self.proc.enqueue_message(int(frame.get("src", src)), frame["msg"])
             self.runtime.net_scheduler.kick()
         elif t == "hb":
             if self.omega is not None:

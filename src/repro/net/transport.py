@@ -54,7 +54,7 @@ from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from collections import deque
 
-from .codec import FrameDecoder, encode_frame
+from .codec import CodecError, FrameDecoder, encode_frame
 
 #: Reconnect backoff: first retry after BACKOFF_BASE_S, doubling per
 #: failure up to BACKOFF_CAP_S.
@@ -378,7 +378,15 @@ class Transport:
                 data = await reader.read(65536)
                 if not data:
                     break
-                for frame in decoder.feed(data):
+                try:
+                    frames = decoder.feed(data)
+                except CodecError:
+                    # Bytes that are not frames: this connection cannot
+                    # be resynchronized, the node and its other
+                    # connections are unaffected.
+                    self.probe("bad_frame", src)
+                    return
+                for frame in frames:
                     if src is None:
                         if frame.get("t") != "hello":
                             return  # protocol violation; drop connection

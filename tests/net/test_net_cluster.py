@@ -11,6 +11,7 @@ of exactly this workload runs in CI's ``net-smoke`` job via
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.net.differential import (
     run_sim_reference,
     verify_cluster_logs,
 )
+from repro.net.host import Topology
 from repro.net.workload import (
     expected_count,
     make_client_plans,
@@ -176,3 +178,55 @@ def test_cluster_spec_validation():
     ClusterSpec(
         n_groups=2, group_size=3, n_messages=4, driver_mode="open", clients=2
     ).validate()
+
+
+def test_topology_json_key_order_is_pinned():
+    # The launcher hands this file to every node process; the derived
+    # to_json must keep writing exactly what the literal one wrote.
+    topology = make_topology(ClusterSpec())
+    data = json.loads(json.dumps(topology.to_json()))
+    assert data.pop("addresses") == {
+        str(pid): [host, port] for pid, (host, port) in topology.addresses.items()
+    }
+    assert json.dumps(data) == (
+        '{"groups": [[0, 1, 2], [3, 4, 5]], "seed": 1, "n_messages": 16, '
+        '"driver_pid": 0, "extra_group_p": 0.5, "hb_interval_ms": 50.0, '
+        '"suspect_ms": 500.0, "hb_grace_ms": null, "run_timeout_s": 60.0, '
+        '"linger_ms": 250.0, "hold_after": null, "codec": "json", '
+        '"coalesce": true, "batching_ms": 0.0, "driver_mode": "seq", '
+        '"clients": 4, "window": 4, "rate_hz": 0.0}'
+    )
+    assert list(topology.to_json())[:2] == ["groups", "addresses"]
+    assert Topology.from_json(topology.to_json()) == topology
+
+
+def test_pr9_topology_file_still_loads():
+    # A file written before the wire-path options existed: the absent
+    # keys take the field defaults.
+    pr9 = {
+        "groups": [[0, 1], [2, 3]],
+        "addresses": {"0": ["127.0.0.1", 9000], "1": ["127.0.0.1", 9001],
+                      "2": ["127.0.0.1", 9002], "3": ["127.0.0.1", 9003]},
+        "seed": 7,
+        "n_messages": 5,
+        "driver_pid": 0,
+        "extra_group_p": 0.25,
+        "hb_interval_ms": 40.0,
+        "suspect_ms": 400.0,
+        "run_timeout_s": 30.0,
+        "linger_ms": 100.0,
+    }
+    topology = Topology.from_json(json.loads(json.dumps(pr9)))
+    assert topology == Topology(
+        groups=[[0, 1], [2, 3]],
+        addresses={pid: ("127.0.0.1", 9000 + pid) for pid in range(4)},
+        seed=7,
+        n_messages=5,
+        extra_group_p=0.25,
+        hb_interval_ms=40.0,
+        suspect_ms=400.0,
+        run_timeout_s=30.0,
+        linger_ms=100.0,
+    )
+    assert (topology.codec, topology.coalesce, topology.driver_mode) == ("json", True, "seq")
+    assert {k: v for k, v in topology.to_json().items() if k in pr9} == pr9
