@@ -39,7 +39,6 @@ DET_SCOPE: Tuple[str, ...] = (
     "repro.consensus",
     "repro.harness.parallel",
     "repro.harness.cache",
-    "repro.harness.pool",
     "repro.chaos",
 )
 

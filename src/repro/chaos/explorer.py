@@ -402,7 +402,7 @@ def run_campaign(
 ) -> CampaignReport:
     """Run one case per seed and aggregate the violations.
 
-    Cases are dispatched through the persistent worker pool of a
+    Cases are dispatched through the persistent workers of a
     :class:`~repro.harness.parallel.SweepExecutor` (work-stealing for
     heterogeneous case lengths) and merged in seed order regardless of
     ``jobs``, so the report is byte-identical across parallelism

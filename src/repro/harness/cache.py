@@ -6,10 +6,10 @@ memoized under a key derived from exactly those two inputs:
 
 * the **spec key**: SHA-256 of the spec's canonical (sorted-keys) JSON;
 * the **code fingerprint**: SHA-256 over the per-file content hashes of
-  every ``.py`` file under ``src/repro/{core,sim,baselines,rmcast,
-  election,consensus,workload,harness}`` — every package the simulated
-  event path can reach (the DET001 determinism scope plus the harness
-  that drives it).
+  every ``.py`` file under the :data:`FINGERPRINT_PACKAGES` of
+  ``src/repro`` — every package a load point or a chaos case can reach
+  (the DET001 determinism scope plus the harness that drives it, the
+  property checkers and the ``net`` seam).
 
 Layout::
 

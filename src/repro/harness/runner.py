@@ -178,8 +178,8 @@ class RunResult:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict capturing every field exactly.
 
-        The shared serialization for the result cache, ``export.py`` and
-        ``perf.py``; floats survive a JSON round trip bit-exactly
+        The shared serialization for the result cache and ``export.py``;
+        floats survive a JSON round trip bit-exactly
         (``json`` emits ``repr``-precision), so
         ``RunResult.from_dict(r.to_dict()) == r``.
         """

@@ -6,8 +6,9 @@ Two runners share the same file-based coordination protocol (see
 * :func:`launch_cluster` — the real thing: spawns one
   ``python -m repro.net node`` subprocess per pid from a JSON topology,
   operates the readiness barrier (``ready-*`` → ``GO``), optionally
-  SIGKILLs one node mid-run, then the shutdown barrier (``done-*`` →
-  ``STOP``), and collects per-node summaries and delivery logs.
+  SIGKILLs one node mid-run (once every node's mesh is up, ``up-*``),
+  then the shutdown barrier (``done-*`` → ``STOP``), and collects
+  per-node summaries and delivery logs.
 * :func:`run_cluster_inprocess` — every node on one event loop with
   real sockets, used by the tier-1 tests (no subprocess spawn cost);
   "kill" cancels the node's coroutine, marks its scheduler dead and
@@ -322,6 +323,11 @@ def launch_cluster(
                 spec.kill_after,
                 timeout,
             )
+            # A survivor still dialing the victim could never finish
+            # connect_all once its listener is gone. The driver is held
+            # at hold_after until RELEASE, so waiting here cannot let
+            # the workload run past the kill point.
+            _await_files([rundir / f"up-{pid}" for pid in pids], timeout, "up barrier")
             procs[spec.kill_pid].kill()
             procs[spec.kill_pid].wait(timeout=10.0)
             killed = spec.kill_pid
@@ -403,6 +409,8 @@ async def run_cluster_inprocess(
             await _await_jsonl_lines_async(
                 rundir / f"delivery-{topology.driver_pid}.jsonl", kill_after
             )
+            # same up barrier as launch_cluster
+            await _await_files_async([rundir / f"up-{pid}" for pid in pids])
             tasks[kill_pid].cancel()
             try:
                 await tasks[kill_pid]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from pathlib import Path
@@ -390,7 +391,11 @@ class NetNode:
     many nodes on one loop):
 
     1. bind server, write ``ready-<pid>``;
-    2. wait for ``GO``, dial all peers, start heartbeats;
+    2. wait for ``GO``, dial all peers and, once every outgoing link
+       is up, write ``up-<pid>`` (the launcher kills a node only after
+       every ``up-*`` exists, so no survivor is left dialing a dead
+       listener; a dial timeout exits 1 naming the unreachable peers on
+       stderr), start heartbeats;
     3. run the seeded workload — either the sequential driver (one
        driver node, one outstanding, gated on its own delivery) or the
        open-loop driver (``driver_mode="open"``: this node's share of
@@ -484,7 +489,13 @@ class NetNode:
         await transport.start()
         (self.rundir / f"ready-{self.pid}").write_text("ready\n")
         await self._wait_for_file(self.rundir / "GO")
-        await transport.connect_all()
+        try:
+            await transport.connect_all()
+        except ConnectionError as exc:
+            print(f"node {self.pid}: {exc}; giving up", file=sys.stderr, flush=True)
+            await transport.close()
+            return self._result(EXIT_ERROR)
+        (self.rundir / f"up-{self.pid}").write_text("up\n")
         members = self.config.members(self.gid)
         omega = self.omega = HeartbeatOmega(
             self.gid,

@@ -275,10 +275,24 @@ class Transport:
 
     async def connect_all(self, timeout_s: float = 30.0) -> None:
         """Wait until every outgoing link is up (dialing started in
-        :meth:`start`; reconnect loops keep retrying underneath)."""
+        :meth:`start`; reconnect loops keep retrying underneath).
+
+        Raises :class:`ConnectionError` naming the peers still down
+        after ``timeout_s`` — not ``TimeoutError``, which a caller's own
+        watchdog would be indistinguishable from.
+        """
         waiters = [conn.connected.wait() for conn in self.peers.values()]
-        if waiters:
+        if not waiters:
+            return
+        try:
             await asyncio.wait_for(asyncio.gather(*waiters), timeout=timeout_s)
+        except asyncio.TimeoutError:
+            down = sorted(
+                pid for pid, conn in self.peers.items() if not conn.connected.is_set()
+            )
+            raise ConnectionError(
+                f"no connection to peer(s) {down} after {timeout_s:g} s"
+            ) from None
 
     async def flush(self, timeout_s: float = 2.0) -> bool:
         """Best-effort: wait until every peer's queue drained (True) or

@@ -70,9 +70,9 @@ def test_det001_allows_seeded_child_rngs():
 
 
 def test_det001_out_of_scope_module_is_ignored():
-    # The perf harness measures wall time by design; it is outside the
-    # determinism scope.
-    assert run_rule("DET001", DET001_BAD, module="repro.harness.perf") == []
+    # The asyncio transport reads real clocks by design; it is outside
+    # the determinism scope.
+    assert run_rule("DET001", DET001_BAD, module="repro.net.transport") == []
 
 
 # ----------------------------------------------------------------------

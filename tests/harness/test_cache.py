@@ -29,7 +29,8 @@ from repro.harness.cache import (
     spec_key,
 )
 from repro.harness.parallel import SweepExecutor, expand_sweep, point_spec
-from repro.workload.scenarios import lan_scenario
+from repro.sim.costs import default_cost_model
+from repro.workload.scenarios import lan_scenario, wan_colocated_leaders
 
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -97,6 +98,37 @@ def test_cache_key_separates_distinct_specs():
     b = point_spec("primcast", lan_scenario(2, 3), 2, 1, seed=2)
     c = point_spec("whitebox", lan_scenario(2, 3), 2, 1, seed=1)
     assert len({spec_key(a), spec_key(b), spec_key(c)}) == 3
+
+
+def test_cache_keys_are_pinned():
+    """Keys computed at e8bd2e0, before PointSpec became the single
+    declaration of a point's parameters: the field set, field names and
+    defaults feed every cache key, so none of them may drift."""
+    defaults = point_spec(
+        "primcast", wan_colocated_leaders(), 2, 8, seed=1, warmup_ms=300, measure_ms=400
+    )
+    assert spec_key(defaults) == (
+        "4b5c8f4ffd0bbe7a0b1f4d0601d4db9af56371020153496096696872b354c753"
+    )
+    every_field = point_spec(
+        "primcast-hc",
+        lan_scenario(2, 3),
+        2,
+        4,
+        seed=7,
+        cost_model=default_cost_model(),
+        epsilon_ms=0.5,
+        keep_samples=True,
+        batching_ms=2.0,
+        compaction_interval_ms=0.0,
+    )
+    assert spec_key(every_field) == (
+        "8dd324bf7ab7c3d04200346fcd6fc420deaf02b60cf1f5e7a3f7ab33332d37ad"
+    )
+    assert [spec_key(s) for s in tiny_specs()] == [
+        "13145385fc57321b914f4962e22c47665e303eeb7087ca46979b0f967d480fcb",
+        "ec60704b0576271c070fdbbcfc37408f07562ff5f4bc796724e05f0fa45b8b6a",
+    ]
 
 
 # ----------------------------------------------------------------------

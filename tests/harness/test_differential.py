@@ -1,16 +1,13 @@
-"""Differential-harness and perf-history unit tests.
+"""Differential-harness unit tests.
 
 The cross-backend *golden* comparisons live in
 ``tests/harness/test_determinism_golden.py``; here we test the
 machinery itself: fingerprint diffing, the backend subprocess protocol
-(including the REPRO_COMPILED=0 escape hatch), the CLI exit codes, and
-the BENCH_history append/render pipeline.
+(including the REPRO_COMPILED=0 escape hatch) and the CLI exit codes.
 """
 
 import subprocess
 import sys
-
-import pytest
 
 from repro._backend import COMPILED_MODULES
 from repro.harness.differential import (
@@ -18,14 +15,6 @@ from repro.harness.differential import (
     diff_fingerprints,
     run_backend,
     run_scenario,
-)
-from repro.harness.perf import (
-    HISTORY_BEGIN,
-    HISTORY_END,
-    append_history,
-    history_table,
-    read_history,
-    update_experiments_history,
 )
 
 
@@ -103,85 +92,3 @@ def test_cli_exit_codes():
             text=True,
         )
         assert strict.returncode == 2
-
-
-# ----------------------------------------------------------------------
-# perf history pipeline (--append-history)
-# ----------------------------------------------------------------------
-
-
-def _row(ts, wall, note=""):
-    return {
-        "timestamp": ts,
-        "point": "fig3-wan-colocated-d2-o32",
-        "wall_s": wall,
-        "walls_s": [wall],
-        "events": 660110,
-        "events_per_sec": 660110 / wall,
-        "speedup_vs_seed": 10.139 / wall,
-        "backend": "pure-python",
-        "note": note,
-    }
-
-
-def test_history_append_read_roundtrip(tmp_path):
-    log = tmp_path / "BENCH_history.jsonl"
-    append_history(_row("2026-01-01T00:00:00Z", 5.0), path=log)
-    append_history(_row("2026-01-02T00:00:00Z", 4.0, "faster"), path=log)
-    rows = read_history(path=log)
-    assert [r["wall_s"] for r in rows] == [5.0, 4.0]
-    assert rows[1]["note"] == "faster"
-    # Append-only: a reread after another append sees all three.
-    append_history(_row("2026-01-03T00:00:00Z", 3.0), path=log)
-    assert len(read_history(path=log)) == 3
-
-
-def test_history_table_renders_every_row():
-    rows = [
-        _row("2026-01-01T00:00:00Z", 5.0),
-        _row("2026-01-02T00:00:00Z", 4.0, "faster"),
-    ]
-    table = history_table(rows)
-    lines = table.splitlines()
-    assert lines[0].startswith("| When (UTC) |")
-    assert len(lines) == 2 + len(rows)
-    assert "2026-01-02T00:00:00Z" in lines[3]
-    assert "faster" in lines[3]
-    assert "2.03x" in lines[2]  # 10.139 / 5.0 vs seed
-
-
-def test_update_experiments_history_rewrites_only_the_marked_block(tmp_path):
-    doc = tmp_path / "EXPERIMENTS.md"
-    doc.write_text(
-        "# Title\n\nprose before\n\n"
-        f"{HISTORY_BEGIN}\nstale table\n{HISTORY_END}\n\nprose after\n"
-    )
-    update_experiments_history([_row("2026-01-01T00:00:00Z", 5.0)], path=doc)
-    text = doc.read_text()
-    assert "stale table" not in text
-    assert "2026-01-01T00:00:00Z" in text
-    assert text.startswith("# Title\n\nprose before\n")
-    assert text.endswith("prose after\n")
-    # Idempotent: regenerating replaces, never accumulates.
-    update_experiments_history([_row("2026-01-02T00:00:00Z", 4.0)], path=doc)
-    text = doc.read_text()
-    assert "2026-01-01T00:00:00Z" not in text
-    assert "2026-01-02T00:00:00Z" in text
-
-
-def test_update_experiments_history_refuses_missing_markers(tmp_path):
-    doc = tmp_path / "EXPERIMENTS.md"
-    doc.write_text("# Title\n\nno markers here\n")
-    with pytest.raises(ValueError):
-        update_experiments_history([], path=doc)
-
-
-def test_repo_experiments_has_the_markers():
-    """The real EXPERIMENTS.md must keep the marker pair, or
-    --append-history starts failing."""
-    from repro.harness.perf import EXPERIMENTS_PATH
-
-    text = EXPERIMENTS_PATH.read_text()
-    assert HISTORY_BEGIN in text
-    assert HISTORY_END in text
-    assert text.index(HISTORY_BEGIN) < text.index(HISTORY_END)

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro.harness.parallel as parallel_mod
 from repro.harness.experiments import sweep
 from repro.harness.parallel import (
     PointSpec,
@@ -142,6 +143,34 @@ def test_point_spec_round_trips_scenario_and_epsilon():
     rebuilt = build_scenario(spec.scenario, spec.n_groups, spec.group_size)
     assert rebuilt.name == scenario.name
     assert rebuilt.n_groups == scenario.n_groups
+
+
+def test_point_keywords_are_declared_on_point_spec_only(monkeypatch):
+    scenario = small_fig3_scenario()
+    # a typo fails loudly at spec construction, through either entry point
+    with pytest.raises(TypeError, match="warmup"):
+        point_spec("primcast", scenario, 2, 1, warmup=5.0)
+    with pytest.raises(TypeError, match="warmup"):
+        expand_sweep(PROTOCOLS, scenario, 2, LOADS, warmup=5.0)
+    # seed used to be the fifth positional; it must not become cost_model
+    with pytest.raises(TypeError):
+        point_spec("primcast", scenario, 2, 1, 7)
+    # run() hands run_load_point every field by name, scenario rebuilt
+    calls = []
+    monkeypatch.setattr(
+        parallel_mod, "run_load_point", lambda **kw: calls.append(kw)
+    )
+    spec = point_spec(
+        "primcast", scenario, 2, 1, cost_model=zero_cost_model(), batching_ms=2.0
+    )
+    spec.run()
+    (sent,) = calls
+    assert sent.pop("scenario").name == scenario.name
+    assert sent.pop("cost_model").default_recv == 0.0
+    want = spec.canonical()
+    for rebuilt in ("scenario", "n_groups", "group_size", "cost_model"):
+        del want[rebuilt]
+    assert sent == want and sent["batching_ms"] == 2.0
 
 
 def test_point_spec_rejects_unknown_scenario():

@@ -1,4 +1,4 @@
-"""Tests for the persistent worker-pool campaign runtime (repro.harness.pool).
+"""Tests for the sweep executor's persistent workers (repro.harness.parallel).
 
 Three contracts, straight from DESIGN.md §11:
 
@@ -13,6 +13,7 @@ Three contracts, straight from DESIGN.md §11:
 """
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from typing import Any, Dict
@@ -20,8 +21,12 @@ from typing import Any, Dict
 import pytest
 
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import SweepExecutor, expand_sweep, point_spec
-from repro.harness.pool import WorkerCrash, WorkerPool
+from repro.harness.parallel import (
+    SweepExecutor,
+    WorkerCrash,
+    expand_sweep,
+    point_spec,
+)
 from repro.workload.scenarios import (
     lan_fleet,
     lan_scenario,
@@ -71,6 +76,19 @@ class FailSpec:
         raise ValueError(f"spec {self.index} exploded")
 
 
+@dataclass(frozen=True)
+class DieSpec:
+    """Kills its worker outright — no exception, no result record."""
+
+    index: int
+
+    def canonical(self) -> Dict[str, Any]:
+        return {"die": self.index}
+
+    def run(self) -> int:
+        os._exit(1)
+
+
 def small_sweep_specs(**overrides):
     kwargs = dict(seed=1, warmup_ms=20.0, measure_ms=40.0)
     kwargs.update(overrides)
@@ -85,7 +103,7 @@ def small_sweep_specs(**overrides):
 def test_results_in_spec_order_at_any_job_count():
     specs = [EchoSpec(i) for i in range(20)]
     for jobs in (1, 2, 4):
-        with WorkerPool(jobs=jobs) as pool:
+        with SweepExecutor(jobs=jobs) as pool:
             assert pool.run(specs) == list(range(20))
 
 
@@ -149,7 +167,7 @@ def test_straggler_does_not_serialize_the_queue():
     def on_result(index, spec, result):
         completions.append(index)
 
-    with WorkerPool(jobs=2) as pool:
+    with SweepExecutor(jobs=2) as pool:
         t0 = time.perf_counter()
         results = pool.run([straggler] + shorts, on_result=on_result)
         wall = time.perf_counter() - t0
@@ -166,10 +184,10 @@ def test_straggler_does_not_serialize_the_queue():
 
 
 def test_workers_spawned_once_and_reused_across_batches():
-    with WorkerPool(jobs=2) as pool:
+    with SweepExecutor(jobs=2) as pool:
         for batch in range(3):
             pool.run([EchoSpec(batch * 10 + i) for i in range(10)])
-        stats = pool.stats()
+        stats = pool.pool_stats()
     assert stats["spawned"] == 2
     assert stats["batches"] == 3
     assert stats["dispatched"] == 30
@@ -179,9 +197,9 @@ def test_workers_spawned_once_and_reused_across_batches():
 
 
 def test_jobs1_runs_inline_without_processes():
-    with WorkerPool(jobs=1) as pool:
+    with SweepExecutor(jobs=1) as pool:
         assert pool.run([EchoSpec(i) for i in range(4)]) == [0, 1, 2, 3]
-        stats = pool.stats()
+        stats = pool.pool_stats()
     assert stats["spawned"] == 0
     assert stats["inline"] == 4
     assert stats["per_worker"] == {"inline": 4}
@@ -198,22 +216,8 @@ def test_executor_shares_one_pool_across_runs():
     assert stats["dispatched"] == 4
 
 
-def test_executors_can_share_an_external_pool():
-    with WorkerPool(jobs=2) as pool:
-        a = SweepExecutor(pool=pool)
-        b = SweepExecutor(pool=pool)
-        assert a.jobs == b.jobs == 2
-        assert a.run([EchoSpec(0)]) == [0]
-        assert b.run([EchoSpec(1)]) == [1]
-        # Executors never close a shared pool.
-        a.close()
-        b.close()
-        assert not pool.closed
-        assert pool.stats()["spawned"] == 2
-
-
 def test_pool_rejects_use_after_close():
-    pool = WorkerPool(jobs=2)
+    pool = SweepExecutor(jobs=2)
     pool.close()
     with pytest.raises(RuntimeError, match="closed"):
         pool.run([EchoSpec(0)])
@@ -221,7 +225,7 @@ def test_pool_rejects_use_after_close():
 
 def test_pool_rejects_bad_jobs():
     with pytest.raises(ValueError):
-        WorkerPool(jobs=0)
+        SweepExecutor(jobs=0)
 
 
 # -- error propagation --------------------------------------------------
@@ -229,15 +233,25 @@ def test_pool_rejects_bad_jobs():
 
 def test_worker_exception_propagates_with_traceback():
     with pytest.raises(WorkerCrash, match="spec 1 raised ValueError") as info:
-        with WorkerPool(jobs=2) as pool:
+        with SweepExecutor(jobs=2) as pool:
             pool.run([EchoSpec(0), FailSpec(1), EchoSpec(2)])
     assert info.value.spec_index == 1
     assert "exploded" in str(info.value)
 
 
+def test_silently_dead_worker_raises_instead_of_hanging():
+    """Liveness polling: a worker that exits without reporting (OOM
+    kill, segfault) is noticed on the next poll and named."""
+    with pytest.raises(WorkerCrash, match=r"repro-pool-w\d.*died") as info:
+        with SweepExecutor(jobs=2) as pool:
+            pool.run([EchoSpec(0), DieSpec(1), EchoSpec(2)])
+    assert info.value.spec_index is None
+    assert "case(s) outstanding" in str(info.value)
+
+
 def test_inline_exception_propagates_directly():
     with pytest.raises(ValueError, match="exploded"):
-        with WorkerPool(jobs=1) as pool:
+        with SweepExecutor(jobs=1) as pool:
             pool.run([FailSpec(0)])
 
 

@@ -1,10 +1,20 @@
-"""Perf-trajectory dashboard tests (repro.harness.report --history)."""
+"""Perf-trajectory dashboard tests (repro.harness.report --history):
+the BENCH_history.jsonl reader, the markdown renderer and the
+marker-delimited EXPERIMENTS.md rewrite (--update-experiments)."""
 
 import json
 
 import pytest
 
-from repro.harness.report import history_markdown, main
+from repro.harness.report import (
+    EXPERIMENTS_PATH,
+    HISTORY_BEGIN,
+    HISTORY_END,
+    history_markdown,
+    main,
+    read_history,
+    update_experiments_history,
+)
 
 
 def rows():
@@ -122,11 +132,9 @@ def test_cli_requires_history_flag(capsys):
 def test_repo_history_log_renders():
     """The real BENCH_history.jsonl must always render (EXPERIMENTS.md
     embeds exactly this table)."""
-    from repro.harness.perf import history_table, read_history
-
     real = read_history()
     assert real, "BENCH_history.jsonl missing or empty at the repo root"
-    table = history_table(real)
+    table = history_markdown(real)
     assert table.splitlines()[0].startswith("| When (UTC) |")
     # Every row renders: one table line per sim row and per net row
     # (plus a header pair per section and the net section title).
@@ -139,3 +147,73 @@ def test_repo_history_log_renders():
         if sim:
             expected += (len(sim) + 2) + 1  # sim table + joining blank
     assert len(table.splitlines()) == expected
+
+
+# ----------------------------------------------------------------------
+# the EXPERIMENTS.md block (--update-experiments)
+# ----------------------------------------------------------------------
+
+
+def _row(ts, wall, note=""):
+    return {
+        "timestamp": ts,
+        "point": "fig3-wan-colocated-d2-o32",
+        "wall_s": wall,
+        "walls_s": [wall],
+        "events": 660110,
+        "events_per_sec": 660110 / wall,
+        "speedup_vs_seed": 10.139 / wall,
+        "backend": "pure-python",
+        "note": note,
+    }
+
+
+def test_history_table_renders_every_row():
+    rows = [
+        _row("2026-01-01T00:00:00Z", 5.0),
+        _row("2026-01-02T00:00:00Z", 4.0, "faster"),
+    ]
+    table = history_markdown(rows)
+    lines = table.splitlines()
+    assert lines[0].startswith("| When (UTC) |")
+    assert len(lines) == 2 + len(rows)
+    assert "2026-01-02T00:00:00Z" in lines[3]
+    assert "faster" in lines[3]
+    assert "2.03x" in lines[2]  # 10.139 / 5.0 vs seed
+
+
+def test_update_experiments_history_rewrites_only_the_marked_block(tmp_path):
+    doc = tmp_path / "EXPERIMENTS.md"
+    doc.write_text(
+        "# Title\n\nprose before\n\n"
+        f"{HISTORY_BEGIN}\nstale table\n{HISTORY_END}\n\nprose after\n"
+    )
+    update_experiments_history([_row("2026-01-01T00:00:00Z", 5.0)], path=doc)
+    text = doc.read_text()
+    assert "stale table" not in text
+    assert "2026-01-01T00:00:00Z" in text
+    assert text.startswith("# Title\n\nprose before\n")
+    assert text.endswith("prose after\n")
+    # Idempotent: regenerating replaces, never accumulates.
+    update_experiments_history([_row("2026-01-02T00:00:00Z", 4.0)], path=doc)
+    text = doc.read_text()
+    assert "2026-01-01T00:00:00Z" not in text
+    assert "2026-01-02T00:00:00Z" in text
+
+
+def test_update_experiments_history_refuses_missing_markers(tmp_path):
+    doc = tmp_path / "EXPERIMENTS.md"
+    doc.write_text("# Title\n\nno markers here\n")
+    with pytest.raises(ValueError):
+        update_experiments_history([], path=doc)
+
+
+def test_repo_experiments_has_the_markers():
+    """The real EXPERIMENTS.md must keep the marker pair, or
+    --update-experiments starts failing — and what sits between them is
+    exactly what the real log renders to."""
+    text = EXPERIMENTS_PATH.read_text()
+    begin, end = text.index(HISTORY_BEGIN), text.index(HISTORY_END)
+    assert begin < end
+    embedded = text[begin + len(HISTORY_BEGIN) : end]
+    assert embedded.strip("\n") == history_markdown(read_history())

@@ -15,13 +15,19 @@ import json
 
 import pytest
 
-from repro.net.cluster import ClusterSpec, make_topology, run_cluster_inprocess
+from repro.net.cluster import (
+    ClusterSpec,
+    _await_jsonl_lines_async,
+    make_topology,
+    run_cluster_inprocess,
+)
 from repro.net.differential import (
     diff_cluster_result,
     run_sim_reference,
     verify_cluster_logs,
 )
-from repro.net.host import Topology
+from repro.net.host import EXIT_ERROR, NetNode, Topology
+from repro.net.transport import PeerConnection, Transport
 from repro.net.workload import (
     expected_count,
     make_client_plans,
@@ -93,6 +99,60 @@ def test_asyncio_cluster_survives_killed_leader(tmp_path):
         if config.group_of[pid] == 1
     ]
     assert any(e > 0 for e in epochs), epochs
+
+
+def test_kill_waits_until_every_survivor_has_dialed_the_victim(tmp_path, monkeypatch):
+    # The kill race: pid 4's dial to the victim is held until after the
+    # driver's kill_after-th delivery, the moment the coordinator used
+    # to kill at. Killed then, the victim's listener is gone for good,
+    # pid 4 never gets out of connect_all and the run times out; the
+    # up-* barrier makes the coordinator wait for that last link.
+    dial = PeerConnection._run
+
+    async def late_dial(conn):
+        if (conn.own_pid, conn.peer_pid) == (4, 3):
+            await _await_jsonl_lines_async(tmp_path / "delivery-0.jsonl", 2)
+            await asyncio.sleep(0.3)  # many coordinator polls (20 ms) later
+        await dial(conn)
+
+    monkeypatch.setattr(PeerConnection, "_run", late_dial)
+    spec = ClusterSpec(
+        n_groups=2,
+        group_size=3,
+        n_messages=8,
+        seed=5,
+        kill_pid=3,
+        kill_after=2,
+        suspect_ms=300.0,
+        run_timeout_s=8.0,
+    )
+    result = _run(spec, tmp_path, kill_pid=3, kill_after=2)
+    assert result.survivors == [0, 1, 2, 4, 5]
+    assert result.ok, [(o.pid, o.exit_code) for o in result.outcomes.values()]
+    assert diff_cluster_result(result) == []
+    assert sorted(p.name for p in tmp_path.glob("up-*")) == [
+        f"up-{pid}" for pid in range(6)
+    ]
+
+
+def test_unreachable_peer_is_an_error_naming_it_not_a_silent_timeout(
+    tmp_path, monkeypatch, capsys
+):
+    # Node 1 never starts. Node 0's dial phase must end in EXIT_ERROR
+    # with the missing peer on stderr (the launcher sends stderr to
+    # node-<pid>.log), not in the watchdog's EXIT_TIMEOUT.
+    connect_all = Transport.connect_all
+    monkeypatch.setattr(
+        Transport, "connect_all", lambda self: connect_all(self, timeout_s=0.2)
+    )
+    topology = make_topology(ClusterSpec(n_groups=1, group_size=2, n_messages=1))
+    (tmp_path / "GO").write_text("go\n")
+    result = asyncio.run(NetNode(topology, 0, tmp_path).run())
+    assert result.exit_code == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "node 0: no connection to peer(s) [1] after 0.2 s; giving up\n"
+    )
+    assert not (tmp_path / "up-0").exists()
 
 
 def test_asyncio_cluster_binary_codec_matches_sim_reference(tmp_path):
