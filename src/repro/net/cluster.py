@@ -12,8 +12,9 @@ Two runners share the same file-based coordination protocol (see
 * :func:`run_cluster_inprocess` — every node on one event loop with
   real sockets, used by the tier-1 tests (no subprocess spawn cost);
   "kill" cancels the node's coroutine, marks its scheduler dead and
-  closes its sockets, which is indistinguishable from SIGKILL to the
-  surviving peers.
+  closes its sockets — listening, dialed and accepted — so the
+  surviving peers see EOF on their connections to it and go redialing,
+  as they do when the OS reaps a SIGKILLed process.
 
 Ports are allocated by binding to port 0 and releasing — adequate for
 single-host test clusters.

@@ -162,8 +162,11 @@ class TransportFacade:
     """TransportAPI over the per-peer connection manager.
 
     Self-addressed messages are delivered synchronously (the sim's
-    zero-latency self-channel); remote messages are encoded once per
-    destination and queued on that peer's TCP connection.
+    zero-latency self-channel); remote messages are framed once per
+    destination and staged for that peer's TCP connection. The framing
+    is cheap: the codec walks an ``Envelope`` once per process and
+    splices its bytes into every later frame or ``Batch`` that carries
+    it (``Envelope.wire``, DESIGN.md §13 "Once per frame").
     """
 
     def __init__(self, scheduler: NetScheduler, binary: bool = False) -> None:

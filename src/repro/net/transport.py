@@ -10,12 +10,16 @@ byte-stream ordering, exactly as the paper's prototype relies on it
 
 Reliability model:
 
-* An outgoing frame stays in the peer's send queue until a ``drain()``
-  of the connection succeeds. On connection failure the undrained tail
-  is retransmitted after reconnect; a frame the peer *did* receive may
-  therefore arrive twice, which is safe — the rmcast layer deduplicates
-  by ``(origin, seq)`` and the control frames (hello/heartbeat) are
-  idempotent.
+* A written chunk stays in the peer's send queue (and in
+  ``queued_bytes``) until the socket's write buffer has been *seen
+  empty* after the write — at once, or when asyncio reports it drained —
+  i.e. until the kernel holds every byte. When the connection is lost,
+  whatever is still queued is rewritten in order right behind the next
+  connection's hello. A frame the peer *did* receive may therefore
+  arrive twice, which is safe — the rmcast layer deduplicates by
+  ``(origin, seq)`` and the control frames (hello/heartbeat) are
+  idempotent. Bytes the kernel took before a reset are *not* sent again
+  and can be lost: there are no acknowledgements inside a connection.
 * Reconnects use exponential backoff (:data:`BACKOFF_BASE_S` doubling
   to :data:`BACKOFF_CAP_S`), reset after a successful connect. A dead
   peer costs one pending connect attempt per backoff interval and
@@ -25,6 +29,10 @@ The first frame on every connection is a ``hello`` identifying the
 dialing node; all subsequent frames on that connection are attributed
 to that pid. Incoming connections are read-only (responses travel on
 the receiver's own outgoing connection).
+
+Both ends are ``asyncio.Protocol`` objects, not streams: a socket event
+is one loop callback, and no task or future sits between the loop and a
+frame (:class:`PeerConnection` writes, ``_AcceptedConnection`` reads).
 
 Write coalescing (the throughput path): with ``coalesce`` on, outgoing
 frames are *staged* in a per-peer byte buffer instead of being handed
@@ -50,7 +58,7 @@ the submission edge, not the wire.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from collections import deque
 
@@ -77,8 +85,9 @@ FrameHandler = Callable[[int, Dict[str, Any]], None]
 ProbeFn = Callable[[str, Any], None]
 
 
-class PeerConnection:
-    """One outgoing connection: queue, writer task, reconnect loop."""
+class PeerConnection(asyncio.Protocol):
+    """One outgoing connection: the protocol of its own socket, the
+    retransmit queue and the dial / backoff loop."""
 
     def __init__(
         self,
@@ -93,16 +102,19 @@ class PeerConnection:
         self.host = host
         self.port = port
         self._probe = probe
+        #: Chunks the kernel is not yet known to hold, oldest first.
+        #: While ``_sock`` is set every one of them has been written to it.
         self._queue: Deque[Tuple[bytes, int]] = deque()
-        self._wakeup = asyncio.Event()
+        self._sock: Optional[asyncio.WriteTransport] = None
+        self._lost = asyncio.Event()
         self._task: Optional[asyncio.Task[None]] = None
         #: Set while a connection is established (first hello written).
         self.connected = asyncio.Event()
         self._closing = False
         self.frames_sent = 0
         self.bytes_sent = 0
-        #: Socket write+drain cycles; ``frames_sent / writes`` is the
-        #: coalescing ratio the bench records.
+        #: Socket writes; ``frames_sent / writes`` is the coalescing
+        #: ratio the bench records.
         self.writes = 0
         self.queued_bytes = 0
         self.connects = 0
@@ -112,99 +124,126 @@ class PeerConnection:
         self._task = asyncio.get_running_loop().create_task(self._run())
 
     def send_bytes(self, data: bytes, frames: int = 1) -> None:
-        """Queue one write (possibly many coalesced frames); event-loop
-        context only."""
+        """Queue one chunk (possibly many coalesced frames) and, while
+        connected, write it to the socket; event-loop context only."""
         self._queue.append((data, frames))
         self.queued_bytes += len(data)
-        self._wakeup.set()
+        sock = self._sock
+        if sock is not None:
+            sock.write(data)
+            self.writes += 1
+            if sock.get_write_buffer_size() == 0:
+                self.resume_writing()
 
     def queued(self) -> int:
         return len(self._queue)
 
     async def _run(self) -> None:
+        loop = asyncio.get_running_loop()
         backoff = BACKOFF_BASE_S
         while not self._closing:
             try:
-                reader, writer = await asyncio.open_connection(self.host, self.port)
+                await loop.create_connection(lambda: self, self.host, self.port)
             except OSError:
                 self._probe("connect_failed", self.peer_pid)
-                await self._sleep(backoff)
-                backoff = min(backoff * 2.0, BACKOFF_CAP_S)
-                continue
-            try:
-                writer.write(encode_frame({"t": "hello", "pid": self.own_pid}))
-                await writer.drain()
-            except (ConnectionError, OSError):
-                writer.close()
-                await self._sleep(backoff)
-                backoff = min(backoff * 2.0, BACKOFF_CAP_S)
-                continue
-            backoff = BACKOFF_BASE_S
-            self.connects += 1
-            self.connected.set()
-            self._probe("connect", self.peer_pid)
-            try:
-                await self._pump(writer)
-                # _pump only returns on clean close.
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-                return
-            except (ConnectionError, OSError):
-                self.connected.clear()
-                self.reconnects += 1
-                self._probe("reconnect", self.peer_pid)
-                writer.close()
-                await self._sleep(backoff)
-                backoff = min(backoff * 2.0, BACKOFF_CAP_S)
-
-    async def _pump(self, writer: asyncio.StreamWriter) -> None:
-        """Drain the queue into the socket until close is requested.
-
-        Frames are only dequeued after a successful ``drain()``; a
-        failure mid-batch leaves the whole batch queued for the next
-        connection (at-least-once, deduplicated upstream).
-        """
-        queue = self._queue
-        while True:
-            if not queue:
+            else:
+                backoff = BACKOFF_BASE_S
+                await self._lost.wait()
                 if self._closing:
                     return
-                self._wakeup.clear()
-                if not queue and not self._closing:
-                    await self._wakeup.wait()
-                continue
-            batch = len(queue)
-            for i in range(batch):
-                writer.write(queue[i][0])
-            await writer.drain()
-            for _ in range(batch):
-                data, frames = queue.popleft()
-                self.queued_bytes -= len(data)
-                self.frames_sent += frames
-                self.bytes_sent += len(data)
-            self.writes += 1
+                self.reconnects += 1
+                self._probe("reconnect", self.peer_pid)
+            await asyncio.sleep(backoff)
+            backoff = min(backoff * 2.0, BACKOFF_CAP_S)
 
-    async def _sleep(self, seconds: float) -> None:
-        # Backoff sleep that close() can cut short via the wakeup event.
-        try:
-            await asyncio.wait_for(self._wakeup.wait(), timeout=seconds)
-            self._wakeup.clear()
-        except asyncio.TimeoutError:
-            pass
+    # -- asyncio.Protocol ------------------------------------------------
+
+    def connection_made(self, sock: asyncio.BaseTransport) -> None:
+        assert isinstance(sock, asyncio.WriteTransport)
+        # High-water mark 0: asyncio calls resume_writing exactly when
+        # the write buffer has emptied.
+        sock.set_write_buffer_limits(high=0)
+        sock.write(encode_frame({"t": "hello", "pid": self.own_pid}))
+        if self._queue:  # what the last connection left unconfirmed
+            sock.writelines([data for data, _ in self._queue])
+            self.writes += 1
+        self._sock = sock
+        self._lost.clear()
+        self.connects += 1
+        self.connected.set()
+        self._probe("connect", self.peer_pid)
+        if sock.get_write_buffer_size() == 0:
+            self.resume_writing()
+
+    def resume_writing(self) -> None:
+        """The write buffer is empty: the kernel holds every queued
+        chunk. (A failed socket's buffer is empty too; that one is
+        closing, and its chunks wait for the next connection.)"""
+        if self._sock is None or self._sock.is_closing():
+            return
+        for data, frames in self._queue:
+            self.frames_sent += frames
+            self.bytes_sent += len(data)
+        self._queue.clear()
+        self.queued_bytes = 0
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # Reset, or EOF (the default eof_received closes the socket).
+        self._sock = None
+        self.connected.clear()
+        self._lost.set()
 
     async def close(self) -> None:
+        """Give the kernel 2 s to take what is buffered, then drop it."""
         self._closing = True
-        self._wakeup.set()
-        if self._task is not None:
-            try:
-                await asyncio.wait_for(self._task, timeout=2.0)
-            except asyncio.TimeoutError:
-                self._task.cancel()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+        if self._task is None:
+            return
+        if self._sock is not None:
+            self._sock.close()  # connection_lost follows the flush
+        else:
+            self._task.cancel()  # dialing or backing off
+        _, pending = await asyncio.wait({self._task}, timeout=2.0)
+        if pending and self._sock is not None:
+            self._sock.abort()  # the peer is not reading; ends _run too
+
+
+class _AcceptedConnection(asyncio.Protocol):
+    """One accepted connection. A socket read runs ``data_received`` →
+    ``FrameDecoder.feed`` → ``on_frame`` for each frame it completed,
+    one after the other, inside the loop's read callback."""
+
+    def __init__(self, owner: "Transport") -> None:
+        self._owner = owner
+        self._decoder = FrameDecoder()
+        self._src: Optional[int] = None
+
+    def connection_made(self, sock: asyncio.BaseTransport) -> None:
+        self.sock = sock
+        self._owner._accepted.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._owner._accepted.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        owner = self._owner
+        try:
+            frames = self._decoder.feed(data)
+        except CodecError:
+            # Not frames: this connection cannot be resynchronized; the
+            # node and its other connections are unaffected.
+            owner.probe("bad_frame", self._src)
+            self.sock.close()
+            return
+        for frame in frames:
+            if self._src is not None:
+                owner.frames_received += 1
+                owner.on_frame(self._src, frame)
+            elif frame.get("t") == "hello":
+                self._src = int(frame["pid"])
+                owner.probe("peer_hello", self._src)
+            else:
+                self.sock.close()  # protocol violation
+                return
 
 
 class Transport:
@@ -251,6 +290,8 @@ class Transport:
         self.overload_events = 0
         self._over = False
         self._server: Optional[asyncio.base_events.Server] = None
+        #: Live accepted connections, so that close() can end them.
+        self._accepted: Set[_AcceptedConnection] = set()
         self.frames_received = 0
 
     # -- lifecycle -------------------------------------------------------
@@ -258,14 +299,16 @@ class Transport:
     async def start(self) -> None:
         """Bind the listening socket and start every peer dialer.
 
-        Dialers begin immediately so ``send_frame`` can *queue* from the
-        moment the node is up — an incoming frame may trigger replies
-        before our own outgoing links are established (peers finish
-        their barriers at different times), and those replies must park
-        in the per-peer queue rather than fail.
+        Dialers begin immediately so ``send_frame_bytes`` can *queue*
+        from the moment the node is up — an incoming frame may trigger
+        replies before our own outgoing links are established (peers
+        finish their barriers at different times), and those replies
+        must park in the per-peer queue rather than fail.
         """
         host, port = self.addresses[self.pid]
-        self._server = await asyncio.start_server(self._accept, host, port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _AcceptedConnection(self), host, port
+        )
         for peer_pid, (peer_host, peer_port) in sorted(self.addresses.items()):
             if peer_pid == self.pid:
                 continue
@@ -307,23 +350,18 @@ class Transport:
             await asyncio.sleep(0.01)
 
     async def close(self) -> None:
+        """Stop listening and close every connection, dialed *and*
+        accepted: peers see EOF, as they would from a killed process."""
         self._flush_pending()
         for conn in self.peers.values():
             await conn.close()
+        for accepted in list(self._accepted):
+            accepted.sock.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
 
     # -- sending ---------------------------------------------------------
-
-    def send_frame(self, dst: int, obj: Dict[str, Any]) -> None:
-        """Encode and queue one frame for ``dst`` (event-loop context)."""
-        if dst == self.pid:
-            # Self-frames never touch a socket (the host facade delivers
-            # locally before reaching here; this is a safety net).
-            self.on_frame(self.pid, obj)
-            return
-        self.send_frame_bytes(dst, encode_frame(obj))
 
     def send_frame_bytes(self, dst: int, data: bytes) -> None:
         """Queue a pre-encoded frame (fan-out encodes once per frame).
@@ -379,44 +417,6 @@ class Transport:
             self.probe("overloaded", self.queued_bytes())
         self._over = over
         return over
-
-    # -- receiving -------------------------------------------------------
-
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        decoder = FrameDecoder()
-        src: Optional[int] = None
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                try:
-                    frames = decoder.feed(data)
-                except CodecError:
-                    # Bytes that are not frames: this connection cannot
-                    # be resynchronized, the node and its other
-                    # connections are unaffected.
-                    self.probe("bad_frame", src)
-                    return
-                for frame in frames:
-                    if src is None:
-                        if frame.get("t") != "hello":
-                            return  # protocol violation; drop connection
-                        src = int(frame["pid"])
-                        self.probe("peer_hello", src)
-                        continue
-                    self.frames_received += 1
-                    self.on_frame(src, frame)
-        except (ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown (node shutdown) cancels in-flight reads;
-            # nothing to salvage on this connection.
-            pass
-        finally:
-            writer.close()
 
     # -- stats -----------------------------------------------------------
 

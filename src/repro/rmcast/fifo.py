@@ -64,9 +64,13 @@ class Envelope:
     Exposes the payload's ``kind`` (precomputed at construction — the
     network and the cost model read it on every hop) so the CPU cost
     model charges for the actual protocol message being carried.
+
+    An envelope and its payload are not mutated after ``r_multicast``:
+    the simulator hands one object to every destination, and a wire
+    backend may keep its encoding in ``wire``.
     """
 
-    __slots__ = ("origin", "seq", "payload", "dests", "relayed", "kind")
+    __slots__ = ("origin", "seq", "payload", "dests", "relayed", "kind", "wire")
 
     def __init__(self, origin: int, seq: int, payload: Any, dests: Tuple[int, ...], relayed: bool = False):
         self.origin = origin
@@ -78,6 +82,11 @@ class Envelope:
             self.kind = payload.kind
         except AttributeError:
             self.kind = "rm"
+        #: The encoded body, set by the backend that serializes this
+        #: envelope (``repro.net.codec``, on first encode) so a fan-out
+        #: encodes it once; this layer and the simulator never read it.
+        #: Sound only under the immutability contract above.
+        self.wire: Optional[bytes] = None
 
     @property
     def mid(self) -> Any:

@@ -99,6 +99,13 @@ def test_asyncio_cluster_survives_killed_leader(tmp_path):
         if config.group_of[pid] == 1
     ]
     assert any(e > 0 for e in epochs), epochs
+    # The kill looked like SIGKILL to the survivors: the victim's end of
+    # every connection closed, theirs to it saw EOF and went redialing.
+    reconnects = {
+        pid: result.outcomes[pid].summary["transport"]["reconnects"]
+        for pid in result.survivors
+    }
+    assert all(n >= 1 for n in reconnects.values()), reconnects
 
 
 def test_kill_waits_until_every_survivor_has_dialed_the_victim(tmp_path, monkeypatch):

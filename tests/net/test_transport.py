@@ -1,7 +1,7 @@
-"""Transport tests: what one connection's bad bytes may and may not do.
+"""Transport tests: bad bytes, the read path, reconnect and retransmit.
 
-Two real ``Transport`` objects on one event loop over loopback sockets,
-plus a raw socket playing the misbehaving peer.
+Real ``Transport`` objects on one event loop over loopback sockets, plus
+a raw socket or a raw listener playing the misbehaving peer.
 """
 
 from __future__ import annotations
@@ -9,8 +9,8 @@ from __future__ import annotations
 import asyncio
 
 from repro.net.cluster import allocate_ports
-from repro.net.codec import LEN_STRUCT, encode_frame, encode_hb_frame
-from repro.net.transport import Transport
+from repro.net.codec import LEN_STRUCT, FrameDecoder, encode_frame, encode_hb_frame
+from repro.net.transport import PeerConnection, Transport
 
 HELLO = encode_frame({"t": "hello", "pid": 0})
 #: A binary message frame whose body stops in the middle of the message.
@@ -24,12 +24,16 @@ async def _until(predicate, timeout_s: float = 5.0) -> None:
         await asyncio.sleep(0.01)
 
 
-async def _pair(on_frame):
+def _loopback(n: int):
+    """Free loopback addresses for pids ``0..n-1``."""
+    return {pid: ("127.0.0.1", port) for pid, port in enumerate(allocate_ports(n))}
+
+
+async def _pair(on_frame, on_frame_a=lambda src, frame: None):
     """Nodes 0 and 1, connected; node 1 records frames and probes."""
-    ports = allocate_ports(2)
-    addresses = {pid: ("127.0.0.1", ports[pid]) for pid in (0, 1)}
+    addresses = _loopback(2)
     probes = []
-    a = Transport(0, addresses, on_frame=lambda src, frame: None)
+    a = Transport(0, addresses, on_frame=on_frame_a)
     b = Transport(1, addresses, on_frame=on_frame, probe=lambda e, d: probes.append((e, d)))
     await a.start()
     await b.start()
@@ -85,5 +89,258 @@ def test_handler_exceptions_are_not_mistaken_for_bad_frames():
         finally:
             await a.close()
             await b.close()
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# the read path: one loop callback per socket read
+# ----------------------------------------------------------------------
+
+
+def _hb(i: int) -> bytes:
+    """A small frame carrying a sequence number (decodes to ``_hb_frame(i)``)."""
+    return encode_hb_frame(i, binary=True)
+
+
+def _hb_frame(i: int):
+    return {"t": "hb", "pid": i}
+
+
+async def _lone_node(on_frame):
+    """A node with no peers: only its listening side is exercised."""
+    addresses = _loopback(1)
+    probes = []
+    node = Transport(0, addresses, on_frame=on_frame, probe=lambda e, d: probes.append((e, d)))
+    await node.start()
+    return node, addresses[0], probes
+
+
+def test_any_chunking_of_the_byte_stream_yields_the_same_frames():
+    async def scenario():
+        received = []
+        node, address, probes = await _lone_node(lambda src, f: received.append((src, f)))
+        stream = HELLO + _hb(1) + _hb(2) + _hb(3)
+        expected = [(0, _hb_frame(i)) for i in (1, 2, 3)]
+        try:
+            for chunks in ([stream], [stream[i : i + 1] for i in range(len(stream))]):
+                del received[:]
+                _, writer = await asyncio.open_connection(*address)
+                for chunk in chunks:
+                    writer.write(chunk)
+                    await asyncio.sleep(0)  # let the node read what there is
+                await _until(lambda: len(received) >= 3)
+                assert received == expected
+                writer.close()
+            assert probes == [("peer_hello", 0)] * 2
+            assert node.frames_received == 6
+        finally:
+            await node.close()
+
+    asyncio.run(scenario())
+
+
+def test_first_frame_that_is_no_hello_closes_the_connection_quietly():
+    async def scenario():
+        received = []
+        node, address, probes = await _lone_node(lambda src, f: received.append((src, f)))
+        try:
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(_hb(1) + HELLO + _hb(2))
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            assert (received, probes) == ([], [])
+        finally:
+            await node.close()
+
+    asyncio.run(scenario())
+
+
+def test_frames_of_one_read_run_one_handler_at_a_time_and_write_later(monkeypatch):
+    # 60 frames arrive in one socket read; every handler answers the
+    # sender. The handlers run back to back inside that read's callback,
+    # never nested, and the answers reach a socket only from the flush
+    # callback afterwards.
+    n = 60
+    fed = []
+    feed = FrameDecoder.feed
+    monkeypatch.setattr(
+        FrameDecoder, "feed", lambda self, data: fed.append(feed(self, data)) or fed[-1]
+    )
+    depth = {"now": 0, "max": 0, "at_write": []}
+    send_bytes = PeerConnection.send_bytes
+
+    def traced_send_bytes(conn, data, frames=1):
+        depth["at_write"].append(depth["now"])
+        send_bytes(conn, data, frames)
+
+    monkeypatch.setattr(PeerConnection, "send_bytes", traced_send_bytes)
+
+    async def scenario():
+        answers = []
+
+        def on_frame(src, frame):
+            depth["now"] += 1
+            depth["max"] = max(depth["max"], depth["now"])
+            b.send_frame_bytes(src, _hb(frame["pid"]))
+            depth["now"] -= 1
+
+        a, b, _, _ = await _pair(on_frame, lambda src, f: answers.append(f))
+        try:
+            a.peers[1].send_bytes(b"".join(_hb(i) for i in range(n)), n)
+            await _until(lambda: len(answers) == n)
+            assert answers == [_hb_frame(i) for i in range(n)]
+            assert max(len(frames) for frames in fed) >= 50
+            assert depth["max"] == 1
+            assert depth["at_write"] and set(depth["at_write"]) == {0}
+            # ... and coalesced: far fewer socket writes than answers.
+            assert b.peers[0].frames_sent == n and b.peers[0].writes < n / 10
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# reconnect and retransmit against a flaky peer
+# ----------------------------------------------------------------------
+
+
+class FlakyPeer:
+    """A raw listener playing the node's peer: it decodes what it reads,
+    can leave its sockets unread, and can vanish — reset every
+    connection, as a crashed host would, and stop listening."""
+
+    def __init__(self, address, reading: bool = True) -> None:
+        self.address = address
+        self.reading = reading
+        #: Every frame read, hellos included, in arrival order.
+        self.frames = []
+        self._socks = []
+        self._server = None
+
+    async def listen(self) -> None:
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _FlakyPeerSocket(self), *self.address
+        )
+
+    async def vanish(self) -> None:
+        self._server.close()
+        for sock in self._socks:
+            sock.abort()
+        del self._socks[:]
+        await self._server.wait_closed()
+
+
+class _FlakyPeerSocket(asyncio.Protocol):
+    def __init__(self, peer: FlakyPeer) -> None:
+        self.peer = peer
+        self.decoder = FrameDecoder()
+
+    def connection_made(self, sock) -> None:
+        self.peer._socks.append(sock)
+        if not self.peer.reading:
+            sock.pause_reading()
+
+    def data_received(self, data: bytes) -> None:
+        self.peer.frames.extend(self.decoder.feed(data))
+
+
+async def _node_and_flaky_peer(reading: bool = True, **transport_kwargs):
+    """Node 0, a real Transport, dialing a FlakyPeer that plays node 1."""
+    addresses = _loopback(2)
+    probes = []
+    node = Transport(
+        0, addresses, on_frame=lambda src, f: None,
+        probe=lambda e, d: probes.append((e, d)), **transport_kwargs
+    )
+    peer = FlakyPeer(addresses[1], reading)
+    await peer.listen()
+    await node.start()
+    await node.connect_all(5.0)
+    return node, peer, probes
+
+
+def test_frames_sent_while_the_peer_is_down_arrive_once_in_order_after_reconnect():
+    k, n = 3, 20
+    hello = {"t": "hello", "pid": 0}
+
+    async def scenario():
+        node, peer, probes = await _node_and_flaky_peer()
+        conn = node.peers[1]
+        try:
+            for i in range(k):
+                node.send_frame_bytes(1, _hb(i))
+            await _until(lambda: len(peer.frames) == 1 + k)
+            await peer.vanish()
+            # From the moment the node has seen the reset nothing is
+            # lost. (What the kernel takes before that moment is: there
+            # are no acknowledgements inside a connection.)
+            await _until(lambda: not conn.connected.is_set())
+            for i in range(k, k + n):
+                node.send_frame_bytes(1, _hb(i))
+            await _until(lambda: probes.count(("connect_failed", 1)) >= 2)
+            assert conn.queued() > 0 and conn.queued_bytes == n * len(_hb(0))
+            await peer.listen()
+            await _until(lambda: len(peer.frames) >= 2 + k + n)
+            await _until(lambda: conn.queued() == 0)
+            assert peer.frames == (
+                [hello] + [_hb_frame(i) for i in range(k)]
+                + [hello] + [_hb_frame(i) for i in range(k, k + n)]
+            )
+            assert (conn.connects, conn.reconnects) == (2, 1)
+            assert probes.count(("reconnect", 1)) == 1
+            assert conn.frames_sent == k + n
+            assert (conn.queued_bytes, node.queued_bytes()) == (0, 0)
+            assert node.overloaded() is False and node.overload_events == 0
+        finally:
+            await node.close()
+            await peer.vanish()
+
+    asyncio.run(scenario())
+
+
+def test_unread_bytes_back_up_into_the_queue_and_the_tail_is_retransmitted():
+    # The peer accepts but does not read: once the socket buffers are
+    # full, chunks stay queued (the kernel has not taken them), the
+    # backpressure signal turns on, and after the peer's reset the whole
+    # unconfirmed tail goes out again behind the next hello.
+    def frame(i: int) -> bytes:
+        return encode_frame({"t": "x", "i": i, "pad": "p" * 16384})
+
+    async def scenario():
+        node, peer, probes = await _node_and_flaky_peer(
+            reading=False, max_queue_bytes=256 * 1024
+        )
+        conn = node.peers[1]
+        try:
+            sent = 0
+            while conn.queued_bytes <= node.max_queue_bytes:
+                assert sent < 4096, "64 MiB written and the socket took it all"
+                for _ in range(64):  # 1 MiB
+                    node.send_frame_bytes(1, frame(sent))
+                    sent += 1
+                await asyncio.sleep(0.01)
+            assert node.overloaded() and node.overloaded()
+            assert node.overload_events == 1
+            assert peer.frames == []
+            unconfirmed = conn.queued_bytes
+            await peer.vanish()
+            peer.reading = True
+            await peer.listen()
+            await _until(lambda: node.queued_bytes() == 0, timeout_s=20.0)
+            await _until(lambda: peer.frames and peer.frames[-1].get("i") == sent - 1)
+            assert peer.frames[0] == {"t": "hello", "pid": 0}
+            seqs = [f["i"] for f in peer.frames[1:]]
+            # No gap from the first retransmitted frame to the last one
+            # sent. What the kernel had taken before the reset is gone.
+            assert seqs == list(range(seqs[0], sent))
+            assert sum(len(frame(i)) for i in seqs) >= unconfirmed
+            assert conn.reconnects == 1 and conn.frames_sent == sent
+            assert node.overloaded() is False and node.overload_events == 1
+        finally:
+            await node.close()
+            await peer.vanish()
 
     asyncio.run(scenario())
