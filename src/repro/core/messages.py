@@ -2,9 +2,13 @@
 
 Every message carries a short ``kind`` string used by the CPU cost model
 (:mod:`repro.sim.costs`) and, where applicable, the multicast id ``mid``
-used by the genuineness tracer. ``start`` is the only payload-bearing
-kind; acks and bumps are the small mergeable control messages §7.1
-credits for PrimCast's throughput.
+used by the genuineness tracer. ``start`` and ``ack`` both carry the
+:class:`Multicast`, payload included (a remote ack doubles as a start,
+Algorithm 2 line 47) — so on a real wire every ack costs a payload copy,
+which the simulator, sharing one object and charging by kind, never
+sees. Only ``bump`` is one of the small mergeable control messages §7.1
+credits for PrimCast's throughput today; header-only follower acks are
+ROADMAP item 2 ("Small acks").
 """
 
 from __future__ import annotations

@@ -508,7 +508,10 @@ class PrimCastProcess(RMcastProcess):
         mid = multicast.mid
         self.t_list.append((epoch, multicast, ts))
         self.t_by_mid[mid] = (epoch, ts)
-        self.started.setdefault(mid, multicast)
+        # T's object wins: on a wire backend the start and the primary's
+        # ack each decode their own copy of the payload, and keeping the
+        # start's here too would hold both for as long as m sits in T.
+        self.started[mid] = multicast
         if mid not in self.delivered:
             self.pending.add(mid)
             # Seed the lazy heaps; the bound is refreshed on demand.

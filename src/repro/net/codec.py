@@ -15,8 +15,11 @@ first byte:
   ``__eq__`` on the slotted wire classes.
 * **binary** — the body starts with :data:`FRAME_BINARY` (``0x00``,
   which canonical JSON can never produce), followed by a version byte
-  and a struct-packed payload. Same information, ~2-4x fewer bytes and
-  no JSON string building on the hot path.
+  and the message in fixed-width fields: each class is one precompiled
+  ``struct`` plus a variable tail (DESIGN §13). Same information; an
+  envelope to six pids carrying a 64-byte text takes 153 bytes as an
+  ack (JSON: 354), 120 as a start (252), and a bump to three pids 63
+  (211) — and decoding the ack is one ``unpack_from``, not a field walk.
 
 Both are derived from the one :data:`SCHEMA` table, so a stream may mix
 them freely (the :class:`FrameDecoder` dispatches per frame, and hands
@@ -40,10 +43,9 @@ Layers:
   ``Batch``) must have a row; ``tests/net/test_codec.py`` fails when a
   new message type is added without one.
 
-The codec is intentionally JSON, not pickle: frames are inspectable on
-the wire, and decoding never executes arbitrary constructors — only the
-fixed schema (a frame from an untrusted peer can at worst build protocol
-messages; bytes that are no frame raise :class:`CodecError`, nothing else).
+Decoding never executes arbitrary constructors (this is not pickle) —
+only the fixed schema: a frame from an untrusted peer can at worst build
+protocol messages; bytes that are no frame raise :class:`CodecError`.
 """
 
 from __future__ import annotations
@@ -55,14 +57,7 @@ from typing import Any, Callable, Dict, List, Tuple, Type
 
 from ..core.epoch import Epoch
 from ..core.messages import (
-    Ack,
-    AcceptEpoch,
-    Bump,
-    EpochPromise,
-    Multicast,
-    NewEpoch,
-    NewState,
-    Start,
+    Ack, AcceptEpoch, Bump, EpochPromise, Multicast, NewEpoch, NewState, Start,
 )
 from ..rmcast.fifo import Batch, Envelope
 
@@ -159,87 +154,110 @@ def decode_value(data: Any) -> Any:
 FRAME_BINARY = 0x00
 
 #: Binary wire-format version, bumped on any layout change. A decoder
-#: seeing an unknown version raises instead of guessing.
-BINARY_VERSION = 1
+#: seeing another version raises instead of guessing; nothing reads v1.
+BINARY_VERSION = 2
 
 _U32 = struct.Struct("!I")
 _F64 = struct.Struct("!d")
+# Protocol fields are fixed-width (DESIGN §13): ids u16 (``H``), epoch
+# numbers u32 (``I``), counters and clocks i64 (``q``: hybrid-clock µs fit).
+_EPOCH = struct.Struct("!IH")  # Epoch: number, leader pid
+_MID = struct.Struct("!Hq")  # Multicast.mid: origin pid, sequence number
+_T_ROW = struct.Struct("!IHq")  # head of a T row: Epoch, ts
 
 # Value tags (one byte each).
-_V_NONE = 0
-_V_TRUE = 1
-_V_FALSE = 2
+_V_NONE, _V_TRUE, _V_FALSE = 0, 1, 2
 _V_INT = 3  # compact int (see _put_cint)
 _V_FLOAT = 5  # !d
 _V_STR = 6  # compact length + UTF-8
 _V_LIST = 7  # compact count + values
-_V_TUPLE = 8
-_V_SET = 9
-_V_FSET = 10
+_V_TUPLE, _V_SET, _V_FSET = 8, 9, 10
 _V_DICT = 11  # compact count + key/value pairs (canonically sorted)
-_V_EPOCH = 12  # compact number + compact leader
-_V_MC = 13  # mid (2 compact ints) + compact ndest + compact dests (sorted) + payload
+_V_EPOCH = 12  # _EPOCH
+_V_MC = 13  # _MID + int list of dest gids (sorted) + payload value
 _V_MSG = 14  # nested registered message (tag byte + body)
 
+_CONSTANTS = {_V_NONE: None, _V_TRUE: True, _V_FALSE: False}
 _CONTAINERS = {_V_LIST: list, _V_TUPLE: tuple, _V_SET: set, _V_FSET: frozenset}
 
 
 def _put_cint(out: bytearray, n: int) -> None:
-    """Compact signed int: a width byte (1/2/4/8) then that many
-    big-endian two's-complement bytes; width 0 escapes to a compact
-    length + arbitrary-size bytes. Protocol ints (pids, epochs, clock
-    ticks) almost always fit one or two bytes, which is where the wire
-    savings over JSON come from."""
-    if 0 <= n <= 127:
-        # The overwhelmingly common case (pids, small counts, group
-        # ids): append the byte directly, skipping to_bytes entirely.
+    """Compact signed int, for the open value vocabulary only (no
+    protocol field): a width byte (1/2/4/8) then that many big-endian
+    two's-complement bytes; width 0 escapes to a compact length + bytes."""
+    if 0 <= n <= 127:  # the usual length of a string or container
         out.append(1)
         out.append(n)
-    elif -128 <= n < 0:
-        out.append(1)
-        out.append(n + 256)
-    elif -32768 <= n <= 32767:
-        out.append(2)
-        out += n.to_bytes(2, "big", signed=True)
-    elif -(2**31) <= n < 2**31:
-        out.append(4)
-        out += n.to_bytes(4, "big", signed=True)
-    elif -(2**63) <= n < 2**63:
-        out.append(8)
-        out += n.to_bytes(8, "big", signed=True)
-    else:
-        raw = n.to_bytes((n.bit_length() + 8) // 8, "big", signed=True)
-        out.append(0)
-        _put_cint(out, len(raw))
-        out += raw
+        return
+    for width in (1, 2, 4, 8):
+        if -(1 << 8 * width - 1) <= n < 1 << 8 * width - 1:
+            out.append(width)
+            out += n.to_bytes(width, "big", signed=True)
+            return
+    raw = n.to_bytes((n.bit_length() + 8) // 8, "big", signed=True)
+    out.append(0)
+    _put_cint(out, len(raw))
+    out += raw
 
 
 def _get_cint(buf: bytes, off: int) -> Tuple[int, int]:
     width = buf[off]
-    if width == 1:
-        # Mirror of the one-byte fast path in _put_cint.
+    if width == 1:  # a string's or container's length, usually
         b = buf[off + 1]
         return (b - 256 if b >= 128 else b), off + 2
     off += 1
     if width == 0:
         width, off = _get_cint(buf, off)
-        if width < 0:
-            # It would move ``off`` backwards: hostile bytes could make
-            # a decode loop re-read itself for ever.
-            raise CodecError(f"negative bigint width {width}")
+        if not 0 <= width <= len(buf) - off:
+            # Negative, it would move ``off`` backwards: hostile bytes
+            # could make a decode loop re-read itself for ever.
+            raise CodecError(f"bigint width {width} outside the body")
     return int.from_bytes(buf[off : off + width], "big", signed=True), off + width
 
 
-def _put_seq(out: bytearray, items: Any, put: Callable[..., None]) -> None:
-    """A compact count, then each item as written by ``put(out, item)``."""
-    _put_cint(out, len(items))
-    for item in items:
-        put(out, item)
+def _pack(layout: struct.Struct, owner: str, *values: Any) -> bytes:
+    """``layout.pack(*values)``. A value outside its field's width raises
+    (it is never truncated and never sent in another form)."""
+    try:
+        return layout.pack(*values)
+    except struct.error as exc:
+        raise CodecError(f"{owner}: {values!r} does not fit wire layout {layout.format!r}: {exc}") from None
 
 
-def _get_seq(buf: bytes, off: int, get: Callable[..., Any]) -> Tuple[List[Any], int]:
-    """Inverse of :func:`_put_seq`, items read by ``get(buf, off)``."""
-    n, off = _get_cint(buf, off)
+#: The two int lists every frame repeats — an envelope's destination
+#: pids, a multicast's destination gids — travel as a count byte + u16
+#: array and are interned: on decode by those raw bytes (one table per
+#: type they decode to), on encode by the object. A process sees a
+#: handful of distinct lists, so each costs a lookup, not a loop. A table
+#: of :data:`_INTERN_MAX` entries stops growing (a miss is then decoded
+#: uncached): a hostile peer cannot grow it.
+_INTERN_MAX = 1024
+_PIDS: Dict[bytes, Tuple[int, ...]] = {}
+_GIDS: Dict[bytes, Any] = {}
+_LIST_RAW: Dict[Any, bytes] = {}
+
+
+def _intern(table: Dict[bytes, Any], raw: bytes, make: Callable[..., Any]) -> Any:
+    """A decode miss: ``make`` of the ints in ``raw``."""
+    if len(raw) != 1 + 2 * raw[0]:
+        raise CodecError(f"int list of {raw[0]} cut short at {len(raw)} bytes")
+    ints = make(struct.unpack_from(f"!{raw[0]}H", raw, 1))
+    if len(table) < _INTERN_MAX:
+        table[raw] = ints
+    return ints
+
+
+def _list_raw(ints: Any) -> bytes:
+    """An encode miss: a tuple of ints in its order, a frozenset sorted."""
+    items = sorted(ints) if isinstance(ints, frozenset) else ints
+    raw = _pack(struct.Struct(f"!B{len(items)}H"), "int list", len(items), *items)
+    if len(_LIST_RAW) < _INTERN_MAX:
+        _LIST_RAW[ints] = raw
+    return raw
+
+
+def _get_seq(buf: bytes, off: int, n: int, get: Callable[..., Any]) -> Tuple[List[Any], int]:
+    """``n`` items, each read by ``get(buf, off)``."""
     items = []
     for _ in range(n):
         item, off = get(buf, off)
@@ -272,23 +290,20 @@ def _container_sort_key(v: Any) -> str:
     return _canonical(encode_value(v))
 
 
-def _pair_sort_key(kv: Tuple[Any, Any]) -> str:
-    return _container_sort_key(kv[0])
-
-
 def encode_value_binary(value: Any, out: bytearray) -> None:
-    """Append the binary encoding of ``value`` to ``out``.
-
-    Covers exactly the vocabulary of :func:`encode_value`; unordered
-    containers are sorted by the canonical JSON of their (encoded)
-    elements, so the binary encoding is the same deterministic function
-    of content as the JSON one (encode → decode → encode is
-    bit-stable).
-    """
+    """Append the binary encoding of ``value`` to ``out``: exactly the
+    vocabulary of :func:`encode_value`. Unordered containers are sorted
+    by the canonical JSON of their (encoded) elements, so this is the
+    same deterministic function of content as the JSON form (encode →
+    decode → encode is bit-stable)."""
     if value is None:
         out.append(_V_NONE)
         return
     cls = value.__class__
+    if cls in _CODECS:  # first: an envelope's payload is a registered message
+        out.append(_V_MSG)
+        _encode_message_binary_into(value, out)
+        return
     if cls is bool:
         out.append(_V_TRUE if value else _V_FALSE)
         return
@@ -306,30 +321,16 @@ def encode_value_binary(value: Any, out: bytearray) -> None:
         out.append(_V_FLOAT)
         out += _F64.pack(value)
         return
-    if cls is list:
-        out.append(_V_LIST)
-        _put_cint(out, len(value))
-        for v in value:
-            encode_value_binary(v, out)
-        return
     if cls is Epoch:
         out.append(_V_EPOCH)
-        _put_epoch(out, value)
+        out += _pack(_EPOCH, "Epoch", *value)
         return
     if cls is Multicast:
         out.append(_V_MC)
-        _put_cint(out, value.mid[0])
-        _put_cint(out, value.mid[1])
-        # Inline rather than _put_seq / _get_seq: every start and ack
-        # carries a multicast, and the call shows in the encode time.
-        dest = sorted(value.dest)
-        _put_cint(out, len(dest))
-        for gid in dest:
-            _put_cint(out, gid)
-        encode_value_binary(value.payload, out)
+        _put_multicast(out, value)
         return
-    if isinstance(value, tuple):
-        out.append(_V_TUPLE)
+    if cls is list or isinstance(value, tuple):
+        out.append(_V_LIST if cls is list else _V_TUPLE)
         _put_cint(out, len(value))
         for v in value:
             encode_value_binary(v, out)
@@ -343,15 +344,11 @@ def encode_value_binary(value: Any, out: bytearray) -> None:
         return
     if isinstance(value, dict):
         out.append(_V_DICT)
-        pairs = sorted(value.items(), key=_pair_sort_key)
+        pairs = sorted(value.items(), key=lambda kv: _container_sort_key(kv[0]))
         _put_cint(out, len(pairs))
         for k, v in pairs:
             encode_value_binary(k, out)
             encode_value_binary(v, out)
-        return
-    if cls in _CODECS:
-        out.append(_V_MSG)
-        _encode_message_binary_into(value, out)
         return
     raise CodecError(f"cannot binary-encode {type(value).__name__}: {value!r}")
 
@@ -360,23 +357,22 @@ def decode_value_binary(buf: bytes, off: int) -> Tuple[Any, int]:
     """Inverse of :func:`encode_value_binary`; returns (value, new off)."""
     tag = buf[off]
     off += 1
-    if tag == _V_NONE:
-        return None, off
-    if tag == _V_TRUE:
-        return True, off
-    if tag == _V_FALSE:
-        return False, off
+    if tag == _V_MSG:
+        return _decode_message_binary_from(buf, off)
+    if tag in _CONSTANTS:
+        return _CONSTANTS[tag], off
     if tag == _V_INT:
         return _get_cint(buf, off)
     if tag == _V_FLOAT:
         return _F64.unpack_from(buf, off)[0], off + 8
     if tag == _V_STR:
         n, off = _get_cint(buf, off)
-        if n < 0:  # see _get_cint
-            raise CodecError(f"negative string length {n}")
-        return bytes(buf[off : off + n]).decode("utf-8"), off + n
+        if not 0 <= n <= len(buf) - off:  # see _get_cint
+            raise CodecError(f"string length {n} outside the body")
+        return buf[off : off + n].decode("utf-8"), off + n
     if tag in _CONTAINERS:
-        items, off = _get_seq(buf, off, decode_value_binary)
+        n, off = _get_cint(buf, off)
+        items, off = _get_seq(buf, off, n, decode_value_binary)
         return _CONTAINERS[tag](items), off
     if tag == _V_DICT:
         n, off = _get_cint(buf, off)
@@ -387,153 +383,157 @@ def decode_value_binary(buf: bytes, off: int) -> Tuple[Any, int]:
             d[k] = v
         return d, off
     if tag == _V_EPOCH:
-        return _get_epoch(buf, off)
+        return Epoch(*_EPOCH.unpack_from(buf, off)), off + _EPOCH.size
     if tag == _V_MC:
-        origin, off = _get_cint(buf, off)
-        seq, off = _get_cint(buf, off)
-        n, off = _get_cint(buf, off)
-        dest = []
-        for _ in range(n):
-            gid, off = _get_cint(buf, off)
-            dest.append(gid)
-        payload, off = decode_value_binary(buf, off)
-        return Multicast((origin, seq), frozenset(dest), payload), off
-    if tag == _V_MSG:
-        return _decode_message_binary_from(buf, off)
+        return _get_multicast(buf, off)
     raise CodecError(f"unknown binary value tag {tag}")
 
 
-def _put_epoch(out: bytearray, epoch: Epoch) -> None:
-    _put_cint(out, epoch.number)
-    _put_cint(out, epoch.leader)
+def _put_multicast(out: bytearray, multicast: Multicast) -> None:
+    """The one Multicast layout; the ``MULTICAST`` wire type below writes
+    the same bytes with ``_MID`` fused into its message's struct."""
+    out += _pack(_MID, "Multicast.mid", *multicast.mid)
+    out += _LIST_RAW.get(multicast.dest) or _list_raw(multicast.dest)
+    encode_value_binary(multicast.payload, out)
 
 
-def _get_epoch(buf: bytes, off: int) -> Tuple[Epoch, int]:
-    number, off = _get_cint(buf, off)
-    leader, off = _get_cint(buf, off)
-    return Epoch(number, leader), off
-
-
-def _put_dp(out: bytearray, dp: Any) -> None:
-    if dp is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _put_epoch(out, dp[0])
-        _put_cint(out, dp[1])
-
-
-def _get_dp(buf: bytes, off: int) -> Tuple[Any, int]:
-    if buf[off] == 0:
-        return None, off + 1
-    epoch, off = _get_epoch(buf, off + 1)
-    n, off = _get_cint(buf, off)
-    return (epoch, n), off
+def _get_multicast(buf: bytes, off: int) -> Tuple[Multicast, int]:
+    mid = _MID.unpack_from(buf, off)
+    off += _MID.size
+    end = off + 1 + 2 * buf[off]
+    dest = _GIDS.get(buf[off:end]) or _intern(_GIDS, buf[off:end], frozenset)
+    payload, off = decode_value_binary(buf, end)
+    return Multicast(mid, dest, payload), off
 
 
 def _put_t_row(out: bytearray, row: Any) -> None:
-    _put_epoch(out, row[0])
-    encode_value_binary(row[1], out)
-    _put_cint(out, row[2])
+    out += _pack(_T_ROW, "T row", *row[0], row[2])
+    _put_multicast(out, row[1])
 
 
 def _get_t_row(buf: bytes, off: int) -> Tuple[Any, int]:
-    epoch, off = _get_epoch(buf, off)
-    multicast, off = decode_value_binary(buf, off)
-    ts, off = _get_cint(buf, off)
-    return (epoch, multicast, ts), off
+    number, leader, ts = _T_ROW.unpack_from(buf, off)
+    multicast, off = _get_multicast(buf, off + _T_ROW.size)
+    return (Epoch(number, leader), multicast, ts), off
 
 
 # ----------------------------------------------------------------------
 # message layer
 # ----------------------------------------------------------------------
 
+#: How one kind of field travels, as code templates. ``{a}`` is the
+#: message attribute — and the binary decoder's local that receives it —
+#: ``{k}`` the field's JSON key. In scope: ``m`` the message, ``d`` its
+#: JSON dict, ``out`` the output bytearray, ``buf`` / ``off`` the input
+#: bytes and read offset. ``to_json`` / ``from_json`` are expressions.
+#: In binary a wire type is fixed ``slots`` — (struct character,
+#: expression packed, local unpacked into) — then, if it has one, a
+#: variable tail: the ``put`` / ``get`` statements. :func:`derive_codec`
+#: fuses each maximal run of slots, across fields, into one ``Struct``;
+#: a tail closes the run. ``pre`` statements run before the pack,
+#: ``post`` statements rebuild the field after the unpack.
+_Wire = namedtuple("_Wire", "to_json from_json slots pre post put get", defaults=((),) * 5)
 
-# A wire type says how one kind of field travels, as four code
-# templates: (JSON encode expression, JSON decode expression, binary
-# encode statement, binary decode statement). ``{a}`` is the message
-# attribute — and the binary decoder's local that receives it — ``{k}``
-# the field's JSON key. In scope: ``m`` the message, ``d`` its JSON
-# dict, ``out`` the output bytearray, ``buf`` / ``off`` the input bytes
-# and read offset.
 _AS_IS = ("m.{a}", "d[{k!r}]")
 _AS_VALUE = ("encode_value(m.{a})", "decode_value(d[{k!r}])")
+_INT_LIST = "end = off + 1 + 2 * buf[off]"  # see _PIDS / _GIDS
 
-INT = _AS_IS + ("_put_cint(out, m.{a})", "{a}, off = _get_cint(buf, off)")
-BOOL = _AS_IS + ("out.append(1 if m.{a} else 0)", "{a} = buf[off] != 0; off += 1")
+#: A process or group id (u16).
+ID = _Wire(*_AS_IS, (("H", "m.{a}", "{a}"),))
+#: A sequence number, timestamp, clock or count (i64).
+INT = _Wire(*_AS_IS, (("q", "m.{a}", "{a}"),))
+BOOL = _Wire(*_AS_IS, (("?", "m.{a}", "{a}"),))
 #: Anything :func:`encode_value` accepts, self-describing on the wire.
-VALUE = _AS_VALUE + (
-    "encode_value_binary(m.{a}, out)", "{a}, off = decode_value_binary(buf, off)"
+VALUE = _Wire(*_AS_VALUE, put=("encode_value_binary(m.{a}, out)",),
+              get=("{a}, off = decode_value_binary(buf, off)",))
+# The next four are tagged values in JSON; their binary shape is fixed.
+EPOCH = _Wire(*_AS_VALUE, (("I", "{a}_n", "{a}_n"), ("H", "{a}_l", "{a}_l")),
+              pre=("{a}_n, {a}_l = m.{a}",), post=("{a} = Epoch({a}_n, {a}_l)",))
+#: Optional ``(Epoch, int)`` delivered-prefix report (acks and bumps):
+#: a presence flag, then the report (zeros when absent).
+DP = _Wire(
+    *_AS_VALUE, (("?", "{a} is not None", "{a}_on"), ("I", "{a}_n", "{a}_n"),
+                 ("H", "{a}_l", "{a}_l"), ("q", "{a}_c", "{a}_c")),
+    pre=("{a} = m.{a}", "({a}_n, {a}_l), {a}_c = {a} or ((0, 0), 0)"),
+    post=("{a} = (Epoch({a}_n, {a}_l), {a}_c) if {a}_on else None",),
 )
-# The next three are plain values in JSON; in binary their fixed shape
-# drops the per-element value tags.
-EPOCH = _AS_VALUE + ("_put_epoch(out, m.{a})", "{a}, off = _get_epoch(buf, off)")
-#: Optional ``(Epoch, int)`` delivered-prefix report (acks and bumps).
-DP = _AS_VALUE + ("_put_dp(out, m.{a})", "{a}, off = _get_dp(buf, off)")
-#: List of ``(Epoch, Multicast, ts)`` rows (promise / new-state).
-T_SEQ = _AS_VALUE + (
-    "_put_seq(out, m.{a}, _put_t_row)", "{a}, off = _get_seq(buf, off, _get_t_row)"
+#: A :class:`Multicast`: its mid in the run, then dest gids and payload
+#: (byte for byte the layout of :func:`_put_multicast`).
+MULTICAST = _Wire(
+    *_AS_VALUE, (("H", "{a}_o", "{a}_o"), ("q", "{a}_q", "{a}_q")),
+    pre=("{a} = m.{a}", "{a}_o, {a}_q = {a}.mid"),
+    put=("out += _LIST_RAW.get({a}.dest) or _list_raw({a}.dest)",
+         "encode_value_binary({a}.payload, out)"),
+    get=(_INT_LIST,
+         "{a}_d = _GIDS.get(buf[off:end]) or _intern(_GIDS, buf[off:end], frozenset)",
+         "{a}_p, off = decode_value_binary(buf, end)",
+         "{a} = Multicast(({a}_o, {a}_q), {a}_d, {a}_p)"),
 )
-#: Tuple of ints (an envelope's destination pids).
-INTS = (
-    "list(m.{a})",
-    "tuple(d[{k!r}])",
-    "_put_seq(out, m.{a}, _put_cint)",
-    "{a}, off = _get_seq(buf, off, _get_cint); {a} = tuple({a})",
+#: ``(Epoch, Multicast, ts)`` rows (promise / new-state): u32 count, rows.
+T_SEQ = _Wire(*_AS_VALUE, (("I", "len(m.{a})", "{a}_n"),),
+              put=("for row in m.{a}: _put_t_row(out, row)",),
+              get=("{a}, off = _get_seq(buf, off, {a}_n, _get_t_row)",))
+#: Tuple of ints (an envelope's destination pids), interned.
+INTS = _Wire(
+    "list(m.{a})", "tuple(d[{k!r}])",
+    put=("out += _LIST_RAW.get(m.{a}) or _list_raw(m.{a})",),
+    get=(_INT_LIST, "{a} = _PIDS.get(buf[off:end]) or _intern(_PIDS, buf[off:end], tuple)",
+         "off = end"),
 )
-#: Tuple of envelopes (a batch's body); they carry no tag of their own.
-ENVELOPES = (
+#: Tuple of envelopes (a batch's body): u32 count, then untagged envelopes.
+ENVELOPES = _Wire(
     "list(map(_CODECS[Envelope].to_json, m.{a}))",
     "tuple(map(_CODECS[Envelope].from_json, d[{k!r}]))",
-    "_put_seq(out, m.{a}, _CODECS[Envelope].put)",
-    "{a}, off = _get_seq(buf, off, _CODECS[Envelope].get); {a} = tuple({a})",
+    (("I", "len(m.{a})", "{a}_n"),),
+    put=("put = _CODECS[Envelope].put", "for env in m.{a}: put(out, env)"),
+    get=("{a}, off = _get_seq(buf, off, {a}_n, _CODECS[Envelope].get)", "{a} = tuple({a})"),
 )
 
 #: The wire schema: class -> (binary tag, JSON tag, fields[, constructor
-#: order]). A field is ``(attribute, JSON key, wire type)``; fields are
-#: listed in binary wire order. The constructor is called positionally,
-#: in that same order or in the one the optional fourth element names
-#: (Ack and Envelope: their version-1 layout predates this table) —
-#: never through ``__init__`` introspection, which is native code under
-#: the mypyc build; ``tests/net/test_codec.py`` pins every row to its
+#: order]). A field is ``(attribute, JSON key, wire type)``; fields are in
+#: binary wire order, fixed-width ones first so that each class is one
+#: struct plus its variable tail. The constructor is called positionally,
+#: in that order or in the one the optional fourth element names — never
+#: through ``__init__`` introspection, which is native code under the
+#: mypyc build; ``tests/net/test_codec.py`` pins every row to its
 #: constructor's signature instead. The tags are the codec's own
-#: namespace (``Envelope.kind`` is the *payload's* kind by design, so
-#: the class-level ``kind`` strings cannot serve as tags here). A new
-#: field is one more tuple in one row; reordering or retyping existing
-#: ones changes the binary layout and must bump :data:`BINARY_VERSION`.
+#: namespace (``Envelope.kind`` is the *payload's* kind by design, so the
+#: class-level ``kind`` strings cannot serve). A new field is one more
+#: tuple in one row; adding, reordering or retyping fields changes the
+#: layout and must bump :data:`BINARY_VERSION`.
 SCHEMA: Dict[Type[Any], Tuple[Any, ...]] = {
-    Start: (1, "start", (("multicast", "mc", VALUE),)),
+    Start: (1, "start", (("multicast", "mc", MULTICAST),)),
     Ack: (2, "ack", (
-        ("multicast", "mc", VALUE), ("epoch", "e", EPOCH), ("group", "g", INT),
-        ("ts", "ts", INT), ("sender", "s", INT), ("dp", "dp", DP),
+        ("epoch", "e", EPOCH), ("group", "g", ID), ("ts", "ts", INT), ("sender", "s", ID),
+        ("dp", "dp", DP), ("multicast", "mc", MULTICAST),
     ), ("multicast", "group", "epoch", "ts", "sender", "dp")),
     Bump: (3, "bump", (
-        ("epoch", "e", EPOCH), ("ts", "ts", INT), ("sender", "s", INT), ("dp", "dp", DP),
+        ("epoch", "e", EPOCH), ("ts", "ts", INT), ("sender", "s", ID), ("dp", "dp", DP),
     )),
     NewEpoch: (4, "new-epoch", (("epoch", "e", EPOCH),)),
     EpochPromise: (5, "promise", (
-        ("epoch", "e", EPOCH), ("sender", "s", INT), ("clock", "c", INT),
-        ("e_cur", "ec", EPOCH), ("t_seq", "t", T_SEQ), ("t_base", "tb", INT),
-    )),
+        ("epoch", "e", EPOCH), ("sender", "s", ID), ("clock", "c", INT),
+        ("e_cur", "ec", EPOCH), ("t_base", "tb", INT), ("t_seq", "t", T_SEQ),
+    ), ("epoch", "sender", "clock", "e_cur", "t_seq", "t_base")),
     NewState: (6, "new-state", (
-        ("epoch", "e", EPOCH), ("t_seq", "t", T_SEQ), ("ts", "ts", INT), ("t_base", "tb", INT),
-    )),
-    AcceptEpoch: (7, "accept-epoch", (("epoch", "e", EPOCH), ("sender", "s", INT))),
+        ("epoch", "e", EPOCH), ("ts", "ts", INT), ("t_base", "tb", INT), ("t_seq", "t", T_SEQ),
+    ), ("epoch", "t_seq", "ts", "t_base")),
+    AcceptEpoch: (7, "accept-epoch", (("epoch", "e", EPOCH), ("sender", "s", ID))),
     Envelope: (8, "envelope", (
-        ("origin", "o", INT), ("seq", "q", INT), ("dests", "d", INTS),
-        ("relayed", "r", BOOL), ("payload", "p", VALUE),
+        ("origin", "o", ID), ("seq", "q", INT), ("relayed", "r", BOOL), ("dests", "d", INTS),
+        ("payload", "p", VALUE),
     ), ("origin", "seq", "payload", "dests", "relayed")),
     Batch: (9, "batch", (("envelopes", "envs", ENVELOPES),)),
 }
 
 
 #: One schema row's tags and derived functions: ``to_json(msg)`` is the
-#: untagged dict and ``from_json(d)`` its inverse; ``put(out, msg)``
-#: appends the untagged body, ``get(buf, off)`` returns (msg, new off).
-_Codec = namedtuple("_Codec", "binary_tag json_tag to_json from_json put get")
+#: untagged dict, ``from_json(d)`` its inverse; ``put(out, msg)`` appends
+#: the untagged body, ``get(buf, off)`` returns (msg, new off); ``source``.
+_Codec = namedtuple("_Codec", "binary_tag json_tag to_json from_json put get source")
 
 _CODEC_SOURCE = """\
-def make(cls):
+def make(cls, {structs}):
     def to_json(m):
         return {{{to_json}}}
     def from_json(d):
@@ -558,24 +558,52 @@ def derive_codec(cls: Type[Any], row: Tuple[Any, ...], memo: str = "") -> _Codec
     and from which it splices every later time. Only for a class whose
     instances do not change once encoded (``Envelope``)."""
     binary_tag, json_tag, fields, *ctor = row
-    from_json = {a: t[1].format(k=k) for a, k, t in fields}
+    from_json = {a: t.from_json.format(k=k) for a, k, t in fields}
     order = ctor[0] if ctor else tuple(from_json)
-    put = [t[2].format(a=a) for a, _, t in fields]
+    structs: Dict[str, struct.Struct] = {}
+    put: List[str] = []
+    get: List[str] = []
+    run: List[Tuple[str, ...]] = []  # the open run of slots
+    post: List[str] = []  # rebuilds waiting for that run's unpack
+
+    def close_run() -> None:
+        if run:
+            chars, packed, unpacked = zip(*run)
+            name = f"_s{len(structs)}"
+            layout = structs[name] = struct.Struct("!" + "".join(chars))
+            values = ", ".join(packed)
+            put.append(f"try: out += {name}.pack({values})")
+            put.append(f"except struct.error: _pack({name}, {cls.__name__!r}, {values})  # raises")
+            get.append(f"{', '.join(unpacked)}, = {name}.unpack_from(buf, off); off += {layout.size}")
+            run.clear()
+        get.extend(post)
+        post.clear()
+
+    for a, _, t in fields:
+        put += [line.format(a=a) for line in t.pre]
+        run += [tuple(part.format(a=a) for part in slot) for slot in t.slots]
+        post += [line.format(a=a) for line in t.post]
+        if t.put:  # a variable tail: ``out`` and ``off`` must be current
+            close_run()
+            put += [line.format(a=a) for line in t.put]
+            get += [line.format(a=a) for line in t.get]
+    close_run()
     if memo:
         put = [f"if m.{memo} is not None: out += m.{memo}; return", "start = len(out)",
                *put, f"m.{memo} = bytes(out[start:])"]
     source = _CODEC_SOURCE.format(
-        to_json=", ".join(f"{k!r}: {t[0].format(a=a)}" for a, k, t in fields),
+        structs=", ".join(structs),
+        to_json=", ".join(f"{k!r}: {t.to_json.format(a=a)}" for a, k, t in fields),
         from_json=", ".join(from_json[a] for a in order),
         put="\n        ".join(put),
-        get="\n        ".join(t[3].format(a=a) for a, _, t in fields),
+        get="\n        ".join(get),
         args=", ".join(order),
     )
     namespace: Dict[str, Any] = {}
     # Module globals, so the helpers the templates name resolve exactly
     # as they would in hand-written functions of this module.
     exec(compile(source, f"<wire schema: {cls.__name__}>", "exec"), globals(), namespace)
-    return _Codec(binary_tag, json_tag, *namespace["make"](cls))
+    return _Codec(binary_tag, json_tag, *namespace["make"](cls, *structs.values()), source)
 
 
 #: Encode once per envelope: rmcast fans one ``Envelope`` out to every
@@ -584,20 +612,18 @@ def derive_codec(cls: Type[Any], row: Tuple[Any, ...], memo: str = "") -> _Codec
 #: ``wire`` slot: the memo lives exactly as long as the envelope, and
 #: ``repro.core`` / ``repro.rmcast`` stay wire-agnostic. JSON, the debug
 #: and differential rendering, is never memoised.
-_MEMO = {Envelope: "wire"}
-
-# A plain dict on purpose: a dict subclass raising the error below from
-# ``__missing__`` measured +16 % ``cpu_ms_per_msg`` on ``net_global_open``.
-_CODECS = {cls: derive_codec(cls, row, _MEMO.get(cls, "")) for cls, row in SCHEMA.items()}
+#: (A plain dict on purpose: a dict subclass raising the error below from
+#: ``__missing__`` measured +16 % ``cpu_ms_per_msg`` on ``net_global_open``.)
+_CODECS = {
+    cls: derive_codec(cls, row, "wire" if cls is Envelope else "") for cls, row in SCHEMA.items()
+}
 _JSON_DECODERS = {c.json_tag: c.from_json for c in _CODECS.values()}
 _BINARY_DECODERS = {c.binary_tag: c.get for c in _CODECS.values()}
 
 
 def _no_codec(msg: Any) -> CodecError:
     cls = msg.__class__
-    return CodecError(
-        f"no codec registered for message class {cls.__module__}.{cls.__name__}"
-    )
+    return CodecError(f"no codec registered for message class {cls.__module__}.{cls.__name__}")
 
 
 def encode_message(msg: Any) -> Dict[str, Any]:
@@ -651,9 +677,7 @@ def decode_message_binary(data: bytes) -> Any:
     """Inverse of :func:`encode_message_binary`."""
     msg, off = _decode_message_binary_from(data, 0)
     if off != len(data):
-        raise CodecError(
-            f"trailing garbage after binary message ({len(data) - off} bytes)"
-        )
+        raise CodecError(f"trailing garbage after binary message ({len(data) - off} bytes)")
     return msg
 
 
@@ -728,9 +752,7 @@ def _decode_body(body: bytes) -> Dict[str, Any]:
         (src,) = _U32.unpack_from(body, 3)
         msg, off = _decode_message_binary_from(body, 7)
         if off != len(body):
-            raise CodecError(
-                f"trailing garbage after binary frame ({len(body) - off} bytes)"
-            )
+            raise CodecError(f"trailing garbage after binary frame ({len(body) - off} bytes)")
         return {"t": "m", "src": src, "msg": msg}
     if kind == _BF_HB:
         (pid,) = _U32.unpack_from(body, 3)

@@ -183,6 +183,84 @@ def test_asyncio_cluster_binary_codec_matches_sim_reference(tmp_path):
     assert total_bytes / total_frames < 150  # JSON averages ~270 B/frame
 
 
+async def _serve(topology, rundir, scenario):
+    """Every node of ``topology`` on this loop, its built-in driver idle
+    (``n_messages=0``), through NetNode's own file barriers; runs
+    ``scenario(nodes)`` while they serve, then stops them."""
+
+    async def barrier(prefix):
+        async def all_there():
+            while not all((rundir / f"{prefix}-{pid}").exists() for pid in nodes):
+                await asyncio.sleep(0.005)
+
+        await asyncio.wait_for(all_there(), 20.0)
+
+    nodes = {pid: NetNode(topology, pid, rundir) for pid in sorted(topology.make_config().group_of)}
+    tasks = [asyncio.create_task(node.run()) for node in nodes.values()]
+    try:
+        await barrier("ready")
+        (rundir / "GO").write_text("go\n")
+        await barrier("done")
+        await scenario(nodes)
+    finally:
+        (rundir / "STOP").write_text("stop\n")
+        results = await asyncio.wait_for(asyncio.gather(*tasks), 20.0)
+    assert [r.exit_code for r in results] == [0] * len(nodes)
+
+
+@pytest.mark.parametrize("batching_ms", [0.0, 5.0])
+def test_delivered_payloads_are_the_submitted_ones(tmp_path, batching_ms):
+    # The differential compares ids and order; this compares *content*,
+    # through the binary codec: local and global messages, small values
+    # and texts past 16 KiB, with and without §7.1 batching.
+    spec = ClusterSpec(
+        n_groups=2, group_size=3, n_messages=0, driver_mode="open", codec="binary",
+        batching_ms=batching_ms, suspect_ms=5000.0,
+    )
+    topology = make_topology(spec)
+    config = topology.make_config()
+    payloads = [
+        "local", {"k": 1, "v": [1, 2.5, None, ("t", frozenset({3}))]}, "g" * 20_000,
+        -(2**70), "l" * 16_384, None,
+    ]
+
+    async def scenario(nodes):
+        submitted, delivered = {}, []
+        for node in nodes.values():
+            node.proc.add_deliver_hook(lambda proc, multicast, final: delivered.append((proc.pid, multicast)))
+
+        def submit(proc, dests, payload):
+            submitted[proc.a_multicast(dests, payload).mid] = (dests, payload)
+
+        for i, payload in enumerate(payloads * 3):
+            proc = nodes[(0, 4, 2)[i % 3]].proc  # a primary, a follower of each group
+            dests = frozenset({proc.gid}) if i % 2 else frozenset({0, 1})
+            proc.post_job(lambda proc=proc, dests=dests, payload=payload: submit(proc, dests, payload))
+        expected = 9 * 6 + 9 * 3  # nine global, nine local messages
+
+        async def all_delivered():
+            while len(delivered) < expected:
+                await asyncio.sleep(0.01)
+
+        await asyncio.wait_for(all_delivered(), 30.0)
+        assert len(delivered) == expected and len(submitted) == len(payloads) * 3
+        for pid, multicast in delivered:
+            dests, payload = submitted[multicast.mid]
+            assert config.group_of[pid] in dests
+            assert multicast.dest == dests
+            assert multicast.payload == payload and type(multicast.payload) is type(payload)
+            # One decoded copy per message and process: what ``started``
+            # holds is T's object, not a second one from the start.
+            proc = nodes[pid].proc
+            in_t = [m for _, m, _ in proc.t_list if m.mid == multicast.mid]
+            assert len(in_t) == 1 and proc.started[multicast.mid] is in_t[0] is multicast
+        assert {(pid, m.mid) for pid, m in delivered} == {
+            (pid, mid) for mid, (dests, _) in submitted.items() for pid in config.dest_pids(dests)
+        }
+
+    asyncio.run(_serve(topology, tmp_path, scenario))
+
+
 def test_open_loop_cluster_passes_statistical_checks(tmp_path):
     # K concurrent windowed clients over real sockets: the exact
     # differential no longer applies (interleaving is timing-dependent)

@@ -14,7 +14,9 @@ from repro.net.transport import PeerConnection, Transport
 
 HELLO = encode_frame({"t": "hello", "pid": 0})
 #: A binary message frame whose body stops in the middle of the message.
-TRUNCATED = LEN_STRUCT.pack(9) + b"\x00\x01\x03\x00\x00\x00\x00\x02\x0d"
+TRUNCATED = LEN_STRUCT.pack(9) + b"\x00\x02\x03\x00\x00\x00\x00\x02\x0d"
+#: A complete, once valid frame of binary format 1 (a Bump from pid 0).
+V1_FRAME = LEN_STRUCT.pack(18) + b"\x00\x01\x03\x00\x00\x00\x00\x03\x01\x02\x01\x04\x02\x01\x2c\x01\x04\x00"
 
 
 async def _until(predicate, timeout_s: float = 5.0) -> None:
@@ -47,15 +49,17 @@ def test_garbage_frame_closes_only_that_connection():
         received = []
         a, b, b_address, probes = await _pair(lambda src, f: received.append((src, f)))
         try:
-            # A second connection claims to be pid 0, then sends bytes
-            # that are not a frame: node 1 must drop that connection ...
-            reader, writer = await asyncio.open_connection(*b_address)
-            writer.write(HELLO)
-            await _until(lambda: probes.count(("peer_hello", 0)) == 2)
-            writer.write(TRUNCATED)
-            assert await asyncio.wait_for(reader.read(), 5.0) == b""
-            writer.close()
-            assert ("bad_frame", 0) in probes
+            # One more connection claims to be pid 0, then sends bytes
+            # that are not a frame — cut short, or of the wire format
+            # this one replaced: node 1 must drop that connection ...
+            for n, garbage in enumerate((TRUNCATED, V1_FRAME), start=1):
+                reader, writer = await asyncio.open_connection(*b_address)
+                writer.write(HELLO)
+                await _until(lambda: probes.count(("peer_hello", 0)) == 1 + n)
+                writer.write(garbage)
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                writer.close()
+                assert probes.count(("bad_frame", 0)) == n
             assert received == []
             # ... and keep serving node 0's real one.
             a.send_frame_bytes(1, encode_hb_frame(0, binary=True))
