@@ -36,10 +36,8 @@ Subpackages:
 
 __version__ = "1.0.0"
 
-# _backend must load before any compilable module: importing it installs
-# the REPRO_COMPILED=0 source-forcing hook (see repro/_backend.py).
-from ._backend import backend_info
 from . import apps, baselines, consensus, core, election, harness, rmcast, sim, verify, workload
+from ._backend import backend_info
 
 __all__ = [
     "backend_info",

@@ -1,159 +1,9 @@
-"""Backend selection for the optionally-compiled hot core.
+"""The core has one build: the pure-python source."""
 
-The simulation substrate (:mod:`repro.sim`) and the protocol core
-(:mod:`repro.core`) can be compiled to native extension modules with
-mypyc (``REPRO_MYPYC=1 pip install -e .`` — see ``setup.py``). The
-pure-python source stays the golden reference: both backends must
-produce bit-identical runs (enforced by
-:mod:`repro.harness.differential`), and the compiled build is purely a
-performance feature.
-
-This module is imported *first* by :mod:`repro`'s ``__init__`` (before
-any of the compilable modules), because it owns the escape hatch:
-setting ``REPRO_COMPILED=0`` in the environment installs a meta-path
-finder that forces the listed modules to load from ``.py`` source even
-when compiled extensions are installed, so a miscompiled or stale
-extension can never block the reference path. ``REPRO_COMPILED=1`` (or
-unset) uses the compiled modules when present and silently falls back
-to source when not.
-
-It also hosts the :func:`mypyc_attr` shim: the real decorator lives in
-``mypy_extensions``, which is only needed at build time. At runtime the
-shim is a no-op, so the annotated classes import fine on interpreters
-without the mypy toolchain.
-"""
-
-from __future__ import annotations
-
-import importlib.machinery
-import importlib.util
-import os
-import sys
-from importlib.abc import MetaPathFinder
-from importlib.machinery import ModuleSpec
-from types import ModuleType
-from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
-
-#: Modules eligible for mypyc compilation, in dependency order. This is
-#: the single source of truth: ``setup.py`` reads it to build the
-#: extension list and :func:`backend_info` reads it to report what is
-#: actually compiled in the running interpreter.
-COMPILED_MODULES = (
-    "repro.sim.events",
-    "repro.sim.clock",
-    "repro.sim.costs",
-    "repro.sim.latency",
-    "repro.sim.network",
-    "repro.sim.process",
-    "repro.core.epoch",
-    "repro.core.config",
-    "repro.core.messages",
-    "repro.core.state",
-    "repro.core.gc",
-    "repro.core.process",
-)
-
-#: Native extension suffixes (``.so`` on POSIX, ``.pyd`` on Windows).
-_EXT_SUFFIXES = tuple(importlib.machinery.EXTENSION_SUFFIXES)
-
-_T = TypeVar("_T")
-
-try:  # pragma: no cover - exercised only with the build toolchain
-    from mypy_extensions import mypyc_attr
-except ImportError:
-
-    def mypyc_attr(*attrs: str, **kwargs: Any) -> Callable[[_T], _T]:
-        """No-op stand-in for ``mypy_extensions.mypyc_attr``.
-
-        The real decorator only carries build-time metadata for mypyc
-        (e.g. ``allow_interpreted_subclasses=True``); at runtime it
-        returns the class unchanged, and so does this shim.
-        """
-
-        def deco(obj: _T) -> _T:
-            return obj
-
-        return deco
+# ``bench/run.py`` (the run header's ``backend=``) is the only caller, and
+# ``bench/`` is editable only by a ``benchmark`` PR: ROADMAP item 1 (vi)
+# drops that import, and then this file goes.
 
 
-class _SourceForcer(MetaPathFinder):
-    """Meta-path finder that pins the listed modules to ``.py`` source.
-
-    Installed at the *front* of ``sys.meta_path`` when
-    ``REPRO_COMPILED=0``, so it wins against the path finders that would
-    otherwise prefer a compiled extension sitting next to the source.
-    """
-
-    def __init__(self, names: Sequence[str], root: str) -> None:
-        self._names = frozenset(names)
-        self._root = root
-
-    def find_spec(
-        self,
-        fullname: str,
-        path: Optional[Sequence[str]] = None,
-        target: Optional[ModuleType] = None,
-    ) -> Optional[ModuleSpec]:
-        if fullname not in self._names:
-            return None
-        source = os.path.join(self._root, fullname.replace(".", os.sep) + ".py")
-        if not os.path.isfile(source):  # pragma: no cover - defensive
-            return None
-        loader = importlib.machinery.SourceFileLoader(fullname, source)
-        return importlib.util.spec_from_file_location(fullname, source, loader=loader)
-
-
-def _install_source_forcer() -> None:
-    # repro/_backend.py lives at <root>/repro/_backend.py; module paths
-    # in COMPILED_MODULES are rooted at <root>.
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.meta_path.insert(0, _SourceForcer(COMPILED_MODULES, root))
-
-
-def compiled_requested() -> bool:
-    """False iff the environment forces the pure-python backend."""
-    return os.environ.get("REPRO_COMPILED", "1") != "0"
-
-
-if not compiled_requested():
-    _install_source_forcer()
-
-
-def _is_compiled(mod: ModuleType) -> bool:
-    origin = getattr(mod, "__file__", None)
-    return origin is not None and origin.endswith(_EXT_SUFFIXES)
-
-
-def backend_info() -> Dict[str, Any]:
-    """Describe which backend the running process is actually using.
-
-    Returns a dict with:
-
-    * ``backend`` — ``"compiled"`` when every eligible module loaded as
-      a native extension, ``"pure-python"`` when none did, ``"mixed"``
-      otherwise (a broken install; the differential harness treats it
-      as compiled so the mismatch is caught, not masked).
-    * ``requested`` — the ``REPRO_COMPILED`` contract in effect.
-    * ``compiled_modules`` — the eligible modules that are compiled.
-    * ``eligible_modules`` — everything in :data:`COMPILED_MODULES`.
-
-    Only modules already imported are inspected; importing ``repro``
-    imports all of them, so from user code the answer is complete.
-    """
-    compiled: List[str] = []
-    for name in COMPILED_MODULES:
-        mod = sys.modules.get(name)
-        if mod is not None and _is_compiled(mod):
-            compiled.append(name)
-    if not compiled:
-        backend = "pure-python"
-    elif len(compiled) == len(COMPILED_MODULES):
-        backend = "compiled"
-    else:  # pragma: no cover - only reachable with a partial build
-        backend = "mixed"
-    return {
-        "backend": backend,
-        "requested": "compiled" if compiled_requested() else "pure-python",
-        "compiled_modules": compiled,
-        "eligible_modules": list(COMPILED_MODULES),
-    }
+def backend_info() -> dict[str, str]:
+    return {"backend": "pure-python"}

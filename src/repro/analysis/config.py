@@ -226,11 +226,10 @@ WIRE_MESSAGE_MODULES: Tuple[str, ...] = (
 #: Instance attributes holding r-deliver dispatch tables (PROTO102).
 DISPATCH_ATTRS: Tuple[str, ...] = ("_r_dispatch",)
 
-#: Modules whose classes must declare ``__slots__`` (PERF001): exactly
-#: the optionally-compiled hot core. Kept as a literal copy of
-#: :data:`repro._backend.COMPILED_MODULES` rather than an import so the
-#: analysis config stays import-light; the self-check test asserts the
-#: two stay in sync.
+#: Modules whose classes must declare ``__slots__`` (PERF001): the
+#: simulator's hot core — the substrate every event passes through and
+#: the protocol state it drives — where a per-instance dict is paid
+#: ~10^5-10^6 times per figure point (DESIGN.md §9).
 PERF_SLOTS_SCOPE: Tuple[str, ...] = (
     "repro.sim.events",
     "repro.sim.clock",
@@ -295,9 +294,8 @@ DEFAULT_ALLOW: Mapping[str, Tuple[str, ...]] = {
     # subclasses (protocols, test doubles) add instance attributes
     # freely, and the spec recorder / invariant monitor wrap
     # PrimCastProcess.on_r_deliver as an *instance* attribute — both
-    # require a per-instance dict. Under mypyc they compile with
-    # allow_interpreted_subclasses / native_class=False accordingly
-    # (see repro/_backend.py).
+    # require a per-instance dict. There are a few dozen of them per
+    # run, not one per event, so the dict costs nothing that matters.
     "PERF001": (
         "repro.sim.process::SimProcess",
         "repro.core.process::PrimCastProcess",

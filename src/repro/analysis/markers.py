@@ -4,7 +4,7 @@
 but EFF301 treats any function carrying it as declared pure and fails
 the lint if the function's transitive write effect is non-empty. Code
 under :mod:`repro.core` keeps using the config-side ``declared_pure``
-patterns instead of importing this module — the compiled-core import
+patterns instead of importing this module — the hot core's import
 closure is pinned (see ``repro.harness.cache.FINGERPRINT_PACKAGES``)
 and must not grow a dependency on the analysis package.
 """

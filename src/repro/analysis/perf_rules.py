@@ -1,15 +1,15 @@
 """Performance-contract rules (PERF0xx).
 
-Structural constraints the optionally-compiled hot core
-(:data:`repro._backend.COMPILED_MODULES`, DESIGN.md §9) relies on:
+Structural constraints the simulator's hot core
+(:data:`repro.analysis.config.PERF_SLOTS_SCOPE`, DESIGN.md §9) relies on:
 
 * **PERF001** — every class defined in a hot module declares
-  ``__slots__``. Slotted classes are the restructuring that makes the
-  hot path allocation-light under CPython *and* compilable by mypyc
-  (native classes have a fixed layout); an unslotted class silently
-  re-introduces a per-instance dict and, worse, an attribute namespace
-  that interpreted monkey-patching can grow — which a compiled build
-  would then break at runtime instead of at review time.
+  ``__slots__``. Slotted classes are the restructuring that keeps the
+  hot path allocation-light under CPython (smaller objects, faster
+  attribute loads); an unslotted class silently re-introduces a
+  per-instance dict and, worse, an attribute namespace that
+  monkey-patching can grow — dynamic behaviour belongs behind a
+  declared seam (the transmit interceptors, the probe hooks).
 
   Exemptions (``NamedTuple`` / ``Enum`` bodies manage their own layout;
   classes that *must* stay dynamic, like the ``SimProcess`` lineage
@@ -83,7 +83,7 @@ def _classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
 @register
 class HotClassesDeclareSlots(Rule):
     rule_id = "PERF001"
-    title = "classes in compiled hot modules declare __slots__"
+    title = "classes in hot modules declare __slots__"
 
     def applies_to(self, module: str, config: "AnalysisConfig") -> bool:
         scope = config.scope_override.get(self.rule_id, config.perf_slots_scope)
@@ -103,9 +103,8 @@ class HotClassesDeclareSlots(Rule):
                     cls,
                     f"class {cls.name} in hot module {mod.module} has no "
                     f"__slots__ — unslotted classes cost a dict per instance "
-                    f"on the hot path and cannot compile to a fixed-layout "
-                    f"native class (allowlist it with a justification if it "
-                    f"must stay dynamic)",
+                    f"on the hot path (allowlist it with a justification if "
+                    f"it must stay dynamic)",
                     cls.name,
                 )
             )

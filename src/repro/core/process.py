@@ -28,7 +28,6 @@ from typing import (
     Type,
 )
 
-from .._backend import mypyc_attr
 from ..rmcast.fifo import Envelope, RMcastProcess
 from ..sim.clock import PhysicalClock
 from ..sim.costs import CostModel
@@ -87,14 +86,12 @@ PROBE_EVENTS = ("start", "propose", "ack_quorum", "epoch_change", "deliver", "tr
 TEntry = Tuple[Epoch, Multicast, int]
 
 
-@mypyc_attr(native_class=False)
 class PrimCastProcess(RMcastProcess):
     """A PrimCast group member.
 
-    Compiled as a *non-native* class even under mypyc: it inherits the
-    interpreted :class:`RMcastProcess`, and test/verify layers wrap
-    ``on_r_deliver`` as an instance attribute — both incompatible with
-    a native class's fixed layout.
+    Deliberately without ``__slots__`` (the PERF001 allowlist says so):
+    the spec recorder and the invariant monitor wrap ``on_r_deliver`` as
+    an *instance* attribute, which needs the per-instance dict.
 
     Args:
         pid: this process's id (must belong to a group in ``config``).

@@ -19,9 +19,8 @@ bit-identical rows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..sim.costs import CostModel
 from ..workload.scenarios import (
     Scenario,
     lan_scenario,
@@ -45,17 +44,16 @@ def sweep(
     scenario: Scenario,
     n_dest_groups: int,
     loads: Sequence[int],
-    seed: int = 1,
-    warmup_ms: float = 500.0,
-    measure_ms: float = 1000.0,
-    cost_model: Optional[CostModel] = None,
-    keep_samples: bool = False,
     executor: Optional[SweepExecutor] = None,
+    **point: Any,
 ) -> List[RunResult]:
     """Run a protocol × load grid on one scenario/destination count.
 
     Rows come back in grid order (protocol-major, load-minor) regardless
-    of the executor's parallelism.
+    of the executor's parallelism. ``point`` are the remaining fields of
+    a load point (``seed``, ``warmup_ms``, ``batching_ms``, ...), declared
+    by :class:`~repro.harness.parallel.PointSpec` and nowhere else; an
+    unknown keyword is a ``TypeError``.
 
     Any :class:`Scenario` is accepted. A scenario that is not faithfully
     reconstructable from the Table 2 registry — a custom name, or a
@@ -75,35 +73,17 @@ def sweep(
                 f"the result cache; run it with the default serial executor "
                 f"(jobs=1, no cache)"
             )
+        # A sweep's rows drop their samples unless asked, as PointSpec's
+        # do; run_load_point alone defaults the other way.
+        point.setdefault("keep_samples", False)
         results = [
-            run_load_point(
-                protocol,
-                scenario,
-                n_dest_groups,
-                outstanding,
-                seed=seed,
-                warmup_ms=warmup_ms,
-                measure_ms=measure_ms,
-                cost_model=cost_model,
-                keep_samples=keep_samples,
-            )
+            run_load_point(protocol, scenario, n_dest_groups, outstanding, **point)
             for protocol in protocols
             for outstanding in loads
         ]
         executor.note_direct_runs(len(results))
         return results
-    specs = expand_sweep(
-        protocols,
-        scenario,
-        n_dest_groups,
-        loads,
-        seed=seed,
-        warmup_ms=warmup_ms,
-        measure_ms=measure_ms,
-        cost_model=cost_model,
-        keep_samples=keep_samples,
-    )
-    return executor.run(specs)
+    return executor.run(expand_sweep(protocols, scenario, n_dest_groups, loads, **point))
 
 
 def figure2(

@@ -50,6 +50,7 @@ protocol messages; bytes that are no frame raise :class:`CodecError`.
 
 from __future__ import annotations
 
+import inspect
 import json
 import struct
 from collections import namedtuple
@@ -489,24 +490,23 @@ ENVELOPES = _Wire(
     get=("{a}, off = _get_seq(buf, off, {a}_n, _CODECS[Envelope].get)", "{a} = tuple({a})"),
 )
 
-#: The wire schema: class -> (binary tag, JSON tag, fields[, constructor
-#: order]). A field is ``(attribute, JSON key, wire type)``; fields are in
-#: binary wire order, fixed-width ones first so that each class is one
-#: struct plus its variable tail. The constructor is called positionally,
-#: in that order or in the one the optional fourth element names — never
-#: through ``__init__`` introspection, which is native code under the
-#: mypyc build; ``tests/net/test_codec.py`` pins every row to its
-#: constructor's signature instead. The tags are the codec's own
-#: namespace (``Envelope.kind`` is the *payload's* kind by design, so the
-#: class-level ``kind`` strings cannot serve). A new field is one more
-#: tuple in one row; adding, reordering or retyping fields changes the
-#: layout and must bump :data:`BINARY_VERSION`.
+#: The wire schema: class -> (binary tag, JSON tag, fields). A field is
+#: ``(attribute, JSON key, wire type)``; fields are in binary wire order,
+#: fixed-width ones first so that each class is one struct plus its
+#: variable tail. The constructor is called positionally, in the order
+#: :func:`derive_codec` reads from its signature; a row whose attributes
+#: are not exactly the constructor's parameters fails at import. The
+#: tags are the codec's own namespace (``Envelope.kind`` is the
+#: *payload's* kind by design, so the class-level ``kind`` strings cannot
+#: serve). A new field is one more tuple in one row; adding, reordering
+#: or retyping fields changes the layout and must bump
+#: :data:`BINARY_VERSION`.
 SCHEMA: Dict[Type[Any], Tuple[Any, ...]] = {
     Start: (1, "start", (("multicast", "mc", MULTICAST),)),
     Ack: (2, "ack", (
         ("epoch", "e", EPOCH), ("group", "g", ID), ("ts", "ts", INT), ("sender", "s", ID),
         ("dp", "dp", DP), ("multicast", "mc", MULTICAST),
-    ), ("multicast", "group", "epoch", "ts", "sender", "dp")),
+    )),
     Bump: (3, "bump", (
         ("epoch", "e", EPOCH), ("ts", "ts", INT), ("sender", "s", ID), ("dp", "dp", DP),
     )),
@@ -514,15 +514,15 @@ SCHEMA: Dict[Type[Any], Tuple[Any, ...]] = {
     EpochPromise: (5, "promise", (
         ("epoch", "e", EPOCH), ("sender", "s", ID), ("clock", "c", INT),
         ("e_cur", "ec", EPOCH), ("t_base", "tb", INT), ("t_seq", "t", T_SEQ),
-    ), ("epoch", "sender", "clock", "e_cur", "t_seq", "t_base")),
+    )),
     NewState: (6, "new-state", (
         ("epoch", "e", EPOCH), ("ts", "ts", INT), ("t_base", "tb", INT), ("t_seq", "t", T_SEQ),
-    ), ("epoch", "t_seq", "ts", "t_base")),
+    )),
     AcceptEpoch: (7, "accept-epoch", (("epoch", "e", EPOCH), ("sender", "s", ID))),
     Envelope: (8, "envelope", (
         ("origin", "o", ID), ("seq", "q", INT), ("relayed", "r", BOOL), ("dests", "d", INTS),
         ("payload", "p", VALUE),
-    ), ("origin", "seq", "payload", "dests", "relayed")),
+    )),
     Batch: (9, "batch", (("envelopes", "envs", ENVELOPES),)),
 }
 
@@ -557,9 +557,14 @@ def derive_codec(cls: Type[Any], row: Tuple[Any, ...], memo: str = "") -> _Codec
     instance, in which ``put`` keeps the untagged binary body it wrote
     and from which it splices every later time. Only for a class whose
     instances do not change once encoded (``Envelope``)."""
-    binary_tag, json_tag, fields, *ctor = row
+    binary_tag, json_tag, fields = row
     from_json = {a: t.from_json.format(k=k) for a, k, t in fields}
-    order = ctor[0] if ctor else tuple(from_json)
+    order = list(inspect.signature(cls.__init__).parameters)[1:]
+    if set(order) != set(from_json):
+        raise TypeError(
+            f"schema row for {cls.__name__} has fields {sorted(from_json)}, "
+            f"its constructor takes {sorted(order)}"
+        )
     structs: Dict[str, struct.Struct] = {}
     put: List[str] = []
     get: List[str] = []

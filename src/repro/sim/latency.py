@@ -21,14 +21,11 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._backend import mypyc_attr
-
 #: The per-pair sampling recipe: (mean_ms, stddev_ms, floor_ms). A zero
 #: stddev means the delay is exactly the mean and no randomness is drawn.
 PairParams = Tuple[float, float, float]
 
 
-@mypyc_attr(allow_interpreted_subclasses=True)
 class LatencyModel:
     """Base class for one-way latency models."""
 

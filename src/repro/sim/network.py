@@ -27,7 +27,7 @@ harness and the verification layer:
 * ``add_transmit_interceptor`` — callbacks that may delay or swallow a
   departure (fault injection, flight recording). Replaces the historical
   pattern of assigning over ``network.transmit`` on the instance, which
-  a slotted (or compiled) Network cannot support.
+  a slotted Network cannot support.
 """
 
 from __future__ import annotations

@@ -18,14 +18,12 @@ from collections import deque
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
 
-from .._backend import mypyc_attr
 from .costs import CostModel
 
 if TYPE_CHECKING:
     from ..net.runtime import SchedulerAPI, TransportAPI
 
 
-@mypyc_attr(allow_interpreted_subclasses=True)
 class SimProcess:
     """Base class for all simulated processes (replicas and clients).
 
@@ -65,10 +63,9 @@ class SimProcess:
         # Pre-bound hot callbacks: the network and the event loop fetch
         # these without creating a fresh bound-method object per event
         # (they are scheduled a million times per load sweep). Stored
-        # under *distinct* names — shadowing the methods themselves in
-        # the instance dict would forbid ``__slots__`` and break a
-        # compiled (mypyc) build. Most-derived overrides are picked up
-        # because binding happens through ``self``.
+        # under *distinct* names, so the methods themselves stay plain
+        # class attributes that nothing shadows. Most-derived overrides
+        # are picked up because binding happens through ``self``.
         self._enqueue_cb: Callable[[int, Any], None] = self.enqueue_message
         self._serve_cb: Callable[[], None] = self._serve
         self._transmit_cb = network.transmit

@@ -672,7 +672,7 @@ def test_eff302_out_of_scope_module_is_ignored():
 
 
 # ----------------------------------------------------------------------
-# PERF001 — classes in compiled hot modules declare __slots__
+# PERF001 — classes in hot modules declare __slots__
 # ----------------------------------------------------------------------
 
 PERF001_BAD = """
@@ -712,7 +712,7 @@ def test_perf001_silent_on_slotted_namedtuple_and_exception():
 
 
 def test_perf001_out_of_scope_module_is_ignored():
-    """Only the compiled hot modules are in scope — the harness, the
+    """Only the hot modules are in scope — the harness, the
     baselines and the chaos layer may use plain classes freely."""
     assert run_rule("PERF001", PERF001_BAD, module="repro.harness.runner") == []
 
@@ -722,15 +722,6 @@ def test_perf001_allowlist_spares_the_dynamic_process_lineage():
     assert findings  # a new unslotted class in the module still fires
     lineage = PERF001_BAD.replace("class Tracker:", "class SimProcess:")
     assert run_rule("PERF001", lineage, module="repro.sim.process") == []
-
-
-def test_perf001_scope_matches_compiled_module_list():
-    """The lint scope and the mypyc compilation unit must stay in sync:
-    a module added to COMPILED_MODULES without the slots contract (or
-    vice versa) is a review error."""
-    from repro._backend import COMPILED_MODULES
-
-    assert tuple(DEFAULT_CONFIG.perf_slots_scope) == tuple(COMPILED_MODULES)
 
 
 def test_every_registered_rule_has_a_firing_fixture():

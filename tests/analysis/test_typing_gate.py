@@ -2,7 +2,7 @@
 
 The paper-facing packages (``repro.core``, ``repro.verify``), the
 simulation substrate (``repro.sim`` — with ``repro.core`` it forms the
-mypyc compilation unit, DESIGN.md §9) and the analysis pass itself must
+hot core, DESIGN.md §9) and the analysis pass itself must
 type-check under ``--strict``; pyproject.toml
 relaxes nothing inside that scope and silences everything outside it.
 Skips when mypy is not installed (the container image does not bake it

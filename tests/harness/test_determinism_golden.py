@@ -152,94 +152,3 @@ def test_same_seed_same_process_is_identical():
     assert a.samples == b.samples
     assert a.message_counts == b.message_counts
     assert a.events == b.events
-
-
-# ----------------------------------------------------------------------
-# Backend parametrization: the same goldens over REPRO_COMPILED
-# ----------------------------------------------------------------------
-#
-# The hot core optionally compiles with mypyc (DESIGN.md §9); the pure
-# python above is the golden reference. These tests re-pin the goldens
-# through the differential worker subprocess under each backend, so a
-# compiled build that perturbs the schedule by one event or one ulp
-# fails the exact same pins. When the extensions are not built the
-# compiled parametrization skips cleanly (never passes vacuously).
-
-import functools
-import os
-import subprocess
-import sys
-
-from repro.harness.differential import run_backend
-
-BACKENDS = ["pure-python", "compiled"]
-
-
-@functools.lru_cache(maxsize=None)
-def _compiled_available():
-    """True iff a REPRO_COMPILED=1 subprocess actually loads extensions."""
-    import json
-
-    env = dict(os.environ)
-    env["REPRO_COMPILED"] = "1"
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import json, repro; print(json.dumps(repro.backend_info()))",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)["backend"] != "pure-python"
-
-
-def _fingerprint(protocol, backend):
-    if backend == "compiled" and not _compiled_available():
-        pytest.skip("compiled extensions not built (REPRO_MYPYC=1 install)")
-    payload = run_backend(protocol, compiled=(backend == "compiled"))
-    expected = "pure-python" if backend == "pure-python" else "compiled"
-    assert payload["backend_info"]["backend"] == expected
-    return payload["fingerprint"]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
-def test_backend_matches_seed_golden(protocol, backend):
-    """Both backends reproduce the seed goldens bit-for-bit.
-
-    The worker runs with the compaction daemon off, so the event pin is
-    the *seed* total (SEED_EVENTS) where one exists, and the golden
-    total (identical: those protocols have no daemon ticks) otherwise.
-    """
-    golden = GOLDEN[protocol]
-    fp = _fingerprint(protocol, backend)
-    assert fp["throughput"] == golden["throughput"]
-    assert fp["latency"] == golden["latency"]
-    assert fp["message_counts"] == golden["message_counts"]
-    assert fp["events"] == SEED_EVENTS.get(protocol, golden["events"])
-    assert fp["sample_checksum"] == golden["sample_checksum"]
-
-
-def test_compiled_chaos_smoke():
-    """A seeded chaos campaign runs clean on the compiled backend.
-
-    The chaos layer pokes the hot core through every awkward interface
-    (probe hooks, transmit interceptors, instance-attribute wrapping of
-    on_r_deliver) — exactly the dynamic behaviour a compiled build is
-    most likely to break. Skips when the extensions are not built; the
-    pure-python equivalent is tests/chaos/test_chaos_cli.py.
-    """
-    if not _compiled_available():
-        pytest.skip("compiled extensions not built (REPRO_MYPYC=1 install)")
-    env = dict(os.environ)
-    env["REPRO_COMPILED"] = "1"
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.chaos", "run", "--seeds", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stdout + out.stderr

@@ -1,5 +1,7 @@
 """Tests for the per-figure experiment definitions (tiny scale)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.harness.experiments import FIGURE_PROTOCOLS, sweep
@@ -65,6 +67,28 @@ def test_samples_dropped_when_not_kept():
     )
     assert results[0].samples == []
     assert results[0].latency["count"] > 0
+
+
+def bespoke():
+    """Not a registry scenario: ``sweep`` runs it inline."""
+    return replace(tiny(), name="bespoke-lan")
+
+
+@pytest.mark.parametrize("scenario", [tiny, bespoke], ids=["registry", "inline"])
+def test_sweep_forwards_every_point_field(scenario):
+    # batching_ms: a PointSpec field that no figure passes.
+    (row,) = sweep(
+        ("primcast",), scenario(), n_dest_groups=2, loads=(4,),
+        warmup_ms=20, measure_ms=40, batching_ms=5.0,
+    )
+    assert row.message_counts["batch"] > 0
+    assert row.samples == []
+
+
+@pytest.mark.parametrize("scenario", [tiny, bespoke], ids=["registry", "inline"])
+def test_sweep_rejects_a_misspelt_point_field(scenario):
+    with pytest.raises(TypeError, match="batching_msec"):
+        sweep(("primcast",), scenario(), n_dest_groups=2, loads=(1,), batching_msec=5.0)
 
 
 def test_cost_model_scale_validation():

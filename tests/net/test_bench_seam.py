@@ -1,4 +1,4 @@
-"""The names ``bench/`` reaches for in ``repro.net``, pinned in tier-1.
+"""The names ``bench/`` reaches for in ``repro``, pinned in tier-1.
 
 ``bench/trace.py`` wraps layer entry points by ``setattr`` on the class
 (or module) that owns them and *skips a name it cannot find*;
@@ -64,3 +64,13 @@ def test_counters_netbench_reads_exist_with_the_right_types(tmp_path):
     assert transport.peers == {} and type(transport.overload_events) is int
     node = NetNode(make_topology(ClusterSpec(n_groups=1, group_size=1)), 0, tmp_path)
     assert "_transport" in vars(node) and "_epochs_seen" in vars(node)
+
+
+def test_run_header_backend_name():
+    # bench/run.py prints ``backend_info()["backend"]`` in its run header;
+    # the name lives on until a ``benchmark`` PR drops that import.
+    import repro
+    from repro._backend import backend_info
+
+    assert backend_info()["backend"] == "pure-python"
+    assert repro.backend_info is backend_info
