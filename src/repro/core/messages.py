@@ -8,7 +8,12 @@ Algorithm 2 line 47) — so on a real wire every ack costs a payload copy,
 which the simulator, sharing one object and charging by kind, never
 sees. Only ``bump`` is one of the small mergeable control messages §7.1
 credits for PrimCast's throughput today; header-only follower acks are
-ROADMAP item 2 ("Small acks").
+ROADMAP item 2 ("Small acks"), sized at memory and bytes rather than
+CPU. What an ack costs its *receiver* is the other half of §7.1's
+argument, and it is paid per decision, not per ack: a ``Batch`` of acks
+is handled in one loop (``PrimCastProcess.on_message``) and an ack that
+only moves a clock re-attempts delivery only if the last attempt
+stopped at a clock (``_order_blocked``, DESIGN.md §9).
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from typing import (
     Type,
 )
 
-from ..rmcast.fifo import Envelope, RMcastProcess
+from ..rmcast.fifo import Batch, Envelope, RMcastProcess
 from ..sim.clock import PhysicalClock
 from ..sim.costs import CostModel
 from .config import GroupConfig
@@ -202,6 +202,14 @@ class PrimCastProcess(RMcastProcess):
         # _pending_min_excluding). Stale keys are valid lower bounds and
         # entries are refreshed on demand.
         self._min_heap: List[Tuple[int, MessageId]] = []
+        # Delivery gate: True while the last _try_deliver ended at a stop
+        # no clock observation can lift — line 30, or no decided final
+        # among the pending. Both depend only on the two heaps, whose
+        # keys hold no clock term (see _pending_min_excluding), so the
+        # clock-only call sites skip their attempt until something a
+        # decision feeds clears the flag: a local or final timestamp
+        # decided, a final pushed, T installed, an epoch activated.
+        self._order_blocked = False
         self.deliver_hooks: List[DeliverHook] = []
         self.delivery_log: List[Tuple[MessageId, int, float]] = []
         # Probe hooks stay None unless installed, so the hot paths pay
@@ -411,36 +419,42 @@ class PrimCastProcess(RMcastProcess):
     # ------------------------------------------------------------------
 
     def on_message(self, src: int, msg: Any) -> None:
-        # Fast path for the overwhelmingly common case: a first-delivery,
-        # non-relayed envelope. Combines the rmcast dedupe with payload
-        # dispatch in one frame; relay mode, batches, duplicates via
+        # Fast path for the overwhelmingly common case: non-relayed
+        # envelopes, alone or in a Batch. One loop combines the rmcast
+        # dedupe with payload dispatch in this frame; relay mode,
         # subclassed envelopes and raw messages take the generic path.
         # Instrumentation (spec recorder, invariant checkers) wraps
         # on_r_deliver as an instance attribute — honour such overrides.
-        if msg.__class__ is Envelope:
-            rm = self.rm
-            if not rm.relay and "on_r_deliver" not in self.__dict__:
-                # Watermark dedupe (see FifoReliableMulticast.handle):
-                # channel FIFO makes per-origin seqs strictly increasing,
-                # so one int per origin replaces the historical key set.
-                origin = msg.origin
-                seq = msg.seq
-                high = rm._dedupe_high
-                try:
-                    if seq <= high[origin]:
-                        return
-                except KeyError:
-                    pass
-                high[origin] = seq
-                payload = msg.payload
-                try:
-                    handler = self._r_dispatch[payload.__class__]
-                except KeyError:
-                    self.on_r_deliver(origin, payload)
-                    return
+        cls = msg.__class__
+        rm = self.rm
+        if (
+            (cls is not Envelope and cls is not Batch)
+            or rm.relay
+            or "on_r_deliver" in self.__dict__
+        ):
+            super().on_message(src, msg)
+            return
+        # Watermark dedupe (see FifoReliableMulticast.handle): channel
+        # FIFO makes per-origin seqs strictly increasing, so one int per
+        # origin replaces the historical key set.
+        high = rm._dedupe_high
+        dispatch = self._r_dispatch
+        for env in (msg,) if cls is Envelope else msg.envelopes:
+            origin = env.origin
+            seq = env.seq
+            try:
+                if seq <= high[origin]:
+                    continue
+            except KeyError:
+                pass
+            high[origin] = seq
+            payload = env.payload
+            try:
+                handler = dispatch[payload.__class__]
+            except KeyError:
+                self.on_r_deliver(origin, payload)
+            else:
                 handler(origin, payload)
-                return
-        super().on_message(src, msg)
 
     def on_r_deliver(self, origin: int, payload: Any) -> None:
         handler = self._r_dispatch.get(payload.__class__)
@@ -518,6 +532,7 @@ class PrimCastProcess(RMcastProcess):
             final = self._final_cache.get(mid)
             if final is not None:
                 heapq.heappush(self._finals_heap, (final, mid))
+                self._order_blocked = False
             else:
                 # Computes, caches and enqueues the final timestamp if
                 # all local timestamps happen to be decided already.
@@ -611,7 +626,10 @@ class PrimCastProcess(RMcastProcess):
             self.final_ts(mid)
             if self.probe_hooks is not None:
                 self._probe("ack_quorum", mid)
-        if decided_now or changed:
+            # A decided local ts moves m's key in the min-heap.
+            self._order_blocked = False
+            self._try_deliver()
+        elif changed and not self._order_blocked:
             self._try_deliver()
 
     def _on_bump(self, origin: int, bump: Bump) -> None:
@@ -621,7 +639,8 @@ class PrimCastProcess(RMcastProcess):
             self._peer_dp[bump.sender] = rep
         if self.clocks.observe(self.e_cur, bump.epoch, bump.ts, bump.sender):
             self._qclock_cache = None
-            self._try_deliver()
+            if not self._order_blocked:
+                self._try_deliver()
 
     # ------------------------------------------------------------------
     # Algorithm 1 — predicates (incremental forms)
@@ -652,6 +671,7 @@ class PrimCastProcess(RMcastProcess):
         self._final_cache[mid] = final
         if mid in self.pending:
             heapq.heappush(self._finals_heap, (final, mid))
+            self._order_blocked = False
         return final
 
     def local_ts(self, mid: MessageId, gid: int) -> Optional[int]:
@@ -778,9 +798,14 @@ class PrimCastProcess(RMcastProcess):
         smallest ``(final-ts, id)``: if that one is not deliverable, no
         other pending message can be — line 30 would fail against it,
         since min-ts(m) <= final-ts(m) for every pending m.
+
+        Ends with ``_order_blocked`` set unless it stopped at the clock
+        guard of lines 28-29 (or the role forbids delivery): the only
+        stops a later clock observation can lift.
         """
         if self.role not in (PRIMARY, FOLLOWER):
             return
+        self._order_blocked = True  # until the clock guard says otherwise
         finals = self._finals_heap
         if not finals:
             return
@@ -802,6 +827,7 @@ class PrimCastProcess(RMcastProcess):
             # Lines 28-29: no new proposal in E_cur or in any later
             # epoch may be smaller than final-ts(m).
             if best_final > leader_clock or best_final > qclock:
+                self._order_blocked = False
                 return
             # Line 30: strictly smaller than the smallest possible
             # timestamp of any other pending message.
@@ -918,6 +944,7 @@ class PrimCastProcess(RMcastProcess):
             if mid in self._final_cache
         ]
         heapq.heapify(self._finals_heap)
+        self._order_blocked = False
         for mid in sorted(self.pending):
             if mid not in self._final_cache:
                 self.final_ts(mid)
@@ -960,4 +987,5 @@ class PrimCastProcess(RMcastProcess):
             for multicast in list(self.started.values()):
                 if self._proposable(multicast):
                     self._propose(multicast)
+        self._order_blocked = False
         self._try_deliver()

@@ -54,7 +54,7 @@ import inspect
 import json
 import struct
 from collections import namedtuple
-from typing import Any, Callable, Dict, List, Tuple, Type
+from typing import Any, Callable, Dict, List, Tuple, Type, Union
 
 from ..core.epoch import Epoch
 from ..core.messages import (
@@ -236,6 +236,10 @@ _INTERN_MAX = 1024
 _PIDS: Dict[bytes, Tuple[int, ...]] = {}
 _GIDS: Dict[bytes, Any] = {}
 _LIST_RAW: Dict[Any, bytes] = {}
+#: Decoded epochs, interned the same way by ``(number, leader)``: every
+#: ack carries two and a run sees a handful, so the fixed ``EPOCH`` and
+#: ``DP`` fields pay a lookup, not a namedtuple construction.
+_EPOCHS: Dict[Tuple[int, int], Epoch] = {}
 
 
 def _intern(table: Dict[bytes, Any], raw: bytes, make: Callable[..., Any]) -> Any:
@@ -246,6 +250,14 @@ def _intern(table: Dict[bytes, Any], raw: bytes, make: Callable[..., Any]) -> An
     if len(table) < _INTERN_MAX:
         table[raw] = ints
     return ints
+
+
+def _epoch(number: int, leader: int) -> Epoch:
+    """A decode miss in :data:`_EPOCHS`."""
+    epoch = Epoch(number, leader)
+    if len(_EPOCHS) < _INTERN_MAX:
+        _EPOCHS[epoch] = epoch
+    return epoch
 
 
 def _list_raw(ints: Any) -> bytes:
@@ -438,6 +450,7 @@ _Wire = namedtuple("_Wire", "to_json from_json slots pre post put get", defaults
 _AS_IS = ("m.{a}", "d[{k!r}]")
 _AS_VALUE = ("encode_value(m.{a})", "decode_value(d[{k!r}])")
 _INT_LIST = "end = off + 1 + 2 * buf[off]"  # see _PIDS / _GIDS
+_AN_EPOCH = "_EPOCHS.get(({a}_n, {a}_l)) or _epoch({a}_n, {a}_l)"  # see _EPOCHS
 
 #: A process or group id (u16).
 ID = _Wire(*_AS_IS, (("H", "m.{a}", "{a}"),))
@@ -449,14 +462,15 @@ VALUE = _Wire(*_AS_VALUE, put=("encode_value_binary(m.{a}, out)",),
               get=("{a}, off = decode_value_binary(buf, off)",))
 # The next four are tagged values in JSON; their binary shape is fixed.
 EPOCH = _Wire(*_AS_VALUE, (("I", "{a}_n", "{a}_n"), ("H", "{a}_l", "{a}_l")),
-              pre=("{a}_n, {a}_l = m.{a}",), post=("{a} = Epoch({a}_n, {a}_l)",))
+              pre=("{a}_n, {a}_l = m.{a}",),
+              post=("{a} = " + _AN_EPOCH,))
 #: Optional ``(Epoch, int)`` delivered-prefix report (acks and bumps):
 #: a presence flag, then the report (zeros when absent).
 DP = _Wire(
     *_AS_VALUE, (("?", "{a} is not None", "{a}_on"), ("I", "{a}_n", "{a}_n"),
                  ("H", "{a}_l", "{a}_l"), ("q", "{a}_c", "{a}_c")),
     pre=("{a} = m.{a}", "({a}_n, {a}_l), {a}_c = {a} or ((0, 0), 0)"),
-    post=("{a} = (Epoch({a}_n, {a}_l), {a}_c) if {a}_on else None",),
+    post=("{a} = (" + _AN_EPOCH + ", {a}_c) if {a}_on else None",),
 )
 #: A :class:`Multicast`: its mid in the run, then dest gids and payload
 #: (byte for byte the layout of :func:`_put_multicast`).
@@ -773,12 +787,14 @@ class FrameDecoder:
     body is dispatched on its first byte — :data:`FRAME_BINARY` or
     canonical JSON — so a single connection may mix formats freely.
     Bytes that are not a well-formed frame raise :class:`CodecError`.
+    ``feed`` copies ``data`` into its own buffer before it decodes
+    anything: the caller may hand it a view of a buffer it reuses.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
 
-    def feed(self, data: bytes) -> List[Dict[str, Any]]:
+    def feed(self, data: Union[bytes, memoryview]) -> List[Dict[str, Any]]:
         self._buf.extend(data)
         frames: List[Dict[str, Any]] = []
         buf = self._buf

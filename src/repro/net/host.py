@@ -5,7 +5,8 @@ The protocol core consumes the substrate exclusively through the
 module implements both halves over asyncio:
 
 * :class:`NetScheduler` — time is ``(loop.time() - t0) * 1000`` ms
-  (monotonic, per-node); ``call_after`` arms a real ``loop.call_later``
+  (monotonic, per-node), read once per drain and standing still inside
+  it; ``call_after`` arms a real ``loop.call_later``
   timer; the seam's allocation-free heap (``_heap`` / ``_seq``) is a
   real heap that :meth:`NetScheduler.drain` runs to empty after every
   external stimulus. With the zero-cost CPU model every entry the
@@ -83,6 +84,14 @@ class NetScheduler:
     so a drain runs the node's whole causal cascade — receive, handle,
     transmit — to quiescence before the event loop regains control,
     which is precisely the sim's run-to-completion discipline.
+
+    Time stands still inside a drain, as it does inside a simulator
+    event: :meth:`drain` reads ``loop.time()`` once and :attr:`now`
+    returns that reading until the drain ends, so the whole cascade —
+    every ``busy_until``, submit and delivery stamp in it — sees one
+    instant (and pays one clock read, not one per handler). Timers do
+    not go through ``now``: ``call_after`` hands its delay to
+    ``loop.call_later``, which measures it on the real loop clock.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
@@ -90,7 +99,8 @@ class NetScheduler:
         self._t0 = loop.time()
         self._heap: List[Tuple[float, int, Any, Any]] = []
         self._seq = 0
-        self._draining = False
+        #: The running drain's reading of the clock; None between drains.
+        self._drain_now: Optional[float] = None
         #: Heap entries executed (parity with Scheduler.events_processed).
         self.events_processed = 0
         #: Set by NetNode.kill(): a dead scheduler runs nothing, which
@@ -99,7 +109,11 @@ class NetScheduler:
 
     @property
     def now(self) -> float:
-        """Milliseconds since this node's runtime started (monotonic)."""
+        """Milliseconds since this node's runtime started (monotonic);
+        constant for the length of a drain."""
+        frozen = self._drain_now
+        if frozen is not None:
+            return frozen
         return (self._loop.time() - self._t0) * 1000.0
 
     # -- seam surface ----------------------------------------------------
@@ -134,18 +148,18 @@ class NetScheduler:
     def kick(self) -> None:
         """Run the heap to quiescence unless a drain is already active
         higher up the stack (re-entrant pushes just extend that drain)."""
-        if not self._draining:
+        if self._drain_now is None:
             self.drain()
 
     def drain(self) -> None:
-        if self._draining or self.dead:
+        if self._drain_now is not None or self.dead:
             return
-        self._draining = True
+        now = self._drain_now = (self._loop.time() - self._t0) * 1000.0
         heap = self._heap
         try:
             while heap:
                 entry = heap[0]
-                due = entry[0] - self.now
+                due = entry[0] - now
                 if due > 0.5:
                     # Genuinely future work (a non-zero cost model):
                     # hand it to the loop instead of busy-waiting.
@@ -155,7 +169,7 @@ class NetScheduler:
                 self.events_processed += 1
                 entry[2](*entry[3])
         finally:
-            self._draining = False
+            self._drain_now = None
 
 
 class TransportFacade:
@@ -446,6 +460,7 @@ class NetNode:
         self._done = asyncio.Event()
         self._log_fh: Optional[Any] = None
         self._submit_fh: Optional[Any] = None
+        self._flush_scheduled = False
 
     # -- lifecycle -------------------------------------------------------
 
@@ -566,14 +581,30 @@ class NetNode:
             self._first_submit_ms = now
         if self._submit_fh is not None:
             # Hand-formatted JSON line (hot path: one line per
-            # submission, flushed for crash robustness) — every field
-            # is an int or a round()ed float, so this is valid JSON.
+            # submission) — every field is an int or a round()ed float,
+            # so this is valid JSON.
             dest = ", ".join(map(str, sorted(dests)))
             self._submit_fh.write(
                 f'{{"mid": [{mid[0]}, {mid[1]}], "dest": [{dest}], '
                 f'"t": {round(now, 3)}}}\n'
             )
-            self._submit_fh.flush()
+            self._flush_logs_soon()
+
+    def _flush_logs_soon(self) -> None:
+        """Flush both logs once, on the next loop iteration: every line
+        written before then rides the same ``write``. A SIGKILL can lose
+        the lines of the iteration in progress, never earlier ones — a
+        killed node's log is a prefix, which is what the verifiers
+        assume of it."""
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush_logs)
+
+    def _flush_logs(self) -> None:
+        self._flush_scheduled = False
+        for fh in (self._log_fh, self._submit_fh):
+            if fh is not None:
+                fh.flush()
 
     # -- workload (sequential driver) ------------------------------------
 
@@ -668,12 +699,12 @@ class NetNode:
         if self._log_fh is not None:
             assert self.runtime is not None
             # Hand-formatted JSON line (hot path: one line per local
-            # delivery, flushed for crash robustness).
+            # delivery).
             self._log_fh.write(
                 f'{{"mid": [{mid[0]}, {mid[1]}], "final": {final_ts}, '
                 f'"t": {round(self.runtime.net_scheduler.now, 3)}}}\n'
             )
-            self._log_fh.flush()
+            self._flush_logs_soon()
         self._delivered += 1
         if self.open_mode and mid[0] == self.pid:
             entry = self._inflight.pop(mid, None)

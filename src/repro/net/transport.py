@@ -30,9 +30,11 @@ dialing node; all subsequent frames on that connection are attributed
 to that pid. Incoming connections are read-only (responses travel on
 the receiver's own outgoing connection).
 
-Both ends are ``asyncio.Protocol`` objects, not streams: a socket event
-is one loop callback, and no task or future sits between the loop and a
-frame (:class:`PeerConnection` writes, ``_AcceptedConnection`` reads).
+Both ends are asyncio protocol objects, not streams: a socket event is
+one loop callback, and no task or future sits between the loop and a
+frame (:class:`PeerConnection` writes, ``_AcceptedConnection`` reads —
+a ``BufferedProtocol``: the loop receives into the transport's one
+:data:`RECV_BUFFER_BYTES` buffer instead of allocating per read).
 
 Write coalescing (the throughput path): with ``coalesce`` on, outgoing
 frames are *staged* in a per-peer byte buffer instead of being handed
@@ -73,6 +75,11 @@ BACKOFF_CAP_S = 1.0
 #: to its connection as soon as they cross this, independent of the
 #: per-drain ``call_soon`` flush.
 COALESCE_MAX_BYTES = 64 * 1024
+
+#: Size of a transport's receive buffer, shared by its accepted
+#: connections. A frame larger than this is reassembled over several
+#: reads by the connection's ``FrameDecoder``.
+RECV_BUFFER_BYTES = 64 * 1024
 
 #: Default per-transport backpressure threshold (staged + unsent bytes
 #: across all peers) above which ``overloaded()`` reports True.
@@ -207,10 +214,20 @@ class PeerConnection(asyncio.Protocol):
             self._sock.abort()  # the peer is not reading; ends _run too
 
 
-class _AcceptedConnection(asyncio.Protocol):
-    """One accepted connection. A socket read runs ``data_received`` →
-    ``FrameDecoder.feed`` → ``on_frame`` for each frame it completed,
-    one after the other, inside the loop's read callback."""
+class _AcceptedConnection(asyncio.BufferedProtocol):
+    """One accepted connection. A socket read runs ``get_buffer`` →
+    ``recv_into`` → ``buffer_updated`` → ``FrameDecoder.feed`` →
+    ``on_frame`` for each frame it completed, one after the other,
+    inside the loop's read callback.
+
+    Every connection of a transport receives into the same buffer (the
+    stream protocol's ``recv(256 KiB)`` allocated one per read, and
+    whether glibc recycled or re-faulted that chunk followed the
+    start-up heap layout — EXPERIMENTS.md, "two modes"). Sharing is safe
+    because the buffer is only live between ``get_buffer`` and the first
+    statement of ``feed``, which copies the read into the connection's
+    own reassembly buffer before any frame handler runs, and one loop
+    runs one read callback at a time."""
 
     def __init__(self, owner: "Transport") -> None:
         self._owner = owner
@@ -224,10 +241,13 @@ class _AcceptedConnection(asyncio.Protocol):
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self._owner._accepted.discard(self)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._owner._recv_buf
+
+    def buffer_updated(self, nbytes: int) -> None:
         owner = self._owner
         try:
-            frames = self._decoder.feed(data)
+            frames = self._decoder.feed(owner._recv_buf[:nbytes])
         except CodecError:
             # Not frames: this connection cannot be resynchronized; the
             # node and its other connections are unaffected.
@@ -292,6 +312,8 @@ class Transport:
         self._server: Optional[asyncio.base_events.Server] = None
         #: Live accepted connections, so that close() can end them.
         self._accepted: Set[_AcceptedConnection] = set()
+        #: What every accepted connection reads into (see there).
+        self._recv_buf = memoryview(bytearray(RECV_BUFFER_BYTES))
         self.frames_received = 0
 
     # -- lifecycle -------------------------------------------------------

@@ -375,3 +375,151 @@ def test_pr9_topology_file_still_loads():
     )
     assert (topology.codec, topology.coalesce, topology.driver_mode) == ("json", True, "seq")
     assert {k: v for k, v in topology.to_json().items() if k in pr9} == pr9
+
+
+# ----------------------------------------------------------------------
+# delivery / submit logs: flushed once per loop iteration that wrote
+# ----------------------------------------------------------------------
+
+
+def _lone_node(tmp_path, **spec):
+    """A one-node cluster (its own quorum) with the sequential driver:
+    three messages, each submitted, ordered and delivered in one drain."""
+    topology = make_topology(ClusterSpec(n_groups=1, group_size=1, n_messages=3, **spec))
+    (tmp_path / "GO").write_text("go\n")
+    return NetNode(topology, 0, tmp_path)
+
+
+def _lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_a_delivery_line_is_on_disk_one_loop_iteration_later(tmp_path):
+    # The launcher's kill mark polls delivery-<pid>.jsonl while the
+    # driver holds: a line may wait for the end of the iteration that
+    # wrote it, not for the next event.
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        node = _lone_node(tmp_path)
+        log = tmp_path / "delivery-0.jsonl"
+        at_hook, one_iteration_later = [], []
+
+        def hook(proc, multicast, final):
+            at_hook.append(len(_lines(log)))
+            loop.call_soon(lambda: one_iteration_later.append(len(_lines(log))))
+
+        task = asyncio.create_task(node.run())
+        while node.proc is None:
+            await asyncio.sleep(0)
+        node.proc.add_deliver_hook(hook)  # after the node's own: its call_soon is queued later
+        await _await_jsonl_lines_async(tmp_path / "done-0", 1)
+        assert at_hook == [0, 1, 2]  # buffered when written ...
+        assert one_iteration_later == [1, 2, 3]  # ... on disk right after
+        assert [row["mid"] for row in _lines(tmp_path / "submit-0.jsonl")] == [[0, 0], [0, 1], [0, 2]]
+        (tmp_path / "STOP").write_text("stop\n")
+        assert (await task).exit_code == 0
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("ending", ["exit", "timeout", "kill"])
+def test_every_delivery_line_survives_however_the_node_ends(tmp_path, ending):
+    async def scenario():
+        node = _lone_node(tmp_path, run_timeout_s=1.0 if ending == "timeout" else 60.0)
+        kills = []
+
+        def kill_at_once(proc, multicast, final):
+            # In the iteration of the third write, before its flush ran.
+            if multicast.mid == (0, 2):
+                kills.append(asyncio.get_running_loop().create_task(node.kill()))
+
+        if ending == "exit":
+            (tmp_path / "STOP").write_text("stop\n")
+        task = asyncio.create_task(node.run())
+        if ending == "kill":
+            while node.proc is None:
+                await asyncio.sleep(0)
+            node.proc.add_deliver_hook(kill_at_once)
+            await _await_jsonl_lines_async(tmp_path / "delivery-0.jsonl", 3)
+            await kills[0]
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            await asyncio.sleep(0.05)  # the flush the third write scheduled finds closed logs
+        else:
+            assert (await task).exit_code == {"exit": 0, "timeout": 3}[ending]
+        assert [row["mid"] for row in _lines(tmp_path / "delivery-0.jsonl")] == [[0, 0], [0, 1], [0, 2]]
+        assert len(_lines(tmp_path / "submit-0.jsonl")) == 3
+
+    asyncio.run(scenario())
+
+
+class _CountingLog:
+    """A log file that notes the loop iteration of every flush."""
+
+    def __init__(self, fh, tick):
+        self.fh, self.tick = fh, tick
+        self.lines, self.flushes = 0, []
+
+    def write(self, text):
+        self.lines += 1
+        return self.fh.write(text)
+
+    def flush(self):
+        self.flushes.append(self.tick[0])
+        self.fh.flush()
+
+    def close(self):
+        self.fh.close()
+
+
+def test_call_count_at_most_one_flush_per_log_per_loop_iteration(tmp_path):
+    # 100 open-loop messages over 2x3 nodes on one loop: a node writes
+    # many lines in one iteration (a drain delivers a run of messages)
+    # and flushes each log at most once per iteration.
+    spec = ClusterSpec(
+        n_groups=2, group_size=3, n_messages=0, driver_mode="open", codec="binary",
+        batching_ms=5.0, suspect_ms=5000.0,
+    )
+    topology = make_topology(spec)
+
+    async def scenario(nodes):
+        loop = asyncio.get_running_loop()
+        tick = [0]
+
+        def next_iteration():
+            tick[0] += 1
+            if tick[0] >= 0:
+                loop.call_soon(next_iteration)
+
+        loop.call_soon(next_iteration)
+        logs = {}
+        for pid, node in nodes.items():
+            node._log_fh = logs[pid, "delivery"] = _CountingLog(node._log_fh, tick)
+            node._submit_fh = logs[pid, "submit"] = _CountingLog(node._submit_fh, tick)
+        for i in range(100):
+            node = nodes[i % 6]
+            dests = frozenset({0, 1}) if i % 2 else frozenset({node.gid})
+            node.proc.post_job(
+                lambda node=node, dests=dests, i=i: node._log_submit(
+                    node.proc.a_multicast(dests, i).mid, dests, node.runtime.net_scheduler.now
+                )
+            )
+        expected = 50 * 6 + 50 * 3
+
+        async def all_delivered():
+            while sum(log.lines for (_, kind), log in logs.items() if kind == "delivery") < expected:
+                await asyncio.sleep(0.005)
+
+        await asyncio.wait_for(all_delivered(), 30.0)
+        await asyncio.sleep(0.01)
+        tick[0] = -(10**9)  # stop spinning the loop
+        for (pid, kind), log in logs.items():
+            assert len(set(log.flushes)) == len(log.flushes), (pid, kind)
+            assert 0 < len(log.flushes) <= log.lines
+            assert len(_lines(tmp_path / f"{kind}-{pid}.jsonl")) == log.lines  # all on disk
+        assert sum(log.lines for (_, kind), log in logs.items() if kind == "submit") == 100
+        # Batched in practice, not just in principle.
+        delivery = [log for (_, kind), log in logs.items() if kind == "delivery"]
+        assert sum(len(log.flushes) for log in delivery) < 0.8 * sum(log.lines for log in delivery)
+
+    asyncio.run(_serve(topology, tmp_path, scenario))

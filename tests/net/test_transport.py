@@ -8,9 +8,18 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.core.messages import Multicast, Start
 from repro.net.cluster import allocate_ports
-from repro.net.codec import LEN_STRUCT, FrameDecoder, encode_frame, encode_hb_frame
-from repro.net.transport import PeerConnection, Transport
+from repro.net.codec import (
+    LEN_STRUCT,
+    FrameDecoder,
+    canonical_message_bytes,
+    encode_frame,
+    encode_hb_frame,
+    encode_msg_frame,
+)
+from repro.net.transport import RECV_BUFFER_BYTES, PeerConnection, Transport
+from repro.rmcast.fifo import Envelope
 
 HELLO = encode_frame({"t": "hello", "pid": 0})
 #: A binary message frame whose body stops in the middle of the message.
@@ -202,6 +211,92 @@ def test_frames_of_one_read_run_one_handler_at_a_time_and_write_later(monkeypatc
         finally:
             await a.close()
             await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_frame_larger_than_the_receive_buffer_reassembles_across_reads(monkeypatch):
+    # 200 KiB of payload through a 64 KiB receive buffer: several reads,
+    # none longer than the buffer, one frame — and the next frame after
+    # it is intact too.
+    reads = []
+    feed = FrameDecoder.feed
+    monkeypatch.setattr(
+        FrameDecoder, "feed", lambda self, data: reads.append(len(data)) or feed(self, data)
+    )
+    text = "".join(chr(0x20 + i % 0x5F) for i in range(200 * 1024))
+    big = Envelope(0, 0, Start(Multicast((0, 0), frozenset({0}), text)), (1,))
+
+    async def scenario():
+        received = []
+        a, b, _, probes = await _pair(lambda src, f: received.append((src, f)))
+        try:
+            a.send_frame_bytes(1, encode_msg_frame(0, big, binary=True))
+            a.send_frame_bytes(1, _hb(7))
+            await _until(lambda: len(received) == 2)
+            (src, frame), tail = received
+            assert (src, frame["t"], frame["src"]) == (0, "m", 0)
+            assert canonical_message_bytes(frame["msg"]) == canonical_message_bytes(big)
+            assert frame["msg"].payload.multicast.payload == text
+            assert tail == (0, _hb_frame(7))
+            assert not [p for p in probes if p[0] == "bad_frame"]
+            assert max(reads) <= RECV_BUFFER_BYTES < sum(reads) and len(reads) >= 4
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_two_connections_share_the_receive_buffer_without_mixing_their_frames(monkeypatch):
+    # Both connections of one transport read into the same buffer. Each
+    # is fed one frame and the head of the next per write, alternately,
+    # so every read leaves a partial frame behind while the other
+    # connection's bytes pass through the buffer.
+    reads = []
+    feed = FrameDecoder.feed
+    monkeypatch.setattr(
+        FrameDecoder, "feed", lambda self, data: reads.append(bytes(data)) or feed(self, data)
+    )
+    n = 12
+
+    def frame(pid: int, i: int) -> bytes:
+        return encode_frame({"t": "x", "from": pid, "i": i, "pad": chr(65 + pid) * (50 + 7 * i)})
+
+    async def scenario():
+        received = []
+        node, address, probes = await _lone_node(lambda src, f: received.append((src, f)))
+        try:
+            writers, streams = {}, {}
+            for pid in (5, 6):
+                _, writers[pid] = await asyncio.open_connection(*address)
+                streams[pid] = encode_frame({"t": "hello", "pid": pid}) + b"".join(
+                    frame(pid, i) for i in range(n)
+                )
+            cuts = {pid: 0 for pid in streams}
+            step = 0
+            while any(cuts[pid] < len(streams[pid]) for pid in streams):
+                pid = (5, 6)[step % 2]
+                step += 1
+                chunk = streams[pid][cuts[pid] : cuts[pid] + 97]
+                if not chunk:
+                    continue
+                cuts[pid] += len(chunk)
+                before = len(reads)
+                writers[pid].write(chunk)
+                await _until(lambda: len(reads) > before)  # read before the other one writes
+            await _until(lambda: len(received) == 2 * n)
+            for pid in (5, 6):
+                mine = [f for src, f in received if src == pid]
+                assert [(f["from"], f["i"]) for f in mine] == [(pid, i) for i in range(n)]
+                assert all(f["pad"] == chr(65 + pid) * (50 + 7 * f["i"]) for f in mine)
+            assert sorted(p for p in probes) == [("peer_hello", 5), ("peer_hello", 6)]
+            assert [conn.get_buffer(-1) is node._recv_buf for conn in node._accepted] == [True, True]
+            assert b"".join(reads[0::2]) == streams[5] and b"".join(reads[1::2]) == streams[6]
+            for writer in writers.values():
+                writer.close()
+        finally:
+            await node.close()
 
     asyncio.run(scenario())
 
