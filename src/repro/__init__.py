@@ -23,7 +23,7 @@ Quick start::
 Subpackages:
 
 * :mod:`repro.core` — the PrimCast protocol (Algorithms 1–3, §6).
-* :mod:`repro.baselines` — FastCast, White-Box, Skeen.
+* :mod:`repro.baselines` — FastCast, White-Box, Classic.
 * :mod:`repro.sim` — discrete-event network/CPU/clock simulation.
 * :mod:`repro.rmcast` — FIFO non-uniform reliable multicast.
 * :mod:`repro.election` — the Ω leader oracle.

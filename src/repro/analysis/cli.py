@@ -6,8 +6,7 @@ error-severity finding, 2 — usage error *or* an internal analysis error
 failure is diagnosable from the log alone). ``--json`` emits a
 machine-readable report (consumed by the CI lint job's artifact upload);
 ``--sarif FILE`` additionally writes a SARIF 2.1.0 log for GitHub code
-scanning; ``--cache-dir DIR`` enables the content-hash incremental
-cache. The default output is one ``path:line:col: RULE severity:
+scanning. The default output is one ``path:line:col: RULE severity:
 message`` line per finding, the shape editors and CI annotations both
 understand.
 """
@@ -21,7 +20,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .base import RULES
-from .cache import AnalysisCache, compute_fingerprint
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .engine import AnalysisError, analyze_paths, iter_python_files
 from .sarif import sarif_report
@@ -65,11 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also write a SARIF 2.1.0 report to FILE ('-' for stdout)",
     )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="enable the content-hash incremental cache under DIR",
-    )
     return parser
 
 
@@ -98,14 +91,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     paths = [Path(p) for p in args.paths]
     active_ids = sorted(RULES) if rules is None else sorted(r.rule_id for r in rules)
 
-    cache = None
-    if args.cache_dir:
-        fingerprint = compute_fingerprint(config, active_ids)
-        cache = AnalysisCache(Path(args.cache_dir), fingerprint)
-
     try:
         files = iter_python_files(paths)
-        findings = analyze_paths(paths, config, rules, cache=cache)
+        findings = analyze_paths(paths, config, rules)
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -131,19 +119,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "summary": {"errors": len(errors), "warnings": len(warnings)},
             "findings": [f.to_json() for f in findings],
         }
-        if cache is not None:
-            report["cache"] = cache.stats()
         print(json.dumps(report, indent=2, sort_keys=False))
     else:
         for finding in findings:
             print(finding.format())
         noun = "file" if len(files) == 1 else "files"
-        cache_note = ""
-        if cache is not None:
-            stats = cache.stats()
-            cache_note = f", cache {stats['hits']} hit(s) {stats['misses']} miss(es)"
         print(
             f"repro.analysis: {len(files)} {noun}, "
-            f"{len(errors)} error(s), {len(warnings)} warning(s){cache_note}"
+            f"{len(errors)} error(s), {len(warnings)} warning(s)"
         )
     return 1 if errors else 0

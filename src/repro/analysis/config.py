@@ -218,7 +218,6 @@ WIRE_MESSAGE_MODULES: Tuple[str, ...] = (
     "repro.rmcast.fifo",
     "repro.baselines.classic",
     "repro.baselines.fastcast",
-    "repro.baselines.skeen",
     "repro.baselines.whitebox",
     "repro.consensus.paxos",
 )
@@ -256,7 +255,6 @@ STATE_CONFORMANCE: Mapping[str, Tuple[str, ...]] = {
         "repro.core.process",
         "repro.baselines.classic",
         "repro.baselines.fastcast",
-        "repro.baselines.skeen",
         "repro.baselines.whitebox",
     ),
     "e_cur": ("repro.core.process",),
@@ -272,7 +270,6 @@ DEFAULT_ALLOW: Mapping[str, Tuple[str, ...]] = {
     "PROTO101": (
         "repro.core.messages::Multicast",
         "repro.rmcast.fifo::Envelope",
-        "repro.baselines.skeen::SkeenMulticast",
     ),
     # (The former PROTO103 entry for EpochPromise.__init__ is gone: the
     # rule now proves wire-message payload capture clean by itself.)

@@ -12,13 +12,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .base import RULES, Finding, ModuleInfo, Rule
 from .config import DEFAULT_CONFIG, AnalysisConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .cache import AnalysisCache
 
 
 class AnalysisError(Exception):
@@ -105,25 +102,11 @@ def analyze_paths(
     paths: Sequence[Path],
     config: AnalysisConfig = DEFAULT_CONFIG,
     rules: Optional[Iterable[Rule]] = None,
-    cache: Optional["AnalysisCache"] = None,
 ) -> List[Finding]:
-    """Analyse every python file under ``paths``; sorted, filtered.
-
-    With a ``cache``, files whose content hash was analysed before (by
-    the same analysis version / config / rule set — all folded into the
-    cache fingerprint) are served without parsing or rule execution.
-    """
+    """Analyse every python file under ``paths``; sorted, filtered."""
     active = list(rules) if rules is not None else list(RULES.values())
     findings: List[Finding] = []
     for path in iter_python_files(paths):
-        if cache is not None:
-            cached = cache.get(path)
-            if cached is not None:
-                findings.extend(cached)
-                continue
-        file_findings = analyze_module(load_module(path), config, active)
-        if cache is not None:
-            cache.put(path, file_findings)
-        findings.extend(file_findings)
+        findings.extend(analyze_module(load_module(path), config, active))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

@@ -4,14 +4,11 @@
 * :mod:`repro.baselines.whitebox` — White-Box (DSN'19), 3/5 at leaders.
 * :mod:`repro.baselines.classic` — consensus-based multicast of §4.3
   ([19]/[23]; 6/12 steps), the family PrimCast improves on.
-* :mod:`repro.baselines.skeen` — classic Skeen's protocol (educational,
-  not part of the paper's evaluation).
 """
 
 from .base import GroupProtocolProcess
 from .classic import CLASSIC_KINDS, ClassicProcess
 from .fastcast import FASTCAST_KINDS, FastCastProcess
-from .skeen import SkeenMulticast, SkeenProcess
 from .whitebox import WHITEBOX_KINDS, WhiteBoxProcess
 
 __all__ = [
@@ -22,6 +19,4 @@ __all__ = [
     "FASTCAST_KINDS",
     "WhiteBoxProcess",
     "WHITEBOX_KINDS",
-    "SkeenProcess",
-    "SkeenMulticast",
 ]

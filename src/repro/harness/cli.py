@@ -179,23 +179,6 @@ def cmd_figure5(args: argparse.Namespace) -> None:
 
 
 def cmd_point(args: argparse.Namespace) -> None:
-    if args.backend == "net":
-        # Deferred import: the asyncio cluster machinery only loads when
-        # a net point is actually requested.
-        from ..net.point import run_net_point
-
-        result = run_net_point(
-            args.protocol,
-            n_dest_groups=args.dests,
-            n_messages=args.messages,
-            seed=args.seed,
-        )
-        print_results(
-            f"{args.protocol} on localhost cluster ({args.backend} backend), "
-            f"{args.dests} dest(s), {args.messages} messages",
-            [result],
-        )
-        return
     scenario = SCENARIOS[args.scenario]()
     result = run_load_point(
         args.protocol,
@@ -265,19 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--warmup", type=float, default=500.0)
     pp.add_argument("--measure", type=float, default=1000.0)
     pp.add_argument("--seed", type=int, default=1)
-    pp.add_argument(
-        "--backend",
-        choices=("sim", "net"),
-        default="sim",
-        help="substrate: the simulator (default) or a real localhost "
-        "cluster over asyncio TCP (primcast only; sequential workload)",
-    )
-    pp.add_argument(
-        "--messages",
-        type=int,
-        default=32,
-        help="workload size for --backend net (ignored for sim)",
-    )
     pp.set_defaults(fn=cmd_point)
     return parser
 

@@ -8,8 +8,8 @@
   the CI ``net-smoke`` entry point; ``--kill`` adds mid-run crash
   injection (the survivors must elect a new leader and still agree
   with the failure-free reference).
-* ``open`` — launch an open-loop cluster (K concurrent clients with
-  outstanding windows and optional Poisson arrivals) and fail on any
+* ``open`` — launch a cluster of K concurrent clients (outstanding
+  windows, optional Poisson arrivals) and fail on any
   violation of the statistical safety checks (``repro.verify`` over
   the merged delivery logs).
 """
@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional
 
-from .cluster import ClusterSpec, launch_cluster
+from .cluster import ClusterResult, ClusterSpec, launch_cluster
 from .differential import diff_cluster_result, verify_cluster_logs
 from .host import Topology, run_node
 
@@ -98,17 +98,21 @@ def cmd_node(args: argparse.Namespace) -> int:
     return run_node(topology, args.pid, Path(args.rundir))
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    rundir = _rundir_from_args(args)
-    result = launch_cluster(spec, rundir)
+def _print_nodes(result: ClusterResult, indent: str = "") -> None:
     for pid in sorted(result.outcomes):
         o = result.outcomes[pid]
         status = "KILLED" if o.killed else f"exit={o.exit_code}"
         print(
-            f"node {pid}: {status} delivered={len(o.delivered)}"
+            f"{indent}node {pid}: {status} delivered={len(o.delivered)}"
             + (f" expected={o.summary['expected']}" if o.summary else "")
         )
+
+
+def cmd_cluster(args: argparse.Namespace) -> int:
+    spec = _spec_from_args(args)
+    rundir = _rundir_from_args(args)
+    result = launch_cluster(spec, rundir)
+    _print_nodes(result)
     print(f"cluster {'OK' if result.ok else 'FAILED'} in {result.wall_s:.1f}s "
           f"(rundir: {rundir})")
     return 0 if result.ok else 1
@@ -120,10 +124,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     result = launch_cluster(spec, rundir)
     if not result.ok:
         print(f"cluster run FAILED (rundir: {rundir})")
-        for pid in sorted(result.outcomes):
-            o = result.outcomes[pid]
-            status = "KILLED" if o.killed else f"exit={o.exit_code}"
-            print(f"  node {pid}: {status} delivered={len(o.delivered)}")
+        _print_nodes(result, indent="  ")
         return 1
     problems = diff_cluster_result(result)
     if problems:
@@ -157,9 +158,7 @@ def cmd_open(args: argparse.Namespace) -> int:
     result = launch_cluster(spec, rundir)
     if not result.ok:
         print(f"cluster run FAILED (rundir: {rundir})")
-        for pid in sorted(result.outcomes):
-            o = result.outcomes[pid]
-            print(f"  node {pid}: exit={o.exit_code} delivered={len(o.delivered)}")
+        _print_nodes(result, indent="  ")
         return 1
     violations = verify_cluster_logs(result)
     if violations:

@@ -1,20 +1,23 @@
-"""Localhost cluster launcher: one OS process per protocol process.
+"""Localhost cluster runs: one barrier coordinator, two ways to host a node.
 
-Two runners share the same file-based coordination protocol (see
-:class:`~repro.net.host.NetNode` for the lifecycle):
+:func:`_coordinate` operates the file-based coordination protocol (see
+:class:`~repro.net.host.NetNode` for the lifecycle): the readiness
+barrier (``ready-*`` → ``GO``), optionally one kill mid-run (once the
+driver reached the kill mark and every node's mesh is up, ``up-*``;
+then ``RELEASE``), the shutdown barrier (``done-*`` → ``STOP``), and the
+collection of per-node summaries and delivery logs. Every wait fails at
+once, naming the node, when a node it is waiting on has already ended.
+It is parameterised only by how a node is started, killed and reaped:
 
-* :func:`launch_cluster` — the real thing: spawns one
-  ``python -m repro.net node`` subprocess per pid from a JSON topology,
-  operates the readiness barrier (``ready-*`` → ``GO``), optionally
-  SIGKILLs one node mid-run (once every node's mesh is up, ``up-*``),
-  then the shutdown barrier (``done-*`` → ``STOP``), and collects
-  per-node summaries and delivery logs.
-* :func:`run_cluster_inprocess` — every node on one event loop with
-  real sockets, used by the tier-1 tests (no subprocess spawn cost);
-  "kill" cancels the node's coroutine, marks its scheduler dead and
-  closes its sockets — listening, dialed and accepted — so the
-  surviving peers see EOF on their connections to it and go redialing,
-  as they do when the OS reaps a SIGKILLed process.
+* :func:`launch_cluster` — the real thing: one
+  ``python -m repro.net node`` subprocess per pid from a JSON topology;
+  "kill" is SIGKILL.
+* :func:`run_cluster_inprocess` — every node a task on the calling
+  event loop with real sockets, used by the tier-1 tests (no subprocess
+  spawn cost); "kill" cancels the node's coroutine, which marks its
+  scheduler dead and closes its sockets — listening, dialed and
+  accepted — so the surviving peers see EOF on their connections to it
+  and go redialing, as they do when the OS reaps a SIGKILLed process.
 
 Ports are allocated by binding to port 0 and releasing — adequate for
 single-host test clusters.
@@ -29,9 +32,9 @@ import socket
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .host import NetNode, NodeResult, Topology
 
@@ -65,12 +68,20 @@ class ClusterSpec:
     codec: str = "json"
     coalesce: bool = True
     batching_ms: float = 0.0
-    #: "seq" (exact differential) or "open" (concurrent clients,
-    #: statistical verification).
+    #: "seq" names the sequential shape — one client on pid 0, one
+    #: outstanding, closed loop: the exact differential — whatever the
+    #: three fields below say; "open" runs the shape they describe
+    #: (statistical verification unless it is the sequential one).
     driver_mode: str = "seq"
     clients: int = 4
     window: int = 4
     rate_hz: float = 0.0
+
+    @property
+    def sequential(self) -> bool:
+        return self.driver_mode == "seq" or (
+            (self.clients, self.window, self.rate_hz) == (1, 1, 0.0)
+        )
 
     def validate(self) -> None:
         if self.n_groups < 1 or self.group_size < 1:
@@ -79,15 +90,14 @@ class ClusterSpec:
             raise ValueError(f"unknown codec {self.codec!r}")
         if self.driver_mode not in ("seq", "open"):
             raise ValueError(f"unknown driver mode {self.driver_mode!r}")
-        if self.driver_mode == "open":
-            if self.clients < 1 or self.window < 1:
-                raise ValueError("open-loop driver needs clients >= 1, window >= 1")
-            if self.kill_pid is not None:
+        if self.driver_mode == "open" and (self.clients < 1 or self.window < 1):
+            raise ValueError("open-loop driver needs clients >= 1, window >= 1")
+        if self.kill_pid is not None:
+            if not self.sequential:
                 raise ValueError(
-                    "kill injection requires the sequential driver (the "
+                    "kill injection requires the sequential shape (the "
                     "kill point is defined by the driver's delivery count)"
                 )
-        if self.kill_pid is not None:
             if self.kill_pid == 0:
                 raise ValueError("cannot kill the driver (pid 0)")
             if self.kill_pid >= self.n_groups * self.group_size:
@@ -121,29 +131,23 @@ def make_topology(spec: ClusterSpec, host: str = "127.0.0.1") -> Topology:
         for g in range(spec.n_groups)
     ]
     ports = allocate_ports(n, host)
+    # Every field the spec and the topology share by name is forwarded.
+    spec_fields = {f.name for f in fields(spec)}
+    shared = {
+        f.name: getattr(spec, f.name) for f in fields(Topology) if f.name in spec_fields
+    }
+    if spec.driver_mode == "seq":
+        shared.update(clients=1, window=1, rate_hz=0.0)
     return Topology(
         groups=groups,
         addresses={pid: (host, ports[pid]) for pid in range(n)},
-        seed=spec.seed,
-        n_messages=spec.n_messages,
         driver_pid=0,
-        extra_group_p=spec.extra_group_p,
-        hb_interval_ms=spec.hb_interval_ms,
-        suspect_ms=spec.suspect_ms,
-        hb_grace_ms=spec.hb_grace_ms,
-        run_timeout_s=spec.run_timeout_s,
-        codec=spec.codec,
-        coalesce=spec.coalesce,
-        batching_ms=spec.batching_ms,
-        driver_mode=spec.driver_mode,
-        clients=spec.clients,
-        window=spec.window,
-        rate_hz=spec.rate_hz,
         # With a kill configured, the driver pauses after kill_after
         # deliveries until the coordinator writes RELEASE — so the kill
         # lands at a deterministic point in the workload instead of
         # racing the coordinator's file polling.
         hold_after=spec.kill_after if spec.kill_pid is not None else None,
+        **shared,
     )
 
 
@@ -168,7 +172,7 @@ class ClusterResult:
     wall_s: float
     #: Where the run's logs live (submit/delivery jsonl, summaries) —
     #: the statistical verifier reads them from here.
-    rundir: Optional[Path] = None
+    rundir: Path
 
     @property
     def survivors(self) -> List[int]:
@@ -186,82 +190,209 @@ class ClusterResult:
                 return False
         return True
 
-    def delivered_orders(self) -> Dict[int, List[MessageId]]:
-        return {
-            pid: [mid for mid, _final in o.delivered]
-            for pid, o in self.outcomes.items()
-        }
 
-
-def read_delivery_log(path: Path) -> List[Tuple[MessageId, int]]:
-    """Parse one node's ``delivery-<pid>.jsonl`` into (mid, final) rows."""
-    rows: List[Tuple[MessageId, int]] = []
+def read_jsonl(path: Path) -> List[Dict[str, Any]]:
+    """The rows of one node's ``delivery-<pid>.jsonl`` or
+    ``submit-<pid>.jsonl`` (none if the node never opened it), each
+    ``mid`` a :data:`MessageId` tuple again."""
     if not path.exists():
-        return rows
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        rows.append(((obj["mid"][0], obj["mid"][1]), obj["final"]))
-    return rows
-
-
-def read_delivery_log_full(path: Path) -> List[Tuple[MessageId, int, float]]:
-    """Like :func:`read_delivery_log`, keeping the local delivery time —
-    the (mid, final, t) triple shape ``repro.verify`` checks expect."""
-    rows: List[Tuple[MessageId, int, float]] = []
-    if not path.exists():
-        return rows
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        rows.append(((obj["mid"][0], obj["mid"][1]), obj["final"], obj["t"]))
-    return rows
-
-
-def read_submit_log(path: Path) -> List[Tuple[MessageId, FrozenSet[int], float]]:
-    """Parse one node's ``submit-<pid>.jsonl`` into (mid, dests, t)."""
-    rows: List[Tuple[MessageId, FrozenSet[int], float]] = []
-    if not path.exists():
-        return rows
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        rows.append(
-            ((obj["mid"][0], obj["mid"][1]), frozenset(obj["dest"]), obj["t"])
-        )
+        return []
+    rows = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+    for row in rows:
+        row["mid"] = tuple(row["mid"])
     return rows
 
 
 # ----------------------------------------------------------------------
-# subprocess launcher
+# hosting a node: OS process or task on this loop
+# ----------------------------------------------------------------------
+
+#: ``poll(pid)``: None while the node runs, else its exit code or the
+#: exception its task ended with.
+Ended = Union[None, int, BaseException]
+
+
+class _Subprocesses:
+    """Nodes as ``python -m repro.net node`` OS processes."""
+
+    def __init__(self, topology: Topology, rundir: Path, python: Optional[str]) -> None:
+        self.rundir = rundir
+        self.python = python or sys.executable
+        self.topo_path = rundir / "topology.json"
+        self.topo_path.write_text(json.dumps(topology.to_json(), indent=2) + "\n")
+        src_root = str(Path(__file__).resolve().parents[2])
+        self.env = dict(os.environ)
+        existing = self.env.get("PYTHONPATH")
+        self.env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
+        self.procs: Dict[int, "subprocess.Popen[bytes]"] = {}
+
+    def start(self, pid: int) -> None:
+        # The child inherits the log's descriptor; ours closes at once.
+        with open(self.rundir / f"node-{pid}.log", "wb") as log:
+            self.procs[pid] = subprocess.Popen(
+                [
+                    self.python,
+                    "-m",
+                    "repro.net",
+                    "node",
+                    "--topology",
+                    str(self.topo_path),
+                    "--pid",
+                    str(pid),
+                    "--rundir",
+                    str(self.rundir),
+                ],
+                stdout=log,
+                stderr=subprocess.STDOUT,
+                env=self.env,
+            )
+
+    def poll(self, pid: int) -> Ended:
+        return self.procs[pid].poll()
+
+    async def kill(self, pid: int) -> None:
+        self.procs[pid].kill()
+        self.procs[pid].wait(timeout=10.0)
+
+
+class _Tasks:
+    """Nodes as tasks on the running loop."""
+
+    def __init__(self, topology: Topology, rundir: Path) -> None:
+        self.topology = topology
+        self.rundir = rundir
+        self.tasks: Dict[int, "asyncio.Task[NodeResult]"] = {}
+
+    def start(self, pid: int) -> None:
+        node = NetNode(self.topology, pid, self.rundir)
+        self.tasks[pid] = asyncio.create_task(node.run())
+
+    def poll(self, pid: int) -> Ended:
+        task = self.tasks[pid]
+        if not task.done():
+            return None
+        if task.cancelled():
+            return asyncio.CancelledError()
+        return task.exception() or task.result().exit_code
+
+    async def kill(self, pid: int) -> None:
+        # NetNode.run() closes the node on its way out.
+        self.tasks[pid].cancel()
+        await asyncio.gather(self.tasks[pid], return_exceptions=True)
+
+
+# ----------------------------------------------------------------------
+# the coordinator
 # ----------------------------------------------------------------------
 
 
-def _await_files(paths: List[Path], timeout_s: float, what: str) -> None:
-    deadline = time.monotonic() + timeout_s
-    while True:
-        missing = [p for p in paths if not p.exists()]
-        if not missing:
-            return
-        if time.monotonic() >= deadline:
-            names = ", ".join(p.name for p in missing)
-            raise TimeoutError(f"timed out waiting for {what}: {names}")
-        time.sleep(0.02)
+async def _coordinate(
+    topology: Topology,
+    rundir: Path,
+    nodes: Union[_Subprocesses, _Tasks],
+    kill_pid: Optional[int],
+    kill_after: int,
+) -> ClusterResult:
+    """Run the cluster through its barriers and collect it.
 
+    Raises :class:`RuntimeError` as soon as a node a barrier is waiting
+    on has ended, and :class:`TimeoutError` if a barrier is not reached
+    within the topology's ``run_timeout_s``. Every node it started has
+    ended when it returns or raises.
+    """
+    pids = [pid for group in topology.groups for pid in group]
+    began = time.monotonic()
 
-def _await_jsonl_lines(path: Path, n: int, timeout_s: float) -> None:
-    deadline = time.monotonic() + timeout_s
-    while True:
-        if path.exists():
-            lines = [l for l in path.read_text().splitlines() if l.strip()]
-            if len(lines) >= n:
+    async def wait_for(
+        what: str, missing: Callable[[], List[str]], watch: Iterable[int]
+    ) -> None:
+        deadline = time.monotonic() + topology.run_timeout_s
+        while True:
+            names = missing()
+            if not names:
                 return
-        if time.monotonic() >= deadline:
-            raise TimeoutError(f"timed out waiting for {n} lines in {path.name}")
-        time.sleep(0.02)
+            for pid in watch:
+                ended = nodes.poll(pid)
+                if ended is not None:
+                    how = (
+                        f"exited with code {ended}"
+                        if isinstance(ended, int)
+                        else f"raised {ended!r}"
+                    )
+                    raise RuntimeError(f"node {pid} {how} before the {what}")
+            if time.monotonic() >= deadline:
+                raise TimeoutError(
+                    f"timed out waiting for the {what}: {', '.join(names)}"
+                )
+            await asyncio.sleep(0.02)
+
+    def files(prefix: str, of: List[int]) -> Callable[[], List[str]]:
+        return lambda: [
+            f"{prefix}-{pid}" for pid in of if not (rundir / f"{prefix}-{pid}").exists()
+        ]
+
+    started: List[int] = []
+    try:
+        for pid in pids:
+            nodes.start(pid)
+            started.append(pid)
+        await wait_for("ready barrier", files("ready", pids), pids)
+        (rundir / "GO").write_text("go\n")
+
+        alive = pids
+        if kill_pid is not None:
+            # Lines are counted, not parsed: the driver is still writing.
+            mark = rundir / f"delivery-{topology.driver_pid}.jsonl"
+            await wait_for(
+                "kill mark",
+                lambda: []
+                if mark.exists() and mark.read_text().count("\n") >= kill_after
+                else [f"{kill_after} lines in {mark.name}"],
+                pids,
+            )
+            # A survivor still dialing the victim could never finish
+            # connect_all once its listener is gone. The driver is held
+            # at hold_after until RELEASE, so waiting here cannot let
+            # the workload run past the kill point.
+            await wait_for("up barrier", files("up", pids), pids)
+            await nodes.kill(kill_pid)
+            (rundir / "RELEASE").write_text("release\n")
+            alive = [pid for pid in pids if pid != kill_pid]
+
+        await wait_for("done barrier", files("done", alive), alive)
+        (rundir / "STOP").write_text("stop\n")
+        await wait_for(
+            "nodes' exit",
+            lambda: [f"node {pid}" for pid in alive if nodes.poll(pid) is None],
+            (),
+        )
+    finally:
+        for pid in started:
+            if nodes.poll(pid) is None:
+                await nodes.kill(pid)
+
+    outcomes: Dict[int, NodeOutcome] = {}
+    for pid in pids:
+        summary_path = rundir / f"summary-{pid}.json"
+        ended = nodes.poll(pid)
+        outcomes[pid] = NodeOutcome(
+            pid=pid,
+            exit_code=ended if isinstance(ended, int) else None,
+            killed=pid == kill_pid,
+            delivered=[
+                (row["mid"], row["final"])
+                for row in read_jsonl(rundir / f"delivery-{pid}.jsonl")
+            ],
+            summary=(
+                json.loads(summary_path.read_text()) if summary_path.exists() else None
+            ),
+        )
+    return ClusterResult(
+        topology=topology,
+        outcomes=outcomes,
+        wall_s=time.monotonic() - began,
+        rundir=rundir,
+    )
 
 
 def launch_cluster(
@@ -269,124 +400,20 @@ def launch_cluster(
     rundir: Path,
     python: Optional[str] = None,
 ) -> ClusterResult:
-    """Run a full multi-process cluster under ``rundir`` and collect it.
-
-    Blocking; raises :class:`TimeoutError` if a barrier is not reached
-    within the spec's ``run_timeout_s``. Always reaps every subprocess
-    it spawned, even on failure paths.
-    """
+    """Run a full multi-process cluster under ``rundir`` and collect it
+    (blocking; the coordinator runs on a loop of its own)."""
     rundir = Path(rundir)
     rundir.mkdir(parents=True, exist_ok=True)
     topology = make_topology(spec)
-    topo_path = rundir / "topology.json"
-    topo_path.write_text(json.dumps(topology.to_json(), indent=2) + "\n")
-
-    src_root = str(Path(__file__).resolve().parents[2])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
-
-    pids = [pid for group in topology.groups for pid in group]
-    procs: Dict[int, subprocess.Popen[bytes]] = {}
-    logs = []
-    started = time.monotonic()
-    timeout = spec.run_timeout_s
-    try:
-        for pid in pids:
-            log = open(rundir / f"node-{pid}.log", "wb")
-            logs.append(log)
-            procs[pid] = subprocess.Popen(
-                [
-                    python or sys.executable,
-                    "-m",
-                    "repro.net",
-                    "node",
-                    "--topology",
-                    str(topo_path),
-                    "--pid",
-                    str(pid),
-                    "--rundir",
-                    str(rundir),
-                ],
-                stdout=log,
-                stderr=subprocess.STDOUT,
-                env=env,
-            )
-        _await_files(
-            [rundir / f"ready-{pid}" for pid in pids], timeout, "ready barrier"
+    return asyncio.run(
+        _coordinate(
+            topology,
+            rundir,
+            _Subprocesses(topology, rundir, python),
+            spec.kill_pid,
+            spec.kill_after,
         )
-        (rundir / "GO").write_text("go\n")
-
-        killed: Optional[int] = None
-        if spec.kill_pid is not None:
-            _await_jsonl_lines(
-                rundir / f"delivery-{topology.driver_pid}.jsonl",
-                spec.kill_after,
-                timeout,
-            )
-            # A survivor still dialing the victim could never finish
-            # connect_all once its listener is gone. The driver is held
-            # at hold_after until RELEASE, so waiting here cannot let
-            # the workload run past the kill point.
-            _await_files([rundir / f"up-{pid}" for pid in pids], timeout, "up barrier")
-            procs[spec.kill_pid].kill()
-            procs[spec.kill_pid].wait(timeout=10.0)
-            killed = spec.kill_pid
-            (rundir / "RELEASE").write_text("release\n")
-
-        alive = [pid for pid in pids if pid != killed]
-        _await_files(
-            [rundir / f"done-{pid}" for pid in alive], timeout, "done barrier"
-        )
-        (rundir / "STOP").write_text("stop\n")
-        for pid in alive:
-            procs[pid].wait(timeout=timeout)
-    finally:
-        for proc in procs.values():
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10.0)
-        for log in logs:
-            log.close()
-
-    outcomes: Dict[int, NodeOutcome] = {}
-    for pid in pids:
-        summary_path = rundir / f"summary-{pid}.json"
-        summary = (
-            json.loads(summary_path.read_text()) if summary_path.exists() else None
-        )
-        outcomes[pid] = NodeOutcome(
-            pid=pid,
-            exit_code=procs[pid].returncode,
-            killed=pid == spec.kill_pid,
-            delivered=read_delivery_log(rundir / f"delivery-{pid}.jsonl"),
-            summary=summary,
-        )
-    return ClusterResult(
-        topology=topology,
-        outcomes=outcomes,
-        wall_s=time.monotonic() - started,
-        rundir=rundir,
     )
-
-
-# ----------------------------------------------------------------------
-# in-process runner (tier-1 tests)
-# ----------------------------------------------------------------------
-
-
-async def _await_files_async(paths: List[Path], poll_s: float = 0.02) -> None:
-    while any(not p.exists() for p in paths):
-        await asyncio.sleep(poll_s)
-
-
-async def _await_jsonl_lines_async(path: Path, n: int, poll_s: float = 0.02) -> None:
-    while True:
-        if path.exists():
-            lines = [l for l in path.read_text().splitlines() if l.strip()]
-            if len(lines) >= n:
-                return
-        await asyncio.sleep(poll_s)
 
 
 async def run_cluster_inprocess(
@@ -398,74 +425,6 @@ async def run_cluster_inprocess(
     """All nodes on the calling event loop, real sockets, same barriers."""
     rundir = Path(rundir)
     rundir.mkdir(parents=True, exist_ok=True)
-    pids = [pid for group in topology.groups for pid in group]
-    nodes = {pid: NetNode(topology, pid, rundir) for pid in pids}
-    tasks = {pid: asyncio.create_task(nodes[pid].run()) for pid in pids}
-    started = asyncio.get_running_loop().time()
-
-    async def coordinate() -> Dict[int, NodeResult]:
-        await _await_files_async([rundir / f"ready-{pid}" for pid in pids])
-        (rundir / "GO").write_text("go\n")
-        if kill_pid is not None:
-            await _await_jsonl_lines_async(
-                rundir / f"delivery-{topology.driver_pid}.jsonl", kill_after
-            )
-            # same up barrier as launch_cluster
-            await _await_files_async([rundir / f"up-{pid}" for pid in pids])
-            tasks[kill_pid].cancel()
-            try:
-                await tasks[kill_pid]
-            except asyncio.CancelledError:
-                pass
-            await nodes[kill_pid].kill()
-            (rundir / "RELEASE").write_text("release\n")
-        alive = [pid for pid in pids if pid != kill_pid]
-        await _await_files_async([rundir / f"done-{pid}" for pid in alive])
-        (rundir / "STOP").write_text("stop\n")
-        return {pid: await tasks[pid] for pid in alive}
-
-    try:
-        results = await asyncio.wait_for(
-            coordinate(), timeout=topology.run_timeout_s + 10.0
-        )
-    finally:
-        for pid, task in tasks.items():
-            if not task.done():
-                task.cancel()
-        for pid, node in nodes.items():
-            if node._transport is not None and (
-                pid == kill_pid or not tasks[pid].done()
-            ):
-                try:
-                    await node.kill()
-                except Exception:
-                    pass
-
-    def read_summary(pid: int) -> Optional[Dict[str, Any]]:
-        path = rundir / f"summary-{pid}.json"
-        return json.loads(path.read_text()) if path.exists() else None
-
-    outcomes = {
-        pid: NodeOutcome(
-            pid=pid,
-            exit_code=result.exit_code,
-            killed=False,
-            delivered=result.delivered,
-            summary=read_summary(pid),
-        )
-        for pid, result in results.items()
-    }
-    if kill_pid is not None:
-        outcomes[kill_pid] = NodeOutcome(
-            pid=kill_pid,
-            exit_code=None,
-            killed=True,
-            delivered=read_delivery_log(rundir / f"delivery-{kill_pid}.jsonl"),
-            summary=None,
-        )
-    return ClusterResult(
-        topology=topology,
-        outcomes=outcomes,
-        wall_s=asyncio.get_running_loop().time() - started,
-        rundir=rundir,
+    return await _coordinate(
+        topology, rundir, _Tasks(topology, rundir), kill_pid, kill_after
     )

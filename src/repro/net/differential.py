@@ -1,12 +1,13 @@
 """Differential harness: the sim and net backends must agree.
 
 The same :class:`~repro.core.process.PrimCastProcess` code runs over
-two substrates — the deterministic simulator and real asyncio sockets.
-The workload (:mod:`repro.net.workload`) is shaped so the protocol
-*determines* the observable outcome regardless of timing: final
-timestamps strictly increase in submission order, so every group
-delivers exactly the submission-order subsequence addressed to it.
-Agreement is therefore an exact check, not a statistical one:
+two substrates — the deterministic simulator and real asyncio sockets —
+driven by the same :class:`~repro.net.workload.PlanClient`. In the
+sequential shape (one client, window 1) the protocol *determines* the
+observable outcome regardless of timing: final timestamps strictly
+increase in submission order, so every group delivers exactly the
+submission-order subsequence addressed to it. Agreement is therefore an
+exact check, not a statistical one:
 
 * per pid, the **delivered set** must be identical across backends
   (killed nodes excepted — theirs must be a prefix of their group's
@@ -17,9 +18,9 @@ Agreement is therefore an exact check, not a statistical one:
 A violation means one backend reordered or dropped an a-delivery the
 other performed — a safety bug in the transport port, not noise.
 
-The **open-loop** driver (``driver_mode="open"``) gives up the exact
-check on purpose: K concurrent clients make the interleaving
-timing-dependent, so no sim run defines *the* reference order. What
+Any wider shape gives up the exact check on purpose: concurrent
+clients or a wider window make the interleaving timing-dependent, so no
+sim run defines *the* reference order. What
 must still hold are the protocol's safety properties themselves —
 integrity, uniform agreement, acyclic order, timestamp order, prefix
 order — which :mod:`repro.verify` already checks over per-node
@@ -36,20 +37,19 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core.config import GroupConfig
 from ..core.process import PrimCastProcess
 from ..sim.costs import CostModel
-from ..sim.events import Scheduler
-from ..sim.latency import ConstantLatency
-from ..sim.network import Network
-from ..sim.rng import child_rng
 from ..verify.properties import Violation, collect_violations
-from .cluster import ClusterResult, read_delivery_log_full, read_submit_log
+from .cluster import ClusterResult, read_jsonl
 from .host import Topology
+from .runtime import SimRuntime
+from .workload import PlanClient
 
 MessageId = Tuple[int, int]
 DeliveryMap = Dict[int, List[Tuple[MessageId, int]]]
 
 
 def run_sim_reference(topology: Topology) -> DeliveryMap:
-    """Run the topology's workload on the simulator; pid -> deliveries.
+    """Run the topology's plan on the simulator, one client with one
+    outstanding message on ``driver_pid``; pid -> deliveries.
 
     Failure-free (the kill, if any, happens only on the net side; the
     sim reference defines the full no-failure outcome that survivors
@@ -57,34 +57,19 @@ def run_sim_reference(topology: Topology) -> DeliveryMap:
     drains when the protocol quiesces and the run terminates on its
     own.
     """
-    config = GroupConfig([list(g) for g in topology.groups])
-    scheduler = Scheduler()
-    network = Network(
-        scheduler, ConstantLatency(1.0), child_rng(topology.seed, "latency")
-    )
+    if topology.clients != 1:
+        raise ValueError("the sim reference is defined for one client only")
+    config = topology.make_config()
+    runtime = SimRuntime.local(seed=topology.seed)  # 1 ms constant latency
     procs = {
-        pid: PrimCastProcess(pid, config, scheduler, network, CostModel())
+        pid: PrimCastProcess(
+            pid, config, runtime.scheduler, runtime.transport, CostModel()
+        )
         for pid in config.all_pids
     }
-    workload = topology.workload()
-    driver = procs[topology.driver_pid]
-    state = {"next": 0}
-
-    def submit_next() -> None:
-        i = state["next"]
-        if i >= len(workload):
-            return
-        state["next"] += 1
-        driver.a_multicast(workload[i], payload={"i": i})
-
-    def on_driver_deliver(proc: PrimCastProcess, multicast: object, final: int) -> None:
-        mid = multicast.mid  # type: ignore[attr-defined]
-        if mid[0] == topology.driver_pid and mid[1] + 1 == state["next"]:
-            proc.post_job(submit_next)
-
-    driver.add_deliver_hook(on_driver_deliver)
-    scheduler.call_after(0.0, submit_next)
-    scheduler.run(until=10_000_000.0)
+    (plan,) = topology.client_plans()
+    PlanClient(procs[topology.driver_pid], runtime.scheduler, 0, plan).start()
+    runtime.run(until=10_000_000.0)
     return {
         pid: [(mid, final) for mid, final, _t in proc.delivery_log]
         for pid, proc in procs.items()
@@ -178,20 +163,21 @@ def verify_cluster_logs(result: ClusterResult) -> List[Violation]:
     uniform-agreement obligation.
     """
     rundir = result.rundir
-    if rundir is None:
-        raise ValueError("cluster result has no rundir to verify from")
     config = result.topology.make_config()
     pids = sorted(config.group_of)
 
     multicast_mids: Set[Tuple[int, int]] = set()
     dest_pids_of: Dict[Tuple[int, int], Set[int]] = {}
     for pid in pids:
-        for mid, dests, _t in read_submit_log(rundir / f"submit-{pid}.jsonl"):
-            multicast_mids.add(mid)
-            dest_pids_of[mid] = set(config.dest_pids(dests))
+        for row in read_jsonl(rundir / f"submit-{pid}.jsonl"):
+            multicast_mids.add(row["mid"])
+            dest_pids_of[row["mid"]] = set(config.dest_pids(frozenset(row["dest"])))
 
     logs = {
-        pid: read_delivery_log_full(rundir / f"delivery-{pid}.jsonl")
+        pid: [
+            (row["mid"], row["final"], row["t"])
+            for row in read_jsonl(rundir / f"delivery-{pid}.jsonl")
+        ]
         for pid in pids
     }
     killed = {pid for pid, o in result.outcomes.items() if o.killed}

@@ -22,7 +22,8 @@ module implements both halves over asyncio:
   (:mod:`repro.net.transport`); per-channel FIFO comes from TCP.
 
 :class:`NetNode` assembles one protocol process with its facades,
-heartbeat oracle, delivery log and workload driver — one node per OS
+heartbeat oracle, delivery log and its share of the workload's clients
+(:class:`~repro.net.workload.PlanClient`) — one node per OS
 process under the cluster launcher (:mod:`repro.net.cluster`), or many
 nodes on one loop in the in-process differential tests.
 """
@@ -47,12 +48,7 @@ from .codec import encode_hb_frame, encode_msg_frame
 from .election import DEFAULT_HB_INTERVAL_MS, DEFAULT_SUSPECT_MS, HeartbeatOmega
 from .runtime import Runtime, SchedulerAPI, TransportAPI
 from .transport import Transport
-from .workload import (
-    expected_count,
-    make_client_plans,
-    make_workload,
-    plans_expected_count,
-)
+from .workload import PlanClient, make_client_plans, plans_expected_count
 
 #: Node exit codes (the launcher interprets these).
 EXIT_OK = 0
@@ -285,11 +281,11 @@ class Topology:
     hb_grace_ms: Optional[float] = None
     run_timeout_s: float = 60.0
     linger_ms: float = 250.0
-    #: Fault-injection sync point: the driver pauses its submission
-    #: chain after delivering this many of its own messages and resumes
-    #: only once a ``RELEASE`` file appears in the rundir (the
-    #: coordinator writes it right after performing the kill). ``None``
-    #: means never pause.
+    #: Fault-injection sync point: every client stops submitting once
+    #: this many of its own messages have come back and resumes only
+    #: once a ``RELEASE`` file appears in the rundir (the coordinator
+    #: writes it right after performing the kill). ``None`` means never
+    #: pause.
     hold_after: Optional[int] = None
     #: Wire encoding: ``"json"`` (canonical, PR-9 format) or
     #: ``"binary"`` (struct-packed fast path). Received frames are
@@ -300,14 +296,14 @@ class Topology:
     coalesce: bool = True
     #: rmcast ack/bump batching window (§7.1) in ms; 0 disables.
     batching_ms: float = 0.0
-    #: Workload driver: ``"seq"`` (one driver node, one outstanding,
-    #: exact differential) or ``"open"`` (concurrent clients on every
-    #: node, statistical verification).
-    driver_mode: str = "seq"
-    #: Open-loop client count (spread round-robin over the nodes).
-    clients: int = 4
+    #: Client count: client 0 runs on ``driver_pid``, the rest follow
+    #: round-robin over the nodes. The defaults are the sequential
+    #: shape (one client, one outstanding, closed loop), the one the
+    #: exact differential applies to; any wider shape is verified
+    #: statistically.
+    clients: int = 1
     #: Per-client outstanding-message window.
-    window: int = 4
+    window: int = 1
     #: Per-client Poisson arrival rate (msgs/sec); 0 = closed loop
     #: (clients keep their window full).
     rate_hz: float = 0.0
@@ -334,36 +330,29 @@ class Topology:
     def make_config(self) -> GroupConfig:
         return GroupConfig(self.groups)
 
-    def workload(self) -> List[FrozenSet[int]]:
-        return make_workload(
-            len(self.groups), self.n_messages, self.seed, self.extra_group_p
-        )
+    def client_hosts(self) -> List[int]:
+        """The pid each client runs on."""
+        pids = sorted(pid for group in self.groups for pid in group)
+        first = pids.index(self.driver_pid)
+        return [pids[(first + cid) % len(pids)] for cid in range(self.clients)]
 
     def client_plans(self) -> List[List[FrozenSet[int]]]:
-        # Client cid runs on pids[cid % n] (see _start_clients); its
-        # home group is pinned into every destination set so the
-        # submitter observes its own deliveries — the window-freeing
-        # signal of the open-loop driver.
-        config = self.make_config()
-        pids = sorted(config.group_of)
-        home_gids = [
-            config.group_of[pids[cid % len(pids)]] for cid in range(self.clients)
-        ]
+        # A client's home group is pinned into every destination set so
+        # the submitter observes its own deliveries — the window-freeing
+        # signal.
+        group_of = self.make_config().group_of
         return make_client_plans(
             len(self.groups),
             self.n_messages,
-            self.clients,
             self.seed,
             self.extra_group_p,
-            home_gids=home_gids,
+            home_gids=[group_of[pid] for pid in self.client_hosts()],
         )
 
     def expected_for(self, gid: int) -> int:
         """Messages a member of ``gid`` must deliver under this
-        topology's driver mode (a pure function of the config)."""
-        if self.driver_mode == "open":
-            return plans_expected_count(self.client_plans(), gid)
-        return expected_count(self.workload(), gid)
+        topology's workload (a pure function of the config)."""
+        return plans_expected_count(self.client_plans(), gid)
 
 
 # ----------------------------------------------------------------------
@@ -386,20 +375,6 @@ class NodeResult:
     epochs_seen: int = 0
 
 
-class _OpenClient:
-    """One open-loop client's live state (hosted on one node)."""
-
-    __slots__ = ("cid", "plan", "next", "outstanding", "backlog", "rng")
-
-    def __init__(self, cid: int, plan: List[FrozenSet[int]], rng: Any) -> None:
-        self.cid = cid
-        self.plan = plan
-        self.next = 0  # next plan index to submit
-        self.outstanding = 0  # submitted, not yet self-delivered
-        self.backlog = 0  # arrived (Poisson) but window-blocked
-        self.rng = rng
-
-
 class NetNode:
     """One protocol process on one event loop, with its substrate.
 
@@ -413,22 +388,23 @@ class NetNode:
        every ``up-*`` exists, so no survivor is left dialing a dead
        listener; a dial timeout exits 1 naming the unreachable peers on
        stderr), start heartbeats;
-    3. run the seeded workload — either the sequential driver (one
-       driver node, one outstanding, gated on its own delivery) or the
-       open-loop driver (``driver_mode="open"``: this node's share of
-       the concurrent clients, each with an outstanding window and
-       Poisson arrivals);
+    3. run this node's share of the seeded workload's clients (none,
+       on most nodes of the sequential shape);
     4. on delivering everything addressed to this group, write
        ``done-<pid>`` and keep serving (acks + heartbeats for
        stragglers);
     5. on ``STOP``, flush queues, linger ``linger_ms``, close, write
        ``summary-<pid>.json`` and exit 0 (3 on watchdog timeout).
 
+    However ``run()`` ends — exit, error, watchdog, cancellation — it
+    ends in :meth:`close`: no listener, redial task or timer outlives
+    the node.
+
     Every submission is appended to ``submit-<pid>.jsonl`` (mid +
-    destination set + time): under the open-loop driver the
-    interleaving of mids is timing-dependent, so the statistical
-    verifier reconstructs the ground-truth message set from these logs
-    instead of deriving it from the seed.
+    destination set + time): with concurrent clients the interleaving
+    of mids is timing-dependent, so the statistical verifier
+    reconstructs the ground-truth message set from these logs instead
+    of deriving it from the seed.
     """
 
     def __init__(self, topology: Topology, pid: int, rundir: Path) -> None:
@@ -437,26 +413,16 @@ class NetNode:
         self.rundir = Path(rundir)
         self.config = topology.make_config()
         self.gid = self.config.group_of[pid]
-        self.open_mode = topology.driver_mode == "open"
-        self.workload = [] if self.open_mode else topology.workload()
         self.expected = topology.expected_for(self.gid)
-        self.is_driver = pid == topology.driver_pid and not self.open_mode
         self.runtime: Optional[AsyncioRuntime] = None
         self.proc: Optional[PrimCastProcess] = None
         self.omega: Optional[HeartbeatOmega] = None
         self._transport: Optional[Transport] = None
         self._delivered = 0
-        self._next_submit = 0
         self._submitted = 0
-        self._first_submit_ms: Optional[float] = None
-        self._last_deliver_ms: Optional[float] = None
-        self._submit_times: Dict[int, float] = {}
-        self._clients: List[_OpenClient] = []
-        #: open mode: mid -> (client, submit time) for window release.
-        self._inflight: Dict[Tuple[int, int], Tuple[_OpenClient, float]] = {}
-        self._latencies: List[float] = []
+        self._clients: List[PlanClient] = []
         self._epochs_seen = 0
-        self._hold_task: Optional["asyncio.Task[None]"] = None
+        self._hold_tasks: List["asyncio.Task[None]"] = []
         self._done = asyncio.Event()
         self._log_fh: Optional[Any] = None
         self._submit_fh: Optional[Any] = None
@@ -472,11 +438,7 @@ class NetNode:
         except asyncio.TimeoutError:
             return self._result(EXIT_TIMEOUT)
         finally:
-            for fh_attr in ("_log_fh", "_submit_fh"):
-                fh = getattr(self, fh_attr)
-                if fh is not None:
-                    fh.close()
-                    setattr(self, fh_attr, None)
+            await self.close()
 
     async def _run(self) -> NodeResult:
         topo = self.topology
@@ -511,7 +473,6 @@ class NetNode:
             await transport.connect_all()
         except ConnectionError as exc:
             print(f"node {self.pid}: {exc}; giving up", file=sys.stderr, flush=True)
-            await transport.close()
             return self._result(EXIT_ERROR)
         (self.rundir / f"up-{self.pid}").write_text("up\n")
         members = self.config.members(self.gid)
@@ -529,10 +490,7 @@ class NetNode:
         omega.subscribe(proc._on_omega_output)
         omega.start()
 
-        if self.open_mode:
-            self._start_clients()
-        elif self.is_driver:
-            proc.post_job(self._submit_next)
+        self._start_clients()
         if self.expected == 0:
             self._done.set()
         await self._done.wait()
@@ -541,7 +499,7 @@ class NetNode:
         omega.stop()
         await transport.flush()
         await asyncio.sleep(self.topology.linger_ms / 1000.0)
-        await transport.close()
+        await self.close()
         result = self._result(EXIT_OK)
         self._write_summary(result)
         return result
@@ -573,12 +531,48 @@ class NetNode:
             if pid != self.pid and pid in transport.peers:
                 transport.send_frame_bytes(pid, data)
 
-    # -- workload (shared) -----------------------------------------------
+    # -- workload ---------------------------------------------------------
+
+    def _start_clients(self) -> None:
+        """Start the clients this node hosts (every node derives the
+        same assignment and plans from the topology)."""
+        topo = self.topology
+        assert self.proc is not None and self.runtime is not None
+        assert self._transport is not None
+        plans = topo.client_plans()
+        for cid, host in enumerate(topo.client_hosts()):
+            if host != self.pid or not plans[cid]:
+                continue
+            client = PlanClient(
+                self.proc,
+                self.runtime.net_scheduler,
+                cid,
+                plans[cid],
+                window=topo.window,
+                rate_hz=topo.rate_hz,
+                rng=child_rng(topo.seed, f"net-arrival-{cid}"),
+                # Backpressure: wait for the send queues to drain a bit.
+                blocked=self._transport.overloaded,
+                hold_after=topo.hold_after,
+                on_hold=self._hold_for_release,
+                on_submit=self._log_submit,
+            )
+            self._clients.append(client)
+            client.start()
+
+    def _hold_for_release(self, client: PlanClient) -> None:
+        # Fault-injection sync point: the client stays paused until the
+        # coordinator has performed the kill and written RELEASE —
+        # without this, a fast workload can finish before the
+        # coordinator's file poll notices it reached the kill mark.
+        async def wait() -> None:
+            await self._wait_for_file(self.rundir / "RELEASE")
+            client.release()
+
+        self._hold_tasks.append(asyncio.get_running_loop().create_task(wait()))
 
     def _log_submit(self, mid: Tuple[int, int], dests: FrozenSet[int], now: float) -> None:
         self._submitted += 1
-        if self._first_submit_ms is None:
-            self._first_submit_ms = now
         if self._submit_fh is not None:
             # Hand-formatted JSON line (hot path: one line per
             # submission) — every field is an int or a round()ed float,
@@ -606,96 +600,8 @@ class NetNode:
             if fh is not None:
                 fh.flush()
 
-    # -- workload (sequential driver) ------------------------------------
-
-    def _submit_next(self) -> None:
-        i = self._next_submit
-        if i >= len(self.workload):
-            return
-        self._next_submit += 1
-        assert self.proc is not None and self.runtime is not None
-        now = self.runtime.net_scheduler.now
-        self._submit_times[i] = now
-        mc = self.proc.a_multicast(self.workload[i], payload={"i": i})
-        self._log_submit(mc.mid, self.workload[i], now)
-
-    # -- workload (open-loop driver) -------------------------------------
-
-    def _start_clients(self) -> None:
-        """Create this node's share of the clients and start arrivals.
-
-        Client ``c`` lives on node ``pids[c % n]``; its destination
-        plan comes from the seeded plans (every node derives the same
-        assignment). With ``rate_hz`` set, arrivals follow a per-client
-        Poisson process; with 0 the client runs closed-loop, keeping
-        its window full from the start.
-        """
-        topo = self.topology
-        pids = sorted(self.config.group_of)
-        plans = topo.client_plans()
-        assert self.runtime is not None
-        sched = self.runtime.net_scheduler
-        for cid, plan in enumerate(plans):
-            if pids[cid % len(pids)] != self.pid or not plan:
-                continue
-            client = _OpenClient(
-                cid, plan, child_rng(topo.seed, f"net-arrival-{cid}")
-            )
-            self._clients.append(client)
-            if topo.rate_hz > 0:
-                gap_ms = client.rng.expovariate(topo.rate_hz) * 1000.0
-                sched.call_after(gap_ms, self._client_arrival, client)
-            else:
-                client.backlog = len(plan)
-                self._schedule_pump(client)
-
-    def _client_arrival(self, client: _OpenClient) -> None:
-        client.backlog += 1
-        # next + backlog = arrivals so far; the rest of the plan still
-        # needs an arrival scheduled.
-        if len(client.plan) - (client.next + client.backlog) > 0:
-            assert self.runtime is not None
-            gap_ms = client.rng.expovariate(self.topology.rate_hz) * 1000.0
-            self.runtime.net_scheduler.call_after(
-                gap_ms, self._client_arrival, client
-            )
-        self._schedule_pump(client)
-
-    def _schedule_pump(self, client: _OpenClient, delay: float = 0.0) -> None:
-        """Queue a pump as its own job on the process CPU queue.
-
-        Submissions must never run re-entrantly inside another handler
-        (a deliver hook, a timer callback) — same handler-atomicity
-        discipline the sequential driver keeps via ``post_job``.
-        """
-        assert self.proc is not None
-        self.proc.post_job(lambda: self._pump_client(client), delay)
-
-    def _pump_client(self, client: _OpenClient) -> None:
-        """Submit backlog while the window (and the transport) allow."""
-        assert self.proc is not None and self.runtime is not None
-        sched = self.runtime.net_scheduler
-        transport = self._transport
-        while client.backlog > 0 and client.outstanding < self.topology.window:
-            if transport is not None and transport.overloaded():
-                # Backpressure: retry once the send queues drain a bit.
-                self._schedule_pump(client, 5.0)
-                return
-            dests = client.plan[client.next]
-            mc = self.proc.a_multicast(
-                dests, payload={"c": client.cid, "i": client.next}
-            )
-            now = sched.now
-            self._inflight[mc.mid] = (client, now)
-            self._log_submit(mc.mid, dests, now)
-            client.next += 1
-            client.backlog -= 1
-            client.outstanding += 1
-
     def _on_deliver(self, proc: Any, multicast: Any, final_ts: int) -> None:
         mid = multicast.mid
-        if self.runtime is not None:
-            self._last_deliver_ms = self.runtime.net_scheduler.now
         if self._log_fh is not None:
             assert self.runtime is not None
             # Hand-formatted JSON line (hot path: one line per local
@@ -706,55 +612,23 @@ class NetNode:
             )
             self._flush_logs_soon()
         self._delivered += 1
-        if self.open_mode and mid[0] == self.pid:
-            entry = self._inflight.pop(mid, None)
-            if entry is not None:
-                client, submitted = entry
-                assert self.runtime is not None
-                self._latencies.append(self.runtime.net_scheduler.now - submitted)
-                client.outstanding -= 1
-                self._schedule_pump(client)
-        if self.is_driver and mid[0] == self.pid:
-            submitted = self._submit_times.pop(mid[1], None)
-            if submitted is not None:
-                assert self.runtime is not None
-                self._latencies.append(self.runtime.net_scheduler.now - submitted)
-            if mid[1] + 1 == self._next_submit:
-                if (
-                    self.topology.hold_after is not None
-                    and mid[1] + 1 == self.topology.hold_after
-                ):
-                    # Fault-injection sync point: pause the submission
-                    # chain until the coordinator has performed the kill
-                    # and written RELEASE — without this, a fast workload
-                    # can finish before the coordinator's file poll
-                    # notices it reached the kill mark.
-                    self._hold_task = asyncio.get_running_loop().create_task(
-                        self._hold_for_release()
-                    )
-                else:
-                    # Sequential, one outstanding: our own delivery of
-                    # message i releases message i+1.
-                    proc.post_job(self._submit_next)
         if self._delivered >= self.expected:
             self._done.set()
-
-    async def _hold_for_release(self) -> None:
-        await self._wait_for_file(self.rundir / "RELEASE")
-        assert self.proc is not None and self.runtime is not None
-        self.proc.post_job(self._submit_next)
-        self.runtime.net_scheduler.kick()
 
     def _on_probe(self, proc: Any, event: str, data: Any) -> None:
         if event == "epoch_change":
             self._epochs_seen += 1
 
-    # -- crash injection (in-process clusters) ---------------------------
+    # -- shutdown and crash injection -----------------------------------
 
-    async def kill(self) -> None:
-        """Silence this node completely: the in-process stand-in for
-        SIGKILL. The scheduler is marked dead (no callback ever runs
-        again), the oracle stops, and all sockets close."""
+    async def close(self) -> None:
+        """Silence this node completely and release what it holds: the
+        scheduler is marked dead (no callback ever runs again), the
+        oracle stops, every socket and both logs close. ``run()`` ends
+        with it on every path; on a running node it is the in-process
+        stand-in for SIGKILL. Idempotent."""
+        for task in self._hold_tasks:
+            task.cancel()
         if self.omega is not None:
             self.omega.stop()
         if self.runtime is not None:
@@ -780,16 +654,16 @@ class NetNode:
             exit_code=exit_code,
             delivered=delivered,
             expected=self.expected,
-            latencies_ms=[round(l, 3) for l in self._latencies],
+            latencies_ms=[
+                round(l, 3) for client in self._clients for l in client.latencies
+            ],
             wall_ms=self.runtime.net_scheduler.now if self.runtime else 0.0,
             transport=transport_stats,
             epochs_seen=self._epochs_seen,
         )
 
     def _write_summary(self, result: NodeResult) -> None:
-        workload_ms = 0.0
-        if self._first_submit_ms is not None and self._last_deliver_ms is not None:
-            workload_ms = self._last_deliver_ms - self._first_submit_ms
+        assert self.runtime is not None
         payload = {
             "pid": result.pid,
             "gid": result.gid,
@@ -798,32 +672,11 @@ class NetNode:
             "expected": result.expected,
             "latencies_ms": result.latencies_ms,
             "wall_ms": round(result.wall_ms, 3),
-            #: first submission to last local delivery (driver node only)
-            "workload_ms": round(workload_ms, 3),
             "submitted": self._submitted,
-            "first_submit_ms": (
-                round(self._first_submit_ms, 3)
-                if self._first_submit_ms is not None
-                else None
-            ),
-            "last_deliver_ms": (
-                round(self._last_deliver_ms, 3)
-                if self._last_deliver_ms is not None
-                else None
-            ),
             "codec": self.topology.codec,
-            "driver_mode": self.topology.driver_mode,
             "transport": result.transport,
-            "message_counts": (
-                dict(self.runtime.transport_facade.counts_by_kind)
-                if self.runtime is not None
-                else {}
-            ),
-            "events": (
-                self.runtime.net_scheduler.events_processed
-                if self.runtime is not None
-                else 0
-            ),
+            "message_counts": dict(self.runtime.transport_facade.counts_by_kind),
+            "events": self.runtime.net_scheduler.events_processed,
             "epochs_seen": result.epochs_seen,
             "backend": "net",
         }

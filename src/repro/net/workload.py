@@ -1,108 +1,75 @@
-"""Seeded workloads shared by the sim and net backends.
+"""The seeded workload and the one client that drives it on either backend.
 
-The differential harness needs both backends to run the *same* message
-sequence: destination sets are a pure function of ``(n_groups,
-n_messages, seed, extra_group_p)``, derived through the repo's seeded
-RNG tree so the net backend cannot drift from the sim reference.
+The paper has one workload shape (§7.2): a client colocated with a
+replica keeps a fixed number of multicasts outstanding and issues the
+next when its own replica a-delivers one. :class:`PlanClient` is that
+client, written against the process seam only (``post_job`` /
+``a_multicast`` / ``add_deliver_hook`` / ``scheduler.call_after`` /
+``scheduler.now``), so the simulator and a :class:`~repro.net.host.NetNode`
+run the same object.
 
-The shape is chosen so the per-group delivery order is *determined* by
-the protocol, independent of wall-clock timing (DESIGN.md §12):
+*What* it submits is a destination plan (:func:`make_client_plans`): a
+pure function of the seed, so every node can compute how many messages
+its group will deliver — which is what the shutdown barrier needs — and
+the sim reference runs the very sequence the cluster ran.
 
-* the driver's group (group 0) is in every destination set, and
-* the driver submits sequentially with one outstanding message, gated
-  on its own delivery.
-
-Message ``i+1`` is only proposed after the driver delivered message
-``i``, so ``final(i+1) >= ts_{group 0}(i+1) > final(i)`` — final
-timestamps strictly increase in submission order, even across epoch
-changes. Each group therefore delivers exactly the submission-order
-subsequence addressed to it, on every backend, every run.
-
-The **open-loop** workload (:func:`make_client_plans`) drops both
-props: K concurrent clients, spread round-robin over the nodes, each
-submit up to ``window`` outstanding messages with Poisson arrivals.
-Interleaving is then timing-dependent, so the statistical per-group
-order/agreement checks (:mod:`repro.verify`) replace the exact
-differential. The *destination sets* stay a pure function of the seed —
-every node can compute exactly how many messages its group will
-deliver, which is what the shutdown barrier needs.
+The **sequential shape** — one client, window 1, no arrival process — is
+the one whose per-group delivery order the protocol *determines*,
+independent of wall-clock timing (DESIGN.md §12): message ``i+1`` is
+only proposed after the client's process delivered message ``i``, and
+the client's home group is in every destination set, so
+``final(i+1) >= ts_home(i+1) > final(i)`` — final timestamps strictly
+increase in submission order, even across epoch changes. Each group
+therefore delivers exactly the submission-order subsequence addressed to
+it, on every backend, every run. Any wider shape (more clients, a wider
+window, Poisson arrivals) makes the interleaving timing-dependent, and
+the statistical per-group order/agreement checks (:mod:`repro.verify`)
+replace the exact differential.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..sim.rng import child_rng
 
+MessageId = Tuple[int, int]
 
-def make_workload(
-    n_groups: int,
-    n_messages: int,
-    seed: int,
-    extra_group_p: float = 0.5,
-) -> List[FrozenSet[int]]:
-    """Destination set for each message, driver's group always included."""
-    if n_groups < 1:
-        raise ValueError("need at least one group")
-    rng = child_rng(seed, "net-workload")
-    dests: List[FrozenSet[int]] = []
-    for _ in range(n_messages):
-        d = {0}
-        for g in range(1, n_groups):
-            if rng.random() < extra_group_p:
-                d.add(g)
-        dests.append(frozenset(d))
-    return dests
-
-
-def expected_count(workload: List[FrozenSet[int]], gid: int) -> int:
-    """How many workload messages a member of ``gid`` must deliver."""
-    return sum(1 for dests in workload if gid in dests)
+#: Retry delay (ms) of a pump that found the transport overloaded.
+BACKPRESSURE_RETRY_MS = 5.0
 
 
 def make_client_plans(
     n_groups: int,
     n_messages: int,
-    n_clients: int,
     seed: int,
-    extra_group_p: float = 0.5,
-    home_gids: Optional[List[int]] = None,
+    extra_group_p: float,
+    home_gids: List[int],
 ) -> List[List[FrozenSet[int]]]:
-    """Per-client destination plans for the open-loop driver.
+    """Per-client destination plans, one client per ``home_gids`` entry.
 
-    ``n_messages`` total messages are dealt round-robin over
-    ``n_clients`` clients. Each destination set pins the submitting
-    client's *home* group (``home_gids[cid]``, the group of the node
-    the client runs on) plus every other group with probability
-    ``extra_group_p``. The pin is load-bearing, not cosmetic: a
-    PrimCast submitter only a-delivers messages addressed to its own
-    group, and the windowed driver frees a window slot exactly when the
-    submitter observes its own delivery. A message that skipped the
-    home group would occupy its slot forever and wedge the client.
-    Unlike the sequential workload's globally pinned group 0, clients
-    are spread round-robin over *all* nodes, so every group hosts
-    submitters and no group is special cluster-wide.
-
-    Without ``home_gids`` the home group is drawn uniformly instead
-    (standalone use; the cluster driver always passes the real
-    mapping). A pure function of the arguments: every node derives the
-    same plans and can count its group's expected deliveries without
-    any runtime coordination.
+    ``n_messages`` total messages are dealt round-robin over the
+    clients. Each destination set pins the submitting client's *home*
+    group (the group of the node the client runs on) plus every other
+    group with probability ``extra_group_p``. The pin is load-bearing,
+    not cosmetic: a PrimCast submitter only a-delivers messages
+    addressed to its own group, and the client frees a window slot
+    exactly when the submitter observes its own delivery. A message
+    that skipped the home group would occupy its slot forever and wedge
+    the client. A pure function of the arguments: every node derives
+    the same plans and can count its group's expected deliveries
+    without any runtime coordination.
     """
     if n_groups < 1:
         raise ValueError("need at least one group")
-    if n_clients < 1:
+    if not home_gids:
         raise ValueError("need at least one client")
-    if home_gids is not None and len(home_gids) != n_clients:
-        raise ValueError("home_gids must have one entry per client")
     rng = child_rng(seed, "net-open-workload")
-    plans: List[List[FrozenSet[int]]] = [[] for _ in range(n_clients)]
+    plans: List[List[FrozenSet[int]]] = [[] for _ in home_gids]
     for i in range(n_messages):
-        cid = i % n_clients
-        if home_gids is not None:
-            home = home_gids[cid]
-        else:
-            home = rng.randrange(n_groups)
+        cid = i % len(home_gids)
+        home = home_gids[cid]
         d = {home}
         for g in range(n_groups):
             if g != home and rng.random() < extra_group_p:
@@ -112,5 +79,107 @@ def make_client_plans(
 
 
 def plans_expected_count(plans: List[List[FrozenSet[int]]], gid: int) -> int:
-    """How many open-loop messages a member of ``gid`` must deliver."""
+    """How many planned messages a member of ``gid`` must deliver."""
     return sum(1 for plan in plans for dests in plan if gid in dests)
+
+
+@dataclass(eq=False)
+class PlanClient:
+    """One client on one process: works through ``plan`` keeping at most
+    ``window`` of its multicasts outstanding; its own process
+    a-delivering one frees the slot.
+
+    * ``rate_hz > 0``: submissions additionally wait for the arrivals of
+      a Poisson process drawn from ``rng`` (an arrival that finds the
+      window full queues); ``0`` is the closed loop — the whole plan has
+      arrived at :meth:`start`.
+    * ``blocked``: asked before every submission; ``True`` defers the
+      pump by :data:`BACKPRESSURE_RETRY_MS` (the net host passes its
+      transport's ``overloaded``).
+    * ``hold_after`` / ``on_hold``: once that many of its messages have
+      come back, the client stops submitting and calls
+      ``on_hold(self)``; it resumes at :meth:`release` (the cluster's
+      kill point: nothing new enters the system while the coordinator
+      kills a node).
+    * ``on_submit(mid, dests, now)``: called for every submission.
+
+    Submissions never run re-entrantly inside another handler (a
+    deliver hook, a timer callback): every pump is its own job on the
+    process's CPU queue — the handler-atomicity discipline of
+    DESIGN.md §10.
+    """
+
+    proc: Any
+    scheduler: Any
+    cid: int
+    plan: List[FrozenSet[int]]
+    window: int = 1
+    rate_hz: float = 0.0
+    rng: Any = None
+    blocked: Optional[Callable[[], bool]] = None
+    hold_after: Optional[int] = None
+    on_hold: Optional[Callable[["PlanClient"], None]] = None
+    on_submit: Optional[Callable[[MessageId, FrozenSet[int], float], None]] = None
+    next: int = field(default=0, init=False)  # next plan index to submit
+    backlog: int = field(default=0, init=False)  # arrived but not yet submitted
+    held: bool = field(default=False, init=False)
+    #: Submit → own delivery, ms, one per message that came back.
+    latencies: List[float] = field(default_factory=list, init=False)
+    _inflight: Dict[MessageId, float] = field(default_factory=dict, init=False)
+
+    def start(self) -> None:
+        self.proc.add_deliver_hook(self._on_deliver)
+        if self.rate_hz > 0:
+            self._arm_arrival()
+        else:
+            self.backlog = len(self.plan)
+            self._schedule_pump()
+
+    def release(self) -> None:
+        """Resume after the hold point."""
+        self.held = False
+        self._schedule_pump()
+
+    def _arm_arrival(self) -> None:
+        # next + backlog = arrivals so far; the rest of the plan still
+        # needs an arrival scheduled.
+        if self.next + self.backlog < len(self.plan):
+            gap_ms = self.rng.expovariate(self.rate_hz) * 1000.0
+            self.scheduler.call_after(gap_ms, self._arrival)
+
+    def _arrival(self) -> None:
+        self.backlog += 1
+        self._arm_arrival()
+        self._schedule_pump()
+
+    def _schedule_pump(self, delay: float = 0.0) -> None:
+        self.proc.post_job(self._pump, delay)
+
+    def _pump(self) -> None:
+        """Submit backlog while the window, the hold point and the
+        transport allow."""
+        inflight = self._inflight
+        while self.backlog > 0 and len(inflight) < self.window and not self.held:
+            if self.blocked is not None and self.blocked():
+                self._schedule_pump(BACKPRESSURE_RETRY_MS)
+                return
+            dests = self.plan[self.next]
+            mc = self.proc.a_multicast(dests, payload={"c": self.cid, "i": self.next})
+            now = self.scheduler.now
+            inflight[mc.mid] = now
+            self.next += 1
+            self.backlog -= 1
+            if self.on_submit is not None:
+                self.on_submit(mc.mid, dests, now)
+
+    def _on_deliver(self, proc: Any, multicast: Any, final_ts: int) -> None:
+        submitted = self._inflight.pop(multicast.mid, None)
+        if submitted is None:
+            return  # not this client's message
+        self.latencies.append(self.scheduler.now - submitted)
+        if len(self.latencies) == self.hold_after:
+            self.held = True
+            if self.on_hold is not None:
+                self.on_hold(self)
+        else:
+            self._schedule_pump()

@@ -138,75 +138,6 @@ def test_sarif_clean_run_has_empty_results(tmp_path, capsys):
     assert log["runs"][0]["tool"]["driver"]["rules"]
 
 
-# -- incremental cache ----------------------------------------------------
-
-
-def _json_run(argv, capsys):
-    code = main(argv)
-    return code, json.loads(capsys.readouterr().out)
-
-
-def test_cache_warm_run_reproduces_cold_findings(tmp_path, capsys):
-    _write_scoped(tmp_path, "bad.py", BAD_SOURCE)
-    _write_scoped(tmp_path, "good.py", GOOD_SOURCE)
-    cache_dir = tmp_path / "cache"
-    argv = [str(tmp_path / "repro"), "--json", "--cache-dir", str(cache_dir)]
-
-    code, cold = _json_run(argv, capsys)
-    assert code == 1
-    assert cold["cache"] == {"hits": 0, "misses": 2}
-
-    code, warm = _json_run(argv, capsys)
-    assert code == 1
-    assert warm["cache"] == {"hits": 2, "misses": 0}
-    assert warm["findings"] == cold["findings"]
-
-
-def test_cache_hit_skips_parsing_entirely(tmp_path, capsys, monkeypatch):
-    _write_scoped(tmp_path, "bad.py", BAD_SOURCE)
-    cache_dir = tmp_path / "cache"
-    argv = [str(tmp_path / "repro"), "--json", "--cache-dir", str(cache_dir)]
-    _json_run(argv, capsys)
-
-    # A warm run must not even load the file: break load_module and the
-    # findings still come back, byte-identical, from the cache.
-    import repro.analysis.engine as engine
-
-    def boom(path):
-        raise AssertionError(f"cache miss parsed {path}")
-
-    monkeypatch.setattr(engine, "load_module", boom)
-    code, warm = _json_run(argv, capsys)
-    assert code == 1
-    assert warm["cache"] == {"hits": 1, "misses": 0}
-
-
-def test_cache_invalidated_by_content_change(tmp_path, capsys):
-    path = _write_scoped(tmp_path, "bad.py", BAD_SOURCE)
-    cache_dir = tmp_path / "cache"
-    argv = [str(tmp_path / "repro"), "--json", "--cache-dir", str(cache_dir)]
-    _json_run(argv, capsys)
-
-    path.write_text(GOOD_SOURCE)
-    code, rerun = _json_run(argv, capsys)
-    assert code == 0
-    assert rerun["cache"] == {"hits": 0, "misses": 1}
-    assert rerun["findings"] == []
-
-
-def test_cache_keyed_by_rule_set(tmp_path, capsys):
-    """Different --rule selections get different fingerprints: a cached
-    full-run result must not answer for a restricted run."""
-    _write_scoped(tmp_path, "bad.py", BAD_SOURCE)
-    cache_dir = tmp_path / "cache"
-    base = [str(tmp_path / "repro"), "--json", "--cache-dir", str(cache_dir)]
-    _json_run(base, capsys)
-
-    code, restricted = _json_run(base + ["--rule", "DET003"], capsys)
-    assert code == 0
-    assert restricted["cache"] == {"hits": 0, "misses": 1}
-
-
 # -- internal errors ------------------------------------------------------
 
 

@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import time
+from dataclasses import fields
 
 import pytest
 
+import repro.net.cluster as cluster_module
+from repro.core.process import PrimCastProcess
 from repro.net.cluster import (
     ClusterSpec,
-    _await_jsonl_lines_async,
+    launch_cluster,
     make_topology,
+    read_jsonl,
     run_cluster_inprocess,
 )
 from repro.net.differential import (
@@ -26,14 +32,11 @@ from repro.net.differential import (
     run_sim_reference,
     verify_cluster_logs,
 )
-from repro.net.host import EXIT_ERROR, NetNode, Topology
+from repro.net.host import EXIT_ERROR, EXIT_TIMEOUT, NetNode, Topology
+from repro.net.runtime import SimRuntime
 from repro.net.transport import PeerConnection, Transport
-from repro.net.workload import (
-    expected_count,
-    make_client_plans,
-    make_workload,
-    plans_expected_count,
-)
+from repro.net.workload import PlanClient, make_client_plans, plans_expected_count
+from repro.sim.costs import CostModel
 
 
 def _run(spec: ClusterSpec, tmp_path, kill_pid=None, kill_after=0):
@@ -45,13 +48,23 @@ def _run(spec: ClusterSpec, tmp_path, kill_pid=None, kill_after=0):
     )
 
 
+async def _await_lines(path, n):
+    while not path.exists() or len(path.read_text().splitlines()) < n:
+        await asyncio.sleep(0.02)
+
+
 def test_workload_is_deterministic_and_rooted_in_group_zero():
-    a = make_workload(3, 20, seed=9)
-    b = make_workload(3, 20, seed=9)
-    assert a == b
+    # The sequential shape: one plan, on the driver, whose group (0) is
+    # in every destination set.
+    def topology(seed):
+        return make_topology(ClusterSpec(n_groups=3, n_messages=20, seed=seed))
+
+    (a,) = topology(9).client_plans()
+    assert topology(9).client_plans() == [a]
     assert all(0 in dest for dest in a)
-    assert make_workload(3, 20, seed=10) != a
-    assert expected_count(a, 0) == 20
+    assert topology(10).client_plans() != [a]
+    assert topology(9).client_hosts() == [0]
+    assert topology(9).expected_for(0) == 20
 
 
 def test_asyncio_cluster_matches_sim_reference(tmp_path):
@@ -62,9 +75,8 @@ def test_asyncio_cluster_matches_sim_reference(tmp_path):
     assert problems == []
     # Sanity: the sim reference itself delivered the full workload.
     reference = run_sim_reference(result.topology)
-    workload = result.topology.workload()
     for pid in range(spec.group_size):  # group 0 sees every message
-        assert len(reference[pid]) == len(workload)
+        assert len(reference[pid]) == spec.n_messages
 
 
 def test_asyncio_cluster_survives_killed_leader(tmp_path):
@@ -82,13 +94,12 @@ def test_asyncio_cluster_survives_killed_leader(tmp_path):
     )
     result = _run(spec, tmp_path, kill_pid=3, kill_after=2)
     assert 3 not in result.survivors
-    workload = result.topology.workload()
     config = result.topology.make_config()
     for pid in result.survivors:
         outcome = result.outcomes[pid]
         assert outcome.exit_code == 0, (pid, outcome.exit_code)
-        assert len(outcome.delivered) == expected_count(
-            workload, config.group_of[pid]
+        assert len(outcome.delivered) == result.topology.expected_for(
+            config.group_of[pid]
         )
     assert diff_cluster_result(result) == []
     # At least one survivor in the victim's group observed the epoch
@@ -118,7 +129,7 @@ def test_kill_waits_until_every_survivor_has_dialed_the_victim(tmp_path, monkeyp
 
     async def late_dial(conn):
         if (conn.own_pid, conn.peer_pid) == (4, 3):
-            await _await_jsonl_lines_async(tmp_path / "delivery-0.jsonl", 2)
+            await _await_lines(tmp_path / "delivery-0.jsonl", 2)
             await asyncio.sleep(0.3)  # many coordinator polls (20 ms) later
         await dial(conn)
 
@@ -181,6 +192,106 @@ def test_asyncio_cluster_binary_codec_matches_sim_reference(tmp_path):
     total_frames = sum(s["frames_sent"] for s in stats)
     total_bytes = sum(s["bytes_sent"] for s in stats)
     assert total_bytes / total_frames < 150  # JSON averages ~270 B/frame
+
+
+def test_seq_is_the_one_client_window_one_shape(tmp_path):
+    # "seq" is not a second driver: it names the shape clients=1,
+    # window=1, rate_hz=0, and spelling that shape out runs the same
+    # thing — which the sim reference, the same client class on the
+    # simulator, reproduces exactly.
+    seq = _run(ClusterSpec(n_messages=8, seed=5), tmp_path / "seq")
+    spelt = ClusterSpec(
+        n_messages=8, seed=5, driver_mode="open", clients=1, window=1, rate_hz=0.0
+    )
+    one = _run(spelt, tmp_path / "open")
+    assert seq.ok and one.ok
+
+    def orders(rows_by_pid):
+        return {pid: [mid for mid, _final in rows] for pid, rows in rows_by_pid.items()}
+
+    reference = orders(run_sim_reference(seq.topology))
+    assert run_sim_reference(one.topology) == run_sim_reference(seq.topology)
+    for result in (seq, one):
+        delivered = {pid: o.delivered for pid, o in result.outcomes.items()}
+        assert orders(delivered) == reference
+    assert len(reference[0]) == 8 and 0 < len(reference[3]) < 8
+
+
+def test_plan_client_issues_the_same_plan_in_the_same_order_on_both_backends(tmp_path):
+    result = _run(ClusterSpec(n_messages=8, seed=5), tmp_path)
+    topology = result.topology
+    (plan,) = topology.client_plans()
+    runtime = SimRuntime.local(seed=topology.seed)
+    config = topology.make_config()
+    procs = {
+        pid: PrimCastProcess(pid, config, runtime.scheduler, runtime.transport, CostModel())
+        for pid in config.all_pids
+    }
+    on_sim = []
+    client = PlanClient(
+        procs[0], runtime.scheduler, 0, plan,
+        on_submit=lambda mid, dests, now: on_sim.append((mid, dests)),
+    )
+    client.start()
+    runtime.run(until=10_000_000.0)
+    on_net = [
+        (row["mid"], frozenset(row["dest"]))
+        for row in read_jsonl(tmp_path / "submit-0.jsonl")
+    ]
+    assert on_sim == on_net == [((0, i), dests) for i, dests in enumerate(plan)]
+    assert len(client.latencies) == 8 and client.next == 8
+    # One outstanding: message i+1 left only after message i came back.
+    payloads = [m.payload for _mid, m, _final in procs[0].t_list]
+    assert payloads == [{"c": 0, "i": i} for i in range(8)]
+
+
+def _cluster_with_a_node_that_cannot_bind(monkeypatch):
+    """Make pid 1's port one that is already listened on: its node
+    raises at start-up (EADDRINUSE), before ``ready-1``."""
+    taken = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    taken.bind(("127.0.0.1", 0))
+    taken.listen()
+    free = cluster_module.allocate_ports(1)
+    monkeypatch.setattr(
+        cluster_module, "allocate_ports",
+        lambda n, host="127.0.0.1": [free[0], taken.getsockname()[1]],
+    )
+    return taken, ClusterSpec(n_groups=1, group_size=2, n_messages=1)
+
+
+@pytest.mark.parametrize("runner", ["inprocess", "subprocess"])
+def test_a_barrier_fails_at_once_when_a_node_it_waits_on_has_ended(
+    tmp_path, monkeypatch, runner
+):
+    # Not after run_timeout_s (60 s) with a bare TimeoutError.
+    taken, spec = _cluster_with_a_node_that_cannot_bind(monkeypatch)
+    began = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match=r"node 1 .* before the ready barrier"):
+            if runner == "subprocess":
+                launch_cluster(spec, tmp_path)
+            else:
+                _run(spec, tmp_path)
+    finally:
+        taken.close()
+    assert time.monotonic() - began < 2.0
+    assert not (tmp_path / "GO").exists()
+
+
+def test_a_node_that_times_out_leaves_no_listener_behind(tmp_path):
+    # GO never comes: the watchdog ends the node, and its transport
+    # (listener, redial tasks) and oracle end with it.
+    async def scenario():
+        spec = ClusterSpec(n_groups=1, group_size=2, n_messages=1, run_timeout_s=0.3)
+        topology = make_topology(spec)
+        node = NetNode(topology, 0, tmp_path)
+        result = await node.run()
+        assert result.exit_code == EXIT_TIMEOUT
+        assert node.runtime.net_scheduler.dead
+        with pytest.raises(ConnectionRefusedError):
+            await asyncio.open_connection(*topology.addresses[0])
+
+    asyncio.run(scenario())
 
 
 async def _serve(topology, rundir, scenario):
@@ -287,10 +398,10 @@ def test_open_loop_cluster_passes_statistical_checks(tmp_path):
 
 def test_client_plans_are_deterministic_and_home_rooted():
     homes = [0, 1, 0, 1]
-    a = make_client_plans(2, 20, 4, seed=3, home_gids=homes)
-    b = make_client_plans(2, 20, 4, seed=3, home_gids=homes)
+    a = make_client_plans(2, 20, 3, 0.5, home_gids=homes)
+    b = make_client_plans(2, 20, 3, 0.5, home_gids=homes)
     assert a == b
-    assert make_client_plans(2, 20, 4, seed=4, home_gids=homes) != a
+    assert make_client_plans(2, 20, 4, 0.5, home_gids=homes) != a
     # Round-robin deal: 20 messages over 4 clients = 5 each.
     assert [len(plan) for plan in a] == [5, 5, 5, 5]
     # The pin: every destination set includes the client's home group
@@ -323,6 +434,27 @@ def test_cluster_spec_validation():
     ClusterSpec(
         n_groups=2, group_size=3, n_messages=4, driver_mode="open", clients=2
     ).validate()
+    # A kill needs the sequential shape, however it is spelt.
+    one = dict(n_groups=2, group_size=3, kill_pid=3, driver_mode="open", clients=1)
+    ClusterSpec(window=1, rate_hz=0.0, **one).validate()
+    with pytest.raises(ValueError):
+        ClusterSpec(window=2, rate_hz=0.0, **one).validate()
+    with pytest.raises(ValueError):
+        ClusterSpec(window=1, rate_hz=50.0, **one).validate()
+
+
+_SHARED = sorted({f.name for f in fields(ClusterSpec)} & {f.name for f in fields(Topology)})
+
+
+@pytest.mark.parametrize("name", _SHARED)
+def test_make_topology_forwards_every_field_the_spec_shares_with_it(name):
+    assert set(_SHARED) >= {"seed", "codec", "batching_ms", "suspect_ms", "clients", "rate_hz"}
+    default = getattr(ClusterSpec(), name)
+    value = {"codec": "binary", "coalesce": False, "hb_grace_ms": 75.0}.get(name)
+    if value is None:
+        value = default + 3
+    topology = make_topology(ClusterSpec(driver_mode="open", **{name: value}))
+    assert getattr(topology, name) == value != default
 
 
 def test_topology_json_key_order_is_pinned():
@@ -338,8 +470,8 @@ def test_topology_json_key_order_is_pinned():
         '"driver_pid": 0, "extra_group_p": 0.5, "hb_interval_ms": 50.0, '
         '"suspect_ms": 500.0, "hb_grace_ms": null, "run_timeout_s": 60.0, '
         '"linger_ms": 250.0, "hold_after": null, "codec": "json", '
-        '"coalesce": true, "batching_ms": 0.0, "driver_mode": "seq", '
-        '"clients": 4, "window": 4, "rate_hz": 0.0}'
+        '"coalesce": true, "batching_ms": 0.0, '
+        '"clients": 1, "window": 1, "rate_hz": 0.0}'
     )
     assert list(topology.to_json())[:2] == ["groups", "addresses"]
     assert Topology.from_json(topology.to_json()) == topology
@@ -373,7 +505,9 @@ def test_pr9_topology_file_still_loads():
         run_timeout_s=30.0,
         linger_ms=100.0,
     )
-    assert (topology.codec, topology.coalesce, topology.driver_mode) == ("json", True, "seq")
+    assert (topology.codec, topology.coalesce) == ("json", True)
+    # ... and the default workload is the sequential shape.
+    assert (topology.clients, topology.window, topology.rate_hz) == (1, 1, 0.0)
     assert {k: v for k, v in topology.to_json().items() if k in pr9} == pr9
 
 
@@ -394,6 +528,25 @@ def _lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def test_hold_point_releases_only_after_RELEASE(tmp_path):
+    async def scenario():
+        node = _lone_node(tmp_path)
+        node.topology.hold_after = 1
+        task = asyncio.create_task(node.run())
+        await asyncio.wait_for(_await_lines(tmp_path / "delivery-0.jsonl", 1), 10.0)
+        await asyncio.sleep(0.2)  # many loop iterations, nothing new submitted
+        assert len(_lines(tmp_path / "submit-0.jsonl")) == 1
+        assert len(_lines(tmp_path / "delivery-0.jsonl")) == 1
+        assert not (tmp_path / "done-0").exists()
+        (tmp_path / "RELEASE").write_text("release\n")
+        await asyncio.wait_for(_await_lines(tmp_path / "done-0", 1), 10.0)
+        assert len(_lines(tmp_path / "delivery-0.jsonl")) == 3
+        (tmp_path / "STOP").write_text("stop\n")
+        assert (await task).exit_code == 0
+
+    asyncio.run(scenario())
+
+
 def test_a_delivery_line_is_on_disk_one_loop_iteration_later(tmp_path):
     # The launcher's kill mark polls delivery-<pid>.jsonl while the
     # driver holds: a line may wait for the end of the iteration that
@@ -412,7 +565,7 @@ def test_a_delivery_line_is_on_disk_one_loop_iteration_later(tmp_path):
         while node.proc is None:
             await asyncio.sleep(0)
         node.proc.add_deliver_hook(hook)  # after the node's own: its call_soon is queued later
-        await _await_jsonl_lines_async(tmp_path / "done-0", 1)
+        await _await_lines(tmp_path / "done-0", 1)
         assert at_hook == [0, 1, 2]  # buffered when written ...
         assert one_iteration_later == [1, 2, 3]  # ... on disk right after
         assert [row["mid"] for row in _lines(tmp_path / "submit-0.jsonl")] == [[0, 0], [0, 1], [0, 2]]
@@ -431,7 +584,7 @@ def test_every_delivery_line_survives_however_the_node_ends(tmp_path, ending):
         def kill_at_once(proc, multicast, final):
             # In the iteration of the third write, before its flush ran.
             if multicast.mid == (0, 2):
-                kills.append(asyncio.get_running_loop().create_task(node.kill()))
+                kills.append(asyncio.get_running_loop().create_task(node.close()))
 
         if ending == "exit":
             (tmp_path / "STOP").write_text("stop\n")
@@ -440,7 +593,7 @@ def test_every_delivery_line_survives_however_the_node_ends(tmp_path, ending):
             while node.proc is None:
                 await asyncio.sleep(0)
             node.proc.add_deliver_hook(kill_at_once)
-            await _await_jsonl_lines_async(tmp_path / "delivery-0.jsonl", 3)
+            await _await_lines(tmp_path / "delivery-0.jsonl", 3)
             await kills[0]
             task.cancel()
             await asyncio.gather(task, return_exceptions=True)
