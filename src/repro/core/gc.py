@@ -4,8 +4,10 @@ The protocol layer exposes :meth:`PrimCastProcess.compact_delivered` —
 an idempotent sweep that releases ack trackers, cached finals and the
 group-stable delivered prefix of T. This module drives it: a
 :class:`CompactionDaemon` is a self-rescheduling scheduler timer that
-sweeps every process at a fixed simulated-time interval, giving a run
-O(in-flight) steady-state memory instead of O(messages ever sent).
+sweeps every process at a fixed runtime interval, giving a run
+O(in-flight) steady-state memory instead of O(messages ever sent). It
+is written against the runtime seam (``SchedulerAPI``), so the
+simulator harness and every ``repro.net`` node run the same daemon.
 
 Schedule neutrality: a tick emits no messages, draws no randomness and
 touches no protocol variable that feeds a send — it only discards state
@@ -18,12 +20,14 @@ totals.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..sim.events import Scheduler
 from .process import PrimCastProcess
 
-#: Default sweep interval (simulated ms). Frequent enough that steady
+if TYPE_CHECKING:
+    from ..net.runtime import SchedulerAPI, TimerHandle
+
+#: Default sweep interval (runtime ms). Frequent enough that steady
 #: state memory stays within one in-flight window of the floor, sparse
 #: enough that tick overhead is invisible next to protocol traffic.
 DEFAULT_COMPACTION_INTERVAL_MS = 250.0
@@ -33,9 +37,10 @@ class CompactionDaemon:
     """Sweeps a set of processes with ``compact_delivered`` on a timer.
 
     Args:
-        scheduler: the simulation scheduler driving the system.
+        scheduler: the runtime scheduler driving the processes (the
+            simulator's ``Scheduler`` or a net node's ``NetScheduler``).
         processes: pid -> process map; swept in pid order every tick.
-        interval_ms: simulated time between sweeps (must be > 0; callers
+        interval_ms: runtime ms between sweeps (must be > 0; callers
             that want compaction off simply never construct a daemon).
 
     Attributes:
@@ -43,11 +48,13 @@ class CompactionDaemon:
         freed: total messages whose tracking state was released.
     """
 
-    __slots__ = ("scheduler", "interval_ms", "_procs", "runs", "freed", "_started")
+    __slots__ = (
+        "scheduler", "interval_ms", "_procs", "runs", "freed", "_started", "_handle"
+    )
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: "SchedulerAPI",
         processes: Dict[int, PrimCastProcess],
         interval_ms: float = DEFAULT_COMPACTION_INTERVAL_MS,
     ) -> None:
@@ -61,24 +68,32 @@ class CompactionDaemon:
         self.runs = 0
         self.freed = 0
         self._started = False
+        #: The armed next tick; None before start() and after stop().
+        self._handle: Optional["TimerHandle"] = None
 
     def start(self) -> None:
         """Arm the first tick. Idempotent."""
         if self._started:
             return
         self._started = True
-        self.scheduler.call_after(self.interval_ms, self._tick)
+        self._handle = self.scheduler.call_after(self.interval_ms, self._tick)
+
+    def stop(self) -> None:
+        """Cancel the armed tick, so no tick runs after this. Idempotent."""
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
 
     def _tick(self) -> None:
         self.runs += 1
         for proc in self._procs:
             if not proc.crashed:
                 self.freed += proc.compact_delivered()
-        self.scheduler.call_after(self.interval_ms, self._tick)
+        self._handle = self.scheduler.call_after(self.interval_ms, self._tick)
 
 
 def attach_compaction(
-    scheduler: Scheduler,
+    scheduler: "SchedulerAPI",
     processes: Dict[int, PrimCastProcess],
     interval_ms: float = DEFAULT_COMPACTION_INTERVAL_MS,
 ) -> CompactionDaemon:

@@ -4,14 +4,16 @@
   normally invoked by hand).
 * ``cluster`` — launch a full localhost cluster and report it.
 * ``diff`` — launch a cluster, run the sim reference on the same
-  workload, and fail (exit 1) on any delivery disagreement. This is
-  the CI ``net-smoke`` entry point; ``--kill`` adds mid-run crash
-  injection (the survivors must elect a new leader and still agree
-  with the failure-free reference).
+  workload, and fail (exit 1) on any delivery disagreement, then on
+  any violation of the checks ``open`` runs. This is the CI
+  ``net-smoke`` entry point; ``--kill`` adds mid-run crash injection
+  (the survivors must elect a new leader and still agree with the
+  failure-free reference).
 * ``open`` — launch a cluster of K concurrent clients (outstanding
   windows, optional Poisson arrivals) and fail on any
   violation of the statistical safety checks (``repro.verify`` over
-  the merged delivery logs).
+  the merged delivery logs) or of truncation safety (the state GC's
+  ``truncate-*.jsonl`` logs against those delivery logs).
 """
 
 from __future__ import annotations
@@ -108,6 +110,17 @@ def _print_nodes(result: ClusterResult, indent: str = "") -> None:
         )
 
 
+def _verified(result: ClusterResult, rundir: Path) -> bool:
+    """The statistical battery and truncation safety over the run's
+    logs; prints the violations, if any."""
+    violations = verify_cluster_logs(result)
+    if violations:
+        print(f"statistical checks FAILED (rundir: {rundir}):")
+        for v in violations:
+            print(f"  {v.to_dict()}")
+    return not violations
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     rundir = _rundir_from_args(args)
@@ -132,6 +145,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
         for p in problems:
             print(f"  {p}")
         return 1
+    if not _verified(result, rundir):
+        return 1
     survivors = result.survivors
     n_msgs = spec.n_messages
     kill_note = (
@@ -139,7 +154,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     )
     print(
         f"differential check OK: {len(survivors)} nodes agree with the sim "
-        f"reference on {n_msgs} messages{kill_note} "
+        f"reference on {n_msgs} messages{kill_note}, 0 violations "
         f"(codec={spec.codec}, {result.wall_s:.1f}s)"
     )
     return 0
@@ -160,11 +175,7 @@ def cmd_open(args: argparse.Namespace) -> int:
         print(f"cluster run FAILED (rundir: {rundir})")
         _print_nodes(result, indent="  ")
         return 1
-    violations = verify_cluster_logs(result)
-    if violations:
-        print(f"statistical checks FAILED (rundir: {rundir}):")
-        for v in violations:
-            print(f"  {v.to_dict()}")
+    if not _verified(result, rundir):
         return 1
     total = sum(
         o.summary.get("submitted", 0)

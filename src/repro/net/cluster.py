@@ -192,14 +192,18 @@ class ClusterResult:
 
 
 def read_jsonl(path: Path) -> List[Dict[str, Any]]:
-    """The rows of one node's ``delivery-<pid>.jsonl`` or
-    ``submit-<pid>.jsonl`` (none if the node never opened it), each
-    ``mid`` a :data:`MessageId` tuple again."""
+    """The rows of one node's ``delivery-<pid>.jsonl``,
+    ``submit-<pid>.jsonl`` or ``truncate-<pid>.jsonl`` (none if the node
+    never opened it), each ``mid`` — and each of ``mids`` — a
+    :data:`MessageId` tuple again."""
     if not path.exists():
         return []
     rows = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
     for row in rows:
-        row["mid"] = tuple(row["mid"])
+        if "mids" in row:
+            row["mids"] = [tuple(mid) for mid in row["mids"]]
+        else:
+            row["mid"] = tuple(row["mid"])
     return rows
 
 

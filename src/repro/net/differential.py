@@ -27,7 +27,10 @@ order — which :mod:`repro.verify` already checks over per-node
 delivery logs. :func:`verify_cluster_logs` reconstructs the ground
 truth (which mids exist, who they were addressed to) from the
 ``submit-*.jsonl`` logs every node writes, merges the per-node
-``delivery-*.jsonl`` logs, and runs the statistical checks.
+``delivery-*.jsonl`` logs, and runs the statistical checks — plus
+truncation safety over the ``truncate-*.jsonl`` logs of the state GC
+every node runs. ``python -m repro.net diff`` runs it after the exact
+comparison too, kill runs included.
 """
 
 from __future__ import annotations
@@ -37,7 +40,12 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core.config import GroupConfig
 from ..core.process import PrimCastProcess
 from ..sim.costs import CostModel
-from ..verify.properties import Violation, collect_violations
+from ..verify.properties import (
+    PropertyViolation,
+    Violation,
+    check_truncation_safety,
+    collect_violations,
+)
 from .cluster import ClusterResult, read_jsonl
 from .host import Topology
 from .runtime import SimRuntime
@@ -160,7 +168,10 @@ def verify_cluster_logs(result: ClusterResult) -> List[Violation]:
     times — the (mid, final, t) triple shape ``repro.verify``'s
     checkers consume. Killed nodes stay in the logs (their prefix is
     checked) but drop out of ``correct_pids``, exactly the paper's
-    uniform-agreement obligation.
+    uniform-agreement obligation. The ``truncate-*.jsonl`` logs feed
+    ``check_truncation_safety``: the state GC may only have dropped T
+    entries its node had already delivered and every correct
+    destination delivers.
     """
     rundir = result.rundir
     config = result.topology.make_config()
@@ -182,6 +193,31 @@ def verify_cluster_logs(result: ClusterResult) -> List[Violation]:
     }
     killed = {pid for pid, o in result.outcomes.items() if o.killed}
     correct_pids = {pid for pid in pids if pid not in killed}
-    return collect_violations(
+    violations = collect_violations(
         logs, multicast_mids, dest_pids_of, correct_pids, prefix=True
     )
+
+    # State GC: each truncation is judged against the truncating node's
+    # delivery log as it stood at that moment (same node clock), so a
+    # mid delivered only after it was truncated counts as undelivered
+    # there. No truncate log means nothing was truncated.
+    truncated_at: Dict[int, Dict[MessageId, float]] = {}
+    for pid in pids:
+        first = truncated_at[pid] = {}
+        for row in read_jsonl(rundir / f"truncate-{pid}.jsonl"):
+            for mid in row["mids"]:
+                first.setdefault(mid, row["t"])
+    logs_at_truncation = {}
+    for pid, log in logs.items():
+        at = truncated_at[pid]
+        logs_at_truncation[pid] = [e for e in log if e[0] not in at or e[2] <= at[e[0]]]
+    try:
+        check_truncation_safety(
+            {pid: sorted(at) for pid, at in truncated_at.items()},
+            logs_at_truncation,
+            dest_pids_of,
+            correct_pids,
+        )
+    except PropertyViolation as exc:
+        violations.append(Violation.from_exception(exc))
+    return violations

@@ -22,7 +22,8 @@ module implements both halves over asyncio:
   (:mod:`repro.net.transport`); per-channel FIFO comes from TCP.
 
 :class:`NetNode` assembles one protocol process with its facades,
-heartbeat oracle, delivery log and its share of the workload's clients
+heartbeat oracle, state-GC daemon (:mod:`repro.core.gc`), logs and its
+share of the workload's clients
 (:class:`~repro.net.workload.PlanClient`) — one node per OS
 process under the cluster launcher (:mod:`repro.net.cluster`), or many
 nodes on one loop in the in-process differential tests.
@@ -41,6 +42,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from collections import Counter
 
 from ..core.config import GroupConfig
+from ..core.gc import CompactionDaemon, attach_compaction
 from ..core.process import PrimCastProcess
 from ..sim.costs import CostModel
 from ..sim.rng import child_rng
@@ -387,7 +389,8 @@ class NetNode:
        is up, write ``up-<pid>`` (the launcher kills a node only after
        every ``up-*`` exists, so no survivor is left dialing a dead
        listener; a dial timeout exits 1 naming the unreachable peers on
-       stderr), start heartbeats;
+       stderr), start heartbeats, arm the state-GC daemon
+       (``compact_delivered`` every ``DEFAULT_COMPACTION_INTERVAL_MS``);
     3. run this node's share of the seeded workload's clients (none,
        on most nodes of the sequential shape);
     4. on delivering everything addressed to this group, write
@@ -397,14 +400,16 @@ class NetNode:
        ``summary-<pid>.json`` and exit 0 (3 on watchdog timeout).
 
     However ``run()`` ends — exit, error, watchdog, cancellation — it
-    ends in :meth:`close`: no listener, redial task or timer outlives
-    the node.
+    ends in :meth:`close`: no listener, redial task or timer (the GC
+    tick included) outlives the node.
 
     Every submission is appended to ``submit-<pid>.jsonl`` (mid +
     destination set + time): with concurrent clients the interleaving
     of mids is timing-dependent, so the statistical verifier
     reconstructs the ground-truth message set from these logs instead
-    of deriving it from the seed.
+    of deriving it from the seed. Every truncation of T is appended to
+    ``truncate-<pid>.jsonl`` (mids + new ``t_base`` + time), which the
+    verifier judges against the delivery logs.
     """
 
     def __init__(self, topology: Topology, pid: int, rundir: Path) -> None:
@@ -417,6 +422,7 @@ class NetNode:
         self.runtime: Optional[AsyncioRuntime] = None
         self.proc: Optional[PrimCastProcess] = None
         self.omega: Optional[HeartbeatOmega] = None
+        self.compaction: Optional[CompactionDaemon] = None
         self._transport: Optional[Transport] = None
         self._delivered = 0
         self._submitted = 0
@@ -426,6 +432,8 @@ class NetNode:
         self._done = asyncio.Event()
         self._log_fh: Optional[Any] = None
         self._submit_fh: Optional[Any] = None
+        self._truncate_fh: Optional[Any] = None
+        self._truncate_lines: List[str] = []
         self._flush_scheduled = False
 
     # -- lifecycle -------------------------------------------------------
@@ -463,6 +471,7 @@ class NetNode:
         facade.bind(transport)
         self._log_fh = open(self.rundir / f"delivery-{self.pid}.jsonl", "w")
         self._submit_fh = open(self.rundir / f"submit-{self.pid}.jsonl", "w")
+        self._truncate_fh = open(self.rundir / f"truncate-{self.pid}.jsonl", "w")
         proc.add_deliver_hook(self._on_deliver)
         proc.add_probe_hook(self._on_probe)
 
@@ -489,6 +498,7 @@ class NetNode:
         proc.omega = omega
         omega.subscribe(proc._on_omega_output)
         omega.start()
+        self.compaction = attach_compaction(sched, {self.pid: proc})
 
         self._start_clients()
         if self.expected == 0:
@@ -585,7 +595,7 @@ class NetNode:
             self._flush_logs_soon()
 
     def _flush_logs_soon(self) -> None:
-        """Flush both logs once, on the next loop iteration: every line
+        """Flush every log once, on the next loop iteration: every line
         written before then rides the same ``write``. A SIGKILL can lose
         the lines of the iteration in progress, never earlier ones — a
         killed node's log is a prefix, which is what the verifiers
@@ -599,6 +609,13 @@ class NetNode:
         for fh in (self._log_fh, self._submit_fh):
             if fh is not None:
                 fh.flush()
+        # A truncate line is written only once the delivery lines it
+        # rests on are with the OS, so a killed node's truncate log never
+        # names a mid its delivery log lacks.
+        if self._truncate_lines and self._truncate_fh is not None:
+            self._truncate_fh.write("".join(self._truncate_lines))
+            self._truncate_fh.flush()
+            self._truncate_lines.clear()
 
     def _on_deliver(self, proc: Any, multicast: Any, final_ts: int) -> None:
         mid = multicast.mid
@@ -618,24 +635,37 @@ class NetNode:
     def _on_probe(self, proc: Any, event: str, data: Any) -> None:
         if event == "epoch_change":
             self._epochs_seen += 1
+        elif event == "truncate":
+            assert self.runtime is not None
+            # Hand-formatted JSON line (data is the sorted tuple of
+            # truncated mids), held until the next flush of the logs.
+            mids = ", ".join(f"[{mid[0]}, {mid[1]}]" for mid in data)
+            self._truncate_lines.append(
+                f'{{"mids": [{mids}], "t_base": {proc._t_base}, '
+                f'"t": {round(self.runtime.net_scheduler.now, 3)}}}\n'
+            )
+            self._flush_logs_soon()
 
     # -- shutdown and crash injection -----------------------------------
 
     async def close(self) -> None:
         """Silence this node completely and release what it holds: the
         scheduler is marked dead (no callback ever runs again), the
-        oracle stops, every socket and both logs close. ``run()`` ends
-        with it on every path; on a running node it is the in-process
-        stand-in for SIGKILL. Idempotent."""
+        oracle and the GC daemon stop, every socket and every log close.
+        ``run()`` ends with it on every path; on a running node it is
+        the in-process stand-in for SIGKILL. Idempotent."""
         for task in self._hold_tasks:
             task.cancel()
         if self.omega is not None:
             self.omega.stop()
+        if self.compaction is not None:
+            self.compaction.stop()
         if self.runtime is not None:
             self.runtime.net_scheduler.dead = True
         if self._transport is not None:
             await self._transport.close()
-        for fh_attr in ("_log_fh", "_submit_fh"):
+        self._flush_logs()  # writes the truncate lines still held
+        for fh_attr in ("_log_fh", "_submit_fh", "_truncate_fh"):
             fh = getattr(self, fh_attr)
             if fh is not None:
                 fh.close()
@@ -663,7 +693,8 @@ class NetNode:
         )
 
     def _write_summary(self, result: NodeResult) -> None:
-        assert self.runtime is not None
+        assert self.runtime is not None and self.proc is not None
+        assert self.compaction is not None
         payload = {
             "pid": result.pid,
             "gid": result.gid,
@@ -678,6 +709,11 @@ class NetNode:
             "message_counts": dict(self.runtime.transport_facade.counts_by_kind),
             "events": self.runtime.net_scheduler.events_processed,
             "epochs_seen": result.epochs_seen,
+            "compaction": {
+                "runs": self.compaction.runs,
+                "freed": self.compaction.freed,
+                "t_base": self.proc._t_base,
+            },
             "backend": "net",
         }
         (self.rundir / f"summary-{self.pid}.json").write_text(

@@ -93,6 +93,20 @@ def test_watermark_truncates_t_after_reports_refresh():
         assert dropped <= proc.delivered
 
 
+def test_daemon_stop_cancels_the_armed_tick_and_is_idempotent():
+    from repro.core.gc import attach_compaction
+
+    sys_ = MiniSystem(n_groups=1)
+    daemon = attach_compaction(sys_.scheduler, sys_.processes, 5.0)
+    sys_.run(until=12.0)
+    assert daemon.runs == 2 and sys_.scheduler.pending() == 1
+    daemon.stop()
+    daemon.stop()
+    assert sys_.scheduler.pending() == 0
+    sys_.run(until=100.0)
+    assert daemon.runs == 2
+
+
 def test_straggler_rebuilt_tracker_is_swept_by_next_compaction():
     sys_ = MiniSystem(n_groups=2)
     m = sys_.multicast(4, {0, 1})

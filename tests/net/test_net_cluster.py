@@ -288,6 +288,7 @@ def test_a_node_that_times_out_leaves_no_listener_behind(tmp_path):
         result = await node.run()
         assert result.exit_code == EXIT_TIMEOUT
         assert node.runtime.net_scheduler.dead
+        assert node.compaction is None  # armed only once the mesh is up
         with pytest.raises(ConnectionRefusedError):
             await asyncio.open_connection(*topology.addresses[0])
 
@@ -602,6 +603,10 @@ def test_every_delivery_line_survives_however_the_node_ends(tmp_path, ending):
             assert (await task).exit_code == {"exit": 0, "timeout": 3}[ending]
         assert [row["mid"] for row in _lines(tmp_path / "delivery-0.jsonl")] == [[0, 0], [0, 1], [0, 2]]
         assert len(_lines(tmp_path / "submit-0.jsonl")) == 3
+        # No state-GC tick outlives the node: its armed timer is cancelled.
+        assert node.compaction._handle is None
+        if ending == "timeout":
+            assert node.compaction.runs >= 1  # it ticked for 1 s first
 
     asyncio.run(scenario())
 
