@@ -1,20 +1,23 @@
-"""Determinism & protocol-contract static analysis.
+"""Determinism & scheduler-context static analysis.
 
 A custom AST lint pass enforcing the repository's reproducibility policy
-(see DESIGN.md, "Determinism policy & static analysis"):
+(see DESIGN.md §6 and §10). Each rule family stays only while a planted
+bug or a reviewed exemption shows it earns its keep (the keep-list in
+DESIGN.md §6):
 
 * **DET0xx** — no ambient randomness or wall-clock reads on the
   simulated event path; no unsorted set iteration where messages are
   emitted; no ordering by object identity; no float ``==`` on simulated
   timestamps.
-* **PROTO1xx** — wire messages declare a class-level ``kind``; dispatch
-  tables bind existing handlers in ``__init__``; the Algorithm 1 state
-  variables are only mutated where the conformance map allows.
+* **RACE2xx** — shared protocol state is mutated only from handler
+  context; the protocol variables are final before a send (the
+  standing-proposal sites are the reviewed exceptions); epoch reads are
+  re-validated after a suspension point.
 
-Run it with ``python -m repro.analysis src/repro`` (``--json`` for the
-CI artifact). The pass is pure stdlib and is itself part of the tier-1
-test suite (``tests/analysis/``): every rule has known-good/known-bad
-fixtures and the shipped tree must analyse clean.
+Run it with ``python -m repro.analysis src/repro``. The pass is pure
+stdlib and is itself part of the tier-1 test suite (``tests/analysis/``):
+every rule has known-good/known-bad fixtures, a bug planted in the real
+source, and the shipped tree must analyse clean.
 """
 
 from .base import RULES, ContextVisitor, Finding, ModuleInfo, Rule, register
@@ -22,14 +25,10 @@ from .config import DEFAULT_CONFIG, AnalysisConfig
 
 # Importing the rule modules populates the registry.
 from . import det_rules as _det_rules  # noqa: F401
-from . import eff_rules as _eff_rules  # noqa: F401
-from . import perf_rules as _perf_rules  # noqa: F401
-from . import proto_rules as _proto_rules  # noqa: F401
 from . import race_rules as _race_rules  # noqa: F401
 
 from .cli import main
 from .engine import AnalysisError, analyze_module, analyze_paths, iter_python_files, load_module
-from .markers import pure
 
 __all__ = [
     "AnalysisConfig",
@@ -45,6 +44,5 @@ __all__ = [
     "iter_python_files",
     "load_module",
     "main",
-    "pure",
     "register",
 ]

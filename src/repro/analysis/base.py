@@ -1,15 +1,15 @@
 """Framework primitives for the repro static-analysis pass.
 
 The pass is a set of small AST rules, each checking one determinism or
-protocol-contract hazard that the runtime monitors
+scheduler-context hazard that the runtime monitors
 (:mod:`repro.verify.invariants`) could only catch after the fact — or
 not at all, when the hazard happens to be latent on the tested schedules.
 Rules are registered in a module-level registry keyed by rule id
-(``DET0xx`` for determinism, ``PROTO1xx`` for protocol contracts) and
+(``DET0xx`` for determinism, ``RACE2xx`` for scheduler context) and
 run by :mod:`repro.analysis.engine` over parsed source modules.
 
 A rule yields :class:`Finding` objects; the engine filters them through
-the per-rule allowlist and severity overrides of the active
+the per-rule allowlist of the active
 :class:`~repro.analysis.config.AnalysisConfig`.
 """
 
@@ -17,13 +17,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .config import AnalysisConfig
-
-#: Recognised severities, most severe first.
-SEVERITIES: Tuple[str, ...] = ("error", "warning")
 
 
 @dataclass(frozen=True)
@@ -31,7 +28,6 @@ class Finding:
     """One rule violation at one source location."""
 
     rule: str
-    severity: str
     path: str
     line: int
     col: int
@@ -41,23 +37,8 @@ class Finding:
     context: str
 
     def format(self) -> str:
-        """Human-readable one-liner (``path:line:col: RULE severity: msg``)."""
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} {self.severity}: {self.message}"
-        )
-
-    def to_json(self) -> Dict[str, object]:
-        """JSON-serialisable representation (stable key order)."""
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "context": self.context,
-        }
+        """Human-readable one-liner (``path:line:col: RULE msg``)."""
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 @dataclass(frozen=True)
@@ -70,28 +51,24 @@ class ModuleInfo:
     source: str
 
 
+def in_scope(module: str, prefixes: Iterable[str]) -> bool:
+    """True when ``module`` is one of ``prefixes`` or inside one."""
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
+
+
 class Rule:
     """Base class for all analysis rules.
 
-    Subclasses set the class attributes and implement :meth:`check`.
-    ``scope`` is a tuple of dotted module prefixes the rule applies to; a
-    config may narrow or widen it per deployment. An empty scope means
-    every analysed module.
+    Subclasses set the class attributes and implement :meth:`check`;
+    each family narrows :meth:`applies_to` to its configured scope.
     """
 
     rule_id: str = ""
     title: str = ""
-    default_severity: str = "error"
-    scope: Tuple[str, ...] = ()
 
     def applies_to(self, module: str, config: "AnalysisConfig") -> bool:
         """True when ``module`` falls inside this rule's scope."""
-        scope = config.scope_override.get(self.rule_id, self.scope)
-        if not scope:
-            return True
-        return any(
-            module == prefix or module.startswith(prefix + ".") for prefix in scope
-        )
+        return True
 
     def check(self, mod: ModuleInfo, config: "AnalysisConfig") -> Iterator[Finding]:
         """Yield every violation of this rule in ``mod``."""
@@ -107,7 +84,6 @@ class Rule:
         """Build a :class:`Finding` anchored at ``node``."""
         return Finding(
             rule=self.rule_id,
-            severity=self.default_severity,
             path=mod.path,
             line=getattr(node, "lineno", 0),
             col=getattr(node, "col_offset", 0),
@@ -127,8 +103,6 @@ def register(cls: Type[Rule]) -> Type[Rule]:
         raise ValueError(f"rule class {cls.__name__} has no rule_id")
     if rule.rule_id in RULES:
         raise ValueError(f"duplicate rule id {rule.rule_id}")
-    if rule.default_severity not in SEVERITIES:
-        raise ValueError(f"rule {rule.rule_id}: bad severity {rule.default_severity}")
     RULES[rule.rule_id] = rule
     return cls
 

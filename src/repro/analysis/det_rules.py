@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple, Union
 
-from .base import ContextVisitor, Finding, ModuleInfo, Rule, register
+from .base import ContextVisitor, Finding, ModuleInfo, Rule, in_scope, register
 from .cfg import CFGEntry, build_cfg, iter_child_expressions, iter_functions
 from .dataflow import ForwardAnalysis, analyze
 
@@ -141,17 +141,17 @@ class _Det001Visitor(ContextVisitor):
         self.generic_visit(node)
 
 
-@register
-class NoAmbientNondeterminism(Rule):
-    rule_id = "DET001"
-    title = "no ambient randomness or wall-clock reads on the event path"
-    scope = ()  # narrowed to config.det_scope in applies_to
+class _DetRule(Rule):
+    """Shared scoping: DET rules run over the configured determinism scope."""
 
     def applies_to(self, module: str, config: "AnalysisConfig") -> bool:
-        scope = config.scope_override.get(self.rule_id, config.det_scope)
-        return any(
-            module == prefix or module.startswith(prefix + ".") for prefix in scope
-        )
+        return in_scope(module, config.det_scope)
+
+
+@register
+class NoAmbientNondeterminism(_DetRule):
+    rule_id = "DET001"
+    title = "no ambient randomness or wall-clock reads on the event path"
 
     def check(self, mod: ModuleInfo, config: "AnalysisConfig") -> Iterator[Finding]:
         visitor = _Det001Visitor(self, mod)
@@ -364,7 +364,7 @@ def _unordered_reason(
 
 
 @register
-class NoUnsortedSetIterationOnEmissionPaths(Rule):
+class NoUnsortedSetIterationOnEmissionPaths(_DetRule):
     """Flow-sensitive DET002: iteration order hazards on emission paths.
 
     Runs the ordered-provenance dataflow over every function in an
@@ -376,12 +376,6 @@ class NoUnsortedSetIterationOnEmissionPaths(Rule):
 
     rule_id = "DET002"
     title = "no unsorted set/dict-keys iteration where messages are emitted"
-
-    def applies_to(self, module: str, config: "AnalysisConfig") -> bool:
-        scope = config.scope_override.get(self.rule_id, config.det_scope)
-        return any(
-            module == prefix or module.startswith(prefix + ".") for prefix in scope
-        )
 
     def check(self, mod: ModuleInfo, config: "AnalysisConfig") -> Iterator[Finding]:
         collector = _SetTypeCollector()
@@ -491,15 +485,9 @@ class _Det003Visitor(ContextVisitor):
 
 
 @register
-class NoIdentityOrdering(Rule):
+class NoIdentityOrdering(_DetRule):
     rule_id = "DET003"
     title = "no ordering by id() or default hash()"
-
-    def applies_to(self, module: str, config: "AnalysisConfig") -> bool:
-        scope = config.scope_override.get(self.rule_id, config.det_scope)
-        return any(
-            module == prefix or module.startswith(prefix + ".") for prefix in scope
-        )
 
     def check(self, mod: ModuleInfo, config: "AnalysisConfig") -> Iterator[Finding]:
         visitor = _Det003Visitor(self, mod)
@@ -554,15 +542,9 @@ class _Det004Visitor(ContextVisitor):
 
 
 @register
-class NoFloatTimestampEquality(Rule):
+class NoFloatTimestampEquality(_DetRule):
     rule_id = "DET004"
     title = "no ==/!= on simulated wall-clock floats"
-
-    def applies_to(self, module: str, config: "AnalysisConfig") -> bool:
-        scope = config.scope_override.get(self.rule_id, config.det_scope)
-        return any(
-            module == prefix or module.startswith(prefix + ".") for prefix in scope
-        )
 
     def check(self, mod: ModuleInfo, config: "AnalysisConfig") -> Iterator[Finding]:
         visitor = _Det004Visitor(

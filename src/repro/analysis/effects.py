@@ -2,20 +2,17 @@
 
 The paper's correctness argument (§2.2, Algorithms 1–3) assigns every
 mutation of the protocol variables to a specific pseudocode line; this
-module computes the machine-checkable counterpart: for every function in
-a module, *which* ``self`` attributes it reads and writes, whether it
-emits messages, whether it suspends (``await`` / ``yield``), and which
-attributes it mutates on objects *other than* ``self`` (the shape a
-monitor poking a process's state would have).
+module computes what the RACE rules need to check the scheduler-context
+discipline around those mutations: for every function in a module,
+*which* ``self`` attributes it writes and whether it emits messages.
 
 Summaries are transitive over the intra-class (and intra-module
-free-function) call graph: ``_on_ack`` calling ``self._propose`` inherits
-``_propose``'s write of ``clock`` and ``_send_ack``'s send effect. Calls
-that cannot be resolved inside the module (methods of other objects,
-imported functions) contribute nothing — the RACE/EFF rules are scoped
-so that every effect they reason about is produced in the module that
-owns the state, which is exactly the discipline PROTO103 already
-enforces for the Algorithm 1 variables.
+free-function) call graph: ``_on_ack`` calling ``self._propose``
+inherits ``_propose``'s write of ``clock`` and ``_send_ack``'s send
+effect. Calls that cannot be resolved inside the module (methods of
+other objects, imported functions) contribute nothing — the RACE rules
+are scoped so that every effect they reason about is produced in the
+module that owns the state.
 
 Writes are detected through every mutation shape the protocol core
 uses: plain/augmented/annotated assignment to ``self.x``, item
@@ -44,27 +41,16 @@ class Effects:
 
     #: ``self`` attributes written (any mutation shape).
     writes: FrozenSet[str]
-    #: ``self`` attributes read.
-    reads: FrozenSet[str]
-    #: attributes mutated through a receiver other than bare ``self``
-    #: (``proc.clock = …``, ``self.proc.pending.add(…)``).
-    foreign_writes: FrozenSet[str]
     #: calls an emission primitive (``AnalysisConfig.emission_calls``).
     sends: bool
-    #: contains an ``await`` / ``yield`` — a scheduling point.
-    awaits: bool
 
     def union(self, other: "Effects") -> "Effects":
         return Effects(
-            writes=self.writes | other.writes,
-            reads=self.reads | other.reads,
-            foreign_writes=self.foreign_writes | other.foreign_writes,
-            sends=self.sends or other.sends,
-            awaits=self.awaits or other.awaits,
+            writes=self.writes | other.writes, sends=self.sends or other.sends
         )
 
 
-EMPTY_EFFECTS = Effects(frozenset(), frozenset(), frozenset(), False, False)
+EMPTY_EFFECTS = Effects(frozenset(), False)
 
 
 @dataclass
@@ -130,10 +116,7 @@ class _EffectVisitor(ast.NodeVisitor):
     def __init__(self, config: "AnalysisConfig") -> None:
         self.config = config
         self.writes: Set[str] = set()
-        self.reads: Set[str] = set()
-        self.foreign_writes: Set[str] = set()
         self.sends = False
-        self.awaits = False
         self.self_calls: Set[str] = set()
         self.local_calls: Set[str] = set()
 
@@ -151,20 +134,6 @@ class _EffectVisitor(ast.NodeVisitor):
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         pass
 
-    # -- suspension points ---------------------------------------------
-
-    def visit_Await(self, node: ast.Await) -> None:
-        self.awaits = True
-        self.generic_visit(node)
-
-    def visit_Yield(self, node: ast.Yield) -> None:
-        self.awaits = True
-        self.generic_visit(node)
-
-    def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-        self.awaits = True
-        self.generic_visit(node)
-
     # -- stores --------------------------------------------------------
 
     def _record_store(self, target: ast.expr) -> None:
@@ -178,17 +147,15 @@ class _EffectVisitor(ast.NodeVisitor):
         if isinstance(target, ast.Starred):
             self._record_store(target.value)
             return
-        if not isinstance(target, ast.Attribute):
-            return
-        chain = _attr_chain(target)
-        if chain is None:
-            # Attribute of a call/subscript result: the mutated object
-            # is anonymous; record nothing (cannot name the state).
-            return
-        if chain[0] == "self" and len(chain) == 2:
+        self._record_self_attr(target)
+
+    def _record_self_attr(self, node: ast.expr) -> None:
+        """Record ``self.x`` as a write of ``x``. Only bare-self
+        attributes are this object's state; stores through any other
+        receiver belong to another object."""
+        chain = _attr_chain(node)
+        if chain is not None and len(chain) == 2 and chain[0] == "self":
             self.writes.add(chain[1])
-        else:
-            self.foreign_writes.add(chain[-1])
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -209,17 +176,6 @@ class _EffectVisitor(ast.NodeVisitor):
             self._record_store(target)
         self.generic_visit(node)
 
-    # -- reads ---------------------------------------------------------
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if (
-            isinstance(node.ctx, ast.Load)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            self.reads.add(node.attr)
-        self.generic_visit(node)
-
     # -- calls ---------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -232,37 +188,20 @@ class _EffectVisitor(ast.NodeVisitor):
             if chain is not None and chain[0] == "self":
                 if len(chain) == 2:
                     self.self_calls.add(method)
-                elif method in self.config.mutator_methods:
-                    # ``self.x.append(…)`` mutates ``self.x``;
-                    # ``self.proc.pending.add(…)`` mutates foreign state.
-                    if len(chain) == 3:
-                        self.writes.add(chain[1])
-                    else:
-                        self.foreign_writes.add(chain[-2])
-            elif chain is not None and method in self.config.mutator_methods:
-                # ``proc.t_list.append(…)`` / ``queue.push(…)`` style.
-                if len(chain) >= 3:
-                    self.foreign_writes.add(chain[-2])
+                elif len(chain) == 3 and method in self.config.mutator_methods:
+                    # ``self.x.append(…)`` mutates ``self.x``.
+                    self.writes.add(chain[1])
             # Mutating free functions reached via module attribute
             # (``heapq.heappush(self.x, …)``).
             if method in self.config.mutating_funcs and node.args:
-                self._record_mutating_arg(node.args[0])
+                self._record_self_attr(node.args[0])
         elif isinstance(func, ast.Name):
             if func.id in self.config.emission_calls:
                 self.sends = True
             if func.id in self.config.mutating_funcs and node.args:
-                self._record_mutating_arg(node.args[0])
+                self._record_self_attr(node.args[0])
             self.local_calls.add(func.id)
         self.generic_visit(node)
-
-    def _record_mutating_arg(self, arg: ast.expr) -> None:
-        chain = _attr_chain(arg)
-        if chain is None:
-            return
-        if chain[0] == "self" and len(chain) == 2:
-            self.writes.add(chain[1])
-        elif len(chain) >= 2:
-            self.foreign_writes.add(chain[-1])
 
 
 def _direct_effects(
@@ -271,19 +210,13 @@ def _direct_effects(
     visitor = _EffectVisitor(config)
     for stmt in fn.body:
         visitor.visit(stmt)
-    effects = Effects(
-        writes=frozenset(visitor.writes),
-        reads=frozenset(visitor.reads),
-        foreign_writes=frozenset(visitor.foreign_writes),
-        sends=visitor.sends,
-        awaits=visitor.awaits,
-    )
+    effects = Effects(writes=frozenset(visitor.writes), sends=visitor.sends)
     return effects, frozenset(visitor.self_calls), frozenset(visitor.local_calls)
 
 
 #: Memo of the last computed modules, keyed by tree identity. The engine
-#: runs five RACE/EFF rules over the same parsed module; one summary
-#: computation serves them all. Bounded: entries are evicted FIFO.
+#: runs RACE201 and RACE202 over the same parsed module; one summary
+#: computation serves both. Bounded: entries are evicted FIFO.
 _MEMO: Dict[int, Tuple[ast.Module, int, ModuleEffects]] = {}
 _MEMO_LIMIT = 8
 

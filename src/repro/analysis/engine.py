@@ -2,7 +2,7 @@
 
 The engine turns paths into :class:`~repro.analysis.base.ModuleInfo`
 records, runs every registered rule whose scope matches, then applies
-the config's allowlist and severity overrides. Findings come back sorted
+the config's allowlist. Findings come back sorted
 by ``(path, line, rule)`` so output is stable across runs and platforms
 — the analysis tool holds itself to the determinism policy it enforces.
 """
@@ -10,7 +10,6 @@ by ``(path, line, rule)`` so output is stable across runs and platforms
 from __future__ import annotations
 
 import ast
-import dataclasses
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
@@ -79,7 +78,7 @@ def analyze_module(
     config: AnalysisConfig = DEFAULT_CONFIG,
     rules: Optional[Iterable[Rule]] = None,
 ) -> List[Finding]:
-    """Run rules over one parsed module, applying allowlist/severity."""
+    """Run rules over one parsed module, applying the allowlist."""
     active = list(rules) if rules is not None else list(RULES.values())
     findings: List[Finding] = []
     for rule in active:
@@ -87,12 +86,8 @@ def analyze_module(
             continue
         try:
             for finding in rule.check(mod, config):
-                if config.is_allowed(finding.rule, finding.context):
-                    continue
-                severity = config.severity_for(finding.rule, finding.severity)
-                if severity != finding.severity:
-                    finding = dataclasses.replace(finding, severity=severity)
-                findings.append(finding)
+                if not config.is_allowed(finding.rule, finding.context):
+                    findings.append(finding)
         except Exception as exc:
             raise AnalysisError(mod.path, rule.rule_id, exc) from exc
     return findings

@@ -1,27 +1,26 @@
-"""RACE2xx — concurrency-hazard rules for the coming ``repro.net`` port.
+"""RACE2xx — scheduler-context rules for the protocol objects.
 
-Under the deterministic simulator every handler runs to completion, so
-the protocol core has never had to *prove* its mutations are serialised
-— the scheduler guaranteed it. Moving ``PrimCastProcess`` onto a real
-asyncio transport (the ROADMAP's open item) removes that guarantee in
-three specific ways, one rule each:
+Both backends run a process's handlers to completion, one at a time:
+the simulator's ``Scheduler.run`` and ``repro.net``'s
+``NetScheduler.drain`` alike. Per-process protocol state needs no locks
+*because* of that, and these rules keep the code inside the discipline
+that makes it true:
 
 * **RACE201** — shared protocol state mutated from a public, non-handler
   method. Handlers (``on_*``) and reviewed scheduler entry points run on
-  the event loop; anything else is callable from arbitrary threads/tasks
-  and would race the handlers.
+  the scheduler; anything else could be called from outside it and
+  would interleave with the handlers.
 * **RACE202** — protocol variables (Algorithm 1's ``clock`` / ``e_cur``
   / ``e_prom``) mutated *after* a send on the same control-flow path.
-  The paper's pseudocode always establishes state before emitting (the
-  ack carries the clock it was stamped with); a write-after-send means
-  the wire message and the local state can disagree if the continuation
-  is delayed or dies — the classic crash-recovery divergence.
+  The paper's pseudocode establishes state before emitting (the ack
+  carries the clock it was stamped with). The reviewed exceptions are
+  the standing-proposal sites, correct only while a handler's sends and
+  the mutations after them stay in one serialisation domain.
 * **RACE203** — an epoch variable read before an ``await``/``yield`` and
   used after it without re-reading. A suspension point can admit an
-  epoch change (Algorithm 3 runs concurrently), so the cached value is
-  stale; the fix is to re-read ``self.e_cur`` after resuming (comparing
-  the stale copy against a fresh read *is* the sanctioned re-validation
-  idiom and does not fire).
+  epoch change, so the cached value is stale; the fix is to re-read
+  ``self.e_cur`` after resuming (comparing the stale copy against a
+  fresh read *is* the sanctioned re-validation idiom and does not fire).
 
 RACE202/203 are flow-sensitive: they run the forward dataflow engine of
 :mod:`repro.analysis.dataflow` over each function's CFG, with the
@@ -34,7 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .base import Finding, ModuleInfo, Rule, register
+from .base import Finding, ModuleInfo, Rule, in_scope, register
 from .cfg import (
     CFGEntry,
     FunctionNode,
@@ -42,7 +41,7 @@ from .cfg import (
     iter_child_expressions,
     iter_functions,
 )
-from .config import AnalysisConfig
+from .config import PROTOCOL_VARS, AnalysisConfig
 from .dataflow import ForwardAnalysis, analyze
 from .effects import ModuleEffects, compute_module_effects
 
@@ -170,10 +169,7 @@ class _RaceRule(Rule):
     """Shared scoping: RACE rules run over the configured race scope."""
 
     def applies_to(self, module: str, config: AnalysisConfig) -> bool:
-        scope = config.scope_override.get(self.rule_id, config.race_scope)
-        return any(
-            module == prefix or module.startswith(prefix + ".") for prefix in scope
-        )
+        return in_scope(module, config.race_scope)
 
 
 @register
@@ -191,7 +187,6 @@ class Race201SharedStateOutsideScheduler(_RaceRule):
 
     rule_id = "RACE201"
     title = "shared protocol state mutated outside scheduler/handler context"
-    default_severity = "error"
 
     def check(self, mod: ModuleInfo, config: AnalysisConfig) -> Iterator[Finding]:
         shared = set(config.race_shared_attrs)
@@ -267,16 +262,16 @@ class Race202WriteAfterSend(_RaceRule):
     ack of line 42 carries the clock it was stamped with). If a path
     sends and *then* mutates ``clock`` / ``e_cur`` / ``e_prom``, the
     emitted message and the sender's state can diverge whenever the
-    continuation is delayed, interleaved, or lost to a crash — invisible
-    under the run-to-completion simulator, real under asyncio.
+    continuation is delayed, interleaved, or lost to a crash. Only
+    run-to-completion handlers (both backends today) make the reviewed
+    standing-proposal sites safe.
     """
 
     rule_id = "RACE202"
     title = "protocol variable mutated after a send on the same path"
-    default_severity = "error"
 
     def check(self, mod: ModuleInfo, config: AnalysisConfig) -> Iterator[Finding]:
-        protocol_attrs = set(config.state_conformance)
+        protocol_attrs = set(PROTOCOL_VARS)
         effects = compute_module_effects(mod, config)
         findings: List[Finding] = []
         for info in effects.functions.values():
@@ -414,7 +409,6 @@ class Race203StaleEpochRead(_RaceRule):
 
     rule_id = "RACE203"
     title = "epoch variable read across a suspension point without re-validation"
-    default_severity = "error"
 
     def check(self, mod: ModuleInfo, config: AnalysisConfig) -> Iterator[Finding]:
         guard_attrs = set(config.epoch_guard_attrs)

@@ -1,9 +1,5 @@
 """CLI behaviour of ``python -m repro.analysis``."""
 
-import json
-
-import pytest
-
 from repro.analysis.base import RULES
 from repro.analysis.cli import main
 from repro.analysis.engine import module_name_for
@@ -38,7 +34,7 @@ def test_clean_file_exits_zero(tmp_path, capsys):
     path = _write_scoped(tmp_path, "good.py", GOOD_SOURCE)
     assert main([str(path)]) == 0
     out = capsys.readouterr().out
-    assert "0 error(s)" in out
+    assert "0 finding(s)" in out
 
 
 def test_violation_exits_one_with_location(tmp_path, capsys):
@@ -47,20 +43,6 @@ def test_violation_exits_one_with_location(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "DET001" in out
     assert f"{path}:5:" in out
-
-
-def test_json_report_shape(tmp_path, capsys):
-    path = _write_scoped(tmp_path, "bad.py", BAD_SOURCE)
-    assert main([str(path), "--json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["version"] == 1
-    assert report["files_analyzed"] == 1
-    assert report["summary"]["errors"] == 1
-    (finding,) = report["findings"]
-    assert finding["rule"] == "DET001"
-    assert finding["severity"] == "error"
-    assert finding["line"] == 5
-    assert finding["context"].startswith("repro.core.bad::")
 
 
 def test_rule_filter_limits_the_run(tmp_path, capsys):
@@ -83,9 +65,8 @@ def test_missing_path_is_usage_error(tmp_path, capsys):
 
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("DET001", "DET002", "PROTO101", "PROTO103"):
-        assert rule_id in out
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == sorted(RULES)
 
 
 def test_module_name_derivation():
@@ -98,53 +79,12 @@ def test_module_name_derivation():
     assert module_name_for(Path("elsewhere/tool.py")) == "tool"
 
 
-# -- SARIF ----------------------------------------------------------------
-
-
-def test_sarif_report_to_file(tmp_path, capsys):
-    path = _write_scoped(tmp_path, "bad.py", BAD_SOURCE)
-    sarif_path = tmp_path / "out.sarif"
-    assert main([str(path), "--sarif", str(sarif_path)]) == 1
-    capsys.readouterr()
-
-    log = json.loads(sarif_path.read_text())
-    assert log["version"] == "2.1.0"
-    assert "sarif-schema-2.1.0" in log["$schema"]
-    (run,) = log["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro.analysis"
-    # One descriptor per registered rule, sorted by id.
-    ids = [r["id"] for r in driver["rules"]]
-    assert ids == sorted(RULES)
-
-    result = next(r for r in run["results"] if r["ruleId"] == "DET001")
-    assert result["level"] == "error"
-    assert ids[result["ruleIndex"]] == "DET001"
-    (location,) = result["locations"]
-    region = location["physicalLocation"]["region"]
-    assert region["startLine"] == 5
-    assert region["startColumn"] >= 1  # SARIF columns are 1-based
-    (logical,) = location["logicalLocations"]
-    assert logical["fullyQualifiedName"].startswith("repro.core.bad::")
-
-
-def test_sarif_clean_run_has_empty_results(tmp_path, capsys):
-    path = _write_scoped(tmp_path, "good.py", GOOD_SOURCE)
-    assert main([str(path), "--sarif", "-"]) == 0
-    out = capsys.readouterr().out
-    log, _ = json.JSONDecoder().raw_decode(out)
-    assert log["runs"][0]["results"] == []
-    # Rule metadata ships even without findings.
-    assert log["runs"][0]["tool"]["driver"]["rules"]
-
-
 # -- internal errors ------------------------------------------------------
 
 
 class _CrashingRule:
     rule_id = "CRASH999"
     title = "deliberately crashing test rule"
-    default_severity = "error"
 
     def applies_to(self, module, config):
         return True

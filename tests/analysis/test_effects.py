@@ -3,7 +3,7 @@
 These pin the write-detection shapes the protocol core actually uses
 (plain/augmented/item assignment, mutator methods, heapq-style mutating
 functions), the transitive closure over self/local calls, and the
-memoisation that lets five RACE/EFF rules share one computation.
+memoisation that lets RACE201 and RACE202 share one computation.
 """
 
 import ast
@@ -50,56 +50,22 @@ def test_direct_write_shapes():
         "a",
         "b",
     }
-    assert not eff.sends and not eff.awaits
+    assert not eff.sends
 
 
-def test_reads_are_self_attribute_loads():
-    mod = _effects(
-        """
-        class P:
-            def m(self):
-                x = self.clock + self.e_cur
-                return x
-        """
-    )
-    eff = mod.functions["P.m"].effects
-    assert eff.reads == {"clock", "e_cur"}
-    assert eff.writes == frozenset()
-
-
-def test_foreign_writes_name_the_mutated_attribute():
-    mod = _effects(
-        """
-        class Monitor:
-            def poke(self, proc):
-                proc.clock = 7
-                self.proc.pending.add(x)
-        """
-    )
-    eff = mod.functions["Monitor.poke"].effects
-    assert eff.foreign_writes == {"clock", "pending"}
-    # Neither counts as a write of *self* state.
-    assert eff.writes == frozenset()
-
-
-def test_emission_and_suspension_flags():
+def test_emission_flag():
     mod = _effects(
         """
         class P:
             def a(self):
                 self.r_multicast(msg, self.group_members)
 
-            async def b(self):
-                await self.wait()
-
-            def c(self):
-                yield 1
+            def b(self):
+                self.clock += 1
         """
     )
     assert mod.functions["P.a"].effects.sends
-    assert mod.functions["P.b"].effects.awaits
-    assert mod.functions["P.c"].effects.awaits
-    assert not mod.functions["P.a"].effects.awaits
+    assert not mod.functions["P.b"].effects.sends
 
 
 def test_transitive_closure_over_self_calls():
@@ -131,13 +97,14 @@ def test_transitive_closure_over_free_function_calls():
     mod = _effects(
         """
         def helper(proc):
-            proc.pending.add(1)
+            send(proc, 1)
 
         def top(proc):
             helper(proc)
         """
     )
-    assert mod.functions["top"].effects.foreign_writes == {"pending"}
+    assert not mod.functions["top"].direct.sends
+    assert mod.functions["top"].effects.sends
 
 
 def test_mutual_recursion_reaches_a_fixpoint():
