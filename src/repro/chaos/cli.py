@@ -213,14 +213,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             max_cases=args.max_cases,
             progress=progress,
         )
-        stats = dict(executor.total_stats)
-        pool_stats = executor.pool_stats()
     finally:
         executor.close()
+    stats = executor.total_stats
     print(
         f"chaos campaign: cases={stats['points']} cached={stats['hits']} "
         f"simulated={stats['ran']} jobs={args.jobs} "
-        f"workers={pool_stats.get('spawned', 0)} "
         f"skipped={len(report.skipped_seeds)}",
         file=sys.stderr,
     )

@@ -11,7 +11,8 @@ byte-identical across runs and across ``jobs`` settings.
 Fan-out reuses the figure harness's
 :class:`~repro.harness.parallel.SweepExecutor` workers: ``CaseSpec``
 implements the same :class:`~repro.harness.parallel.WorkSpec` duck type
-as ``PointSpec`` (picklable, ``run()``/``canonical()``), so campaigns
+as ``PointSpec`` (picklable, ``run()``/``canonical()``/
+``result_from_dict()``), so campaigns
 shard across cores with the exact merge-in-spec-order machinery the
 sweep executor already pins down.
 

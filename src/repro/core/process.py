@@ -89,9 +89,9 @@ TEntry = Tuple[Epoch, Multicast, int]
 class PrimCastProcess(RMcastProcess):
     """A PrimCast group member.
 
-    Deliberately without ``__slots__`` (the PERF001 allowlist says so):
-    the spec recorder and the invariant monitor wrap ``on_r_deliver`` as
-    an *instance* attribute, which needs the per-instance dict.
+    Deliberately without ``__slots__``: the spec recorder and the
+    invariant monitor wrap ``on_r_deliver`` as an *instance* attribute,
+    which needs the per-instance dict.
 
     Args:
         pid: this process's id (must belong to a group in ``config``).

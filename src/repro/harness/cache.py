@@ -6,10 +6,8 @@ memoized under a key derived from exactly those two inputs:
 
 * the **spec key**: SHA-256 of the spec's canonical (sorted-keys) JSON;
 * the **code fingerprint**: SHA-256 over the per-file content hashes of
-  every ``.py`` file under the :data:`FINGERPRINT_PACKAGES` of
-  ``src/repro`` — every package a load point or a chaos case can reach
-  (the DET001 determinism scope plus the harness that drives it, the
-  property checkers and the ``net`` seam).
+  every ``.py`` file under ``src/repro`` — a superset of whatever a load
+  point or a chaos case can reach, so no import can escape it.
 
 Layout::
 
@@ -17,12 +15,12 @@ Layout::
         <code-fingerprint>/
             <spec-key>.json     # {"spec": {...}, "result": RunResult dict}
 
-Any edit to a fingerprinted source file changes the fingerprint, which
-changes the directory every lookup goes through — the whole cache is
-invalidated automatically. Old generation directories are retained up
-to a small budget (:attr:`ResultCache.keep_generations`, least recently
-used evicted first) so two checkouts or a bisect sharing one cache
-directory keep each other's warm entries instead of destroying them.
+Any edit to a source file changes the fingerprint, which changes the
+directory every lookup goes through — the whole cache is invalidated
+automatically. Old generation directories are retained up to a small
+budget (:data:`KEEP_GENERATIONS`, least recently used evicted first)
+so two checkouts or a bisect sharing one cache directory keep each
+other's warm entries instead of destroying them.
 Corrupt or unreadable entries are treated as misses and deleted, never
 raised.
 
@@ -39,59 +37,37 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import Optional, Tuple
-
-from typing import Any
+from typing import Any, Optional
 
 from .parallel import WorkSpec
-from .runner import RunResult
 
 #: Default cache directory (relative to the invoking process's cwd).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Packages (under ``src/repro``) whose source feeds the fingerprint:
-#: everything a ``run_load_point`` or chaos-case outcome can depend on.
-#: This must cover the full import closure of the simulated event path —
-#: the runner pulls in ``election`` (Ω oracles), ``core`` pulls in
-#: ``rmcast`` (FIFO substrate), the baselines pull in ``consensus``, the
-#: chaos explorer pulls in ``verify`` (property checkers) and the
-#: substrate seam annotations reference ``net`` (the Runtime protocols)
-#: — pinned by ``tests/harness/test_cache.py``.
-FINGERPRINT_PACKAGES: Tuple[str, ...] = (
-    "core",
-    "sim",
-    "baselines",
-    "rmcast",
-    "election",
-    "consensus",
-    "workload",
-    "harness",
-    "verify",
-    "chaos",
-    "net",
-)
+#: Generation directories (the current one included) a cache keeps;
+#: older ones are evicted least-recently-used first. Keeping a few lets
+#: two checkouts or a bisect share one cache directory without
+#: repeatedly destroying each other's warm entries.
+KEEP_GENERATIONS = 4
 
 #: Where ``src/repro`` lives, resolved from this file.
 _DEFAULT_SRC_ROOT = Path(__file__).resolve().parents[1]
 
 
 def code_fingerprint(src_root: Optional[Path] = None) -> str:
-    """SHA-256 over (relative path, content hash) of fingerprinted sources.
+    """SHA-256 over (relative path, content hash) of every ``.py`` file
+    under ``src_root`` (default: ``src/repro``).
 
     Files are visited in sorted relative-path order so the digest is
     stable across platforms and filesystems.
     """
     root = Path(src_root) if src_root is not None else _DEFAULT_SRC_ROOT
     digest = hashlib.sha256()
-    for package in FINGERPRINT_PACKAGES:
-        base = root / package
-        if not base.is_dir():
-            continue
-        for path in sorted(base.rglob("*.py")):
-            rel = path.relative_to(root).as_posix()
-            digest.update(rel.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(hashlib.sha256(path.read_bytes()).digest())
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        digest.update(rel.encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
     return digest.hexdigest()
 
 
@@ -108,28 +84,15 @@ class ResultCache:
         root: cache directory (created lazily on the first store).
         src_root: override for the fingerprinted source tree — tests
             point this at synthetic trees to exercise invalidation.
-        keep_generations: how many generation directories (current
-            included) to retain; older generations beyond the budget are
-            evicted least-recently-used first. Keeping a few lets two
-            checkouts or a bisect share one cache directory without
-            repeatedly destroying each other's warm entries.
 
     Attributes:
         hits / misses / stores: lookup counters for this instance. A
             warm sweep shows ``misses == 0`` — no simulation ran.
     """
 
-    def __init__(
-        self,
-        root: Optional[Path] = None,
-        src_root: Optional[Path] = None,
-        keep_generations: int = 4,
-    ) -> None:
-        if keep_generations < 1:
-            raise ValueError("keep_generations must be at least 1")
+    def __init__(self, root: Optional[Path] = None, src_root: Optional[Path] = None) -> None:
         self.root = Path(root) if root is not None else Path(DEFAULT_CACHE_DIR)
         self.fingerprint = code_fingerprint(src_root)
-        self.keep_generations = keep_generations
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -161,7 +124,7 @@ class ResultCache:
 
         The current generation always survives; other fingerprints'
         directories are kept newest-first (by directory mtime, name as
-        a deterministic tie-break) up to ``keep_generations`` total.
+        a deterministic tie-break) up to :data:`KEEP_GENERATIONS` total.
         """
         if not self.root.is_dir():
             return
@@ -175,7 +138,7 @@ class ResultCache:
                 others.append((mtime, child.name, child))
         others.sort(reverse=True)
         # One retention slot is always the current generation's.
-        for _, _, stale in others[self.keep_generations - 1:]:
+        for _, _, stale in others[KEEP_GENERATIONS - 1:]:
             shutil.rmtree(stale, ignore_errors=True)
 
     # -- lookup / store -------------------------------------------------
@@ -183,17 +146,12 @@ class ResultCache:
     def get(self, spec: WorkSpec) -> Optional[Any]:
         """Cached result for ``spec``, or None. Corrupt entries are
         discarded (deleted) and reported as misses, never raised.
-
-        Decoding dispatches on the spec: a spec that defines
-        ``result_from_dict`` (e.g. the chaos explorer's ``CaseSpec``,
-        whose results are ``CaseResult``) decodes through it; legacy
-        specs without one decode as :class:`RunResult`.
+        The spec decodes its own result (``WorkSpec.result_from_dict``).
         """
-        decode = getattr(spec, "result_from_dict", RunResult.from_dict)
         path = self.entry_path(spec)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-            result = decode(payload["result"])
+            result = spec.result_from_dict(payload["result"])
         except FileNotFoundError:
             self.misses += 1
             return None

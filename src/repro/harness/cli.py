@@ -106,22 +106,9 @@ def _report_executor(executor: SweepExecutor) -> None:
     # cover the whole command, not just the final sweep.
     stats = executor.total_stats
     if stats["points"]:
-        pool = executor.pool_stats()
-        extra = ""
-        if pool.get("spawned"):
-            # One persistent pool served every sweep of the command: the
-            # worker count stays at --jobs while batches count the
-            # sweeps that reused them (the amortization evidence).
-            per_worker = ",".join(
-                f"{w}:{n}" for w, n in pool["per_worker"].items()
-            )
-            extra = (
-                f" [pool: {pool['spawned']} workers over "
-                f"{pool['batches']} batches, cases {per_worker}]"
-            )
         print(
             f"\n[{stats['points']} points: {stats['hits']} cached, "
-            f"{stats['ran']} simulated, jobs={executor.jobs}]" + extra
+            f"{stats['ran']} simulated, jobs={executor.jobs}]"
         )
 
 

@@ -28,8 +28,8 @@ from ..workload.scenarios import (
     wan_distributed_leaders,
 )
 from .metrics import cdf_points
-from .parallel import SweepExecutor, expand_sweep, scenario_matches_registry
-from .runner import RunResult, run_load_point
+from .parallel import SweepExecutor, expand_sweep
+from .runner import RunResult
 
 #: The four curves of every figure.
 FIGURE_PROTOCOLS = ("whitebox", "fastcast", "primcast", "primcast-hc")
@@ -55,34 +55,13 @@ def sweep(
     by :class:`~repro.harness.parallel.PointSpec` and nowhere else; an
     unknown keyword is a ``TypeError``.
 
-    Any :class:`Scenario` is accepted. A scenario that is not faithfully
-    reconstructable from the Table 2 registry — a custom name, or a
-    customized copy of a registry scenario — cannot cross a worker
-    process boundary or key the result cache, so it runs inline on the
-    historical serial path; combining such a scenario with ``jobs > 1``
-    or a cache raises instead of silently simulating the wrong geometry.
+    ``scenario`` must be a Table 2 registry scenario: a custom name or a
+    customized copy of one cannot be rebuilt from a spec, so
+    :func:`~repro.harness.parallel.point_spec` rejects it with a
+    ``ValueError`` (call ``run_load_point`` directly for such geometries).
     """
     if executor is None:
         executor = SweepExecutor()
-    if not scenario_matches_registry(scenario):
-        if executor.jobs != 1 or executor.cache is not None:
-            raise ValueError(
-                f"scenario {scenario.name!r} is not a Table 2 registry "
-                f"scenario (or is a customized copy of one), so it cannot be "
-                f"reconstructed in worker processes or content-addressed in "
-                f"the result cache; run it with the default serial executor "
-                f"(jobs=1, no cache)"
-            )
-        # A sweep's rows drop their samples unless asked, as PointSpec's
-        # do; run_load_point alone defaults the other way.
-        point.setdefault("keep_samples", False)
-        results = [
-            run_load_point(protocol, scenario, n_dest_groups, outstanding, **point)
-            for protocol in protocols
-            for outstanding in loads
-        ]
-        executor.note_direct_runs(len(results))
-        return results
     return executor.run(expand_sweep(protocols, scenario, n_dest_groups, loads, **point))
 
 

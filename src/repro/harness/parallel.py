@@ -1,4 +1,4 @@
-"""The sweep executor: independent load points over persistent workers.
+"""The sweep executor: independent load points over a process pool.
 
 Every figure of §7 is a grid of fully independent, deterministic
 :func:`~repro.harness.runner.run_load_point` calls — each one builds its
@@ -18,17 +18,18 @@ description of one load point. Specs serve two masters:
   their canonical JSON as half of the cache key.
 
 :class:`SweepExecutor` is the only class in ``repro.harness`` that
-starts a process. Three properties of it are load-bearing (pinned by
-``tests/harness/test_pool.py``):
+starts a process; its workers are the standard library's
+:class:`concurrent.futures.ProcessPoolExecutor`. Three properties of it
+are load-bearing (pinned by ``tests/harness/test_pool.py``):
 
-* **Amortized fan-out** — workers are spawned once (lazily, on the first
-  batch with a cache miss) and reused for every later :meth:`run`, so a
-  campaign of hundreds of sweeps pays worker spawn + import once.
-* **Dynamic scheduling, deterministic output** — every idle worker pulls
-  the next ``(sweep_index, spec)`` from one shared queue, so a straggler
-  cannot serialize the batch behind it, but results are placed **by
-  sweep index**: the returned list is a pure function of the spec list,
-  byte-identical to the serial loop at any job count.
+* **Amortized fan-out** — the pool is created lazily, on the first
+  batch with a cache miss, and reused for every later :meth:`run`, so a
+  campaign of hundreds of sweeps pays worker start-up once.
+* **Dynamic scheduling, deterministic output** — every idle worker takes
+  the next pending spec, so a straggler cannot serialize the batch
+  behind it, but results are placed **by spec index**: the returned list
+  is a pure function of the spec list, byte-identical to the serial loop
+  at any job count.
 * **Streaming completion** — each result is written to the cache and
   handed to ``on_result`` the moment it crosses back into the parent,
   which is what makes a killed campaign resumable with zero re-runs of
@@ -37,19 +38,14 @@ starts a process. Three properties of it are load-bearing (pinned by
 Determinism: workers receive the per-point seed inside the spec — the
 same seed the serial path would pass — and ``run_load_point`` derives
 every RNG stream from it through ``child_rng``. This module itself draws
-no randomness and never reads a clock (the liveness poll interval is a
-constant, not a time read); it is inside the DET001 static-analysis
-scope (see ``repro.analysis.config.DET_SCOPE``).
+no randomness and never reads a clock; it is inside the DET001
+static-analysis scope (see ``repro.analysis.config.DET_SCOPE``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_mod
-import traceback
-import weakref
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
 
 from ..sim.costs import CostModel
 from ..core.gc import DEFAULT_COMPACTION_INTERVAL_MS
@@ -79,6 +75,10 @@ class WorkSpec(Protocol):
 
     def run(self) -> Any:
         """Execute the unit of work and return its result."""
+        ...
+
+    def result_from_dict(self, payload: Dict[str, Any]) -> Any:
+        """Decode a cached result (the inverse of its ``to_dict()``)."""
         ...
 
 
@@ -230,9 +230,8 @@ def point_spec(
     ``scenario.epsilon_ms`` is captured into the spec explicitly (unless
     overridden), so a caller who customized the skew bound on the
     scenario object still round-trips through worker reconstruction.
-    Any *other* customization cannot round-trip and is rejected here —
-    :func:`repro.harness.experiments.sweep` falls back to running such
-    scenarios inline instead of building specs.
+    Any *other* customization cannot round-trip and is rejected here, so
+    :func:`repro.harness.experiments.sweep` only takes Table 2 scenarios.
     """
     if scenario.name not in SCENARIO_BUILDERS:
         raise ValueError(
@@ -275,86 +274,24 @@ def expand_sweep(
     ]
 
 
-#: Seconds between liveness checks while waiting on the result queue.
-#: A constant poll interval, not a wall-clock read: the executor never
-#: decides anything from *when* something happened, only from whether a
-#: worker silently died while work was outstanding.
-_POLL_INTERVAL_S = 0.25
-
-#: Seconds to wait for a worker to drain its sentinel on a clean close
-#: before falling back to terminate().
-_CLOSE_JOIN_S = 5.0
-
-
-class WorkerCrash(RuntimeError):
-    """A worker process died or a spec raised inside a worker.
-
-    Carries enough context to replay the failing spec serially: the spec
-    index within the sweep and, for in-spec exceptions, the worker-side
-    traceback text.
-    """
-
-    def __init__(self, message: str, spec_index: Optional[int] = None) -> None:
-        super().__init__(message)
-        self.spec_index = spec_index
-
-
-def _worker_main(worker_id: str, tasks: Any, results: Any) -> None:
-    """Worker loop: pull ``(index, spec)``, run it, push the outcome.
-
-    A spec that raises is reported as an ``"err"`` record (type name,
-    message, formatted traceback) instead of killing the worker — the
-    parent decides whether to abort the batch. ``None`` is the shutdown
-    sentinel.
-    """
-    while True:
-        item = tasks.get()
-        if item is None:
-            break
-        index, spec = item
-        try:
-            result = spec.run()
-        except BaseException as exc:  # noqa: BLE001 - forwarded to parent
-            failure = (type(exc).__name__, str(exc), traceback.format_exc())
-            results.put(("err", index, failure, worker_id))
-            continue
-        results.put(("ok", index, result, worker_id))
-
-
-def _terminate_procs(procs: List[Any], queues: List[Any]) -> None:
-    """Hard-stop helper shared by terminate() and the GC finalizer."""
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in procs:
-        proc.join(timeout=1.0)
-    for q in queues:
-        try:
-            q.cancel_join_thread()
-            q.close()
-        except (OSError, ValueError):
-            pass
-    procs.clear()
-
-
 class SweepExecutor:
     """Runs a flat list of :class:`WorkSpec` and merges results in order.
 
     Args:
         jobs: worker processes. 1 (the default) runs every spec inline
-            in this process — no workers, byte-for-byte the historical
-            serial path.
+            in this process — no workers, the reference serial path.
         cache: optional :class:`~repro.harness.cache.ResultCache`. Hits
             skip simulation entirely; misses run and populate — each
             result is written the moment its case completes (streaming
             checkpoint), so a killed campaign resumes from the cache
             with zero re-runs of completed cases.
 
-    Workers (``fork`` where available, else ``spawn``; either gives the
-    same results, workers only consume the explicit spec seed) are
-    started lazily on the first batch that has a cache miss and persist
-    until :meth:`close` / :meth:`terminate` — use the executor as a
-    context manager; leaked workers are reaped by a GC finalizer.
+    With ``jobs > 1``, cache misses go to one
+    :class:`~concurrent.futures.ProcessPoolExecutor` (``fork`` where
+    available, else ``spawn``; either gives the same results, workers
+    only consume the explicit spec seed), created on the first batch
+    that has a miss and reused by every later :meth:`run` until
+    :meth:`close` — use the executor as a context manager.
 
     After each :meth:`run`, :attr:`last_stats` reports how many points
     were served from cache vs simulated — the warm-cache acceptance
@@ -362,7 +299,7 @@ class SweepExecutor:
     :attr:`total_stats` accumulates the same counters over the
     executor's lifetime, so a figure that issues several sweeps (one per
     destination count) can report the whole run, not just the last
-    sweep. :meth:`pool_stats` has the worker-reuse counters.
+    sweep.
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[Any] = None) -> None:
@@ -372,63 +309,15 @@ class SweepExecutor:
         self.cache = cache
         self.last_stats: Dict[str, int] = {"points": 0, "hits": 0, "ran": 0}
         self.total_stats: Dict[str, int] = {"points": 0, "hits": 0, "ran": 0}
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
-        self._procs: List[Any] = []
-        self._queues: List[Any] = []
-        self._tasks: Optional[Any] = None
-        self._results: Optional[Any] = None
+        self._pool: Optional[Any] = None
         self._closed = False
-        self._next_worker = 0
-        self._spawned = 0
-        self._batches = 0
-        self._per_worker: Dict[str, int] = {}
-        self._finalizer = weakref.finalize(
-            self, _terminate_procs, self._procs, self._queues
-        )
-
-    # -- worker lifecycle -----------------------------------------------
-
-    def _ensure_workers(self) -> None:
-        if self._tasks is None:
-            self._tasks = self._ctx.Queue()
-            self._results = self._ctx.Queue()
-            self._queues.extend([self._tasks, self._results])
-        # Replace workers that died between batches (a crashed case can
-        # take its worker down); respawns show up in the spawn counter.
-        self._procs[:] = [p for p in self._procs if p.is_alive()]
-        while len(self._procs) < self.jobs:
-            worker_id = f"w{self._next_worker}"
-            self._next_worker += 1
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(worker_id, self._tasks, self._results),
-                name=f"repro-pool-{worker_id}",
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
-            self._spawned += 1
 
     def close(self) -> None:
-        """Shut workers down cleanly (drain sentinels, then join)."""
-        if self._closed:
-            return
-        if self._tasks is not None:
-            for _ in self._procs:
-                self._tasks.put(None)
-            for proc in self._procs:
-                proc.join(timeout=_CLOSE_JOIN_S)
-        self.terminate()
-
-    def terminate(self) -> None:
-        """Hard-stop every worker immediately (error paths, aborts)."""
-        if self._closed:
-            return
+        """Shut the worker pool down; later :meth:`run` calls raise."""
         self._closed = True
-        _terminate_procs(self._procs, self._queues)
-        self._finalizer.detach()
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -436,70 +325,31 @@ class SweepExecutor:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # -- accounting -----------------------------------------------------
-
-    def _record(self, points: int, hits: int, ran: int) -> None:
-        self.last_stats = {"points": points, "hits": hits, "ran": ran}
-        for key, value in self.last_stats.items():
-            self.total_stats[key] += value
-
-    def note_direct_runs(self, n: int) -> None:
-        """Account for ``n`` points simulated outside the spec machinery
-        (``sweep()`` runs non-registry scenarios inline; they bypass the
-        workers and the cache but still belong in the run's totals)."""
-        self._record(n, 0, n)
-
-    def pool_stats(self) -> Dict[str, Any]:
-        """Lifetime worker-reuse counters, JSON-safe (``{}`` until a
-        :meth:`run` has had a cache miss to execute).
-
-        * ``spawned`` — worker processes ever created (reuse shows as
-          ``spawned == jobs`` across many batches; respawns after a
-          worker death push it higher);
-        * ``batches`` — :meth:`run` calls that executed at least one spec;
-        * ``dispatched`` / ``inline`` — specs executed by workers vs
-          inline (``jobs=1``);
-        * ``per_worker`` — completed case count by worker id, the
-          work-stealing balance evidence.
-        """
-        if not self._batches:
-            return {}
-        inline = self._per_worker.get("inline", 0)
-        return {
-            "jobs": self.jobs,
-            "spawned": self._spawned,
-            "batches": self._batches,
-            "dispatched": sum(self._per_worker.values()) - inline,
-            "inline": inline,
-            "per_worker": dict(sorted(self._per_worker.items())),
-        }
-
-    # -- execution ------------------------------------------------------
-
     def run(
         self,
         specs: Sequence[WorkSpec],
         on_result: Optional[Callable[[int, WorkSpec, Any], None]] = None,
     ) -> List[Any]:
-        """Execute every spec; results come back in spec order.
+        """Execute every spec; results come back in spec order, one per
+        spec.
 
         ``on_result(index, spec, result)`` streams completions: cache
         hits fire immediately (in spec order, before any dispatch),
         misses fire in *completion* order as workers finish — by the
         time the callback sees a miss, its result is already persisted
         in the cache, so an abort raised from the callback leaves a
-        resumable checkpoint behind (the workers are terminated so no
-        further result races the unwind, then the exception propagates).
+        resumable checkpoint behind.
 
-        A spec that raises inside a worker aborts the batch with
-        :class:`WorkerCrash` carrying the worker-side traceback; a
-        worker that dies silently (OOM kill, segfault) is detected by
-        liveness polling and also raises :class:`WorkerCrash`. Inline
-        (``jobs=1``) a spec's exception propagates as itself.
+        A spec's exception propagates as itself at any job count; from
+        a worker, its traceback is the exception's ``__cause__``. A
+        worker that dies outright raises
+        :class:`~concurrent.futures.process.BrokenProcessPool`. Any
+        exception drops the pool (pending specs are cancelled), so the
+        next :meth:`run` starts a fresh one.
         """
         if self._closed:
             raise RuntimeError("SweepExecutor is closed")
-        results: List[Optional[Any]] = [None] * len(specs)
+        results: List[Any] = [None] * len(specs)
         misses: List[int] = []
         for i, spec in enumerate(specs):
             cached = self.cache.get(spec) if self.cache is not None else None
@@ -510,63 +360,48 @@ class SweepExecutor:
             else:
                 misses.append(i)
 
-        def complete(index: int, result: Any, worker_id: str) -> None:
+        def complete(index: int, result: Any) -> None:
             results[index] = result
-            self._per_worker[worker_id] = self._per_worker.get(worker_id, 0) + 1
             if self.cache is not None:
                 self.cache.put(specs[index], result)
             if on_result is not None:
                 on_result(index, specs[index], result)
 
-        if misses:
-            self._batches += 1
-            if self.jobs == 1:
-                for i in misses:
-                    complete(i, specs[i].run(), "inline")
-            else:
-                self._run_on_workers(specs, misses, complete)
-        self._record(len(specs), len(specs) - len(misses), len(misses))
-        return [r for r in results if r is not None]
+        if self.jobs == 1:
+            for i in misses:
+                complete(i, specs[i].run())
+        elif misses:
+            self._run_on_pool(specs, misses, complete)
+        self.last_stats = {
+            "points": len(specs),
+            "hits": len(specs) - len(misses),
+            "ran": len(misses),
+        }
+        for key, value in self.last_stats.items():
+            self.total_stats[key] += value
+        return results
 
-    def _run_on_workers(
+    def _run_on_pool(
         self,
         specs: Sequence[WorkSpec],
         misses: List[int],
-        complete: Callable[[int, Any, str], None],
+        complete: Callable[[int, Any], None],
     ) -> None:
-        self._ensure_workers()
-        assert self._tasks is not None and self._results is not None
-        for i in misses:
-            self._tasks.put((i, specs[i]))
-        outstanding = len(misses)
-        while outstanding:
-            try:
-                kind, index, payload, worker_id = self._results.get(
-                    timeout=_POLL_INTERVAL_S
-                )
-            except queue_mod.Empty:
-                dead = [p.name for p in self._procs if not p.is_alive()]
-                if dead:
-                    self.terminate()
-                    raise WorkerCrash(
-                        f"worker(s) {dead} died with "
-                        f"{outstanding} case(s) outstanding"
-                    ) from None
-                continue
-            if kind == "err":
-                exc_type, message, tb_text = payload
-                self.terminate()
-                raise WorkerCrash(
-                    f"spec {index} raised {exc_type} in {worker_id}: "
-                    f"{message}\n{tb_text}",
-                    spec_index=index,
-                )
-            outstanding -= 1
-            try:
-                complete(index, payload, worker_id)
-            except BaseException:
-                # The caller is aborting mid-batch (checkpoint tests do
-                # exactly this): stop the workers so no further result
-                # races the unwind, then propagate.
-                self.terminate()
-                raise
+        # Imported here, not at module level: importing repro.harness
+        # must not pay for concurrent.futures and multiprocessing.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        if self._pool is None:
+            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+            self._pool = ProcessPoolExecutor(
+                self.jobs, mp_context=multiprocessing.get_context(method)
+            )
+        futures = {self._pool.submit(specs[i].run): i for i in misses}
+        try:
+            for future in as_completed(futures):
+                complete(futures[future], future.result())
+        except BaseException:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+            raise

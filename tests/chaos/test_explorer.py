@@ -1,5 +1,5 @@
 """Campaign runner tests: determinism, parallel equality, mutations,
-checkpoint/resume through the persistent-pool runtime."""
+checkpoint/resume through the sweep executor's process pool."""
 
 import pytest
 

@@ -209,41 +209,22 @@ def test_scenario_matches_registry_detects_customization():
     assert scenario_matches_registry(replace(lan_scenario(), epsilon_ms=9.0))
 
 
-def test_sweep_runs_custom_scenario_inline_on_default_path():
-    """sweep() keeps accepting arbitrary Scenario objects serially."""
-    custom = replace(lan_scenario(2, 3), name="bespoke-lan")
-    want = [
-        run_load_point(
-            protocol, custom, 2, outstanding,
-            seed=1, warmup_ms=20.0, measure_ms=40.0, keep_samples=False,
-        )
-        for protocol in PROTOCOLS
-        for outstanding in LOADS
-    ]
-    executor = SweepExecutor()
-    got = sweep(
-        PROTOCOLS, custom, n_dest_groups=2, loads=LOADS,
-        warmup_ms=20.0, measure_ms=40.0, executor=executor,
-    )
-    assert_field_for_field(got, want)
-    # inline points still show up in the executor's accounting
-    assert executor.last_stats == {"points": 4, "hits": 0, "ran": 4}
-
-
 def test_sweep_rejects_custom_scenario_with_parallel_or_cache(tmp_path):
     from repro.harness.cache import ResultCache
 
+    # A customized or unknown scenario cannot be rebuilt from a spec, so
+    # sweep() refuses it with any executor, the default serial one too.
     custom = replace(lan_scenario(2, 3), cross_group_rtt_ms=5.0)
-    with pytest.raises(ValueError, match="serial"):
-        sweep(
-            PROTOCOLS, custom, n_dest_groups=2, loads=(1,),
-            executor=SweepExecutor(jobs=2),
-        )
-    with pytest.raises(ValueError, match="serial"):
-        sweep(
-            PROTOCOLS, custom, n_dest_groups=2, loads=(1,),
-            executor=SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "c")),
-        )
+    bespoke = replace(lan_scenario(2, 3), name="bespoke-lan")
+    for executor in (
+        SweepExecutor(jobs=2),
+        SweepExecutor(jobs=1, cache=ResultCache(tmp_path / "c")),
+        None,
+    ):
+        with pytest.raises(ValueError, match="does not match"):
+            sweep(PROTOCOLS, custom, n_dest_groups=2, loads=(1,), executor=executor)
+        with pytest.raises(ValueError, match="unknown scenario"):
+            sweep(PROTOCOLS, bespoke, n_dest_groups=2, loads=(1,), executor=executor)
 
 
 def test_executor_total_stats_accumulate_across_runs():
