@@ -49,7 +49,6 @@ EMISSION_CALLS: Tuple[str, ...] = (
     "a_multicast",
     "a_multicast_m",
     "send",
-    "send_many",
     "transmit",
     "schedule",
     "call_at",

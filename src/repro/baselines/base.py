@@ -35,12 +35,9 @@ class GroupProtocolProcess(RMcastProcess):
         scheduler: Scheduler,
         network: Network,
         cost_model: Optional[CostModel] = None,
-        relay: bool = False,
         batching_ms: float = 0.0,
     ):
-        super().__init__(
-            pid, scheduler, network, cost_model, relay=relay, batching_ms=batching_ms
-        )
+        super().__init__(pid, scheduler, network, cost_model, batching_ms=batching_ms)
         if pid not in config.group_of:
             raise ValueError(f"pid {pid} is not a member of any group")
         self.config = config

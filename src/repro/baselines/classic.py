@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..consensus.log import ReplicatedLog
+from ..consensus.paxos import Accept, Accepted, Prepare, Promise
 from ..core.config import GroupConfig
 from ..core.messages import MessageId, Multicast
 from ..sim.costs import CostModel
@@ -108,6 +109,12 @@ class ClassicProcess(GroupProtocolProcess):
             send_fn=self._send_all,
             on_apply=self._apply_entry,
         )
+        paxos = self.log.handle
+        self._r_dispatch.update({
+            ClStart: self._on_start,
+            ClTimestamp: self._on_timestamp,
+            Prepare: paxos, Promise: paxos, Accept: paxos, Accepted: paxos,
+        })
 
     # ------------------------------------------------------------------
     # transport plumbing
@@ -120,23 +127,14 @@ class ClassicProcess(GroupProtocolProcess):
         leaders = [self.config.initial_leader(g) for g in sorted(multicast.dest)]
         self.r_multicast(ClStart(multicast), leaders)
 
-    def on_r_deliver(self, origin: int, payload: Any) -> None:
-        if self.log.handle(origin, payload):
-            return
-        if isinstance(payload, ClStart):
-            self._on_start(payload.multicast)
-        elif isinstance(payload, ClTimestamp):
-            self._on_timestamp(payload)
-        else:
-            raise TypeError(f"unexpected payload {payload!r}")
-
     # ------------------------------------------------------------------
     # protocol
     # ------------------------------------------------------------------
 
-    def _on_start(self, multicast: Multicast) -> None:
+    def _on_start(self, origin: int, start: ClStart) -> None:
         if not self.is_leader:
             raise AssertionError("start reached a non-leader")
+        multicast = start.multicast
         mid = multicast.mid
         if mid in self._proposed or mid in self.delivered:
             return
@@ -144,7 +142,7 @@ class ClassicProcess(GroupProtocolProcess):
         self._multicasts[mid] = multicast
         self.log.append(_LogEntry("propose", multicast))
 
-    def _on_timestamp(self, msg: ClTimestamp) -> None:
+    def _on_timestamp(self, origin: int, msg: ClTimestamp) -> None:
         """Leaders collect every destination group's local timestamp."""
         mid = msg.mid
         self._multicasts.setdefault(mid, msg.multicast)

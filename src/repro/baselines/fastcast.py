@@ -32,7 +32,7 @@ paper's evaluation (and ours) runs the failure-free path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..core.config import GroupConfig
 from ..core.messages import MessageId, Multicast
@@ -153,6 +153,13 @@ class FastCastProcess(GroupProtocolProcess):
         self._opt_proposed: Set[MessageId] = set()
         self._slow_proposed: Set[MessageId] = set()
         self._queue = DeliveryQueue(self._min_final)
+        self._r_dispatch.update({
+            Fc2B: self._on_2b,
+            Fc2A: self._on_2a,
+            FcSoft: self._on_soft,
+            FcHard: self._on_hard,
+            FcStart: self._on_start,
+        })
 
     # ------------------------------------------------------------------
     # submission
@@ -165,21 +172,8 @@ class FastCastProcess(GroupProtocolProcess):
     # handlers
     # ------------------------------------------------------------------
 
-    def on_r_deliver(self, origin: int, payload: Any) -> None:
-        if isinstance(payload, Fc2B):
-            self._on_2b(payload)
-        elif isinstance(payload, Fc2A):
-            self._on_2a(payload)
-        elif isinstance(payload, FcSoft):
-            self._on_soft(payload)
-        elif isinstance(payload, FcHard):
-            self._on_hard(payload)
-        elif isinstance(payload, FcStart):
-            self._on_start(payload.multicast)
-        else:
-            raise TypeError(f"unexpected payload {payload!r}")
-
-    def _on_start(self, multicast: Multicast) -> None:
+    def _on_start(self, origin: int, start: FcStart) -> None:
+        multicast = start.multicast
         mid = multicast.mid
         self._multicasts.setdefault(mid, multicast)
         if self.is_leader and mid not in self._proposed:
@@ -189,7 +183,7 @@ class FastCastProcess(GroupProtocolProcess):
             self.r_multicast(soft, self.config.dest_pids(multicast.dest))
             self.r_multicast(Fc2A(multicast, ROUND_LOCAL, self.clock), self.group_members)
 
-    def _on_2a(self, msg: Fc2A) -> None:
+    def _on_2a(self, origin: int, msg: Fc2A) -> None:
         """Accept the leader's proposal and vote (all-to-all 2b)."""
         mid = msg.mid
         self._multicasts.setdefault(mid, msg.multicast)
@@ -201,7 +195,7 @@ class FastCastProcess(GroupProtocolProcess):
                 self.clock = msg.ts
         self.r_multicast(Fc2B(mid, msg.round, msg.ts, self.pid), self.group_members)
 
-    def _on_2b(self, msg: Fc2B) -> None:
+    def _on_2b(self, origin: int, msg: Fc2B) -> None:
         key = (msg.mid, msg.round)
         if key in self._decided:
             return
@@ -223,7 +217,7 @@ class FastCastProcess(GroupProtocolProcess):
             self._maybe_commit(msg.mid)
             self._try_deliver()
 
-    def _on_soft(self, msg: FcSoft) -> None:
+    def _on_soft(self, origin: int, msg: FcSoft) -> None:
         mid = msg.mid
         self._multicasts.setdefault(mid, msg.multicast)
         softs = self._softs.setdefault(mid, {})
@@ -246,7 +240,7 @@ class FastCastProcess(GroupProtocolProcess):
             opt = max(softs.values())
             self.r_multicast(Fc2A(multicast, ROUND_OPT, opt), self.group_members)
 
-    def _on_hard(self, msg: FcHard) -> None:
+    def _on_hard(self, origin: int, msg: FcHard) -> None:
         mid = msg.mid
         self._multicasts.setdefault(mid, msg.multicast)
         hards = self._hards.setdefault(mid, {})

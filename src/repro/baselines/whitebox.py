@@ -28,7 +28,7 @@ Message complexity per multicast to k groups of n (Table 1):
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from ..core.config import GroupConfig
 from ..core.messages import MessageId, Multicast
@@ -126,6 +126,12 @@ class WhiteBoxProcess(GroupProtocolProcess):
         self._acks: Dict[MessageId, Dict[int, Set[int]]] = {}
         self._final: Dict[MessageId, int] = {}
         self._queue = DeliveryQueue(self._min_final)
+        self._r_dispatch.update({
+            WbAccept: self._on_accept,
+            WbAck: self._on_ack,
+            WbStart: self._on_start,
+            WbDeliver: self._on_deliver_msg,
+        })
 
     # ------------------------------------------------------------------
     # submission
@@ -140,22 +146,11 @@ class WhiteBoxProcess(GroupProtocolProcess):
     # handlers
     # ------------------------------------------------------------------
 
-    def on_r_deliver(self, origin: int, payload: Any) -> None:
-        if isinstance(payload, WbAccept):
-            self._on_accept(payload)
-        elif isinstance(payload, WbAck):
-            self._on_ack(payload)
-        elif isinstance(payload, WbStart):
-            self._on_start(payload.multicast)
-        elif isinstance(payload, WbDeliver):
-            self._on_deliver_msg(payload)
-        else:
-            raise TypeError(f"unexpected payload {payload!r}")
-
-    def _on_start(self, multicast: Multicast) -> None:
+    def _on_start(self, origin: int, start: WbStart) -> None:
         """Step 2 (primaries only receive starts)."""
         if not self.is_primary:
             raise AssertionError("start reached a follower")
+        multicast = start.multicast
         mid = multicast.mid
         if mid in self._my_ts or mid in self.delivered:
             return
@@ -166,7 +161,7 @@ class WhiteBoxProcess(GroupProtocolProcess):
         accept = WbAccept(multicast, self.gid, self.clock, self.pid)
         self.r_multicast(accept, self.config.dest_pids(multicast.dest))
 
-    def _on_accept(self, msg: WbAccept) -> None:
+    def _on_accept(self, origin: int, msg: WbAccept) -> None:
         """Step 3, plus final-timestamp tracking at primaries."""
         mid = msg.mid
         self._multicasts.setdefault(mid, msg.multicast)
@@ -187,14 +182,14 @@ class WhiteBoxProcess(GroupProtocolProcess):
                 self._maybe_commit(mid)
                 self._try_deliver()
 
-    def _on_ack(self, msg: WbAck) -> None:
+    def _on_ack(self, origin: int, msg: WbAck) -> None:
         if not self.is_primary:
             return
         self._acks.setdefault(msg.mid, {}).setdefault(msg.group, set()).add(msg.sender)
         self._maybe_commit(msg.mid)
         self._try_deliver()
 
-    def _on_deliver_msg(self, msg: WbDeliver) -> None:
+    def _on_deliver_msg(self, origin: int, msg: WbDeliver) -> None:
         """Step 5: followers deliver in the primary's order (FIFO link)."""
         if self.is_primary:
             return

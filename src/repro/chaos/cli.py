@@ -93,14 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: 1; report is identical either way)",
     )
     run_p.add_argument(
-        "--max-cases",
-        type=int,
-        default=None,
-        metavar="N",
-        help="case budget; seeds beyond it are skipped and reported as "
-        "skipped_seeds (never silently dropped)",
-    )
-    run_p.add_argument(
         "--cache-dir",
         type=Path,
         default=None,
@@ -210,7 +202,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             mutation=args.mutation,
             allow_over_budget=args.allow_over_budget,
             executor=executor,
-            max_cases=args.max_cases,
             progress=progress,
         )
     finally:
@@ -218,8 +209,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     stats = executor.total_stats
     print(
         f"chaos campaign: cases={stats['points']} cached={stats['hits']} "
-        f"simulated={stats['ran']} jobs={args.jobs} "
-        f"skipped={len(report.skipped_seeds)}",
+        f"simulated={stats['ran']} jobs={args.jobs}",
         file=sys.stderr,
     )
     text = report.to_json()
@@ -233,11 +223,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"chaos run: scenario={args.scenario} cases={summary['cases']} "
             f"crashes={summary['crashes_applied']} "
             f"violations={summary['violations']}"
-            + (
-                f" skipped={summary['skipped_cases']}"
-                if report.skipped_seeds
-                else ""
-            )
         )
         for case in report.failing_cases:
             for violation in case.violations:
@@ -251,13 +236,23 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read replay file: {exc}", file=sys.stderr)
         return 2
-    if payload.get("version") != REPLAY_VERSION:
-        print(
-            f"error: unsupported replay file version {payload.get('version')!r}",
-            file=sys.stderr,
-        )
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != REPLAY_VERSION:
+        print(f"error: unsupported replay file version {version!r}", file=sys.stderr)
         return 2
-    spec = CaseSpec(**payload["spec"])
+    try:
+        spec = CaseSpec(**payload["spec"])
+        if spec.scenario not in CHAOS_SCENARIOS:
+            raise ValueError(f"unknown scenario {spec.scenario!r}")
+        if spec.mutation not in MUTATIONS:
+            raise ValueError(f"unknown mutation {spec.mutation!r}")
+        spec.resolve_schedule()
+    except (KeyError, TypeError, ValueError) as exc:
+        # A missing "spec" or schedule key, an extra or missing spec
+        # field, or a schedule_json that does not parse: a usage error,
+        # not a replay that failed to reproduce.
+        print(f"error: bad replay file: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     expect = payload.get("expect")
     result = run_case(spec)
     got = [v.to_dict() for v in result.violations]

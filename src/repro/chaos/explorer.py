@@ -339,18 +339,12 @@ def run_case(spec: CaseSpec) -> CaseResult:
 
 @dataclass
 class CampaignReport:
-    """Aggregated outcome of one campaign (stable JSON via to_json).
-
-    ``skipped_seeds`` records cases cut by a ``max_cases`` budget: a
-    truncated campaign must never read as complete, so the skips appear
-    both as their own top-level list and as ``summary.skipped_cases``.
-    """
+    """Aggregated outcome of one campaign (stable JSON via to_json)."""
 
     scenario: str
     seeds: List[int]
     mutation: str
     cases: List[CaseResult] = field(default_factory=list)
-    skipped_seeds: List[int] = field(default_factory=list)
 
     @property
     def failing_cases(self) -> List[CaseResult]:
@@ -359,11 +353,10 @@ class CampaignReport:
     def to_dict(self) -> Dict[str, Any]:
         failing = self.failing_cases
         return {
-            "version": 2,
+            "version": 3,
             "scenario": self.scenario,
             "mutation": self.mutation,
             "seeds": list(self.seeds),
-            "skipped_seeds": list(self.skipped_seeds),
             "summary": {
                 "cases": len(self.cases),
                 "violating_cases": len(failing),
@@ -373,7 +366,6 @@ class CampaignReport:
                     c.nemesis_applied.get("crashes", 0) for c in self.cases
                 ),
                 "events": sum(c.events for c in self.cases),
-                "skipped_cases": len(self.skipped_seeds),
             },
             "cases": [case.to_dict() for case in self.cases],
         }
@@ -398,7 +390,6 @@ def run_campaign(
     jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
     cache: Optional[Any] = None,
-    max_cases: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
 ) -> CampaignReport:
     """Run one case per seed and aggregate the violations.
@@ -413,8 +404,6 @@ def run_campaign(
     of completed cases, and the resumed report is byte-identical to an
     uninterrupted run.
 
-    ``max_cases`` truncates the campaign; truncation is never silent —
-    the cut seeds land in :attr:`CampaignReport.skipped_seeds`.
     ``progress`` (see :data:`ProgressFn`) fires after every completed
     case; it is keyed on case counts, not wall-clock, so the report
     stays deterministic.
@@ -424,11 +413,6 @@ def run_campaign(
             f"unknown chaos scenario {scenario!r}; pick from "
             f"{sorted(CHAOS_SCENARIOS)}"
         )
-    run_seeds = list(seeds)
-    skipped: List[int] = []
-    if max_cases is not None and len(run_seeds) > max_cases:
-        skipped = run_seeds[max_cases:]
-        run_seeds = run_seeds[:max_cases]
     specs = [
         CaseSpec(
             scenario=scenario,
@@ -436,7 +420,7 @@ def run_campaign(
             mutation=mutation,
             allow_over_budget=allow_over_budget,
         )
-        for seed in run_seeds
+        for seed in seeds
     ]
     owns_executor = executor is None
     if executor is None:
@@ -459,8 +443,7 @@ def run_campaign(
             executor.close()
     return CampaignReport(
         scenario=scenario,
-        seeds=run_seeds,
+        seeds=list(seeds),
         mutation=mutation,
         cases=results,
-        skipped_seeds=skipped,
     )

@@ -11,7 +11,7 @@ credits for PrimCast's throughput today; header-only follower acks are
 ROADMAP item 2 ("Small acks"), sized at memory and bytes rather than
 CPU. What an ack costs its *receiver* is the other half of §7.1's
 argument, and it is paid per decision, not per ack: a ``Batch`` of acks
-is handled in one loop (``PrimCastProcess.on_message``) and an ack that
+is handled in one loop (``RMcastProcess.on_message``) and an ack that
 only moves a clock re-attempts delivery only if the last attempt
 stopped at a clock (``_order_blocked``, DESIGN.md §9).
 """

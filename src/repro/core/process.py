@@ -1,8 +1,8 @@
 """PrimCast replica process — Algorithms 1, 2 and 3 of the paper.
 
 One :class:`PrimCastProcess` per server. Processes communicate only via
-FIFO non-uniform reliable multicast (``r_multicast`` / ``on_r_deliver``),
-exactly as the pseudocode does. The predicates of Algorithm 1 are
+FIFO non-uniform reliable multicast (``r_multicast`` / the ``_r_dispatch``
+handlers), exactly as the pseudocode does. The predicates of Algorithm 1 are
 evaluated incrementally with the trackers in :mod:`repro.core.state`; the
 literal scan-based predicates live in :mod:`repro.core.spec` and the test
 suite cross-checks the two.
@@ -25,10 +25,9 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    Type,
 )
 
-from ..rmcast.fifo import Batch, Envelope, RMcastProcess
+from ..rmcast.fifo import RMcastProcess
 from ..sim.clock import PhysicalClock
 from ..sim.costs import CostModel
 from .config import GroupConfig
@@ -89,10 +88,6 @@ TEntry = Tuple[Epoch, Multicast, int]
 class PrimCastProcess(RMcastProcess):
     """A PrimCast group member.
 
-    Deliberately without ``__slots__``: the spec recorder and the
-    invariant monitor wrap ``on_r_deliver`` as an *instance* attribute,
-    which needs the per-instance dict.
-
     Args:
         pid: this process's id (must belong to a group in ``config``).
         config: group membership and quorum system.
@@ -125,13 +120,10 @@ class PrimCastProcess(RMcastProcess):
         omega: Optional["LeaderOracle"] = None,
         physical_clock: Optional[PhysicalClock] = None,
         hybrid_clock: bool = False,
-        relay: bool = False,
         enable_bumps: bool = True,
         batching_ms: float = 0.0,
     ) -> None:
-        super().__init__(
-            pid, scheduler, network, cost_model, relay=relay, batching_ms=batching_ms
-        )
+        super().__init__(pid, scheduler, network, cost_model, batching_ms=batching_ms)
         if pid not in config.group_of:
             raise ValueError(f"pid {pid} is not a member of any group")
         if hybrid_clock and physical_clock is None:
@@ -220,14 +212,7 @@ class PrimCastProcess(RMcastProcess):
         # observations it derives from change (see quorum_clock()).
         self._qclock_cache: Optional[int] = None
 
-        # r-deliver dispatch by payload class: one dict lookup instead of
-        # a cascade of isinstance checks on the hottest protocol path.
-        # The table holds bound handlers, so instrumentation that
-        # replaces a handler on the instance (e.g. ConvoyProbe) must
-        # update the table entry as well; wrapping ``on_r_deliver``
-        # itself needs no such step — the message fast path defers to it
-        # whenever it is overridden on the instance.
-        self._r_dispatch: Dict[Type[Any], Callable[[int, Any], None]] = {
+        self._r_dispatch.update({
             Ack: self._on_ack,
             Start: self._on_start,
             Bump: self._on_bump,
@@ -235,7 +220,7 @@ class PrimCastProcess(RMcastProcess):
             EpochPromise: self._on_epoch_promise,
             NewState: self._on_new_state,
             AcceptEpoch: self._on_accept_epoch,
-        }
+        })
 
         self._next_seq = 0
         self.omega = omega
@@ -413,62 +398,6 @@ class PrimCastProcess(RMcastProcess):
             if rec[1] < low:
                 low = rec[1]
         return low
-
-    # ------------------------------------------------------------------
-    # r-deliver dispatch
-    # ------------------------------------------------------------------
-
-    def on_message(self, src: int, msg: Any) -> None:
-        # Fast path for the overwhelmingly common case: non-relayed
-        # envelopes, alone or in a Batch. One loop combines the rmcast
-        # dedupe with payload dispatch in this frame; relay mode,
-        # subclassed envelopes and raw messages take the generic path.
-        # Instrumentation (spec recorder, invariant checkers) wraps
-        # on_r_deliver as an instance attribute — honour such overrides.
-        cls = msg.__class__
-        rm = self.rm
-        if (
-            (cls is not Envelope and cls is not Batch)
-            or rm.relay
-            or "on_r_deliver" in self.__dict__
-        ):
-            super().on_message(src, msg)
-            return
-        # Watermark dedupe (see FifoReliableMulticast.handle): channel
-        # FIFO makes per-origin seqs strictly increasing, so one int per
-        # origin replaces the historical key set.
-        high = rm._dedupe_high
-        dispatch = self._r_dispatch
-        for env in (msg,) if cls is Envelope else msg.envelopes:
-            origin = env.origin
-            seq = env.seq
-            try:
-                if seq <= high[origin]:
-                    continue
-            except KeyError:
-                pass
-            high[origin] = seq
-            payload = env.payload
-            try:
-                handler = dispatch[payload.__class__]
-            except KeyError:
-                self.on_r_deliver(origin, payload)
-            else:
-                handler(origin, payload)
-
-    def on_r_deliver(self, origin: int, payload: Any) -> None:
-        handler = self._r_dispatch.get(payload.__class__)
-        if handler is None:
-            # Subclassed payloads fall back to the isinstance scan once,
-            # then are memoized in the dispatch table.
-            for cls, h in list(self._r_dispatch.items()):
-                if isinstance(payload, cls):
-                    self._r_dispatch[payload.__class__] = h
-                    handler = h
-                    break
-            else:
-                raise TypeError(f"unexpected r-delivered payload: {payload!r}")
-        handler(origin, payload)
 
     # ------------------------------------------------------------------
     # Algorithm 2 — timestamping

@@ -21,8 +21,9 @@ both delivery-conservative and excluded from the differential comparison:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..rmcast.fifo import RHandler
 from .config import GroupConfig
 from .epoch import Epoch
 from .messages import Ack, Bump, MessageId, Multicast, Start
@@ -127,13 +128,18 @@ class SpecRecorder:
 
 
 def attach_spec_recorder(proc: PrimCastProcess) -> SpecRecorder:
-    """Wrap ``proc.on_r_deliver`` to mirror every tuple into a literal M."""
+    """Wrap ``proc``'s r-deliver handlers to mirror every tuple into a
+    literal M."""
     recorder = SpecRecorder(proc)
-    original = proc.on_r_deliver
+    dispatch = proc._r_dispatch
 
-    def wrapped(origin: int, payload: object) -> None:
-        recorder.record(origin, payload)
-        original(origin, payload)
+    def recorded(handler: RHandler) -> RHandler:
+        def wrapped(origin: int, payload: Any) -> None:
+            recorder.record(origin, payload)
+            handler(origin, payload)
 
-    proc.on_r_deliver = wrapped  # type: ignore[method-assign]
+        return wrapped
+
+    for cls, handler in list(dispatch.items()):
+        dispatch[cls] = recorded(handler)
     return recorder

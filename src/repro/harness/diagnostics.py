@@ -42,15 +42,12 @@ class ConvoyProbe:
 
         proc.final_ts = final_ts  # type: ignore[method-assign]
 
-        original_start = proc._on_start
+        original_start = proc._r_dispatch[Start]
 
         def on_start(origin: int, start) -> None:
             self.first_seen_at.setdefault(start.mid, proc.scheduler.now)
             original_start(origin, start)
 
-        proc._on_start = on_start  # type: ignore[method-assign]
-        # The process dispatches r-deliveries through its handler table;
-        # instance-level handler overrides must be mirrored there.
         proc._r_dispatch[Start] = on_start
         proc.add_deliver_hook(self._on_deliver)
 

@@ -156,7 +156,7 @@ FRAME_BINARY = 0x00
 
 #: Binary wire-format version, bumped on any layout change. A decoder
 #: seeing another version raises instead of guessing; nothing reads v1.
-BINARY_VERSION = 2
+BINARY_VERSION = 3
 
 _U32 = struct.Struct("!I")
 _F64 = struct.Struct("!d")
@@ -456,7 +456,6 @@ _AN_EPOCH = "_EPOCHS.get(({a}_n, {a}_l)) or _epoch({a}_n, {a}_l)"  # see _EPOCHS
 ID = _Wire(*_AS_IS, (("H", "m.{a}", "{a}"),))
 #: A sequence number, timestamp, clock or count (i64).
 INT = _Wire(*_AS_IS, (("q", "m.{a}", "{a}"),))
-BOOL = _Wire(*_AS_IS, (("?", "m.{a}", "{a}"),))
 #: Anything :func:`encode_value` accepts, self-describing on the wire.
 VALUE = _Wire(*_AS_VALUE, put=("encode_value_binary(m.{a}, out)",),
               get=("{a}, off = decode_value_binary(buf, off)",))
@@ -534,7 +533,7 @@ SCHEMA: Dict[Type[Any], Tuple[Any, ...]] = {
     )),
     AcceptEpoch: (7, "accept-epoch", (("epoch", "e", EPOCH), ("sender", "s", ID))),
     Envelope: (8, "envelope", (
-        ("origin", "o", ID), ("seq", "q", INT), ("relayed", "r", BOOL), ("dests", "d", INTS),
+        ("origin", "o", ID), ("seq", "q", INT), ("dests", "d", INTS),
         ("payload", "p", VALUE),
     )),
     Batch: (9, "batch", (("envelopes", "envs", ENVELOPES),)),

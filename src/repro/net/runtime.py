@@ -20,8 +20,8 @@ backend-agnostic by construction: the *same* ``PrimCastProcess`` object
 runs on either substrate.
 
 :class:`Runtime` bundles one scheduler + transport pair with the
-lifecycle operations drivers need (``now`` / ``send`` / ``send_many`` /
-``call_after`` / ``run`` / probe hooks). :class:`SimRuntime` is the
+lifecycle operations drivers need (``now`` / ``call_after`` / ``run`` /
+probe hooks). :class:`SimRuntime` is the
 simulation adapter — a thin aggregate over an untouched ``Scheduler`` +
 ``Network`` pair, so the sim path's event schedule is bit-identical to
 constructing the two directly (the goldens pin this).
@@ -148,7 +148,7 @@ class Runtime(ABC):
     directly); the runtime is the object *drivers* hold — apps, the
     harness and the cluster nodes construct processes from
     ``runtime.scheduler`` / ``runtime.transport`` and drive them through
-    ``run`` / ``call_after`` / ``send``.
+    ``run`` / ``call_after``.
     """
 
     #: Backend tag recorded in results ("sim" or "net").
@@ -176,17 +176,6 @@ class Runtime(ABC):
     def now(self) -> float:
         """Current time in milliseconds since runtime start."""
         return self.scheduler.now
-
-    def send(self, src: int, dst: int, msg: Any) -> None:
-        """Transmit ``msg`` from ``src`` to ``dst`` departing now."""
-        self.transport.transmit(src, dst, msg, self.scheduler.now)
-
-    def send_many(self, src: int, dsts: List[int], msg: Any) -> None:
-        """Transmit ``msg`` from ``src`` to each destination in order."""
-        transmit = self.transport.transmit
-        depart = self.scheduler.now
-        for dst in dsts:
-            transmit(src, dst, msg, depart)
 
     def call_after(
         self, delay: float, fn: Callable[..., Any], *args: Any

@@ -11,23 +11,21 @@ Implementation notes:
 * FIFO order comes from the per-pair FIFO channels of the simulated
   network (the prototype relies on TCP the same way, §7.1).
 * Integrity (deliver at most once, only if multicast) is enforced with a
-  per-origin sequence number and a duplicate filter. The filter is
-  *compacted*: because every channel is FIFO and (without relaying) each
-  ``(origin, seq)`` envelope crosses a given channel exactly once,
-  arrivals from one origin are strictly increasing in ``seq``, so a
-  per-origin high watermark (one int per origin, O(origins) memory)
-  replaces the historical ``(origin, seq)`` set that grew with every
-  message ever received. In relay mode, copies of one envelope arrive
-  over several channels and are not monotone; seqs above the
-  direct-channel watermark are tracked in a sparse per-origin overflow
-  set that drains as the watermark advances, bounding the filter by the
-  out-of-order window instead of the run length.
+  per-origin sequence number and a duplicate filter. Because every
+  channel is FIFO and each ``(origin, seq)`` envelope crosses a given
+  channel exactly once, arrivals from one origin are strictly increasing
+  in ``seq``, so the filter is a per-origin high watermark: one int per
+  origin, O(origins) memory, not O(messages ever received).
 * Non-uniform agreement: with reliable channels, direct per-destination
   sends suffice while the sender is correct; messages multicast by a
   process that crashes mid-send may be lost, which non-uniform agreement
-  allows. An optional *relay* mode re-forwards every first delivery to
-  the remaining destinations, making delivery resilient to sender crashes
-  at the cost of redundant traffic.
+  allows.
+
+Receiving is one loop, :meth:`RMcastProcess.on_message`: it unwraps an
+``Envelope`` or a ``Batch``, drops duplicates against the watermark and
+hands each r-delivered payload to the handler its class maps to in the
+process's ``_r_dispatch`` table. Instrumentation wraps entries of that
+table; there is no other receive path.
 
 Batching (opt-in, default off — §7.1's TCP message merging):
 
@@ -44,7 +42,7 @@ completely inert and the wire trace is identical to the unbatched one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Type
 
 from ..sim.costs import CostModel
 from ..sim.process import SimProcess
@@ -56,6 +54,10 @@ if TYPE_CHECKING:
 #: mergeable acknowledgement traffic (§7.1). Everything else always
 #: departs immediately.
 BATCHABLE_KINDS = frozenset(("ack", "bump"))
+
+#: An r-deliver handler: ``handler(origin, payload)``; what it returns
+#: is ignored.
+RHandler = Callable[[int, Any], object]
 
 
 class Envelope:
@@ -70,14 +72,13 @@ class Envelope:
     backend may keep its encoding in ``wire``.
     """
 
-    __slots__ = ("origin", "seq", "payload", "dests", "relayed", "kind", "wire")
+    __slots__ = ("origin", "seq", "payload", "dests", "kind", "wire")
 
-    def __init__(self, origin: int, seq: int, payload: Any, dests: Tuple[int, ...], relayed: bool = False):
+    def __init__(self, origin: int, seq: int, payload: Any, dests: Tuple[int, ...]):
         self.origin = origin
         self.seq = seq
         self.payload = payload
         self.dests = dests
-        self.relayed = relayed
         try:
             self.kind = payload.kind
         except AttributeError:
@@ -121,37 +122,23 @@ class FifoReliableMulticast:
 
     Args:
         owner: the process this endpoint belongs to.
-        relay: enable crash-resilient relaying of first deliveries.
         batching_ms: flush window for ack/bump coalescing; 0 disables
             batching entirely (the default — wire-identical to the
             unbatched protocol).
-        batch_kinds: payload kinds eligible for coalescing.
     """
 
-    def __init__(
-        self,
-        owner: SimProcess,
-        relay: bool = False,
-        batching_ms: float = 0.0,
-        batch_kinds: frozenset = BATCHABLE_KINDS,
-    ):
+    def __init__(self, owner: SimProcess, batching_ms: float = 0.0):
         if batching_ms < 0:
             raise ValueError(f"batching_ms must be non-negative, got {batching_ms}")
         self.owner = owner
-        self.relay = relay
         self.batching_ms = batching_ms
-        self.batch_kinds = batch_kinds
         self._next_seq = 0
         # Dedupe watermark: origin -> highest seq delivered. Arrivals on
-        # the direct origin->self channel are strictly increasing in seq
+        # the origin->self channel are strictly increasing in seq
         # (per-channel FIFO, one transmission per (origin, seq, dst)), so
         # ``seq <= high`` means duplicate. O(origins), not O(history).
+        # Read and advanced by RMcastProcess.on_message.
         self._dedupe_high: Dict[int, int] = {}
-        # Relay mode only: seqs delivered via a relayed copy before the
-        # direct copy arrived (they sit above the watermark). Drained as
-        # the direct channel catches up, so the size is bounded by the
-        # out-of-order window, not the run length.
-        self._overflow: Dict[int, Set[int]] = {}
         # Per-destination coalescing buffers (only used when batching).
         self._pending: Dict[int, List[Envelope]] = {}
         self._armed: Set[int] = set()
@@ -172,7 +159,7 @@ class FifoReliableMulticast:
         send = owner.send
         if self.batching_ms > 0.0:
             own_pid = owner.pid
-            if env.kind in self.batch_kinds:
+            if env.kind in BATCHABLE_KINDS:
                 for dst in dests:
                     # The self-channel is not a wire; deliver directly.
                     if dst == own_pid:
@@ -229,72 +216,12 @@ class FifoReliableMulticast:
             self.batched_payloads += len(buf)
             self.owner.send(dst, Batch(tuple(buf)))
 
-    def flush_all(self) -> None:
-        """Flush every pending batch immediately (e.g. before shutdown)."""
-        for dst in list(self._pending):
-            self._flush(dst)
-
-    # ------------------------------------------------------------------
-    # receive side
-    # ------------------------------------------------------------------
-
-    def handle(self, src: int, env: Envelope) -> Optional[Tuple[int, Any]]:
-        """Process an incoming envelope.
-
-        Returns ``(origin, payload)`` exactly once per multicast (the
-        r-delivery), or ``None`` for duplicates.
-
-        Duplicate detection is watermark-based: any arriving seq at or
-        below ``_dedupe_high[origin]`` was already delivered — when the
-        direct copy of seq ``h`` arrived, channel FIFO guarantees every
-        direct seq below ``h`` addressed to us had arrived before it.
-        Without relaying that is the whole filter; with relaying, seqs
-        above the watermark delivered out of order (via a relayed copy)
-        live in the sparse ``_overflow`` set until the watermark passes
-        them.
-        """
-        origin = env.origin
-        seq = env.seq
-        if seq <= self._dedupe_high.get(origin, -1):
-            return None
-        if not self.relay:
-            self._dedupe_high[origin] = seq
-            return origin, env.payload
-        buf = self._overflow.get(origin)
-        if env.relayed:
-            if buf is not None and seq in buf:
-                return None
-            if buf is None:
-                buf = self._overflow[origin] = set()
-            buf.add(seq)
-            return origin, env.payload
-        # Direct copy: advance the watermark and drain overflow entries
-        # the watermark has now passed.
-        self._dedupe_high[origin] = seq
-        duplicate = False
-        if buf:
-            duplicate = seq in buf
-            remaining = {q for q in buf if q > seq}
-            if remaining:
-                self._overflow[origin] = remaining
-            else:
-                del self._overflow[origin]
-        if duplicate:
-            return None
-        if origin != self.owner.pid:
-            fwd = Envelope(origin, seq, env.payload, env.dests, relayed=True)
-            own_pid = self.owner.pid
-            for dst in env.dests:
-                if dst != own_pid and dst != origin:
-                    self.owner.send(dst, fwd)
-        return origin, env.payload
-
 
 class RMcastProcess(SimProcess):
     """A simulated process that communicates via reliable multicast.
 
-    Subclasses implement :meth:`on_r_deliver`; everything arriving over
-    the network is unwrapped and deduplicated by the rmcast endpoint.
+    Subclasses fill :attr:`_r_dispatch`, payload class -> handler
+    ``(origin, payload)``; :meth:`on_message` is the one receive path.
 
     Args:
         batching_ms: opt-in ack/bump coalescing window (see
@@ -307,42 +234,50 @@ class RMcastProcess(SimProcess):
         scheduler: "SchedulerAPI",
         network: "TransportAPI",
         cost_model: Optional[CostModel] = None,
-        relay: bool = False,
         batching_ms: float = 0.0,
     ):
         super().__init__(pid, scheduler, network, cost_model)
-        self.rm = FifoReliableMulticast(self, relay=relay, batching_ms=batching_ms)
+        self.rm = FifoReliableMulticast(self, batching_ms=batching_ms)
+        #: r-deliver dispatch by exact payload class: one dict lookup per
+        #: r-delivery. Instrumentation wraps entries of this table.
+        self._r_dispatch: Dict[Type[Any], RHandler] = {}
 
     def r_multicast(self, payload: Any, dests: Iterable[int]) -> None:
         """r-multicast ``payload`` to the given process ids."""
         self.rm.multicast(payload, dests)
 
     def on_message(self, src: int, msg: Any) -> None:
+        """r-deliver every new envelope of an ``Envelope`` or ``Batch``.
+
+        Duplicate detection is watermark-based: any arriving seq at or
+        below ``_dedupe_high[origin]`` was already delivered — when seq
+        ``h`` arrived, channel FIFO guarantees every seq below ``h``
+        addressed to us had arrived before it. Anything else on the wire,
+        or a payload class without a handler, is a ``TypeError``.
+        """
         cls = msg.__class__
         if cls is Envelope:
-            result = self.rm.handle(src, msg)
-            if result is not None:
-                self.on_r_deliver(result[0], result[1])
+            envelopes: Tuple[Envelope, ...] = (msg,)
         elif cls is Batch:
-            handle = self.rm.handle
-            on_r_deliver = self.on_r_deliver
-            for env in msg.envelopes:
-                result = handle(src, env)
-                if result is not None:
-                    on_r_deliver(result[0], result[1])
-        elif isinstance(msg, Envelope):
-            result = self.rm.handle(src, msg)
-            if result is not None:
-                self.on_r_deliver(result[0], result[1])
+            envelopes = msg.envelopes
         else:
-            self.on_raw_message(src, msg)
-
-    def on_r_deliver(self, origin: int, payload: Any) -> None:
-        """Handle an r-delivered payload. Override in subclasses."""
-        raise NotImplementedError
-
-    def on_raw_message(self, src: int, msg: Any) -> None:
-        """Handle a non-rmcast message (e.g. client requests)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} got unexpected raw message {msg!r}"
-        )
+            raise TypeError(f"{type(self).__name__} got a non-rmcast message: {msg!r}")
+        high = self.rm._dedupe_high
+        dispatch = self._r_dispatch
+        for env in envelopes:
+            origin = env.origin
+            seq = env.seq
+            try:
+                if seq <= high[origin]:
+                    continue
+            except KeyError:
+                pass
+            high[origin] = seq
+            payload = env.payload
+            try:
+                handler = dispatch[payload.__class__]
+            except KeyError:
+                raise TypeError(
+                    f"{type(self).__name__} has no handler for r-delivered {payload!r}"
+                ) from None
+            handler(origin, payload)

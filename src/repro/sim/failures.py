@@ -16,7 +16,6 @@ quorum budget by arming several future crashes at once.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .events import Scheduler
@@ -99,17 +98,6 @@ class FailureInjector:
             return False
         self.crash_at(pid, time_ms)
         return True
-
-    def crash_random(
-        self,
-        candidates: Sequence[int],
-        time_ms: float,
-        rng: random.Random,
-    ) -> int:
-        """Crash one process chosen uniformly from ``candidates``."""
-        pid = rng.choice(list(candidates))
-        self.crash_at(pid, time_ms)
-        return pid
 
 
 def max_failures(group_size: int) -> int:

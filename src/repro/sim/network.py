@@ -160,13 +160,6 @@ class Network:
         spikes) and the flight recorder."""
         self._interceptors.append(interceptor)
 
-    def remove_transmit_interceptor(self, interceptor: TransmitInterceptor) -> None:
-        """Remove a previously installed interceptor (no-op if absent)."""
-        try:
-            self._interceptors.remove(interceptor)
-        except ValueError:
-            pass
-
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------

@@ -107,11 +107,6 @@ class SimProcess:
             self.busy_until = depart
             self.network.transmit(self.pid, dst, msg, depart)
 
-    def send_many(self, dsts: List[int], msg: Any) -> None:
-        """Send the same message to several destinations."""
-        for dst in dsts:
-            self.send(dst, msg)
-
     def post_job(self, fn: Callable[[], None], delay: float = 0.0) -> None:
         """Run ``fn`` on this process's CPU after ``delay`` ms.
 

@@ -29,23 +29,22 @@ Checked invariants:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Union
 
 from ..core.epoch import Epoch
 from ..core.messages import Multicast
 from ..core.process import CANDIDATE, PRIMARY, PrimCastProcess
+from ..rmcast.fifo import RHandler
 from .properties import PropertyViolation
 
 
 class InvariantMonitor:
-    """Wraps one process and re-checks invariants after every event.
+    """Wraps one process's r-deliver handlers and re-checks invariants
+    after every event.
 
-    Wrapping is *idempotent per process*: the first monitor installs one
-    ``on_r_deliver`` wrapper and later monitors attach to it instead of
-    stacking another layer, so instrumentation that composes wrappers in
-    arbitrary order (e.g. a :class:`~repro.core.spec.SpecRecorder` before
-    or after the monitor) never double-runs the checks and never re-wraps
-    an already-monitored handler.
+    Each monitor wraps every entry of the process's ``_r_dispatch`` table
+    once, so monitors and a :class:`~repro.core.spec.SpecRecorder` stack
+    in any order and each sees every r-delivery exactly once.
     """
 
     def __init__(self, proc: PrimCastProcess) -> None:
@@ -54,26 +53,18 @@ class InvariantMonitor:
         self._last_clock = proc.clock
         self._last_e_cur = proc.e_cur
         self._last_e_prom = proc.e_prom
-        existing: Optional[List["InvariantMonitor"]] = getattr(
-            proc, "_invariant_monitors", None
-        )
-        if existing is not None:
-            # Already wrapped by a monitor (possibly below other
-            # instrumentation layers such as a SpecRecorder): join the
-            # installed wrapper instead of stacking another one.
-            existing.append(self)
-        else:
-            monitors: List["InvariantMonitor"] = [self]
-            proc._invariant_monitors = monitors  # type: ignore[attr-defined]
-            original = proc.on_r_deliver
+        dispatch = proc._r_dispatch
 
-            def wrapped(origin: int, payload: object) -> None:
-                original(origin, payload)
+        def checked(handler: RHandler) -> RHandler:
+            def wrapped(origin: int, payload: Any) -> None:
+                handler(origin, payload)
                 if not proc.crashed:
-                    for monitor in monitors:
-                        monitor.check()
+                    self.check()
 
-            proc.on_r_deliver = wrapped  # type: ignore[method-assign]
+            return wrapped
+
+        for cls, handler in list(dispatch.items()):
+            dispatch[cls] = checked(handler)
         proc.add_deliver_hook(self._on_deliver)
 
     def _fail(self, message: str) -> None:

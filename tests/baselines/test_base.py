@@ -16,9 +16,6 @@ class Dummy(GroupProtocolProcess):
     def a_multicast_m(self, multicast):
         self.submitted.append(multicast)
 
-    def on_r_deliver(self, origin, payload):
-        pass
-
 
 def build():
     config = uniform_groups(2, 3)

@@ -48,15 +48,15 @@ def test_slow_path_resolves_optimistic_mismatch():
     optimistic round decide a value below the final; the leader must run
     the third consensus round and deliver with the true final."""
     sys_ = build(n_groups=2)
-    from repro.baselines.fastcast import FcSoft, FcHard
+    from repro.baselines.fastcast import FcHard, FcSoft, FcStart
     from repro.core.messages import Multicast
 
     m = Multicast((99, 0), frozenset({0, 1}))
     leader0 = sys_.processes[0]
     # Inject: soft from group 1 with ts 1, but hard (decided) ts 4.
-    leader0._on_start(m)  # proposes locally with ts 1, soft+2a out
-    leader0._on_soft(FcSoft(m, 1, 1))
-    leader0._on_hard(FcHard(m, 1, 4))
+    leader0._on_start(99, FcStart(m))  # proposes locally with ts 1, soft+2a out
+    leader0._on_soft(3, FcSoft(m, 1, 1))
+    leader0._on_hard(3, FcHard(m, 1, 4))
     sys_.run_to_quiescence()
     # The other group never participates (we injected), so delivery
     # cannot complete; but the slow path must have been proposed once

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.chaos.cli import main
 
 SCN = "lan-small"
@@ -18,11 +20,9 @@ class TestRun:
         code = main(["run", "--scenario", SCN, "--seeds", "2", "--json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert report["version"] == 2
+        assert report["version"] == 3
         assert report["scenario"] == SCN
         assert report["summary"]["cases"] == 2
-        assert report["summary"]["skipped_cases"] == 0
-        assert report["skipped_seeds"] == []
         assert len(report["cases"]) == 2
 
     def test_stats_and_progress_go_to_stderr_only(self, capsys):
@@ -37,18 +37,6 @@ class TestRun:
         json.loads(captured.out)
         assert "chaos progress: 2/2 cases" in captured.err
         assert "chaos campaign: cases=2 cached=0 simulated=2" in captured.err
-
-    def test_max_cases_reports_skips(self, capsys):
-        code = main(
-            ["run", "--scenario", SCN, "--seeds", "4", "--max-cases", "2",
-             "--json"]
-        )
-        captured = capsys.readouterr()
-        report = json.loads(captured.out)
-        assert code == 0
-        assert report["summary"]["cases"] == 2
-        assert report["skipped_seeds"] == [2, 3]
-        assert "skipped=2" in captured.err
 
     def test_cache_dir_resume_runs_nothing(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -133,6 +121,29 @@ class TestShrinkAndReplay:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"version": 99}), encoding="utf-8")
         assert main(["replay", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"version": 1},
+            {"version": 1, "spec": {"scenario": "nope", "seed": 0}},
+            {"version": 1, "spec": {"scenario": SCN, "seed": 0, "bogus": 1}},
+            {"version": 1, "spec": {"scenario": SCN}},
+            {"version": 1, "spec": {"scenario": SCN, "seed": 0, "mutation": "nope"}},
+            {"version": 1, "spec": {"scenario": SCN, "seed": 0, "schedule_json": "{"}},
+            [1],
+        ],
+        ids=["no-spec", "unknown-scenario", "extra-key", "missing-key",
+             "unknown-mutation", "bad-schedule", "not-an-object"],
+    )
+    def test_replay_malformed_file_exits_two(self, tmp_path, capsys, payload):
+        # Exit 1 means "not reproduced"; a file that cannot describe a
+        # case is a usage error.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["replay", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
 
 
 class TestUsage:

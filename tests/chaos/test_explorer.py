@@ -110,16 +110,6 @@ class TestRunCampaign:
         assert stats["ran"] == len(SEEDS) - stats["hits"]
         assert report.to_json() == want
 
-    def test_max_cases_budget_is_never_silent(self):
-        report = run_campaign(SCN, [0, 1, 2, 3, 4], max_cases=2)
-        assert [c.spec.seed for c in report.cases] == [0, 1]
-        assert report.skipped_seeds == [2, 3, 4]
-        data = report.to_dict()
-        assert data["version"] == 2
-        assert data["skipped_seeds"] == [2, 3, 4]
-        assert data["summary"]["skipped_cases"] == 3
-        assert data["summary"]["cases"] == 2
-
     def test_progress_callback_counts_cases_and_violations(self):
         calls = []
         run_campaign(

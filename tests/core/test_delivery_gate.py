@@ -7,7 +7,7 @@ delivery": the literal ``deliverable`` predicate of Algorithm 1 (built
 from :mod:`repro.core.spec`) holds for no pending message after any
 r-delivery; a process that always attempts produces the same log; and
 the chaos campaign still catches the seeded ordering bug. Then: a
-``Batch`` through the fast loop r-delivers what the generic path does.
+``Batch`` through the one receive loop r-delivers each new envelope once.
 """
 
 import sys
@@ -21,7 +21,7 @@ from repro.core.messages import Ack, Bump, Multicast, Start
 from repro.core.process import FOLLOWER, PRIMARY, PrimCastProcess
 from repro.core.spec import SpecRecorder, attach_spec_recorder
 from repro.harness.runner import run_load_point
-from repro.rmcast.fifo import Batch, Envelope, RMcastProcess
+from repro.rmcast.fifo import Batch, Envelope
 from repro.sim.latency import JitteredLatency
 from repro.verify import attach_monitors
 from repro.workload.scenarios import lan_scenario
@@ -78,9 +78,7 @@ class Ungated(Tracked):
 
 class Checked(Tracked):
     """Mirrors every r-delivered tuple into a literal M and, after each
-    handler, requires that nothing pending is literally deliverable. The
-    handlers are wrapped in the dispatch table, not through
-    ``on_r_deliver``, so the fast message loop stays in use."""
+    handler, requires that nothing pending is literally deliverable."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -209,14 +207,10 @@ def test_no_quorum_wait_mutation_is_still_caught_by_the_ci_campaign():
 # -- (iv) a Batch through the one loop ----------------------------------
 
 
-class TaggedEnvelope(Envelope):
-    __slots__ = ()
-
-
 def _batch():
     """From pid 0 (the primary of group 0) to follower 1: a start and the
-    primary's ack for it, a duplicate seq, a relayed envelope, an
-    ``Envelope`` subclass, and a straggler below the watermark."""
+    primary's ack for it, a duplicate seq, a bump, an ack from group 1's
+    primary, and a straggler below pid 0's watermark."""
     m1 = Multicast((0, 0), frozenset({0}), "a")
     m2 = Multicast((0, 1), frozenset({0, 1}), "b")
     e0 = Epoch(0, 0)
@@ -225,10 +219,9 @@ def _batch():
         Envelope(0, 0, Start(m1), dests),
         Envelope(0, 1, Ack(m1, 0, e0, 1, 0, (e0, 0)), dests),
         Envelope(0, 1, Ack(m1, 0, e0, 1, 0, (e0, 0)), dests),  # duplicate seq
-        Envelope(0, 2, Bump(e0, 5, 0, (e0, 0)), dests, relayed=True),
-        TaggedEnvelope(0, 3, Ack(m2, 0, e0, 6, 0, (e0, 0)), dests),
+        Envelope(0, 2, Bump(e0, 5, 0, (e0, 0)), dests),
         Envelope(3, 0, Ack(m2, 1, Epoch(0, 3), 4, 3), dests),
-        Envelope(0, 2, Bump(e0, 9, 0), dests),  # below the watermark by now
+        Envelope(0, 1, Bump(e0, 9, 0), dests),  # below the watermark by now
     ))
 
 
@@ -254,57 +247,51 @@ def _follower():
     return MiniSystem(n_groups=2, group_size=3).processes[1]
 
 
-def test_batch_fast_loop_r_delivers_what_the_generic_path_does():
+def test_batch_r_delivers_each_new_envelope_once_in_order():
     batch = _batch()
-    generic = _follower()
-    want = _record_dispatch(generic)
-    RMcastProcess.on_message(generic, 0, batch)
-    assert [p for _, p in want] == [batch.envelopes[i].payload for i in (0, 1, 3, 4, 5)]
-
-    fast = _follower()
-    got = _record_dispatch(fast)
-    fast.on_message(0, batch)
-    assert got == want and _state(fast) == _state(generic)
+    envs = batch.envelopes
+    proc = _follower()
+    got = _record_dispatch(proc)
+    proc.on_message(0, batch)
+    assert got == [
+        (0, envs[0].payload),  # start
+        (0, envs[1].payload),  # ack; its duplicate is dropped
+        (0, envs[3].payload),  # bump
+        (3, envs[4].payload),  # group 1's ack; the straggler is dropped
+    ]
+    assert proc.rm._dedupe_high == {0: 2, 3: 0}
 
     # One envelope at a time: the same loop, the same outcome.
     single = _follower()
-    got = _record_dispatch(single)
-    for env in batch.envelopes:
+    got_single = _record_dispatch(single)
+    for env in envs:
         single.on_message(0, env)
-    assert got == want and _state(single) == _state(generic)
+    assert got_single == got and _state(single) == _state(proc)
 
 
 @pytest.mark.parametrize("order", ["recorder-first", "monitor-first"])
 def test_batch_honours_on_r_deliver_wrapped_on_the_instance(order):
+    """Instrumentation attached to one process (a spec recorder and an
+    invariant monitor wrapping its ``_r_dispatch`` entries) sees every
+    r-delivery of a ``Batch`` once and leaves the outcome unchanged."""
     batch = _batch()
-    generic = _follower()
-    want = _record_dispatch(generic)
-    RMcastProcess.on_message(generic, 0, batch)
+    plain = _follower()
+    want = _record_dispatch(plain)
+    plain.on_message(0, batch)
 
     proc = _follower()
     got = _record_dispatch(proc)
     if order == "recorder-first":
         recorder = attach_spec_recorder(proc)
-        attach_monitors([proc])
+        (monitor,) = attach_monitors([proc])
     else:
-        attach_monitors([proc])
+        (monitor,) = attach_monitors([proc])
         recorder = attach_spec_recorder(proc)
     proc.on_message(0, batch)
-    assert got == want and _state(proc) == _state(generic)
-    # The wrappers saw every r-delivery exactly once.
-    assert len(recorder.acks) == 3 and len(recorder.bumps) == 1 and recorder.starts == {(0, 0), (0, 1)}
-
-
-def test_batch_in_relay_mode_keeps_the_generic_path():
-    batch = _batch()
-    pair = []
-    for on_message in (RMcastProcess.on_message, PrimCastProcess.on_message):
-        proc = _follower()
-        proc.rm.relay = True
-        seen = _record_dispatch(proc)
-        on_message(proc, 0, batch)
-        pair.append((seen, _state(proc), dict(proc.rm._overflow)))
-    assert pair[0] == pair[1]
+    assert got == want and _state(proc) == _state(plain)
+    assert monitor.checks_run == len(want) == 4
+    assert len(recorder.acks) == 2 and len(recorder.bumps) == 1
+    assert recorder.starts == {(0, 0), (0, 1)}
 
 
 # -- pins: calls per Batch, blocker scans per delivery ------------------

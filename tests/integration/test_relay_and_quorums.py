@@ -1,17 +1,15 @@
-"""End-to-end tests for relay-mode rmcast and explicit quorum systems."""
-
-import pytest
+"""End-to-end tests for explicit quorum systems."""
 
 from repro.core import GroupConfig, PrimCastProcess
 from repro.sim import ConstantLatency, Network, Scheduler, child_rng
-from repro.verify import check_acyclic_order, check_timestamp_order
+from repro.verify import check_acyclic_order
 
 
-def build(config, relay=False, quorum_sets=None, delta=1.0):
+def build(config, delta=1.0):
     sched = Scheduler()
     net = Network(sched, ConstantLatency(delta), child_rng(6, "rq"))
     procs = {
-        pid: PrimCastProcess(pid, config, sched, net, relay=relay)
+        pid: PrimCastProcess(pid, config, sched, net)
         for pid in config.all_pids
     }
     logs = {pid: [] for pid in procs}
@@ -20,37 +18,6 @@ def build(config, relay=False, quorum_sets=None, delta=1.0):
             lambda proc, m, ts: logs[proc.pid].append((m.mid, ts, sched.now))
         )
     return sched, net, procs, logs
-
-
-class TestRelayMode:
-    def test_relay_mode_basic_delivery(self):
-        config = GroupConfig([[0, 1, 2], [3, 4, 5]])
-        sched, net, procs, logs = build(config, relay=True)
-        m = procs[4].a_multicast({0, 1})
-        sched.run(until=100)
-        for pid in range(6):
-            assert [x[0] for x in logs[pid]] == [m.mid]
-
-    def test_relay_costs_more_messages(self):
-        config = GroupConfig([[0, 1, 2], [3, 4, 5]])
-        results = {}
-        for relay in (False, True):
-            sched, net, procs, logs = build(config, relay=relay)
-            procs[4].a_multicast({0, 1})
-            sched.run(until=100)
-            results[relay] = net.messages_sent
-        assert results[True] > results[False]
-
-    def test_relay_ordering_preserved(self):
-        config = GroupConfig([[0, 1, 2], [3, 4, 5]])
-        sched, net, procs, logs = build(config, relay=True)
-        for i in range(15):
-            sched.call_at(i * 0.7, procs[i % 6].a_multicast, {0, 1}, None)
-        sched.run(until=300)
-        check_acyclic_order(logs)
-        check_timestamp_order(logs)
-        orders = {tuple(m for m, _, _ in logs[pid]) for pid in logs}
-        assert len(orders) == 1
 
 
 class TestExplicitQuorums:

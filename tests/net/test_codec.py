@@ -35,7 +35,6 @@ from repro.core.messages import (
 )
 from repro.net.codec import (
     BINARY_VERSION,
-    BOOL,
     DP,
     ENVELOPES,
     EPOCH,
@@ -150,7 +149,6 @@ def rand_t_seq(rng: random.Random, depth: int = 0):
 WIRE_GENERATORS = {
     ID: lambda rng, depth: rand_in(rng, U16),
     INT: lambda rng, depth: rand_in(rng, I64),
-    BOOL: lambda rng, depth: rng.random() < 0.3,
     VALUE: rand_value,
     MULTICAST: rand_multicast,
     EPOCH: rand_epoch,
@@ -223,10 +221,10 @@ def test_schema_rows_match_their_constructors():
 
 
 class _Probe:
-    """A message class that grew a field (``flag``)."""
+    """A message class that grew a field (``count``)."""
 
-    def __init__(self, epoch, sender, flag=False):
-        self.epoch, self.sender, self.flag = epoch, sender, flag
+    def __init__(self, epoch, sender, count=0):
+        self.epoch, self.sender, self.count = epoch, sender, count
 
 
 def _roundtrips(codec, msg):
@@ -239,8 +237,8 @@ def _roundtrips(codec, msg):
 
 
 def test_a_new_field_is_one_row_edit_and_a_wrong_row_fails_loudly():
-    msg = _Probe(Epoch(1, 2), 3, True)
-    row = (("epoch", "e", EPOCH), ("sender", "s", INT), ("flag", "f", BOOL))
+    msg = _Probe(Epoch(1, 2), 3, 7)
+    row = (("epoch", "e", EPOCH), ("sender", "s", INT), ("count", "c", INT))
     assert _roundtrips(derive_codec(_Probe, (99, "probe", row)), msg) == [vars(msg)] * 2
     # Another wire order is the same row shuffled: the constructor's
     # order comes from its signature, not from the row.
@@ -249,7 +247,7 @@ def test_a_new_field_is_one_row_edit_and_a_wrong_row_fails_loudly():
     # — the new tuple forgotten (the field would travel as its default),
     # a misspelt attribute, one too many — is refused when the table is
     # built, which for SCHEMA is at import.
-    for bad in (row[:2], row[:2] + (("flagged", "f", BOOL),), row + (("extra", "x", INT),)):
+    for bad in (row[:2], row[:2] + (("counted", "c", INT),), row + (("extra", "x", INT),)):
         with pytest.raises(TypeError, match="_Probe"):
             derive_codec(_Probe, (99, "probe", bad))
 
@@ -361,7 +359,6 @@ _TOP_EPOCH = Epoch(2**32 - 1, 2**16 - 1)
 FIELD_EDGES = {
     ID: ([0, 2**16 - 1], [-1, 2**16]),
     INT: ([-(2**63), 2**63 - 1], [-(2**63) - 1, 2**63]),
-    BOOL: ([True, False], []),
     VALUE: ([2**70, -(2**70)], []),  # the open vocabulary has no width
     EPOCH: ([Epoch(0, 0), _TOP_EPOCH], [Epoch(2**32, 0), Epoch(0, 2**16), Epoch(-1, 0), Epoch(0, -1)]),
     DP: (
@@ -441,7 +438,7 @@ def test_plain_dict_payload_cannot_collide_with_tags():
 
 
 # ----------------------------------------------------------------------
-# the pinned wire: literal frames, binary format v2 and JSON
+# the pinned wire: literal frames, binary format v3 and JSON
 # ----------------------------------------------------------------------
 
 #: ``ts`` of the corpus ack: large, and inside its i64 field (binary
@@ -469,45 +466,45 @@ _ACK_HEX = "02" "000000000000" "0000" "4000000000000005" "0001" "01" "0000000000
 _NO_DP_HEX = "00" "000000000000" "0000000000000000"
 
 #: (message, binary frame as hex, JSON frame body), all sent by pid 7:
-#: 4-byte length | 0x00 | version 2 | MSG kind 3 | u32 src | tag | body.
+#: 4-byte length | 0x00 | version 3 | MSG kind 3 | u32 src | tag | body.
 #: A change to a hex literal is a wire-format change (BINARY_VERSION);
 #: the JSON bodies are those of the hand-written codec the schema
 #: replaced and have never changed (``test_golden_json_...`` below).
 GOLDEN = [
     (
         Start(Multicast((0, 1), frozenset({1}), "hello")),
-        "0000001d00020300000007" "01" "0000" "0000000000000001" "01" "0001" "06010568656c6c6f",
+        "0000001d00030300000007" "01" "0000" "0000000000000001" "01" "0001" "06010568656c6c6f",
         '{"m":{"k":"start","mc":{"__":"mc","dest":[1],"mid":{"__":"t","v":[0,1]},"p":"hello"}},"src":7,"t":"m"}',
     ),
     (
         Ack(_MC, 2, Epoch(1, 3), 41, 5, None),  # dp unset
-        "0000004900020300000007" "02" "000000010003" "0002" "0000000000000029" "0005" + _NO_DP_HEX + _MC_HEX,
+        "0000004900030300000007" "02" "000000010003" "0002" "0000000000000029" "0005" + _NO_DP_HEX + _MC_HEX,
         '{"m":{"dp":null,"e":{"__":"ep","l":3,"n":1},"g":2,"k":"ack","mc":' + _MC_JSON + ',"s":5,"ts":41},"src":7,"t":"m"}',
     ),
     (
         _ACK,  # dp set, ts near the top of i64
-        "0000004900020300000007" + _ACK_HEX,
+        "0000004900030300000007" + _ACK_HEX,
         '{"m":' + _ACK_JSON + ',"src":7,"t":"m"}',
     ),
     (
         Bump(Epoch(2, 4), 300, 4, None),
-        "0000002700020300000007" "03" "000000020004" "000000000000012c" "0004" + _NO_DP_HEX,
+        "0000002700030300000007" "03" "000000020004" "000000000000012c" "0004" + _NO_DP_HEX,
         '{"m":{"dp":null,"e":{"__":"ep","l":4,"n":2},"k":"bump","s":4,"ts":300},"src":7,"t":"m"}',
     ),
     (
         Bump(Epoch(2, 4), -7, 4, (Epoch(1, 3), 70000)),
-        "0000002700020300000007" "03" "000000020004" "fffffffffffffff9" "0004" "01" "000000010003" "0000000000011170",
+        "0000002700030300000007" "03" "000000020004" "fffffffffffffff9" "0004" "01" "000000010003" "0000000000011170",
         '{"m":{"dp":{"__":"t","v":[{"__":"ep","l":3,"n":1},70000]},"e":{"__":"ep","l":4,"n":2},"k":"bump","s":4,"ts":-7},"src":7,"t":"m"}',
     ),
     (
         NewEpoch(Epoch(5, 8)),
-        "0000000e00020300000007" "04" "000000050008",
+        "0000000e00030300000007" "04" "000000050008",
         '{"m":{"e":{"__":"ep","l":8,"n":5},"k":"new-epoch"},"src":7,"t":"m"}',
     ),
     (
         EpochPromise(Epoch(3, 1), 2, 99, Epoch(2, 0), [], 0),  # empty t_seq
         # epoch | sender | clock | e_cur | t_base | u32 row count
-        "0000002a00020300000007" "05" "000000030001" "0002" "0000000000000063" "000000020000" "0000000000000000" "00000000",
+        "0000002a00030300000007" "05" "000000030001" "0002" "0000000000000063" "000000020000" "0000000000000000" "00000000",
         '{"m":{"c":99,"e":{"__":"ep","l":1,"n":3},"ec":{"__":"ep","l":0,"n":2},"k":"promise","s":2,"t":[],"tb":0},"src":7,"t":"m"}',
     ),
     (
@@ -517,7 +514,7 @@ GOLDEN = [
             6,
         ),
         # ... then per row: epoch | ts | multicast
-        "0000007400020300000007" "05" "000000030001" "0002" "0000000000000063" "000000020000" "0000000000000006" "00000002"
+        "0000007400030300000007" "05" "000000030001" "0002" "0000000000000063" "000000020000" "0000000000000006" "00000002"
         "000000020000" "0000000000000028" + _MC_HEX
         + "000000010003" "0000000000000007" "0001" "0000000000000000" "01" "0000" "00",
         '{"m":{"c":99,"e":{"__":"ep","l":1,"n":3},"ec":{"__":"ep","l":0,"n":2},"k":"promise","s":2,"t":['
@@ -528,61 +525,62 @@ GOLDEN = [
     (
         NewState(Epoch(3, 1), [], 100, 0),
         # epoch | ts | t_base | u32 row count
-        "0000002200020300000007" "06" "000000030001" "0000000000000064" "0000000000000000" "00000000",
+        "0000002200030300000007" "06" "000000030001" "0000000000000064" "0000000000000000" "00000000",
         '{"m":{"e":{"__":"ep","l":1,"n":3},"k":"new-state","t":[],"tb":0,"ts":100},"src":7,"t":"m"}',
     ),
     (
         NewState(Epoch(3, 1), [(Epoch(2, 0), _MC, 40)], 100, 5),
-        "0000005000020300000007" "06" "000000030001" "0000000000000064" "0000000000000005" "00000001"
+        "0000005000030300000007" "06" "000000030001" "0000000000000064" "0000000000000005" "00000001"
         "000000020000" "0000000000000028" + _MC_HEX,
         '{"m":{"e":{"__":"ep","l":1,"n":3},"k":"new-state","t":[{"__":"t","v":[{"__":"ep","l":0,"n":2},'
         + _MC_JSON + ',40]}],"tb":5,"ts":100},"src":7,"t":"m"}',
     ),
     (
         AcceptEpoch(Epoch(3, 1), 2),
-        "0000001000020300000007" "07" "000000030001" "0002",
+        "0000001000030300000007" "07" "000000030001" "0002",
         '{"m":{"e":{"__":"ep","l":1,"n":3},"k":"accept-epoch","s":2},"src":7,"t":"m"}',
     ),
     (
-        Envelope(4, 1000, _ACK, (0, 1, 2), False),  # nested message, not relayed
-        # origin | seq | relayed | dest pids (count byte, u16 each) | payload value (MSG tag 0e)
-        "0000005d00020300000007" "08" "0004" "00000000000003e8" "00" "03" "000000010002" "0e" + _ACK_HEX,
-        '{"m":{"d":[0,1,2],"k":"envelope","o":4,"p":{"__":"pm","v":' + _ACK_JSON + '},"q":1000,"r":false},"src":7,"t":"m"}',
+        Envelope(4, 1000, _ACK, (0, 1, 2)),  # nested message
+        # origin | seq | dest pids (count byte, u16 each) | payload value (MSG tag 0e)
+        "0000005c00030300000007" "08" "0004" "00000000000003e8" "03" "000000010002" "0e" + _ACK_HEX,
+        '{"m":{"d":[0,1,2],"k":"envelope","o":4,"p":{"__":"pm","v":' + _ACK_JSON + '},"q":1000},"src":7,"t":"m"}',
     ),
     (
-        Envelope(  # container payload (dict, set, frozenset, tuple, bigint), relayed
+        Envelope(  # container payload (dict, set, frozenset, tuple, bigint)
             4, 1001,
             {"s": {1, 2}, "f": frozenset({"a"}), "t": (1.5, None, True), "big": -(2**80)},
-            (5,), True,
+            (5,),
         ),
-        "0000005800020300000007" "08" "0004" "00000000000003e9" "01" "01" "0005"
+        "0000005700030300000007" "08" "0004" "00000000000003e9" "01" "0005"
         "0b01040601036269670300010bff00000000000000000000060101660a0101060101610601017309010203010103010206010174080103053ff80000000000000001",
         '{"m":{"d":[5],"k":"envelope","o":4,"p":{"__":"d","v":[["big",-1208925819614629174706176],'
         '["f",{"__":"fs","v":["a"]}],["s",{"__":"s","v":[1,2]}],["t",{"__":"t","v":[1.5,null,true]}]]},'
-        '"q":1001,"r":true},"src":7,"t":"m"}',
+        '"q":1001},"src":7,"t":"m"}',
     ),
     (
         Batch((
             Envelope(1, 7, Bump(Epoch(0, 0), 9, 1, None), (0, 2)),
-            Envelope(2, 8, _ACK, (0, 1, 2), True),
+            Envelope(2, 8, _ACK, (0, 1, 2)),
         )),
         # u32 envelope count, then untagged envelope bodies
-        "0000009200020300000007" "09" "00000002"
-        "0001" "0000000000000007" "00" "02" "00000002" "0e" "03" "000000000000" "0000000000000009" "0001" + _NO_DP_HEX
-        + "0002" "0000000000000008" "01" "03" "000000010002" "0e" + _ACK_HEX,
-        '{"m":{"envs":[{"d":[0,2],"o":1,"p":{"__":"pm","v":{"dp":null,"e":{"__":"ep","l":0,"n":0},"k":"bump","s":1,"ts":9}},"q":7,"r":false},'
-        '{"d":[0,1,2],"o":2,"p":{"__":"pm","v":' + _ACK_JSON + '},"q":8,"r":true}],"k":"batch"},"src":7,"t":"m"}',
+        "0000009000030300000007" "09" "00000002"
+        "0001" "0000000000000007" "02" "00000002" "0e" "03" "000000000000" "0000000000000009" "0001" + _NO_DP_HEX
+        + "0002" "0000000000000008" "03" "000000010002" "0e" + _ACK_HEX,
+        '{"m":{"envs":[{"d":[0,2],"o":1,"p":{"__":"pm","v":{"dp":null,"e":{"__":"ep","l":0,"n":0},"k":"bump","s":1,"ts":9}},"q":7},'
+        '{"d":[0,1,2],"o":2,"p":{"__":"pm","v":' + _ACK_JSON + '},"q":8}],"k":"batch"},"src":7,"t":"m"}',
     ),
 ]
 
-#: sha256 over the corpus' JSON bodies, newline-joined, as the parent of
-#: binary format 2 (477a2b2, v1 codec) encodes these same messages.
-GOLDEN_JSON_SHA256 = "4a5e05cf976a0e9c040b4cf02b87565df9384b13e35a053c18e0951634e0be86"
+#: sha256 over the corpus' JSON bodies, newline-joined. Format 3 took
+#: the envelope's ``"r"`` (relayed) key out of JSON as well; every other
+#: body is byte for byte what the v1 codec wrote for the same message.
+GOLDEN_JSON_SHA256 = "27cbf86a651a43d49ed2b3a30fce07ff5b7087f22d223ef0612a5b026d3971bc"
 
 
 def test_golden_corpus_covers_every_class():
     assert {type(msg) for msg, _, _ in GOLDEN} == set(wire_message_classes())
-    assert BINARY_VERSION == 2
+    assert BINARY_VERSION == 3
 
 
 @pytest.mark.parametrize("msg,binary_hex,json_body", GOLDEN, ids=lambda v: type(v).__name__)
@@ -601,10 +599,10 @@ def test_golden_frames(msg, binary_hex, json_body):
 
 
 def test_golden_json_bodies_are_byte_identical_to_format_1s():
-    # Format 2 changed the binary layout only. The digest was taken
-    # with the v1 codec over these messages; the one body that differs
-    # from the v1 corpus is the ack's ts (2**70 there), and JSON still
-    # writes that ack as it always did — only binary refuses it.
+    # Format 2 changed the binary layout only, format 3 dropped one
+    # envelope field (see GOLDEN_JSON_SHA256). The ack's ts was 2**70 in
+    # the v1 corpus, and JSON still writes that ack as it always did —
+    # only binary refuses it.
     bodies = [encode_msg_frame(7, msg)[LEN_STRUCT.size :] for msg, _, _ in GOLDEN]
     assert bodies == [json_body.encode() for _, _, json_body in GOLDEN]
     assert hashlib.sha256(b"\n".join(bodies)).hexdigest() == GOLDEN_JSON_SHA256
@@ -686,7 +684,7 @@ def test_batch_of_partly_encoded_envelopes_equals_the_cold_batch():
 
     def envelopes(r):
         envs = [gen_message(Envelope, r) for _ in range(8)]
-        return envs + [Envelope(1, 9, gen_message(Ack, r), (0, 2), True), _big_envelope(r)]
+        return envs + [Envelope(1, 9, gen_message(Ack, r), (0, 2)), _big_envelope(r)]
 
     warm, cold = envelopes(rng), envelopes(rng_cold)
     alone = [encode_msg_frame(1, env, binary=True) for env in warm[::2]]
@@ -922,21 +920,21 @@ def test_frame_decoder_survives_truncations_and_byte_flips(cls):
             feed_hostile(framed(bytes(flipped)))
 
 
-#: 0x00 | version 2 | MSG kind | u32 src pid 1: what precedes a message.
-V2_MSG = b"\x00\x02\x03\x00\x00\x00\x01"
-#: ... | Envelope tag | origin, seq, relayed | no dests: what precedes a
-#: payload value.
-V2_VALUE = V2_MSG + b"\x08" + bytes(11) + b"\x00"
+#: 0x00 | version 3 | MSG kind | u32 src pid 1: what precedes a message.
+V3_MSG = b"\x00\x03\x03\x00\x00\x00\x01"
+#: ... | Envelope tag | origin, seq | no dests: what precedes a payload
+#: value.
+V3_VALUE = V3_MSG + b"\x08" + bytes(10) + b"\x00"
 
 
 def test_fuzz_prefixes_are_sound_frames_up_to_the_value():
-    assert FrameDecoder().feed(framed(V2_VALUE + b"\x00"))[0]["msg"].payload is None
+    assert FrameDecoder().feed(framed(V3_VALUE + b"\x00"))[0]["msg"].payload is None
 
 
 def _hot_frames(rng):
     """The frames the fixed layouts were made for, ids and counters at
     both ends of their widths."""
-    acks = [Envelope(1, 9, gen_message(Ack, rng), (0, 2, 2**16 - 1), True) for _ in range(3)]
+    acks = [Envelope(1, 9, gen_message(Ack, rng), (0, 2, 2**16 - 1)) for _ in range(3)]
     return [
         acks[0],
         Envelope(2, -(2**63), gen_message(Bump, rng), (1,)),
@@ -968,8 +966,8 @@ def test_fuzz_v2_every_byte_of_the_hot_frames():
 @pytest.mark.fuzz
 def test_frame_decoder_survives_arbitrary_bytes():
     rng = random.Random("codec-hostile-arbitrary")
-    heads = [b"", b"\x00", b"\x00\x01", b"\x00\x02", V2_MSG, V2_VALUE, b"{", b'{"t":"m","m":']
-    heads += [V2_MSG + bytes((row[0],)) for row in SCHEMA.values()]
+    heads = [b"", b"\x00", b"\x00\x01", b"\x00\x02", V3_MSG, V3_VALUE, b"{", b'{"t":"m","m":']
+    heads += [V3_MSG + bytes((row[0],)) for row in SCHEMA.values()]
     for _ in range(3000):
         body = rng.choice(heads) + rng.randbytes(rng.randrange(0, 40))
         feed_hostile(framed(body))
@@ -979,30 +977,32 @@ def test_frame_decoder_survives_arbitrary_bytes():
 @pytest.mark.parametrize(
     "body",
     [
-        pytest.param(V2_VALUE + b"\x07\x01\x01" * 100_000 + b"\x00", id="binary-nesting"),
+        pytest.param(V3_VALUE + b"\x07\x01\x01" * 100_000 + b"\x00", id="binary-nesting"),
         pytest.param(b'{"t":"m","m":' + b"[" * 100_000, id="json-nesting"),
         # A list of 2**31-1 strings of length -3: each element rewinds
         # the offset onto itself; must be refused, not looped over.
-        pytest.param(V2_VALUE + b"\x07\x04\x7f\xff\xff\xff\x06\x01\xfd", id="negative-length"),
-        pytest.param(V2_VALUE + b"\x03\x00\x01\xfd", id="negative-bigint-width"),
+        pytest.param(V3_VALUE + b"\x07\x04\x7f\xff\xff\xff\x06\x01\xfd", id="negative-length"),
+        pytest.param(V3_VALUE + b"\x03\x00\x01\xfd", id="negative-bigint-width"),
         # A string whose length would carry the read offset past
         # ssize_t, then a fixed run to read there.
-        pytest.param(V2_MSG + b"\x09\x00\x00\x00\x02" + V2_VALUE[8:] + b"\x06\x08\x7f" + b"\xff" * 7, id="offset-overflow"),
-        pytest.param(V2_MSG + b"\x08" + bytes(11) + b"\x03\x00\x01", id="int-list-cut-short"),
-        pytest.param(V2_MSG + b"\x01" + bytes(10) + b"\x00\x00", id="multicast-without-dest"),
-        pytest.param(V2_MSG + b"\x03" + bytes(30), id="fixed-run-cut-short"),
-        pytest.param(V2_MSG + b"\x03" + bytes(32), id="trailing-byte"),
-        pytest.param(V2_MSG + b"\x0a", id="unknown-message-tag"),
+        pytest.param(V3_MSG + b"\x09\x00\x00\x00\x02" + V3_VALUE[8:] + b"\x06\x08\x7f" + b"\xff" * 7, id="offset-overflow"),
+        pytest.param(V3_MSG + b"\x08" + bytes(10) + b"\x03\x00\x01", id="int-list-cut-short"),
+        pytest.param(V3_MSG + b"\x01" + bytes(10) + b"\x00\x00", id="multicast-without-dest"),
+        pytest.param(V3_MSG + b"\x03" + bytes(30), id="fixed-run-cut-short"),
+        pytest.param(V3_MSG + b"\x03" + bytes(32), id="trailing-byte"),
+        pytest.param(V3_MSG + b"\x0a", id="unknown-message-tag"),
         pytest.param(b"\x00\x01\x03\x00\x00\x00\x07\x03\x01\x02\x01\x04\x02\x01\x2c\x01\x04\x00", id="v1-body"),
-        pytest.param(b"\x00\x03\x03\x00\x00\x00\x07\x04" + bytes(6), id="future-version"),
+        # The format-2 corpus' first Envelope: a relayed flag after the seq.
+        pytest.param(bytes.fromhex("00020300000007" "08" "0004" "00000000000003e8" "00" "03" "000000010002" "0e" + _ACK_HEX), id="v2-body"),
+        pytest.param(b"\x00\x04\x03\x00\x00\x00\x07\x04" + bytes(6), id="future-version"),
         pytest.param(b'{"t":"m","src":1}', id="json-message-without-body"),
         pytest.param(b'{"t":"m","src":1,"m":5}', id="json-message-not-an-object"),
-        pytest.param(b'{"t":"m","m":{"k":"envelope","o":1,"q":2,"p":null,"d":3,"r":false}}', id="json-wrong-field-shape"),
-        pytest.param(b"\x00\x02\x02\x00", id="short-heartbeat"),
+        pytest.param(b'{"t":"m","m":{"k":"envelope","o":1,"q":2,"p":null,"d":3}}', id="json-wrong-field-shape"),
+        pytest.param(b"\x00\x03\x02\x00", id="short-heartbeat"),
         pytest.param(b"[1,2]", id="json-not-an-object"),
     ],
 )
 def test_frame_decoder_malformed_bodies_raise_codec_error(body):
     with pytest.raises(CodecError) as caught:
         FrameDecoder().feed(framed(body))
-    assert ("unsupported binary frame version" in str(caught.value)) == (body[:1] == b"\x00" and body[1] != 2)
+    assert ("unsupported binary frame version" in str(caught.value)) == (body[:1] == b"\x00" and body[1] != BINARY_VERSION)

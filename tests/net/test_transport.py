@@ -23,7 +23,7 @@ from repro.rmcast.fifo import Envelope
 
 HELLO = encode_frame({"t": "hello", "pid": 0})
 #: A binary message frame whose body stops in the middle of the message.
-TRUNCATED = LEN_STRUCT.pack(9) + b"\x00\x02\x03\x00\x00\x00\x00\x02\x0d"
+TRUNCATED = LEN_STRUCT.pack(9) + b"\x00\x03\x03\x00\x00\x00\x00\x02\x0d"
 #: A complete, once valid frame of binary format 1 (a Bump from pid 0).
 V1_FRAME = LEN_STRUCT.pack(18) + b"\x00\x01\x03\x00\x00\x00\x00\x03\x01\x02\x01\x04\x02\x01\x2c\x01\x04\x00"
 

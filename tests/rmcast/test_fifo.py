@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import MiniSystem
 from repro.rmcast.fifo import Envelope, RMcastProcess
 from repro.sim.events import Scheduler
 from repro.sim.latency import ConstantLatency, JitteredLatency
@@ -22,15 +23,16 @@ class Endpoint(RMcastProcess):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.delivered = []
+        self._r_dispatch[Payload] = self._on_payload
 
-    def on_r_deliver(self, origin, payload):
+    def _on_payload(self, origin, payload):
         self.delivered.append((origin, payload.tag, self.scheduler.now))
 
 
-def build(n=4, relay=False, latency=None):
+def build(n=4, latency=None):
     sched = Scheduler()
     net = Network(sched, latency or ConstantLatency(1.0), child_rng(3, "rm"))
-    procs = [Endpoint(i, sched, net, relay=relay) for i in range(n)]
+    procs = [Endpoint(i, sched, net) for i in range(n)]
     return sched, net, procs
 
 
@@ -63,16 +65,6 @@ def test_sender_not_in_dest_does_not_deliver():
     assert procs[0].delivered == []
 
 
-def test_integrity_no_duplicates_in_relay_mode():
-    sched, net, procs = build(relay=True)
-    procs[0].r_multicast(Payload("a"), [1, 2, 3])
-    sched.run()
-    for p in procs[1:]:
-        assert len(p.delivered) == 1
-    # Relays happened: more envelope sends than the 3 direct ones.
-    assert net.messages_sent > 3
-
-
 def test_fifo_order_per_sender():
     sched, net, procs = build(latency=JitteredLatency(5.0, 0.8))
     for i in range(30):
@@ -83,22 +75,10 @@ def test_fifo_order_per_sender():
         assert tags == list(range(30))
 
 
-def test_relay_mode_survives_sender_crash_mid_multicast():
-    """Non-uniform agreement strengthened by relaying: if at least one
-    correct destination got the envelope, all correct ones do."""
-    sched, net, procs = build(relay=True)
-    # Simulate a partial send: the sender's envelope only reaches 1.
-    env = Envelope(0, 0, Payload("a"), (1, 2, 3))
-    procs[0].send(1, env)
-    procs[0].crash()
-    sched.run()
-    assert [t for _, t, _ in procs[1].delivered] == ["a"]
-    assert [t for _, t, _ in procs[2].delivered] == ["a"]
-    assert [t for _, t, _ in procs[3].delivered] == ["a"]
-
-
 def test_without_relay_partial_send_is_lost():
-    sched, net, procs = build(relay=False)
+    # Non-uniform agreement: a sender that crashes mid-multicast may
+    # reach only some destinations, and nothing re-forwards its envelope.
+    sched, net, procs = build()
     env = Envelope(0, 0, Payload("a"), (1, 2, 3))
     procs[0].send(1, env)
     procs[0].crash()
@@ -111,13 +91,6 @@ def test_envelope_exposes_payload_kind_and_mid():
     env = Envelope(0, 0, Payload("a", kind="ack", mid=(1, 2)), (1,))
     assert env.kind == "ack"
     assert env.mid == (1, 2)
-
-
-def test_raw_message_rejected_by_default():
-    sched, net, procs = build()
-    procs[0].send(1, Payload("raw"))
-    with pytest.raises(NotImplementedError):
-        sched.run()
 
 
 def test_separate_seq_spaces_per_origin():
@@ -138,24 +111,19 @@ def test_dedupe_state_is_per_origin_watermark_not_per_message():
     sched.run()
     assert len(procs[1].delivered) == 200
     assert procs[1].rm._dedupe_high == {0: 199}
-    assert procs[1].rm._overflow == {}
 
 
-def test_relay_overflow_drains_behind_direct_watermark():
-    """Relayed-first arrivals park in the sparse overflow set; once the
-    direct copy advances the watermark past them they are dropped from
-    it, so relay-mode dedupe state is bounded by the reorder window."""
-    sched, net, procs = build(relay=True)
-    # Relayed copy of seq 0 arrives first (as if forwarded by 2).
-    env = Envelope(0, 0, Payload("a"), (1, 2), relayed=True)
-    procs[2].send(1, env)
-    sched.run()
-    assert [t for _, t, _ in procs[1].delivered] == ["a"]
-    assert procs[1].rm._overflow == {0: {0}}
-    # The direct copy arrives late: duplicate (not re-delivered), and
-    # the watermark passes seq 0, draining the overflow entry.
-    procs[0].send(1, Envelope(0, 0, Payload("a"), (1, 2)))
-    sched.run()
-    assert [t for _, t, _ in procs[1].delivered] == ["a"]
-    assert procs[1].rm._dedupe_high == {0: 0}
-    assert procs[1].rm._overflow == {}
+class Unregistered:
+    kind = "start"
+
+
+@pytest.mark.parametrize("protocol", ["primcast", "whitebox", "fastcast", "classic"])
+def test_unregistered_payloads_and_bare_messages_raise(protocol):
+    """One receive path for every protocol: a payload class missing from
+    the dispatch table, or anything on the wire that is not an Envelope
+    or a Batch, is a TypeError rather than a silent drop."""
+    proc = MiniSystem(protocol=protocol).processes[1]
+    with pytest.raises(TypeError, match="no handler"):
+        proc.on_message(0, Envelope(0, 0, Unregistered(), (1,)))
+    with pytest.raises(TypeError, match="non-rmcast"):
+        proc.on_message(0, Unregistered())

@@ -115,14 +115,6 @@ class TestFailureInjector:
         with pytest.raises(KeyError):
             inj.crash_at(99, 1.0)
 
-    def test_crash_random_picks_candidate(self):
-        sched, net, procs = self._system()
-        inj = FailureInjector(sched, procs)
-        pid = inj.crash_random([1, 3], 5.0, random.Random(0))
-        assert pid in (1, 3)
-        sched.run(until=6.0)
-        assert procs[pid].crashed
-
     def test_double_crash_recorded_once(self):
         sched, net, procs = self._system()
         inj = FailureInjector(sched, procs)

@@ -90,7 +90,7 @@ def test_bad_delivery_final_detected():
 
 
 # ----------------------------------------------------------------------
-# wrapper composition (monitor + spec recorder, idempotent re-wrap)
+# wrapper composition (monitors + spec recorder)
 # ----------------------------------------------------------------------
 
 
@@ -98,21 +98,6 @@ def _drive(sys_):
     sys_.multicast(0, {0, 1})
     sys_.multicast(3, {0, 1})
     sys_.run_to_quiescence()
-
-
-def test_monitor_wrap_is_idempotent():
-    """A second monitor on the same process joins the installed wrapper
-    instead of stacking another layer."""
-    sys_ = MiniSystem(n_groups=2)
-    proc = sys_.processes[0]
-    m1 = InvariantMonitor(proc)
-    wrapper_after_first = proc.on_r_deliver
-    m2 = InvariantMonitor(proc)
-    assert proc.on_r_deliver is wrapper_after_first  # no second layer
-    assert proc._invariant_monitors == [m1, m2]
-    _drive(sys_)
-    assert m1.checks_run > 0
-    assert m2.checks_run > 0
 
 
 def test_monitor_then_spec_recorder_composes():
@@ -139,17 +124,71 @@ def test_spec_recorder_then_monitor_composes():
     assert recorder.acks
 
 
+def _count_r_deliveries(proc):
+    """Wrap ``proc``'s dispatch table to list every r-delivered payload."""
+    seen = []
+    for cls, handler in list(proc._r_dispatch.items()):
+        def run(origin, payload, handler=handler):
+            seen.append(payload)
+            handler(origin, payload)
+        proc._r_dispatch[cls] = run
+    return seen
+
+
+def test_monitor_wrap_is_idempotent():
+    """Wrapping leaves the process as it was: with two monitors on it, a
+    process r-delivers and delivers what an unmonitored one does, and each
+    monitor checks once per r-delivery."""
+    runs = []
+    for n_monitors in (0, 2):
+        sys_ = MiniSystem(n_groups=2)
+        proc = sys_.processes[0]
+        seen = _count_r_deliveries(proc)
+        monitors = [InvariantMonitor(proc) for _ in range(n_monitors)]
+        _drive(sys_)
+        assert [m.checks_run for m in monitors] == [len(seen)] * n_monitors
+        kinds = [(type(p).__name__, getattr(p, "mid", None)) for p in seen]
+        runs.append((kinds, list(proc.delivery_log)))
+    assert runs[0] == runs[1]
+
+
 def test_second_monitor_after_recorder_still_joins_existing_wrapper():
-    """Recorder stacked on top of a monitor must not hide the monitor
-    from the idempotency guard."""
+    """A monitor stacked on a recorder that sits on another monitor runs
+    its check as often as the first one: once per r-delivery."""
     from repro.core.spec import attach_spec_recorder
 
     sys_ = MiniSystem(n_groups=2)
     proc = sys_.processes[0]
+    seen = _count_r_deliveries(proc)
     m1 = InvariantMonitor(proc)
-    attach_spec_recorder(proc)
+    recorder = attach_spec_recorder(proc)
     m2 = InvariantMonitor(proc)
-    assert proc._invariant_monitors == [m1, m2]
     _drive(sys_)
-    # Each event runs each monitor's check exactly once.
-    assert m1.checks_run == m2.checks_run > 0
+    assert m1.checks_run == m2.checks_run == len(seen) > 0
+    assert recorder.acks
+
+
+@pytest.mark.parametrize("recorder_at", [0, 2], ids=["recorder-first", "recorder-last"])
+def test_recorder_and_two_monitors_stack_in_any_order(recorder_at):
+    """Instrumentation wraps dispatch-table entries, so it stacks in any
+    order and every layer runs once per r-delivery."""
+    from repro.core.messages import Ack, Bump, Start
+    from repro.core.spec import attach_spec_recorder
+
+    sys_ = MiniSystem(n_groups=2)
+    proc = sys_.processes[0]
+    seen = _count_r_deliveries(proc)
+    layers = ["monitor", "monitor"]
+    layers.insert(recorder_at, "recorder")
+    monitors = []
+    for layer in layers:
+        if layer == "recorder":
+            recorder = attach_spec_recorder(proc)
+        else:
+            monitors.append(InvariantMonitor(proc))
+    _drive(sys_)
+    assert len(seen) > 10
+    assert [m.checks_run for m in monitors] == [len(seen), len(seen)]
+    assert len(recorder.acks) == sum(isinstance(p, Ack) for p in seen)
+    assert len(recorder.bumps) == sum(isinstance(p, Bump) for p in seen)
+    assert recorder.starts == {p.mid for p in seen if isinstance(p, Start)}
