@@ -1,6 +1,7 @@
 """Convenience cluster wiring for the KV store.
 
-Bundles the simulation substrate, a protocol deployment and one
+Bundles a simulated substrate (``Scheduler`` + ``Network``), a
+protocol deployment and one
 :class:`~repro.apps.kvstore.KvReplica` per process, with key-based
 routing for client commands. Primarily a demonstration vehicle (examples
 and tests); the pieces compose manually just as well.
@@ -14,9 +15,11 @@ from ..core.config import uniform_groups
 from ..core.process import PrimCastProcess
 from ..baselines.fastcast import FastCastProcess
 from ..baselines.whitebox import WhiteBoxProcess
-from ..net.runtime import Runtime, SimRuntime
 from ..sim.costs import CostModel
-from ..sim.latency import LatencyModel
+from ..sim.events import Scheduler
+from ..sim.latency import ConstantLatency, LatencyModel
+from ..sim.network import Network
+from ..sim.rng import child_rng
 from .kvstore import Command, KvReplica, partition_of
 
 _PROTOCOLS = {
@@ -37,35 +40,22 @@ class KvCluster:
         latency: Optional[LatencyModel] = None,
         cost_model: Optional[CostModel] = None,
         seed: int = 1,
-        runtime: Optional[Runtime] = None,
     ):
         if protocol not in _PROTOCOLS:
             raise ValueError(f"unknown protocol {protocol!r}")
         self.n_partitions = n_partitions
         self.config = uniform_groups(n_partitions, replicas_per_partition)
-        # The cluster sits on the backend-agnostic Runtime seam; by
-        # default it builds the simulation backend (same substrate and
-        # RNG label as before the seam existed, so behaviour is
-        # bit-identical), but any Runtime works.
-        self.runtime: Runtime = (
-            runtime
-            if runtime is not None
-            else SimRuntime.local(latency=latency, seed=seed, rng_label="kv")
+        self.scheduler = Scheduler()
+        self.network = Network(
+            self.scheduler, latency or ConstantLatency(1.0), child_rng(seed, "kv")
         )
-        self.scheduler = self.runtime.scheduler
-        # Concrete-network access for sim-only helpers (trace hooks,
-        # message counts); None on backends without one.
-        self.network = getattr(self.runtime, "network", None)
         cls = _PROTOCOLS[protocol]
         self.processes: Dict[int, Any] = {
-            pid: cls(
-                pid, self.config, self.scheduler, self.runtime.transport, cost_model
-            )
+            pid: cls(pid, self.config, self.scheduler, self.network, cost_model)
             for pid in self.config.all_pids
         }
         self.replicas: Dict[int, KvReplica] = {
-            pid: KvReplica(proc, n_partitions, runtime=self.runtime)
-            for pid, proc in self.processes.items()
+            pid: KvReplica(proc, n_partitions) for pid, proc in self.processes.items()
         }
 
     def replica_for(self, command: Command, index: int = 0) -> KvReplica:
@@ -79,8 +69,8 @@ class KvCluster:
         self.replica_for(command).submit(command, on_done)
 
     def run(self, until: float = 1000.0) -> None:
-        """Advance the runtime (simulated or real time, per backend)."""
-        self.runtime.run(until)
+        """Advance simulated time to ``until`` ms."""
+        self.scheduler.run(until=until)
 
     # -- verification helpers ---------------------------------------------
 

@@ -30,7 +30,6 @@ import hashlib
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.messages import MessageId, Multicast
-from ..net.runtime import Runtime
 
 ResultCallback = Callable[[Any], None]
 
@@ -137,24 +136,21 @@ class KvReplica:
     """Applies delivered commands to one partition's state.
 
     Attach to any protocol process exposing the common endpoint surface
-    (``a_multicast`` / ``add_deliver_hook`` / ``gid``) — PrimCast or any
-    baseline, on any backend. When a :class:`~repro.net.runtime.Runtime`
-    is provided, the replica reads time through it (simulated ms or real
-    wall ms, whichever the backend speaks) to measure per-command
-    submit→apply latency.
+    (``a_multicast`` / ``add_deliver_hook`` / ``gid`` / ``scheduler``) —
+    PrimCast or any baseline, on any backend. The replica reads time
+    from the process's scheduler (simulated ms or real wall ms,
+    whichever the backend speaks) to measure per-command submit→apply
+    latency.
     """
 
-    def __init__(
-        self, process: Any, n_partitions: int, runtime: Optional[Runtime] = None
-    ):
+    def __init__(self, process: Any, n_partitions: int):
         self.process = process
         self.partition = process.gid
         self.n_partitions = n_partitions
-        self.runtime = runtime
         self.state: Dict[str, Any] = {}
         self.applied_log: List[MessageId] = []
-        #: submit→apply latency (ms in the runtime's clock) for commands
-        #: submitted at this replica; only populated with a runtime.
+        #: submit→apply latency (ms in the scheduler's clock) for
+        #: commands submitted at this replica.
         self.latencies_ms: List[float] = []
         self._submit_times: Dict[MessageId, float] = {}
         self._callbacks: Dict[MessageId, ResultCallback] = {}
@@ -178,8 +174,7 @@ class KvReplica:
                 f"command to a replica of one of its partitions"
             )
         multicast = self.process.a_multicast(dests, payload=command)
-        if self.runtime is not None:
-            self._submit_times[multicast.mid] = self.runtime.now()
+        self._submit_times[multicast.mid] = self.process.scheduler.now
         if on_done is not None:
             self._callbacks[multicast.mid] = on_done
         return multicast
@@ -190,10 +185,9 @@ class KvReplica:
         command = multicast.payload
         result = self._apply(command)
         self.applied_log.append(multicast.mid)
-        if self.runtime is not None:
-            submitted = self._submit_times.pop(multicast.mid, None)
-            if submitted is not None:
-                self.latencies_ms.append(self.runtime.now() - submitted)
+        submitted = self._submit_times.pop(multicast.mid, None)
+        if submitted is not None:
+            self.latencies_ms.append(self.process.scheduler.now - submitted)
         callback = self._callbacks.pop(multicast.mid, None)
         if callback is not None:
             callback(result)

@@ -3,9 +3,10 @@
 Runs the *same* protocol processes that drive the simulator over
 asyncio TCP sockets with real wall clocks:
 
-* :mod:`repro.net.runtime` — the backend-agnostic seam
-  (:class:`~repro.net.runtime.Runtime`, the ``SchedulerAPI`` /
-  ``TransportAPI`` / ``LeaderOracle`` protocols) plus the sim adapter;
+* :mod:`repro.net.runtime` — the backend-agnostic seam: the
+  ``SchedulerAPI`` / ``TransportAPI`` / ``LeaderOracle`` /
+  ``TimerHandle`` / ``ProcessLike`` protocols that the simulator's
+  classes and the asyncio facades both satisfy;
 * :mod:`repro.net.codec` — length-prefixed framing for the wire
   messages in two self-describing body formats, canonical JSON and
   compact binary, both derived from one message schema (lossless
@@ -15,7 +16,8 @@ asyncio TCP sockets with real wall clocks:
 * :mod:`repro.net.election` — heartbeat-based Ω;
 * :mod:`repro.net.host` — the asyncio adapter: scheduler/transport
   facades hosting unmodified ``PrimCastProcess`` objects, one node per
-  OS process;
+  OS process, and ``ClusterSpec``, the one description of a cluster
+  (groups, addresses, workload, kill point) that every node reads;
 * :mod:`repro.net.cluster` — multi-process localhost cluster launcher;
 * :mod:`repro.net.differential` — sim-vs-net differential harness.
 
@@ -26,10 +28,7 @@ on demand so the simulation path never pays for it.
 from .runtime import (
     LeaderOracle,
     ProcessLike,
-    Runtime,
-    RuntimeProbe,
     SchedulerAPI,
-    SimRuntime,
     TimerHandle,
     TransportAPI,
 )
@@ -37,10 +36,7 @@ from .runtime import (
 __all__ = [
     "LeaderOracle",
     "ProcessLike",
-    "Runtime",
-    "RuntimeProbe",
     "SchedulerAPI",
-    "SimRuntime",
     "TimerHandle",
     "TransportAPI",
 ]

@@ -14,6 +14,10 @@
   violation of the statistical safety checks (``repro.verify`` over
   the merged delivery logs) or of truncation safety (the state GC's
   ``truncate-*.jsonl`` logs against those delivery logs).
+
+An invalid cluster spec (``--groups 0``, ``--kill -1``, ``open
+--clients 0``, ...) prints ``error: <reason>`` and exits 2 before any
+node starts; exit 1 always means a run or a check FAILED.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import List, Optional
 
 from .cluster import ClusterResult, ClusterSpec, launch_cluster
 from .differential import diff_cluster_result, verify_cluster_logs
-from .host import Topology, run_node
+from .host import run_node
 
 
 def _add_spec_args(parser: argparse.ArgumentParser) -> None:
@@ -35,7 +39,6 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--group-size", type=int, default=3)
     parser.add_argument("--messages", type=int, default=16)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--extra-group-p", type=float, default=0.5)
     parser.add_argument(
         "--kill", type=int, default=None, metavar="PID",
         help="SIGKILL this pid mid-run (not the driver)",
@@ -44,12 +47,7 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
         "--kill-after", type=int, default=4, metavar="N",
         help="kill once the driver has delivered N messages",
     )
-    parser.add_argument("--hb-interval-ms", type=float, default=50.0)
     parser.add_argument("--suspect-ms", type=float, default=500.0)
-    parser.add_argument(
-        "--grace-ms", type=float, default=None,
-        help="startup grace before suspicion (default: suspect-ms)",
-    )
     parser.add_argument(
         "--codec", choices=("json", "binary"), default="json",
         help="wire encoding (receivers auto-detect per frame)",
@@ -66,25 +64,24 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rundir", type=str, default=None)
 
 
-def _spec_from_args(args: argparse.Namespace, **overrides: object) -> ClusterSpec:
-    kwargs = dict(
+def _spec_from_args(args: argparse.Namespace) -> ClusterSpec:
+    spec = ClusterSpec(
         n_groups=args.groups,
         group_size=args.group_size,
         n_messages=args.messages,
         seed=args.seed,
-        extra_group_p=args.extra_group_p,
         kill_pid=args.kill,
         kill_after=args.kill_after,
-        hb_interval_ms=args.hb_interval_ms,
         suspect_ms=args.suspect_ms,
-        hb_grace_ms=args.grace_ms,
         codec=args.codec,
         coalesce=not args.no_coalesce,
         batching_ms=args.batching_ms,
         run_timeout_s=args.timeout,
     )
-    kwargs.update(overrides)
-    return ClusterSpec(**kwargs)  # type: ignore[arg-type]
+    if args.command == "open":
+        spec.driver_mode = "open"
+        spec.clients, spec.window, spec.rate_hz = args.clients, args.window, args.rate
+    return spec
 
 
 def _rundir_from_args(args: argparse.Namespace) -> Path:
@@ -96,7 +93,7 @@ def _rundir_from_args(args: argparse.Namespace) -> Path:
 
 
 def cmd_node(args: argparse.Namespace) -> int:
-    topology = Topology.from_json(json.loads(Path(args.topology).read_text()))
+    topology = ClusterSpec.from_json(json.loads(Path(args.topology).read_text()))
     return run_node(topology, args.pid, Path(args.rundir))
 
 
@@ -121,8 +118,7 @@ def _verified(result: ClusterResult, rundir: Path) -> bool:
     return not violations
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+def cmd_cluster(spec: ClusterSpec, args: argparse.Namespace) -> int:
     rundir = _rundir_from_args(args)
     result = launch_cluster(spec, rundir)
     _print_nodes(result)
@@ -131,8 +127,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_diff(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+def cmd_diff(spec: ClusterSpec, args: argparse.Namespace) -> int:
     rundir = _rundir_from_args(args)
     result = launch_cluster(spec, rundir)
     if not result.ok:
@@ -160,15 +155,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_open(args: argparse.Namespace) -> int:
+def cmd_open(spec: ClusterSpec, args: argparse.Namespace) -> int:
     """Open-loop concurrent cluster + statistical safety checks."""
-    spec = _spec_from_args(
-        args,
-        driver_mode="open",
-        clients=args.clients,
-        window=args.window,
-        rate_hz=args.rate,
-    )
     rundir = _rundir_from_args(args)
     result = launch_cluster(spec, rundir)
     if not result.ok:
@@ -198,7 +186,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     np.add_argument("--topology", required=True)
     np.add_argument("--pid", type=int, required=True)
     np.add_argument("--rundir", required=True)
-    np.set_defaults(fn=cmd_node)
 
     cp = sub.add_parser("cluster", help="launch a localhost cluster")
     _add_spec_args(cp)
@@ -221,7 +208,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     op.set_defaults(fn=cmd_open)
 
     args = parser.parse_args(argv)
-    return int(args.fn(args))
+    if args.command == "node":
+        return cmd_node(args)
+    spec = _spec_from_args(args)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return int(args.fn(spec, args))
 
 
 if __name__ == "__main__":

@@ -32,81 +32,18 @@ import socket
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .host import NetNode, NodeResult, Topology
+from .host import DRIVER_PID, ClusterSpec, NetNode, NodeResult
 
 MessageId = Tuple[int, int]
 
 
 # ----------------------------------------------------------------------
-# spec / topology construction
+# binding a spec
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class ClusterSpec:
-    """What to run: uniform groups, a seeded workload, an optional kill."""
-
-    n_groups: int = 2
-    group_size: int = 3
-    n_messages: int = 16
-    seed: int = 1
-    extra_group_p: float = 0.5
-    #: SIGKILL this pid once the driver has delivered ``kill_after``
-    #: messages. Must not be the driver, and its group must keep a
-    #: quorum without it.
-    kill_pid: Optional[int] = None
-    kill_after: int = 4
-    hb_interval_ms: float = 50.0
-    suspect_ms: float = 500.0
-    hb_grace_ms: Optional[float] = None
-    run_timeout_s: float = 60.0
-    #: Wire encoding: "json" or "binary" (host.Topology.codec).
-    codec: str = "json"
-    coalesce: bool = True
-    batching_ms: float = 0.0
-    #: "seq" names the sequential shape — one client on pid 0, one
-    #: outstanding, closed loop: the exact differential — whatever the
-    #: three fields below say; "open" runs the shape they describe
-    #: (statistical verification unless it is the sequential one).
-    driver_mode: str = "seq"
-    clients: int = 4
-    window: int = 4
-    rate_hz: float = 0.0
-
-    @property
-    def sequential(self) -> bool:
-        return self.driver_mode == "seq" or (
-            (self.clients, self.window, self.rate_hz) == (1, 1, 0.0)
-        )
-
-    def validate(self) -> None:
-        if self.n_groups < 1 or self.group_size < 1:
-            raise ValueError("need at least one group of at least one member")
-        if self.codec not in ("json", "binary"):
-            raise ValueError(f"unknown codec {self.codec!r}")
-        if self.driver_mode not in ("seq", "open"):
-            raise ValueError(f"unknown driver mode {self.driver_mode!r}")
-        if self.driver_mode == "open" and (self.clients < 1 or self.window < 1):
-            raise ValueError("open-loop driver needs clients >= 1, window >= 1")
-        if self.kill_pid is not None:
-            if not self.sequential:
-                raise ValueError(
-                    "kill injection requires the sequential shape (the "
-                    "kill point is defined by the driver's delivery count)"
-                )
-            if self.kill_pid == 0:
-                raise ValueError("cannot kill the driver (pid 0)")
-            if self.kill_pid >= self.n_groups * self.group_size:
-                raise ValueError(f"kill_pid {self.kill_pid} not in the cluster")
-            if self.group_size < 3:
-                raise ValueError(
-                    "killing a node needs group_size >= 3 so the group "
-                    "keeps a majority quorum"
-                )
 
 
 def allocate_ports(n: int, host: str = "127.0.0.1") -> List[int]:
@@ -123,31 +60,16 @@ def allocate_ports(n: int, host: str = "127.0.0.1") -> List[int]:
             s.close()
 
 
-def make_topology(spec: ClusterSpec, host: str = "127.0.0.1") -> Topology:
+def make_topology(spec: ClusterSpec, host: str = "127.0.0.1") -> ClusterSpec:
+    """The validated ``spec`` with a port bound per node; the sequential
+    shape ("seq") is spelt out as ``clients=1, window=1, rate_hz=0``."""
     spec.validate()
-    n = spec.n_groups * spec.group_size
-    groups = [
-        list(range(g * spec.group_size, (g + 1) * spec.group_size))
-        for g in range(spec.n_groups)
-    ]
-    ports = allocate_ports(n, host)
-    # Every field the spec and the topology share by name is forwarded.
-    spec_fields = {f.name for f in fields(spec)}
-    shared = {
-        f.name: getattr(spec, f.name) for f in fields(Topology) if f.name in spec_fields
-    }
+    ports = allocate_ports(spec.n_groups * spec.group_size, host)
+    shape: Dict[str, Any] = {}
     if spec.driver_mode == "seq":
-        shared.update(clients=1, window=1, rate_hz=0.0)
-    return Topology(
-        groups=groups,
-        addresses={pid: (host, ports[pid]) for pid in range(n)},
-        driver_pid=0,
-        # With a kill configured, the driver pauses after kill_after
-        # deliveries until the coordinator writes RELEASE — so the kill
-        # lands at a deterministic point in the workload instead of
-        # racing the coordinator's file polling.
-        hold_after=spec.kill_after if spec.kill_pid is not None else None,
-        **shared,
+        shape = dict(clients=1, window=1, rate_hz=0.0)
+    return replace(
+        spec, addresses={pid: (host, port) for pid, port in enumerate(ports)}, **shape
     )
 
 
@@ -167,7 +89,7 @@ class NodeOutcome:
 
 @dataclass
 class ClusterResult:
-    topology: Topology
+    topology: ClusterSpec
     outcomes: Dict[int, NodeOutcome]
     wall_s: float
     #: Where the run's logs live (submit/delivery jsonl, summaries) —
@@ -219,7 +141,7 @@ Ended = Union[None, int, BaseException]
 class _Subprocesses:
     """Nodes as ``python -m repro.net node`` OS processes."""
 
-    def __init__(self, topology: Topology, rundir: Path, python: Optional[str]) -> None:
+    def __init__(self, topology: ClusterSpec, rundir: Path, python: Optional[str]) -> None:
         self.rundir = rundir
         self.python = python or sys.executable
         self.topo_path = rundir / "topology.json"
@@ -262,7 +184,7 @@ class _Subprocesses:
 class _Tasks:
     """Nodes as tasks on the running loop."""
 
-    def __init__(self, topology: Topology, rundir: Path) -> None:
+    def __init__(self, topology: ClusterSpec, rundir: Path) -> None:
         self.topology = topology
         self.rundir = rundir
         self.tasks: Dict[int, "asyncio.Task[NodeResult]"] = {}
@@ -291,13 +213,10 @@ class _Tasks:
 
 
 async def _coordinate(
-    topology: Topology,
-    rundir: Path,
-    nodes: Union[_Subprocesses, _Tasks],
-    kill_pid: Optional[int],
-    kill_after: int,
+    topology: ClusterSpec, rundir: Path, nodes: Union[_Subprocesses, _Tasks]
 ) -> ClusterResult:
-    """Run the cluster through its barriers and collect it.
+    """Run the cluster through its barriers, with the topology's kill if
+    it has one, and collect it.
 
     Raises :class:`RuntimeError` as soon as a node a barrier is waiting
     on has ended, and :class:`TimeoutError` if a barrier is not reached
@@ -305,6 +224,7 @@ async def _coordinate(
     ended when it returns or raises.
     """
     pids = [pid for group in topology.groups for pid in group]
+    kill_pid, kill_after = topology.kill_pid, topology.kill_after
     began = time.monotonic()
 
     async def wait_for(
@@ -346,7 +266,7 @@ async def _coordinate(
         alive = pids
         if kill_pid is not None:
             # Lines are counted, not parsed: the driver is still writing.
-            mark = rundir / f"delivery-{topology.driver_pid}.jsonl"
+            mark = rundir / f"delivery-{DRIVER_PID}.jsonl"
             await wait_for(
                 "kill mark",
                 lambda: []
@@ -410,25 +330,12 @@ def launch_cluster(
     rundir.mkdir(parents=True, exist_ok=True)
     topology = make_topology(spec)
     return asyncio.run(
-        _coordinate(
-            topology,
-            rundir,
-            _Subprocesses(topology, rundir, python),
-            spec.kill_pid,
-            spec.kill_after,
-        )
+        _coordinate(topology, rundir, _Subprocesses(topology, rundir, python))
     )
 
 
-async def run_cluster_inprocess(
-    topology: Topology,
-    rundir: Path,
-    kill_pid: Optional[int] = None,
-    kill_after: int = 0,
-) -> ClusterResult:
+async def run_cluster_inprocess(topology: ClusterSpec, rundir: Path) -> ClusterResult:
     """All nodes on the calling event loop, real sockets, same barriers."""
     rundir = Path(rundir)
     rundir.mkdir(parents=True, exist_ok=True)
-    return await _coordinate(
-        topology, rundir, _Tasks(topology, rundir), kill_pid, kill_after
-    )
+    return await _coordinate(topology, rundir, _Tasks(topology, rundir))

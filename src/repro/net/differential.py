@@ -40,6 +40,10 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core.config import GroupConfig
 from ..core.process import PrimCastProcess
 from ..sim.costs import CostModel
+from ..sim.events import Scheduler
+from ..sim.latency import ConstantLatency
+from ..sim.network import Network
+from ..sim.rng import child_rng
 from ..verify.properties import (
     PropertyViolation,
     Violation,
@@ -47,17 +51,17 @@ from ..verify.properties import (
     collect_violations,
 )
 from .cluster import ClusterResult, read_jsonl
-from .host import Topology
-from .runtime import SimRuntime
+from .host import DRIVER_PID, ClusterSpec
 from .workload import PlanClient
 
 MessageId = Tuple[int, int]
 DeliveryMap = Dict[int, List[Tuple[MessageId, int]]]
 
 
-def run_sim_reference(topology: Topology) -> DeliveryMap:
-    """Run the topology's plan on the simulator, one client with one
-    outstanding message on ``driver_pid``; pid -> deliveries.
+def run_sim_reference(topology: ClusterSpec) -> DeliveryMap:
+    """Run the topology's plan on the simulator (1 ms constant latency),
+    one client with one outstanding message on :data:`DRIVER_PID`;
+    pid -> deliveries.
 
     Failure-free (the kill, if any, happens only on the net side; the
     sim reference defines the full no-failure outcome that survivors
@@ -68,16 +72,17 @@ def run_sim_reference(topology: Topology) -> DeliveryMap:
     if topology.clients != 1:
         raise ValueError("the sim reference is defined for one client only")
     config = topology.make_config()
-    runtime = SimRuntime.local(seed=topology.seed)  # 1 ms constant latency
+    scheduler = Scheduler()
+    network = Network(
+        scheduler, ConstantLatency(1.0), child_rng(topology.seed, "latency")
+    )
     procs = {
-        pid: PrimCastProcess(
-            pid, config, runtime.scheduler, runtime.transport, CostModel()
-        )
+        pid: PrimCastProcess(pid, config, scheduler, network, CostModel())
         for pid in config.all_pids
     }
     (plan,) = topology.client_plans()
-    PlanClient(procs[topology.driver_pid], runtime.scheduler, 0, plan).start()
-    runtime.run(until=10_000_000.0)
+    PlanClient(procs[DRIVER_PID], scheduler, 0, plan).start()
+    scheduler.run(until=10_000_000.0)
     return {
         pid: [(mid, final) for mid, final, _t in proc.delivery_log]
         for pid, proc in procs.items()

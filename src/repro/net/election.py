@@ -11,12 +11,12 @@ implementations satisfy :class:`repro.net.runtime.LeaderOracle`, so the
 protocol process cannot tell them apart.
 
 Startup matches the sim: the initial output is the group's first member
-(the configured initial primary), and every peer starts with a startup
-grace period (``grace_ms``, default the suspicion timeout) so a slow
-first heartbeat does not trigger a spurious election while the cluster
-is still wiring up. All three intervals are carried in the Topology
-JSON, so a bench can stretch the heartbeat cadence instead of paying
-oracle traffic on the measured path.
+(the configured initial primary), and every peer counts as heard at
+``start()``, so a slow first heartbeat does not trigger a spurious
+election while the cluster is still wiring up. The heartbeat cadence is
+the constant :data:`HB_INTERVAL_MS`; the suspicion timeout travels in
+the cluster spec, so a bench can stretch it instead of paying for false
+suspicions on a loaded loop.
 
 Callbacks fire from scheduler context (the oracle's tick is a scheduler
 timer), preserving the same serialisation the sim oracle provides.
@@ -28,9 +28,9 @@ from typing import Any, Callable, Dict, List
 
 LeaderCallback = Callable[[int, int], None]  # (group_id, leader_pid)
 
-#: Defaults tuned for localhost clusters: sub-second failover without
-#: false suspicions under normal scheduling jitter.
-DEFAULT_HB_INTERVAL_MS = 50.0
+#: Tuned for localhost clusters: sub-second failover without false
+#: suspicions under normal scheduling jitter.
+HB_INTERVAL_MS = 50.0
 DEFAULT_SUSPECT_MS = 500.0
 
 
@@ -45,11 +45,7 @@ class HeartbeatOmega:
         scheduler: the node's scheduler facade (timers + ``now``).
         send_heartbeat: callback emitting one heartbeat round to the
             group peers (wired to the node's transport).
-        hb_interval_ms: heartbeat/evaluation period.
         suspect_ms: silence threshold before a peer is suspected.
-        grace_ms: startup window during which a never-heard peer is not
-            suspected (``None`` — the default — means ``suspect_ms``,
-            the pre-configurable behaviour).
     """
 
     def __init__(
@@ -59,24 +55,18 @@ class HeartbeatOmega:
         own_pid: int,
         scheduler: Any,
         send_heartbeat: Callable[[], None],
-        hb_interval_ms: float = DEFAULT_HB_INTERVAL_MS,
         suspect_ms: float = DEFAULT_SUSPECT_MS,
-        grace_ms: float | None = None,
     ) -> None:
         if not members:
             raise ValueError("group must have at least one member")
-        if hb_interval_ms <= 0 or suspect_ms <= 0:
-            raise ValueError("heartbeat and suspicion intervals must be positive")
-        if grace_ms is not None and grace_ms <= 0:
-            raise ValueError("grace period must be positive")
+        if suspect_ms <= 0:
+            raise ValueError("the suspicion timeout must be positive")
         self.group_id = group_id
         self.members = list(members)
         self.own_pid = own_pid
         self.scheduler = scheduler
         self.send_heartbeat = send_heartbeat
-        self.hb_interval_ms = hb_interval_ms
         self.suspect_ms = suspect_ms
-        self.grace_ms = suspect_ms if grace_ms is None else grace_ms
         self.leader = members[0]
         self._subscribers: List[LeaderCallback] = []
         self._last_heard: Dict[int, float] = {}
@@ -93,20 +83,16 @@ class HeartbeatOmega:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Prime the grace period and start the heartbeat/suspect timer.
-
-        A peer never heard from counts as last heard at ``now +
-        grace_ms - suspect_ms``: suspicion starts exactly ``grace_ms``
-        after start, independent of the suspicion threshold.
-        """
+        """Count every peer as heard now and start the heartbeat/suspect
+        timer: a silent peer is suspected ``suspect_ms`` after start."""
         if self._running:
             return
         self._running = True
-        primed = self.scheduler.now + self.grace_ms - self.suspect_ms
+        now = self.scheduler.now
         for pid in self.members:
             if pid != self.own_pid:
-                self._last_heard[pid] = primed
-        self.scheduler.call_after(self.hb_interval_ms, self._tick)
+                self._last_heard[pid] = now
+        self.scheduler.call_after(HB_INTERVAL_MS, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -143,4 +129,4 @@ class HeartbeatOmega:
             self.leader = new_leader
             for callback in self._subscribers:
                 callback(self.group_id, new_leader)
-        self.scheduler.call_after(self.hb_interval_ms, self._tick)
+        self.scheduler.call_after(HB_INTERVAL_MS, self._tick)

@@ -41,14 +41,13 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from collections import Counter
 
-from ..core.config import GroupConfig
+from ..core.config import GroupConfig, uniform_groups
 from ..core.gc import CompactionDaemon, attach_compaction
 from ..core.process import PrimCastProcess
 from ..sim.costs import CostModel
 from ..sim.rng import child_rng
 from .codec import encode_hb_frame, encode_msg_frame
-from .election import DEFAULT_HB_INTERVAL_MS, DEFAULT_SUSPECT_MS, HeartbeatOmega
-from .runtime import Runtime, SchedulerAPI, TransportAPI
+from .election import DEFAULT_SUSPECT_MS, HeartbeatOmega
 from .transport import Transport
 from .workload import PlanClient, make_client_plans, plans_expected_count
 
@@ -190,7 +189,6 @@ class TransportFacade:
         self.binary = binary
         #: Wire messages by kind (mirrors Network.counts_by_kind).
         self.counts_by_kind: Counter[str] = Counter()
-        self.messages_sent = 0
 
     def bind(self, transport: Transport) -> None:
         self._transport = transport
@@ -201,7 +199,6 @@ class TransportFacade:
         self.processes[proc.pid] = proc
 
     def transmit(self, src: int, dst: int, msg: Any, depart_time: float) -> None:
-        self.messages_sent += 1
         kind = getattr(msg, "kind", msg.__class__.__name__)
         self.counts_by_kind[kind] += 1
         local = self.processes.get(dst)
@@ -216,127 +213,143 @@ class TransportFacade:
         )
 
 
-class AsyncioRuntime(Runtime):
-    """The net backend's Runtime: facade pair over one asyncio loop."""
+class AsyncioRuntime:
+    """One node's substrate on the running loop: the scheduler and the
+    transport facade its process is built with."""
 
-    backend = "net"
-
-    def __init__(
-        self,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
-        binary: bool = False,
-    ) -> None:
-        super().__init__()
-        self._loop = loop if loop is not None else asyncio.get_running_loop()
-        self._scheduler = NetScheduler(self._loop)
-        self._transport_facade = TransportFacade(self._scheduler, binary=binary)
-
-    @property
-    def scheduler(self) -> SchedulerAPI:
-        sched: SchedulerAPI = self._scheduler
-        return sched
-
-    @property
-    def transport(self) -> TransportAPI:
-        facade: TransportAPI = self._transport_facade
-        return facade
-
-    @property
-    def net_scheduler(self) -> NetScheduler:
-        return self._scheduler
-
-    @property
-    def transport_facade(self) -> TransportFacade:
-        return self._transport_facade
-
-    def run(self, until: float) -> float:
-        """Pump the loop until runtime time reaches ``until`` ms. Only
-        usable from outside the loop (driver-style code); nodes under a
-        running loop are driven by their own coroutines instead."""
-        if self._loop.is_running():
-            raise RuntimeError("run() cannot be called from inside the event loop")
-        remaining = (until - self._scheduler.now) / 1000.0
-        if remaining > 0:
-            self._loop.run_until_complete(asyncio.sleep(remaining))
-        return self._scheduler.now
+    def __init__(self, binary: bool = False) -> None:
+        self.net_scheduler = NetScheduler(asyncio.get_running_loop())
+        self.transport_facade = TransportFacade(self.net_scheduler, binary=binary)
 
 
 # ----------------------------------------------------------------------
-# topology
+# the cluster spec
 # ----------------------------------------------------------------------
+
+#: The pid client 0 runs on: in the sequential shape the only client,
+#: whose delivery log the coordinator watches for the kill mark.
+DRIVER_PID = 0
+
+#: How long a node keeps serving stragglers after its shutdown flush
+#: before it closes.
+LINGER_MS = 250.0
 
 
 @dataclass
-class Topology:
-    """A cluster description, JSON-serializable for the launcher."""
+class ClusterSpec:
+    """A cluster: uniform groups and their addresses, a seeded workload,
+    an optional kill. The one description of a run: the launcher writes
+    it to ``topology.json``, every node and the sim reference read it.
+    :func:`repro.net.cluster.make_topology` validates a spec and binds
+    its ports."""
 
-    groups: List[List[int]]
-    addresses: Dict[int, Tuple[str, int]]
-    seed: int = 1
+    n_groups: int = 2
+    group_size: int = 3
     n_messages: int = 16
-    driver_pid: int = 0
-    extra_group_p: float = 0.5
-    hb_interval_ms: float = DEFAULT_HB_INTERVAL_MS
+    seed: int = 1
+    #: SIGKILL this pid once the driver has delivered ``kill_after``
+    #: messages. Must not be the driver, and its group must keep a
+    #: quorum without it.
+    kill_pid: Optional[int] = None
+    kill_after: int = 4
     suspect_ms: float = DEFAULT_SUSPECT_MS
-    #: Startup grace before a silent peer may be suspected (None: the
-    #: oracle defaults it to ``suspect_ms``).
-    hb_grace_ms: Optional[float] = None
     run_timeout_s: float = 60.0
-    linger_ms: float = 250.0
-    #: Fault-injection sync point: every client stops submitting once
-    #: this many of its own messages have come back and resumes only
-    #: once a ``RELEASE`` file appears in the rundir (the coordinator
-    #: writes it right after performing the kill). ``None`` means never
-    #: pause.
-    hold_after: Optional[int] = None
-    #: Wire encoding: ``"json"`` (canonical, PR-9 format) or
-    #: ``"binary"`` (struct-packed fast path). Received frames are
-    #: auto-detected, so mixed-codec clusters interoperate.
+    #: Wire encoding: ``"json"`` (canonical) or ``"binary"``
+    #: (struct-packed fast path). Received frames are auto-detected, so
+    #: mixed-codec clusters interoperate.
     codec: str = "json"
     #: Stage outgoing frames per peer and write once per event-loop
     #: drain (transport.py); off = one write per frame.
     coalesce: bool = True
     #: rmcast ack/bump batching window (§7.1) in ms; 0 disables.
     batching_ms: float = 0.0
-    #: Client count: client 0 runs on ``driver_pid``, the rest follow
-    #: round-robin over the nodes. The defaults are the sequential
-    #: shape (one client, one outstanding, closed loop), the one the
-    #: exact differential applies to; any wider shape is verified
-    #: statistically.
-    clients: int = 1
+    #: "seq" names the sequential shape — one client, one outstanding,
+    #: closed loop: the exact differential — whatever the three fields
+    #: below say (``make_topology`` spells it out); "open" runs the
+    #: shape they describe (statistical verification unless it is the
+    #: sequential one). Client 0 runs on :data:`DRIVER_PID`, the rest
+    #: follow round-robin over the nodes.
+    driver_mode: str = "seq"
+    clients: int = 4
     #: Per-client outstanding-message window.
-    window: int = 1
+    window: int = 4
     #: Per-client Poisson arrival rate (msgs/sec); 0 = closed loop
     #: (clients keep their window full).
     rate_hz: float = 0.0
+    #: pid -> (host, port) of every node, bound by ``make_topology``.
+    addresses: Dict[int, Tuple[str, int]] = field(default_factory=dict)
+
+    @property
+    def groups(self) -> List[List[int]]:
+        """Consecutive pids: group ``g`` holds ``[g*size, (g+1)*size)``."""
+        return self.make_config().groups
+
+    @property
+    def sequential(self) -> bool:
+        return self.driver_mode == "seq" or (
+            (self.clients, self.window, self.rate_hz) == (1, 1, 0.0)
+        )
+
+    @property
+    def hold_after(self) -> Optional[int]:
+        """The fault-injection sync point: with a kill configured, every
+        client stops submitting once ``kill_after`` of its own messages
+        have come back, and resumes only once a ``RELEASE`` file appears
+        in the rundir (the coordinator writes it right after the kill) —
+        so the kill lands at a deterministic point in the workload
+        instead of racing the coordinator's file polling. ``None``
+        means never pause."""
+        return self.kill_after if self.kill_pid is not None else None
+
+    def validate(self) -> None:
+        if self.n_groups < 1 or self.group_size < 1:
+            raise ValueError("need at least one group of at least one member")
+        if self.codec not in ("json", "binary"):
+            raise ValueError(f"unknown codec {self.codec!r}")
+        if self.driver_mode not in ("seq", "open"):
+            raise ValueError(f"unknown driver mode {self.driver_mode!r}")
+        if self.driver_mode == "open" and (self.clients < 1 or self.window < 1):
+            raise ValueError("open-loop driver needs clients >= 1, window >= 1")
+        if self.kill_pid is not None:
+            if not self.sequential:
+                raise ValueError(
+                    "kill injection requires the sequential shape (the "
+                    "kill point is defined by the driver's delivery count)"
+                )
+            if self.kill_pid == DRIVER_PID:
+                raise ValueError(f"cannot kill the driver (pid {DRIVER_PID})")
+            if not 0 <= self.kill_pid < self.n_groups * self.group_size:
+                raise ValueError(f"kill_pid {self.kill_pid} not in the cluster")
+            if self.group_size < 3:
+                raise ValueError(
+                    "killing a node needs group_size >= 3 so the group "
+                    "keeps a majority quorum"
+                )
 
     def to_json(self) -> Dict[str, Any]:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["groups"] = [list(g) for g in self.groups]
         data["addresses"] = {
             str(pid): [h, p] for pid, (h, p) in self.addresses.items()
         }
         return data
 
     @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "Topology":
-        # Absent keys take the field defaults, which keeps PR-9 topology
-        # files valid.
-        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        kwargs["groups"] = [list(g) for g in data["groups"]]
+    def from_json(cls, data: Dict[str, Any]) -> "ClusterSpec":
+        # Every field is required: only the launcher writes the file.
+        kwargs = {f.name: data[f.name] for f in fields(cls)}
         kwargs["addresses"] = {
             int(pid): (hp[0], int(hp[1])) for pid, hp in data["addresses"].items()
         }
         return cls(**kwargs)
 
     def make_config(self) -> GroupConfig:
-        return GroupConfig(self.groups)
+        return uniform_groups(self.n_groups, self.group_size)
 
     def client_hosts(self) -> List[int]:
-        """The pid each client runs on."""
-        pids = sorted(pid for group in self.groups for pid in group)
-        first = pids.index(self.driver_pid)
-        return [pids[(first + cid) % len(pids)] for cid in range(self.clients)]
+        """The pid each client runs on: client 0 on the driver, the rest
+        round-robin over the nodes."""
+        n = self.n_groups * self.group_size
+        return [(DRIVER_PID + cid) % n for cid in range(self.clients)]
 
     def client_plans(self) -> List[List[FrozenSet[int]]]:
         # A client's home group is pinned into every destination set so
@@ -344,16 +357,15 @@ class Topology:
         # signal.
         group_of = self.make_config().group_of
         return make_client_plans(
-            len(self.groups),
+            self.n_groups,
             self.n_messages,
             self.seed,
-            self.extra_group_p,
             home_gids=[group_of[pid] for pid in self.client_hosts()],
         )
 
     def expected_for(self, gid: int) -> int:
         """Messages a member of ``gid`` must deliver under this
-        topology's workload (a pure function of the config)."""
+        spec's workload (a pure function of the spec)."""
         return plans_expected_count(self.client_plans(), gid)
 
 
@@ -364,17 +376,11 @@ class Topology:
 
 @dataclass
 class NodeResult:
-    """What one node reports at exit (also written to summary JSON)."""
+    """How one node's run ended; a clean exit also leaves
+    ``summary-<pid>.json``."""
 
     pid: int
-    gid: int
     exit_code: int
-    delivered: List[Tuple[Tuple[int, int], int]] = field(default_factory=list)
-    expected: int = 0
-    latencies_ms: List[float] = field(default_factory=list)
-    wall_ms: float = 0.0
-    transport: Dict[str, Any] = field(default_factory=dict)
-    epochs_seen: int = 0
 
 
 class NetNode:
@@ -396,8 +402,8 @@ class NetNode:
     4. on delivering everything addressed to this group, write
        ``done-<pid>`` and keep serving (acks + heartbeats for
        stragglers);
-    5. on ``STOP``, flush queues, linger ``linger_ms``, close, write
-       ``summary-<pid>.json`` and exit 0 (3 on watchdog timeout).
+    5. on ``STOP``, flush queues, linger :data:`LINGER_MS`, close,
+       write ``summary-<pid>.json`` and exit 0 (3 on watchdog timeout).
 
     However ``run()`` ends — exit, error, watchdog, cancellation — it
     ends in :meth:`close`: no listener, redial task or timer (the GC
@@ -412,7 +418,7 @@ class NetNode:
     verifier judges against the delivery logs.
     """
 
-    def __init__(self, topology: Topology, pid: int, rundir: Path) -> None:
+    def __init__(self, topology: ClusterSpec, pid: int, rundir: Path) -> None:
         self.topology = topology
         self.pid = pid
         self.rundir = Path(rundir)
@@ -462,11 +468,7 @@ class NetNode:
             batching_ms=topo.batching_ms,  # §7.1 ack/bump coalescing
         )
         transport = self._transport = Transport(
-            self.pid,
-            topo.addresses,
-            on_frame=self._on_frame,
-            probe=runtime.probe,
-            coalesce=topo.coalesce,
+            self.pid, topo.addresses, on_frame=self._on_frame, coalesce=topo.coalesce
         )
         facade.bind(transport)
         self._log_fh = open(self.rundir / f"delivery-{self.pid}.jsonl", "w")
@@ -491,9 +493,7 @@ class NetNode:
             self.pid,
             sched,
             self._send_heartbeats,
-            hb_interval_ms=topo.hb_interval_ms,
             suspect_ms=topo.suspect_ms,
-            grace_ms=topo.hb_grace_ms,
         )
         proc.omega = omega
         omega.subscribe(proc._on_omega_output)
@@ -508,11 +508,10 @@ class NetNode:
         await self._wait_for_file(self.rundir / "STOP")
         omega.stop()
         await transport.flush()
-        await asyncio.sleep(self.topology.linger_ms / 1000.0)
+        await asyncio.sleep(LINGER_MS / 1000.0)
         await self.close()
-        result = self._result(EXIT_OK)
-        self._write_summary(result)
-        return result
+        self._write_summary()
+        return self._result(EXIT_OK)
 
     async def _wait_for_file(self, path: Path, poll_s: float = 0.02) -> None:
         while not path.exists():
@@ -674,54 +673,38 @@ class NetNode:
     # -- reporting -------------------------------------------------------
 
     def _result(self, exit_code: int) -> NodeResult:
-        transport_stats = self._transport.stats() if self._transport else {}
-        delivered = []
-        if self.proc is not None:
-            delivered = [(mid, final) for mid, final, _ in self.proc.delivery_log]
-        return NodeResult(
-            pid=self.pid,
-            gid=self.gid,
-            exit_code=exit_code,
-            delivered=delivered,
-            expected=self.expected,
-            latencies_ms=[
+        return NodeResult(pid=self.pid, exit_code=exit_code)
+
+    def _write_summary(self) -> None:
+        assert self.runtime is not None and self.proc is not None
+        assert self._transport is not None and self.compaction is not None
+        payload = {
+            "pid": self.pid,
+            "gid": self.gid,
+            "delivered": self._delivered,
+            "expected": self.expected,
+            "latencies_ms": [
                 round(l, 3) for client in self._clients for l in client.latencies
             ],
-            wall_ms=self.runtime.net_scheduler.now if self.runtime else 0.0,
-            transport=transport_stats,
-            epochs_seen=self._epochs_seen,
-        )
-
-    def _write_summary(self, result: NodeResult) -> None:
-        assert self.runtime is not None and self.proc is not None
-        assert self.compaction is not None
-        payload = {
-            "pid": result.pid,
-            "gid": result.gid,
-            "exit_code": result.exit_code,
-            "delivered": [[list(mid), final] for mid, final in result.delivered],
-            "expected": result.expected,
-            "latencies_ms": result.latencies_ms,
-            "wall_ms": round(result.wall_ms, 3),
+            "wall_ms": round(self.runtime.net_scheduler.now, 3),
             "submitted": self._submitted,
             "codec": self.topology.codec,
-            "transport": result.transport,
+            "transport": self._transport.stats(),
             "message_counts": dict(self.runtime.transport_facade.counts_by_kind),
             "events": self.runtime.net_scheduler.events_processed,
-            "epochs_seen": result.epochs_seen,
+            "epochs_seen": self._epochs_seen,
             "compaction": {
                 "runs": self.compaction.runs,
                 "freed": self.compaction.freed,
                 "t_base": self.proc._t_base,
             },
-            "backend": "net",
         }
         (self.rundir / f"summary-{self.pid}.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
 
 
-def run_node(topology: Topology, pid: int, rundir: Path) -> int:
+def run_node(topology: ClusterSpec, pid: int, rundir: Path) -> int:
     """Blocking entry point for one node OS process."""
     node = NetNode(topology, pid, Path(rundir))
     result = asyncio.run(node.run())

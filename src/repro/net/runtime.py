@@ -19,37 +19,15 @@ over a real event loop and real TCP connections. A protocol process is
 backend-agnostic by construction: the *same* ``PrimCastProcess`` object
 runs on either substrate.
 
-:class:`Runtime` bundles one scheduler + transport pair with the
-lifecycle operations drivers need (``now`` / ``call_after`` / ``run`` /
-probe hooks). :class:`SimRuntime` is the
-simulation adapter — a thin aggregate over an untouched ``Scheduler`` +
-``Network`` pair, so the sim path's event schedule is bit-identical to
-constructing the two directly (the goldens pin this).
-
 Timer semantics shared by both backends: time is a float in
-milliseconds, monotone non-decreasing, starting at 0.0 at runtime
-creation. The sim reads it from the event heap; the asyncio backend
-derives it from ``time.monotonic()``.
+milliseconds, monotone non-decreasing, starting at 0.0 when the
+scheduler is created. The sim reads it from the event heap; the asyncio
+backend derives it from ``time.monotonic()``.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import (
-    Any,
-    Callable,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
-
-#: Runtime-level probe hooks observe substrate events (connection
-#: established, reconnect, peer suspected, node ready, ...) the way
-#: process-level probe hooks observe protocol steps:
-#: ``hook(event, data)``.
-RuntimeProbe = Callable[[str, Any], None]
+from typing import Any, Callable, List, Protocol, Tuple, runtime_checkable
 
 
 @runtime_checkable
@@ -137,115 +115,3 @@ class ProcessLike(Protocol):
 
     pid: int
     crashed: bool
-
-
-class Runtime(ABC):
-    """One substrate instance: a scheduler + transport pair plus
-    lifecycle helpers.
-
-    Protocol processes still take the two halves separately (their
-    constructors predate this seam and the hot paths bind them
-    directly); the runtime is the object *drivers* hold — apps, the
-    harness and the cluster nodes construct processes from
-    ``runtime.scheduler`` / ``runtime.transport`` and drive them through
-    ``run`` / ``call_after``.
-    """
-
-    #: Backend tag recorded in results ("sim" or "net").
-    backend: str = "sim"
-
-    def __init__(self) -> None:
-        self.probe_hooks: List[RuntimeProbe] = []
-
-    @property
-    @abstractmethod
-    def scheduler(self) -> SchedulerAPI:
-        """The scheduler half of the seam."""
-
-    @property
-    @abstractmethod
-    def transport(self) -> TransportAPI:
-        """The transport half of the seam."""
-
-    @abstractmethod
-    def run(self, until: float) -> float:
-        """Advance this runtime until time ``until`` (ms); returns the
-        time reached. Sim: drain the event heap. Net: pump the event
-        loop for the corresponding wall-clock span."""
-
-    def now(self) -> float:
-        """Current time in milliseconds since runtime start."""
-        return self.scheduler.now
-
-    def call_after(
-        self, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> TimerHandle:
-        """Schedule ``fn(*args)`` after ``delay`` ms of runtime time."""
-        return self.scheduler.call_after(delay, fn, *args)
-
-    def add_probe_hook(self, hook: RuntimeProbe) -> None:
-        """Register ``hook(event, data)`` on substrate events."""
-        self.probe_hooks.append(hook)
-
-    def probe(self, event: str, data: Any = None) -> None:
-        """Fire every registered probe hook."""
-        for hook in self.probe_hooks:
-            hook(event, data)
-
-
-class SimRuntime(Runtime):
-    """The simulation adapter: an untouched ``Scheduler`` + ``Network``
-    pair behind the :class:`Runtime` surface.
-
-    Pure aggregation — no call interposition, no wrapper objects on the
-    event path — so a system built through a ``SimRuntime`` produces the
-    exact event schedule of one wired by hand (goldens stay
-    bit-identical).
-    """
-
-    backend = "sim"
-
-    def __init__(self, scheduler: Any, network: Any) -> None:
-        super().__init__()
-        self._scheduler = scheduler
-        self._network = network
-
-    @classmethod
-    def local(
-        cls,
-        latency: Optional[Any] = None,
-        seed: int = 1,
-        rng_label: str = "latency",
-    ) -> "SimRuntime":
-        """Build a fresh simulated substrate (1 ms constant latency by
-        default), seeded like the harness does."""
-        from ..sim.events import Scheduler
-        from ..sim.latency import ConstantLatency
-        from ..sim.network import Network
-        from ..sim.rng import child_rng
-
-        scheduler = Scheduler()
-        network = Network(
-            scheduler, latency or ConstantLatency(1.0), child_rng(seed, rng_label)
-        )
-        return cls(scheduler, network)
-
-    @property
-    def scheduler(self) -> SchedulerAPI:
-        sched: SchedulerAPI = self._scheduler
-        return sched
-
-    @property
-    def transport(self) -> TransportAPI:
-        net: TransportAPI = self._network
-        return net
-
-    @property
-    def network(self) -> Any:
-        """The concrete :class:`~repro.sim.network.Network` (sim-only
-        surface: trace hooks, partitions, message counts)."""
-        return self._network
-
-    def run(self, until: float) -> float:
-        result: float = self._scheduler.run(until=until)
-        return result

@@ -88,7 +88,9 @@ MAX_QUEUE_BYTES = 4 * 1024 * 1024
 #: Callback invoked for every decoded frame: ``on_frame(src_pid, obj)``.
 FrameHandler = Callable[[int, Dict[str, Any]], None]
 
-#: Substrate probe: ``probe(event, data)`` (see Runtime.probe).
+#: Substrate probe: ``probe(event, data)`` on connection events
+#: (connect, connect_failed, reconnect, peer_hello, bad_frame,
+#: overloaded).
 ProbeFn = Callable[[str, Any], None]
 
 
@@ -279,8 +281,6 @@ class Transport:
         coalesce: stage outgoing frames per peer and flush once per
             event-loop drain (see module docstring). Off restores the
             PR-9 one-write-per-frame behaviour.
-        coalesce_max_bytes: flush a peer's staged buffer immediately
-            once it crosses this size.
         max_queue_bytes: total queued-bytes threshold above which
             :meth:`overloaded` reports True (backpressure signal; no
             frame is ever dropped).
@@ -293,7 +293,6 @@ class Transport:
         on_frame: FrameHandler,
         probe: Optional[ProbeFn] = None,
         coalesce: bool = True,
-        coalesce_max_bytes: int = COALESCE_MAX_BYTES,
         max_queue_bytes: int = MAX_QUEUE_BYTES,
     ) -> None:
         self.pid = pid
@@ -301,7 +300,6 @@ class Transport:
         self.on_frame = on_frame
         self.probe: ProbeFn = probe if probe is not None else (lambda e, d: None)
         self.coalesce = coalesce
-        self.coalesce_max_bytes = coalesce_max_bytes
         self.max_queue_bytes = max_queue_bytes
         self.peers: Dict[int, PeerConnection] = {}
         self._pending: Dict[int, bytearray] = {}
@@ -404,7 +402,7 @@ class Transport:
             self._pending_frames[dst] = 0
         buf += data
         self._pending_frames[dst] += 1
-        if len(buf) >= self.coalesce_max_bytes:
+        if len(buf) >= COALESCE_MAX_BYTES:
             self._flush_peer(dst)
         elif not self._flush_scheduled:
             self._flush_scheduled = True

@@ -39,12 +39,15 @@ MessageId = Tuple[int, int]
 #: Retry delay (ms) of a pump that found the transport overloaded.
 BACKPRESSURE_RETRY_MS = 5.0
 
+#: Chance that a planned message also goes to each group besides its
+#: client's home group.
+EXTRA_GROUP_P = 0.5
+
 
 def make_client_plans(
     n_groups: int,
     n_messages: int,
     seed: int,
-    extra_group_p: float,
     home_gids: List[int],
 ) -> List[List[FrozenSet[int]]]:
     """Per-client destination plans, one client per ``home_gids`` entry.
@@ -52,7 +55,7 @@ def make_client_plans(
     ``n_messages`` total messages are dealt round-robin over the
     clients. Each destination set pins the submitting client's *home*
     group (the group of the node the client runs on) plus every other
-    group with probability ``extra_group_p``. The pin is load-bearing,
+    group with probability :data:`EXTRA_GROUP_P`. The pin is load-bearing,
     not cosmetic: a PrimCast submitter only a-delivers messages
     addressed to its own group, and the client frees a window slot
     exactly when the submitter observes its own delivery. A message
@@ -72,7 +75,7 @@ def make_client_plans(
         home = home_gids[cid]
         d = {home}
         for g in range(n_groups):
-            if g != home and rng.random() < extra_group_p:
+            if g != home and rng.random() < EXTRA_GROUP_P:
                 d.add(g)
         plans[cid].append(frozenset(d))
     return plans

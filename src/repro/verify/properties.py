@@ -286,13 +286,14 @@ def check_all(
     correct_pids: Set[int],
     prefix: bool = True,
 ) -> None:
-    """Run every checker (prefix order optional: it is quadratic)."""
-    check_integrity(logs, multicast_mids)
-    check_uniform_agreement(logs, dest_pids_of, correct_pids)
-    check_acyclic_order(logs)
-    check_timestamp_order(logs)
-    if prefix:
-        check_prefix_order(logs, dest_pids_of)
+    """Run every checker (prefix order optional: it is quadratic) and
+    raise the first violation :func:`collect_violations` finds."""
+    violations = collect_violations(
+        logs, multicast_mids, dest_pids_of, correct_pids, prefix
+    )
+    if violations:
+        first = violations[0]
+        raise PropertyViolation(first.message, prop=first.prop, mids=first.mids)
 
 
 def collect_violations(

@@ -14,7 +14,7 @@ import asyncio
 import json
 import socket
 import time
-from dataclasses import fields
+from dataclasses import replace
 
 import pytest
 
@@ -32,20 +32,15 @@ from repro.net.differential import (
     run_sim_reference,
     verify_cluster_logs,
 )
-from repro.net.host import EXIT_ERROR, EXIT_TIMEOUT, NetNode, Topology
-from repro.net.runtime import SimRuntime
+from repro.net.__main__ import main
+from repro.net.host import EXIT_ERROR, EXIT_TIMEOUT, NetNode
 from repro.net.transport import PeerConnection, Transport
 from repro.net.workload import PlanClient, make_client_plans, plans_expected_count
-from repro.sim.costs import CostModel
+from repro.sim import ConstantLatency, CostModel, Network, Scheduler, child_rng
 
 
-def _run(spec: ClusterSpec, tmp_path, kill_pid=None, kill_after=0):
-    topology = make_topology(spec)
-    return asyncio.run(
-        run_cluster_inprocess(
-            topology, tmp_path, kill_pid=kill_pid, kill_after=kill_after
-        )
-    )
+def _run(spec: ClusterSpec, tmp_path):
+    return asyncio.run(run_cluster_inprocess(make_topology(spec), tmp_path))
 
 
 async def _await_lines(path, n):
@@ -92,7 +87,7 @@ def test_asyncio_cluster_survives_killed_leader(tmp_path):
         kill_after=2,
         suspect_ms=300.0,
     )
-    result = _run(spec, tmp_path, kill_pid=3, kill_after=2)
+    result = _run(spec, tmp_path)
     assert 3 not in result.survivors
     config = result.topology.make_config()
     for pid in result.survivors:
@@ -144,7 +139,7 @@ def test_kill_waits_until_every_survivor_has_dialed_the_victim(tmp_path, monkeyp
         suspect_ms=300.0,
         run_timeout_s=8.0,
     )
-    result = _run(spec, tmp_path, kill_pid=3, kill_after=2)
+    result = _run(spec, tmp_path)
     assert result.survivors == [0, 1, 2, 4, 5]
     assert result.ok, [(o.pid, o.exit_code) for o in result.outcomes.values()]
     assert diff_cluster_result(result) == []
@@ -221,19 +216,20 @@ def test_plan_client_issues_the_same_plan_in_the_same_order_on_both_backends(tmp
     result = _run(ClusterSpec(n_messages=8, seed=5), tmp_path)
     topology = result.topology
     (plan,) = topology.client_plans()
-    runtime = SimRuntime.local(seed=topology.seed)
+    scheduler = Scheduler()
+    network = Network(scheduler, ConstantLatency(1.0), child_rng(topology.seed, "latency"))
     config = topology.make_config()
     procs = {
-        pid: PrimCastProcess(pid, config, runtime.scheduler, runtime.transport, CostModel())
+        pid: PrimCastProcess(pid, config, scheduler, network, CostModel())
         for pid in config.all_pids
     }
     on_sim = []
     client = PlanClient(
-        procs[0], runtime.scheduler, 0, plan,
+        procs[0], scheduler, 0, plan,
         on_submit=lambda mid, dests, now: on_sim.append((mid, dests)),
     )
     client.start()
-    runtime.run(until=10_000_000.0)
+    scheduler.run(until=10_000_000.0)
     on_net = [
         (row["mid"], frozenset(row["dest"]))
         for row in read_jsonl(tmp_path / "submit-0.jsonl")
@@ -399,10 +395,10 @@ def test_open_loop_cluster_passes_statistical_checks(tmp_path):
 
 def test_client_plans_are_deterministic_and_home_rooted():
     homes = [0, 1, 0, 1]
-    a = make_client_plans(2, 20, 3, 0.5, home_gids=homes)
-    b = make_client_plans(2, 20, 3, 0.5, home_gids=homes)
+    a = make_client_plans(2, 20, 3, home_gids=homes)
+    b = make_client_plans(2, 20, 3, home_gids=homes)
     assert a == b
-    assert make_client_plans(2, 20, 4, 0.5, home_gids=homes) != a
+    assert make_client_plans(2, 20, 4, home_gids=homes) != a
     # Round-robin deal: 20 messages over 4 clients = 5 each.
     assert [len(plan) for plan in a] == [5, 5, 5, 5]
     # The pin: every destination set includes the client's home group
@@ -420,6 +416,8 @@ def test_cluster_spec_validation():
         ClusterSpec(n_groups=2, group_size=2, n_messages=4, kill_pid=3).validate()
     with pytest.raises(ValueError):
         ClusterSpec(n_groups=2, group_size=3, n_messages=4, kill_pid=99).validate()
+    with pytest.raises(ValueError, match="kill_pid -1 not in the cluster"):
+        ClusterSpec(n_groups=2, group_size=3, n_messages=4, kill_pid=-1).validate()
     ClusterSpec(n_groups=2, group_size=3, n_messages=4, kill_pid=3).validate()
     # Open-driver validation: needs clients/window >= 1, no kill.
     with pytest.raises(ValueError):
@@ -444,72 +442,42 @@ def test_cluster_spec_validation():
         ClusterSpec(window=1, rate_hz=50.0, **one).validate()
 
 
-_SHARED = sorted({f.name for f in fields(ClusterSpec)} & {f.name for f in fields(Topology)})
+@pytest.mark.parametrize(
+    "argv",
+    [["diff", "--groups", "0"], ["diff", "--kill", "-1"], ["open", "--clients", "0"]],
+    ids=["groups-0", "kill-minus-1", "open-clients-0"],
+)
+def test_an_invalid_spec_exits_2_before_any_node_starts(tmp_path, capsys, argv):
+    # Exit 1 means a run or a check failed; a spec error is a usage error.
+    assert main(argv + ["--rundir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []  # no barrier file, no node log
 
 
-@pytest.mark.parametrize("name", _SHARED)
-def test_make_topology_forwards_every_field_the_spec_shares_with_it(name):
-    assert set(_SHARED) >= {"seed", "codec", "batching_ms", "suspect_ms", "clients", "rate_hz"}
-    default = getattr(ClusterSpec(), name)
-    value = {"codec": "binary", "coalesce": False, "hb_grace_ms": 75.0}.get(name)
-    if value is None:
-        value = default + 3
-    topology = make_topology(ClusterSpec(driver_mode="open", **{name: value}))
-    assert getattr(topology, name) == value != default
-
-
-def test_topology_json_key_order_is_pinned():
-    # The launcher hands this file to every node process; the derived
-    # to_json must keep writing exactly what the literal one wrote.
-    topology = make_topology(ClusterSpec())
-    data = json.loads(json.dumps(topology.to_json()))
-    assert data.pop("addresses") == {
-        str(pid): [host, port] for pid, (host, port) in topology.addresses.items()
-    }
-    assert json.dumps(data) == (
-        '{"groups": [[0, 1, 2], [3, 4, 5]], "seed": 1, "n_messages": 16, '
-        '"driver_pid": 0, "extra_group_p": 0.5, "hb_interval_ms": 50.0, '
-        '"suspect_ms": 500.0, "hb_grace_ms": null, "run_timeout_s": 60.0, '
-        '"linger_ms": 250.0, "hold_after": null, "codec": "json", '
-        '"coalesce": true, "batching_ms": 0.0, '
-        '"clients": 1, "window": 1, "rate_hz": 0.0}'
-    )
-    assert list(topology.to_json())[:2] == ["groups", "addresses"]
-    assert Topology.from_json(topology.to_json()) == topology
-
-
-def test_pr9_topology_file_still_loads():
-    # A file written before the wire-path options existed: the absent
-    # keys take the field defaults.
-    pr9 = {
-        "groups": [[0, 1], [2, 3]],
-        "addresses": {"0": ["127.0.0.1", 9000], "1": ["127.0.0.1", 9001],
-                      "2": ["127.0.0.1", 9002], "3": ["127.0.0.1", 9003]},
-        "seed": 7,
-        "n_messages": 5,
-        "driver_pid": 0,
-        "extra_group_p": 0.25,
-        "hb_interval_ms": 40.0,
-        "suspect_ms": 400.0,
-        "run_timeout_s": 30.0,
-        "linger_ms": 100.0,
-    }
-    topology = Topology.from_json(json.loads(json.dumps(pr9)))
-    assert topology == Topology(
-        groups=[[0, 1], [2, 3]],
-        addresses={pid: ("127.0.0.1", 9000 + pid) for pid in range(4)},
-        seed=7,
-        n_messages=5,
-        extra_group_p=0.25,
-        hb_interval_ms=40.0,
-        suspect_ms=400.0,
-        run_timeout_s=30.0,
-        linger_ms=100.0,
-    )
-    assert (topology.codec, topology.coalesce) == ("json", True)
-    # ... and the default workload is the sequential shape.
-    assert (topology.clients, topology.window, topology.rate_hz) == (1, 1, 0.0)
-    assert {k: v for k, v in topology.to_json().items() if k in pr9} == pr9
+def test_cluster_spec_round_trips_through_topology_json():
+    # The launcher writes topology.json, every node process reads it
+    # back: every field must survive, and a missing one is an error.
+    open_spec = make_topology(ClusterSpec(
+        n_groups=3, group_size=1, n_messages=5, seed=7, suspect_ms=300.0,
+        run_timeout_s=9.0, codec="binary", coalesce=False, batching_ms=5.0,
+        driver_mode="open", clients=2, window=3, rate_hz=50.0,
+    ))
+    kill_spec = make_topology(ClusterSpec(n_messages=5, kill_pid=4, kill_after=2))
+    for spec in (open_spec, kill_spec):
+        assert ClusterSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+    assert open_spec.groups == [[0], [1], [2]]
+    assert sorted(open_spec.addresses) == [0, 1, 2]
+    assert (open_spec.clients, open_spec.window, open_spec.rate_hz) == (2, 3, 50.0)
+    data = kill_spec.to_json()
+    del data["suspect_ms"]
+    with pytest.raises(KeyError):
+        ClusterSpec.from_json(data)
+    # "seq" spells the sequential shape out, whatever the fields said.
+    seq = make_topology(ClusterSpec(clients=4, window=4, rate_hz=20.0))
+    assert (seq.clients, seq.window, seq.rate_hz) == (1, 1, 0.0)
+    # The driver holds at the kill mark only when a kill is configured.
+    assert (kill_spec.hold_after, seq.hold_after) == (2, None)
+    assert replace(kill_spec, kill_pid=None).hold_after is None
 
 
 # ----------------------------------------------------------------------
@@ -532,7 +500,9 @@ def _lines(path):
 def test_hold_point_releases_only_after_RELEASE(tmp_path):
     async def scenario():
         node = _lone_node(tmp_path)
-        node.topology.hold_after = 1
+        # A kill configured (the pid is never used here) holds the
+        # driver after its first message.
+        node.topology = replace(node.topology, kill_pid=1, kill_after=1)
         task = asyncio.create_task(node.run())
         await asyncio.wait_for(_await_lines(tmp_path / "delivery-0.jsonl", 1), 10.0)
         await asyncio.sleep(0.2)  # many loop iterations, nothing new submitted

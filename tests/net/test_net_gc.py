@@ -41,12 +41,8 @@ def _record_nodes(monkeypatch):
     return nodes
 
 
-def _run(spec, rundir, kill_pid=None, kill_after=0):
-    return asyncio.run(
-        run_cluster_inprocess(
-            make_topology(spec), rundir, kill_pid=kill_pid, kill_after=kill_after
-        )
-    )
+def _run(spec, rundir):
+    return asyncio.run(run_cluster_inprocess(make_topology(spec), rundir))
 
 
 @pytest.mark.parametrize("truncated_at, clean", [(6.0, True), (5.0, True), (4.0, False)])
@@ -152,7 +148,7 @@ def test_a_kill_freezes_only_the_victims_group_watermark(tmp_path, monkeypatch):
     monkeypatch.setattr(PrimCastProcess, "_on_new_state", recorded_install)
 
     spec = ClusterSpec(n_messages=600, kill_pid=3, kill_after=400, codec="binary")
-    result = _run(spec, tmp_path, kill_pid=3, kill_after=400)
+    result = _run(spec, tmp_path)
     assert result.ok, [(o.pid, o.exit_code) for o in result.outcomes.values()]
     assert diff_cluster_result(result) == []
     assert verify_cluster_logs(result) == []  # truncation safety included

@@ -1,24 +1,21 @@
-"""Runtime seam tests: protocol conformance and sim-adapter fidelity.
+"""Runtime seam tests: protocol conformance of both substrates, and the
+asyncio scheduler's clock.
 
-The critical invariant is that :class:`SimRuntime` is a *pure
-aggregate*: a system built through it must produce exactly the event
-schedule (and therefore delivery log) of one wired from ``Scheduler`` +
-``Network`` by hand — that is what keeps the sim goldens bit-identical
-across the seam extraction.
+The simulator's ``Scheduler`` + ``Network`` and the asyncio facades are
+the only two implementations of the seam; every caller wires one of
+them by hand.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 from repro.core import PrimCastProcess, uniform_groups
 from repro.election import make_oracles
 from repro.net.runtime import (
     LeaderOracle,
     ProcessLike,
-    Runtime,
     SchedulerAPI,
-    SimRuntime,
     TimerHandle,
     TransportAPI,
 )
@@ -54,81 +51,6 @@ def test_net_classes_satisfy_the_seam_protocols():
         assert hasattr(NetScheduler, attr) or attr in ("_heap", "_seq")
     for attr in ("register", "transmit"):
         assert hasattr(TransportFacade, attr)
-
-
-def _run_workload(
-    scheduler: Scheduler,
-    network: Network,
-    runtime: Runtime = None,
-) -> Dict[int, List[Tuple[Any, int]]]:
-    """Wire a 2x3 primcast system onto the given substrate, drive a
-    small deterministic workload, return pid -> [(mid, final_ts)]."""
-    config = uniform_groups(2, 3)
-    deliveries: Dict[int, List[Tuple[Any, int]]] = {pid: [] for pid in config.all_pids}
-    procs = {}
-    for pid in config.all_pids:
-        proc = PrimCastProcess(pid, config, scheduler, network, CostModel())
-        proc.add_deliver_hook(
-            lambda p, m, ts: deliveries[p.pid].append((m.mid, ts))
-        )
-        procs[pid] = proc
-    for i in range(6):
-        dest = frozenset({0}) if i % 3 == 0 else frozenset({0, 1})
-        scheduler.call_after(float(i), procs[0].a_multicast, dest, f"m{i}")
-    driver = runtime if runtime is not None else scheduler
-    if isinstance(driver, Runtime):
-        driver.run(until=1_000_000.0)
-    else:
-        driver.run(until=1_000_000.0)
-    return deliveries
-
-
-def test_sim_runtime_is_bit_identical_to_hand_wiring():
-    # Hand-wired substrate.
-    sched_a = Scheduler()
-    net_a = Network(sched_a, ConstantLatency(1.0), child_rng(7, "latency"))
-    ref = _run_workload(sched_a, net_a)
-
-    # Same substrate built through the runtime adapter.
-    runtime = SimRuntime.local(seed=7)
-    got = _run_workload(runtime.scheduler, runtime.network, runtime)
-
-    assert got == ref
-    assert any(ref[pid] for pid in ref)  # the workload actually delivered
-
-
-def test_sim_runtime_surface():
-    runtime = SimRuntime.local(seed=3)
-    assert runtime.backend == "sim"
-    assert runtime.now() == 0.0
-    fired: List[float] = []
-    handle = runtime.call_after(5.0, lambda: fired.append(runtime.now()))
-    assert isinstance(handle, TimerHandle)
-    runtime.call_after(2.0, lambda: fired.append(runtime.now()))
-    runtime.run(until=100.0)
-    assert fired == [2.0, 5.0]
-
-    events: List[Tuple[str, Any]] = []
-    runtime.add_probe_hook(lambda e, d: events.append((e, d)))
-    runtime.probe("ready", 42)
-    assert events == [("ready", 42)]
-
-
-def test_runtime_send_goes_through_transport():
-    runtime = SimRuntime.local(seed=3)
-    config = uniform_groups(1, 3)
-    procs = {
-        pid: PrimCastProcess(
-            pid, config, runtime.scheduler, runtime.transport, CostModel()
-        )
-        for pid in config.all_pids
-    }
-    delivered: List[Any] = []
-    for proc in procs.values():
-        proc.add_deliver_hook(lambda p, m, ts: delivered.append((p.pid, m.mid)))
-    runtime.call_after(1.0, procs[0].a_multicast, frozenset({0}), "x")
-    runtime.run(until=1_000_000.0)
-    assert sorted(delivered) == [(0, (0, 0)), (1, (0, 0)), (2, (0, 0))]
 
 
 # ----------------------------------------------------------------------
