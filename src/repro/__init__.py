@@ -22,12 +22,12 @@ Quick start::
 
 Subpackages:
 
-* :mod:`repro.core` — the PrimCast protocol (Algorithms 1–3, §6).
+* :mod:`repro.core` — the PrimCast protocol (Algorithms 1–3, §6) and the
+  endpoint base every protocol shares.
 * :mod:`repro.baselines` — FastCast, White-Box, Classic.
 * :mod:`repro.sim` — discrete-event network/CPU/clock simulation.
 * :mod:`repro.rmcast` — FIFO non-uniform reliable multicast.
 * :mod:`repro.election` — the Ω leader oracle.
-* :mod:`repro.consensus` — single-decree Paxos substrate.
 * :mod:`repro.verify` — atomic multicast property checkers.
 * :mod:`repro.apps` — a partitioned replicated KV store built on it.
 * :mod:`repro.workload` — clients and Table 2 deployment scenarios.
@@ -36,7 +36,7 @@ Subpackages:
 
 __version__ = "1.0.0"
 
-from . import apps, baselines, consensus, core, election, harness, rmcast, sim, verify, workload
+from . import apps, baselines, core, election, harness, rmcast, sim, verify, workload
 from ._backend import backend_info
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "sim",
     "rmcast",
     "election",
-    "consensus",
     "verify",
     "workload",
     "harness",

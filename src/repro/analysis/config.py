@@ -33,7 +33,6 @@ DET_SCOPE: Tuple[str, ...] = (
     "repro.baselines",
     "repro.rmcast",
     "repro.election",
-    "repro.consensus",
     "repro.harness.parallel",
     "repro.harness.cache",
     "repro.chaos",
@@ -114,7 +113,6 @@ RACE_SCOPE: Tuple[str, ...] = (
     "repro.rmcast",
     "repro.baselines",
     "repro.election",
-    "repro.consensus",
     "repro.harness",
     "repro.chaos",
     # The asyncio backend hosts the same protocol objects on a real
@@ -196,6 +194,12 @@ DEFAULT_ALLOW: Mapping[str, Tuple[str, ...]] = {
         "repro.core.process::PrimCastProcess._on_ack",
         "repro.core.process::PrimCastProcess._on_new_state",
         "repro.core.process::PrimCastProcess._check_epoch_activation",
+        # Classic's slot-apply loop: applying a PROPOSE entry stamps the
+        # clock and the leader sends that entry's ClTimestamp; the next
+        # iteration applies the next slot and stamps the clock again.
+        # Each ClTimestamp captures the clock of the entry being applied,
+        # the same standing-proposal shape as above.
+        "repro.baselines.classic::ClassicProcess._on_accepted",
     ),
 }
 

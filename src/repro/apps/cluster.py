@@ -12,21 +12,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..core.config import uniform_groups
-from ..core.process import PrimCastProcess
-from ..baselines.fastcast import FastCastProcess
-from ..baselines.whitebox import WhiteBoxProcess
+from ..harness.runner import make_processes
 from ..sim.costs import CostModel
 from ..sim.events import Scheduler
 from ..sim.latency import ConstantLatency, LatencyModel
 from ..sim.network import Network
 from ..sim.rng import child_rng
 from .kvstore import Command, KvReplica, partition_of
-
-_PROTOCOLS = {
-    "primcast": PrimCastProcess,
-    "whitebox": WhiteBoxProcess,
-    "fastcast": FastCastProcess,
-}
 
 
 class KvCluster:
@@ -41,19 +33,15 @@ class KvCluster:
         cost_model: Optional[CostModel] = None,
         seed: int = 1,
     ):
-        if protocol not in _PROTOCOLS:
-            raise ValueError(f"unknown protocol {protocol!r}")
         self.n_partitions = n_partitions
         self.config = uniform_groups(n_partitions, replicas_per_partition)
         self.scheduler = Scheduler()
         self.network = Network(
             self.scheduler, latency or ConstantLatency(1.0), child_rng(seed, "kv")
         )
-        cls = _PROTOCOLS[protocol]
-        self.processes: Dict[int, Any] = {
-            pid: cls(pid, self.config, self.scheduler, self.network, cost_model)
-            for pid in self.config.all_pids
-        }
+        self.processes: Dict[int, Any] = make_processes(
+            protocol, self.config, self.scheduler, self.network, cost_model, None
+        )
         self.replicas: Dict[int, KvReplica] = {
             pid: KvReplica(proc, n_partitions) for pid, proc in self.processes.items()
         }

@@ -2,8 +2,8 @@
 
 The protocol family PrimCast descends from (Fritzke et al. '98 /
 Guerraoui & Schiper '01): each group runs atomic broadcast — here a
-:class:`~repro.consensus.ReplicatedLog` — and uses it *both* to maintain
-the group's logical clock and to timestamp messages:
+stable-leader group log — and uses it *both* to maintain the group's
+logical clock and to timestamp messages:
 
 1. The sender sends ``m`` to the leader of each destination group.
 2. The leader appends a PROPOSE entry; when the group log applies it,
@@ -15,26 +15,24 @@ the group's logical clock and to timestamp messages:
    it raises the group clock and makes ``m`` deliverable in final-
    timestamp order.
 
+The group log is phase-2 Paxos under a stable leader: the leader sends
+``ClAccept(slot, entry)`` to the members, every member sends
+``ClAccepted(slot, entry)`` to every member, and a slot is decided by a
+quorum of those and applied in slot order. There is no leader change.
+
 Collision-free latency: 1 (start) + 2 (propose consensus) + 1 (timestamp
 exchange) + 2 (commit consensus) = **6 steps**; clock-update latency is
 another 6, giving the failure-free **12 steps** the paper quotes — the
 gap PrimCast's 3/5 is measured against. Not part of the paper's §7
-evaluation; provided for the related-work comparison and as the
-reference consumer of the consensus substrate.
+evaluation; provided for the related-work comparison.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
-from ..consensus.log import ReplicatedLog
-from ..consensus.paxos import Accept, Accepted, Prepare, Promise
-from ..core.config import GroupConfig
+from ..core.endpoint import GroupProtocolProcess
 from ..core.messages import MessageId, Multicast
-from ..sim.costs import CostModel
-from ..sim.events import Scheduler
-from ..sim.network import Network
-from .base import GroupProtocolProcess
 from .delivery import DeliveryQueue
 
 
@@ -79,22 +77,37 @@ class _LogEntry:
         self.final_ts = final_ts
 
 
+class ClAccept:
+    """Group log, phase 2a: the leader proposes ``entry`` for ``slot``."""
+
+    __slots__ = ("slot", "entry")
+    kind = "paxos-2a"
+
+    def __init__(self, slot: int, entry: _LogEntry):
+        self.slot = slot
+        self.entry = entry
+
+
+class ClAccepted:
+    """Group log, phase 2b, sent to all members (all learn in one step)."""
+
+    __slots__ = ("slot", "entry")
+    kind = "paxos-2b"
+
+    def __init__(self, slot: int, entry: _LogEntry):
+        self.slot = slot
+        self.entry = entry
+
+
 CLASSIC_KINDS = ("start", "cl-ts", "paxos-2a", "paxos-2b")
 
 
 class ClassicProcess(GroupProtocolProcess):
     """One group member of the classic consensus-based multicast."""
 
-    def __init__(
-        self,
-        pid: int,
-        config: GroupConfig,
-        scheduler: Scheduler,
-        network: Network,
-        cost_model: Optional[CostModel] = None,
-    ):
-        super().__init__(pid, config, scheduler, network, cost_model)
-        self.is_leader = config.initial_leader(self.gid) == pid
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.is_leader = self.config.initial_leader(self.gid) == self.pid
         self.clock = 0
         self._multicasts: Dict[MessageId, Multicast] = {}
         self._proposed: Set[MessageId] = set()  # leader-side dedup
@@ -103,29 +116,50 @@ class ClassicProcess(GroupProtocolProcess):
         self._remote_ts: Dict[MessageId, Dict[int, int]] = {}
         self._finals: Dict[MessageId, int] = {}  # committed finals
         self._queue = DeliveryQueue(self._min_bound)
-        self.log = ReplicatedLog(
-            pid,
-            config.members(self.gid),
-            send_fn=self._send_all,
-            on_apply=self._apply_entry,
-        )
-        paxos = self.log.handle
+        # --- group log ---
+        self._next_slot = 0  # leader: next slot to assign
+        self._votes: Dict[int, Set[int]] = {}  # slot -> ClAccepted senders
+        self._decided: Dict[int, _LogEntry] = {}  # decided, not yet applied
+        self._apply_cursor = 0  # next slot to apply
         self._r_dispatch.update({
             ClStart: self._on_start,
             ClTimestamp: self._on_timestamp,
-            Prepare: paxos, Promise: paxos, Accept: paxos, Accepted: paxos,
+            ClAccept: self._on_accept,
+            ClAccepted: self._on_accepted,
         })
-
-    # ------------------------------------------------------------------
-    # transport plumbing
-    # ------------------------------------------------------------------
-
-    def _send_all(self, pids: List[int], msg: Any) -> None:
-        self.r_multicast(msg, pids)
 
     def a_multicast_m(self, multicast: Multicast) -> None:
         leaders = [self.config.initial_leader(g) for g in sorted(multicast.dest)]
         self.r_multicast(ClStart(multicast), leaders)
+
+    # ------------------------------------------------------------------
+    # group log
+    # ------------------------------------------------------------------
+
+    def _append(self, entry: _LogEntry) -> None:
+        """Leader: propose ``entry`` for the next slot."""
+        slot = self._next_slot
+        self._next_slot += 1
+        self.r_multicast(ClAccept(slot, entry), self.group_members)
+
+    def _on_accept(self, origin: int, msg: ClAccept) -> None:
+        self.r_multicast(ClAccepted(msg.slot, msg.entry), self.group_members)
+
+    def _on_accepted(self, origin: int, msg: ClAccepted) -> None:
+        """Decide a slot on a quorum of votes; apply in slot order."""
+        slot = msg.slot
+        if slot < self._apply_cursor or slot in self._decided:
+            return
+        voters = self._votes.setdefault(slot, set())
+        voters.add(origin)
+        if not self.config.has_quorum(self.gid, voters):
+            return
+        del self._votes[slot]
+        self._decided[slot] = msg.entry
+        while self._apply_cursor in self._decided:
+            entry = self._decided.pop(self._apply_cursor)
+            self._apply_cursor += 1
+            self._apply_entry(entry)
 
     # ------------------------------------------------------------------
     # protocol
@@ -140,7 +174,7 @@ class ClassicProcess(GroupProtocolProcess):
             return
         self._proposed.add(mid)
         self._multicasts[mid] = multicast
-        self.log.append(_LogEntry("propose", multicast))
+        self._append(_LogEntry("propose", multicast))
 
     def _on_timestamp(self, origin: int, msg: ClTimestamp) -> None:
         """Leaders collect every destination group's local timestamp."""
@@ -161,9 +195,9 @@ class ClassicProcess(GroupProtocolProcess):
             return
         final = max([self._local_ts[mid]] + [known[g] for g in others])
         self._committed_appended.add(mid)
-        self.log.append(_LogEntry("commit", multicast, final))
+        self._append(_LogEntry("commit", multicast, final))
 
-    def _apply_entry(self, slot: int, entry: _LogEntry) -> None:
+    def _apply_entry(self, entry: _LogEntry) -> None:
         """Deterministic application of the group log, at every member."""
         mid = entry.multicast.mid
         self._multicasts.setdefault(mid, entry.multicast)

@@ -25,21 +25,17 @@ timestamp notifications with every destination process:
 Message complexity per multicast to k groups of n (Table 1):
 ``kn + 2k²n + 2kn + 2kn²``.
 
-Consensus here is phase-2 Paxos under a stable leader (ballot 0); the
-full protocol with leader change lives in :mod:`repro.consensus` — the
-paper's evaluation (and ours) runs the failure-free path.
+Consensus here is phase-2 Paxos under a stable leader, carried by this
+module's own ``Fc2A`` / ``Fc2B`` messages; there is no leader change —
+the paper's evaluation (and ours) runs the failure-free path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Dict, Set, Tuple
 
-from ..core.config import GroupConfig
+from ..core.endpoint import GroupProtocolProcess
 from ..core.messages import MessageId, Multicast
-from ..sim.costs import CostModel
-from ..sim.events import Scheduler
-from ..sim.network import Network
-from .base import GroupProtocolProcess
 from .delivery import DeliveryQueue
 
 # Consensus round ids.
@@ -127,19 +123,9 @@ FASTCAST_KINDS = ("start", "fc-soft", "fc-hard", "fc-2a", "fc-2b")
 class FastCastProcess(GroupProtocolProcess):
     """One group member of FastCast (stable leaders)."""
 
-    def __init__(
-        self,
-        pid: int,
-        config: GroupConfig,
-        scheduler: Scheduler,
-        network: Network,
-        cost_model: Optional[CostModel] = None,
-        batching_ms: float = 0.0,
-    ):
-        super().__init__(
-            pid, config, scheduler, network, cost_model, batching_ms=batching_ms
-        )
-        self.is_leader = config.initial_leader(self.gid) == pid
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.is_leader = self.config.initial_leader(self.gid) == self.pid
         self.clock = 0
         self._multicasts: Dict[MessageId, Multicast] = {}
         self._proposed: Set[MessageId] = set()  # leader: round-1 started

@@ -28,14 +28,10 @@ Message complexity per multicast to k groups of n (Table 1):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Any, Dict, Set
 
-from ..core.config import GroupConfig
+from ..core.endpoint import GroupProtocolProcess
 from ..core.messages import MessageId, Multicast
-from ..sim.costs import CostModel
-from ..sim.events import Scheduler
-from ..sim.network import Network
-from .base import GroupProtocolProcess
 from .delivery import DeliveryQueue
 
 
@@ -103,19 +99,9 @@ WHITEBOX_KINDS = ("start", "wb-accept", "wb-ack", "wb-deliver")
 class WhiteBoxProcess(GroupProtocolProcess):
     """One group member of the White-Box protocol (stable primaries)."""
 
-    def __init__(
-        self,
-        pid: int,
-        config: GroupConfig,
-        scheduler: Scheduler,
-        network: Network,
-        cost_model: Optional[CostModel] = None,
-        batching_ms: float = 0.0,
-    ):
-        super().__init__(
-            pid, config, scheduler, network, cost_model, batching_ms=batching_ms
-        )
-        self.is_primary = config.initial_leader(self.gid) == pid
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.is_primary = self.config.initial_leader(self.gid) == self.pid
         self.clock = 0
         # shared: accepts seen per message (gid -> ts)
         self._accepts: Dict[MessageId, Dict[int, int]] = {}

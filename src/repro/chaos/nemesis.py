@@ -9,8 +9,7 @@ The nemesis owns the three injection paths:
   kills whichever process of group G currently acts as primary, so a
   schedule can chain "crash the leader, then crash the new leader".
   Hook-triggered crashes ride the protocol probe hooks installed on
-  every :class:`~repro.core.process.PrimCastProcess`
-  (:data:`~repro.core.process.PROBE_EVENTS`), firing at protocol step
+  every process (:data:`~repro.core.process.PROBE_EVENTS`), firing at protocol step
   boundaries — first ack quorum, epoch change start — rather than only
   at wall-clock times.
 * **delay spikes** install a transmit interceptor (see
@@ -32,6 +31,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import GroupConfig
+from ..core.endpoint import GroupProtocolProcess
 from ..core.process import PRIMARY, PrimCastProcess
 from ..sim.events import Scheduler
 from ..sim.failures import FailureInjector
@@ -118,8 +118,7 @@ class Nemesis:
             self.network.add_transmit_interceptor(self._delay_interceptor)
         if self._hooked:
             for proc in self.processes.values():
-                if isinstance(proc, PrimCastProcess):
-                    proc.add_probe_hook(self._on_probe)
+                proc.add_probe_hook(self._on_probe)
 
     def _arm_crash(self, event: FaultEvent) -> None:
         trigger = event.trigger
@@ -192,7 +191,7 @@ class Nemesis:
             clock.offset_us += event.skew_us
             self.applied["skews"] += 1
 
-    def _on_probe(self, proc: PrimCastProcess, event_name: str, data: Any) -> None:
+    def _on_probe(self, proc: GroupProtocolProcess, event_name: str, data: Any) -> None:
         hooks = self._hooked.get(event_name)
         if hooks is None:
             return

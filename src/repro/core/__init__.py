@@ -3,6 +3,8 @@
 Public surface:
 
 * :class:`PrimCastProcess` — one replica, implementing Algorithms 1–3.
+* :class:`GroupProtocolProcess` — the endpoint base every protocol
+  (PrimCast and the baselines) subclasses.
 * :class:`GroupConfig` / :func:`uniform_groups` — membership + quorums.
 * :class:`Multicast` and :data:`MessageId` — application messages.
 * :class:`Epoch` — the primary-based protocol's epochs.
@@ -10,6 +12,7 @@ Public surface:
 """
 
 from .config import GroupConfig, uniform_groups
+from .endpoint import GroupProtocolProcess
 from .epoch import Epoch, initial_epoch
 from .messages import (
     Ack,
@@ -28,6 +31,7 @@ from .state import AckTracker, ClockTracker, SafetyViolationError
 
 __all__ = [
     "PrimCastProcess",
+    "GroupProtocolProcess",
     "GroupConfig",
     "uniform_groups",
     "Multicast",

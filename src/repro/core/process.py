@@ -15,22 +15,12 @@ rule (``clock = max(clock + 1, real-clock())``), enabled with
 from __future__ import annotations
 
 import heapq
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from ..rmcast.fifo import RMcastProcess
 from ..sim.clock import PhysicalClock
 from ..sim.costs import CostModel
 from .config import GroupConfig
+from .endpoint import GroupProtocolProcess
 
 if TYPE_CHECKING:
     from ..net.runtime import LeaderOracle, SchedulerAPI, TransportAPI
@@ -55,16 +45,10 @@ FOLLOWER = "follower"
 CANDIDATE = "candidate"
 PROMISED = "promised"
 
-DeliverHook = Callable[["PrimCastProcess", Multicast, int], None]
-
-#: Probe hooks observe protocol step boundaries: ``hook(process, event,
-#: data)`` where ``event`` is one of :data:`PROBE_EVENTS` and ``data``
-#: is the message id (or the new epoch for ``"epoch_change"``). Used by
-#: the chaos nemesis (:mod:`repro.chaos.nemesis`) to trigger faults at
-#: protocol-relevant moments instead of wall-clock times.
-ProbeHook = Callable[["PrimCastProcess", str, Any], None]
-
-#: Events fired through :meth:`PrimCastProcess.add_probe_hook`:
+#: Events fired through ``add_probe_hook`` (:mod:`repro.core.endpoint`);
+#: ``data`` is the message id unless stated otherwise. The chaos nemesis
+#: (:mod:`repro.chaos.nemesis`) uses them to trigger faults at
+#: protocol-relevant moments instead of wall-clock times:
 #:
 #: * ``"start"`` — a ⟨start, m⟩ tuple was r-delivered (line 33), before
 #:   any local timestamp exists for m at this process;
@@ -85,7 +69,7 @@ PROBE_EVENTS = ("start", "propose", "ack_quorum", "epoch_change", "deliver", "tr
 TEntry = Tuple[Epoch, Multicast, int]
 
 
-class PrimCastProcess(RMcastProcess):
+class PrimCastProcess(GroupProtocolProcess):
     """A PrimCast group member.
 
     Args:
@@ -123,14 +107,11 @@ class PrimCastProcess(RMcastProcess):
         enable_bumps: bool = True,
         batching_ms: float = 0.0,
     ) -> None:
-        super().__init__(pid, scheduler, network, cost_model, batching_ms=batching_ms)
-        if pid not in config.group_of:
-            raise ValueError(f"pid {pid} is not a member of any group")
+        super().__init__(
+            pid, config, scheduler, network, cost_model, batching_ms=batching_ms
+        )
         if hybrid_clock and physical_clock is None:
             raise ValueError("hybrid_clock requires a physical_clock")
-        self.config = config
-        self.gid = config.group_of[pid]
-        self.group_members = config.members(self.gid)
         self.physical_clock = physical_clock
         self.hybrid_clock = hybrid_clock
         # Ablation switch (§5.2.5): without bump messages, quorum-clock()
@@ -144,7 +125,6 @@ class PrimCastProcess(RMcastProcess):
         self.e_cur: Epoch = initial_epoch(leader0)
         self.e_prom: Epoch = initial_epoch(leader0)
         self.role = PRIMARY if leader0 == pid else FOLLOWER
-        self.delivered: Set[MessageId] = set()  # D
         self.t_list: List[TEntry] = []  # T (sequence)
         self.t_by_mid: Dict[MessageId, Tuple[Epoch, int]] = {}
 
@@ -202,11 +182,6 @@ class PrimCastProcess(RMcastProcess):
         # decision feeds clears the flag: a local or final timestamp
         # decided, a final pushed, T installed, an epoch activated.
         self._order_blocked = False
-        self.deliver_hooks: List[DeliverHook] = []
-        self.delivery_log: List[Tuple[MessageId, int, float]] = []
-        # Probe hooks stay None unless installed, so the hot paths pay
-        # one is-None check per step boundary and nothing more.
-        self.probe_hooks: Optional[List[ProbeHook]] = None
 
         # Cached quorum-clock() value; invalidated whenever the clock
         # observations it derives from change (see quorum_clock()).
@@ -222,7 +197,6 @@ class PrimCastProcess(RMcastProcess):
             AcceptEpoch: self._on_accept_epoch,
         })
 
-        self._next_seq = 0
         self.omega = omega
         if omega is not None:
             omega.subscribe(self._on_omega_output)
@@ -231,42 +205,10 @@ class PrimCastProcess(RMcastProcess):
     # public API
     # ------------------------------------------------------------------
 
-    def a_multicast(self, dest: Iterable[int], payload: Any = None) -> Multicast:
-        """Atomically multicast ``payload`` to the destination groups.
-
-        Algorithm 2, line 31: r-multicast ⟨start, m⟩ to every process of
-        every destination group. Returns the multicast handle; delivery
-        is signalled through :attr:`deliver_hooks`.
-        """
-        mid = (self.pid, self._next_seq)
-        self._next_seq += 1
-        multicast = Multicast(mid, frozenset(dest), payload)
-        self.a_multicast_m(multicast)
-        return multicast
-
     def a_multicast_m(self, multicast: Multicast) -> None:
-        """a-multicast a pre-built :class:`Multicast` (line 31)."""
-        for gid in sorted(multicast.dest):
-            if not 0 <= gid < self.config.n_groups:
-                raise ValueError(f"unknown destination group {gid}")
+        """Algorithm 2, line 31: r-multicast ⟨start, m⟩ to every process
+        of every destination group."""
         self.r_multicast(Start(multicast), self.config.dest_pids(multicast.dest))
-
-    def add_deliver_hook(self, hook: DeliverHook) -> None:
-        """Register ``hook(process, multicast, final_ts)`` on a-deliver."""
-        self.deliver_hooks.append(hook)
-
-    def add_probe_hook(self, hook: ProbeHook) -> None:
-        """Register ``hook(process, event, data)`` at every protocol step
-        boundary (see :data:`PROBE_EVENTS`)."""
-        if self.probe_hooks is None:
-            self.probe_hooks = []
-        self.probe_hooks.append(hook)
-
-    def _probe(self, event: str, data: Any) -> None:
-        hooks = self.probe_hooks
-        if hooks is not None:
-            for hook in hooks:
-                hook(self, event, data)
 
     def compact_delivered(self) -> int:
         """Release per-message tracking state of delivered messages.
@@ -768,14 +710,8 @@ class PrimCastProcess(RMcastProcess):
 
     def _deliver(self, mid: MessageId, final: int) -> None:
         """Lines 54-56."""
-        self.delivered.add(mid)
         self.pending.discard(mid)
-        multicast = self.started[mid]
-        self.delivery_log.append((mid, final, self.scheduler.now))
-        if self.probe_hooks is not None:
-            self._probe("deliver", mid)
-        for hook in self.deliver_hooks:
-            hook(self, multicast, final)
+        self._record_delivery(self.started[mid], final)
 
     # ------------------------------------------------------------------
     # Algorithm 3 — primary change

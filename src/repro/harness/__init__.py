@@ -11,7 +11,7 @@ from .analytic import (
 )
 from .cache import ResultCache, code_fingerprint, spec_key
 from .diagnostics import ConvoyProbe, attach_probes, merged_summary
-from .experiments import FIGURE_PROTOCOLS, figure2, figure3, figure4, figure5, sweep
+from .experiments import figure2, figure3, figure4, figure5, sweep
 from .export import result_row, write_cdf_csv, write_csv, write_json
 from .metrics import cdf_points, percentile, summarize
 from .parallel import (
@@ -28,7 +28,7 @@ from .report import (
     print_results,
     throughput_latency_rows,
 )
-from .runner import PROTOCOLS, RunResult, System, build_system, run_load_point
+from .runner import PROTOCOLS, RunResult, System, build_system, make_processes, run_load_point
 from .steps import build_bare_system, measure_collision_free, measure_primcast_convoy
 
 __all__ = [
@@ -36,13 +36,13 @@ __all__ = [
     "System",
     "RunResult",
     "build_system",
+    "make_processes",
     "run_load_point",
     "sweep",
     "figure2",
     "figure3",
     "figure4",
     "figure5",
-    "FIGURE_PROTOCOLS",
     "percentile",
     "summarize",
     "cdf_points",

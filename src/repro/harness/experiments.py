@@ -29,10 +29,7 @@ from ..workload.scenarios import (
 )
 from .metrics import cdf_points
 from .parallel import SweepExecutor, expand_sweep
-from .runner import RunResult
-
-#: The four curves of every figure.
-FIGURE_PROTOCOLS = ("whitebox", "fastcast", "primcast", "primcast-hc")
+from .runner import PROTOCOLS, RunResult
 
 # Load sweeps (outstanding messages per client).
 REDUCED_LOADS = (1, 4, 16, 64)
@@ -51,7 +48,7 @@ def sweep(
 
     Rows come back in grid order (protocol-major, load-minor) regardless
     of the executor's parallelism. ``point`` are the remaining fields of
-    a load point (``seed``, ``warmup_ms``, ``batching_ms``, ...), declared
+    a load point (``seed``, ``warmup_ms``, ``keep_samples``, ...), declared
     by :class:`~repro.harness.parallel.PointSpec` and nowhere else; an
     unknown keyword is a ``TypeError``.
 
@@ -71,7 +68,7 @@ def figure2(
     """Fig 2: LAN, all messages to 2 groups, throughput vs p95 latency."""
     loads = FULL_LOADS if full else REDUCED_LOADS
     return sweep(
-        FIGURE_PROTOCOLS,
+        tuple(PROTOCOLS),
         lan_scenario(),
         n_dest_groups=2,
         loads=loads,
@@ -93,7 +90,7 @@ def figure3(
     scenario = wan_colocated_leaders()
     return {
         d: sweep(
-            FIGURE_PROTOCOLS,
+            tuple(PROTOCOLS),
             scenario,
             n_dest_groups=d,
             loads=loads,
@@ -117,7 +114,7 @@ def figure4(
     scenario = wan_distributed_leaders()
     return {
         d: sweep(
-            FIGURE_PROTOCOLS,
+            tuple(PROTOCOLS),
             scenario,
             n_dest_groups=d,
             loads=loads,
@@ -152,7 +149,7 @@ def figure5(
         spec
         for outstanding in loads
         for spec in expand_sweep(
-            FIGURE_PROTOCOLS,
+            tuple(PROTOCOLS),
             scenario,
             2,
             (outstanding,),
@@ -166,7 +163,7 @@ def figure5(
     out: Dict[int, Dict[str, List[Tuple[float, float]]]] = {}
     for outstanding in loads:
         curves: Dict[str, List[Tuple[float, float]]] = {}
-        for protocol in FIGURE_PROTOCOLS:
+        for protocol in PROTOCOLS:
             result = next(results)
             lats = [lat for _, _, lat in result.samples]
             curves[protocol] = cdf_points(lats)

@@ -27,7 +27,6 @@ CSV_FIELDS = (
     "p99_ms",
     "samples",
     "events",
-    "backend",
 )
 
 
@@ -52,7 +51,6 @@ def result_row(result: RunResult) -> Dict[str, object]:
         "p99_ms": latency.get("p99", 0.0),
         "samples": int(latency.get("count", 0)),
         "events": data["events"],
-        "backend": data["backend"],
     }
 
 

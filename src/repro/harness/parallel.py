@@ -44,11 +44,9 @@ static-analysis scope (see ``repro.analysis.config.DET_SCOPE``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
 
-from ..sim.costs import CostModel
-from ..core.gc import DEFAULT_COMPACTION_INTERVAL_MS
 from ..workload.scenarios import (
     Scenario,
     lan_fleet,
@@ -116,8 +114,7 @@ def scenario_matches_registry(scenario: Scenario) -> bool:
     replace`` with different RTTs, or a swapped latency builder — would
     silently be replaced by the registry default. This check compares
     the rebuild field-for-field so such scenarios are detected instead
-    of mis-simulated. ``epsilon_ms`` is excluded: the spec captures it
-    explicitly, so a customized skew bound round-trips fine.
+    of mis-simulated — a customized skew bound (``epsilon_ms``) included.
     """
     builder = SCENARIO_BUILDERS.get(scenario.name)
     if builder is None:
@@ -127,36 +124,9 @@ def scenario_matches_registry(scenario: Scenario) -> bool:
         rebuilt.description == scenario.description
         and rebuilt.cross_group_rtt_ms == scenario.cross_group_rtt_ms
         and rebuilt.intra_group_rtt_ms == scenario.intra_group_rtt_ms
+        and rebuilt.epsilon_ms == scenario.epsilon_ms
         # latency builders are stateless callables: same class, same model
         and type(rebuilt._latency_builder) is type(scenario._latency_builder)
-    )
-
-
-def cost_model_spec(model: Optional[CostModel]) -> Optional[Dict[str, Any]]:
-    """Canonical, JSON-safe description of a cost model (None = default).
-
-    :class:`~repro.sim.costs.CostModel` is a pure value object — per-kind
-    cost tables plus defaults — so its full parameter set is the spec.
-    """
-    if model is None:
-        return None
-    return {
-        "recv_costs": dict(model.recv_costs),
-        "send_costs": dict(model.send_costs),
-        "default_recv": model.default_recv,
-        "default_send": model.default_send,
-    }
-
-
-def cost_model_from_spec(spec: Optional[Dict[str, Any]]) -> Optional[CostModel]:
-    """Inverse of :func:`cost_model_spec`."""
-    if spec is None:
-        return None
-    return CostModel(
-        recv_costs=dict(spec["recv_costs"]),
-        send_costs=dict(spec["send_costs"]),
-        default_recv=spec["default_recv"],
-        default_send=spec["default_send"],
     )
 
 
@@ -165,8 +135,9 @@ class PointSpec:
     """One (protocol, scenario, destinations, load) point, fully described.
 
     Every field is JSON-safe; ``canonical()`` is the stable dict the
-    cache hashes. ``cost_model`` is the expanded cost table from
-    :func:`cost_model_spec` (None = the calibrated default model).
+    cache hashes. A point runs with the calibrated default cost model,
+    the scenario's skew bound, batching off and state GC at its default
+    interval; callers that vary those call ``run_load_point`` directly.
 
     This is the one declaration of a load point's parameters and their
     defaults: :func:`point_spec` and :func:`expand_sweep` forward their
@@ -185,10 +156,6 @@ class PointSpec:
     warmup_ms: float = 500.0
     measure_ms: float = 1000.0
     keep_samples: bool = False
-    batching_ms: float = 0.0
-    epsilon_ms: Optional[float] = None
-    cost_model: Optional[Dict[str, Any]] = field(default=None, compare=True)
-    compaction_interval_ms: float = DEFAULT_COMPACTION_INTERVAL_MS
 
     def canonical(self) -> Dict[str, Any]:
         """JSON-safe dict with a stable field set (cache-key input)."""
@@ -206,7 +173,6 @@ class PointSpec:
         scenario = build_scenario(
             point.pop("scenario"), point.pop("n_groups"), point.pop("group_size")
         )
-        point["cost_model"] = cost_model_from_spec(point["cost_model"])
         return run_load_point(scenario=scenario, **point)
 
 
@@ -215,22 +181,17 @@ def point_spec(
     scenario: Scenario,
     n_dest_groups: int,
     outstanding: int,
-    *,
-    cost_model: Optional[CostModel] = None,
-    epsilon_ms: Optional[float] = None,
     **point: Any,
 ) -> PointSpec:
     """Build a :class:`PointSpec` mirroring one ``run_load_point`` call.
 
     ``point`` are the remaining :class:`PointSpec` fields (``seed``,
-    ``warmup_ms``, ``measure_ms``, ``keep_samples``, ``batching_ms``,
-    ``compaction_interval_ms``); their names and defaults are declared
-    there and nowhere else, and an unknown keyword is a ``TypeError``.
+    ``warmup_ms``, ``measure_ms``, ``keep_samples``); their names and
+    defaults are declared there and nowhere else, and an unknown keyword
+    is a ``TypeError``.
 
-    ``scenario.epsilon_ms`` is captured into the spec explicitly (unless
-    overridden), so a caller who customized the skew bound on the
-    scenario object still round-trips through worker reconstruction.
-    Any *other* customization cannot round-trip and is rejected here, so
+    A customized scenario cannot round-trip through worker
+    reconstruction and is rejected here, so
     :func:`repro.harness.experiments.sweep` only takes Table 2 scenarios.
     """
     if scenario.name not in SCENARIO_BUILDERS:
@@ -241,8 +202,8 @@ def point_spec(
     if not scenario_matches_registry(scenario):
         raise ValueError(
             f"scenario {scenario.name!r} does not match its Table 2 registry "
-            f"definition (customized geometry?); workers rebuild scenarios "
-            f"from (name, n_groups, group_size) only, so a customized object "
+            f"definition (customized geometry or skew bound?); workers rebuild "
+            f"scenarios from (name, n_groups, group_size) only, so a customized object "
             f"would silently be replaced by the registry default"
         )
     return PointSpec(
@@ -252,8 +213,6 @@ def point_spec(
         group_size=scenario.group_size,
         n_dest_groups=n_dest_groups,
         outstanding=outstanding,
-        epsilon_ms=epsilon_ms if epsilon_ms is not None else scenario.epsilon_ms,
-        cost_model=cost_model_spec(cost_model),
         **point,
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..baselines.fastcast import FastCastProcess
 from ..baselines.whitebox import WhiteBoxProcess
@@ -25,7 +25,7 @@ from ..core.gc import (
 )
 from ..core.process import PrimCastProcess
 from ..election.omega import OmegaOracle, make_oracles
-from ..sim.clock import make_clocks
+from ..sim.clock import PhysicalClock, make_clocks
 from ..sim.costs import CostModel, default_cost_model
 from ..sim.events import Scheduler
 from ..sim.network import Network
@@ -34,8 +34,57 @@ from ..workload.generator import Client, make_clients
 from ..workload.scenarios import Scenario
 from .metrics import summarize
 
-#: Names accepted by :func:`build_system` / :func:`run_load_point`.
-PROTOCOLS = ("primcast", "primcast-hc", "whitebox", "fastcast")
+if TYPE_CHECKING:
+    from ..net.runtime import SchedulerAPI, TransportAPI
+
+#: The protocol table: name -> process class, in the figures' curve
+#: order. ``primcast-hc`` is PrimCast with the §6 hybrid clocks.
+PROTOCOLS: Dict[str, type] = {
+    "whitebox": WhiteBoxProcess,
+    "fastcast": FastCastProcess,
+    "primcast": PrimCastProcess,
+    "primcast-hc": PrimCastProcess,
+}
+
+
+def make_processes(
+    protocol: str,
+    config: GroupConfig,
+    scheduler: "SchedulerAPI",
+    network: "TransportAPI",
+    costs: Optional[CostModel],
+    clocks: Optional[Mapping[int, PhysicalClock]],
+    batching_ms: float = 0.0,
+) -> Dict[int, Any]:
+    """One process of ``protocol`` per pid of ``config``, in pid order.
+
+    ``clocks`` are the PrimCast processes' physical clocks (required by
+    ``primcast-hc``); the baselines ignore them.
+    """
+    try:
+        cls = PROTOCOLS[protocol]
+    except KeyError:
+        raise ValueError(
+            f"unknown protocol {protocol!r}; pick from {tuple(PROTOCOLS)}"
+        ) from None
+    if not issubclass(cls, PrimCastProcess):
+        return {
+            pid: cls(pid, config, scheduler, network, costs, batching_ms=batching_ms)
+            for pid in config.all_pids
+        }
+    return {
+        pid: cls(
+            pid,
+            config,
+            scheduler,
+            network,
+            costs,
+            physical_clock=clocks[pid] if clocks is not None else None,
+            hybrid_clock=protocol == "primcast-hc",
+            batching_ms=batching_ms,
+        )
+        for pid in config.all_pids
+    }
 
 
 @dataclass
@@ -88,37 +137,20 @@ def build_system(
             heap non-empty, so drive such systems with
             ``scheduler.run(until=...)``.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; pick from {PROTOCOLS}")
-    compaction: Optional[CompactionDaemon] = None
     config = scenario.make_config()
     scheduler = Scheduler()
     network = Network(
         scheduler, scenario.make_latency(config), child_rng(seed, "latency")
     )
     costs = cost_model if cost_model is not None else default_cost_model()
-
-    processes: Dict[int, Any] = {}
+    eps = epsilon_ms if epsilon_ms is not None else scenario.epsilon_ms
+    clocks = make_clocks(scheduler, config.all_pids, eps, child_rng(seed, "clock-skew"))
+    processes = make_processes(
+        protocol, config, scheduler, network, costs, clocks, batching_ms
+    )
     oracles: Optional[Dict[int, OmegaOracle]] = None
-    if protocol in ("primcast", "primcast-hc"):
-        hybrid = protocol == "primcast-hc"
-        eps = epsilon_ms if epsilon_ms is not None else scenario.epsilon_ms
-        clocks = make_clocks(
-            scheduler, config.all_pids, eps, child_rng(seed, "clock-skew")
-        )
-        # Build processes first, then oracles (oracles observe processes).
-        for pid in config.all_pids:
-            processes[pid] = PrimCastProcess(
-                pid,
-                config,
-                scheduler,
-                network,
-                costs,
-                omega=None,
-                physical_clock=clocks[pid],
-                hybrid_clock=hybrid,
-                batching_ms=batching_ms,
-            )
+    compaction: Optional[CompactionDaemon] = None
+    if issubclass(PROTOCOLS[protocol], PrimCastProcess):
         if omega_poll_ms is not None:
             oracles = make_oracles(config.groups, processes, scheduler, omega_poll_ms)
             for pid, proc in processes.items():
@@ -127,16 +159,6 @@ def build_system(
         if compaction_interval_ms > 0.0:
             compaction = attach_compaction(
                 scheduler, processes, compaction_interval_ms
-            )
-    elif protocol == "whitebox":
-        for pid in config.all_pids:
-            processes[pid] = WhiteBoxProcess(
-                pid, config, scheduler, network, costs, batching_ms=batching_ms
-            )
-    else:  # fastcast
-        for pid in config.all_pids:
-            processes[pid] = FastCastProcess(
-                pid, config, scheduler, network, costs, batching_ms=batching_ms
             )
 
     return System(
@@ -161,9 +183,6 @@ class RunResult:
     #: wire messages by kind over the whole run
     message_counts: Dict[str, int] = field(default_factory=dict)
     events: int = 0
-    #: which substrate produced this row: "sim" (simulator) or "net"
-    #: (asyncio localhost cluster, real wall clocks)
-    backend: str = "sim"
 
     @property
     def throughput_kmsgs(self) -> float:
@@ -193,7 +212,6 @@ class RunResult:
             "samples": [[pid, when, lat] for pid, when, lat in self.samples],
             "message_counts": dict(self.message_counts),
             "events": self.events,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -209,9 +227,6 @@ class RunResult:
             samples=[(pid, when, lat) for pid, when, lat in data["samples"]],
             message_counts=dict(data["message_counts"]),
             events=data["events"],
-            # Rows cached before the net backend existed carry no
-            # backend key; they are sim rows by construction.
-            backend=data.get("backend", "sim"),
         )
 
 

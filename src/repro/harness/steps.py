@@ -10,23 +10,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..baselines.fastcast import FastCastProcess
-from ..baselines.whitebox import WhiteBoxProcess
 from ..core.config import GroupConfig, uniform_groups
-from ..core.process import PrimCastProcess
 from ..sim.clock import US_PER_MS, PhysicalClock
 from ..sim.costs import zero_cost_model
 from ..sim.events import Scheduler
 from ..sim.latency import ConstantLatency
 from ..sim.network import Network
 from ..sim.rng import child_rng
-
-_PROTOCOL_CLASSES = {
-    "primcast": PrimCastProcess,
-    "primcast-hc": PrimCastProcess,
-    "whitebox": WhiteBoxProcess,
-    "fastcast": FastCastProcess,
-}
+from .runner import make_processes
 
 
 def build_bare_system(
@@ -41,28 +32,17 @@ def build_bare_system(
     ``clock_offsets_ms`` assigns adversarial physical-clock offsets for
     the HC variant (pids not listed get offset 0).
     """
-    if protocol not in _PROTOCOL_CLASSES:
-        raise ValueError(f"unknown protocol {protocol!r}")
     config = uniform_groups(n_groups, group_size)
     scheduler = Scheduler()
     network = Network(scheduler, ConstantLatency(delta_ms), child_rng(0, "steps"))
-    costs = zero_cost_model()
-    processes: Dict[int, Any] = {}
-    for pid in config.all_pids:
-        if protocol in ("primcast", "primcast-hc"):
-            offset = (clock_offsets_ms or {}).get(pid, 0.0)
-            processes[pid] = PrimCastProcess(
-                pid,
-                config,
-                scheduler,
-                network,
-                costs,
-                physical_clock=PhysicalClock(scheduler, offset * US_PER_MS),
-                hybrid_clock=(protocol == "primcast-hc"),
-            )
-        else:
-            cls = _PROTOCOL_CLASSES[protocol]
-            processes[pid] = cls(pid, config, scheduler, network, costs)
+    offsets = clock_offsets_ms or {}
+    clocks = {
+        pid: PhysicalClock(scheduler, offsets.get(pid, 0.0) * US_PER_MS)
+        for pid in config.all_pids
+    }
+    processes = make_processes(
+        protocol, config, scheduler, network, zero_cost_model(), clocks
+    )
     return scheduler, network, config, processes
 
 

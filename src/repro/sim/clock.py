@@ -4,7 +4,7 @@ The hybrid-clock variant of PrimCast assumes each server can read a
 hardware clock synchronized to real time within a maximum skew of
 ``epsilon`` (so any two clocks are within ``2 * epsilon`` of each other).
 We model this with a per-process constant offset drawn uniformly from
-``[-epsilon, +epsilon]`` plus an optional drift rate. Clock readings are
+``[-epsilon, +epsilon]``; clocks run at the rate of true time. Readings are
 returned in integer **microseconds** so they can be mixed with the
 protocol's integer logical timestamps (``clock = max(clock+1,
 real-clock())`` requires a shared domain).
@@ -27,23 +27,17 @@ class PhysicalClock:
     Args:
         scheduler: source of true simulated time.
         offset_us: constant offset from true time, in microseconds.
-        drift_ppm: clock drift in parts-per-million (0 = perfect rate).
     """
 
-    __slots__ = ("scheduler", "offset_us", "drift_ppm")
+    __slots__ = ("scheduler", "offset_us")
 
-    def __init__(
-        self, scheduler: Scheduler, offset_us: float = 0.0, drift_ppm: float = 0.0
-    ) -> None:
+    def __init__(self, scheduler: Scheduler, offset_us: float = 0.0) -> None:
         self.scheduler = scheduler
         self.offset_us = offset_us
-        self.drift_ppm = drift_ppm
 
     def read_us(self) -> int:
         """Current clock reading in integer microseconds."""
-        true_us = self.scheduler.now * US_PER_MS
-        skewed = true_us * (1.0 + self.drift_ppm * 1e-6) + self.offset_us
-        return int(skewed)
+        return int(self.scheduler.now * US_PER_MS + self.offset_us)
 
 
 def make_clocks(
@@ -51,7 +45,6 @@ def make_clocks(
     pids: List[int],
     epsilon_ms: float,
     rng: random.Random,
-    drift_ppm: float = 0.0,
 ) -> Dict[int, PhysicalClock]:
     """Create one clock per process with offsets in ``[-eps, +eps]``.
 
@@ -64,5 +57,5 @@ def make_clocks(
     clocks: Dict[int, PhysicalClock] = {}
     for pid in pids:
         offset_us = rng.uniform(-epsilon_ms, epsilon_ms) * US_PER_MS
-        clocks[pid] = PhysicalClock(scheduler, offset_us, drift_ppm)
+        clocks[pid] = PhysicalClock(scheduler, offset_us)
     return clocks

@@ -80,7 +80,7 @@ PAYLOAD_COST_MS = 0.040
 CONTROL_COST_MS = 0.008
 
 
-def default_cost_model(scale: float = 1.0) -> CostModel:
+def default_cost_model() -> CostModel:
     """The calibrated cost model used by the paper-reproduction benches.
 
     Kinds:
@@ -91,17 +91,10 @@ def default_cost_model(scale: float = 1.0) -> CostModel:
         * FastCast ``soft``/``hard``/``2a`` carry proposals, ``2b`` is an
           acknowledgement.
 
-    Args:
-        scale: multiplies every cost. The WAN experiments use a smaller
-            scale (faster CPUs relative to the load range) so that, as
-            on the paper's testbed, WAN throughputs stay far below CPU
-            capacity and the latency curves are shaped by the convoy
-            effect rather than by CPU queueing (see DESIGN.md).
+    Every other kind costs one control message.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    payload = PAYLOAD_COST_MS * scale
-    control = CONTROL_COST_MS * scale
+    payload = PAYLOAD_COST_MS
+    control = CONTROL_COST_MS
     recv = {
         "start": payload,
         # PrimCast
@@ -116,9 +109,6 @@ def default_cost_model(scale: float = 1.0) -> CostModel:
         "fc-hard": payload,
         "fc-2a": payload,
         "fc-2b": control,
-        # client interaction
-        "client-request": control,
-        "client-reply": control,
         # a coalesced ack/bump batch (rmcast batching layer): one wire
         # message regardless of contents — the §7.1 merge amortization.
         "batch": control,

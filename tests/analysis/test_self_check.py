@@ -142,7 +142,7 @@ def test_planted_bug_is_caught(tmp_path, rule_id, relpath, old, new, context):
 def test_known_violations_exist_without_the_reviewed_allowlist():
     """The built-in allowlist is load-bearing: without it, the reviewed
     exemptions (the standing-proposal-rule RACE202 sites in
-    PrimCastProcess) surface as findings. This pins that the exemptions
+    PrimCastProcess and ClassicProcess) surface as findings. This pins that the exemptions
     are still real code, so stale allowlist entries get noticed."""
     findings = analyze_paths([SRC_REPRO], AnalysisConfig(allow={}))
     contexts = {f.context for f in findings}
@@ -152,6 +152,9 @@ def test_known_violations_exist_without_the_reviewed_allowlist():
     assert "repro.core.process::PrimCastProcess._on_ack" in contexts
     assert "repro.core.process::PrimCastProcess._on_new_state" in contexts
     assert "repro.core.process::PrimCastProcess._check_epoch_activation" in contexts
+    # Classic's slot-apply loop stamps the clock for each applied slot
+    # after the previous slot's ClTimestamp went out.
+    assert "repro.baselines.classic::ClassicProcess._on_accepted" in contexts
     # And nothing else: every finding is a reviewed exemption.
     for finding in findings:
         assert DEFAULT_CONFIG.is_allowed(finding.rule, finding.context), (

@@ -1,9 +1,9 @@
-"""Tests for the shared baseline endpoint surface."""
+"""Tests for the endpoint surface every protocol shares."""
 
 import pytest
 
-from repro.baselines.base import GroupProtocolProcess
-from repro.core import uniform_groups
+from helpers import MiniSystem
+from repro.core import GroupProtocolProcess, uniform_groups
 from repro.core.messages import Multicast
 from repro.sim import ConstantLatency, Network, Scheduler, child_rng
 
@@ -54,3 +54,10 @@ def test_record_delivery_fires_hooks_and_logs():
 def test_gid_matches_config():
     config, sched, net = build()
     assert Dummy(4, config, sched, net).gid == 1
+
+
+@pytest.mark.parametrize("protocol", ["primcast", "whitebox", "fastcast", "classic"])
+def test_unknown_destination_group_is_a_value_error(protocol):
+    system = MiniSystem(protocol, n_groups=2)
+    with pytest.raises(ValueError, match="unknown destination group 5"):
+        system.processes[0].a_multicast({5})

@@ -109,3 +109,21 @@ def test_clock_advances_with_log():
     sched.run(until=100)
     assert procs[0].clock >= 5
     assert procs[2].clock >= 5
+
+
+@pytest.mark.parametrize(
+    "sender,dest,counts,events",
+    [
+        (4, {0, 1}, {"start": 2, "cl-ts": 2, "paxos-2a": 12, "paxos-2b": 36}, 104),
+        (1, {0}, {"start": 1, "paxos-2a": 6, "paxos-2b": 18}, 50),
+    ],
+    ids=["global", "local"],
+)
+def test_wire_counts_and_events_are_pinned(sender, dest, counts, events):
+    """A PROPOSE and a COMMIT slot per destination group: the leader's
+    2a to its 3 members, and 2b from each of them to all 3."""
+    config, sched, net, procs, logs, _ = build()
+    procs[sender].a_multicast(dest)
+    sched.run(until=50)
+    assert dict(net.counts_by_kind) == counts
+    assert sched.events_processed == events

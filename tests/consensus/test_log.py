@@ -1,91 +1,78 @@
-"""Tests for the replicated log (multi-decree Paxos)."""
+"""Tests for Classic's stable-leader group log: slots applied in order."""
 
 import pytest
 
-from repro.consensus import ReplicatedLog
-from repro.sim import ConstantLatency, JitteredLatency, Network, Scheduler, child_rng
-from repro.sim.process import SimProcess
-
-
-class LogHost(SimProcess):
-    def __init__(self, pid, sched, net, members):
-        super().__init__(pid, sched, net)
-        self.applied = []
-        self.log = ReplicatedLog(
-            pid,
-            members,
-            send_fn=self._send_all,
-            on_apply=lambda slot, cmd: self.applied.append((slot, cmd)),
-        )
-
-    def _send_all(self, pids, msg):
-        for dst in pids:
-            self.send(dst, msg)
-
-    def on_message(self, src, msg):
-        assert self.log.handle(src, msg)
-
-
-def build(n=3, latency=None):
-    sched = Scheduler()
-    net = Network(sched, latency or ConstantLatency(1.0), child_rng(4, "log"))
-    members = list(range(n))
-    hosts = [LogHost(i, sched, net, members) for i in members]
-    return sched, hosts
+from helpers import build_log_hosts
+from repro.baselines.classic import ClAccepted, ClStart, _LogEntry
+from repro.core import Multicast
+from repro.sim import JitteredLatency
 
 
 def test_commands_applied_in_slot_order_everywhere():
-    sched, hosts = build()
-    for i in range(10):
-        hosts[0].log.append(f"cmd-{i}")
-    sched.run()
-    expected = [(i, f"cmd-{i}") for i in range(10)]
-    for h in hosts:
-        assert h.applied == expected
+    config, sched, net, hosts = build_log_hosts()
+    mids = [hosts[1].a_multicast({0}).mid for _ in range(10)]
+    sched.run(until=500)
+    leader = hosts[config.initial_leader(0)]
+    assert leader._next_slot == 20
+    assert [slot for slot, _, _ in leader.entries()] == list(range(20))
+    assert {mid for _, _, mid in leader.entries()} == set(mids)
+    for host in hosts.values():
+        assert host.entries() == leader.entries()
 
 
 def test_apply_waits_for_gaps():
     """A slot decided out of order is buffered until the gap closes."""
-    sched, hosts = build()
+    config, sched, net, hosts = build_log_hosts()
     host = hosts[1]
-    host.log._on_decide(("slot", 2), "c")
-    assert host.applied == []
-    host.log._on_decide(("slot", 0), "a")
-    assert host.applied == [(0, "a")]
-    host.log._on_decide(("slot", 1), "b")
-    assert host.applied == [(0, "a"), (1, "b"), (2, "c")]
-    assert host.log.decided_upto() == 3
+    a, b, c = (Multicast((2, i), frozenset({0})) for i in range(3))
+    for slot, m in ((2, c), (0, a), (1, b)):
+        for voter in (0, 2):
+            host._on_accepted(voter, ClAccepted(slot, _LogEntry("propose", m)))
+        if slot == 2:
+            assert host.applied == []
+    assert host.entries() == [
+        (0, "propose", a.mid),
+        (1, "propose", b.mid),
+        (2, "propose", c.mid),
+    ]
+    assert host._apply_cursor == 3
 
 
 def test_only_leader_appends():
-    sched, hosts = build()
-    with pytest.raises(RuntimeError):
-        hosts[1].log.append("nope")
+    config, sched, net, hosts = build_log_hosts()
+    with pytest.raises(AssertionError):
+        hosts[1]._on_start(2, ClStart(Multicast((2, 0), frozenset({0}))))
+    assert hosts[1]._next_slot == 0
 
 
 def test_jitter_does_not_reorder_application():
-    sched, hosts = build(n=5, latency=JitteredLatency(2.0, 0.5))
+    """Every member applies the leader's sequence of entries, in slot
+    order, whatever the per-link delays."""
+    config, sched, net, hosts = build_log_hosts(
+        n_groups=2, group_size=5, latency=JitteredLatency(2.0, 0.5)
+    )
     for i in range(40):
-        hosts[0].log.append(i)
-    sched.run()
-    for h in hosts:
-        assert [cmd for _, cmd in h.applied] == list(range(40))
+        dest = {0, 1} if i % 3 == 0 else {i % 2}
+        sched.call_at(i * 0.3, hosts[i % 10].a_multicast, dest, None)
+    sched.run(until=5000)
+    for gid in range(2):
+        leader, *followers = config.members(gid)
+        applied = hosts[leader].entries()
+        assert applied
+        assert [slot for slot, _, _ in applied] == list(range(hosts[leader]._next_slot))
+        for pid in followers:
+            assert hosts[pid].entries() == applied
 
 
 def test_minority_crash_still_decides():
-    sched, hosts = build(n=5)
-    hosts[3].crash()
-    hosts[4].crash()
+    config, sched, net, hosts = build_log_hosts(n_groups=2, group_size=5)
+    for pid in (3, 4, 8, 9):
+        hosts[pid].crash()
     for i in range(5):
-        hosts[0].log.append(i)
-    sched.run()
-    for h in hosts[:3]:
-        assert len(h.applied) == 5
-
-
-def test_value_at():
-    sched, hosts = build()
-    hosts[0].log.append("x")
-    sched.run()
-    assert hosts[2].log.value_at(0) == "x"
-    assert hosts[2].log.value_at(99) is None
+        hosts[1].a_multicast({0, 1})
+        hosts[6].a_multicast({1})
+    sched.run(until=500)
+    for pid in (0, 1, 2):
+        assert len(hosts[pid].delivery_log) == 5
+    for pid in (5, 6, 7):
+        assert len(hosts[pid].delivery_log) == 10

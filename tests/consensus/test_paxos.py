@@ -1,155 +1,66 @@
-"""Unit tests for single-decree Paxos."""
-
-from typing import Any, Dict, List
+"""Phase-2 Paxos decisions of Classic's group log, one slot at a time."""
 
 import pytest
 
-from repro.consensus.paxos import Accept, Accepted, PaxosNode, Prepare, Promise
-from repro.sim.events import Scheduler
-from repro.sim.latency import ConstantLatency
-from repro.sim.network import Network
-from repro.sim.process import SimProcess
-from repro.sim.rng import child_rng
-
-
-class PaxosHost(SimProcess):
-    """A process hosting one PaxosNode, transport = plain sends."""
-
-    def __init__(self, pid, sched, net, members, skip_phase1=True):
-        super().__init__(pid, sched, net)
-        self.decisions: Dict[Any, Any] = {}
-        self.node = PaxosNode(
-            pid,
-            members,
-            send_fn=self._send_all,
-            on_decide=self.decisions.__setitem__,
-            skip_phase1=skip_phase1,
-        )
-
-    def _send_all(self, pids, msg):
-        for dst in pids:
-            self.send(dst, msg)
-
-    def on_message(self, src, msg):
-        assert self.node.handle(src, msg)
-
-
-def build(n=3, skip_phase1=True):
-    sched = Scheduler()
-    net = Network(sched, ConstantLatency(1.0), child_rng(9, "paxos"))
-    members = list(range(n))
-    hosts = [PaxosHost(i, sched, net, members, skip_phase1) for i in members]
-    return sched, net, hosts
-
-
-def decided_values(hosts, instance):
-    return [h.decisions.get(instance) for h in hosts]
+from helpers import build_log_hosts
 
 
 class TestStableLeaderPath:
     def test_all_learn_same_value(self):
-        sched, net, hosts = build()
-        hosts[0].node.propose("i1", "v")
-        sched.run()
-        assert decided_values(hosts, "i1") == ["v", "v", "v"]
+        config, sched, net, hosts = build_log_hosts()
+        mid = hosts[1].a_multicast({0}).mid
+        sched.run(until=50)
+        for host in hosts.values():
+            assert host.entries() == [(0, "propose", mid), (1, "commit", mid)]
 
     def test_decision_in_two_steps(self):
-        sched, net, hosts = build()
-        hosts[0].node.propose("i1", "v")
-        sched.run()
-        # 2a at 1.0, 2b at 2.0 -> everyone decides at 2.0.
-        assert sched.now == pytest.approx(2.0)
+        """The leader sends the PROPOSE slot's 2a when the start arrives
+        (1.0) and the COMMIT slot's when it applies the PROPOSE (3.0);
+        each slot is decided everywhere two steps after its 2a."""
+        config, sched, net, hosts = build_log_hosts()
+        hosts[1].a_multicast({0})
+        sched.run(until=50)
+        for slot, sent_2a in ((0, 1.0), (1, 3.0)):
+            decided = max(host.applied[slot][3] for host in hosts.values())
+            assert decided == pytest.approx(sent_2a + 2.0)
 
     def test_on_decide_fires_once(self):
-        sched, net, hosts = build()
-        fired: List[Any] = []
-        hosts[1].node.on_decide = lambda i, v: fired.append((i, v))
-        hosts[0].node.propose("i1", "v")
-        sched.run()
-        assert fired == [("i1", "v")]
+        """Every member's 2b reaches every member; a slot is applied once."""
+        config, sched, net, hosts = build_log_hosts()
+        hosts[1].a_multicast({0})
+        hosts[2].a_multicast({0})
+        sched.run(until=50)
+        assert net.counts_by_kind["paxos-2b"] == 4 * 9
+        for host in hosts.values():
+            assert [slot for slot, _, _ in host.entries()] == [0, 1, 2, 3]
 
     def test_independent_instances(self):
-        sched, net, hosts = build()
-        hosts[0].node.propose("a", 1)
-        hosts[0].node.propose("b", 2)
-        sched.run()
-        assert decided_values(hosts, "a") == [1, 1, 1]
-        assert decided_values(hosts, "b") == [2, 2, 2]
-
-
-class TestFullProtocol:
-    def test_phase1_then_phase2(self):
-        sched, net, hosts = build(skip_phase1=False)
-        hosts[1].node.propose("i", "x", round_number=1)
-        sched.run()
-        assert decided_values(hosts, "i") == ["x", "x", "x"]
-
-    def test_higher_ballot_wins_and_preserves_value(self):
-        """Once a value may be decided, a later proposer must adopt it."""
-        sched, net, hosts = build(skip_phase1=False)
-        hosts[0].node.propose("i", "first", round_number=1)
-        sched.run()
-        assert decided_values(hosts, "i") == ["first"] * 3
-        # A competing proposer with a higher ballot must learn "first".
-        hosts[2].node.propose("i", "second", round_number=2)
-        sched.run()
-        # Nothing changed: everyone still has "first".
-        assert decided_values(hosts, "i") == ["first"] * 3
-
-    def test_value_adoption_from_partial_acceptance(self):
-        """A proposer seeing an accepted value in promises adopts it.
-
-        Hosts 0 and 1 both accepted ("i", ballot(1,0), "v0"), so any
-        promise quorum the new proposer gathers contains v0 and the
-        proposer must adopt it instead of its own value.
-        """
-        sched, net, hosts = build(n=3, skip_phase1=False)
-        hosts[0].node._on_accept(0, Accept("i", (1, 0), "v0"))
-        hosts[1].node._on_accept(0, Accept("i", (1, 0), "v0"))
-        sched.run()
-        hosts[2].node.propose("i", "v2", round_number=5)
-        sched.run()
-        values = [v for v in decided_values(hosts, "i") if v is not None]
-        assert values and all(v == "v0" for v in values)
-
-    def test_low_ballot_prepare_ignored_after_promise(self):
-        sched, net, hosts = build(skip_phase1=False)
-        node = hosts[0].node
-        node._on_prepare(1, Prepare("i", (5, 1)))
-        sent_before = net.messages_sent
-        node._on_prepare(2, Prepare("i", (2, 2)))
-        assert net.messages_sent == sent_before  # no promise for low ballot
-
-    def test_low_ballot_accept_rejected(self):
-        sched, net, hosts = build(skip_phase1=False)
-        node = hosts[0].node
-        node._on_prepare(1, Prepare("i", (5, 1)))
-        node._on_accept(1, Accept("i", (2, 2), "v"))
-        assert node._state("i").accepted_ballot is None
+        config, sched, net, hosts = build_log_hosts(n_groups=2)
+        a = hosts[1].a_multicast({0}).mid
+        b = hosts[4].a_multicast({1}).mid
+        sched.run(until=50)
+        for pid, host in hosts.items():
+            mid = a if config.group_of[pid] == 0 else b
+            assert host.entries() == [(0, "propose", mid), (1, "commit", mid)]
 
 
 class TestQuorums:
     def test_no_decision_without_quorum(self):
-        sched, net, hosts = build(n=5)
-        # Crash 3 of 5: no quorum of accepted messages can form.
-        for h in hosts[2:]:
-            h.crash()
-        hosts[0].node.propose("i", "v")
-        sched.run()
-        assert decided_values(hosts[:2], "i") == [None, None]
+        config, sched, net, hosts = build_log_hosts(group_size=5)
+        for pid in (2, 3, 4):
+            hosts[pid].crash()
+        hosts[1].a_multicast({0})
+        sched.run(until=500)
+        assert net.counts_by_kind["paxos-2a"] == 5
+        assert all(not host.applied for host in hosts.values())
+        assert all(not host.delivery_log for host in hosts.values())
 
     def test_decision_with_minority_crashed(self):
-        sched, net, hosts = build(n=5)
+        config, sched, net, hosts = build_log_hosts(group_size=5)
         hosts[4].crash()
         hosts[3].crash()
-        hosts[0].node.propose("i", "v")
-        sched.run()
-        assert decided_values(hosts[:3], "i") == ["v", "v", "v"]
-
-    def test_is_decided_and_value_accessors(self):
-        sched, net, hosts = build()
-        assert not hosts[0].node.is_decided("i")
-        hosts[0].node.propose("i", "v")
-        sched.run()
-        assert hosts[0].node.is_decided("i")
-        assert hosts[0].node.decided_value("i") == "v"
+        mid = hosts[1].a_multicast({0}).mid
+        sched.run(until=500)
+        for pid in (0, 1, 2):
+            assert hosts[pid].entries() == [(0, "propose", mid), (1, "commit", mid)]
+            assert [m for m, _, _ in hosts[pid].delivery_log] == [mid]

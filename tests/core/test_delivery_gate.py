@@ -20,7 +20,7 @@ from repro.core.epoch import Epoch
 from repro.core.messages import Ack, Bump, Multicast, Start
 from repro.core.process import FOLLOWER, PRIMARY, PrimCastProcess
 from repro.core.spec import SpecRecorder, attach_spec_recorder
-from repro.harness.runner import run_load_point
+from repro.harness.runner import PROTOCOLS, run_load_point
 from repro.rmcast.fifo import Batch, Envelope
 from repro.sim.latency import JitteredLatency
 from repro.verify import attach_monitors
@@ -107,13 +107,13 @@ class Checked(Tracked):
 
 
 def _mini(cls, monkeypatch, **kwargs):
-    monkeypatch.setattr("helpers.PrimCastProcess", cls)
+    monkeypatch.setitem(PROTOCOLS, "primcast", cls)
     return MiniSystem(**kwargs)
 
 
 def _chaos(cls, monkeypatch, scenario, seed):
     cls.instances = []
-    monkeypatch.setattr("repro.harness.runner.PrimCastProcess", cls)
+    monkeypatch.setitem(PROTOCOLS, "primcast", cls)
     result = run_case(CaseSpec(scenario=scenario, seed=seed))
     return result, cls.instances
 

@@ -7,7 +7,13 @@ test pins that contract for every protocol's wire messages so a new
 message class cannot silently fall back to the slow/kindless path.
 """
 
-from repro.baselines.classic import CLASSIC_KINDS, ClStart, ClTimestamp
+from repro.baselines.classic import (
+    CLASSIC_KINDS,
+    ClAccept,
+    ClAccepted,
+    ClStart,
+    ClTimestamp,
+)
 from repro.baselines.fastcast import (
     FASTCAST_KINDS,
     Fc2A,
@@ -23,7 +29,6 @@ from repro.baselines.whitebox import (
     WbDeliver,
     WbStart,
 )
-from repro.consensus.paxos import Accept, Accepted, Prepare, Promise
 from repro.core.messages import (
     PRIMCAST_KINDS,
     Ack,
@@ -41,15 +46,13 @@ from repro.sim.costs import default_cost_model
 PRIMCAST_CLASSES = (Start, Ack, Bump, NewEpoch, EpochPromise, NewState, AcceptEpoch)
 WHITEBOX_CLASSES = (WbStart, WbAccept, WbAck, WbDeliver)
 FASTCAST_CLASSES = (FcStart, FcSoft, FcHard, Fc2A, Fc2B)
-CLASSIC_CLASSES = (ClStart, ClTimestamp)
-PAXOS_CLASSES = (Prepare, Promise, Accept, Accepted)
+CLASSIC_CLASSES = (ClStart, ClTimestamp, ClAccept, ClAccepted)
 
 ALL_WIRE_CLASSES = (
     PRIMCAST_CLASSES
     + WHITEBOX_CLASSES
     + FASTCAST_CLASSES
     + CLASSIC_CLASSES
-    + PAXOS_CLASSES
     + (Batch,)
 )
 
@@ -69,7 +72,7 @@ def test_kind_tuples_match_declared_classes():
     assert set(PRIMCAST_KINDS) == {cls.kind for cls in PRIMCAST_CLASSES}
     assert set(WHITEBOX_KINDS) == {cls.kind for cls in WHITEBOX_CLASSES}
     assert set(FASTCAST_KINDS) == {cls.kind for cls in FASTCAST_CLASSES}
-    assert set(CLASSIC_KINDS) >= {cls.kind for cls in CLASSIC_CLASSES}
+    assert set(CLASSIC_KINDS) == {cls.kind for cls in CLASSIC_CLASSES}
 
 
 def test_envelope_mirrors_payload_kind():

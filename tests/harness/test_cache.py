@@ -21,7 +21,6 @@ import pytest
 import repro.harness.parallel as parallel_mod
 from repro.harness.cache import KEEP_GENERATIONS, ResultCache, code_fingerprint, spec_key
 from repro.harness.parallel import SweepExecutor, expand_sweep, point_spec
-from repro.sim.costs import default_cost_model
 from repro.workload.scenarios import lan_scenario, wan_colocated_leaders
 
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -93,33 +92,23 @@ def test_cache_key_separates_distinct_specs():
 
 
 def test_cache_keys_are_pinned():
-    """Keys computed at e8bd2e0, before PointSpec became the single
-    declaration of a point's parameters: the field set, field names and
-    defaults feed every cache key, so none of them may drift."""
+    """The field set, field names and defaults of PointSpec feed every
+    cache key, so none of them may drift without these pins moving."""
     defaults = point_spec(
         "primcast", wan_colocated_leaders(), 2, 8, seed=1, warmup_ms=300, measure_ms=400
     )
     assert spec_key(defaults) == (
-        "4b5c8f4ffd0bbe7a0b1f4d0601d4db9af56371020153496096696872b354c753"
+        "9466fd283f7a7943f8b82abf6dcad53dcc79ad0ec7daeb6a09f1ef396b34ed3e"
     )
     every_field = point_spec(
-        "primcast-hc",
-        lan_scenario(2, 3),
-        2,
-        4,
-        seed=7,
-        cost_model=default_cost_model(),
-        epsilon_ms=0.5,
-        keep_samples=True,
-        batching_ms=2.0,
-        compaction_interval_ms=0.0,
+        "primcast-hc", lan_scenario(2, 3), 2, 4, seed=7, keep_samples=True
     )
     assert spec_key(every_field) == (
-        "8dd324bf7ab7c3d04200346fcd6fc420deaf02b60cf1f5e7a3f7ab33332d37ad"
+        "de8243439eb1430969f490cda1e2d3f3afffa46127dbfdec754c19b24424bc75"
     )
     assert [spec_key(s) for s in tiny_specs()] == [
-        "13145385fc57321b914f4962e22c47665e303eeb7087ca46979b0f967d480fcb",
-        "ec60704b0576271c070fdbbcfc37408f07562ff5f4bc796724e05f0fa45b8b6a",
+        "4fedd17453d3ca69732e023a4d76be1e70078a22db45f9cea1c0a0d9232f72ce",
+        "627de56dbc1623f770ec7f37d93dff5a71a1f9e084a04a4ae33a7e0170af15dc",
     ]
 
 

@@ -18,14 +18,12 @@ from repro.harness.parallel import (
     PointSpec,
     SweepExecutor,
     build_scenario,
-    cost_model_from_spec,
-    cost_model_spec,
     expand_sweep,
     point_spec,
     scenario_matches_registry,
 )
 from repro.harness.runner import RunResult, run_load_point
-from repro.sim.costs import default_cost_model, zero_cost_model
+from repro.sim.costs import zero_cost_model
 from repro.workload.scenarios import lan_scenario, wan_colocated_leaders
 
 PROTOCOLS = ("primcast", "whitebox")
@@ -114,7 +112,6 @@ def test_sweep_routes_through_executor_identically():
         loads=(1, 2),
         warmup_ms=20,
         measure_ms=40,
-        cost_model=zero_cost_model(),
     )
     default = sweep(PROTOCOLS, scenario, **kwargs)
     parallel = sweep(PROTOCOLS, scenario, executor=SweepExecutor(jobs=2), **kwargs)
@@ -134,15 +131,14 @@ def test_expand_sweep_matches_serial_grid_order():
 
 def test_point_spec_round_trips_scenario_and_epsilon():
     scenario = small_fig3_scenario()
-    spec = point_spec("primcast-hc", scenario, 2, 4, epsilon_ms=None)
+    spec = point_spec("primcast-hc", scenario, 2, 4)
     assert spec.scenario == scenario.name
     assert spec.n_groups == 2 and spec.group_size == 3
-    # scenario epsilon is captured explicitly so worker reconstruction
-    # cannot drift from a caller-customized skew bound
-    assert spec.epsilon_ms == scenario.epsilon_ms
+    # the worker's rebuild carries the scenario's skew bound
     rebuilt = build_scenario(spec.scenario, spec.n_groups, spec.group_size)
     assert rebuilt.name == scenario.name
     assert rebuilt.n_groups == scenario.n_groups
+    assert rebuilt.epsilon_ms == scenario.epsilon_ms
 
 
 def test_point_keywords_are_declared_on_point_spec_only(monkeypatch):
@@ -152,25 +148,24 @@ def test_point_keywords_are_declared_on_point_spec_only(monkeypatch):
         point_spec("primcast", scenario, 2, 1, warmup=5.0)
     with pytest.raises(TypeError, match="warmup"):
         expand_sweep(PROTOCOLS, scenario, 2, LOADS, warmup=5.0)
-    # seed used to be the fifth positional; it must not become cost_model
+    # seed is keyword-only, and the options a sweep never sets are gone
     with pytest.raises(TypeError):
         point_spec("primcast", scenario, 2, 1, 7)
+    with pytest.raises(TypeError, match="cost_model"):
+        point_spec("primcast", scenario, 2, 1, cost_model=zero_cost_model())
     # run() hands run_load_point every field by name, scenario rebuilt
     calls = []
     monkeypatch.setattr(
         parallel_mod, "run_load_point", lambda **kw: calls.append(kw)
     )
-    spec = point_spec(
-        "primcast", scenario, 2, 1, cost_model=zero_cost_model(), batching_ms=2.0
-    )
+    spec = point_spec("primcast", scenario, 2, 1, keep_samples=True)
     spec.run()
     (sent,) = calls
     assert sent.pop("scenario").name == scenario.name
-    assert sent.pop("cost_model").default_recv == 0.0
     want = spec.canonical()
-    for rebuilt in ("scenario", "n_groups", "group_size", "cost_model"):
+    for rebuilt in ("scenario", "n_groups", "group_size"):
         del want[rebuilt]
-    assert sent == want and sent["batching_ms"] == 2.0
+    assert sent == want and sent["keep_samples"] is True
 
 
 def test_point_spec_rejects_unknown_scenario():
@@ -205,8 +200,8 @@ def test_scenario_matches_registry_detects_customization():
     assert not scenario_matches_registry(
         replace(lan_scenario(), cross_group_rtt_ms=5.0)
     )
-    # a customized epsilon still round-trips (captured in the spec)
-    assert scenario_matches_registry(replace(lan_scenario(), epsilon_ms=9.0))
+    # a customized skew bound would be rebuilt as the default too
+    assert not scenario_matches_registry(replace(lan_scenario(), epsilon_ms=9.0))
 
 
 def test_sweep_rejects_custom_scenario_with_parallel_or_cache(tmp_path):
@@ -237,36 +232,6 @@ def test_executor_total_stats_accumulate_across_runs():
     assert executor.total_stats == {"points": 3, "hits": 0, "ran": 3}
 
 
-def test_cost_model_spec_round_trip():
-    for model in (None, zero_cost_model(), default_cost_model(scale=2.0)):
-        spec = cost_model_spec(model)
-        back = cost_model_from_spec(spec)
-        if model is None:
-            assert back is None
-        else:
-            assert back.recv_costs == model.recv_costs
-            assert back.send_costs == model.send_costs
-            assert back.default_recv == model.default_recv
-            assert back.default_send == model.default_send
-
-
-def test_custom_cost_model_survives_worker_round_trip():
-    scenario = lan_scenario(2, 3)
-    model = default_cost_model(scale=3.0)
-    serial = [
-        run_load_point(
-            "primcast", scenario, 2, 2, seed=1, warmup_ms=20.0, measure_ms=40.0,
-            cost_model=model, keep_samples=False,
-        )
-    ]
-    specs = expand_sweep(
-        ("primcast",), scenario, 2, (2,), seed=1, warmup_ms=20.0, measure_ms=40.0,
-        cost_model=model,
-    )
-    got = SweepExecutor(jobs=2).run(specs)
-    assert_field_for_field(got, serial)
-
-
 def test_executor_rejects_bad_jobs():
     with pytest.raises(ValueError):
         SweepExecutor(jobs=0)
@@ -289,14 +254,10 @@ def test_run_result_dict_round_trip():
 def test_spec_canonical_is_json_safe_and_stable():
     import json
 
-    spec = point_spec(
-        "primcast", small_fig3_scenario(), 2, 4, cost_model=zero_cost_model()
-    )
+    spec = point_spec("primcast", small_fig3_scenario(), 2, 4)
     text = json.dumps(spec.canonical(), sort_keys=True)
     again = json.dumps(
-        point_spec(
-            "primcast", small_fig3_scenario(), 2, 4, cost_model=zero_cost_model()
-        ).canonical(),
+        point_spec("primcast", small_fig3_scenario(), 2, 4).canonical(),
         sort_keys=True,
     )
     assert text == again

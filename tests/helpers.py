@@ -5,12 +5,12 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.baselines import ClassicProcess, FastCastProcess, WhiteBoxProcess
-from repro.core import GroupConfig, Multicast, PrimCastProcess, uniform_groups
+from repro.baselines import ClassicProcess
+from repro.core import Multicast, uniform_groups
+from repro.harness.runner import make_processes
 from repro.sim import (
     ConstantLatency,
     CostModel,
-    JitteredLatency,
     LatencyModel,
     Network,
     PhysicalClock,
@@ -18,13 +18,6 @@ from repro.sim import (
     child_rng,
 )
 from repro.sim.clock import US_PER_MS
-
-PROTOCOL_CLASSES = {
-    "primcast": PrimCastProcess,
-    "whitebox": WhiteBoxProcess,
-    "fastcast": FastCastProcess,
-    "classic": ClassicProcess,
-}
 
 
 class MiniSystem:
@@ -46,28 +39,31 @@ class MiniSystem:
         self.network = Network(
             self.scheduler, latency or ConstantLatency(1.0), child_rng(seed, "net")
         )
-        self.processes: Dict[int, Any] = {}
-        skew_rng = child_rng(seed, "skew")
-        for pid in self.config.all_pids:
-            if protocol == "primcast":
-                clock = PhysicalClock(
+        if protocol == "classic":
+            # Outside the protocol table: only the tests build Classic.
+            self.processes: Dict[int, Any] = {
+                pid: ClassicProcess(
+                    pid, self.config, self.scheduler, self.network, cost_model
+                )
+                for pid in self.config.all_pids
+            }
+        else:
+            skew_rng = child_rng(seed, "skew")
+            clocks = {
+                pid: PhysicalClock(
                     self.scheduler,
                     skew_rng.uniform(-epsilon_ms, epsilon_ms) * US_PER_MS,
                 )
-                proc = PrimCastProcess(
-                    pid,
-                    self.config,
-                    self.scheduler,
-                    self.network,
-                    cost_model,
-                    physical_clock=clock,
-                    hybrid_clock=hybrid_clock,
-                )
-            else:
-                proc = PROTOCOL_CLASSES[protocol](
-                    pid, self.config, self.scheduler, self.network, cost_model
-                )
-            self.processes[pid] = proc
+                for pid in self.config.all_pids
+            }
+            self.processes = make_processes(
+                "primcast-hc" if hybrid_clock else protocol,
+                self.config,
+                self.scheduler,
+                self.network,
+                cost_model,
+                clocks,
+            )
         # pid -> [(mid, final_ts, time)]
         self.deliveries: Dict[int, List[Tuple[Any, int, float]]] = {
             pid: [] for pid in self.config.all_pids
@@ -112,6 +108,36 @@ class MiniSystem:
         return {
             pid for pid, proc in self.processes.items() if not proc.crashed
         }
+
+
+class LogHost(ClassicProcess):
+    """A Classic member recording ``(slot, action, mid, time)`` for each
+    group-log entry it applies."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.applied: List[Tuple[int, str, Any, float]] = []
+
+    def _apply_entry(self, entry: Any) -> None:
+        # The cursor has already moved past the slot being applied.
+        slot = self._apply_cursor - 1
+        self.applied.append((slot, entry.action, entry.multicast.mid, self.scheduler.now))
+        super()._apply_entry(entry)
+
+    def entries(self) -> List[Tuple[int, str, Any]]:
+        """The applied entries without their application times."""
+        return [(slot, action, mid) for slot, action, mid, _ in self.applied]
+
+
+def build_log_hosts(
+    n_groups: int = 1, group_size: int = 3, latency: Optional[LatencyModel] = None
+) -> Tuple[Any, Scheduler, Network, Dict[int, LogHost]]:
+    """A Classic deployment of :class:`LogHost` members."""
+    config = uniform_groups(n_groups, group_size)
+    sched = Scheduler()
+    net = Network(sched, latency or ConstantLatency(1.0), child_rng(4, "log"))
+    hosts = {pid: LogHost(pid, config, sched, net) for pid in config.all_pids}
+    return config, sched, net, hosts
 
 
 def random_workload(

@@ -32,13 +32,6 @@ class TestPhysicalClock:
         clock = PhysicalClock(sched, offset_us=500.0)
         assert clock.read_us() == 500
 
-    def test_drift_scales_elapsed_time(self):
-        sched = Scheduler()
-        clock = PhysicalClock(sched, drift_ppm=1000.0)  # 0.1% fast
-        sched.call_at(1000.0, lambda: None)
-        sched.run()
-        assert clock.read_us() == int(1000 * US_PER_MS * 1.001)
-
     def test_make_clocks_bounded_skew(self):
         sched = Scheduler()
         clocks = make_clocks(sched, list(range(50)), 2.0, random.Random(1))
