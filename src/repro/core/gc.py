@@ -16,10 +16,18 @@ a run with and without the daemon is the scheduler's event count (one
 event per tick), which is why the pinned goldens assert bit-identical
 delivery orders/timestamps in both modes while pinning separate event
 totals.
+
+The housekeeping grid: a periodic timer re-arms at the next multiple of
+its period on its scheduler clock (:func:`next_grid_time`), not one
+period after a late firing. On the simulator a tick fires exactly on
+time, so the two are the same instant; on an event loop, every node's
+periodic timers that fall on one grid point share one wakeup
+(DESIGN.md §12).
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .process import PrimCastProcess
@@ -32,9 +40,20 @@ if TYPE_CHECKING:
 #: enough that tick overhead is invisible next to protocol traffic.
 DEFAULT_COMPACTION_INTERVAL_MS = 250.0
 
+#: A timer that fires up to this many ms before its grid point counts
+#: as on it (an event loop may run a timer a clock resolution early).
+_EARLY_MS = 1e-3
+
+
+def next_grid_time(now: float, period: float) -> float:
+    """The first multiple of ``period`` after ``now``: when a periodic
+    timer firing at ``now`` is due next."""
+    return (math.floor((now + _EARLY_MS) / period) + 1) * period
+
 
 class CompactionDaemon:
-    """Sweeps a set of processes with ``compact_delivered`` on a timer.
+    """Sweeps a set of processes with ``compact_delivered`` on a timer,
+    at every multiple of ``interval_ms`` of scheduler time.
 
     Args:
         scheduler: the runtime scheduler driving the processes (the
@@ -76,7 +95,7 @@ class CompactionDaemon:
         if self._started:
             return
         self._started = True
-        self._handle = self.scheduler.call_after(self.interval_ms, self._tick)
+        self._arm()
 
     def stop(self) -> None:
         """Cancel the armed tick, so no tick runs after this. Idempotent."""
@@ -89,7 +108,11 @@ class CompactionDaemon:
         for proc in self._procs:
             if not proc.crashed:
                 self.freed += proc.compact_delivered()
-        self._handle = self.scheduler.call_after(self.interval_ms, self._tick)
+        self._arm()
+
+    def _arm(self) -> None:
+        due = next_grid_time(self.scheduler.now, self.interval_ms)
+        self._handle = self.scheduler.call_at(due, self._tick)
 
 
 def attach_compaction(

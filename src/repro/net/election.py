@@ -4,19 +4,29 @@ The simulation's :class:`~repro.election.omega.OmegaOracle` reads each
 process's ``crashed`` flag — local knowledge that does not exist across
 OS processes. The net backend implements the same oracle abstraction
 with the classic partially-synchronous construction [Aguilera et al.,
-DISC'01]: every node heartbeats its group peers at a fixed interval; a
-peer not heard from within the suspicion timeout is suspected; the
-output is the first non-suspected member in preference order. Both
-implementations satisfy :class:`repro.net.runtime.LeaderOracle`, so the
-protocol process cannot tell them apart.
+DISC'01]: a peer not heard from within the suspicion timeout is
+suspected; the output is the first non-suspected member in preference
+order. Both implementations satisfy
+:class:`repro.net.runtime.LeaderOracle`, so the protocol process cannot
+tell them apart.
+
+Any frame from a peer proves it alive, not only a heartbeat (Ω needs
+eventual accuracy only): the node reports every frame it receives to
+:meth:`HeartbeatOmega.heard_from`, and a heartbeat round sends a
+heartbeat only on a link that carried no write since the previous round
+(``NetNode._send_heartbeats``). A live peer is therefore never silent
+for more than two rounds, ``2 * HB_INTERVAL_MS``; a loaded link carries
+no heartbeats at all.
 
 Startup matches the sim: the initial output is the group's first member
 (the configured initial primary), and every peer counts as heard at
 ``start()``, so a slow first heartbeat does not trigger a spurious
-election while the cluster is still wiring up. The heartbeat cadence is
-the constant :data:`HB_INTERVAL_MS`; the suspicion timeout travels in
-the cluster spec, so a bench can stretch it instead of paying for false
-suspicions on a loaded loop.
+election while the cluster is still wiring up. The round cadence is the
+constant :data:`HB_INTERVAL_MS`, and rounds fall on its multiples of
+scheduler time (the housekeeping grid, :func:`repro.core.gc.next_grid_time`),
+so the rounds of every node on one loop share a wakeup. The suspicion
+timeout travels in the cluster spec, so a bench can stretch it instead
+of paying for false suspicions on a loaded loop.
 
 Callbacks fire from scheduler context (the oracle's tick is a scheduler
 timer), preserving the same serialisation the sim oracle provides.
@@ -24,12 +34,16 @@ timer), preserving the same serialisation the sim oracle provides.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
+
+from ..core.gc import next_grid_time
+from .runtime import TimerHandle
 
 LeaderCallback = Callable[[int, int], None]  # (group_id, leader_pid)
 
-#: Tuned for localhost clusters: sub-second failover without false
-#: suspicions under normal scheduling jitter.
+#: The heartbeat round, and the grid every periodic timer of a node
+#: falls on. Tuned for localhost clusters: sub-second failover without
+#: false suspicions under normal scheduling jitter.
 HB_INTERVAL_MS = 50.0
 DEFAULT_SUSPECT_MS = 500.0
 
@@ -44,7 +58,8 @@ class HeartbeatOmega:
         own_pid: the hosting node's pid (never suspected locally).
         scheduler: the node's scheduler facade (timers + ``now``).
         send_heartbeat: callback emitting one heartbeat round to the
-            group peers (wired to the node's transport).
+            group peers (wired to the node's transport), run every
+            :data:`HB_INTERVAL_MS` of scheduler time.
         suspect_ms: silence threshold before a peer is suspected.
     """
 
@@ -70,7 +85,8 @@ class HeartbeatOmega:
         self.leader = members[0]
         self._subscribers: List[LeaderCallback] = []
         self._last_heard: Dict[int, float] = {}
-        self._running = False
+        #: The armed next tick; None before start() and after stop().
+        self._handle: Optional[TimerHandle] = None
 
     # -- oracle interface (LeaderOracle) ---------------------------------
 
@@ -85,17 +101,19 @@ class HeartbeatOmega:
     def start(self) -> None:
         """Count every peer as heard now and start the heartbeat/suspect
         timer: a silent peer is suspected ``suspect_ms`` after start."""
-        if self._running:
+        if self._handle is not None:
             return
-        self._running = True
         now = self.scheduler.now
         for pid in self.members:
             if pid != self.own_pid:
                 self._last_heard[pid] = now
-        self.scheduler.call_after(HB_INTERVAL_MS, self._tick)
+        self._arm()
 
     def stop(self) -> None:
-        self._running = False
+        """Cancel the armed tick, so no round runs after this. Idempotent."""
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
 
     def heard_from(self, pid: int) -> None:
         """Record a heartbeat (or any frame) from a group member."""
@@ -120,13 +138,15 @@ class HeartbeatOmega:
         # output, matching the sim oracle's all-crashed behaviour.
         return self.leader
 
+    def _arm(self) -> None:
+        due = next_grid_time(self.scheduler.now, HB_INTERVAL_MS)
+        self._handle = self.scheduler.call_at(due, self._tick)
+
     def _tick(self) -> None:
-        if not self._running:
-            return
         self.send_heartbeat()
         new_leader = self._elect()
         if new_leader != self.leader:
             self.leader = new_leader
             for callback in self._subscribers:
                 callback(self.group_id, new_leader)
-        self.scheduler.call_after(HB_INTERVAL_MS, self._tick)
+        self._arm()

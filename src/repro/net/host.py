@@ -5,11 +5,13 @@ The protocol core consumes the substrate exclusively through the
 module implements both halves over asyncio:
 
 * :class:`NetScheduler` — time is ``(loop.time() - t0) * 1000`` ms
-  (monotonic, per-node), read once per drain and standing still inside
-  it; ``call_after`` arms a real ``loop.call_later``
-  timer; the seam's allocation-free heap (``_heap`` / ``_seq``) is a
-  real heap that :meth:`NetScheduler.drain` runs to empty after every
-  external stimulus. With the zero-cost CPU model every entry the
+  (monotonic, per-node, ``t0`` on the loop clock's
+  :data:`~repro.net.election.HB_INTERVAL_MS` grid), read once per drain
+  and standing still inside it; ``call_at`` / ``call_after`` arm real
+  ``loop.call_at`` / ``loop.call_later`` timers; the seam's
+  allocation-free heap (``_heap`` / ``_seq``) is a real heap that
+  :meth:`NetScheduler.drain` runs to empty after every external
+  stimulus. With the zero-cost CPU model every entry the
   process pushes is due immediately, so draining preserves the exact
   *relative* order the sim would execute — and because the drain loop
   runs each callback to completion on the single-threaded event loop,
@@ -27,12 +29,21 @@ share of the workload's clients
 (:class:`~repro.net.workload.PlanClient`) — one node per OS
 process under the cluster launcher (:mod:`repro.net.cluster`), or many
 nodes on one loop in the in-process differential tests.
+
+A serving node wakes only for work and for one housekeeping grid. Its
+periodic timers — the Ω round (:data:`HB_INTERVAL_MS`), the GC tick
+(250 ms) and the ``STOP`` poll (50 ms) — fire at multiples of their
+period on a scheduler clock whose epoch is itself a multiple of
+:data:`HB_INTERVAL_MS` on the loop clock, so every node on one loop
+shares each wakeup. A heartbeat goes out only on a link that carried no
+write since the previous round: under load there are none.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
@@ -42,12 +53,12 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from collections import Counter
 
 from ..core.config import GroupConfig, uniform_groups
-from ..core.gc import CompactionDaemon, attach_compaction
+from ..core.gc import CompactionDaemon, attach_compaction, next_grid_time
 from ..core.process import PrimCastProcess
 from ..sim.costs import CostModel
 from ..sim.rng import child_rng
 from .codec import encode_hb_frame, encode_msg_frame
-from .election import DEFAULT_SUSPECT_MS, HeartbeatOmega
+from .election import DEFAULT_SUSPECT_MS, HB_INTERVAL_MS, HeartbeatOmega
 from .transport import Transport
 from .workload import PlanClient, make_client_plans, plans_expected_count
 
@@ -72,6 +83,11 @@ class _LoopTimerHandle:
             self._handle.cancel()
 
 
+def _wake(future: "asyncio.Future[None]") -> None:
+    if not future.done():
+        future.set_result(None)
+
+
 class NetScheduler:
     """SchedulerAPI over an asyncio loop with a monotonic ms clock.
 
@@ -87,13 +103,20 @@ class NetScheduler:
     returns that reading until the drain ends, so the whole cascade —
     every ``busy_until``, submit and delivery stamp in it — sees one
     instant (and pays one clock read, not one per handler). Timers do
-    not go through ``now``: ``call_after`` hands its delay to
+    not go through ``now``: ``call_at`` converts its time to the loop
+    clock exactly, and ``call_after`` hands its delay to
     ``loop.call_later``, which measures it on the real loop clock.
+
+    The epoch ``t0`` is the loop time rounded down to a multiple of
+    :data:`HB_INTERVAL_MS`, so ``now`` starts in ``[0, HB_INTERVAL_MS)``
+    and a grid point of one node's clock is a grid point of every other
+    node's on the same loop: their periodic timers share one wakeup.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
-        self._t0 = loop.time()
+        grid_s = HB_INTERVAL_MS / 1000.0
+        self._t0 = math.floor(loop.time() / grid_s) * grid_s
         self._heap: List[Tuple[float, int, Any, Any]] = []
         self._seq = 0
         #: The running drain's reading of the clock; None between drains.
@@ -123,8 +146,8 @@ class NetScheduler:
         self.kick()
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> _LoopTimerHandle:
-        delay = time - self.now
-        return self.call_after(delay if delay > 0.0 else 0.0, fn, *args)
+        handle = self._loop.call_at(self._loop_time(time), self._fire, fn, args)
+        return _LoopTimerHandle(handle)
 
     def call_after(
         self, delay: float, fn: Callable[..., Any], *args: Any
@@ -133,6 +156,19 @@ class NetScheduler:
             raise ValueError(f"delay must be non-negative, got {delay}")
         handle = self._loop.call_later(delay / 1000.0, self._fire, fn, args)
         return _LoopTimerHandle(handle)
+
+    async def sleep_until(self, time: float) -> None:
+        """Suspend the calling task until node time ``time``, in the
+        same loop wakeup as every timer armed for that instant."""
+        future = self._loop.create_future()
+        handle = self._loop.call_at(self._loop_time(time), _wake, future)
+        try:
+            await future
+        finally:
+            handle.cancel()
+
+    def _loop_time(self, time: float) -> float:
+        return self._t0 + time / 1000.0
 
     # -- execution -------------------------------------------------------
 
@@ -395,19 +431,24 @@ class NetNode:
        is up, write ``up-<pid>`` (the launcher kills a node only after
        every ``up-*`` exists, so no survivor is left dialing a dead
        listener; a dial timeout exits 1 naming the unreachable peers on
-       stderr), start heartbeats, arm the state-GC daemon
-       (``compact_delivered`` every ``DEFAULT_COMPACTION_INTERVAL_MS``);
+       stderr), start Ω's heartbeat rounds (every
+       :data:`HB_INTERVAL_MS`; a heartbeat only on a link without a
+       write since the previous round) and arm the state-GC daemon
+       (``compact_delivered`` every ``DEFAULT_COMPACTION_INTERVAL_MS``),
+       both on the housekeeping grid (module docstring);
     3. run this node's share of the seeded workload's clients (none,
        on most nodes of the sequential shape);
     4. on delivering everything addressed to this group, write
        ``done-<pid>`` and keep serving (acks + heartbeats for
        stragglers);
-    5. on ``STOP``, flush queues, linger :data:`LINGER_MS`, close,
-       write ``summary-<pid>.json`` and exit 0 (3 on watchdog timeout).
+    5. on ``STOP`` (polled every :data:`HB_INTERVAL_MS`, on the grid;
+       ``GO`` and ``RELEASE`` every 20 ms), flush queues, linger
+       :data:`LINGER_MS`, close, write ``summary-<pid>.json`` and exit
+       0 (3 on watchdog timeout).
 
     However ``run()`` ends — exit, error, watchdog, cancellation — it
-    ends in :meth:`close`: no listener, redial task or timer (the GC
-    tick included) outlives the node.
+    ends in :meth:`close`: no listener, redial task or timer (Ω's round
+    and the GC tick included) outlives the node.
 
     Every submission is appended to ``submit-<pid>.jsonl`` (mid +
     destination set + time): with concurrent clients the interleaving
@@ -434,6 +475,10 @@ class NetNode:
         self._submitted = 0
         self._clients: List[PlanClient] = []
         self._epochs_seen = 0
+        #: Heartbeat frames sent, and each group peer's ``writes`` as the
+        #: previous heartbeat round saw it.
+        self._heartbeats = 0
+        self._hb_writes: Dict[int, int] = {}
         self._hold_tasks: List["asyncio.Task[None]"] = []
         self._done = asyncio.Event()
         self._log_fh: Optional[Any] = None
@@ -505,7 +550,7 @@ class NetNode:
             self._done.set()
         await self._done.wait()
         (self.rundir / f"done-{self.pid}").write_text("done\n")
-        await self._wait_for_file(self.rundir / "STOP")
+        await self._wait_for_file(self.rundir / "STOP", HB_INTERVAL_MS)
         omega.stop()
         await transport.flush()
         await asyncio.sleep(LINGER_MS / 1000.0)
@@ -513,9 +558,13 @@ class NetNode:
         self._write_summary()
         return self._result(EXIT_OK)
 
-    async def _wait_for_file(self, path: Path, poll_s: float = 0.02) -> None:
+    async def _wait_for_file(self, path: Path, poll_ms: float = 20.0) -> None:
+        """Return once ``path`` exists, looking at every multiple of
+        ``poll_ms`` of node time (the housekeeping grid)."""
+        assert self.runtime is not None
+        sched = self.runtime.net_scheduler
         while not path.exists():
-            await asyncio.sleep(poll_s)
+            await sched.sleep_until(next_grid_time(sched.now, poll_ms))
 
     # -- frame handling (event-loop context) -----------------------------
 
@@ -532,13 +581,24 @@ class NetNode:
                 self.omega.heard_from(int(frame["pid"]))
 
     def _send_heartbeats(self) -> None:
+        """One Ω round: a heartbeat to each group peer whose link took no
+        write since the previous round — any frame proves this node
+        alive, so a busy link needs none. An idle link carries one
+        every second round (the heartbeat is that link's write)."""
         transport = self._transport
         if transport is None:
             return
         data = encode_hb_frame(self.pid, binary=self.topology.codec == "binary")
+        last = self._hb_writes
         for pid in self.config.members(self.gid):
-            if pid != self.pid and pid in transport.peers:
+            conn = transport.peers.get(pid)
+            if conn is None:
+                continue  # this node
+            writes = conn.writes
+            if last.get(pid, writes) == writes:
                 transport.send_frame_bytes(pid, data)
+                self._heartbeats += 1
+            last[pid] = writes
 
     # -- workload ---------------------------------------------------------
 
@@ -693,6 +753,7 @@ class NetNode:
             "message_counts": dict(self.runtime.transport_facade.counts_by_kind),
             "events": self.runtime.net_scheduler.events_processed,
             "epochs_seen": self._epochs_seen,
+            "heartbeats_sent": self._heartbeats,
             "compaction": {
                 "runs": self.compaction.runs,
                 "freed": self.compaction.freed,

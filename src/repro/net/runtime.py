@@ -21,8 +21,9 @@ runs on either substrate.
 
 Timer semantics shared by both backends: time is a float in
 milliseconds, monotone non-decreasing, starting at 0.0 when the
-scheduler is created. The sim reads it from the event heap; the asyncio
-backend derives it from ``time.monotonic()``.
+scheduler is created (the asyncio backend: in ``[0, 50)``, its epoch
+rounded down onto the housekeeping grid). The sim reads it from the
+event heap; the asyncio backend derives it from ``time.monotonic()``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from repro.net.differential import (
     verify_cluster_logs,
 )
 from repro.net.__main__ import main
-from repro.net.host import EXIT_ERROR, EXIT_TIMEOUT, NetNode
+from repro.net.host import EXIT_ERROR, EXIT_TIMEOUT, NetNode, _wake
 from repro.net.transport import PeerConnection, Transport
 from repro.net.workload import PlanClient, make_client_plans, plans_expected_count
 from repro.sim import ConstantLatency, CostModel, Network, Scheduler, child_rng
@@ -651,3 +651,119 @@ def test_call_count_at_most_one_flush_per_log_per_loop_iteration(tmp_path):
         assert sum(len(log.flushes) for log in delivery) < 0.8 * sum(log.lines for log in delivery)
 
     asyncio.run(_serve(topology, tmp_path, scenario))
+
+
+# ----------------------------------------------------------------------
+# housekeeping: one wakeup per grid point, heartbeats implied by traffic
+# ----------------------------------------------------------------------
+
+
+def _armed_by(loop, sched):
+    """Loop timers still armed whose callback is bound to ``sched``."""
+    return [
+        h for h in loop._scheduled
+        if not h.cancelled() and getattr(h._callback, "__self__", None) is sched
+    ]
+
+
+def test_no_timer_of_a_closed_node_stays_armed(tmp_path):
+    # close() on a serving node (the in-process kill): Ω's armed round
+    # and the GC tick are cancelled with it, and the STOP poll with the
+    # task the node ran on.
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        node = _lone_node(tmp_path)
+        task = asyncio.create_task(node.run())
+        await asyncio.wait_for(_await_lines(tmp_path / "done-0", 1), 10.0)
+        sched = node.runtime.net_scheduler
+        assert len(_armed_by(loop, sched)) == 2  # the Ω round and the GC tick
+        await node.close()
+        assert _armed_by(loop, sched) == []
+        task.cancel()
+        await asyncio.gather(task, return_exceptions=True)
+        assert not [h for h in loop._scheduled if not h.cancelled() and h._callback is _wake]
+
+    asyncio.run(scenario())
+
+
+def test_an_idle_cluster_shares_one_wakeup_per_grid_point(tmp_path, monkeypatch):
+    # ~1 s of an idle 2x3 cluster on one loop. The six epochs agree
+    # modulo the grid; the six Ω rounds due at one grid point run in one
+    # loop iteration, within 1 ms (~0.4 ms here; a preempted iteration
+    # can stretch one, so the bound is on the median round); every GC
+    # tick is due on its 250 ms grid and fires late by the loop's lag.
+    from repro.core.gc import CompactionDaemon
+    from repro.net.election import HB_INTERVAL_MS, HeartbeatOmega
+
+    rounds, gc_ticks, iteration = [], [], [0, False]
+    omega_tick, gc_tick = HeartbeatOmega._tick, CompactionDaemon._tick
+
+    def next_iteration():
+        iteration[0] += 1
+        iteration[1] = False
+
+    def record_round(self):
+        # The firing handle is still ``_handle``: the tick re-arms last.
+        loop = asyncio.get_running_loop()
+        if not iteration[1]:  # a marker that runs in the next iteration
+            iteration[1] = True
+            loop.call_soon(next_iteration)
+        rounds.append((self._handle._handle.when(), loop.time(), iteration[0]))
+        omega_tick(self)
+
+    def record_gc(self):
+        now = self.scheduler.now
+        lag_ms = (asyncio.get_running_loop().time() - self._handle._handle.when()) * 1000.0
+        gc_ticks.append((now, lag_ms))
+        gc_tick(self)
+
+    monkeypatch.setattr(HeartbeatOmega, "_tick", record_round)
+    monkeypatch.setattr(CompactionDaemon, "_tick", record_gc)
+    topology = make_topology(ClusterSpec(n_groups=2, group_size=3, n_messages=0, driver_mode="open"))
+    epochs = []
+
+    async def scenario(nodes):
+        epochs.extend(node.runtime.net_scheduler._t0 * 1000.0 for node in nodes.values())
+        await asyncio.sleep(1.0)
+
+    asyncio.run(_serve(topology, tmp_path, scenario))
+
+    def on_grid(ms, period):
+        return abs(ms / period - round(ms / period)) < 1e-6
+
+    assert len(epochs) == 6 and all(on_grid(t0 - epochs[0], HB_INTERVAL_MS) for t0 in epochs)
+    by_round = {}
+    for when, fired, it in rounds:
+        assert on_grid(when * 1000.0, HB_INTERVAL_MS)
+        by_round.setdefault(round(when * 1000.0 / HB_INTERVAL_MS), []).append((fired, it))
+    full = [ticks for ticks in by_round.values() if len(ticks) == 6]
+    assert len(full) >= 15, sorted(by_round)
+    assert all(len({it for _, it in ticks}) == 1 for ticks in full)
+    spreads = sorted(
+        (max(f for f, _ in ticks) - min(f for f, _ in ticks)) * 1000.0 for ticks in full
+    )
+    assert spreads[len(spreads) // 2] < 1.0, spreads
+    assert len(gc_ticks) >= 6 * 3
+    for now, lag_ms in gc_ticks:
+        assert now % 250.0 <= lag_ms + 1e-6, (now, lag_ms)
+
+
+def test_no_false_suspicion_and_few_heartbeats_under_steady_global_traffic(tmp_path, monkeypatch):
+    # Every message to both groups, 4 Poisson clients at 50 msg/s each
+    # for ~1.6 s, a 300 ms suspicion timeout: the protocol's own frames
+    # keep every link alive, so heartbeats are rare and no epoch moves.
+    monkeypatch.setattr("repro.net.workload.EXTRA_GROUP_P", 1.0)
+    spec = ClusterSpec(
+        n_groups=2, group_size=3, n_messages=320, seed=3, driver_mode="open",
+        clients=4, window=4, rate_hz=50.0, codec="binary", suspect_ms=300.0,
+    )
+    result = _run(spec, tmp_path)
+    assert result.ok and verify_cluster_logs(result) == []
+    summaries = [o.summary for o in result.outcomes.values()]
+    submits = read_jsonl(tmp_path / "submit-0.jsonl")
+    assert all(len(row["dest"]) == 2 for row in submits)
+    assert submits[-1]["t"] - submits[0]["t"] >= 1000.0
+    assert [s["epochs_seen"] for s in summaries] == [0] * 6
+    heartbeats = sum(s["heartbeats_sent"] for s in summaries)
+    frames = sum(s["transport"]["frames_sent"] for s in summaries)
+    assert heartbeats < 0.1 * frames, (heartbeats, frames)
