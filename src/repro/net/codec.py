@@ -42,6 +42,12 @@ Layers:
   (class-level ``kind``) plus the rmcast frames (``Envelope`` /
   ``Batch``) must have a row; ``tests/net/test_codec.py`` fails when a
   new message type is added without one.
+* **frames** — :func:`encode_msg_frame` / :class:`FrameDecoder`. What
+  repeats is paid once: an ``Envelope``'s binary body is encoded once
+  (its ``wire`` slot) and its origin's frame of it is built once (its
+  ``frame`` slot), one ``bytes`` object for every destination; the
+  decoder cuts whole frames straight out of each read, one body copy
+  apiece.
 
 Decoding never executes arbitrary constructors (this is not pickle) —
 only the fixed schema: a frame from an untrusted peer can at worst build
@@ -54,7 +60,7 @@ import inspect
 import json
 import struct
 from collections import namedtuple
-from typing import Any, Callable, Dict, List, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Type, Union
 
 from ..core.epoch import Epoch
 from ..core.messages import (
@@ -64,6 +70,7 @@ from ..rmcast.fifo import Batch, Envelope
 
 #: Length-prefix format: unsigned 32-bit big-endian frame length.
 LEN_STRUCT = struct.Struct("!I")
+_PREFIX = LEN_STRUCT.size
 
 #: Hard ceiling on a single frame (a corrupt length prefix must not ask
 #: the reader to buffer gigabytes).
@@ -72,6 +79,10 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 class CodecError(ValueError):
     """A value or frame that cannot be encoded/decoded losslessly."""
+
+    #: Set on what :meth:`FrameDecoder.feed` raises: the well-formed
+    #: frames that came before the bad bytes in the same read, in order.
+    frames: Sequence[Dict[str, Any]] = ()
 
 
 # ----------------------------------------------------------------------
@@ -627,7 +638,8 @@ def derive_codec(cls: Type[Any], row: Tuple[Any, ...], memo: str = "") -> _Codec
 #: Encode once per envelope: rmcast fans one ``Envelope`` out to every
 #: destination — alone in a frame, or inside per-peer ``Batch``es flushed
 #: up to ``batching_ms`` apart — so its binary body is kept in its
-#: ``wire`` slot: the memo lives exactly as long as the envelope, and
+#: ``wire`` slot (and, by :func:`encode_msg_frame`, its frame in its
+#: ``frame`` slot): the memo lives exactly as long as the envelope, and
 #: ``repro.core`` / ``repro.rmcast`` stay wire-agnostic. JSON, the debug
 #: and differential rendering, is never memoised.
 #: (A plain dict on purpose: a dict subclass raising the error below from
@@ -727,9 +739,24 @@ def encode_msg_frame(src: int, msg: Any, binary: bool = False) -> bytes:
     The JSON form is exactly the PR-9 frame ``{"t": "m", "src": ...,
     "m": encode_message(msg)}``; the binary form packs the same
     information as ``0x00 | version | MSG | u32 src | message``.
+
+    The binary frame of an :class:`Envelope` sent by its origin is built
+    once and kept in the envelope's ``frame`` slot: every later call,
+    one per destination, returns that same ``bytes`` object. (Called
+    once per staged frame all the same; JSON is never memoised.)
     """
     if not binary:
         return encode_frame({"t": "m", "src": src, "m": encode_message(msg)})
+    if msg.__class__ is Envelope and src == msg.origin:
+        frame = msg.frame
+        if frame is None:
+            frame = msg.frame = _binary_msg_frame(src, msg)
+        return frame
+    return _binary_msg_frame(src, msg)
+
+
+def _binary_msg_frame(src: int, msg: Any) -> bytes:
+    """The binary form of :func:`encode_msg_frame`, built afresh."""
     out = bytearray(LEN_STRUCT.size)
     out += _BINARY_HEADER
     out.append(_BF_MSG)
@@ -785,35 +812,73 @@ class FrameDecoder:
     boundaries) and returns the complete frames it finished. Each frame
     body is dispatched on its first byte — :data:`FRAME_BINARY` or
     canonical JSON — so a single connection may mix formats freely.
-    Bytes that are not a well-formed frame raise :class:`CodecError`.
-    ``feed`` copies ``data`` into its own buffer before it decodes
-    anything: the caller may hand it a view of a buffer it reuses.
+    Bytes that are not a well-formed frame raise :class:`CodecError`,
+    whose ``frames`` are the well-formed frames before them in the same
+    ``feed``.
+
+    Whole frames are decoded in place, straight from ``data``, at one
+    copy per body; only a frame that ``data`` ends in the middle of is
+    copied into the decoder's own buffer, and the next ``feed``
+    completes it from its head. So ``feed`` holds on to no part of
+    ``data`` once it returns: the caller may hand it a view of a buffer
+    it reuses.
     """
 
     def __init__(self) -> None:
+        #: The head of a frame the last ``feed`` ended inside, else empty.
         self._buf = bytearray()
 
     def feed(self, data: Union[bytes, memoryview]) -> List[Dict[str, Any]]:
-        self._buf.extend(data)
         frames: List[Dict[str, Any]] = []
-        buf = self._buf
-        while len(buf) >= LEN_STRUCT.size:
-            (length,) = LEN_STRUCT.unpack_from(buf)
-            if length > MAX_FRAME_BYTES:
-                raise CodecError(f"frame length {length} exceeds MAX_FRAME_BYTES")
-            end = LEN_STRUCT.size + length
-            if len(buf) < end:
-                break
-            body = bytes(buf[LEN_STRUCT.size:end])
-            del buf[:end]
-            try:
-                frames.append(_decode_body(body))
-            except CodecError:
-                raise
-            # What the decoders raise on a body that is no frame: a short
-            # read, bad UTF-8 / JSON or an empty ``dest``, JSON of the
-            # wrong shape, an unhashable set member, bottomless nesting.
-            except (IndexError, struct.error, ValueError, KeyError, TypeError,
-                    AttributeError, RecursionError) as exc:
-                raise CodecError(f"malformed frame body: {exc!r}") from exc
+        try:
+            if self._buf:
+                data = self._complete(data, frames)
+            size = len(data)
+            off = 0
+            while size - off >= _PREFIX:
+                (length,) = LEN_STRUCT.unpack_from(data, off)
+                if length > MAX_FRAME_BYTES:
+                    raise CodecError(f"frame length {length} exceeds MAX_FRAME_BYTES")
+                end = off + _PREFIX + length
+                if end > size:
+                    break
+                frames.append(_decode_body(bytes(data[off + _PREFIX : end])))
+                off = end
+        except CodecError as exc:
+            exc.frames = frames
+            raise
+        # What the decoders raise on a body that is no frame: a short
+        # read, bad UTF-8 / JSON or an empty ``dest``, JSON of the wrong
+        # shape, an unhashable set member, bottomless nesting.
+        except (IndexError, struct.error, ValueError, KeyError, TypeError,
+                AttributeError, RecursionError) as exc:
+            error = CodecError(f"malformed frame body: {exc!r}")
+            error.frames = frames
+            raise error from exc
+        if off < size:
+            self._buf += data[off:]
         return frames
+
+    def _complete(
+        self, data: Union[bytes, memoryview], frames: List[Dict[str, Any]]
+    ) -> Union[bytes, memoryview]:
+        """Complete the buffered frame from the head of ``data`` (decoded
+        into ``frames``) and return the rest; all of ``data`` is consumed
+        if the frame is still short."""
+        buf = self._buf
+        need = _PREFIX - len(buf)
+        if need > 0:  # the length prefix itself was cut
+            buf += data[:need]
+            data = data[need:]
+            if len(buf) < _PREFIX:
+                return data
+        (length,) = LEN_STRUCT.unpack_from(buf)
+        if length > MAX_FRAME_BYTES:
+            raise CodecError(f"frame length {length} exceeds MAX_FRAME_BYTES")
+        need = _PREFIX + length - len(buf)
+        buf += data[:need]
+        if len(buf) == _PREFIX + length:
+            body = bytes(memoryview(buf)[_PREFIX:])
+            buf.clear()
+            frames.append(_decode_body(body))
+        return data[need:]

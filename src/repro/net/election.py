@@ -12,11 +12,11 @@ tell them apart.
 
 Any frame from a peer proves it alive, not only a heartbeat (Ω needs
 eventual accuracy only): the node reports every frame it receives to
-:meth:`HeartbeatOmega.heard_from`, and a heartbeat round sends a
-heartbeat only on a link that carried no write since the previous round
-(``NetNode._send_heartbeats``). A live peer is therefore never silent
-for more than two rounds, ``2 * HB_INTERVAL_MS``; a loaded link carries
-no heartbeats at all.
+:meth:`HeartbeatOmega.heard_from`, which keeps the stamps of group
+peers only, and a heartbeat round sends a heartbeat only on a link that
+carried no write since the previous round (``NetNode._omega_round``).
+A live peer is therefore never silent for more than two rounds,
+``2 * HB_INTERVAL_MS``; a loaded link carries no heartbeats at all.
 
 Startup matches the sim: the initial output is the group's first member
 (the configured initial primary), and every peer counts as heard at
@@ -57,9 +57,9 @@ class HeartbeatOmega:
             member wins — same rule as the sim oracle).
         own_pid: the hosting node's pid (never suspected locally).
         scheduler: the node's scheduler facade (timers + ``now``).
-        send_heartbeat: callback emitting one heartbeat round to the
-            group peers (wired to the node's transport), run every
-            :data:`HB_INTERVAL_MS` of scheduler time.
+        on_round: the node's part of a round (its heartbeats to the
+            group peers), run every :data:`HB_INTERVAL_MS` of scheduler
+            time before the election.
         suspect_ms: silence threshold before a peer is suspected.
     """
 
@@ -69,7 +69,7 @@ class HeartbeatOmega:
         members: List[int],
         own_pid: int,
         scheduler: Any,
-        send_heartbeat: Callable[[], None],
+        on_round: Callable[[], None],
         suspect_ms: float = DEFAULT_SUSPECT_MS,
     ) -> None:
         if not members:
@@ -80,10 +80,12 @@ class HeartbeatOmega:
         self.members = list(members)
         self.own_pid = own_pid
         self.scheduler = scheduler
-        self.send_heartbeat = send_heartbeat
+        self.on_round = on_round
         self.suspect_ms = suspect_ms
         self.leader = members[0]
         self._subscribers: List[LeaderCallback] = []
+        #: Group peer -> when last heard from; its keys are exactly the
+        #: peers from start() on (this node and other groups never enter).
         self._last_heard: Dict[int, float] = {}
         #: The armed next tick; None before start() and after stop().
         self._handle: Optional[TimerHandle] = None
@@ -116,8 +118,11 @@ class HeartbeatOmega:
             self._handle = None
 
     def heard_from(self, pid: int) -> None:
-        """Record a heartbeat (or any frame) from a group member."""
-        self._last_heard[pid] = self.scheduler.now
+        """Record a heartbeat (or any frame) from ``pid`` if it is a group
+        peer; anyone else is no business of this group's Ω."""
+        last_heard = self._last_heard
+        if pid in last_heard:
+            last_heard[pid] = self.scheduler.now
 
     def suspected(self, pid: int) -> bool:
         """True when ``pid`` is currently suspected by this node."""
@@ -143,7 +148,7 @@ class HeartbeatOmega:
         self._handle = self.scheduler.call_at(due, self._tick)
 
     def _tick(self) -> None:
-        self.send_heartbeat()
+        self.on_round()
         new_leader = self._elect()
         if new_leader != self.leader:
             self.leader = new_leader

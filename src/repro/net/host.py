@@ -6,9 +6,11 @@ module implements both halves over asyncio:
 
 * :class:`NetScheduler` — time is ``(loop.time() - t0) * 1000`` ms
   (monotonic, per-node, ``t0`` on the loop clock's
-  :data:`~repro.net.election.HB_INTERVAL_MS` grid), read once per drain
-  and standing still inside it; ``call_at`` / ``call_after`` arm real
-  ``loop.call_at`` / ``loop.call_later`` timers; the seam's
+  :data:`~repro.net.election.HB_INTERVAL_MS` grid), read once per
+  stimulus — a received frame, a timer — and standing still until the
+  drain that ends it; ``call_at`` / ``call_after`` arm real
+  ``loop.call_at`` / ``loop.call_later`` timers (a zero delay is
+  ``loop.call_soon``); the seam's
   allocation-free heap (``_heap`` / ``_seq``) is a real heap that
   :meth:`NetScheduler.drain` runs to empty after every external
   stimulus. With the zero-cost CPU model every entry the
@@ -20,8 +22,9 @@ module implements both halves over asyncio:
   simulator's event loop.
 * :class:`TransportFacade` — ``transmit`` delivers self-addressed
   messages synchronously (the sim's zero-latency self-channel) and
-  encodes everything else onto the per-peer TCP connection
-  (:mod:`repro.net.transport`); per-channel FIFO comes from TCP.
+  stages everything else for the per-peer TCP connection
+  (:mod:`repro.net.transport`), an envelope as one frame shared by all
+  its destinations; per-channel FIFO comes from TCP.
 
 :class:`NetNode` assembles one protocol process with its facades,
 heartbeat oracle, state-GC daemon (:mod:`repro.core.gc`), logs and its
@@ -31,12 +34,13 @@ process under the cluster launcher (:mod:`repro.net.cluster`), or many
 nodes on one loop in the in-process differential tests.
 
 A serving node wakes only for work and for one housekeeping grid. Its
-periodic timers — the Ω round (:data:`HB_INTERVAL_MS`), the GC tick
-(250 ms) and the ``STOP`` poll (50 ms) — fire at multiples of their
-period on a scheduler clock whose epoch is itself a multiple of
-:data:`HB_INTERVAL_MS` on the loop clock, so every node on one loop
-shares each wakeup. A heartbeat goes out only on a link that carried no
-write since the previous round: under load there are none.
+periodic timers — the Ω round (:data:`HB_INTERVAL_MS`), which also
+looks for ``STOP`` once the node is done, and the GC tick (250 ms) —
+fire at multiples of their period on a scheduler clock whose epoch is
+itself a multiple of :data:`HB_INTERVAL_MS` on the loop clock, so every
+node on one loop shares each wakeup. A heartbeat goes out only on a
+link that carried no write since the previous round: under load there
+are none.
 """
 
 from __future__ import annotations
@@ -69,11 +73,11 @@ EXIT_TIMEOUT = 3
 
 
 class _LoopTimerHandle:
-    """Cancellable handle over ``loop.call_later`` (TimerHandle shape)."""
+    """Cancellable handle over a loop callback (TimerHandle shape)."""
 
     __slots__ = ("_handle", "cancelled")
 
-    def __init__(self, handle: asyncio.TimerHandle) -> None:
+    def __init__(self, handle: asyncio.Handle) -> None:
         self._handle = handle
         self.cancelled = False
 
@@ -98,14 +102,18 @@ class NetScheduler:
     transmit — to quiescence before the event loop regains control,
     which is precisely the sim's run-to-completion discipline.
 
-    Time stands still inside a drain, as it does inside a simulator
-    event: :meth:`drain` reads ``loop.time()`` once and :attr:`now`
-    returns that reading until the drain ends, so the whole cascade —
-    every ``busy_until``, submit and delivery stamp in it — sees one
-    instant (and pays one clock read, not one per handler). Timers do
-    not go through ``now``: ``call_at`` converts its time to the loop
-    clock exactly, and ``call_after`` hands its delay to
-    ``loop.call_later``, which measures it on the real loop clock.
+    Time stands still for one stimulus, as it does inside a simulator
+    event. A stimulus is a received frame (``NetNode._on_frame``) or a
+    timer: it reads ``loop.time()`` once (:meth:`begin`), and
+    :attr:`now` returns that reading until the :meth:`drain` that ends
+    the stimulus, so Ω's receipt stamp, the enqueue and the whole
+    cascade — every ``busy_until``, submit and delivery stamp in it —
+    see one instant (and pay one clock read, not one per handler). A
+    drain outside any stimulus reads the clock itself. Timers do not
+    go through ``now``: ``call_at`` converts its time to the loop clock
+    exactly, and ``call_after`` hands its delay to ``loop.call_later``,
+    which measures it on the real loop clock (a zero delay is
+    ``loop.call_soon``: no timer-heap entry).
 
     The epoch ``t0`` is the loop time rounded down to a multiple of
     :data:`HB_INTERVAL_MS`, so ``now`` starts in ``[0, HB_INTERVAL_MS)``
@@ -119,8 +127,10 @@ class NetScheduler:
         self._t0 = math.floor(loop.time() / grid_s) * grid_s
         self._heap: List[Tuple[float, int, Any, Any]] = []
         self._seq = 0
-        #: The running drain's reading of the clock; None between drains.
-        self._drain_now: Optional[float] = None
+        #: The open stimulus's reading of the clock; None between them.
+        self._now: Optional[float] = None
+        #: True while drain() runs the heap: its re-entrance guard.
+        self._draining = False
         #: Heap entries executed (parity with Scheduler.events_processed).
         self.events_processed = 0
         #: Set by NetNode.kill(): a dead scheduler runs nothing, which
@@ -130,11 +140,17 @@ class NetScheduler:
     @property
     def now(self) -> float:
         """Milliseconds since this node's runtime started (monotonic);
-        constant for the length of a drain."""
-        frozen = self._drain_now
-        if frozen is not None:
-            return frozen
+        constant from a stimulus's :meth:`begin` to the end of its drain."""
+        now = self._now
+        if now is not None:
+            return now
         return (self._loop.time() - self._t0) * 1000.0
+
+    def begin(self) -> None:
+        """Open a stimulus: read the clock once; :attr:`now` holds that
+        reading, and pushes wait for the :meth:`drain` that must end the
+        stimulus."""
+        self._now = (self._loop.time() - self._t0) * 1000.0
 
     # -- seam surface ----------------------------------------------------
 
@@ -154,6 +170,8 @@ class NetScheduler:
     ) -> _LoopTimerHandle:
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
+        if delay == 0:
+            return _LoopTimerHandle(self._loop.call_soon(self._fire, fn, args))
         handle = self._loop.call_later(delay / 1000.0, self._fire, fn, args)
         return _LoopTimerHandle(handle)
 
@@ -175,20 +193,31 @@ class NetScheduler:
     def _fire(self, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
         if self.dead:
             return
-        fn(*args)
-        self.drain()
+        self.begin()
+        try:
+            fn(*args)
+        finally:
+            self.drain()
 
     def kick(self) -> None:
-        """Run the heap to quiescence unless a drain is already active
-        higher up the stack (re-entrant pushes just extend that drain)."""
-        if self._drain_now is None:
+        """Run the heap to quiescence unless a stimulus or a drain is
+        open higher up the stack (its drain runs the push)."""
+        if self._now is None:
             self.drain()
 
     def drain(self) -> None:
-        if self._drain_now is not None or self.dead:
+        """Run the heap to quiescence at the open stimulus's instant (or
+        at a fresh clock reading), and close the stimulus."""
+        if self._draining:
             return
-        now = self._drain_now = (self._loop.time() - self._t0) * 1000.0
+        if self.dead:
+            self._now = None
+            return
+        now = self._now
+        if now is None:
+            now = self._now = (self._loop.time() - self._t0) * 1000.0
         heap = self._heap
+        self._draining = True
         try:
             while heap:
                 entry = heap[0]
@@ -202,18 +231,20 @@ class NetScheduler:
                 self.events_processed += 1
                 entry[2](*entry[3])
         finally:
-            self._drain_now = None
+            self._draining = False
+            self._now = None
 
 
 class TransportFacade:
     """TransportAPI over the per-peer connection manager.
 
     Self-addressed messages are delivered synchronously (the sim's
-    zero-latency self-channel); remote messages are framed once per
+    zero-latency self-channel); remote messages are framed per
     destination and staged for that peer's TCP connection. The framing
-    is cheap: the codec walks an ``Envelope`` once per process and
-    splices its bytes into every later frame or ``Batch`` that carries
-    it (``Envelope.wire``, DESIGN.md §13 "Once per frame").
+    is cheap: the codec builds an ``Envelope``'s frame once and hands
+    the same ``bytes`` to every destination (``Envelope.frame``), and
+    splices its body into every ``Batch`` that carries it
+    (``Envelope.wire``, DESIGN.md §13 "Once per envelope").
     """
 
     def __init__(self, scheduler: NetScheduler, binary: bool = False) -> None:
@@ -269,6 +300,10 @@ DRIVER_PID = 0
 #: How long a node keeps serving stragglers after its shutdown flush
 #: before it closes.
 LINGER_MS = 250.0
+
+#: How often a node looks for ``GO`` and ``RELEASE`` (``STOP`` is looked
+#: for by Ω's round).
+FILE_POLL_MS = 20.0
 
 
 @dataclass
@@ -441,10 +476,10 @@ class NetNode:
     4. on delivering everything addressed to this group, write
        ``done-<pid>`` and keep serving (acks + heartbeats for
        stragglers);
-    5. on ``STOP`` (polled every :data:`HB_INTERVAL_MS`, on the grid;
-       ``GO`` and ``RELEASE`` every 20 ms), flush queues, linger
-       :data:`LINGER_MS`, close, write ``summary-<pid>.json`` and exit
-       0 (3 on watchdog timeout).
+    5. on ``STOP`` (looked for by every Ω round from then on, on the
+       grid; ``GO`` and ``RELEASE`` every :data:`FILE_POLL_MS`), flush
+       queues, linger :data:`LINGER_MS`, close, write
+       ``summary-<pid>.json`` and exit 0 (3 on watchdog timeout).
 
     However ``run()`` ends — exit, error, watchdog, cancellation — it
     ends in :meth:`close`: no listener, redial task or timer (Ω's round
@@ -481,6 +516,8 @@ class NetNode:
         self._hb_writes: Dict[int, int] = {}
         self._hold_tasks: List["asyncio.Task[None]"] = []
         self._done = asyncio.Event()
+        #: Set once ``done-<pid>`` is written; Ω's round sets it on STOP.
+        self._stop: Optional[asyncio.Event] = None
         self._log_fh: Optional[Any] = None
         self._submit_fh: Optional[Any] = None
         self._truncate_fh: Optional[Any] = None
@@ -537,7 +574,7 @@ class NetNode:
             members,
             self.pid,
             sched,
-            self._send_heartbeats,
+            self._omega_round,
             suspect_ms=topo.suspect_ms,
         )
         proc.omega = omega
@@ -550,7 +587,8 @@ class NetNode:
             self._done.set()
         await self._done.wait()
         (self.rundir / f"done-{self.pid}").write_text("done\n")
-        await self._wait_for_file(self.rundir / "STOP", HB_INTERVAL_MS)
+        self._stop = asyncio.Event()
+        await self._stop.wait()  # set by an Ω round that finds STOP
         omega.stop()
         await transport.flush()
         await asyncio.sleep(LINGER_MS / 1000.0)
@@ -558,33 +596,41 @@ class NetNode:
         self._write_summary()
         return self._result(EXIT_OK)
 
-    async def _wait_for_file(self, path: Path, poll_ms: float = 20.0) -> None:
+    async def _wait_for_file(self, path: Path) -> None:
         """Return once ``path`` exists, looking at every multiple of
-        ``poll_ms`` of node time (the housekeeping grid)."""
+        :data:`FILE_POLL_MS` of node time."""
         assert self.runtime is not None
         sched = self.runtime.net_scheduler
         while not path.exists():
-            await sched.sleep_until(next_grid_time(sched.now, poll_ms))
+            await sched.sleep_until(next_grid_time(sched.now, FILE_POLL_MS))
 
     # -- frame handling (event-loop context) -----------------------------
 
     def _on_frame(self, src: int, frame: Dict[str, Any]) -> None:
+        """One received frame is one stimulus: Ω's receipt stamp, the
+        enqueue and the drain share one clock reading."""
         t = frame.get("t")
         if t == "m":
             assert self.proc is not None and self.runtime is not None
+            sched = self.runtime.net_scheduler
+            sched.begin()
             if self.omega is not None:
                 self.omega.heard_from(src)
             self.proc.enqueue_message(int(frame.get("src", src)), frame["msg"])
-            self.runtime.net_scheduler.kick()
+            sched.drain()
         elif t == "hb":
             if self.omega is not None:
                 self.omega.heard_from(int(frame["pid"]))
 
-    def _send_heartbeats(self) -> None:
-        """One Ω round: a heartbeat to each group peer whose link took no
-        write since the previous round — any frame proves this node
-        alive, so a busy link needs none. An idle link carries one
-        every second round (the heartbeat is that link's write)."""
+    def _omega_round(self) -> None:
+        """The node's part of an Ω round. A heartbeat to each group peer
+        whose link took no write since the previous round — any frame
+        proves this node alive, so a busy link needs none; an idle link
+        carries one every second round (the heartbeat is that link's
+        write). And once the node is done, a look for ``STOP``."""
+        stop = self._stop
+        if stop is not None and not stop.is_set() and (self.rundir / "STOP").exists():
+            stop.set()
         transport = self._transport
         if transport is None:
             return

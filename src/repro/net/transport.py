@@ -12,8 +12,9 @@ Reliability model:
 
 * A written chunk stays in the peer's send queue (and in
   ``queued_bytes``) until the socket's write buffer has been *seen
-  empty* after the write — at once, or when asyncio reports it drained —
-  i.e. until the kernel holds every byte. When the connection is lost,
+  empty* after the write — at once (the chunk is then counted sent and
+  never queued), or when asyncio reports it drained — i.e. until the
+  kernel holds every byte. When the connection is lost,
   whatever is still queued is rewritten in order right behind the next
   connection's hello. A frame the peer *did* receive may therefore
   arrive twice, which is safe — the rmcast layer deduplicates by
@@ -37,12 +38,15 @@ a ``BufferedProtocol``: the loop receives into the transport's one
 :data:`RECV_BUFFER_BYTES` buffer instead of allocating per read).
 
 Write coalescing (the throughput path): with ``coalesce`` on, outgoing
-frames are *staged* in a per-peer byte buffer instead of being handed
-to the connection one at a time. The first staged frame schedules one
-``call_soon`` flush, so every frame produced by the current cascade of
-event-loop callbacks — a handler burst typically fans the same Batch
-out to five peers and acks back — lands in a single ``write()`` per
-peer instead of one per frame. A buffer crossing
+frames are *staged* per peer instead of being handed to the connection
+one at a time. The first staged frame schedules one ``call_soon``
+flush, so every frame produced by the current cascade of event-loop
+callbacks — a handler burst typically fans the same Batch out to five
+peers and acks back — lands in a single ``write()`` per peer instead of
+one per frame. Staging is by reference: a peer's stage is a list of
+the frames' ``bytes`` objects (one envelope's frame is one object for
+every peer, ``repro.net.codec``) and a byte count; a lone frame is
+written as it is, several are joined once. A stage crossing
 :data:`COALESCE_MAX_BYTES` is flushed immediately, bounding both
 staging latency and single-write size. Coalescing changes only *write
 grouping*, never order: per-``(src, dst)`` FIFO is preserved because
@@ -60,7 +64,7 @@ the submission edge, not the wire.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from collections import deque
 
@@ -128,21 +132,40 @@ class PeerConnection(asyncio.Protocol):
         self.queued_bytes = 0
         self.connects = 0
         self.reconnects = 0
+        #: Frames staged by the owning Transport for the next write, and
+        #: their total length.
+        self.staged: List[bytes] = []
+        self.staged_bytes = 0
 
     def start(self) -> None:
         self._task = asyncio.get_running_loop().create_task(self._run())
 
     def send_bytes(self, data: bytes, frames: int = 1) -> None:
-        """Queue one chunk (possibly many coalesced frames) and, while
-        connected, write it to the socket; event-loop context only."""
-        self._queue.append((data, frames))
-        self.queued_bytes += len(data)
+        """Write one chunk (possibly many coalesced frames) while
+        connected, and queue it unless the kernel took all of it at once;
+        event-loop context only."""
         sock = self._sock
         if sock is not None:
             sock.write(data)
             self.writes += 1
-            if sock.get_write_buffer_size() == 0:
-                self.resume_writing()
+            if sock.get_write_buffer_size() == 0 and not sock.is_closing():
+                # The kernel holds this chunk and every one before it.
+                self.frames_sent += frames
+                self.bytes_sent += len(data)
+                if self._queue:
+                    self.resume_writing()
+                return
+        self._queue.append((data, frames))
+        self.queued_bytes += len(data)
+
+    def flush_staged(self) -> None:
+        """Write what the owning Transport staged: a lone frame as it is,
+        several joined once."""
+        staged = self.staged
+        if staged:
+            self.staged = []
+            self.staged_bytes = 0
+            self.send_bytes(staged[0] if len(staged) == 1 else b"".join(staged), len(staged))
 
     def queued(self) -> int:
         return len(self._queue)
@@ -226,10 +249,12 @@ class _AcceptedConnection(asyncio.BufferedProtocol):
     stream protocol's ``recv(256 KiB)`` allocated one per read, and
     whether glibc recycled or re-faulted that chunk followed the
     start-up heap layout — EXPERIMENTS.md, "two modes"). Sharing is safe
-    because the buffer is only live between ``get_buffer`` and the first
-    statement of ``feed``, which copies the read into the connection's
-    own reassembly buffer before any frame handler runs, and one loop
-    runs one read callback at a time."""
+    because the buffer is only live between ``get_buffer`` and the
+    return of ``feed``: ``feed`` copies each whole frame's body out of it
+    and the tail of a frame the read ends inside into the connection's
+    own reassembly buffer, and it decodes all of that before it returns,
+    so no frame handler runs while the buffer holds anything still
+    needed, and one loop runs one read callback at a time."""
 
     def __init__(self, owner: "Transport") -> None:
         self._owner = owner
@@ -248,14 +273,13 @@ class _AcceptedConnection(asyncio.BufferedProtocol):
 
     def buffer_updated(self, nbytes: int) -> None:
         owner = self._owner
+        bad: Optional[CodecError] = None
         try:
             frames = self._decoder.feed(owner._recv_buf[:nbytes])
-        except CodecError:
-            # Not frames: this connection cannot be resynchronized; the
-            # node and its other connections are unaffected.
-            owner.probe("bad_frame", self._src)
-            self.sock.close()
-            return
+        except CodecError as exc:
+            # The well-formed frames before the bad bytes are handled as
+            # they would be had TCP ended the read there.
+            bad, frames = exc, exc.frames
         for frame in frames:
             if self._src is not None:
                 owner.frames_received += 1
@@ -266,6 +290,11 @@ class _AcceptedConnection(asyncio.BufferedProtocol):
             else:
                 self.sock.close()  # protocol violation
                 return
+        if bad is not None:
+            # Not frames: this connection cannot be resynchronized; the
+            # node and its other connections are unaffected.
+            owner.probe("bad_frame", self._src)
+            self.sock.close()
 
 
 class Transport:
@@ -302,8 +331,10 @@ class Transport:
         self.coalesce = coalesce
         self.max_queue_bytes = max_queue_bytes
         self.peers: Dict[int, PeerConnection] = {}
-        self._pending: Dict[int, bytearray] = {}
-        self._pending_frames: Dict[int, int] = {}
+        #: Peers that staged a frame since the last flush, in staging
+        #: order (one flushed early at COALESCE_MAX_BYTES may be listed
+        #: twice; its second flush finds an empty stage).
+        self._staged: List[PeerConnection] = []
         self._flush_scheduled = False
         self.overload_events = 0
         self._over = False
@@ -384,11 +415,11 @@ class Transport:
     # -- sending ---------------------------------------------------------
 
     def send_frame_bytes(self, dst: int, data: bytes) -> None:
-        """Queue a pre-encoded frame (fan-out encodes once per frame).
+        """Queue a pre-encoded frame (fan-out encodes once per envelope).
 
-        With coalescing on, the frame is staged in the peer's buffer;
-        one ``call_soon`` flush per drain hands all staged bytes to the
-        connections in a single write each.
+        With coalescing on, the frame is staged for the peer by
+        reference; one ``call_soon`` flush per drain hands each peer's
+        stage to its connection in a single write.
         """
         conn = self.peers.get(dst)
         if conn is None:
@@ -396,36 +427,28 @@ class Transport:
         if not self.coalesce:
             conn.send_bytes(data)
             return
-        buf = self._pending.get(dst)
-        if buf is None:
-            buf = self._pending[dst] = bytearray()
-            self._pending_frames[dst] = 0
-        buf += data
-        self._pending_frames[dst] += 1
-        if len(buf) >= COALESCE_MAX_BYTES:
-            self._flush_peer(dst)
-        elif not self._flush_scheduled:
-            self._flush_scheduled = True
-            asyncio.get_running_loop().call_soon(self._flush_pending)
-
-    def _flush_peer(self, dst: int) -> None:
-        buf = self._pending.pop(dst, None)
-        if not buf:
-            return
-        frames = self._pending_frames.pop(dst, 0)
-        self.peers[dst].send_bytes(bytes(buf), frames)
+        staged = conn.staged
+        if not staged:
+            self._staged.append(conn)
+            if not self._flush_scheduled:
+                self._flush_scheduled = True
+                asyncio.get_running_loop().call_soon(self._flush_pending)
+        staged.append(data)
+        conn.staged_bytes += len(data)
+        if conn.staged_bytes >= COALESCE_MAX_BYTES:
+            conn.flush_staged()
 
     def _flush_pending(self) -> None:
         self._flush_scheduled = False
-        for dst in list(self._pending):
-            self._flush_peer(dst)
+        staged, self._staged = self._staged, []
+        for conn in staged:
+            conn.flush_staged()
 
     # -- backpressure ----------------------------------------------------
 
     def queued_bytes(self) -> int:
         """Staged + unsent bytes across all peers."""
-        pending = sum(len(b) for b in self._pending.values())
-        return pending + sum(c.queued_bytes for c in self.peers.values())
+        return sum(c.staged_bytes + c.queued_bytes for c in self.peers.values())
 
     def overloaded(self) -> bool:
         """True while queued bytes exceed ``max_queue_bytes``. Open-loop

@@ -69,10 +69,10 @@ class Envelope:
 
     An envelope and its payload are not mutated after ``r_multicast``:
     the simulator hands one object to every destination, and a wire
-    backend may keep its encoding in ``wire``.
+    backend may keep its encodings in ``wire`` and ``frame``.
     """
 
-    __slots__ = ("origin", "seq", "payload", "dests", "kind", "wire")
+    __slots__ = ("origin", "seq", "payload", "dests", "kind", "wire", "frame")
 
     def __init__(self, origin: int, seq: int, payload: Any, dests: Tuple[int, ...]):
         self.origin = origin
@@ -83,11 +83,13 @@ class Envelope:
             self.kind = payload.kind
         except AttributeError:
             self.kind = "rm"
-        #: The encoded body, set by the backend that serializes this
+        #: The encoded body, and the whole frame its origin sends to
+        #: every destination, set by the backend that serializes this
         #: envelope (``repro.net.codec``, on first encode) so a fan-out
-        #: encodes it once; this layer and the simulator never read it.
+        #: encodes it once; this layer and the simulator never read them.
         #: Sound only under the immutability contract above.
         self.wire: Optional[bytes] = None
+        self.frame: Optional[bytes] = None
 
     @property
     def mid(self) -> Any:

@@ -167,3 +167,84 @@ def random_workload(
 
         system.scheduler.call_at(when, issue)
     return sent
+
+
+# ----------------------------------------------------------------------
+# a repro.net node without sockets
+# ----------------------------------------------------------------------
+
+
+class _Handle:
+    def __init__(self) -> None:
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+class CountingLoop:
+    """Stands in for the event loop: counts clock reads (each moves the
+    clock 1 ms) and keeps the callbacks it is handed instead of running
+    them."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+        #: (delay s, fn, args) per ``call_later``
+        self.timers: List[Tuple[float, Any, Tuple[Any, ...]]] = []
+        #: (loop time, fn, args) per ``call_at``
+        self.at: List[Tuple[float, Any, Tuple[Any, ...]]] = []
+        #: (fn, args) per ``call_soon``
+        self.soon: List[Tuple[Any, Tuple[Any, ...]]] = []
+
+    def time(self) -> float:
+        self.reads += 1
+        return self.reads * 0.001
+
+    def call_later(self, delay: float, fn: Any, *args: Any) -> _Handle:
+        self.timers.append((delay, fn, args))
+        return _Handle()
+
+    def call_at(self, when: float, fn: Any, *args: Any) -> _Handle:
+        self.at.append((when, fn, args))
+        return _Handle()
+
+    def call_soon(self, fn: Any, *args: Any) -> _Handle:
+        self.soon.append((fn, args))
+        return _Handle()
+
+
+class RecordingTransport:
+    """What a NetNode's facade stages, by destination, in order."""
+
+    def __init__(self) -> None:
+        self.sent: List[Tuple[int, bytes]] = []
+
+    def send_frame_bytes(self, dst: int, data: bytes) -> None:
+        self.sent.append((dst, data))
+
+
+def serving_node(rundir: Any, loop: CountingLoop, pid: int = 0) -> Tuple[Any, RecordingTransport]:
+    """Node ``pid`` of a 2x3 binary-codec cluster, assembled as
+    ``NetNode._run`` assembles a serving node — PrimCast process, Ω
+    started — but on ``loop`` and staging into a RecordingTransport."""
+    from types import SimpleNamespace
+
+    from repro.core import PrimCastProcess
+    from repro.net.cluster import ClusterSpec, make_topology
+    from repro.net.election import HeartbeatOmega
+    from repro.net.host import NetNode, NetScheduler, TransportFacade
+
+    node = NetNode(make_topology(ClusterSpec(n_groups=2, group_size=3, codec="binary")), pid, rundir)
+    sched = NetScheduler(loop)  # type: ignore[arg-type]
+    facade = TransportFacade(sched, binary=True)
+    node.runtime = SimpleNamespace(net_scheduler=sched, transport_facade=facade)
+    node.proc = PrimCastProcess(pid, node.config, sched, facade, CostModel())
+    transport = RecordingTransport()
+    facade.bind(transport)  # type: ignore[arg-type]
+    omega = node.omega = HeartbeatOmega(
+        node.gid, node.config.members(node.gid), pid, sched, lambda: None
+    )
+    node.proc.omega = omega
+    omega.subscribe(node.proc._on_omega_output)
+    omega.start()
+    return node, transport

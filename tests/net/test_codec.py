@@ -707,13 +707,31 @@ def test_golden_frames_with_every_envelope_already_encoded():
         assert encode_msg_frame(7, msg)[LEN_STRUCT.size :] == json_body.encode()
 
 
+def test_an_origins_frame_of_an_envelope_is_built_once():
+    rng, rng_cold = (random.Random("codec-memo-frame") for _ in range(2))
+    env, cold = gen_message(Envelope, rng), gen_message(Envelope, rng_cold)
+    other = (env.origin + 1) % 2**16
+    frame = encode_msg_frame(env.origin, env, binary=True)
+    assert env.frame is frame and encode_msg_frame(env.origin, env, binary=True) is frame
+    assert frame == encode_msg_frame(cold.origin, cold, binary=True)
+    # Anyone else's frame of it carries another src: built every time,
+    # from the memoised body.
+    relayed = encode_msg_frame(other, env, binary=True)
+    assert relayed[11:] == frame[11:] and relayed is not encode_msg_frame(other, env, binary=True)
+    assert env.frame is frame
+    # JSON never reads or writes the frame memo.
+    assert encode_msg_frame(env.origin, env) == encode_msg_frame(cold.origin, cold)
+    assert decode_message_binary(frame[11:]).frame is None
+
+
 def test_envelope_memo_is_a_slot_not_a_dict():
     env = gen_message(Envelope, random.Random("codec-memo-slot"))
     assert env.wire is None and "wire" in Envelope.__slots__
+    assert env.frame is None and "frame" in Envelope.__slots__
     assert not hasattr(env, "__dict__")
-    # Not a constructor argument: the wire schema and the simulator
-    # (which never sets or reads it) are unchanged.
-    assert "wire" not in inspect.signature(Envelope.__init__).parameters
+    # Not constructor arguments: the wire schema and the simulator
+    # (which never sets or reads them) are unchanged.
+    assert not {"wire", "frame"} & set(inspect.signature(Envelope.__init__).parameters)
 
 
 # ----------------------------------------------------------------------

@@ -3,15 +3,19 @@ heartbeats implied by traffic.
 
 :class:`HeartbeatOmega` runs here on the deterministic simulator
 scheduler (it is written against the runtime seam), so every time below
-is exact. ``NetNode._send_heartbeats`` runs against a stub transport.
+is exact. ``NetNode._omega_round`` runs against a stub transport.
 """
 
 from __future__ import annotations
 
+from helpers import CountingLoop, serving_node
+from repro.core import Multicast, Start
 from repro.core.gc import next_grid_time
 from repro.net.cluster import ClusterSpec, make_topology
 from repro.net.election import HB_INTERVAL_MS, HeartbeatOmega
+from repro.net.codec import FrameDecoder, encode_msg_frame
 from repro.net.host import NetNode
+from repro.rmcast.fifo import Envelope
 from repro.sim import Scheduler
 
 
@@ -122,7 +126,7 @@ def test_a_round_heartbeats_only_links_without_a_write_since_the_previous_round(
 
     def round_():
         transport.sent.clear()
-        node._send_heartbeats()
+        node._omega_round()
         return sorted(transport.sent)
 
     assert round_() == [1, 2]  # the first round: no previous one
@@ -134,3 +138,26 @@ def test_a_round_heartbeats_only_links_without_a_write_since_the_previous_round(
     assert round_() == []
     assert round_() == [1, 2]
     assert node._heartbeats == 5
+
+
+def test_omega_keeps_the_stamps_of_group_peers_only(tmp_path):
+    # Pid 0 of a 2x3 cluster hears from pid 3 (group 1) and pid 1 (its
+    # own group): only pid 1's stamp moves, and no other pid enters.
+    loop = CountingLoop()
+    node, _ = serving_node(tmp_path, loop)
+    started = dict(node.omega._last_heard)
+    assert sorted(started) == [1, 2]
+
+    def receive(src, seq):
+        start = Start(Multicast((src, seq), frozenset({0, 1}), None))
+        (frame,) = FrameDecoder().feed(encode_msg_frame(src, Envelope(src, seq, start, (0,)), binary=True))
+        node._on_frame(src, frame)
+
+    receive(3, 0)
+    assert node.omega._last_heard == started
+    receive(1, 0)
+    assert sorted(node.omega._last_heard) == [1, 2]
+    assert node.omega._last_heard[1] > started[1] and node.omega._last_heard[2] == started[2]
+    node.omega.heard_from(4)
+    node.omega.heard_from(0)  # this node
+    assert sorted(node.omega._last_heard) == [1, 2]

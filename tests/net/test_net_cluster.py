@@ -668,8 +668,8 @@ def _armed_by(loop, sched):
 
 def test_no_timer_of_a_closed_node_stays_armed(tmp_path):
     # close() on a serving node (the in-process kill): Ω's armed round
-    # and the GC tick are cancelled with it, and the STOP poll with the
-    # task the node ran on.
+    # (which also looks for STOP) and the GC tick are cancelled with it,
+    # and no task of the node sleeps on the loop.
     async def scenario():
         loop = asyncio.get_running_loop()
         node = _lone_node(tmp_path)

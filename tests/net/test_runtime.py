@@ -8,9 +8,10 @@ them by hand.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import List
 
-from repro.core import PrimCastProcess, uniform_groups
+from helpers import CountingLoop, serving_node
+from repro.core import Multicast, PrimCastProcess, Start, uniform_groups
 from repro.election import make_oracles
 from repro.net.runtime import (
     LeaderOracle,
@@ -124,25 +125,10 @@ def test_call_after_inside_a_drain_fires_by_real_loop_time():
     asyncio.run(scenario())
 
 
-class _CountingLoop:
-    """Stands in for the event loop: counts clock reads, keeps timers."""
-
-    def __init__(self) -> None:
-        self.reads = 0
-        self.timers: List[Tuple[float, Any, Tuple[Any, ...]]] = []
-
-    def time(self) -> float:
-        self.reads += 1
-        return self.reads * 0.001
-
-    def call_later(self, delay: float, fn: Any, *args: Any) -> None:
-        self.timers.append((delay, fn, args))
-
-
 def test_call_count_loop_time_is_read_once_per_drain():
     from repro.net.host import NetScheduler
 
-    loop = _CountingLoop()
+    loop = CountingLoop()
     sched = NetScheduler(loop)  # type: ignore[arg-type]
     stamps: List[float] = []
 
@@ -168,3 +154,48 @@ def test_call_count_loop_time_is_read_once_per_drain():
     sched._heap.append((sched.now + 50.0, sched._seq, handler, (0,)))
     sched.drain()
     assert [(round(delay, 3), fn) for delay, fn, _ in loop.timers] == [(0.049, sched.kick)]
+
+
+def test_call_count_one_clock_read_per_received_frame_and_per_timer(tmp_path):
+    # A stimulus reads the clock once and everything it causes shares
+    # that reading: for a received frame Ω's receipt stamp, the enqueue
+    # (two reads of ``now``) and the drain; for a timer its callback and
+    # the drain after it.
+    from repro.net.codec import FrameDecoder, encode_msg_frame
+    from repro.rmcast.fifo import Envelope
+
+    loop = CountingLoop()
+    node, transport = serving_node(tmp_path, loop)  # pid 0: group 0's primary
+    sched = node.runtime.net_scheduler
+
+    def received(src, msg):
+        before = loop.reads
+        (frame,) = FrameDecoder().feed(encode_msg_frame(src, msg, binary=True))
+        node._on_frame(src, frame)
+        return loop.reads - before
+
+    # A global message from pid 3 (group 1): the primary acks it to all
+    # six destinations, one envelope staged for the five remote ones.
+    start = Start(Multicast((3, 0), frozenset({0, 1}), "x" * 64))
+    assert received(3, Envelope(3, 0, start, tuple(range(6)))) == 1
+    assert sorted(dst for dst, _ in transport.sent) == [1, 2, 3, 4, 5]
+    assert len({id(data) for _, data in transport.sent}) == 1
+    # A member's frame: one reading, and Ω's stamp is that reading.
+    assert received(1, Envelope(1, 0, start, (0,))) == 1
+    assert node.omega._last_heard[1] == float(loop.reads)
+    # A job posted with no delay goes to call_soon, not the timer heap,
+    # and its run — the job, its a_multicast, the drain — reads once.
+    del transport.sent[:]
+    node.proc.post_job(lambda: node.proc.a_multicast(frozenset({0, 1}), "y"))
+    (fire, args), = loop.soon
+    assert loop.timers == [] and fire == sched._fire
+    before = loop.reads
+    fire(*args)
+    # The start, and the primary's own ack: two envelopes, five peers.
+    assert loop.reads - before == 1 and len(transport.sent) == 10
+    assert len({id(data) for _, data in transport.sent}) == 2
+    # Ω's round: its election and its re-arm share one reading too.
+    when, fire, args = loop.at[-1]
+    before = loop.reads
+    fire(*args)
+    assert loop.reads - before == 1 and len(loop.at) == 2

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import asyncio
 
+import repro.net.codec as codec_mod
 from repro.core.messages import Multicast, Start
 from repro.net.cluster import allocate_ports
 from repro.net.codec import (
@@ -18,6 +19,7 @@ from repro.net.codec import (
     encode_hb_frame,
     encode_msg_frame,
 )
+from repro.net.host import NetScheduler, TransportFacade
 from repro.net.transport import RECV_BUFFER_BYTES, PeerConnection, Transport
 from repro.rmcast.fifo import Envelope
 
@@ -77,6 +79,26 @@ def test_garbage_frame_closes_only_that_connection():
         finally:
             await a.close()
             await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_good_frames_before_garbage_in_one_read_are_handled_then_the_connection_closes():
+    # Hello, two good frames and garbage in one write, so in one read:
+    # the frames arrive as they would had TCP cut the read before the
+    # garbage, then the connection is dropped with one bad_frame.
+    async def scenario():
+        received = []
+        node, address, probes = await _lone_node(lambda src, f: received.append((src, f)))
+        try:
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(HELLO + _hb(1) + _hb(2) + TRUNCATED)
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            assert received == [(0, _hb_frame(1)), (0, _hb_frame(2))]
+            assert probes == [("peer_hello", 0), ("bad_frame", 0)]
+        finally:
+            await node.close()
 
     asyncio.run(scenario())
 
@@ -299,6 +321,99 @@ def test_two_connections_share_the_receive_buffer_without_mixing_their_frames(mo
             await node.close()
 
     asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# what a frame costs: encoded once per envelope, staged by reference,
+# decoded in place
+# ----------------------------------------------------------------------
+
+
+def _unstarted_transport(peer_pids):
+    """A Transport whose peers have no socket yet: what it is asked to
+    write is queued on each PeerConnection."""
+    transport = Transport(0, {0: ("127.0.0.1", 1)}, on_frame=lambda src, f: None)
+    transport.peers = {
+        pid: PeerConnection(0, pid, "127.0.0.1", 1, lambda e, d: None) for pid in peer_pids
+    }
+    return transport
+
+
+def test_call_count_an_envelope_to_five_peers_is_one_encode_and_one_bytes_object(monkeypatch):
+    envelope_codec = codec_mod._CODECS[Envelope]
+    puts = []
+
+    def counting_put(out, env):
+        puts.append(env)
+        envelope_codec.put(out, env)
+
+    monkeypatch.setitem(codec_mod._CODECS, Envelope, envelope_codec._replace(put=counting_put))
+
+    async def scenario():
+        transport = _unstarted_transport(range(1, 6))
+        facade = TransportFacade(NetScheduler(asyncio.get_running_loop()), binary=True)
+        facade.bind(transport)
+        env = Envelope(0, 7, Start(Multicast((0, 3), frozenset({0, 1}), "x" * 64)), tuple(range(6)))
+        for dst in range(1, 6):
+            facade.transmit(0, dst, env, 0.0)
+        staged = [conn.staged for conn in transport.peers.values()]
+        assert [len(frames) for frames in staged] == [1] * 5
+        assert len({id(frames[0]) for frames in staged}) == 1 and staged[0][0] is env.frame
+        assert puts == [env]
+        assert transport.queued_bytes() == 5 * len(env.frame)
+        await asyncio.sleep(0)  # the flush
+        assert transport.queued_bytes() == 5 * len(env.frame)  # now queued, unsent
+
+    asyncio.run(scenario())
+
+
+def test_call_count_a_lone_staged_frame_reaches_send_bytes_without_a_copy(monkeypatch):
+    written = []
+    send_bytes = PeerConnection.send_bytes
+
+    def recording_send_bytes(conn, data, frames=1):
+        written.append((conn.peer_pid, data, frames))
+        send_bytes(conn, data, frames)
+
+    monkeypatch.setattr(PeerConnection, "send_bytes", recording_send_bytes)
+
+    async def scenario():
+        transport = _unstarted_transport([1, 2])
+        lone, first, second = _hb(1), _hb(2), _hb(3)
+        transport.send_frame_bytes(1, lone)
+        transport.send_frame_bytes(2, first)
+        transport.send_frame_bytes(2, second)
+        assert written == []  # staged until the flush
+        await asyncio.sleep(0)
+        assert [(pid, frames) for pid, _, frames in written] == [(1, 1), (2, 2)]
+        assert written[0][1] is lone
+        assert written[1][1] == first + second  # several: joined once
+
+    asyncio.run(scenario())
+
+
+class _UntouchableBuffer(bytearray):
+    """A reassembly buffer that fails the test if anything is put in it."""
+
+    def __iadd__(self, other):
+        raise AssertionError("a whole frame went through the reassembly buffer")
+
+    extend = __iadd__
+
+
+def test_call_count_whole_frames_never_touch_the_reassembly_buffer():
+    frames = [_hb(i) for i in range(8)] + [encode_frame({"t": "x", "i": 8})]
+    decoder = FrameDecoder()
+    decoder._buf = _UntouchableBuffer()
+    got = decoder.feed(memoryview(b"".join(frames)))
+    assert got == [_hb_frame(i) for i in range(8)] + [{"t": "x", "i": 8}]
+    # Only the head of a frame the read ends inside is kept, and the
+    # next read completes it from its own head.
+    decoder = FrameDecoder()
+    assert decoder.feed(frames[0] + frames[1][:5]) == [_hb_frame(0)]
+    assert decoder._buf == frames[1][:5]
+    assert decoder.feed(frames[1][5:] + frames[2]) == [_hb_frame(1), _hb_frame(2)]
+    assert decoder._buf == b""
 
 
 # ----------------------------------------------------------------------
