@@ -20,7 +20,7 @@ Quick start::
     procs[4].a_multicast({0, 1}, payload="hello")
     sched.run(until=100)
 
-Subpackages:
+Subpackages (``import repro`` loads none of them):
 
 * :mod:`repro.core` — the PrimCast protocol (Algorithms 1–3, §6) and the
   endpoint base every protocol shares.
@@ -36,19 +36,6 @@ Subpackages:
 
 __version__ = "1.0.0"
 
-from . import apps, baselines, core, election, harness, rmcast, sim, verify, workload
 from ._backend import backend_info
 
-__all__ = [
-    "backend_info",
-    "core",
-    "apps",
-    "baselines",
-    "sim",
-    "rmcast",
-    "election",
-    "verify",
-    "workload",
-    "harness",
-    "__version__",
-]
+__all__ = ["backend_info", "__version__"]

@@ -1,7 +1,7 @@
 """The core has one build: the pure-python source."""
 
 # ``bench/run.py`` (the run header's ``backend=``) is the only caller, and
-# ``bench/`` is editable only by a ``benchmark`` PR: ROADMAP item 1 (vi)
+# ``bench/`` is editable only by a ``benchmark`` PR: ROADMAP item 1 (a)
 # drops that import, and then this file goes.
 
 

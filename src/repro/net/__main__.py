@@ -29,9 +29,7 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional
 
-from .cluster import ClusterResult, ClusterSpec, launch_cluster
-from .differential import diff_cluster_result, verify_cluster_logs
-from .host import run_node
+from .host import ClusterSpec, run_node
 
 
 def _add_spec_args(parser: argparse.ArgumentParser) -> None:
@@ -97,74 +95,58 @@ def cmd_node(args: argparse.Namespace) -> int:
     return run_node(topology, args.pid, Path(args.rundir))
 
 
-def _print_nodes(result: ClusterResult, indent: str = "") -> None:
-    for pid in sorted(result.outcomes):
-        o = result.outcomes[pid]
+def cmd_launch(spec: ClusterSpec, args: argparse.Namespace) -> int:
+    """``cluster``, ``diff`` and ``open``: launch a cluster, then run the
+    command's checks over its logs. Only these import the launcher and
+    the checks (the sim reference run, ``repro.verify``): a ``node``
+    process loads neither."""
+    from .cluster import launch_cluster
+    from .differential import diff_cluster_result, verify_cluster_logs
+
+    rundir = _rundir_from_args(args)
+    result = launch_cluster(spec, rundir)
+    nodes = []
+    for pid, o in sorted(result.outcomes.items()):
         status = "KILLED" if o.killed else f"exit={o.exit_code}"
-        print(
-            f"{indent}node {pid}: {status} delivered={len(o.delivered)}"
+        nodes.append(
+            f"node {pid}: {status} delivered={len(o.delivered)}"
             + (f" expected={o.summary['expected']}" if o.summary else "")
         )
-
-
-def _verified(result: ClusterResult, rundir: Path) -> bool:
-    """The statistical battery and truncation safety over the run's
-    logs; prints the violations, if any."""
+    if args.command == "cluster":
+        for line in nodes:
+            print(line)
+        print(f"cluster {'OK' if result.ok else 'FAILED'} in {result.wall_s:.1f}s "
+              f"(rundir: {rundir})")
+        return 0 if result.ok else 1
+    if not result.ok:
+        print(f"cluster run FAILED (rundir: {rundir})")
+        for line in nodes:
+            print(f"  {line}")
+        return 1
+    if args.command == "diff":
+        problems = diff_cluster_result(result)
+        if problems:
+            print(f"differential check FAILED (rundir: {rundir}):")
+            for p in problems:
+                print(f"  {p}")
+            return 1
+    # The statistical battery and truncation safety over the run's logs.
     violations = verify_cluster_logs(result)
     if violations:
         print(f"statistical checks FAILED (rundir: {rundir}):")
         for v in violations:
             print(f"  {v.to_dict()}")
-    return not violations
-
-
-def cmd_cluster(spec: ClusterSpec, args: argparse.Namespace) -> int:
-    rundir = _rundir_from_args(args)
-    result = launch_cluster(spec, rundir)
-    _print_nodes(result)
-    print(f"cluster {'OK' if result.ok else 'FAILED'} in {result.wall_s:.1f}s "
-          f"(rundir: {rundir})")
-    return 0 if result.ok else 1
-
-
-def cmd_diff(spec: ClusterSpec, args: argparse.Namespace) -> int:
-    rundir = _rundir_from_args(args)
-    result = launch_cluster(spec, rundir)
-    if not result.ok:
-        print(f"cluster run FAILED (rundir: {rundir})")
-        _print_nodes(result, indent="  ")
         return 1
-    problems = diff_cluster_result(result)
-    if problems:
-        print(f"differential check FAILED (rundir: {rundir}):")
-        for p in problems:
-            print(f"  {p}")
-        return 1
-    if not _verified(result, rundir):
-        return 1
-    survivors = result.survivors
-    n_msgs = spec.n_messages
-    kill_note = (
-        f", survived kill of pid {spec.kill_pid}" if spec.kill_pid is not None else ""
-    )
-    print(
-        f"differential check OK: {len(survivors)} nodes agree with the sim "
-        f"reference on {n_msgs} messages{kill_note}, 0 violations "
-        f"(codec={spec.codec}, {result.wall_s:.1f}s)"
-    )
-    return 0
-
-
-def cmd_open(spec: ClusterSpec, args: argparse.Namespace) -> int:
-    """Open-loop concurrent cluster + statistical safety checks."""
-    rundir = _rundir_from_args(args)
-    result = launch_cluster(spec, rundir)
-    if not result.ok:
-        print(f"cluster run FAILED (rundir: {rundir})")
-        _print_nodes(result, indent="  ")
-        return 1
-    if not _verified(result, rundir):
-        return 1
+    if args.command == "diff":
+        kill_note = (
+            "" if spec.kill_pid is None else f", survived kill of pid {spec.kill_pid}"
+        )
+        print(
+            f"differential check OK: {len(result.survivors)} nodes agree with the sim "
+            f"reference on {spec.n_messages} messages{kill_note}, 0 violations "
+            f"(codec={spec.codec}, {result.wall_s:.1f}s)"
+        )
+        return 0
     total = sum(
         o.summary.get("submitted", 0)
         for o in result.outcomes.values()
@@ -189,12 +171,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cp = sub.add_parser("cluster", help="launch a localhost cluster")
     _add_spec_args(cp)
-    cp.set_defaults(fn=cmd_cluster)
-
+    
     dp = sub.add_parser("diff", help="cluster run + sim differential check")
     _add_spec_args(dp)
-    dp.set_defaults(fn=cmd_diff)
-
+    
     op = sub.add_parser(
         "open", help="open-loop concurrent cluster + statistical checks"
     )
@@ -205,8 +185,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--rate", type=float, default=0.0,
         help="per-client Poisson arrival rate in msgs/sec (0 = closed loop)",
     )
-    op.set_defaults(fn=cmd_open)
-
+    
     args = parser.parse_args(argv)
     if args.command == "node":
         return cmd_node(args)
@@ -216,7 +195,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return int(args.fn(spec, args))
+    return cmd_launch(spec, args)
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
@@ -379,6 +380,13 @@ class ClusterSpec:
             raise ValueError(f"unknown codec {self.codec!r}")
         if self.driver_mode not in ("seq", "open"):
             raise ValueError(f"unknown driver mode {self.driver_mode!r}")
+        # Each node rejects these at start (Ω, rmcast, its own deadline).
+        if self.suspect_ms <= 0:
+            raise ValueError(f"suspect_ms must be positive, got {self.suspect_ms}")
+        if self.batching_ms < 0:
+            raise ValueError(f"batching_ms must be non-negative, got {self.batching_ms}")
+        if self.run_timeout_s <= 0:
+            raise ValueError(f"run_timeout_s must be positive, got {self.run_timeout_s}")
         if self.driver_mode == "open" and (self.clients < 1 or self.window < 1):
             raise ValueError("open-loop driver needs clients >= 1, window >= 1")
         if self.kill_pid is not None:
@@ -514,6 +522,9 @@ class NetNode:
         #: previous heartbeat round saw it.
         self._heartbeats = 0
         self._hb_writes: Dict[int, int] = {}
+        #: What every Ω round sends and looks for, built once.
+        self._hb_frame = encode_hb_frame(pid, binary=topology.codec == "binary")
+        self._stop_path = str(self.rundir / "STOP")
         self._hold_tasks: List["asyncio.Task[None]"] = []
         self._done = asyncio.Event()
         #: Set once ``done-<pid>`` is written; Ω's round sets it on STOP.
@@ -629,12 +640,12 @@ class NetNode:
         carries one every second round (the heartbeat is that link's
         write). And once the node is done, a look for ``STOP``."""
         stop = self._stop
-        if stop is not None and not stop.is_set() and (self.rundir / "STOP").exists():
+        if stop is not None and not stop.is_set() and os.path.exists(self._stop_path):
             stop.set()
         transport = self._transport
         if transport is None:
             return
-        data = encode_hb_frame(self.pid, binary=self.topology.codec == "binary")
+        data = self._hb_frame
         last = self._hb_writes
         for pid in self.config.members(self.gid):
             conn = transport.peers.get(pid)

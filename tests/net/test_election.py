@@ -8,6 +8,9 @@ is exact. ``NetNode._omega_round`` runs against a stub transport.
 
 from __future__ import annotations
 
+import asyncio
+import os
+
 from helpers import CountingLoop, serving_node
 from repro.core import Multicast, Start
 from repro.core.gc import next_grid_time
@@ -138,6 +141,31 @@ def test_a_round_heartbeats_only_links_without_a_write_since_the_previous_round(
     assert round_() == []
     assert round_() == [1, 2]
     assert node._heartbeats == 5
+
+
+def test_call_count_a_round_encodes_no_heartbeat_and_stats_stop_once(tmp_path, monkeypatch):
+    # The heartbeat frame and the STOP path are the node's constants:
+    # a round sends the one frame built at construction and makes one
+    # stat call on a ready-made path string, once the node is done.
+    node = NetNode(make_topology(ClusterSpec(n_groups=2, group_size=3, codec="binary")), 0, tmp_path)
+    transport = node._transport = _StubTransport([1, 2, 3, 4, 5])
+    frames = []
+    transport.send_frame_bytes = lambda dst, data: frames.append(data)
+    encodes = []
+    monkeypatch.setattr("repro.net.host.encode_hb_frame", lambda *a, **k: encodes.append(a))
+    looks = []
+    real_exists = os.path.exists
+    monkeypatch.setattr(os.path, "exists", lambda path: looks.append(path) or real_exists(path))
+    node._stop = asyncio.Event()
+    for _ in range(3):
+        node._omega_round()
+    (tmp_path / "STOP").write_text("")
+    node._omega_round()
+    assert node._stop.is_set()
+    node._omega_round()  # stopped: no further look
+    assert encodes == []
+    assert len(frames) == 10 and all(data is node._hb_frame for data in frames)
+    assert looks == [str(tmp_path / "STOP")] * 4
 
 
 def test_omega_keeps_the_stamps_of_group_peers_only(tmp_path):

@@ -444,8 +444,15 @@ def test_cluster_spec_validation():
 
 @pytest.mark.parametrize(
     "argv",
-    [["diff", "--groups", "0"], ["diff", "--kill", "-1"], ["open", "--clients", "0"]],
-    ids=["groups-0", "kill-minus-1", "open-clients-0"],
+    [
+        ["diff", "--groups", "0"], ["diff", "--kill", "-1"], ["open", "--clients", "0"],
+        ["diff", "--suspect-ms", "0"], ["diff", "--batching-ms", "-1"],
+        ["open", "--timeout", "0"],
+    ],
+    ids=[
+        "groups-0", "kill-minus-1", "open-clients-0",
+        "suspect-ms-0", "batching-ms-minus-1", "timeout-0",
+    ],
 )
 def test_an_invalid_spec_exits_2_before_any_node_starts(tmp_path, capsys, argv):
     # Exit 1 means a run or a check failed; a spec error is a usage error.
