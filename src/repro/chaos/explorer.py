@@ -21,8 +21,10 @@ Safety checking is two-layered, violations captured as data:
 * during the run, :class:`~repro.verify.InvariantMonitor` rides along on
   every PrimCast process; a structural violation aborts the case and is
   recorded as an ``"invariant"`` violation;
-* after the horizon, :func:`~repro.verify.collect_violations` checks the
-  §2.2 properties over the correct processes' delivery logs.
+* after the horizon, one :func:`~repro.verify.collect_violations` call
+  checks the §2.2 properties and truncation safety over every process's
+  delivery log, a crashed process's prefix included (the properties are
+  uniform); only correct processes owe agreement.
 """
 
 from __future__ import annotations
@@ -41,16 +43,17 @@ from typing import (
 )
 
 from ..core.messages import MessageId, Multicast
-from ..harness.parallel import SweepExecutor, build_scenario
+from ..harness.parallel import SweepExecutor
 from ..harness.runner import build_system
 from ..sim.failures import FailureInjector
 from ..sim.rng import child_rng
-from ..verify import (
-    PropertyViolation,
-    Violation,
-    attach_monitors,
-    check_truncation_safety,
-    collect_violations,
+from ..verify import PropertyViolation, Violation, attach_monitors, collect_violations
+from ..workload.scenarios import (
+    Scenario,
+    lan_scenario,
+    lan_sustained,
+    wan_colocated_leaders,
+    wan_distributed_leaders,
 )
 from .nemesis import Nemesis
 from .schedule import FaultSchedule, ScheduleShape, generate_schedule
@@ -67,10 +70,7 @@ class ChaosScenario:
     """A deployment + workload sized for fault exploration."""
 
     name: str
-    #: Table 2 registry key (``repro.harness.parallel.SCENARIO_BUILDERS``)
-    base: str
-    n_groups: int
-    group_size: int
+    deployment: Scenario
     protocol: str = "primcast"
     horizon_ms: float = 3000.0
     n_messages: int = 40
@@ -83,8 +83,8 @@ class ChaosScenario:
 
     def shape(self) -> ScheduleShape:
         return ScheduleShape(
-            n_groups=self.n_groups,
-            group_size=self.group_size,
+            n_groups=self.deployment.n_groups,
+            group_size=self.deployment.group_size,
             horizon_ms=self.horizon_ms,
             hybrid_clock=self.hybrid_clock,
         )
@@ -95,29 +95,28 @@ class ChaosScenario:
 #: leaders) at a reduced 3×3 shape so 8 seeds finish in seconds.
 CHAOS_SCENARIOS: Dict[str, ChaosScenario] = {
     "lan-small": ChaosScenario(
-        name="lan-small", base="LAN", n_groups=2, group_size=3,
+        name="lan-small", deployment=lan_scenario(2, 3),
         horizon_ms=2000.0, omega_poll_ms=4.0,
     ),
     "fig3-reduced": ChaosScenario(
-        name="fig3-reduced", base="WAN - colocated leaders",
-        n_groups=3, group_size=3, horizon_ms=6000.0, omega_poll_ms=25.0,
+        name="fig3-reduced", deployment=wan_colocated_leaders(3, 3),
+        horizon_ms=6000.0, omega_poll_ms=25.0,
     ),
     "fig4-reduced": ChaosScenario(
-        name="fig4-reduced", base="WAN - distributed leaders",
-        n_groups=2, group_size=3, horizon_ms=5000.0, omega_poll_ms=25.0,
+        name="fig4-reduced", deployment=wan_distributed_leaders(2, 3),
+        horizon_ms=5000.0, omega_poll_ms=25.0,
     ),
     "fig3-reduced-hc": ChaosScenario(
-        name="fig3-reduced-hc", base="WAN - colocated leaders",
-        n_groups=3, group_size=3, protocol="primcast-hc",
-        horizon_ms=6000.0, omega_poll_ms=25.0,
+        name="fig3-reduced-hc", deployment=wan_colocated_leaders(3, 3),
+        protocol="primcast-hc", horizon_ms=6000.0, omega_poll_ms=25.0,
     ),
     # Long-horizon LAN campaign: enough traffic past the fault window
     # that the state-GC watermark advances and truncation actually
     # happens under crashes/partitions/epoch changes — the case-level
     # truncation-safety check is only interesting when it does.
     "lan-sustained": ChaosScenario(
-        name="lan-sustained", base="LAN - sustained", n_groups=2,
-        group_size=3, horizon_ms=20000.0, n_messages=400,
+        name="lan-sustained", deployment=lan_sustained(2, 3),
+        horizon_ms=20000.0, n_messages=400,
         send_window_ms=18000.0, omega_poll_ms=4.0,
     ),
 }
@@ -235,10 +234,9 @@ def run_case(spec: CaseSpec) -> CaseResult:
         raise ValueError(f"unknown mutation {spec.mutation!r}; pick from {MUTATIONS}")
     scn = CHAOS_SCENARIOS[spec.scenario]
     schedule = spec.resolve_schedule()
-    scenario = build_scenario(scn.base, scn.n_groups, scn.group_size)
     system = build_system(
         scn.protocol,
-        scenario,
+        scn.deployment,
         seed=spec.seed,
         omega_poll_ms=scn.omega_poll_ms,
     )
@@ -269,14 +267,17 @@ def run_case(spec: CaseSpec) -> CaseResult:
         logs[proc.pid].append((multicast.mid, final_ts, system.scheduler.now))
         multicasts.setdefault(multicast.mid, multicast)
 
-    # Record which T entries each process truncated via state GC: the
-    # "truncate" probe carries the dropped mids, and the post-hoc
-    # truncation-safety property checks them against the delivery logs.
-    truncated: Dict[int, List[MessageId]] = {pid: [] for pid in config.all_pids}
+    # Record which T entries each process truncated via state GC, and
+    # when: the "truncate" probe carries the dropped mids, and the
+    # post-hoc truncation-safety property judges each against the
+    # process's delivery log as it stood at that time.
+    truncated: Dict[int, Dict[MessageId, float]] = {pid: {} for pid in config.all_pids}
 
     def on_probe(proc: Any, event: str, data: Any) -> None:
         if event == "truncate":
-            truncated[proc.pid].extend(data)
+            now = system.scheduler.now
+            for mid in data:
+                truncated[proc.pid].setdefault(mid, now)
 
     for proc in processes.values():
         proc.add_deliver_hook(on_deliver)
@@ -289,7 +290,7 @@ def run_case(spec: CaseSpec) -> CaseResult:
     for i in range(scn.n_messages):
         sender = wl_rng.choice(config.all_pids)
         dest: FrozenSet[int] = frozenset(
-            wl_rng.sample(range(scn.n_groups), wl_rng.randint(1, scn.n_groups))
+            wl_rng.sample(range(config.n_groups), wl_rng.randint(1, config.n_groups))
         )
         when = wl_rng.uniform(0.0, scn.send_window_ms)
         system.scheduler.call_at(
@@ -310,20 +311,12 @@ def run_case(spec: CaseSpec) -> CaseResult:
         correct: Set[int] = {
             pid for pid, proc in processes.items() if not proc.crashed
         }
-        correct_logs = {pid: logs[pid] for pid in correct}
         dest_pids_of = {
             mid: set(config.dest_pids(m.dest)) for mid, m in multicasts.items()
         }
         violations = collect_violations(
-            correct_logs, set(multicasts), dest_pids_of, correct
+            logs, set(multicasts), dest_pids_of, correct, truncated=truncated
         )
-        try:
-            # Truncations are checked against *all* logs (a process that
-            # truncated and later crashed still delivered first), while
-            # the cross-destination clause only binds correct processes.
-            check_truncation_safety(truncated, logs, dest_pids_of, correct)
-        except PropertyViolation as exc:
-            violations.append(Violation.from_exception(exc))
 
     return CaseResult(
         spec=spec,

@@ -15,8 +15,11 @@ The nemesis owns the three injection paths:
 * **delay spikes** install a transmit interceptor (see
   :meth:`~repro.sim.network.Network.add_transmit_interceptor`): while a
   rule's window is open, matching ``(src, dst)`` departures are shifted
-  by ``extra_ms``. Per-channel FIFO order is preserved by the network's
-  arrival clamp, exactly as a congested TCP link would behave.
+  by ``extra_ms``. A spike models a congested link, so it never touches
+  the self-channel ``src == dst``, which is no link (and has no FIFO
+  clamp: a shifted self-message would be overtaken by a later one).
+  Between two processes, the network's arrival clamp keeps per-channel
+  FIFO order, as a congested TCP link would.
 * **clock skew** perturbs a process's
   :class:`~repro.sim.clock.PhysicalClock` offset (observable only under
   the hybrid-clock variant).
@@ -221,6 +224,8 @@ class Nemesis:
     def _delay_interceptor(
         self, src: int, dst: int, msg: Any, depart_time: float
     ) -> float:
+        if src == dst:
+            return depart_time
         extra = 0.0
         for start, end, rule_src, rule_dst, extra_ms in self._delay_rules:
             if (

@@ -35,7 +35,7 @@ from ..workload.scenarios import (
 )
 from .analytic import COMPLEXITY_FORMULAS, LATENCY_PROFILES, message_complexity, table1_rows
 from .cache import DEFAULT_CACHE_DIR, ResultCache
-from .export import write_csv
+from .export import write_cdf_csv, write_csv
 from .experiments import figure2, figure3, figure4, figure5
 from .metrics import percentile
 from .parallel import SweepExecutor
@@ -163,6 +163,17 @@ def cmd_figure5(args: argparse.Namespace) -> None:
                 ]
             )
         print(format_table(["series", "p50", "p90", "p99"], rows))
+    if args.csv:
+        # One file for both loads: a series is named "<curve>@<outstanding>".
+        write_cdf_csv(
+            args.csv,
+            {
+                f"{name}@{load}": curve
+                for load, curves in curves_by_load.items()
+                for name, curve in curves.items()
+            },
+        )
+        print(f"\nwrote {args.csv}")
 
 
 def cmd_point(args: argparse.Namespace) -> None:

@@ -50,12 +50,9 @@ def sweep(
     of the executor's parallelism. ``point`` are the remaining fields of
     a load point (``seed``, ``warmup_ms``, ``keep_samples``, ...), declared
     by :class:`~repro.harness.parallel.PointSpec` and nowhere else; an
-    unknown keyword is a ``TypeError``.
-
-    ``scenario`` must be a Table 2 registry scenario: a custom name or a
-    customized copy of one cannot be rebuilt from a spec, so
-    :func:`~repro.harness.parallel.point_spec` rejects it with a
-    ``ValueError`` (call ``run_load_point`` directly for such geometries).
+    unknown keyword is a ``TypeError``. Each spec carries ``scenario``
+    by value, so a customized copy of a Table 2 scenario sweeps exactly
+    like the original.
     """
     if executor is None:
         executor = SweepExecutor()

@@ -12,8 +12,7 @@ The unit of work is a :class:`PointSpec`: a frozen, JSON-canonicalizable
 description of one load point. Specs serve two masters:
 
 * the :class:`SweepExecutor` pickles them to worker processes (the
-  worker rebuilds the scenario from the Table 2 registry and calls
-  ``run_load_point``), and
+  worker calls ``run_load_point`` with the spec's fields), and
 * the content-addressed result cache (:mod:`repro.harness.cache`) hashes
   their canonical JSON as half of the cache key.
 
@@ -47,14 +46,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
 
-from ..workload.scenarios import (
-    Scenario,
-    lan_fleet,
-    lan_scenario,
-    lan_sustained,
-    wan_colocated_leaders,
-    wan_distributed_leaders,
-)
+from ..workload.scenarios import Scenario
 from .runner import RunResult, run_load_point
 
 
@@ -80,76 +72,26 @@ class WorkSpec(Protocol):
         ...
 
 
-#: Canonical scenario name -> builder. A :class:`PointSpec` stores the
-#: scenario by (name, n_groups, group_size) so it stays picklable and
-#: content-addressable; workers rebuild the scenario from this registry.
-SCENARIO_BUILDERS: Dict[str, Callable[[int, int], Scenario]] = {
-    "LAN": lan_scenario,
-    "LAN - fleet": lan_fleet,
-    "LAN - sustained": lan_sustained,
-    "WAN - colocated leaders": wan_colocated_leaders,
-    "WAN - distributed leaders": wan_distributed_leaders,
-}
-
-
-def build_scenario(name: str, n_groups: int, group_size: int) -> Scenario:
-    """Rebuild a Table 2 scenario from its canonical name and shape."""
-    try:
-        builder = SCENARIO_BUILDERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; the sweep executor only handles the "
-            f"Table 2 scenarios {sorted(SCENARIO_BUILDERS)} (custom latency "
-            f"geometries cannot be reconstructed in worker processes)"
-        ) from None
-    return builder(n_groups, group_size)
-
-
-def scenario_matches_registry(scenario: Scenario) -> bool:
-    """True when ``scenario`` is faithfully reconstructable by name.
-
-    A worker (or a cache lookup) rebuilds the scenario from
-    :data:`SCENARIO_BUILDERS` using only ``(name, n_groups,
-    group_size)``, so a caller-customized object — a ``dataclasses.
-    replace`` with different RTTs, or a swapped latency builder — would
-    silently be replaced by the registry default. This check compares
-    the rebuild field-for-field so such scenarios are detected instead
-    of mis-simulated — a customized skew bound (``epsilon_ms``) included.
-    """
-    builder = SCENARIO_BUILDERS.get(scenario.name)
-    if builder is None:
-        return False
-    rebuilt = builder(scenario.n_groups, scenario.group_size)
-    return (
-        rebuilt.description == scenario.description
-        and rebuilt.cross_group_rtt_ms == scenario.cross_group_rtt_ms
-        and rebuilt.intra_group_rtt_ms == scenario.intra_group_rtt_ms
-        and rebuilt.epsilon_ms == scenario.epsilon_ms
-        # latency builders are stateless callables: same class, same model
-        and type(rebuilt._latency_builder) is type(scenario._latency_builder)
-    )
-
-
 @dataclass(frozen=True)
 class PointSpec:
     """One (protocol, scenario, destinations, load) point, fully described.
 
-    Every field is JSON-safe; ``canonical()`` is the stable dict the
-    cache hashes. A point runs with the calibrated default cost model,
-    the scenario's skew bound, batching off and state GC at its default
-    interval; callers that vary those call ``run_load_point`` directly.
+    Every field is JSON-safe — the :class:`~repro.workload.scenarios.
+    Scenario` travels by value, a customized one included — and
+    ``canonical()`` is the stable dict the cache hashes. A point runs
+    with the calibrated default cost model, the scenario's skew bound,
+    batching off and state GC at its default interval; callers that vary
+    those call ``run_load_point`` directly.
 
     This is the one declaration of a load point's parameters and their
-    defaults: :func:`point_spec` and :func:`expand_sweep` forward their
-    keywords here, and :meth:`run` forwards every field to
-    ``run_load_point`` by name — so a field added here without a
-    matching ``run_load_point`` parameter fails on the first run.
+    defaults: :func:`expand_sweep` forwards its keywords here, and
+    :meth:`run` forwards every field to ``run_load_point`` by name — so
+    a field added here without a matching ``run_load_point`` parameter
+    fails on the first run.
     """
 
     protocol: str
-    scenario: str
-    n_groups: int
-    group_size: int
+    scenario: Scenario
     n_dest_groups: int
     outstanding: int
     seed: int = 1
@@ -169,52 +111,7 @@ class PointSpec:
 
     def run(self) -> RunResult:
         """Execute this point (in whatever process we happen to be)."""
-        point = self.canonical()
-        scenario = build_scenario(
-            point.pop("scenario"), point.pop("n_groups"), point.pop("group_size")
-        )
-        return run_load_point(scenario=scenario, **point)
-
-
-def point_spec(
-    protocol: str,
-    scenario: Scenario,
-    n_dest_groups: int,
-    outstanding: int,
-    **point: Any,
-) -> PointSpec:
-    """Build a :class:`PointSpec` mirroring one ``run_load_point`` call.
-
-    ``point`` are the remaining :class:`PointSpec` fields (``seed``,
-    ``warmup_ms``, ``measure_ms``, ``keep_samples``); their names and
-    defaults are declared there and nowhere else, and an unknown keyword
-    is a ``TypeError``.
-
-    A customized scenario cannot round-trip through worker
-    reconstruction and is rejected here, so
-    :func:`repro.harness.experiments.sweep` only takes Table 2 scenarios.
-    """
-    if scenario.name not in SCENARIO_BUILDERS:
-        raise ValueError(
-            f"unknown scenario {scenario.name!r}; the sweep executor only "
-            f"handles the Table 2 scenarios {sorted(SCENARIO_BUILDERS)}"
-        )
-    if not scenario_matches_registry(scenario):
-        raise ValueError(
-            f"scenario {scenario.name!r} does not match its Table 2 registry "
-            f"definition (customized geometry or skew bound?); workers rebuild "
-            f"scenarios from (name, n_groups, group_size) only, so a customized object "
-            f"would silently be replaced by the registry default"
-        )
-    return PointSpec(
-        protocol=protocol,
-        scenario=scenario.name,
-        n_groups=scenario.n_groups,
-        group_size=scenario.group_size,
-        n_dest_groups=n_dest_groups,
-        outstanding=outstanding,
-        **point,
-    )
+        return run_load_point(**vars(self))
 
 
 def expand_sweep(
@@ -225,9 +122,11 @@ def expand_sweep(
     **point: Any,
 ) -> List[PointSpec]:
     """Flatten a protocol × load grid into specs, in serial-sweep order
-    (``point`` goes to :func:`point_spec` unchanged)."""
+    (``point`` are the remaining :class:`PointSpec` fields — ``seed``,
+    ``warmup_ms``, ``measure_ms``, ``keep_samples`` — and an unknown
+    keyword is a ``TypeError``)."""
     return [
-        point_spec(protocol, scenario, n_dest_groups, outstanding, **point)
+        PointSpec(protocol, scenario, n_dest_groups, outstanding, **point)
         for protocol in protocols
         for outstanding in loads
     ]

@@ -44,12 +44,7 @@ from ..sim.events import Scheduler
 from ..sim.latency import ConstantLatency
 from ..sim.network import Network
 from ..sim.rng import child_rng
-from ..verify.properties import (
-    PropertyViolation,
-    Violation,
-    check_truncation_safety,
-    collect_violations,
-)
+from ..verify.properties import Violation, collect_violations
 from .cluster import ClusterResult, read_jsonl
 from .host import DRIVER_PID, ClusterSpec
 from .workload import PlanClient
@@ -173,10 +168,11 @@ def verify_cluster_logs(result: ClusterResult) -> List[Violation]:
     times — the (mid, final, t) triple shape ``repro.verify``'s
     checkers consume. Killed nodes stay in the logs (their prefix is
     checked) but drop out of ``correct_pids``, exactly the paper's
-    uniform-agreement obligation. The ``truncate-*.jsonl`` logs feed
-    ``check_truncation_safety``: the state GC may only have dropped T
-    entries its node had already delivered and every correct
-    destination delivers.
+    uniform-agreement obligation. The ``truncate-*.jsonl`` logs feed the
+    same call's truncation-safety check: the state GC may only have
+    dropped T entries its node had already delivered and every correct
+    destination delivers. This is the battery the chaos explorer runs
+    on the simulator, called the same way.
     """
     rundir = result.rundir
     config = result.topology.make_config()
@@ -196,33 +192,17 @@ def verify_cluster_logs(result: ClusterResult) -> List[Violation]:
         ]
         for pid in pids
     }
-    killed = {pid for pid, o in result.outcomes.items() if o.killed}
-    correct_pids = {pid for pid in pids if pid not in killed}
-    violations = collect_violations(
-        logs, multicast_mids, dest_pids_of, correct_pids, prefix=True
-    )
-
-    # State GC: each truncation is judged against the truncating node's
-    # delivery log as it stood at that moment (same node clock), so a
-    # mid delivered only after it was truncated counts as undelivered
-    # there. No truncate log means nothing was truncated.
-    truncated_at: Dict[int, Dict[MessageId, float]] = {}
+    # State GC: each truncation, stamped on the node clock its delivery
+    # log uses, is judged against that log as it stood at that moment.
+    # No truncate log means nothing was truncated.
+    truncated: Dict[int, Dict[MessageId, float]] = {}
     for pid in pids:
-        first = truncated_at[pid] = {}
+        first = truncated[pid] = {}
         for row in read_jsonl(rundir / f"truncate-{pid}.jsonl"):
             for mid in row["mids"]:
                 first.setdefault(mid, row["t"])
-    logs_at_truncation = {}
-    for pid, log in logs.items():
-        at = truncated_at[pid]
-        logs_at_truncation[pid] = [e for e in log if e[0] not in at or e[2] <= at[e[0]]]
-    try:
-        check_truncation_safety(
-            {pid: sorted(at) for pid, at in truncated_at.items()},
-            logs_at_truncation,
-            dest_pids_of,
-            correct_pids,
-        )
-    except PropertyViolation as exc:
-        violations.append(Violation.from_exception(exc))
-    return violations
+    killed = {pid for pid, o in result.outcomes.items() if o.killed}
+    correct_pids = {pid for pid in pids if pid not in killed}
+    return collect_violations(
+        logs, multicast_mids, dest_pids_of, correct_pids, truncated=truncated
+    )

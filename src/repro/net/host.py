@@ -55,8 +55,6 @@ from heapq import heappop, heappush
 from pathlib import Path
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from collections import Counter
-
 from ..core.config import GroupConfig, uniform_groups
 from ..core.gc import CompactionDaemon, attach_compaction, next_grid_time
 from ..core.process import PrimCastProcess
@@ -71,21 +69,6 @@ from .workload import PlanClient, make_client_plans, plans_expected_count
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TIMEOUT = 3
-
-
-class _LoopTimerHandle:
-    """Cancellable handle over a loop callback (TimerHandle shape)."""
-
-    __slots__ = ("_handle", "cancelled")
-
-    def __init__(self, handle: asyncio.Handle) -> None:
-        self._handle = handle
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            self._handle.cancel()
 
 
 def _wake(future: "asyncio.Future[None]") -> None:
@@ -162,19 +145,17 @@ class NetScheduler:
         self._seq += 1
         self.kick()
 
-    def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> _LoopTimerHandle:
-        handle = self._loop.call_at(self._loop_time(time), self._fire, fn, args)
-        return _LoopTimerHandle(handle)
+    def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> asyncio.Handle:
+        return self._loop.call_at(self._loop_time(time), self._fire, fn, args)
 
     def call_after(
         self, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> _LoopTimerHandle:
+    ) -> asyncio.Handle:
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         if delay == 0:
-            return _LoopTimerHandle(self._loop.call_soon(self._fire, fn, args))
-        handle = self._loop.call_later(delay / 1000.0, self._fire, fn, args)
-        return _LoopTimerHandle(handle)
+            return self._loop.call_soon(self._fire, fn, args)
+        return self._loop.call_later(delay / 1000.0, self._fire, fn, args)
 
     async def sleep_until(self, time: float) -> None:
         """Suspend the calling task until node time ``time``, in the
@@ -255,8 +236,6 @@ class TransportFacade:
         #: Encode wire messages in the binary fast-path format instead
         #: of canonical JSON (the receiver auto-detects per frame).
         self.binary = binary
-        #: Wire messages by kind (mirrors Network.counts_by_kind).
-        self.counts_by_kind: Counter[str] = Counter()
 
     def bind(self, transport: Transport) -> None:
         self._transport = transport
@@ -267,8 +246,6 @@ class TransportFacade:
         self.processes[proc.pid] = proc
 
     def transmit(self, src: int, dst: int, msg: Any, depart_time: float) -> None:
-        kind = getattr(msg, "kind", msg.__class__.__name__)
-        self.counts_by_kind[kind] += 1
         local = self.processes.get(dst)
         if local is not None:
             local.enqueue_message(src, msg)
@@ -807,7 +784,6 @@ class NetNode:
             "submitted": self._submitted,
             "codec": self.topology.codec,
             "transport": self._transport.stats(),
-            "message_counts": dict(self.runtime.transport_facade.counts_by_kind),
             "events": self.runtime.net_scheduler.events_processed,
             "epochs_seen": self._epochs_seen,
             "heartbeats_sent": self._heartbeats,

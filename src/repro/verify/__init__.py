@@ -6,7 +6,6 @@ from .properties import (
     PropertyViolation,
     Violation,
     check_acyclic_order,
-    check_all,
     check_integrity,
     check_prefix_order,
     check_timestamp_order,
@@ -24,7 +23,6 @@ __all__ = [
     "check_prefix_order",
     "check_timestamp_order",
     "check_truncation_safety",
-    "check_all",
     "collect_violations",
     "GenuinenessTracer",
     "InvariantMonitor",

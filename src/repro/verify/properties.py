@@ -217,29 +217,33 @@ def check_prefix_order(
 
 
 def check_truncation_safety(
-    truncated: Dict[int, Sequence[MessageId]],
+    truncated: Dict[int, Dict[MessageId, float]],
     logs: Dict[int, DeliveryLog],
     dest_pids_of: Dict[MessageId, Set[int]],
     correct_pids: Set[int],
 ) -> None:
     """State GC only discards messages whose delivery is settled.
 
-    ``truncated`` maps each pid to the mids whose T entries that process
-    truncated (the ``"truncate"`` probe events of
-    ``PrimCastProcess.compact_delivered``). Truncation is legal only for
-    the group-stable delivered prefix, so every truncated mid must have
-    been a-delivered (1) at the truncating process itself and (2) — at
-    quiescence — at every correct destination of the message. A
-    violation means the watermark ran ahead of delivery and the GC may
-    have destroyed state the protocol still needed.
+    ``truncated`` maps each pid to ``{mid: time}``: the T entries that
+    process truncated and when (the ``"truncate"`` probe events of
+    ``PrimCastProcess.compact_delivered``, or a net node's
+    ``truncate-*.jsonl``), on the clock its delivery log is stamped
+    with. Truncation is legal only for the group-stable delivered
+    prefix, so every truncated mid must have been a-delivered (1) at
+    the truncating process itself, no later than the truncation — its
+    log cut at that time — and (2) at quiescence, at every correct
+    destination of the message. A violation means the watermark ran
+    ahead of delivery and the GC may have destroyed state the protocol
+    still needed.
     """
     delivered_by: Dict[int, Set[MessageId]] = {
         pid: {mid for mid, _, _ in log} for pid, log in logs.items()
     }
     for pid in sorted(truncated):
-        own = delivered_by.get(pid, set())
-        for mid in truncated[pid]:
-            if mid not in own:
+        delivered_at = {mid: t for mid, _, t in logs.get(pid, [])}
+        for mid, at in sorted(truncated[pid].items()):
+            when = delivered_at.get(mid)
+            if when is None or when > at:
                 raise PropertyViolation(
                     f"process {pid} truncated {mid} without delivering it",
                     prop="truncation-safety",
@@ -279,38 +283,24 @@ def check_timestamp_order(logs: Dict[int, DeliveryLog]) -> None:
             finals.setdefault(mid, (final, pid))
 
 
-def check_all(
-    logs: Dict[int, DeliveryLog],
-    multicast_mids: Set[MessageId],
-    dest_pids_of: Dict[MessageId, Set[int]],
-    correct_pids: Set[int],
-    prefix: bool = True,
-) -> None:
-    """Run every checker (prefix order optional: it is quadratic) and
-    raise the first violation :func:`collect_violations` finds."""
-    violations = collect_violations(
-        logs, multicast_mids, dest_pids_of, correct_pids, prefix
-    )
-    if violations:
-        first = violations[0]
-        raise PropertyViolation(first.message, prop=first.prop, mids=first.mids)
-
-
 def collect_violations(
     logs: Dict[int, DeliveryLog],
     multicast_mids: Set[MessageId],
     dest_pids_of: Dict[MessageId, Set[int]],
     correct_pids: Set[int],
     prefix: bool = True,
+    truncated: Optional[Dict[int, Dict[MessageId, float]]] = None,
 ) -> List[Violation]:
-    """Non-raising twin of :func:`check_all`.
+    """Run every checker; return the violations as :class:`Violation`
+    records, one per failing property (each checker stops at its first
+    counterexample). An empty list means every property holds.
 
-    Runs every checker and returns the violations found as structured
-    :class:`Violation` records, one per failing property (each checker
-    stops at its first counterexample). An empty list means exactly that
-    :func:`check_all` with the same arguments would not raise — the
-    chaos explorer relies on this to aggregate campaign results instead
-    of dying at the first violating schedule.
+    ``logs`` holds every process's log, a crashed or killed process's
+    prefix included: integrity and the order properties are uniform
+    (§2.2) and bind it too, while only ``correct_pids`` carry the
+    agreement obligation. Prefix order is optional (it is quadratic).
+    ``truncated`` (pid -> {mid: time}, see
+    :func:`check_truncation_safety`) adds the state-GC check.
     """
     checkers: List[Callable[[], None]] = [
         lambda: check_integrity(logs, multicast_mids),
@@ -320,6 +310,11 @@ def collect_violations(
     ]
     if prefix:
         checkers.append(lambda: check_prefix_order(logs, dest_pids_of))
+    if truncated is not None:
+        timed = truncated
+        checkers.append(
+            lambda: check_truncation_safety(timed, logs, dest_pids_of, correct_pids)
+        )
     violations: List[Violation] = []
     for checker in checkers:
         try:

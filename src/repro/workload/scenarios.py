@@ -24,8 +24,8 @@ WAN — distributed leaders      90 ms              30 ms
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
 from ..core.config import GroupConfig, uniform_groups
 from ..sim.latency import JitteredLatency, LatencyModel, SiteMatrixLatency
@@ -46,9 +46,63 @@ DISTRIBUTED_INTRA_REGION_RTT_MS = 30.0
 DEFAULT_EPSILON_MS = 2.0
 
 
-@dataclass
+def lan_latency(config: GroupConfig) -> LatencyModel:
+    """Every process in one cluster."""
+    return JitteredLatency(LAN_RTT_MS / 2.0, stddev_frac=0.05)
+
+
+def colocated_latency(config: GroupConfig) -> LatencyModel:
+    """3 regions; replica i of every group in region i."""
+    r01, r02, r12 = COLOCATED_REGION_RTTS
+    rtt = [
+        [LAN_RTT_MS, r01, r02],
+        [r01, LAN_RTT_MS, r12],
+        [r02, r12, LAN_RTT_MS],
+    ]
+    site_of: Dict[int, int] = {}
+    for gid in range(config.n_groups):
+        for idx, pid in enumerate(config.members(gid)):
+            site_of[pid] = idx % 3  # replica i of every group in region i
+    return SiteMatrixLatency(site_of, rtt, stddev_frac=0.05)
+
+
+def distributed_latency(config: GroupConfig) -> LatencyModel:
+    """One region per group, one datacenter per replica."""
+    n_regions = config.n_groups
+    dcs_per_region = max(len(config.members(g)) for g in range(n_regions))
+    n_sites = n_regions * dcs_per_region
+    rtt = [[0.0] * n_sites for _ in range(n_sites)]
+    for a in range(n_sites):
+        for b in range(n_sites):
+            if a == b:
+                rtt[a][b] = LAN_RTT_MS
+            elif a // dcs_per_region == b // dcs_per_region:
+                rtt[a][b] = DISTRIBUTED_INTRA_REGION_RTT_MS
+            else:
+                rtt[a][b] = DISTRIBUTED_CROSS_REGION_RTT_MS
+    site_of: Dict[int, int] = {}
+    for gid in range(config.n_groups):
+        for idx, pid in enumerate(config.members(gid)):
+            site_of[pid] = gid * dcs_per_region + idx
+    return SiteMatrixLatency(site_of, rtt, stddev_frac=0.05)
+
+
+#: Latency geometry name -> the function building its model.
+GEOMETRIES: Dict[str, Callable[[GroupConfig], LatencyModel]] = {
+    "lan": lan_latency,
+    "colocated": colocated_latency,
+    "distributed": distributed_latency,
+}
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """A deployment: groups, placement and latency geometry."""
+    """A deployment: groups, placement and latency geometry.
+
+    Every field is JSON-safe, so a scenario — a customized copy made
+    with ``dataclasses.replace`` included — travels by value: a sweep
+    spec carries it to worker processes and into its cache key.
+    """
 
     name: str
     description: str
@@ -58,10 +112,16 @@ class Scenario:
     cross_group_rtt_ms: float
     #: representative intra-group RTT(s) (for reporting)
     intra_group_rtt_ms: str
-    #: builds the latency model given the group configuration
-    _latency_builder: "LatencyBuilder" = field(repr=False)
+    #: placement and latency model, a key of :data:`GEOMETRIES`
+    geometry: str
     #: clock skew bound used by the HC variant in this scenario
     epsilon_ms: float = DEFAULT_EPSILON_MS
+
+    def __post_init__(self) -> None:
+        if self.geometry not in GEOMETRIES:
+            raise ValueError(
+                f"unknown geometry {self.geometry!r}; pick from {sorted(GEOMETRIES)}"
+            )
 
     def make_config(self) -> GroupConfig:
         """Group membership for this scenario."""
@@ -69,7 +129,7 @@ class Scenario:
 
     def make_latency(self, config: GroupConfig) -> LatencyModel:
         """Latency model for this scenario's placement."""
-        return self._latency_builder(config)
+        return GEOMETRIES[self.geometry](config)
 
     def table2_row(self) -> List[str]:
         """The scenario's Table 2 row."""
@@ -81,54 +141,6 @@ class Scenario:
         ]
 
 
-class LatencyBuilder:
-    """Callable building a latency model from a config (picklable)."""
-
-    def __call__(self, config: GroupConfig) -> LatencyModel:
-        raise NotImplementedError
-
-
-class _LanLatency(LatencyBuilder):
-    def __call__(self, config: GroupConfig) -> LatencyModel:
-        return JitteredLatency(LAN_RTT_MS / 2.0, stddev_frac=0.05)
-
-
-class _ColocatedLatency(LatencyBuilder):
-    def __call__(self, config: GroupConfig) -> LatencyModel:
-        r01, r02, r12 = COLOCATED_REGION_RTTS
-        rtt = [
-            [LAN_RTT_MS, r01, r02],
-            [r01, LAN_RTT_MS, r12],
-            [r02, r12, LAN_RTT_MS],
-        ]
-        site_of: Dict[int, int] = {}
-        for gid in range(config.n_groups):
-            for idx, pid in enumerate(config.members(gid)):
-                site_of[pid] = idx % 3  # replica i of every group in region i
-        return SiteMatrixLatency(site_of, rtt, stddev_frac=0.05)
-
-
-class _DistributedLatency(LatencyBuilder):
-    def __call__(self, config: GroupConfig) -> LatencyModel:
-        n_regions = config.n_groups
-        dcs_per_region = max(len(config.members(g)) for g in range(n_regions))
-        n_sites = n_regions * dcs_per_region
-        rtt = [[0.0] * n_sites for _ in range(n_sites)]
-        for a in range(n_sites):
-            for b in range(n_sites):
-                if a == b:
-                    rtt[a][b] = LAN_RTT_MS
-                elif a // dcs_per_region == b // dcs_per_region:
-                    rtt[a][b] = DISTRIBUTED_INTRA_REGION_RTT_MS
-                else:
-                    rtt[a][b] = DISTRIBUTED_CROSS_REGION_RTT_MS
-        site_of: Dict[int, int] = {}
-        for gid in range(config.n_groups):
-            for idx, pid in enumerate(config.members(gid)):
-                site_of[pid] = gid * dcs_per_region + idx
-        return SiteMatrixLatency(site_of, rtt, stddev_frac=0.05)
-
-
 def lan_scenario(n_groups: int = 8, group_size: int = 3) -> Scenario:
     """Table 2, row 1: everything inside one cluster."""
     return Scenario(
@@ -138,7 +150,7 @@ def lan_scenario(n_groups: int = 8, group_size: int = 3) -> Scenario:
         group_size=group_size,
         cross_group_rtt_ms=LAN_RTT_MS,
         intra_group_rtt_ms=f"{LAN_RTT_MS}ms",
-        _latency_builder=_LanLatency(),
+        geometry="lan",
         # In a LAN, synchronized clocks are far tighter than 2ms; the
         # convoy window is tiny anyway (§7.3).
         epsilon_ms=0.005,
@@ -161,7 +173,7 @@ def lan_sustained(n_groups: int = 2, group_size: int = 3) -> Scenario:
         group_size=group_size,
         cross_group_rtt_ms=LAN_RTT_MS,
         intra_group_rtt_ms=f"{LAN_RTT_MS}ms",
-        _latency_builder=_LanLatency(),
+        geometry="lan",
         epsilon_ms=0.005,
     )
 
@@ -183,7 +195,7 @@ def lan_fleet(n_groups: int = 20, group_size: int = 3) -> Scenario:
         group_size=group_size,
         cross_group_rtt_ms=LAN_RTT_MS,
         intra_group_rtt_ms=f"{LAN_RTT_MS}ms",
-        _latency_builder=_LanLatency(),
+        geometry="lan",
         epsilon_ms=0.005,
     )
 
@@ -197,7 +209,7 @@ def wan_colocated_leaders(n_groups: int = 8, group_size: int = 3) -> Scenario:
         group_size=group_size,
         cross_group_rtt_ms=LAN_RTT_MS,
         intra_group_rtt_ms="60ms, 76ms, 130ms",
-        _latency_builder=_ColocatedLatency(),
+        geometry="colocated",
         epsilon_ms=DEFAULT_EPSILON_MS,
     )
 
@@ -212,7 +224,7 @@ def wan_distributed_leaders(n_groups: int = 8, group_size: int = 3) -> Scenario:
         group_size=group_size,
         cross_group_rtt_ms=DISTRIBUTED_CROSS_REGION_RTT_MS,
         intra_group_rtt_ms=f"{DISTRIBUTED_INTRA_REGION_RTT_MS}ms",
-        _latency_builder=_DistributedLatency(),
+        geometry="distributed",
         epsilon_ms=DEFAULT_EPSILON_MS,
     )
 

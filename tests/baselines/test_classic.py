@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.classic import ClassicProcess
 from repro.core import uniform_groups
 from repro.sim import ConstantLatency, JitteredLatency, Network, Scheduler, child_rng
-from repro.verify import check_acyclic_order, check_all, check_timestamp_order
+from repro.verify import check_acyclic_order, check_timestamp_order, collect_violations
 
 
 def build(n_groups=2, group_size=3, latency=None, seed=1):
@@ -80,7 +80,7 @@ def test_ordering_properties_random_run():
         )
     sched.run(until=5000)
     dest_pids = {mid: set(config.dest_pids(d)) for mid, d in sent.items()}
-    check_all(logs, set(sent), dest_pids, set(config.all_pids))
+    assert collect_violations(logs, set(sent), dest_pids, set(config.all_pids)) == []
 
 
 def test_group_members_deliver_identically():

@@ -10,8 +10,11 @@ from repro.chaos.explorer import (
     run_campaign,
     run_case,
 )
+from repro.chaos.schedule import FaultEvent, Trigger
+from repro.core.process import PrimCastProcess
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SweepExecutor
+from repro.harness.runner import PROTOCOLS
 
 SCN = "lan-small"
 SEEDS = [0, 1, 2]
@@ -45,6 +48,48 @@ class TestRunCase:
         assert sum(bare.delivered.values()) > 0
         assert bare.events > 0
         assert max(bare.delivered.values()) <= scn.n_messages
+
+    def test_crashed_process_log_is_held_to_uniform_order(self, monkeypatch):
+        # pid 1 reports its first two deliveries swapped (m' before m,
+        # where its correct group mates order m before m'), then crashes.
+        # Uniform prefix order binds it anyway: its log must be judged.
+        victim = 1
+
+        class SwapsFirstTwo(PrimCastProcess):
+            def add_deliver_hook(self, hook):
+                if self.pid != victim:
+                    return super().add_deliver_hook(hook)
+                held = []
+
+                def swapped(proc, multicast, final_ts):
+                    if len(proc.delivery_log) == 1:  # its first delivery
+                        held.append((multicast, final_ts))
+                        return
+                    hook(proc, multicast, final_ts)
+                    if held:
+                        hook(proc, *held.pop())
+
+                super().add_deliver_hook(swapped)
+
+        monkeypatch.setitem(PROTOCOLS, "primcast", SwapsFirstTwo)
+        spec = CaseSpec(scenario=SCN, seed=1)
+        crash = FaultEvent(
+            kind="crash", trigger=Trigger(kind="at", time_ms=40.0), target=f"pid:{victim}"
+        )
+        result = run_case(spec.with_schedule(spec.resolve_schedule().replace_events([crash])))
+        assert result.crashed == (victim,)
+        assert not result.aborted
+        props = {v.prop for v in result.violations}
+        assert {"acyclic-order", "prefix-order", "timestamp-order"} <= props
+
+    def test_delay_spike_does_not_stall_a_correct_process(self):
+        # Seed 14 has a delay rule with dst=4 and a wildcard src. Were it
+        # to shift pid 4's self-messages, a later one would overtake an
+        # earlier one, rmcast would drop that as a duplicate, and pid 4
+        # would never deliver again.
+        result = run_case(CaseSpec(scenario="lan-sustained", seed=14))
+        assert result.violations == []
+        assert result.crashed and 4 not in result.crashed
 
 
 class TestRunCampaign:

@@ -230,6 +230,25 @@ class TestDelaysAndSkew:
         sched.run(until=100.0)
         assert arrivals and min(arrivals) < 40.0
 
+    def test_wildcard_delay_leaves_the_self_channel_alone(self):
+        # A spike models a congested link; the self-channel is none, and
+        # shifting it would let a later self-message overtake this one.
+        config, sched, net, procs = build(omega=False)
+        nem, _ = nemesis_for(
+            [
+                FaultEvent(
+                    kind="delay",
+                    trigger=Trigger(kind="at", time_ms=0.0),
+                    dst=3,
+                    extra_ms=40.0,
+                    duration_ms=100.0,
+                )
+            ],
+            config, sched, net, procs,
+        )
+        assert nem._delay_interceptor(3, 3, None, 10.0) == 10.0
+        assert nem._delay_interceptor(0, 3, None, 10.0) == 50.0
+
     def test_skew_event_shifts_physical_clock(self):
         from repro.sim.clock import PhysicalClock
 

@@ -7,7 +7,7 @@ from repro.core.process import PrimCastProcess
 from repro.core.config import uniform_groups
 from repro.harness.steps import measure_primcast_convoy
 from repro.sim import ConstantLatency, Network, Scheduler, child_rng
-from repro.verify import check_all
+from repro.verify import collect_violations
 
 
 def test_hybrid_requires_physical_clock():
@@ -46,9 +46,9 @@ def test_hybrid_ordering_properties_hold():
     sys_ = MiniSystem(n_groups=3, hybrid_clock=True, epsilon_ms=2.0)
     random_workload(sys_, 60, seed=13)
     sys_.run_to_quiescence()
-    check_all(
+    assert collect_violations(
         sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    )
+    ) == []
 
 
 def test_hybrid_collision_free_latency_unchanged():
@@ -82,6 +82,6 @@ def test_unsynchronized_clocks_do_not_break_correctness():
     sys_ = MiniSystem(n_groups=2, hybrid_clock=True, epsilon_ms=500.0, seed=3)
     random_workload(sys_, 40, seed=17)
     sys_.run_to_quiescence()
-    check_all(
+    assert collect_violations(
         sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    )
+    ) == []

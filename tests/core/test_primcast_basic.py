@@ -4,7 +4,7 @@ import pytest
 
 from helpers import MiniSystem, random_workload
 from repro.core.process import FOLLOWER, PRIMARY
-from repro.verify import check_all
+from repro.verify import collect_violations
 
 
 def test_local_message_delivered_by_own_group_only():
@@ -84,12 +84,12 @@ def test_atomic_multicast_properties_random_run():
     sys_ = MiniSystem(n_groups=3)
     random_workload(sys_, 80, seed=11)
     sys_.run_to_quiescence()
-    check_all(
+    assert collect_violations(
         sys_.logs,
         set(sys_.multicasts),
         sys_.dest_pids_of(),
         sys_.correct_pids(),
-    )
+    ) == []
 
 
 def test_ties_broken_by_message_id():

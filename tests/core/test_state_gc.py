@@ -8,7 +8,7 @@ from repro.core import PrimCastProcess, uniform_groups
 from repro.core.gc import attach_compaction
 from repro.election.omega import make_oracles
 from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
-from repro.verify import check_all
+from repro.verify import collect_violations
 
 
 class GcFailoverSystem:
@@ -154,6 +154,6 @@ def test_steady_state_t_list_stays_bounded():
             f"pid {proc.pid}: t_list {len(proc.t_list)} after "
             f"{delivered} deliveries"
         )
-    check_all(
+    assert collect_violations(
         sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    )
+    ) == []

@@ -20,7 +20,7 @@ import pytest
 
 import repro.harness.parallel as parallel_mod
 from repro.harness.cache import KEEP_GENERATIONS, ResultCache, code_fingerprint, spec_key
-from repro.harness.parallel import SweepExecutor, expand_sweep, point_spec
+from repro.harness.parallel import PointSpec, SweepExecutor, expand_sweep
 from repro.workload.scenarios import lan_scenario, wan_colocated_leaders
 
 SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -85,30 +85,31 @@ def test_cache_counters_and_partial_hits(tmp_path):
 
 
 def test_cache_key_separates_distinct_specs():
-    a = point_spec("primcast", lan_scenario(2, 3), 2, 1, seed=1)
-    b = point_spec("primcast", lan_scenario(2, 3), 2, 1, seed=2)
-    c = point_spec("whitebox", lan_scenario(2, 3), 2, 1, seed=1)
+    a = PointSpec("primcast", lan_scenario(2, 3), 2, 1, seed=1)
+    b = PointSpec("primcast", lan_scenario(2, 3), 2, 1, seed=2)
+    c = PointSpec("whitebox", lan_scenario(2, 3), 2, 1, seed=1)
     assert len({spec_key(a), spec_key(b), spec_key(c)}) == 3
 
 
 def test_cache_keys_are_pinned():
-    """The field set, field names and defaults of PointSpec feed every
-    cache key, so none of them may drift without these pins moving."""
-    defaults = point_spec(
+    """The field set, field names and defaults of PointSpec — the
+    scenario's fields included — feed every cache key, so none of them
+    may drift without these pins moving."""
+    defaults = PointSpec(
         "primcast", wan_colocated_leaders(), 2, 8, seed=1, warmup_ms=300, measure_ms=400
     )
     assert spec_key(defaults) == (
-        "9466fd283f7a7943f8b82abf6dcad53dcc79ad0ec7daeb6a09f1ef396b34ed3e"
+        "225d0192c7103b6706576d35582a9ac2b1a8939117181ec78f25df586206d8a8"
     )
-    every_field = point_spec(
+    every_field = PointSpec(
         "primcast-hc", lan_scenario(2, 3), 2, 4, seed=7, keep_samples=True
     )
     assert spec_key(every_field) == (
-        "de8243439eb1430969f490cda1e2d3f3afffa46127dbfdec754c19b24424bc75"
+        "702d9bdfd4c24ccc092a0127005bff9b02a5218feaf930a72b4f3fc968c6f766"
     )
     assert [spec_key(s) for s in tiny_specs()] == [
-        "4fedd17453d3ca69732e023a4d76be1e70078a22db45f9cea1c0a0d9232f72ce",
-        "627de56dbc1623f770ec7f37d93dff5a71a1f9e084a04a4ae33a7e0170af15dc",
+        "a163bd99201fb11b9f531bb6e332aaf4210f62a65e12c6e682bf128c2545a1fa",
+        "9c1bd7d71a2cfce6f74707810ad4e935c215f51c0382b59dd6c45885906d1b3f",
     ]
 
 

@@ -112,3 +112,23 @@ def test_no_cache_builds_cacheless_executor(tmp_path):
     executor = _executor(args)
     assert executor.cache is not None
     assert str(executor.cache.root) == str(tmp_path / "c")
+
+
+def test_figure5_csv_writes_the_curves(tmp_path, monkeypatch, capsys):
+    import repro.harness.cli as cli
+    from repro.harness.export import read_csv
+
+    curves = {
+        2: {"primcast": [(10.0, 0.5), (20.0, 1.0)]},
+        128: {"primcast": [(30.0, 1.0)], "whitebox": [(40.0, 1.0)]},
+    }
+    monkeypatch.setattr(cli, "figure5", lambda **kwargs: curves)
+    out = tmp_path / "out.csv"
+    assert main(["figure5", "--no-cache", "--csv", str(out)]) == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+    assert [(r["series"], float(r["latency_ms"]), float(r["fraction"])) for r in read_csv(out)] == [
+        ("primcast@128", 30.0, 1.0),
+        ("primcast@2", 10.0, 0.5),
+        ("primcast@2", 20.0, 1.0),
+        ("whitebox@128", 40.0, 1.0),
+    ]

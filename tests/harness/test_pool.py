@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional
 import pytest
 
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import SweepExecutor, expand_sweep, point_spec
+from repro.harness.parallel import PointSpec, SweepExecutor, expand_sweep
 from repro.workload.scenarios import (
     lan_fleet,
     lan_scenario,
@@ -152,7 +152,7 @@ def test_sweep_reports_byte_identical_across_jobs():
 def test_eight_group_scenario_through_pool():
     """>= 8 groups (24 processes) at d=8 — the paper's full fan-out —
     runs through the pool and stays identical to serial."""
-    spec = point_spec(
+    spec = PointSpec(
         "primcast",
         wan_colocated_leaders(8, 3),
         8,
@@ -160,7 +160,7 @@ def test_eight_group_scenario_through_pool():
         warmup_ms=10.0,
         measure_ms=20.0,
     )
-    assert spec.n_groups * spec.group_size == 24
+    assert spec.scenario.n_groups * spec.scenario.group_size == 24
     with SweepExecutor(jobs=1) as serial:
         want = serial.run([spec])
     with SweepExecutor(jobs=2) as pooled:
@@ -170,10 +170,10 @@ def test_eight_group_scenario_through_pool():
 
 def test_twenty_group_fleet_through_pool():
     """The 20-group (60-process) LAN fleet scenario, pooled == serial."""
-    spec = point_spec(
+    spec = PointSpec(
         "primcast", lan_fleet(20, 3), 2, 1, warmup_ms=2.0, measure_ms=5.0
     )
-    assert spec.n_groups * spec.group_size == 60
+    assert spec.scenario.n_groups * spec.scenario.group_size == 60
     with SweepExecutor(jobs=1) as serial:
         want = serial.run([spec])
     with SweepExecutor(jobs=2) as pooled:

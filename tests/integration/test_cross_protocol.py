@@ -4,7 +4,7 @@ import pytest
 
 from helpers import MiniSystem, random_workload
 from repro.sim.latency import JitteredLatency
-from repro.verify import GenuinenessTracer, check_all
+from repro.verify import GenuinenessTracer, collect_violations
 
 PROTOCOLS = ["primcast", "whitebox", "fastcast", "classic"]
 
@@ -22,9 +22,9 @@ def test_full_property_suite_under_jitter(protocol, seed):
     sys_.network.add_trace_hook(tracer)
     random_workload(sys_, 60, seed=seed * 100, spread_ms=60)
     sys_.run_to_quiescence()
-    check_all(
+    assert collect_violations(
         sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    )
+    ) == []
     tracer.check(sys_.dest_pids_of(), {mid: mid[0] for mid in sys_.multicasts})
 
 

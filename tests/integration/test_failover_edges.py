@@ -24,7 +24,7 @@ from repro.sim import (
     child_rng,
 )
 from repro.verify import attach_monitors
-from repro.verify.properties import check_all
+from repro.verify.properties import collect_violations
 
 #: Step boundaries where the timestamping group's leader gets killed.
 BOUNDARIES = ("start", "propose", "ack_quorum", "deliver")
@@ -84,11 +84,10 @@ def run_failover(seed, events, group_size=3, horizon=3000.0):
     sched.run(until=horizon)
 
     correct = {pid for pid, proc in procs.items() if not proc.crashed}
-    correct_logs = {pid: logs[pid] for pid in correct}
     dest_pids_of = {
         mid: set(config.dest_pids(m.dest)) for mid, m in multicasts.items()
     }
-    check_all(correct_logs, set(multicasts), dest_pids_of, correct)
+    assert collect_violations(logs, set(multicasts), dest_pids_of, correct) == []
     return correct, logs, multicasts, nemesis
 
 

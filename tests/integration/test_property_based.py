@@ -15,7 +15,7 @@ from helpers import MiniSystem
 from repro.core.config import GroupConfig
 from repro.harness.metrics import percentile
 from repro.sim.latency import JitteredLatency
-from repro.verify import check_all
+from repro.verify import collect_violations
 
 # Keep runs small: each example spins a full simulation.
 FAST = settings(
@@ -62,45 +62,45 @@ def run_protocol(protocol, workload, seed=1, jitter=False, hybrid=False):
 @given(workload=workload_st, seed=st.integers(min_value=0, max_value=10**6))
 def test_primcast_properties_hold(workload, seed):
     sys_ = run_protocol("primcast", workload, seed=seed, jitter=True)
-    check_all(
+    assert collect_violations(
         sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    )
+    ) == []
 
 
 @FAST
 @given(workload=workload_st)
 def test_primcast_hc_properties_hold(workload):
     sys_ = run_protocol("primcast", workload, jitter=True, hybrid=True)
-    check_all(
+    assert collect_violations(
         sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    )
+    ) == []
 
 
 @FAST
 @given(workload=workload_st)
 def test_whitebox_properties_hold(workload):
     sys_ = run_protocol("whitebox", workload, jitter=True)
-    check_all(
+    assert collect_violations(
         sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    )
+    ) == []
 
 
 @FAST
 @given(workload=workload_st)
 def test_fastcast_properties_hold(workload):
     sys_ = run_protocol("fastcast", workload, jitter=True)
-    check_all(
+    assert collect_violations(
         sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    )
+    ) == []
 
 
 @FAST
 @given(workload=workload_st)
 def test_classic_properties_hold(workload):
     sys_ = run_protocol("classic", workload, jitter=True)
-    check_all(
+    assert collect_violations(
         sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    )
+    ) == []
 
 
 @FAST

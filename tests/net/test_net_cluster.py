@@ -715,12 +715,12 @@ def test_an_idle_cluster_shares_one_wakeup_per_grid_point(tmp_path, monkeypatch)
         if not iteration[1]:  # a marker that runs in the next iteration
             iteration[1] = True
             loop.call_soon(next_iteration)
-        rounds.append((self._handle._handle.when(), loop.time(), iteration[0]))
+        rounds.append((self._handle.when(), loop.time(), iteration[0]))
         omega_tick(self)
 
     def record_gc(self):
         now = self.scheduler.now
-        lag_ms = (asyncio.get_running_loop().time() - self._handle._handle.when()) * 1000.0
+        lag_ms = (asyncio.get_running_loop().time() - self._handle.when()) * 1000.0
         gc_ticks.append((now, lag_ms))
         gc_tick(self)
 

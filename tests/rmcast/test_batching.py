@@ -9,7 +9,7 @@ order and agreement, not only for how many wire messages it saves.
 """
 
 import repro.harness.runner as runner
-from repro.verify import check_all
+from repro.verify import collect_violations
 from repro.workload.scenarios import wan_colocated_leaders
 
 
@@ -60,9 +60,9 @@ def test_batching_halves_wire_messages_and_keeps_the_order(monkeypatch):
     system.scheduler.run(until=2_000.0)
     logs = {proc.pid: list(proc.delivery_log) for proc in system.replicas}
     assert sum(len(log) for log in logs.values()) > 6 * 0.7 * on.throughput
-    check_all(
+    assert collect_violations(
         logs,
         set(dest_of),
         {mid: set(system.config.dest_pids(dest)) for mid, dest in dest_of.items()},
         set(system.config.all_pids),
-    )
+    ) == []

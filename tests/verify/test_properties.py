@@ -5,10 +5,10 @@ import pytest
 from repro.verify.properties import (
     PropertyViolation,
     check_acyclic_order,
-    check_all,
     check_integrity,
     check_prefix_order,
     check_timestamp_order,
+    check_truncation_safety,
     check_uniform_agreement,
     collect_violations,
 )
@@ -117,23 +117,19 @@ class TestTimestampOrder:
 
 
 class TestCollectViolations:
-    """collect_violations must agree with check_all exactly."""
-
-    def _args(self, logs, mids, dests, correct):
-        return logs, mids, dests, correct
+    """collect_violations runs every checker and reports as data."""
 
     def test_clean_logs_collect_nothing(self):
         logs = {0: log((A, 1), (B, 2)), 1: log((A, 1), (B, 2))}
         args = (logs, {A, B}, {A: {0, 1}, B: {0, 1}}, {0, 1})
-        check_all(*args)  # does not raise
         assert collect_violations(*args) == []
 
-    def test_first_violation_matches_check_all(self):
-        # Duplicate delivery: integrity is the first checker in both.
+    def test_violation_carries_the_checker_exception(self):
+        # Duplicate delivery: integrity is the first checker.
         logs = {0: log((A, 1), (A, 1))}
         args = (logs, {A}, {A: {0}}, {0})
         with pytest.raises(PropertyViolation) as excinfo:
-            check_all(*args)
+            check_integrity(logs, {A})
         violations = collect_violations(*args)
         assert violations
         assert violations[0].prop == excinfo.value.prop
@@ -171,8 +167,48 @@ class TestCollectViolations:
         assert "prefix-order" in with_prefix
         assert "prefix-order" not in without
 
-    def test_empty_means_check_all_passes(self):
-        logs = {0: log((A, 1)), 1: log((A, 1))}
-        args = (logs, {A}, {A: {0, 1}}, {0, 1})
+    def test_crashed_process_log_is_held_to_uniform_order(self):
+        # Process 1 crashed after delivering B before A; correct process
+        # 0 delivered A before B. Agreement does not bind 1, order does.
+        logs = {0: log((A, 1), (B, 2)), 1: log((B, 2), (A, 1))}
+        props = {
+            v.prop for v in collect_violations(logs, {A, B}, {A: {0, 1}, B: {0, 1}}, {0})
+        }
+        assert {"acyclic-order", "prefix-order", "timestamp-order"} <= props
+        # a crashed process's clean prefix is no violation
+        logs[1] = log((A, 1))
+        assert collect_violations(logs, {A, B}, {A: {0, 1}, B: {0, 1}}, {0}) == []
+
+    def test_truncations_are_judged_only_when_given(self):
+        logs = {0: log((A, 1), (B, 2))}  # A at t=0.0, B at t=1.0
+        args = (logs, {A, B}, {A: {0}, B: {0}}, {0})
+        assert collect_violations(*args, truncated={0: {A: 0.0, B: 1.0}}) == []
+        # B truncated before it was delivered: only the timed form sees it
+        early = {0: {B: 0.5}}
         assert collect_violations(*args) == []
-        check_all(*args)
+        (v,) = collect_violations(*args, truncated=early)
+        assert (v.prop, v.mids) == ("truncation-safety", (B,))
+
+
+class TestTruncationSafety:
+    def test_truncation_after_delivery_passes(self):
+        logs = {0: log((A, 1)), 1: log((A, 1))}
+        check_truncation_safety({0: {A: 5.0}}, logs, {A: {0, 1}}, {0, 1})
+
+    def test_truncation_of_undelivered_message_caught(self):
+        logs = {0: log((A, 1)), 1: log((A, 1))}
+        with pytest.raises(PropertyViolation, match="without delivering"):
+            check_truncation_safety({0: {B: 5.0}}, logs, {A: {0, 1}, B: {0}}, {0, 1})
+
+    def test_truncation_is_judged_against_the_log_at_that_time(self):
+        logs = {0: log((A, 1), (B, 2))}  # B delivered at t=1.0
+        with pytest.raises(PropertyViolation, match="without delivering"):
+            check_truncation_safety({0: {B: 0.5}}, logs, {B: {0}}, {0})
+        check_truncation_safety({0: {B: 1.0}}, logs, {B: {0}}, {0})
+
+    def test_correct_destination_must_deliver(self):
+        logs = {0: log((A, 1)), 1: []}
+        with pytest.raises(PropertyViolation, match="correct destination 1"):
+            check_truncation_safety({0: {A: 5.0}}, logs, {A: {0, 1}}, {0, 1})
+        # a crashed destination owes nothing
+        check_truncation_safety({0: {A: 5.0}}, logs, {A: {0, 1}}, {0})
