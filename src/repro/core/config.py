@@ -34,6 +34,7 @@ class GroupConfig:
 
     __slots__ = (
         "groups",
+        "n_groups",
         "group_of",
         "quorum_sets",
         "_member_sets",
@@ -51,6 +52,9 @@ class GroupConfig:
         if not groups:
             raise ValueError("need at least one group")
         self.groups: List[List[int]] = [list(g) for g in groups]
+        # A plain slot, not a property: ``groups`` never changes after
+        # construction, and every new mid at every process reads this.
+        self.n_groups = len(self.groups)
         self.group_of: Dict[int, int] = {}
         for gid, members in enumerate(self.groups):
             if not members:
@@ -107,10 +111,6 @@ class GroupConfig:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
 
     @property
     def all_pids(self) -> List[int]:

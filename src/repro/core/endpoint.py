@@ -6,7 +6,8 @@ can swap them freely:
 
 * ``a_multicast(dest_groups, payload) -> Multicast``
 * ``add_deliver_hook(hook)`` with ``hook(process, multicast, final_ts)``
-* ``add_probe_hook(hook)`` with ``hook(process, event, data)``
+* ``add_probe_hook(hook, events=None)`` with ``hook(process, event,
+  data)``, for the named events (default: all of ``PROBE_EVENTS``)
 * ``delivery_log`` — ``[(mid, final_ts, time), ...]``
 * ``delivered`` — set of delivered mids
 * ``gid`` / ``group_members`` — the process's group and its members
@@ -17,7 +18,7 @@ for :class:`~repro.rmcast.fifo.RMcastProcess`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..rmcast.fifo import RMcastProcess
 from ..sim.costs import CostModel
@@ -45,6 +46,9 @@ class GroupProtocolProcess(RMcastProcess):
     in :meth:`_record_delivery`.
     """
 
+    #: The events this protocol's probe hooks can subscribe to.
+    PROBE_EVENTS: Tuple[str, ...] = ("deliver",)
+
     def __init__(
         self,
         pid: int,
@@ -63,9 +67,11 @@ class GroupProtocolProcess(RMcastProcess):
         self.delivered: Set[MessageId] = set()  # D
         self.delivery_log: List[Tuple[MessageId, int, float]] = []
         self.deliver_hooks: List[DeliverHook] = []
-        # Probe hooks stay None unless installed, so the hot paths pay
-        # one is-None check per step boundary and nothing more.
-        self.probe_hooks: Optional[List[ProbeHook]] = None
+        # Probe hooks (each with the events it subscribed to) stay None
+        # unless installed; ``probed`` is every event some hook reads, so
+        # a step boundary no hook reads costs one membership test.
+        self.probe_hooks: Optional[List[Tuple[ProbeHook, FrozenSet[str]]]] = None
+        self.probed: FrozenSet[str] = frozenset()
         self._next_seq = 0
 
     def a_multicast(self, dest: Iterable[int], payload: Any = None) -> Multicast:
@@ -92,17 +98,23 @@ class GroupProtocolProcess(RMcastProcess):
         """Register ``hook(process, multicast, final_ts)`` on a-deliver."""
         self.deliver_hooks.append(hook)
 
-    def add_probe_hook(self, hook: ProbeHook) -> None:
-        """Register ``hook(process, event, data)`` at every protocol step
-        boundary."""
+    def add_probe_hook(self, hook: ProbeHook, events: Optional[Iterable[str]] = None) -> None:
+        """Register ``hook(process, event, data)`` at the protocol step
+        boundaries named by ``events`` (default: every one of
+        :attr:`PROBE_EVENTS`); an event the protocol does not fire is a
+        ``ValueError``."""
+        subscribed = frozenset(self.PROBE_EVENTS if events is None else events)
+        unknown = subscribed.difference(self.PROBE_EVENTS)
+        if unknown:
+            raise ValueError(f"unknown probe events {sorted(unknown)}")
         if self.probe_hooks is None:
             self.probe_hooks = []
-        self.probe_hooks.append(hook)
+        self.probe_hooks.append((hook, subscribed))
+        self.probed |= subscribed
 
     def _probe(self, event: str, data: Any) -> None:
-        hooks = self.probe_hooks
-        if hooks is not None:
-            for hook in hooks:
+        for hook, events in self.probe_hooks or ():
+            if event in events:
                 hook(self, event, data)
 
     def _record_delivery(self, multicast: Multicast, final_ts: int) -> None:
@@ -110,7 +122,7 @@ class GroupProtocolProcess(RMcastProcess):
         mid = multicast.mid
         self.delivered.add(mid)
         self.delivery_log.append((mid, final_ts, self.scheduler.now))
-        if self.probe_hooks is not None:
+        if "deliver" in self.probed:
             self._probe("deliver", mid)
         for hook in self.deliver_hooks:
             hook(self, multicast, final_ts)

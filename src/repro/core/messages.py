@@ -4,16 +4,21 @@ Every message carries a short ``kind`` string used by the CPU cost model
 (:mod:`repro.sim.costs`) and, where applicable, the multicast id ``mid``
 used by the genuineness tracer. ``start`` and ``ack`` both carry the
 :class:`Multicast`, payload included (a remote ack doubles as a start,
-Algorithm 2 line 47) — so on a real wire every ack costs a payload copy,
-which the simulator, sharing one object and charging by kind, never
-sees. Only ``bump`` is one of the small mergeable control messages §7.1
-credits for PrimCast's throughput today; header-only follower acks are
-ROADMAP item 2 ("Small acks"), sized at memory and bytes rather than
-CPU. What an ack costs its *receiver* is the other half of §7.1's
-argument, and it is paid per decision, not per ack: a ``Batch`` of acks
-is handled in one loop (``RMcastProcess.on_message``) and an ack that
-only moves a clock re-attempts delivery only if the last attempt
-stopped at a clock (``_order_blocked``, DESIGN.md §9).
+Algorithm 2 line 47) — so on a real wire every ack still carries a
+payload copy, which the simulator, sharing one object and charging by
+kind, never sees. What that copy costs a receiver is one byte compare:
+a wire backend keeps a multicast's encoding in its ``wire`` slot and
+decodes a later copy of the same bytes to the object the node already
+holds (``repro.net.codec``, DESIGN.md §13 "Once per multicast per
+node"), so only the bytes and the sender's copy remain. Only ``bump``
+is one of the small mergeable control messages §7.1 credits for
+PrimCast's throughput today; header-only follower acks are ROADMAP
+item 5, sized at wire bytes and sender copies. What an ack costs its
+*receiver* is the other half of §7.1's argument, and it is paid per
+decision, not per ack: a ``Batch`` of acks is handled in one loop
+(``RMcastProcess.on_message``) and an ack that only moves a clock
+re-attempts delivery only if the last attempt stopped at a clock
+(``_order_blocked``, DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -41,9 +46,13 @@ class Multicast:
         mid: unique, totally ordered id.
         dest: destination *group* ids (``m.dest`` in the paper).
         payload: opaque application payload.
+
+    A multicast is not mutated once submitted: every process of the
+    simulator shares the one object, and a wire backend may keep its
+    encoding in ``wire``.
     """
 
-    __slots__ = ("mid", "dest", "payload")
+    __slots__ = ("mid", "dest", "payload", "wire")
 
     def __init__(self, mid: MessageId, dest: FrozenSet[int], payload: Any = None) -> None:
         if not dest:
@@ -51,6 +60,13 @@ class Multicast:
         self.mid = mid
         self.dest = frozenset(dest)
         self.payload = payload
+        #: The encoded dest list and payload, set by the backend that
+        #: serializes this multicast (``repro.net.codec``, on first
+        #: encode or decode) so that every later ack carrying it is
+        #: spliced, and decoded, by a byte compare; the protocol and the
+        #: simulator never read it. Sound only under the immutability
+        #: contract above.
+        self.wire: Optional[bytes] = None
 
     @property
     def is_local(self) -> bool:

@@ -83,6 +83,9 @@ class PrimCastProcess(GroupProtocolProcess):
         hybrid_clock: enable the §6 proposal rule.
     """
 
+    #: The events of the table above.
+    PROBE_EVENTS = PROBE_EVENTS
+
     #: Test-only mutation switch for shrinker self-validation
     #: (tests/chaos): when flipped to True (as an instance attribute by
     #: the chaos explorer's ``mutation`` option), delivery skips the
@@ -269,7 +272,7 @@ class PrimCastProcess(GroupProtocolProcess):
                     self.my_acks = {
                         t for t in self.my_acks if t[0] not in dropped
                     }
-                if self.probe_hooks is not None:
+                if "truncate" in self.probed:
                     self._probe("truncate", tuple(sorted(dropped)))
         # Delivered messages no longer in T (truncated above, or dropped
         # by a NewState install): their started entries are unreachable.
@@ -354,7 +357,7 @@ class PrimCastProcess(GroupProtocolProcess):
         # implies a started entry exists).
         if multicast.mid not in self.started and multicast.mid not in self.delivered:
             self.started[multicast.mid] = multicast
-            if self.probe_hooks is not None:
+            if "start" in self.probed:
                 self._probe("start", multicast.mid)
             if self.role == PRIMARY and self._proposable(multicast):
                 self._propose(multicast)
@@ -382,7 +385,7 @@ class PrimCastProcess(GroupProtocolProcess):
         else:
             self.clock += 1
         self._t_append(self.e_cur, multicast, self.clock)
-        if self.probe_hooks is not None:
+        if "propose" in self.probed:
             self._probe("propose", multicast.mid)
         self._send_ack(multicast, self.e_cur, self.clock)
 
@@ -390,9 +393,12 @@ class PrimCastProcess(GroupProtocolProcess):
         mid = multicast.mid
         self.t_list.append((epoch, multicast, ts))
         self.t_by_mid[mid] = (epoch, ts)
-        # T's object wins: on a wire backend the start and the primary's
-        # ack each decode their own copy of the payload, and keeping the
-        # start's here too would hold both for as long as m sits in T.
+        # T's object wins. On a wire backend a node decodes every later
+        # copy of m to the object it already holds (``repro.net.codec``),
+        # so this is usually that very object; where it is not (two
+        # copies decoded from one read, before the node held either),
+        # keeping the start's too would hold two copies of the payload
+        # for as long as m sits in T.
         self.started[mid] = multicast
         if mid not in self.delivered:
             self.pending.add(mid)
@@ -495,7 +501,7 @@ class PrimCastProcess(GroupProtocolProcess):
             # Cache (and enqueue for delivery) the final timestamp as
             # soon as the last local timestamp is decided.
             self.final_ts(mid)
-            if self.probe_hooks is not None:
+            if "ack_quorum" in self.probed:
                 self._probe("ack_quorum", mid)
             # A decided local ts moves m's key in the min-heap.
             self._order_blocked = False
@@ -729,7 +735,7 @@ class PrimCastProcess(GroupProtocolProcess):
         """Lines 58-60."""
         self.role = CANDIDATE
         self.e_prom = self.e_prom.next_for(self.pid)
-        if self.probe_hooks is not None:
+        if "epoch_change" in self.probed:
             self._probe("epoch_change", self.e_prom)
         self.r_multicast(NewEpoch(self.e_prom), self.group_members)
 

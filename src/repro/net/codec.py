@@ -48,6 +48,12 @@ Layers:
   ``frame`` slot), one ``bytes`` object for every destination; the
   decoder cuts whole frames straight out of each read, one body copy
   apiece.
+* **multicasts** — a multicast's dest list and payload are encoded once
+  (its ``wire`` slot, spliced by every later encode), and a decoder
+  given a node's lookup of the multicasts it holds (:data:`Held`)
+  decodes a later copy of those same bytes — the next ack carrying the
+  multicast — to the held object, at the price of one byte compare
+  (DESIGN §13 "Once per multicast per node").
 
 Decoding never executes arbitrary constructors (this is not pickle) —
 only the fixed schema: a frame from an untrusted peer can at worst build
@@ -60,11 +66,11 @@ import inspect
 import json
 import struct
 from collections import namedtuple
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from ..core.epoch import Epoch
 from ..core.messages import (
-    Ack, AcceptEpoch, Bump, EpochPromise, Multicast, NewEpoch, NewState, Start,
+    Ack, AcceptEpoch, Bump, EpochPromise, MessageId, Multicast, NewEpoch, NewState, Start,
 )
 from ..rmcast.fifo import Batch, Envelope
 
@@ -84,6 +90,22 @@ class CodecError(ValueError):
     #: frames that came before the bad bytes in the same read, in order.
     frames: Sequence[Dict[str, Any]] = ()
 
+
+#: A decoder's lookup of the multicasts its node holds: mid -> the held
+#: :class:`Multicast`, or ``None``. A node passes its process's
+#: ``started.get``; what the lookup returns is never written to.
+Held = Callable[[MessageId], Optional[Multicast]]
+
+
+def nothing_held(mid: MessageId) -> Optional[Multicast]:
+    """The lookup of a decoder that holds nothing: every multicast is
+    decoded in full."""
+    return None
+
+
+#: Builds an instance without running its ``__init__`` (the generated
+#: decoders store every slot themselves, see :func:`derive_codec`).
+_new = object.__new__
 
 # ----------------------------------------------------------------------
 # value layer
@@ -280,11 +302,11 @@ def _list_raw(ints: Any) -> bytes:
     return raw
 
 
-def _get_seq(buf: bytes, off: int, n: int, get: Callable[..., Any]) -> Tuple[List[Any], int]:
-    """``n`` items, each read by ``get(buf, off)``."""
+def _get_seq(buf: bytes, off: int, n: int, get: Callable[..., Any], held: Held) -> Tuple[List[Any], int]:
+    """``n`` items, each read by ``get(buf, off, held)``."""
     items = []
     for _ in range(n):
-        item, off = get(buf, off)
+        item, off = get(buf, off, held)
         items.append(item)
     return items, off
 
@@ -377,12 +399,14 @@ def encode_value_binary(value: Any, out: bytearray) -> None:
     raise CodecError(f"cannot binary-encode {type(value).__name__}: {value!r}")
 
 
-def decode_value_binary(buf: bytes, off: int) -> Tuple[Any, int]:
-    """Inverse of :func:`encode_value_binary`; returns (value, new off)."""
+def decode_value_binary(buf: bytes, off: int, held: Held = nothing_held) -> Tuple[Any, int]:
+    """Inverse of :func:`encode_value_binary`; returns (value, new off).
+    A multicast ``held`` returns for its mid, and whose ``wire`` the
+    bytes at its offset start with, is that object."""
     tag = buf[off]
     off += 1
     if tag == _V_MSG:
-        return _decode_message_binary_from(buf, off)
+        return _decode_message_binary_from(buf, off, held)
     if tag in _CONSTANTS:
         return _CONSTANTS[tag], off
     if tag == _V_INT:
@@ -396,38 +420,69 @@ def decode_value_binary(buf: bytes, off: int) -> Tuple[Any, int]:
         return buf[off : off + n].decode("utf-8"), off + n
     if tag in _CONTAINERS:
         n, off = _get_cint(buf, off)
-        items, off = _get_seq(buf, off, n, decode_value_binary)
+        items, off = _get_seq(buf, off, n, decode_value_binary, held)
         return _CONTAINERS[tag](items), off
     if tag == _V_DICT:
         n, off = _get_cint(buf, off)
         d = {}
         for _ in range(n):
-            k, off = decode_value_binary(buf, off)
-            v, off = decode_value_binary(buf, off)
+            k, off = decode_value_binary(buf, off, held)
+            v, off = decode_value_binary(buf, off, held)
             d[k] = v
         return d, off
     if tag == _V_EPOCH:
         return Epoch(*_EPOCH.unpack_from(buf, off)), off + _EPOCH.size
     if tag == _V_MC:
-        return _get_multicast(buf, off)
+        return _get_multicast(buf, off, held)
     raise CodecError(f"unknown binary value tag {tag}")
 
 
 def _put_multicast(out: bytearray, multicast: Multicast) -> None:
-    """The one Multicast layout; the ``MULTICAST`` wire type below writes
-    the same bytes with ``_MID`` fused into its message's struct."""
+    """The one Multicast layout: ``_MID``, then :func:`_multicast_wire`.
+    The ``MULTICAST`` wire type below writes the same bytes with
+    ``_MID`` fused into its message's struct."""
     out += _pack(_MID, "Multicast.mid", *multicast.mid)
-    out += _LIST_RAW.get(multicast.dest) or _list_raw(multicast.dest)
+    out += multicast.wire or _multicast_wire(multicast)
+
+
+def _multicast_wire(multicast: Multicast) -> bytes:
+    """An encode miss: the dest list and payload of ``multicast``, kept
+    in its ``wire`` slot, which every later encode splices (never
+    empty, so never falsy: the dest list has its count byte)."""
+    out = bytearray(_LIST_RAW.get(multicast.dest) or _list_raw(multicast.dest))
     encode_value_binary(multicast.payload, out)
+    wire = multicast.wire = bytes(out)
+    return wire
 
 
-def _get_multicast(buf: bytes, off: int) -> Tuple[Multicast, int]:
-    mid = _MID.unpack_from(buf, off)
-    off += _MID.size
+def _get_multicast(buf: bytes, off: int, held: Held) -> Tuple[Multicast, int]:
+    return _multicast_at(buf, off + _MID.size, _MID.unpack_from(buf, off), held)
+
+
+def _multicast_at(buf: bytes, off: int, mid: MessageId, held: Held) -> Tuple[Multicast, int]:
+    """The multicast ``mid`` whose dest list and payload start at
+    ``off``: every multicast field, value and T row decodes here. If the
+    node holds ``mid`` and the bytes start with the held object's
+    ``wire``, it is that object — the layout is self-delimiting, so
+    those bytes decode to its very content — and the payload is not
+    decoded again. Otherwise a new multicast, which keeps its bytes in
+    ``wire`` for the encodes to come."""
+    multicast = held(mid)
+    if multicast is not None:
+        wire = multicast.wire
+        if wire is not None and buf.startswith(wire, off):
+            return multicast, off + len(wire)
     end = off + 1 + 2 * buf[off]
     dest = _GIDS.get(buf[off:end]) or _intern(_GIDS, buf[off:end], frozenset)
-    payload, off = decode_value_binary(buf, end)
-    return Multicast(mid, dest, payload), off
+    if not dest:
+        raise CodecError("a multicast needs at least one destination group")
+    payload, end = decode_value_binary(buf, end, held)
+    multicast = _new(Multicast)
+    multicast.mid = mid
+    multicast.dest = dest
+    multicast.payload = payload
+    multicast.wire = buf[off:end]
+    return multicast, end
 
 
 def _put_t_row(out: bytearray, row: Any) -> None:
@@ -435,9 +490,9 @@ def _put_t_row(out: bytearray, row: Any) -> None:
     _put_multicast(out, row[1])
 
 
-def _get_t_row(buf: bytes, off: int) -> Tuple[Any, int]:
+def _get_t_row(buf: bytes, off: int, held: Held) -> Tuple[Any, int]:
     number, leader, ts = _T_ROW.unpack_from(buf, off)
-    multicast, off = _get_multicast(buf, off + _T_ROW.size)
+    multicast, off = _get_multicast(buf, off + _T_ROW.size, held)
     return (Epoch(number, leader), multicast, ts), off
 
 
@@ -448,8 +503,9 @@ def _get_t_row(buf: bytes, off: int) -> Tuple[Any, int]:
 #: How one kind of field travels, as code templates. ``{a}`` is the
 #: message attribute — and the binary decoder's local that receives it —
 #: ``{k}`` the field's JSON key. In scope: ``m`` the message, ``d`` its
-#: JSON dict, ``out`` the output bytearray, ``buf`` / ``off`` the input
-#: bytes and read offset. ``to_json`` / ``from_json`` are expressions.
+#: JSON dict, ``out`` the output bytearray, ``buf`` / ``off`` / ``held``
+#: the input bytes, read offset and the node's :data:`Held` lookup.
+#: ``to_json`` / ``from_json`` are expressions.
 #: In binary a wire type is fixed ``slots`` — (struct character,
 #: expression packed, local unpacked into) — then, if it has one, a
 #: variable tail: the ``put`` / ``get`` statements. :func:`derive_codec`
@@ -469,7 +525,19 @@ ID = _Wire(*_AS_IS, (("H", "m.{a}", "{a}"),))
 INT = _Wire(*_AS_IS, (("q", "m.{a}", "{a}"),))
 #: Anything :func:`encode_value` accepts, self-describing on the wire.
 VALUE = _Wire(*_AS_VALUE, put=("encode_value_binary(m.{a}, out)",),
-              get=("{a}, off = decode_value_binary(buf, off)",))
+              get=("{a}, off = decode_value_binary(buf, off, held)",))
+#: An envelope's payload: a ``VALUE`` byte for byte, whose usual case —
+#: a registered message — goes straight to (and comes straight from)
+#: that message's codec.
+PAYLOAD = _Wire(
+    *_AS_VALUE,
+    put=("{a} = m.{a}", "{a}_c = _CODECS.get({a}.__class__)",
+         "if {a}_c is None: encode_value_binary({a}, out)",
+         "else: out.append(_V_MSG); out.append({a}_c.binary_tag); {a}_c.put(out, {a})"),
+    get=("{a}_d = _BINARY_DECODERS.get(buf[off + 1]) if buf[off] == _V_MSG else None",
+         "if {a}_d is None: {a}, off = decode_value_binary(buf, off, held)",
+         "else: {a}, off = {a}_d(buf, off + 2, held)"),
+)
 # The next four are tagged values in JSON; their binary shape is fixed.
 EPOCH = _Wire(*_AS_VALUE, (("I", "{a}_n", "{a}_n"), ("H", "{a}_l", "{a}_l")),
               pre=("{a}_n, {a}_l = m.{a}",),
@@ -482,22 +550,18 @@ DP = _Wire(
     pre=("{a} = m.{a}", "({a}_n, {a}_l), {a}_c = {a} or ((0, 0), 0)"),
     post=("{a} = (" + _AN_EPOCH + ", {a}_c) if {a}_on else None",),
 )
-#: A :class:`Multicast`: its mid in the run, then dest gids and payload
-#: (byte for byte the layout of :func:`_put_multicast`).
+#: A :class:`Multicast`: its mid in the run, then its ``wire`` — dest
+#: gids and payload (byte for byte the layout of :func:`_put_multicast`).
 MULTICAST = _Wire(
     *_AS_VALUE, (("H", "{a}_o", "{a}_o"), ("q", "{a}_q", "{a}_q")),
     pre=("{a} = m.{a}", "{a}_o, {a}_q = {a}.mid"),
-    put=("out += _LIST_RAW.get({a}.dest) or _list_raw({a}.dest)",
-         "encode_value_binary({a}.payload, out)"),
-    get=(_INT_LIST,
-         "{a}_d = _GIDS.get(buf[off:end]) or _intern(_GIDS, buf[off:end], frozenset)",
-         "{a}_p, off = decode_value_binary(buf, end)",
-         "{a} = Multicast(({a}_o, {a}_q), {a}_d, {a}_p)"),
+    put=("out += {a}.wire or _multicast_wire({a})",),
+    get=("{a}, off = _multicast_at(buf, off, ({a}_o, {a}_q), held)",),
 )
 #: ``(Epoch, Multicast, ts)`` rows (promise / new-state): u32 count, rows.
 T_SEQ = _Wire(*_AS_VALUE, (("I", "len(m.{a})", "{a}_n"),),
               put=("for row in m.{a}: _put_t_row(out, row)",),
-              get=("{a}, off = _get_seq(buf, off, {a}_n, _get_t_row)",))
+              get=("{a}, off = _get_seq(buf, off, {a}_n, _get_t_row, held)",))
 #: Tuple of ints (an envelope's destination pids), interned.
 INTS = _Wire(
     "list(m.{a})", "tuple(d[{k!r}])",
@@ -511,7 +575,7 @@ ENVELOPES = _Wire(
     "tuple(map(_CODECS[Envelope].from_json, d[{k!r}]))",
     (("I", "len(m.{a})", "{a}_n"),),
     put=("put = _CODECS[Envelope].put", "for env in m.{a}: put(out, env)"),
-    get=("{a}, off = _get_seq(buf, off, {a}_n, _CODECS[Envelope].get)", "{a} = tuple({a})"),
+    get=("{a}, off = _get_seq(buf, off, {a}_n, _CODECS[Envelope].get, held)", "{a} = tuple({a})"),
 )
 
 #: The wire schema: class -> (binary tag, JSON tag, fields). A field is
@@ -545,7 +609,7 @@ SCHEMA: Dict[Type[Any], Tuple[Any, ...]] = {
     AcceptEpoch: (7, "accept-epoch", (("epoch", "e", EPOCH), ("sender", "s", ID))),
     Envelope: (8, "envelope", (
         ("origin", "o", ID), ("seq", "q", INT), ("dests", "d", INTS),
-        ("payload", "p", VALUE),
+        ("payload", "p", PAYLOAD),
     )),
     Batch: (9, "batch", (("envelopes", "envs", ENVELOPES),)),
 }
@@ -564,11 +628,21 @@ def make(cls, {structs}):
         return cls({from_json})
     def put(out, m):
         {put}
-    def get(buf, off):
+    def get(buf, off, held=nothing_held):
         {get}
-        return cls({args}), off
+        {build}
+        return m, off
     return to_json, from_json, put, get
 """
+
+#: Slots a binary decoder stores beside a class's constructor
+#: parameters, as expressions of the decoded fields: exactly what its
+#: ``__init__`` computes for them. (``getattr`` with a default is the
+#: ``try: payload.kind except AttributeError`` of ``Envelope.__init__``:
+#: an envelope carrying an envelope takes the inner one's own ``kind``.)
+_DERIVED_SLOTS: Dict[Type[Any], Dict[str, str]] = {
+    Envelope: {"kind": "getattr(payload, 'kind', 'rm')", "wire": "None", "frame": "None"},
+}
 
 
 def derive_codec(cls: Type[Any], row: Tuple[Any, ...], memo: str = "") -> _Codec:
@@ -576,6 +650,12 @@ def derive_codec(cls: Type[Any], row: Tuple[Any, ...], memo: str = "") -> _Codec
     functions one would otherwise write by hand (the ``namedtuple``
     technique): walking the fields on every call instead measured
     +30 % on ack encode and +20 % on decode.
+
+    The binary decoder of a slotted class builds the instance by slot
+    stores — its parameters, then :data:`_DERIVED_SLOTS` — without a
+    call to ``__init__`` (one Python frame per message, ~40 % of a
+    message's construction); a slot that neither would set fails at
+    import. Every other class is built by its constructor.
 
     ``memo`` names an attribute of the class, ``None`` on a fresh
     instance, in which ``put`` keeps the untagged binary body it wrote
@@ -589,6 +669,18 @@ def derive_codec(cls: Type[Any], row: Tuple[Any, ...], memo: str = "") -> _Codec
             f"schema row for {cls.__name__} has fields {sorted(from_json)}, "
             f"its constructor takes {sorted(order)}"
         )
+    slots = getattr(cls, "__slots__", None)
+    if slots is None:
+        build = f"m = cls({', '.join(order)})"
+    else:
+        derived = _DERIVED_SLOTS.get(cls, {})
+        if set(slots) != set(order) | set(derived):
+            raise TypeError(
+                f"{cls.__name__} has slots {sorted(slots)}, its decoder would store "
+                f"{sorted(set(order) | set(derived))}"
+            )
+        stores = [f"m.{a} = {a}" for a in order] + [f"m.{a} = {e}" for a, e in derived.items()]
+        build = "; ".join(["m = _new(cls)", *stores])
     structs: Dict[str, struct.Struct] = {}
     put: List[str] = []
     get: List[str] = []
@@ -626,7 +718,7 @@ def derive_codec(cls: Type[Any], row: Tuple[Any, ...], memo: str = "") -> _Codec
         from_json=", ".join(from_json[a] for a in order),
         put="\n        ".join(put),
         get="\n        ".join(get),
-        args=", ".join(order),
+        build=build,
     )
     namespace: Dict[str, Any] = {}
     # Module globals, so the helpers the templates name resolve exactly
@@ -689,11 +781,11 @@ def _encode_message_binary_into(msg: Any, out: bytearray) -> None:
     codec.put(out, msg)
 
 
-def _decode_message_binary_from(buf: bytes, off: int) -> Tuple[Any, int]:
+def _decode_message_binary_from(buf: bytes, off: int, held: Held) -> Tuple[Any, int]:
     dec = _BINARY_DECODERS.get(buf[off])
     if dec is None:
         raise CodecError(f"no codec registered for wire tag {buf[off]}")
-    return dec(buf, off + 1)
+    return dec(buf, off + 1, held)
 
 
 def encode_message_binary(msg: Any) -> bytes:
@@ -703,9 +795,10 @@ def encode_message_binary(msg: Any) -> bytes:
     return bytes(out)
 
 
-def decode_message_binary(data: bytes) -> Any:
-    """Inverse of :func:`encode_message_binary`."""
-    msg, off = _decode_message_binary_from(data, 0)
+def decode_message_binary(data: bytes, held: Held = nothing_held) -> Any:
+    """Inverse of :func:`encode_message_binary` (``held``: see
+    :func:`decode_value_binary`)."""
+    msg, off = _decode_message_binary_from(data, 0, held)
     if off != len(data):
         raise CodecError(f"trailing garbage after binary message ({len(data) - off} bytes)")
     return msg
@@ -777,10 +870,11 @@ def encode_hb_frame(pid: int, binary: bool = False) -> bytes:
     return LEN_STRUCT.pack(len(body)) + body
 
 
-def _decode_body(body: bytes) -> Dict[str, Any]:
+def _decode_body(body: bytes, held: Held) -> Dict[str, Any]:
     """One frame body of either format as a frame dict. A protocol
     message arrives decoded under ``"msg"`` — ``{"t": "m", "src": ...,
-    "msg": ...}`` — whichever format carried it."""
+    "msg": ...}`` — whichever format carried it (JSON never consults
+    ``held``)."""
     if not body or body[0] != FRAME_BINARY:
         obj = json.loads(body.decode("utf-8"))
         if not isinstance(obj, dict):
@@ -795,7 +889,7 @@ def _decode_body(body: bytes) -> Dict[str, Any]:
     kind = body[2]
     if kind == _BF_MSG:
         (src,) = _U32.unpack_from(body, 3)
-        msg, off = _decode_message_binary_from(body, 7)
+        msg, off = _decode_message_binary_from(body, 7, held)
         if off != len(body):
             raise CodecError(f"trailing garbage after binary frame ({len(body) - off} bytes)")
         return {"t": "m", "src": src, "msg": msg}
@@ -822,14 +916,21 @@ class FrameDecoder:
     completes it from its head. So ``feed`` holds on to no part of
     ``data`` once it returns: the caller may hand it a view of a buffer
     it reuses.
+
+    ``held`` is the node's lookup of the multicasts it holds: a
+    multicast in a frame that the node holds, in the same bytes, is
+    decoded to the held object (:func:`decode_value_binary`). One
+    decoder's lookup is never another node's.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, held: Held = nothing_held) -> None:
         #: The head of a frame the last ``feed`` ended inside, else empty.
         self._buf = bytearray()
+        self._held = held
 
     def feed(self, data: Union[bytes, memoryview]) -> List[Dict[str, Any]]:
         frames: List[Dict[str, Any]] = []
+        held = self._held
         try:
             if self._buf:
                 data = self._complete(data, frames)
@@ -842,7 +943,7 @@ class FrameDecoder:
                 end = off + _PREFIX + length
                 if end > size:
                     break
-                frames.append(_decode_body(bytes(data[off + _PREFIX : end])))
+                frames.append(_decode_body(bytes(data[off + _PREFIX : end]), held))
                 off = end
         except CodecError as exc:
             exc.frames = frames
@@ -880,5 +981,5 @@ class FrameDecoder:
         if len(buf) == _PREFIX + length:
             body = bytes(memoryview(buf)[_PREFIX:])
             buf.clear()
-            frames.append(_decode_body(body))
+            frames.append(_decode_body(body, self._held))
         return data[need:]

@@ -538,14 +538,15 @@ class NetNode:
             batching_ms=topo.batching_ms,  # §7.1 ack/bump coalescing
         )
         transport = self._transport = Transport(
-            self.pid, topo.addresses, on_frame=self._on_frame, coalesce=topo.coalesce
+            self.pid, topo.addresses, on_frame=self._on_frame,
+            held=proc.started.get, coalesce=topo.coalesce,
         )
         facade.bind(transport)
         self._log_fh = open(self.rundir / f"delivery-{self.pid}.jsonl", "w")
         self._submit_fh = open(self.rundir / f"submit-{self.pid}.jsonl", "w")
         self._truncate_fh = open(self.rundir / f"truncate-{self.pid}.jsonl", "w")
         proc.add_deliver_hook(self._on_deliver)
-        proc.add_probe_hook(self._on_probe)
+        proc.add_probe_hook(self._on_probe, ("epoch_change", "truncate"))
 
         await transport.start()
         (self.rundir / f"ready-{self.pid}").write_text("ready\n")
@@ -596,7 +597,9 @@ class NetNode:
 
     def _on_frame(self, src: int, frame: Dict[str, Any]) -> None:
         """One received frame is one stimulus: Ω's receipt stamp, the
-        enqueue and the drain share one clock reading."""
+        enqueue and the drain share one clock reading. ``src`` is the
+        connection's pid, which the transport holds every message
+        frame's own ``src`` to."""
         t = frame.get("t")
         if t == "m":
             assert self.proc is not None and self.runtime is not None
@@ -604,7 +607,7 @@ class NetNode:
             sched.begin()
             if self.omega is not None:
                 self.omega.heard_from(src)
-            self.proc.enqueue_message(int(frame.get("src", src)), frame["msg"])
+            self.proc.enqueue_message(src, frame["msg"])
             sched.drain()
         elif t == "hb":
             if self.omega is not None:

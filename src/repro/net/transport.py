@@ -28,8 +28,10 @@ Reliability model:
 
 The first frame on every connection is a ``hello`` identifying the
 dialing node; all subsequent frames on that connection are attributed
-to that pid. Incoming connections are read-only (responses travel on
-the receiver's own outgoing connection).
+to that pid, and a message frame naming another ``src`` is a protocol
+violation that ends the connection (``bad_frame``). Incoming
+connections are read-only (responses travel on the receiver's own
+outgoing connection).
 
 Both ends are asyncio protocol objects, not streams: a socket event is
 one loop callback, and no task or future sits between the loop and a
@@ -68,7 +70,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from collections import deque
 
-from .codec import CodecError, FrameDecoder, encode_frame
+from .codec import CodecError, FrameDecoder, Held, encode_frame, nothing_held
 
 #: Reconnect backoff: first retry after BACKOFF_BASE_S, doubling per
 #: failure up to BACKOFF_CAP_S.
@@ -258,7 +260,7 @@ class _AcceptedConnection(asyncio.BufferedProtocol):
 
     def __init__(self, owner: "Transport") -> None:
         self._owner = owner
-        self._decoder = FrameDecoder()
+        self._decoder = FrameDecoder(owner.held)
         self._src: Optional[int] = None
 
     def connection_made(self, sock: asyncio.BaseTransport) -> None:
@@ -273,27 +275,34 @@ class _AcceptedConnection(asyncio.BufferedProtocol):
 
     def buffer_updated(self, nbytes: int) -> None:
         owner = self._owner
-        bad: Optional[CodecError] = None
+        bad = False
         try:
             frames = self._decoder.feed(owner._recv_buf[:nbytes])
         except CodecError as exc:
             # The well-formed frames before the bad bytes are handled as
             # they would be had TCP ended the read there.
-            bad, frames = exc, exc.frames
+            bad, frames = True, exc.frames
+        src = self._src
         for frame in frames:
-            if self._src is not None:
+            if src is not None:
+                if frame.get("src", src) != src:
+                    # A message frame claiming another sender: the same
+                    # verdict as bytes that are no frame.
+                    bad = True
+                    break
                 owner.frames_received += 1
-                owner.on_frame(self._src, frame)
+                owner.on_frame(src, frame)
             elif frame.get("t") == "hello":
-                self._src = int(frame["pid"])
-                owner.probe("peer_hello", self._src)
+                src = self._src = int(frame["pid"])
+                owner.probe("peer_hello", src)
             else:
                 self.sock.close()  # protocol violation
                 return
-        if bad is not None:
-            # Not frames: this connection cannot be resynchronized; the
-            # node and its other connections are unaffected.
-            owner.probe("bad_frame", self._src)
+        if bad:
+            # Not frames, or not this peer's: this connection cannot be
+            # trusted again; the node and its other connections are
+            # unaffected.
+            owner.probe("bad_frame", src)
             self.sock.close()
 
 
@@ -307,6 +316,8 @@ class Transport:
             runs on the event loop, one frame at a time (handler
             atomicity is preserved by construction).
         probe: substrate event hook.
+        held: the node's lookup of the multicasts it holds, handed to
+            every connection's ``FrameDecoder`` (``repro.net.codec``).
         coalesce: stage outgoing frames per peer and flush once per
             event-loop drain (see module docstring). Off restores the
             PR-9 one-write-per-frame behaviour.
@@ -321,6 +332,7 @@ class Transport:
         addresses: Dict[int, Tuple[str, int]],
         on_frame: FrameHandler,
         probe: Optional[ProbeFn] = None,
+        held: Held = nothing_held,
         coalesce: bool = True,
         max_queue_bytes: int = MAX_QUEUE_BYTES,
     ) -> None:
@@ -328,6 +340,7 @@ class Transport:
         self.addresses = dict(addresses)
         self.on_frame = on_frame
         self.probe: ProbeFn = probe if probe is not None else (lambda e, d: None)
+        self.held = held
         self.coalesce = coalesce
         self.max_queue_bytes = max_queue_bytes
         self.peers: Dict[int, PeerConnection] = {}

@@ -6,6 +6,12 @@ from repro.core.config import GroupConfig, uniform_groups
 
 
 class TestGroupConfig:
+    def test_n_groups_is_a_plain_slot(self):
+        # Read for every new mid at every process: a slot, not a property.
+        cfg = uniform_groups(3, 2)
+        assert cfg.n_groups == 3 and "n_groups" in GroupConfig.__slots__
+        assert not isinstance(vars(GroupConfig).get("n_groups"), property)
+
     def test_group_of_mapping(self):
         config = GroupConfig([[0, 1, 2], [3, 4]])
         assert config.group_of[0] == 0

@@ -189,3 +189,36 @@ class TestEpochBookkeeping:
         sys_.run(until=10)
         assert candidate.t_list == short_new
         assert candidate.clock >= 9
+
+
+class TestProbeSubscriptions:
+    def test_a_hook_sees_only_the_events_it_subscribed_to(self):
+        sys_ = MiniSystem(n_groups=2)
+        seen = {"all": [], "some": []}
+        for proc in sys_.processes.values():
+            proc.add_probe_hook(lambda p, event, data: seen["all"].append(event))
+            proc.add_probe_hook(lambda p, event, data: seen["some"].append(event), ("deliver",))
+        sys_.multicast(0, {0, 1})
+        sys_.run_to_quiescence()
+        assert set(seen["all"]) == {"start", "propose", "ack_quorum", "deliver"}
+        assert seen["some"] == ["deliver"] * 6
+
+    def test_a_step_no_hook_reads_does_not_probe(self, monkeypatch):
+        sys_ = MiniSystem(n_groups=2)
+        assert all(p.probe_hooks is None and not p.probed for p in sys_.processes.values())
+        calls = []
+        for proc in sys_.processes.values():
+            proc.add_probe_hook(lambda p, event, data: None, ("epoch_change", "truncate"))
+            monkeypatch.setattr(proc, "_probe", lambda event, data: calls.append(event))
+        sys_.multicast(0, {0, 1})
+        sys_.run_to_quiescence()
+        assert len(sys_.deliveries[0]) == 1 and calls == []
+
+    def test_an_event_the_protocol_never_fires_is_refused(self):
+        proc = MiniSystem(n_groups=1).processes[0]
+        with pytest.raises(ValueError, match="unknown probe events"):
+            proc.add_probe_hook(lambda p, event, data: None, ("epoch-change",))
+        assert proc.probe_hooks is None
+        fastcast = MiniSystem(protocol="fastcast", n_groups=1).processes[0]
+        with pytest.raises(ValueError, match="truncate"):
+            fastcast.add_probe_hook(lambda p, event, data: None, ("truncate",))

@@ -43,6 +43,7 @@ from repro.net.codec import (
     INTS,
     LEN_STRUCT,
     MULTICAST,
+    PAYLOAD,
     SCHEMA,
     T_SEQ,
     VALUE,
@@ -127,6 +128,14 @@ def rand_value(rng: random.Random, depth: int = 0):
     return rand_payload(rng, depth)
 
 
+def rand_envelope_payload(rng: random.Random, depth: int = 0):
+    """What a PAYLOAD field holds: mostly a registered message (the
+    decoder's straight path), else anything a VALUE holds."""
+    if depth < MAX_DEPTH and rng.random() < 0.7:
+        return gen_message(rng.choice(WIRE_CLASSES), rng, depth + 1)
+    return rand_value(rng, depth)
+
+
 def rand_multicast(rng: random.Random, depth: int = 0) -> Multicast:
     return Multicast((rand_in(rng, U16), rand_in(rng, I64)), frozenset(rand_ids(rng)), rand_value(rng, depth))
 
@@ -150,6 +159,7 @@ WIRE_GENERATORS = {
     ID: lambda rng, depth: rand_in(rng, U16),
     INT: lambda rng, depth: rand_in(rng, I64),
     VALUE: rand_value,
+    PAYLOAD: rand_envelope_payload,
     MULTICAST: rand_multicast,
     EPOCH: rand_epoch,
     DP: rand_dp,
@@ -360,6 +370,7 @@ FIELD_EDGES = {
     ID: ([0, 2**16 - 1], [-1, 2**16]),
     INT: ([-(2**63), 2**63 - 1], [-(2**63) - 1, 2**63]),
     VALUE: ([2**70, -(2**70)], []),  # the open vocabulary has no width
+    PAYLOAD: ([2**70, None, Bump(_TOP_EPOCH, 2**63 - 1, 2**16 - 1, None), Envelope(1, 2, None, ())], []),
     EPOCH: ([Epoch(0, 0), _TOP_EPOCH], [Epoch(2**32, 0), Epoch(0, 2**16), Epoch(-1, 0), Epoch(0, -1)]),
     DP: (
         [None, (_TOP_EPOCH, 2**63 - 1), (Epoch(0, 0), -(2**63))],
@@ -635,21 +646,35 @@ def test_golden_v1_frame_is_refused_by_its_version():
 # ----------------------------------------------------------------------
 
 
-def _envelopes(msg):
-    """Every Envelope reachable from ``msg`` (generated payloads nest
-    registered messages inside Multicasts, t_seq rows and containers)."""
-    if isinstance(msg, Envelope):
+def _reachable(msg, cls):
+    """Every ``cls`` instance reachable from ``msg``, outermost first
+    (generated payloads nest registered messages inside Multicasts,
+    t_seq rows and containers)."""
+    if isinstance(msg, cls):
         yield msg
     if isinstance(msg, (list, tuple, set, frozenset)):
         for item in msg:
-            yield from _envelopes(item)
+            yield from _reachable(item, cls)
     elif isinstance(msg, dict):
-        yield from _envelopes(list(msg.items()))
+        yield from _reachable(list(msg.items()), cls)
     elif isinstance(msg, Multicast):
-        yield from _envelopes(msg.payload)
+        yield from _reachable(msg.payload, cls)
     elif type(msg) in SCHEMA:
         for attr, _, _ in SCHEMA[type(msg)][2]:
-            yield from _envelopes(getattr(msg, attr))
+            yield from _reachable(getattr(msg, attr), cls)
+
+
+def _envelopes(msg):
+    return _reachable(msg, Envelope)
+
+
+def _multicasts(msg):
+    return _reachable(msg, Multicast)
+
+
+def _holding(*multicasts):
+    """A node's lookup that holds ``multicasts`` (the last one of a mid wins)."""
+    return {mc.mid: mc for mc in multicasts}.get
 
 
 def _big_envelope(rng):
@@ -668,6 +693,7 @@ def test_memoised_encoding_equals_cold_encoding(cls):
         assert all(env.wire is not None for env in _envelopes(msg))
         assert encode_msg_frame(3, msg, binary=True) == first
         assert all(env.wire is None for env in _envelopes(fresh))
+        assert all(mc.wire is None for mc in _multicasts(fresh))
         assert encode_msg_frame(3, fresh, binary=True) == first
         # JSON does not look at the memo ...
         assert encode_msg_frame(3, msg) == as_json == encode_msg_frame(3, fresh)
@@ -675,6 +701,17 @@ def test_memoised_encoding_equals_cold_encoding(cls):
         decoded = decode_message_binary(first[11:])
         assert all(env.wire is None for env in _envelopes(decoded))
         assert encode_msg_frame(3, decoded, binary=True) == first
+        # A multicast keeps its dest list and payload once encoded (the
+        # node that decodes it keeps the bytes it came in), and a decoder
+        # holding one returns it for those bytes: every encode is the
+        # cold one.
+        sent, received = list(_multicasts(msg)), list(_multicasts(decoded))
+        assert all(mc.wire is not None for mc in sent + received)
+        assert [mc.wire for mc in received] == [mc.wire for mc in sent]
+        rebuilt = decode_message_binary(first[11:], _holding(*sent))
+        assert encode_msg_frame(3, rebuilt, binary=True) == first
+        if len({mc.mid for mc in sent}) == len(sent):
+            assert {id(mc) for mc in _multicasts(rebuilt)} <= {id(mc) for mc in sent}
 
 
 def test_batch_of_partly_encoded_envelopes_equals_the_cold_batch():
@@ -732,6 +769,101 @@ def test_envelope_memo_is_a_slot_not_a_dict():
     # Not constructor arguments: the wire schema and the simulator
     # (which never sets or reads them) are unchanged.
     assert not {"wire", "frame"} & set(inspect.signature(Envelope.__init__).parameters)
+    # A multicast's memo likewise.
+    mc = rand_multicast(random.Random("codec-memo-slot"))
+    assert mc.wire is None and "wire" in Multicast.__slots__
+    assert not hasattr(mc, "__dict__")
+    assert "wire" not in inspect.signature(Multicast.__init__).parameters
+
+
+@by_class
+def test_decoders_build_what_the_constructor_builds(cls):
+    # The binary decoders store slots instead of calling __init__: every
+    # slot must come out as __init__ sets it from the decoded fields —
+    # Envelope.kind too, an envelope inside an envelope included.
+    rng = random.Random(f"codec-slots-{cls.__name__}")
+    params = list(inspect.signature(cls.__init__).parameters)[1:]
+    for _ in range(50):
+        msg = gen_message(cls, rng)
+        for decoded in (decode_message_binary(encode_message_binary(msg)),
+                        decode_message_binary(encode_message_binary(Envelope(1, 2, msg, (0,)))).payload):
+            built = cls(*(getattr(decoded, p) for p in params))
+            for slot in cls.__slots__:
+                assert getattr(decoded, slot) == getattr(built, slot), (cls.__name__, slot)
+    nested = decode_message_binary(encode_message_binary(Envelope(1, 2, Envelope(3, 4, gen_message(Ack, rng), (5,)), (0,))))
+    assert (nested.kind, nested.payload.kind) == ("ack", "ack")
+    assert decode_message_binary(encode_message_binary(Envelope(1, 2, Envelope(3, 4, 7, ()), ()))).kind == "rm"
+    # A multicast without a destination is refused as its constructor refuses it.
+    with pytest.raises(CodecError, match="at least one destination"):
+        decode_message_binary(bytes.fromhex("01" "0000" "0000000000000001" "00" "00"))
+
+
+# ----------------------------------------------------------------------
+# decode once per multicast per node: the held object
+# ----------------------------------------------------------------------
+
+
+def _held_ack():
+    """An ack frame from pid 1 and the multicast it carries, as the node
+    that decodes it holds it (encoded once: its ``wire`` is set)."""
+    held = Multicast((2, 1), frozenset({0, 1}), {"k": "x" * 40, "n": 1})
+    frame = encode_msg_frame(1, Envelope(1, 1, Ack(held, 0, Epoch(0, 0), 9, 1, None), (0, 3)), binary=True)
+    return frame, held
+
+
+def test_a_held_multicast_is_decoded_to_the_held_object():
+    frame, held = _held_ack()
+    wire = held.wire
+    for lookup in (_holding(held), _holding(Multicast((2, 0), frozenset({0}), None), held)):
+        assert FrameDecoder(lookup).feed(frame)[0]["msg"].payload.multicast is held
+    # Not held, or held but never encoded: decoded anew, bytes kept.
+    for lookup in (codec_mod.nothing_held, _holding(Multicast(held.mid, held.dest, held.payload))):
+        decoded = FrameDecoder(lookup).feed(frame)[0]["msg"].payload.multicast
+        assert decoded is not held and decoded.wire == wire and decoded.payload == held.payload
+    assert held.wire is wire
+
+
+def test_decoders_with_different_lookups_never_return_each_others_objects():
+    # Six nodes on one loop: each decoder returns only its own node's
+    # copy, however many copies of the same multicast the others hold.
+    frame, sent = _held_ack()
+    copies = [decode_message_binary(frame[11:]).payload.multicast for _ in range(3)]
+    decoders = [FrameDecoder(_holding(mc)) for mc in copies]
+    for _ in range(2):
+        got = [decoder.feed(frame)[0]["msg"].payload.multicast for decoder in decoders]
+        assert all(mine is copy for mine, copy in zip(got, copies))
+    assert FrameDecoder().feed(frame)[0]["msg"].payload.multicast not in copies + [sent]
+
+
+@pytest.mark.fuzz
+def test_fuzz_a_held_multicast_one_byte_off_is_decoded_anew():
+    # A later copy that differs in any one byte of the dest list or the
+    # payload is not the held multicast: decoded (or refused) on its
+    # own, and the held object and its bytes are untouched.
+    frame, held = _held_ack()
+    wire, payload = held.wire, dict(held.payload)
+    at = frame.index(wire)
+    for i in range(at, at + len(wire)):
+        for byte in {0x00, 0xFF, frame[i] ^ 0x01} - {frame[i]}:
+            flipped = frame[:i] + bytes((byte,)) + frame[i + 1 :]
+            try:
+                frames = FrameDecoder(_holding(held)).feed(flipped)
+            except CodecError:
+                frames = []
+            for f in frames:
+                assert f["msg"].payload.multicast is not held
+            assert held.wire is wire and held.payload == payload
+
+
+@pytest.mark.fuzz
+def test_fuzz_a_held_multicast_cut_short_raises_codec_error():
+    frame, held = _held_ack()
+    wire = held.wire
+    body = frame[LEN_STRUCT.size :]
+    for cut in range(len(body)):
+        with pytest.raises(CodecError):
+            FrameDecoder(_holding(held)).feed(framed(body[:cut]))
+    assert held.wire is wire
 
 
 # ----------------------------------------------------------------------
@@ -799,13 +931,14 @@ def _bench_ack(rng):
     return Envelope(ack.sender, rng.randrange(1 << 16), ack, tuple(range(6)))
 
 
-def _calls(fn) -> int:
-    """Python and C function calls made by ``fn()`` (no wall clock)."""
+def _calls(fn, name=None) -> int:
+    """Python and C function calls made by ``fn()`` (no wall clock); with
+    ``name``, only the calls of the Python function of that name."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        if event in ("call", "c_call"):
+        if name is None and event in ("call", "c_call") or event == "call" and frame.f_code.co_name == name:
             count += 1
 
     previous = sys.getprofile()
@@ -814,18 +947,32 @@ def _calls(fn) -> int:
         fn()
     finally:
         sys.setprofile(previous)
-    return count - 1  # that last sys.setprofile
+    return count - (name is None)  # that last sys.setprofile
 
 
 def test_call_count_to_decode_an_ack_frame(fresh_tables):
     # The deterministic side of "decode an ack with one struct call":
-    # format 1 took 68 calls for the frame and 56 per batched envelope.
+    # format 1 took 68 calls for the frame and 56 per batched envelope,
+    # format 3 with a constructor call per message 36 and 30. A node
+    # that holds the multicast (every ack after the first) decodes no
+    # payload: 4 calls fewer per ack.
     rng = random.Random("codec-call-count")
-    for msg, budget in ((_bench_ack(rng), 36), (Batch(tuple(_bench_ack(rng) for _ in range(14))), 14 * 30)):
+    ack, batch = _bench_ack(rng), Batch(tuple(_bench_ack(rng) for _ in range(14)))
+    for msg, cold, held in ((ack, 30, 26), (batch, 1 + 14 * 21, 1 + 14 * 17)):
         frame = encode_msg_frame(0, msg, binary=True)
-        decoder = FrameDecoder()
-        assert len(decoder.feed(frame)) == 1  # warm: the int lists are interned
-        assert _calls(lambda: decoder.feed(frame)) <= budget
+        multicasts = [env.payload.multicast for env in _envelopes(msg)]
+        for decoder, budget in ((FrameDecoder(), cold), (FrameDecoder(_holding(*multicasts)), held)):
+            assert len(decoder.feed(frame)) == 1  # warm: the int lists are interned
+            assert _calls(lambda: decoder.feed(frame)) <= budget
+
+
+def test_call_count_a_held_multicasts_later_copies_decode_no_payload():
+    frame, held = _held_ack()
+    batch = encode_msg_frame(1, Batch(tuple(decode_message_binary(frame[11:]) for _ in range(4))), binary=True)
+    cold, warm = FrameDecoder(), FrameDecoder(_holding(held))
+    for data in (frame, batch):
+        assert _calls(lambda: cold.feed(data), "decode_value_binary") > 0
+        assert _calls(lambda: warm.feed(data), "decode_value_binary") == 0
 
 
 @pytest.mark.parametrize("cls", [Ack, Bump, Envelope, Start], ids=lambda c: c.__name__)

@@ -191,6 +191,29 @@ def test_first_frame_that_is_no_hello_closes_the_connection_quietly():
     asyncio.run(scenario())
 
 
+def test_a_message_frame_from_another_pid_ends_the_connection():
+    # Every frame on a connection is its hello pid's: one that names
+    # another src is a protocol violation, in either format. The frames
+    # before it are handled, it and the rest are not.
+    async def scenario():
+        received = []
+        node, address, probes = await _lone_node(lambda src, f: received.append((src, f["src"])))
+        start = Start(Multicast((0, 1), frozenset({0}), "x"))
+        try:
+            for n, binary in enumerate((True, False), start=1):
+                reader, writer = await asyncio.open_connection(*address)
+                own, forged = (encode_msg_frame(pid, start, binary=binary) for pid in (0, 5))
+                writer.write(HELLO + own + forged + own)
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                writer.close()
+                assert received == [(0, 0)] * n
+                assert probes == [("peer_hello", 0), ("bad_frame", 0)] * n
+        finally:
+            await node.close()
+
+    asyncio.run(scenario())
+
+
 def test_frames_of_one_read_run_one_handler_at_a_time_and_write_later(monkeypatch):
     # 60 frames arrive in one socket read; every handler answers the
     # sender. The handlers run back to back inside that read's callback,
