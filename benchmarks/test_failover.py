@@ -9,13 +9,13 @@ ordering afterwards.
 
 from repro.core import uniform_groups
 from repro.core.process import PrimCastProcess
-from repro.election.omega import make_oracles
+from repro.election import HB_INTERVAL_MS, attach_omegas
 from repro.harness.report import format_table
 from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
 from repro.verify import check_acyclic_order, check_timestamp_order
 
 DELTA = 1.0
-POLL = 5.0
+SUSPECT_MS = 100.0
 CRASH_AT = 50.0
 
 
@@ -26,10 +26,7 @@ def run_failover():
     procs = {
         pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids
     }
-    oracles = make_oracles(config.groups, procs, sched, POLL)
-    for pid, p in procs.items():
-        p.omega = oracles[config.group_of[pid]]
-        p.omega.subscribe(p._on_omega_output)
+    attach_omegas(procs, SUSPECT_MS)
     injector = FailureInjector(sched, procs)
     logs = {pid: [] for pid in procs}
     for pid, p in procs.items():
@@ -69,7 +66,7 @@ def test_failover_under_load(benchmark):
                 ["delivered at each survivor", sorted(set(counts.values()))],
                 ["max delivery gap (ms)", f"{max_gap:.1f}"],
                 ["gap start (ms)", f"{gap_start:.1f}"],
-                ["detection + epoch change budget (ms)", f"{POLL + 6 * DELTA:.1f}"],
+                ["detection + epoch change budget (ms)", f"{SUSPECT_MS + HB_INTERVAL_MS + 6 * DELTA:.1f}"],
             ],
         )
     )
@@ -78,6 +75,7 @@ def test_failover_under_load(benchmark):
     assert all(c == 150 for c in counts.values())
     check_acyclic_order({pid: logs[pid] for pid in correct})
     check_timestamp_order({pid: logs[pid] for pid in correct})
-    # The outage is bounded by detection (poll) + epoch change + catch-up.
+    # The outage is bounded by detection (Ω's timeout plus one heartbeat
+    # round) + epoch change + catch-up.
     assert gap_start >= CRASH_AT - 10 * DELTA
-    assert max_gap < POLL + 20 * DELTA
+    assert max_gap < SUSPECT_MS + HB_INTERVAL_MS + 20 * DELTA

@@ -3,7 +3,8 @@
 
 PrimCast's fault tolerance (Algorithm 3) in action: a steady stream of
 global messages flows between two groups while group 0's primary
-crashes. The Ω oracle detects the crash, the next replica runs the
+crashes. Every replica runs its own heartbeat Ω; once the primary's
+heartbeats stop for SUSPECT_MS, the next replica runs the
 epoch-change protocol (new-epoch → promise → new-state → accept),
 re-sends the acks of every inherited proposal, and delivery resumes —
 with no message lost, duplicated or reordered.
@@ -14,12 +15,12 @@ Run:
 
 from repro.core import PrimCastProcess, uniform_groups
 from repro.core.process import PRIMARY
-from repro.election import make_oracles
+from repro.election import HB_INTERVAL_MS, attach_omegas
 from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
 from repro.verify import check_acyclic_order, check_timestamp_order
 
 DELTA_MS = 1.0
-DETECT_MS = 5.0
+SUSPECT_MS = 100.0
 CRASH_AT_MS = 25.0
 N_MESSAGES = 80
 
@@ -32,10 +33,7 @@ def main() -> None:
         pid: PrimCastProcess(pid, config, scheduler, network)
         for pid in config.all_pids
     }
-    oracles = make_oracles(config.groups, processes, scheduler, DETECT_MS)
-    for pid, proc in processes.items():
-        proc.omega = oracles[config.group_of[pid]]
-        proc.omega.subscribe(proc._on_omega_output)
+    attach_omegas(processes, SUSPECT_MS)
     injector = FailureInjector(scheduler, processes)
 
     logs = {pid: [] for pid in processes}
@@ -75,8 +73,8 @@ def main() -> None:
     worst_gap, gap_at = gaps[-1]
     print(f"all {N_MESSAGES} messages delivered by every correct replica")
     print(f"worst delivery gap at replica 1: {worst_gap:.1f} ms "
-          f"(starting t={gap_at:.1f} ms — detection {DETECT_MS} ms + "
-          f"epoch change + catch-up)")
+          f"(starting t={gap_at:.1f} ms — detection within "
+          f"{SUSPECT_MS + HB_INTERVAL_MS:.0f} ms + epoch change + catch-up)")
     print("ordering checks passed: no loss, duplication or reordering")
 
 

@@ -29,6 +29,7 @@ Safety checking is two-layered, violations captured as data:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import asdict, dataclass, field
 from typing import (
     Any,
@@ -43,6 +44,7 @@ from typing import (
 )
 
 from ..core.messages import MessageId, Multicast
+from ..core.process import FOLLOWER, PRIMARY, PrimCastProcess
 from ..harness.parallel import SweepExecutor
 from ..harness.runner import build_system
 from ..sim.failures import FailureInjector
@@ -58,11 +60,33 @@ from ..workload.scenarios import (
 from .nemesis import Nemesis
 from .schedule import FaultSchedule, ScheduleShape, generate_schedule
 
-#: Mutations the explorer can inject for shrinker self-validation.
-#: ``"no-quorum-wait"`` flips the test-only
-#: ``PrimCastProcess._chaos_no_quorum_wait`` switch: deliver on final-ts
-#: decision without waiting for the quorum-clock guards (lines 28-30).
-MUTATIONS = ("", "no-quorum-wait")
+
+def _deliver_on_decision(proc: PrimCastProcess) -> None:
+    """The ``no-quorum-wait`` mutant: this process delivers a message as
+    soon as its final timestamp is decided, skipping the deliverable()
+    guards of Algorithm 1 lines 28-30. It breaks ordering under
+    concurrency, which the explorer and the shrinker must find."""
+
+    def try_deliver() -> None:
+        if proc.role not in (PRIMARY, FOLLOWER):
+            return
+        proc._order_blocked = True
+        finals, pending = proc._finals_heap, proc.pending  # an epoch change rebinds both
+        while finals:
+            final, mid = heapq.heappop(finals)
+            if mid in pending:
+                proc._deliver(mid, final)
+
+    proc._try_deliver = try_deliver  # type: ignore[method-assign]
+
+
+#: Mutations the explorer can inject for shrinker self-validation: each
+#: name maps to a patch that :func:`run_case` applies to every built
+#: process (``""``, no mutation, to none).
+MUTATIONS: Dict[str, Optional[Callable[[PrimCastProcess], None]]] = {
+    "": None,
+    "no-quorum-wait": _deliver_on_decision,
+}
 
 
 @dataclass(frozen=True)
@@ -75,7 +99,7 @@ class ChaosScenario:
     horizon_ms: float = 3000.0
     n_messages: int = 40
     send_window_ms: float = 45.0
-    omega_poll_ms: float = 10.0
+    suspect_ms: float = 150.0
 
     @property
     def hybrid_clock(self) -> bool:
@@ -96,19 +120,19 @@ class ChaosScenario:
 CHAOS_SCENARIOS: Dict[str, ChaosScenario] = {
     "lan-small": ChaosScenario(
         name="lan-small", deployment=lan_scenario(2, 3),
-        horizon_ms=2000.0, omega_poll_ms=4.0,
+        horizon_ms=2000.0, suspect_ms=150.0,
     ),
     "fig3-reduced": ChaosScenario(
         name="fig3-reduced", deployment=wan_colocated_leaders(3, 3),
-        horizon_ms=6000.0, omega_poll_ms=25.0,
+        horizon_ms=6000.0, suspect_ms=250.0,
     ),
     "fig4-reduced": ChaosScenario(
         name="fig4-reduced", deployment=wan_distributed_leaders(2, 3),
-        horizon_ms=5000.0, omega_poll_ms=25.0,
+        horizon_ms=5000.0, suspect_ms=200.0,
     ),
     "fig3-reduced-hc": ChaosScenario(
         name="fig3-reduced-hc", deployment=wan_colocated_leaders(3, 3),
-        protocol="primcast-hc", horizon_ms=6000.0, omega_poll_ms=25.0,
+        protocol="primcast-hc", horizon_ms=6000.0, suspect_ms=250.0,
     ),
     # Long-horizon LAN campaign: enough traffic past the fault window
     # that the state-GC watermark advances and truncation actually
@@ -117,7 +141,7 @@ CHAOS_SCENARIOS: Dict[str, ChaosScenario] = {
     "lan-sustained": ChaosScenario(
         name="lan-sustained", deployment=lan_sustained(2, 3),
         horizon_ms=20000.0, n_messages=400,
-        send_window_ms=18000.0, omega_poll_ms=4.0,
+        send_window_ms=18000.0, suspect_ms=150.0,
     ),
 }
 
@@ -231,20 +255,21 @@ class CaseResult:
 def run_case(spec: CaseSpec) -> CaseResult:
     """Run one chaos case to its horizon and check every property."""
     if spec.mutation not in MUTATIONS:
-        raise ValueError(f"unknown mutation {spec.mutation!r}; pick from {MUTATIONS}")
+        raise ValueError(f"unknown mutation {spec.mutation!r}; pick from {tuple(MUTATIONS)}")
     scn = CHAOS_SCENARIOS[spec.scenario]
     schedule = spec.resolve_schedule()
     system = build_system(
         scn.protocol,
         scn.deployment,
         seed=spec.seed,
-        omega_poll_ms=scn.omega_poll_ms,
+        suspect_ms=scn.suspect_ms,
     )
     processes = system.processes
     config = system.config
-    if spec.mutation == "no-quorum-wait":
+    mutate = MUTATIONS[spec.mutation]
+    if mutate is not None:
         for proc in processes.values():
-            proc._chaos_no_quorum_wait = True
+            mutate(proc)
     attach_monitors(processes)
 
     injector = FailureInjector(system.scheduler, processes)

@@ -86,17 +86,6 @@ class PrimCastProcess(GroupProtocolProcess):
     #: The events of the table above.
     PROBE_EVENTS = PROBE_EVENTS
 
-    #: Test-only mutation switch for shrinker self-validation
-    #: (tests/chaos): when flipped to True (as an instance attribute by
-    #: the chaos explorer's ``mutation`` option), delivery skips the
-    #: deliverable() guards of Algorithm 1 lines 28-30 and delivers a
-    #: message as soon as its final timestamp is decided — without
-    #: waiting for the quorum-clock to pass it. This deliberately breaks
-    #: ordering under concurrency; it exists so the explorer/shrinker
-    #: pipeline can prove it finds and minimizes such bugs. Never set in
-    #: production code paths.
-    _chaos_no_quorum_wait: bool = False
-
     def __init__(
         self,
         pid: int,
@@ -694,12 +683,6 @@ class PrimCastProcess(GroupProtocolProcess):
             best_final, best_mid = finals[0]
             if best_mid not in pending:
                 heappop(finals)
-                continue
-            if self._chaos_no_quorum_wait:
-                # Test-only mutation (see the class attribute): deliver
-                # on final-ts decision alone, skipping lines 28-30.
-                heappop(finals)
-                self._deliver(best_mid, best_final)
                 continue
             # Lines 28-29: no new proposal in E_cur or in any later
             # epoch may be smaller than final-ts(m).

@@ -1,5 +1,5 @@
-"""Weak leader-election oracle Ω per group (§2.1)."""
+"""The leader oracle Ω (§2.1): one heartbeat Ω per process, both backends."""
 
-from .omega import LeaderCallback, OmegaOracle, make_oracles
+from .omega import HB_INTERVAL_MS, HEARTBEAT, HeartbeatOmega, attach_omegas
 
-__all__ = ["OmegaOracle", "make_oracles", "LeaderCallback"]
+__all__ = ["HB_INTERVAL_MS", "HEARTBEAT", "HeartbeatOmega", "attach_omegas"]

@@ -24,7 +24,7 @@ from ..core.gc import (
     attach_compaction,
 )
 from ..core.process import PrimCastProcess
-from ..election.omega import OmegaOracle, make_oracles
+from ..election.omega import HeartbeatOmega, attach_omegas
 from ..sim.clock import PhysicalClock, make_clocks
 from ..sim.costs import CostModel, default_cost_model
 from ..sim.events import Scheduler
@@ -97,7 +97,8 @@ class System:
     network: Network
     config: GroupConfig
     processes: Dict[int, Any]
-    oracles: Optional[Dict[int, OmegaOracle]] = None
+    #: pid -> its Ω (``build_system(suspect_ms=...)`` only)
+    oracles: Optional[Dict[int, HeartbeatOmega]] = None
     #: periodic state-GC driver (PrimCast protocols, interval > 0 only)
     compaction: Optional[CompactionDaemon] = None
 
@@ -111,7 +112,7 @@ def build_system(
     scenario: Scenario,
     seed: int = 1,
     cost_model: Optional[CostModel] = None,
-    omega_poll_ms: Optional[float] = None,
+    suspect_ms: Optional[float] = None,
     epsilon_ms: Optional[float] = None,
     batching_ms: float = 0.0,
     compaction_interval_ms: float = DEFAULT_COMPACTION_INTERVAL_MS,
@@ -122,9 +123,11 @@ def build_system(
         protocol: one of :data:`PROTOCOLS`.
         seed: root seed; all randomness derives from it.
         cost_model: CPU cost model (defaults to the calibrated one).
-        omega_poll_ms: enable crash detection for PrimCast's Ω with this
-            polling interval (None = static leaders, no failure handling
-            needed for stable-leader experiments).
+        suspect_ms: give every PrimCast process its own heartbeat Ω
+            (:func:`repro.election.attach_omegas`) that suspects a group
+            peer silent for this long; heartbeats are sim messages, so
+            partitions and delay windows reach Ω. None = static leaders,
+            no Ω and no heartbeat events (stable-leader experiments).
         epsilon_ms: clock skew bound override for the HC variant.
         batching_ms: opt-in ack/bump coalescing window per channel
             (models the prototype's §7.1 TCP batching); 0 = off, which
@@ -133,7 +136,7 @@ def build_system(
             PrimCast protocols (default on). 0 disables compaction;
             delivery order and timestamps are bit-identical either way —
             only the scheduler's event count differs (one timer event
-            per sweep). Like Ω polling, an armed daemon keeps the event
+            per sweep). Like Ω's rounds, an armed daemon keeps the event
             heap non-empty, so drive such systems with
             ``scheduler.run(until=...)``.
     """
@@ -148,14 +151,11 @@ def build_system(
     processes = make_processes(
         protocol, config, scheduler, network, costs, clocks, batching_ms
     )
-    oracles: Optional[Dict[int, OmegaOracle]] = None
+    oracles: Optional[Dict[int, HeartbeatOmega]] = None
     compaction: Optional[CompactionDaemon] = None
     if issubclass(PROTOCOLS[protocol], PrimCastProcess):
-        if omega_poll_ms is not None:
-            oracles = make_oracles(config.groups, processes, scheduler, omega_poll_ms)
-            for pid, proc in processes.items():
-                proc.omega = oracles[config.group_of[pid]]
-                proc.omega.subscribe(proc._on_omega_output)
+        if suspect_ms is not None:
+            oracles = attach_omegas(processes, suspect_ms)
         if compaction_interval_ms > 0.0:
             compaction = attach_compaction(
                 scheduler, processes, compaction_interval_ms

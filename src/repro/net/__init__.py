@@ -5,17 +5,17 @@ asyncio TCP sockets with real wall clocks:
 
 * :mod:`repro.net.runtime` — the backend-agnostic seam: the
   ``SchedulerAPI`` / ``TransportAPI`` / ``LeaderOracle`` /
-  ``TimerHandle`` / ``ProcessLike`` protocols that the simulator's
-  classes and the asyncio facades both satisfy;
+  ``TimerHandle`` protocols that the simulator's classes and the
+  asyncio facades both satisfy;
 * :mod:`repro.net.codec` — length-prefixed framing for the wire
   messages in two self-describing body formats, canonical JSON and
   compact binary, both derived from one message schema (lossless
   round trips, exhaustive over the message classes);
 * :mod:`repro.net.transport` — per-peer connection manager with
   reconnect + exponential backoff;
-* :mod:`repro.net.election` — heartbeat-based Ω;
 * :mod:`repro.net.host` — the asyncio adapter: scheduler/transport
-  facades hosting unmodified ``PrimCastProcess`` objects, one node per
+  facades hosting unmodified ``PrimCastProcess`` objects with their
+  heartbeat Ω (:mod:`repro.election`), one node per
   OS process, and ``ClusterSpec``, the one description of a cluster
   (groups, addresses, workload, kill point) that every node reads;
 * :mod:`repro.net.cluster` — multi-process localhost cluster launcher;
@@ -27,7 +27,6 @@ on demand so the simulation path never pays for it.
 
 from .runtime import (
     LeaderOracle,
-    ProcessLike,
     SchedulerAPI,
     TimerHandle,
     TransportAPI,
@@ -35,7 +34,6 @@ from .runtime import (
 
 __all__ = [
     "LeaderOracle",
-    "ProcessLike",
     "SchedulerAPI",
     "TimerHandle",
     "TransportAPI",

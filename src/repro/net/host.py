@@ -6,7 +6,7 @@ module implements both halves over asyncio:
 
 * :class:`NetScheduler` — time is ``(loop.time() - t0) * 1000`` ms
   (monotonic, per-node, ``t0`` on the loop clock's
-  :data:`~repro.net.election.HB_INTERVAL_MS` grid), read once per
+  :data:`~repro.election.omega.HB_INTERVAL_MS` grid), read once per
   stimulus — a received frame, a timer — and standing still until the
   drain that ends it; ``call_at`` / ``call_after`` arm real
   ``loop.call_at`` / ``loop.call_later`` timers (a zero delay is
@@ -58,10 +58,10 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from ..core.config import GroupConfig, uniform_groups
 from ..core.gc import CompactionDaemon, attach_compaction, next_grid_time
 from ..core.process import PrimCastProcess
+from ..election.omega import DEFAULT_SUSPECT_MS, HB_INTERVAL_MS, HeartbeatOmega
 from ..sim.costs import CostModel
 from ..sim.rng import child_rng
 from .codec import encode_hb_frame, encode_msg_frame
-from .election import DEFAULT_SUSPECT_MS, HB_INTERVAL_MS, HeartbeatOmega
 from .transport import Transport
 from .workload import PlanClient, make_client_plans, plans_expected_count
 
@@ -598,8 +598,9 @@ class NetNode:
     def _on_frame(self, src: int, frame: Dict[str, Any]) -> None:
         """One received frame is one stimulus: Ω's receipt stamp, the
         enqueue and the drain share one clock reading. ``src`` is the
-        connection's pid, which the transport holds every message
-        frame's own ``src`` to."""
+        connection's pid, which the transport holds every frame's own
+        sender to (a message's ``src``, a heartbeat's ``pid``), so Ω
+        credits the connection a frame came in on."""
         t = frame.get("t")
         if t == "m":
             assert self.proc is not None and self.runtime is not None
@@ -611,7 +612,7 @@ class NetNode:
             sched.drain()
         elif t == "hb":
             if self.omega is not None:
-                self.omega.heard_from(int(frame["pid"]))
+                self.omega.heard_from(src)
 
     def _omega_round(self) -> None:
         """The node's part of an Ω round. A heartbeat to each group peer

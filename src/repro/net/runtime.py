@@ -100,19 +100,11 @@ class LeaderOracle(Protocol):
 
     ``subscribe`` must invoke the callback immediately with the current
     output and again on every change, from scheduler context.
-    Satisfied by :class:`repro.election.omega.OmegaOracle` (sim,
-    crash-flag polling) and :class:`repro.net.election.HeartbeatOmega`
-    (asyncio, heartbeat timeouts).
+    Satisfied by :class:`repro.election.omega.HeartbeatOmega`, the one
+    Ω of both backends (heartbeat timeouts).
     """
 
     leader: int
 
     def subscribe(self, callback: Callable[[int, int], None]) -> None: ...
 
-
-@runtime_checkable
-class ProcessLike(Protocol):
-    """What the sim oracle needs to observe of a process."""
-
-    pid: int
-    crashed: bool

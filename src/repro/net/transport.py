@@ -285,9 +285,14 @@ class _AcceptedConnection(asyncio.BufferedProtocol):
         src = self._src
         for frame in frames:
             if src is not None:
-                if frame.get("src", src) != src:
-                    # A message frame claiming another sender: the same
-                    # verdict as bytes that are no frame.
+                # A message frame names its sender in "src", a heartbeat
+                # in "pid".
+                claimed = frame.get("src")
+                if claimed is None:
+                    claimed = frame.get("pid", src)
+                if claimed != src:
+                    # A frame claiming another sender: the same verdict
+                    # as bytes that are no frame.
                     bad = True
                     break
                 owner.frames_received += 1

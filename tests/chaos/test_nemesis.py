@@ -3,7 +3,7 @@
 from repro.chaos.nemesis import Nemesis
 from repro.chaos.schedule import FaultEvent, FaultSchedule, Trigger
 from repro.core import PrimCastProcess, uniform_groups
-from repro.election import make_oracles
+from repro.election import attach_omegas
 from repro.sim import (
     ConstantLatency,
     FailureInjector,
@@ -21,10 +21,7 @@ def build(seed=1, n_groups=2, group_size=3, omega=True):
         pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids
     }
     if omega:
-        oracles = make_oracles(config.groups, procs, sched, poll_interval_ms=4.0)
-        for pid, proc in procs.items():
-            proc.omega = oracles[config.group_of[pid]]
-            proc.omega.subscribe(proc._on_omega_output)
+        attach_omegas(procs, suspect_ms=100.0)
     return config, sched, net, procs
 
 

@@ -98,7 +98,7 @@ class Checked(Tracked):
         def run(origin, payload):
             self.spec.record(origin, payload)
             handler(origin, payload)
-            if self.role in (PRIMARY, FOLLOWER) and not self._chaos_no_quorum_wait:
+            if self.role in (PRIMARY, FOLLOWER):
                 self.checks += 1
                 left = literally_deliverable(self, self.spec)
                 assert not left, f"pid {self.pid} withheld {left} after {payload!r}"

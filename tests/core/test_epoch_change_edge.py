@@ -4,22 +4,25 @@ import pytest
 
 from repro.core import PrimCastProcess, uniform_groups
 from repro.core.process import PRIMARY
-from repro.election.omega import make_oracles
+from repro.election import attach_omegas
 from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
 from repro.verify import check_acyclic_order, check_timestamp_order
 
 
-def build(n_groups=1, group_size=5, poll=5.0):
+#: Ω's suspicion timeout. A primary that falls silent at t < 50 ms is
+#: suspected at the first heartbeat round past it, ELECTION_AT.
+SUSPECT_MS = 100.0
+ELECTION_AT = 150.0
+
+
+def build(n_groups=1, group_size=5, suspect_ms=SUSPECT_MS):
     config = uniform_groups(n_groups, group_size)
     sched = Scheduler()
     net = Network(sched, ConstantLatency(1.0), child_rng(8, "edge"))
     procs = {
         pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids
     }
-    oracles = make_oracles(config.groups, procs, sched, poll)
-    for pid, p in procs.items():
-        p.omega = oracles[config.group_of[pid]]
-        p.omega.subscribe(p._on_omega_output)
+    attach_omegas(procs, suspect_ms)
     inj = FailureInjector(sched, procs)
     logs = {pid: [] for pid in procs}
     for pid, p in procs.items():
@@ -35,8 +38,8 @@ def test_candidate_crash_mid_election_next_leader_takes_over():
     config, sched, procs, inj, logs = build()
     m1 = procs[3].a_multicast({0})
     inj.crash_at(0, 1.2)
-    # p1 will become candidate around t≈5 (poll); kill it mid-election.
-    inj.crash_at(1, 6.5)
+    # p1 becomes candidate at ELECTION_AT; kill it mid-election.
+    inj.crash_at(1, ELECTION_AT + 1.5)
     sched.run(until=300)
     m2 = procs[3].a_multicast({0})
     sched.run(until=500)
@@ -55,8 +58,9 @@ def test_crash_during_new_state_distribution():
     for i in range(5):
         sched.call_at(i * 0.5, procs[3].a_multicast, {0}, None)
     inj.crash_at(0, 2.2)  # primary dies with proposals in flight
-    # p1's election runs ~t in [5, 9]; crash it right in the middle.
-    inj.crash_at(1, 7.3)
+    # p1's election runs from ELECTION_AT for ~4 ms; crash it right in
+    # the middle.
+    inj.crash_at(1, ELECTION_AT + 2.3)
     sched.run(until=400)
     survivors = (2, 3, 4)
     delivered = [tuple(x[0] for x in logs[pid]) for pid in survivors]
@@ -68,10 +72,10 @@ def test_crash_during_new_state_distribution():
 def test_epoch_numbers_strictly_increase_across_failovers():
     config, sched, procs, inj, logs = build()
     inj.crash_at(0, 1.0)
-    sched.run(until=100)
+    sched.run(until=300)
     e_after_first = procs[2].e_cur
-    inj.crash_at(1, 101.0)
-    sched.run(until=250)
+    inj.crash_at(1, 301.0)
+    sched.run(until=600)
     e_after_second = procs[2].e_cur
     assert e_after_second > e_after_first
     assert e_after_second.leader == 2

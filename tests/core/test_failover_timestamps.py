@@ -9,21 +9,18 @@ import pytest
 
 from repro.core import PrimCastProcess, uniform_groups
 from repro.core.epoch import Epoch
-from repro.election.omega import make_oracles
+from repro.election import attach_omegas
 from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
 
 
-def build(poll=5.0):
+def build(suspect_ms=100.0):
     config = uniform_groups(2, 3)
     sched = Scheduler()
     net = Network(sched, ConstantLatency(1.0), child_rng(10, "fts"))
     procs = {
         pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids
     }
-    oracles = make_oracles(config.groups, procs, sched, poll)
-    for pid, p in procs.items():
-        p.omega = oracles[config.group_of[pid]]
-        p.omega.subscribe(p._on_omega_output)
+    attach_omegas(procs, suspect_ms)
     inj = FailureInjector(sched, procs)
     logs = {pid: [] for pid in procs}
     for pid, p in procs.items():

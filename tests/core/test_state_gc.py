@@ -6,7 +6,7 @@ from typing import Dict
 from helpers import MiniSystem, random_workload
 from repro.core import PrimCastProcess, uniform_groups
 from repro.core.gc import attach_compaction
-from repro.election.omega import make_oracles
+from repro.election import attach_omegas
 from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
 from repro.verify import collect_violations
 
@@ -19,7 +19,7 @@ class GcFailoverSystem:
         self,
         n_groups=2,
         group_size=3,
-        poll_ms=5.0,
+        suspect_ms=100.0,
         seed=1,
         compaction_interval_ms=0.0,
     ):
@@ -33,12 +33,7 @@ class GcFailoverSystem:
             self.processes[pid] = PrimCastProcess(
                 pid, self.config, self.scheduler, self.network
             )
-        self.oracles = make_oracles(
-            self.config.groups, self.processes, self.scheduler, poll_ms
-        )
-        for pid, proc in self.processes.items():
-            proc.omega = self.oracles[self.config.group_of[pid]]
-            proc.omega.subscribe(proc._on_omega_output)
+        self.oracles = attach_omegas(self.processes, suspect_ms)
         self.injector = FailureInjector(self.scheduler, self.processes)
         self.compaction = None
         if compaction_interval_ms > 0.0:

@@ -1,103 +1,114 @@
-"""Unit tests for the Ω leader oracle."""
+"""Unit tests for the Ω leader oracle as the simulator wires it: one
+:class:`HeartbeatOmega` per process, fed by heartbeats on the sim
+network (:func:`attach_omegas`)."""
 
 import pytest
 
-from repro.election.omega import OmegaOracle, make_oracles
+from repro.core import PrimCastProcess, uniform_groups
+from repro.election import HB_INTERVAL_MS, HEARTBEAT, HeartbeatOmega, attach_omegas
 from repro.sim.events import Scheduler
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
-from repro.sim.process import SimProcess
 from repro.sim.rng import child_rng
 
-
-class Dummy(SimProcess):
-    def on_message(self, src, msg):
-        pass
+SUSPECT_MS = 100.0
 
 
-def build(n=3):
+def build(n_groups=1, suspect_ms=SUSPECT_MS):
+    config = uniform_groups(n_groups, 3)
     sched = Scheduler()
     net = Network(sched, ConstantLatency(1.0), child_rng(1, "o"))
-    procs = {i: Dummy(i, sched, net) for i in range(n)}
-    return sched, procs
+    procs = {pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids}
+    return sched, net, procs, attach_omegas(procs, suspect_ms)
+
+
+def outputs(omegas):
+    return {pid: omega.leader for pid, omega in omegas.items()}
 
 
 def test_initial_output_is_first_member():
-    sched, procs = build()
-    oracle = OmegaOracle(0, [0, 1, 2], procs, sched)
-    assert oracle.leader == 0
+    _, _, _, omegas = build()
+    assert outputs(omegas) == {0: 0, 1: 0, 2: 0}
 
 
 def test_subscribe_fires_immediately():
-    sched, procs = build()
-    oracle = OmegaOracle(0, [0, 1, 2], procs, sched)
+    _, _, _, omegas = build()
     seen = []
-    oracle.subscribe(lambda gid, pid: seen.append((gid, pid)))
+    omegas[1].subscribe(lambda gid, pid: seen.append((gid, pid)))
     assert seen == [(0, 0)]
 
 
 def test_static_oracle_never_changes_without_polling():
-    sched, procs = build()
-    oracle = OmegaOracle(0, [0, 1, 2], procs, sched, poll_interval_ms=None)
-    procs[0].crash()
+    # An Ω that is never started runs no rounds: it keeps its output.
+    sched = Scheduler()
+    omega = HeartbeatOmega(0, [0, 1, 2], 2, sched, lambda: None)
     sched.run(until=1000.0)
-    assert oracle.leader == 0
+    assert omega.leader == 0 and sched.pending() == 0
 
 
 def test_detects_crash_within_one_interval():
-    sched, procs = build()
-    oracle = OmegaOracle(0, [0, 1, 2], procs, sched, poll_interval_ms=10.0)
+    sched, _, procs, omegas = build()
     seen = []
-    oracle.subscribe(lambda gid, pid: seen.append((sched.now, pid)))
+    omegas[1].subscribe(lambda gid, pid: seen.append((sched.now, pid)))
     procs[0].crash()
-    sched.run(until=25.0)
-    assert oracle.leader == 1
+    sched.run(until=400.0)
+    assert outputs(omegas) == {0: 0, 1: 1, 2: 1}
     assert seen[-1][1] == 1
-    assert seen[-1][0] <= 10.0 + 1e-9
+    assert seen[-1][0] <= SUSPECT_MS + HB_INTERVAL_MS + 1e-9
 
 
 def test_cascading_crashes_elect_next_correct():
-    sched, procs = build()
-    oracle = OmegaOracle(0, [0, 1, 2], procs, sched, poll_interval_ms=5.0)
+    sched, _, procs, omegas = build()
     procs[0].crash()
     procs[1].crash()
-    sched.run(until=12.0)
-    assert oracle.leader == 2
+    sched.run(until=400.0)
+    assert omegas[2].leader == 2
 
 
 def test_all_crashed_keeps_last_output():
-    sched, procs = build()
-    oracle = OmegaOracle(0, [0, 1, 2], procs, sched, poll_interval_ms=5.0)
+    sched, _, procs, omegas = build()
     for p in procs.values():
         p.crash()
-    sched.run(until=12.0)
-    assert oracle.leader in (0, 1, 2)
+    sched.run(until=400.0)
+    # Nobody is heard from, but an Ω never suspects its own process: the
+    # first member's keeps its last output, and no output leaves the group.
+    assert omegas[0].leader == 0
+    assert set(outputs(omegas).values()) <= {0, 1, 2}
 
 
-def test_make_oracles_one_per_group():
-    sched, procs = build(6)
-    oracles = make_oracles([[0, 1, 2], [3, 4, 5]], procs, sched)
-    assert set(oracles) == {0, 1}
-    assert oracles[0].leader == 0
-    assert oracles[1].leader == 3
+def test_attach_omegas_one_per_process():
+    sched, net, procs, omegas = build(n_groups=2)
+    assert set(omegas) == set(procs)
+    for pid, omega in omegas.items():
+        assert procs[pid].omega is omega
+        assert omega.group_id == procs[pid].gid
+        assert omega.members == procs[pid].group_members
+    assert outputs(omegas) == {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 3}
+    sched.run(until=2 * HB_INTERVAL_MS)
+    # Every round heartbeats each group peer. The first round's 12
+    # arrivals are stamped and dropped: 12 rounds + 12 arrivals, and no
+    # CPU-queue job for any of them.
+    assert net.counts_by_kind["heartbeat"] == 2 * 6 * 2
+    assert sched.events_processed == 12 + 12
 
 
 def test_empty_group_rejected():
-    sched, procs = build()
     with pytest.raises(ValueError):
-        OmegaOracle(0, [], procs, sched)
+        HeartbeatOmega(0, [], 0, Scheduler(), lambda: None)
 
 
-def test_bad_poll_interval_rejected():
-    sched, procs = build()
+def test_bad_suspect_timeout_rejected():
     with pytest.raises(ValueError):
-        OmegaOracle(0, [0], procs, sched, poll_interval_ms=0.0)
+        HeartbeatOmega(0, [0], 0, Scheduler(), lambda: None, suspect_ms=0.0)
+    with pytest.raises(ValueError):
+        build(suspect_ms=-1.0)
 
 
 def test_stability_no_spurious_changes():
-    sched, procs = build()
-    oracle = OmegaOracle(0, [0, 1, 2], procs, sched, poll_interval_ms=1.0)
+    sched, _, _, omegas = build()
     changes = []
-    oracle.subscribe(lambda gid, pid: changes.append(pid))
-    sched.run(until=100.0)
-    assert changes == [0]  # only the initial notification
+    for omega in omegas.values():
+        omega.subscribe(lambda gid, pid: changes.append(pid))
+    sched.run(until=1000.0)
+    assert changes == [0, 0, 0]  # only the initial notifications
+    assert HEARTBEAT.kind == "heartbeat" and not hasattr(HEARTBEAT, "mid")

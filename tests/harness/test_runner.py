@@ -30,9 +30,9 @@ class TestBuildSystem:
             build_system("zab", small_scenario())
 
     def test_primcast_with_oracles(self):
-        system = build_system("primcast", small_scenario(), omega_poll_ms=5.0)
+        system = build_system("primcast", small_scenario(), suspect_ms=100.0)
         assert system.oracles is not None
-        assert set(system.oracles) == {0, 1, 2}
+        assert set(system.oracles) == set(system.config.all_pids)
 
     def test_hc_gets_physical_clocks(self):
         system = build_system("primcast-hc", small_scenario(), epsilon_ms=1.5)

@@ -231,7 +231,7 @@ def serving_node(rundir: Any, loop: CountingLoop, pid: int = 0) -> Tuple[Any, Re
 
     from repro.core import PrimCastProcess
     from repro.net.cluster import ClusterSpec, make_topology
-    from repro.net.election import HeartbeatOmega
+    from repro.election import HeartbeatOmega
     from repro.net.host import NetNode, NetScheduler, TransportFacade
 
     node = NetNode(make_topology(ClusterSpec(n_groups=2, group_size=3, codec="binary")), pid, rundir)

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.core import PrimCastProcess, uniform_groups
-from repro.election import make_oracles
+from repro.election import attach_omegas
 from repro.sim import (
     ConstantLatency,
     FailureInjector,
@@ -36,10 +36,7 @@ def run_fuzz(seed: int, n_groups: int = 2, group_size: int = 3, crashes: int = 2
         pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids
     }
     monitors = attach_monitors(procs)
-    oracles = make_oracles(config.groups, procs, sched, poll_interval_ms=4.0)
-    for pid, p in procs.items():
-        p.omega = oracles[config.group_of[pid]]
-        p.omega.subscribe(p._on_omega_output)
+    attach_omegas(procs, suspect_ms=100.0)
     injector = FailureInjector(sched, procs)
 
     logs = {pid: [] for pid in procs}

@@ -15,7 +15,7 @@ import pytest
 from repro.chaos.nemesis import Nemesis
 from repro.chaos.schedule import FaultEvent, FaultSchedule, Trigger
 from repro.core import PrimCastProcess, uniform_groups
-from repro.election import make_oracles
+from repro.election import attach_omegas
 from repro.sim import (
     ConstantLatency,
     FailureInjector,
@@ -43,10 +43,7 @@ def run_failover(seed, events, group_size=3, horizon=3000.0):
         pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids
     }
     attach_monitors(procs)
-    oracles = make_oracles(config.groups, procs, sched, poll_interval_ms=4.0)
-    for pid, proc in procs.items():
-        proc.omega = oracles[config.group_of[pid]]
-        proc.omega.subscribe(proc._on_omega_output)
+    attach_omegas(procs, suspect_ms=100.0)
     injector = FailureInjector(sched, procs)
     nemesis = Nemesis(
         FaultSchedule("failover", seed, tuple(events)),

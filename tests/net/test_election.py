@@ -14,8 +14,8 @@ import os
 from helpers import CountingLoop, serving_node
 from repro.core import Multicast, Start
 from repro.core.gc import next_grid_time
+from repro.election import HB_INTERVAL_MS, HeartbeatOmega
 from repro.net.cluster import ClusterSpec, make_topology
-from repro.net.election import HB_INTERVAL_MS, HeartbeatOmega
 from repro.net.codec import FrameDecoder, encode_msg_frame
 from repro.net.host import NetNode
 from repro.rmcast.fifo import Envelope

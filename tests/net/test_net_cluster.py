@@ -700,7 +700,7 @@ def test_an_idle_cluster_shares_one_wakeup_per_grid_point(tmp_path, monkeypatch)
     # can stretch one, so the bound is on the median round); every GC
     # tick is due on its 250 ms grid and fires late by the loop's lag.
     from repro.core.gc import CompactionDaemon
-    from repro.net.election import HB_INTERVAL_MS, HeartbeatOmega
+    from repro.election import HB_INTERVAL_MS, HeartbeatOmega
 
     rounds, gc_ticks, iteration = [], [], [0, False]
     omega_tick, gc_tick = HeartbeatOmega._tick, CompactionDaemon._tick

@@ -12,10 +12,9 @@ from typing import List
 
 from helpers import CountingLoop, serving_node
 from repro.core import Multicast, PrimCastProcess, Start, uniform_groups
-from repro.election import make_oracles
+from repro.election import attach_omegas
 from repro.net.runtime import (
     LeaderOracle,
-    ProcessLike,
     SchedulerAPI,
     TimerHandle,
     TransportAPI,
@@ -32,15 +31,14 @@ def test_sim_classes_satisfy_the_seam_protocols():
     assert isinstance(handle, TimerHandle)
     config = uniform_groups(1, 3)
     proc = PrimCastProcess(0, config, scheduler, network, CostModel())
-    assert isinstance(proc, ProcessLike)
-    oracles = make_oracles(config.groups, {0: proc}, scheduler)
-    assert all(isinstance(o, LeaderOracle) for o in oracles.values())
+    omegas = attach_omegas({0: proc}, 100.0)
+    assert all(isinstance(o, LeaderOracle) for o in omegas.values())
 
 
 def test_net_classes_satisfy_the_seam_protocols():
     # Structural checks only — no event loop needed for isinstance on
     # runtime_checkable protocols.
-    from repro.net.election import HeartbeatOmega
+    from repro.election import HeartbeatOmega
     from repro.net.host import NetScheduler, TransportFacade
 
     assert issubclass(NetScheduler, object)

@@ -92,10 +92,10 @@ def test_good_frames_before_garbage_in_one_read_are_handled_then_the_connection_
         node, address, probes = await _lone_node(lambda src, f: received.append((src, f)))
         try:
             reader, writer = await asyncio.open_connection(*address)
-            writer.write(HELLO + _hb(1) + _hb(2) + TRUNCATED)
+            writer.write(HELLO + _hb(0) + _numbered(1) + TRUNCATED)
             assert await asyncio.wait_for(reader.read(), 5.0) == b""
             writer.close()
-            assert received == [(0, _hb_frame(1)), (0, _hb_frame(2))]
+            assert received == [(0, _hb_frame(0)), (0, _numbered_frame(1))]
             assert probes == [("peer_hello", 0), ("bad_frame", 0)]
         finally:
             await node.close()
@@ -134,12 +134,24 @@ def test_handler_exceptions_are_not_mistaken_for_bad_frames():
 
 
 def _hb(i: int) -> bytes:
-    """A small frame carrying a sequence number (decodes to ``_hb_frame(i)``)."""
+    """A small frame carrying a sequence number (decodes to ``_hb_frame(i)``).
+    It is pid ``i``'s heartbeat, so on a connection it is a good frame
+    only from pid ``i``."""
     return encode_hb_frame(i, binary=True)
 
 
 def _hb_frame(i: int):
     return {"t": "hb", "pid": i}
+
+
+def _numbered(i: int) -> bytes:
+    """A small frame that names no sender, so any connection may carry
+    it (decodes to ``_numbered_frame(i)``)."""
+    return encode_frame(_numbered_frame(i))
+
+
+def _numbered_frame(i: int):
+    return {"t": "n", "i": i}
 
 
 async def _lone_node(on_frame):
@@ -155,8 +167,8 @@ def test_any_chunking_of_the_byte_stream_yields_the_same_frames():
     async def scenario():
         received = []
         node, address, probes = await _lone_node(lambda src, f: received.append((src, f)))
-        stream = HELLO + _hb(1) + _hb(2) + _hb(3)
-        expected = [(0, _hb_frame(i)) for i in (1, 2, 3)]
+        stream = HELLO + _hb(0) + _numbered(1) + _hb(0)
+        expected = [(0, _hb_frame(0)), (0, _numbered_frame(1)), (0, _hb_frame(0))]
         try:
             for chunks in ([stream], [stream[i : i + 1] for i in range(len(stream))]):
                 del received[:]
@@ -192,21 +204,31 @@ def test_first_frame_that_is_no_hello_closes_the_connection_quietly():
 
 
 def test_a_message_frame_from_another_pid_ends_the_connection():
-    # Every frame on a connection is its hello pid's: one that names
-    # another src is a protocol violation, in either format. The frames
-    # before it are handled, it and the rest are not.
+    # Every frame on a connection is its hello pid's: a message frame
+    # that names another src, or a heartbeat that names another pid, is
+    # a protocol violation, in either format (else a live peer's
+    # connection could keep a dead one alive in Ω). The frames before it
+    # are handled, it and the rest are not.
     async def scenario():
         received = []
-        node, address, probes = await _lone_node(lambda src, f: received.append((src, f["src"])))
+        node, address, probes = await _lone_node(lambda src, f: received.append((src, f["t"])))
         start = Start(Multicast((0, 1), frozenset({0}), "x"))
+        inputs = [
+            (kind, binary) for kind in ("m", "hb") for binary in (True, False)
+        ]
         try:
-            for n, binary in enumerate((True, False), start=1):
+            for n, (kind, binary) in enumerate(inputs, start=1):
                 reader, writer = await asyncio.open_connection(*address)
-                own, forged = (encode_msg_frame(pid, start, binary=binary) for pid in (0, 5))
+                own, forged = (
+                    encode_msg_frame(pid, start, binary=binary)
+                    if kind == "m"
+                    else encode_hb_frame(pid, binary=binary)
+                    for pid in (0, 5)
+                )
                 writer.write(HELLO + own + forged + own)
                 assert await asyncio.wait_for(reader.read(), 5.0) == b""
                 writer.close()
-                assert received == [(0, 0)] * n
+                assert received == [(0, kind) for kind, _ in inputs[:n]]
                 assert probes == [("peer_hello", 0), ("bad_frame", 0)] * n
         finally:
             await node.close()
@@ -240,14 +262,14 @@ def test_frames_of_one_read_run_one_handler_at_a_time_and_write_later(monkeypatc
         def on_frame(src, frame):
             depth["now"] += 1
             depth["max"] = max(depth["max"], depth["now"])
-            b.send_frame_bytes(src, _hb(frame["pid"]))
+            b.send_frame_bytes(src, _numbered(frame["i"]))
             depth["now"] -= 1
 
         a, b, _, _ = await _pair(on_frame, lambda src, f: answers.append(f))
         try:
-            a.peers[1].send_bytes(b"".join(_hb(i) for i in range(n)), n)
+            a.peers[1].send_bytes(b"".join(_numbered(i) for i in range(n)), n)
             await _until(lambda: len(answers) == n)
-            assert answers == [_hb_frame(i) for i in range(n)]
+            assert answers == [_numbered_frame(i) for i in range(n)]
             assert max(len(frames) for frames in fed) >= 50
             assert depth["max"] == 1
             assert depth["at_write"] and set(depth["at_write"]) == {0}
@@ -277,13 +299,13 @@ def test_a_frame_larger_than_the_receive_buffer_reassembles_across_reads(monkeyp
         a, b, _, probes = await _pair(lambda src, f: received.append((src, f)))
         try:
             a.send_frame_bytes(1, encode_msg_frame(0, big, binary=True))
-            a.send_frame_bytes(1, _hb(7))
+            a.send_frame_bytes(1, _hb(0))
             await _until(lambda: len(received) == 2)
             (src, frame), tail = received
             assert (src, frame["t"], frame["src"]) == (0, "m", 0)
             assert canonical_message_bytes(frame["msg"]) == canonical_message_bytes(big)
             assert frame["msg"].payload.multicast.payload == text
-            assert tail == (0, _hb_frame(7))
+            assert tail == (0, _hb_frame(0))
             assert not [p for p in probes if p[0] == "bad_frame"]
             assert max(reads) <= RECV_BUFFER_BYTES < sum(reads) and len(reads) >= 4
         finally:

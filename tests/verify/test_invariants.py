@@ -20,7 +20,7 @@ def test_monitors_pass_on_clean_runs():
 
 def test_monitors_pass_during_failover():
     from repro.core import PrimCastProcess, uniform_groups
-    from repro.election import make_oracles
+    from repro.election import attach_omegas
     from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
 
     config = uniform_groups(2, 3)
@@ -28,10 +28,7 @@ def test_monitors_pass_during_failover():
     net = Network(sched, ConstantLatency(1.0), child_rng(1, "inv"))
     procs = {pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids}
     monitors = attach_monitors(procs)
-    oracles = make_oracles(config.groups, procs, sched, 5.0)
-    for pid, p in procs.items():
-        p.omega = oracles[config.group_of[pid]]
-        p.omega.subscribe(p._on_omega_output)
+    attach_omegas(procs, 100.0)
     injector = FailureInjector(sched, procs)
     for i in range(20):
         sched.call_at(i * 1.0, procs[4].a_multicast, {0, 1}, None)
