@@ -173,8 +173,7 @@ def attach_omegas(
     sends :data:`HEARTBEAT` to each group peer unless the process has
     crashed, and the process's receive callback is wrapped to stamp
     every arrival and drop heartbeats before the CPU queue (they cost no
-    simulated CPU). Call it before the first transmit: the network's
-    channels cache that callback.
+    simulated CPU).
     """
     omegas: Dict[int, HeartbeatOmega] = {}
     for pid, proc in processes.items():

@@ -1,10 +1,20 @@
 """Discrete-event scheduler.
 
 The scheduler is the heart of the simulation substrate: every network
-delivery, timer and client action is an event on a single priority queue.
-Simulated time is a float in **milliseconds**. Determinism is guaranteed by
-breaking ties on an insertion sequence number, so two runs with the same
-seed produce identical event orders.
+delivery, timer and client action is an event, and events run in
+``(time, seq)`` order. Simulated time is a float in **milliseconds**.
+Determinism is guaranteed by breaking ties on an insertion sequence
+number, so two runs with the same seed produce identical event orders.
+
+Timers, CPU service and the head of each busy network channel are
+entries of a single priority queue. A delivery queued behind its
+channel's head waits in the channel (:mod:`repro.sim.network`) and
+enters the heap when the head fires, under the ``(time, seq)`` key it
+was given at transmit. Arrivals on a channel strictly increase, so that
+key is never smaller than the head's, and the heap's minimum is always
+the next event overall: the order is exactly as if every delivery had
+its own entry. :meth:`Scheduler.pending` counts those held-back
+deliveries too.
 
 Two scheduling paths share one heap:
 
@@ -12,7 +22,7 @@ Two scheduling paths share one heap:
   :class:`EventHandle` that can be cancelled — used by timers, failure
   injection and client jobs.
 * :meth:`Scheduler.schedule` is the allocation-free fast path used by the
-  hot loops (network deliveries, CPU-queue serving): no handle object is
+  hot loops (network channel heads, CPU-queue serving): no handle object is
   created, the callback and argument tuple go straight into the heap
   entry. The vast majority of events in a load sweep take this path.
 
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import sys
 from math import inf
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -83,7 +94,9 @@ class Scheduler:
         sched.run(until=100.0)
     """
 
-    __slots__ = ("now", "events_processed", "_seq", "_heap", "_cancelled", "_stopped")
+    __slots__ = (
+        "now", "events_processed", "_seq", "_heap", "_cancelled", "_stopped", "_held",
+    )
 
     def __init__(self) -> None:
         #: Current simulated time in milliseconds (read-only for users).
@@ -94,6 +107,8 @@ class Scheduler:
         self._heap: List[Tuple[float, int, Any, Any]] = []
         self._cancelled = 0  # cancelled handles still sitting in the heap
         self._stopped = False
+        # Counters of events held back outside the heap (see pending()).
+        self._held: List[Callable[[], int]] = []
 
     # ------------------------------------------------------------------
     # scheduling
@@ -137,8 +152,15 @@ class Scheduler:
         self._stopped = True
 
     def pending(self) -> int:
-        """Number of armed (non-cancelled) events still queued. O(1)."""
-        return len(self._heap) - self._cancelled
+        """Number of armed (non-cancelled) events still queued: those in
+        the heap plus those each :meth:`count_held` counter reports."""
+        return len(self._heap) - self._cancelled + sum(count() for count in self._held)
+
+    def count_held(self, count: Callable[[], int]) -> None:
+        """Register ``count()``, the number of events someone holds back
+        outside the heap — the network's deliveries queued behind a
+        channel head. Only :meth:`pending` calls it."""
+        self._held.append(count)
 
     # ------------------------------------------------------------------
     # cancelled-entry bookkeeping
@@ -157,7 +179,8 @@ class Scheduler:
         Safe at any point: entry order is fully determined by the unique
         ``(time, seq)`` key, so rebuilding the heap cannot change the
         order in which live events fire. Mutates the heap list in place —
-        :meth:`run` holds a reference to it across events.
+        :meth:`run` holds a reference to it across events, and so does
+        every network channel (``_Channel.heap``).
         """
         heap = self._heap
         heap[:] = [
@@ -192,7 +215,9 @@ class Scheduler:
         heappop = heapq.heappop
         heappush = heapq.heappush
         time_limit = inf if until is None else until
-        event_limit = inf if max_events is None else max_events
+        # An int bound: comparing the int count with a float inf would
+        # cost a mixed-type comparison per event.
+        event_limit = sys.maxsize if max_events is None else max_events
         # The event loop allocates millions of short-lived heap-entry
         # tuples and next to no cyclic garbage; the generational GC would
         # run a collection every ~700 of those allocations for nothing,

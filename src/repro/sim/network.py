@@ -8,19 +8,37 @@ nor receives.
 
 The transport keeps one :class:`_Channel` object per directed pair,
 created lazily on first use. A channel caches everything the hot path
-needs — the receiver's enqueue callback, the latency model's
-``(mean, stddev, floor)`` sampling recipe and the FIFO arrival clamp —
-so delivering a message costs one dict lookup instead of four (receiver,
-latency cache, arrival clamp read, arrival clamp write). The inline
-sampling consumes the RNG and performs float arithmetic **exactly** as
-``LatencyModel.sample`` does, so the event schedule is bit-identical to
-the per-call form (pinned by the golden determinism suite).
+needs — its receiver, the latency model's ``(mean, stddev, floor)``
+sampling recipe and the FIFO arrival clamp — so delivering a message
+costs one dict lookup instead of four (receiver, latency cache, arrival
+clamp read, arrival clamp write). The inline sampling consumes the RNG
+and performs float arithmetic **exactly** as ``LatencyModel.sample``
+does, so the event schedule is bit-identical to the per-call form
+(pinned by the golden determinism suite).
+
+Only a channel's **head** — its earliest undelivered message — sits in
+the scheduler's heap; the messages behind it wait in the channel's own
+FIFO queue, each already stamped with its ``(arrival, seq)`` key (the
+sequence number is taken at transmit time, as for any event). When the
+head fires, the channel pushes its next entry, under that entry's
+original key, before handing the message to the receiver. This is
+exact, not an approximation: arrivals on a channel strictly increase
+(the FIFO clamp), so each queue is sorted by ``(arrival, seq)`` and the
+heap's minimum is always the minimum over every pending delivery. Events
+run in the same order, with the same count, as if every message had its
+own heap entry; the heap just holds one entry per busy channel (about
+400 under the WAN load point) instead of one per message in flight
+(about 16,000). :meth:`Scheduler.pending` still counts the held-back
+messages, through :meth:`Network.held_back`.
 
 The network also hosts the observability hooks used by the evaluation
 harness and the verification layer:
 
 * ``counts_by_kind`` — how many messages of each protocol kind were sent
-  (drives the Table 1 message-complexity measurements).
+  (drives the Table 1 message-complexity measurements). Counted in a
+  plain dict: a ``Counter`` defines ``__delitem__`` in Python, which
+  routes every item store through a Python-level slot (~4x the cost of
+  a dict store, once per wire message).
 * ``trace_hooks`` — callbacks invoked on every send, used by the
   genuineness checker to assert that only the sender and destinations of
   a multicast exchange messages for it.
@@ -33,10 +51,10 @@ harness and the verification layer:
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from heapq import heappush
 from math import inf
-from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .events import Scheduler
 from .latency import LatencyModel
@@ -63,22 +81,35 @@ _FIFO_EPSILON = 1e-9
 _PID_STRIDE = 1 << 20
 
 
-class _Channel:
-    """Cached hot-path state of one directed ``(src, dst)`` pair."""
+#: A queued delivery: the heap entry the channel pushes when the message
+#: becomes its head, ``(arrival, seq, channel.release, (src, msg))``.
+_Entry = Tuple[float, int, Callable[[int, Any], None], Tuple[int, Any]]
 
-    __slots__ = ("enqueue", "mean", "stddev", "floor", "last", "is_self", "direct")
+
+class _Channel:
+    """Cached hot-path state and delivery queue of one directed pair."""
+
+    __slots__ = (
+        "receiver", "heap", "mean", "stddev", "floor", "last", "is_self",
+        "direct", "busy", "waiting", "release",
+    )
 
     def __init__(
         self,
-        enqueue: Callable[[int, Any], None],
+        receiver: "SimProcess",
+        heap: List[Tuple[float, int, Any, Any]],
         is_self: bool,
         direct: bool,
         mean: float,
         stddev: float,
         floor: float,
     ) -> None:
-        #: the receiver's (pre-bound) enqueue_message callback
-        self.enqueue = enqueue
+        #: the receiving process; its ``_enqueue_cb`` is read at delivery
+        #: time, so a callback rewritten later (``attach_omegas``) is used
+        self.receiver = receiver
+        #: the scheduler's heap list. Safe to keep: ``Scheduler._compact``
+        #: rebuilds it in place and nothing rebinds ``Scheduler._heap``.
+        self.heap = heap
         #: src == dst: zero latency, no FIFO clamp (not a wire)
         self.is_self = is_self
         #: latency params known — sample inline; else fall back to
@@ -87,8 +118,28 @@ class _Channel:
         self.mean = mean
         self.stddev = stddev
         self.floor = floor
-        #: arrival time of the last message on this channel (FIFO clamp)
+        #: arrival of the last message queued here: the FIFO clamp, and
+        #: for a self-send the queue's tail
         self.last = -inf
+        #: True while the channel's head is in the heap
+        self.busy = False
+        #: entries behind the head, in ``(arrival, seq)`` order
+        self.waiting: Deque[_Entry] = deque()
+        # Bound once: every queued entry carries it.
+        self.release: Callable[[int, Any], None] = self._release
+
+    def _release(self, src: int, msg: Any) -> None:
+        """The head fired: put the next entry in the heap, then deliver."""
+        waiting = self.waiting
+        if waiting:
+            heappush(self.heap, waiting.popleft())
+        else:
+            self.busy = False
+        self.receiver._enqueue_cb(src, msg)
+
+    def deliver(self, src: int, msg: Any) -> None:
+        """Deliver a message that bypassed the queue (see ``_deliver``)."""
+        self.receiver._enqueue_cb(src, msg)
 
 
 class Network:
@@ -106,7 +157,7 @@ class Network:
         "latency",
         "rng",
         "processes",
-        "counts_by_kind",
+        "_kinds",
         "messages_sent",
         "trace_hooks",
         "_interceptors",
@@ -126,7 +177,7 @@ class Network:
         # message, and ``self.rng.gauss`` re-binds the method each time.
         self._gauss = rng.gauss
         self.processes: Dict[int, "SimProcess"] = {}
-        self.counts_by_kind: "Counter[str]" = Counter()
+        self._kinds: Dict[str, int] = {}
         self.messages_sent = 0
         self.trace_hooks: List[TraceHook] = []
         self._interceptors: List[TransmitInterceptor] = []
@@ -143,12 +194,23 @@ class Network:
         # before the GST traffic is *delayed*, not lost, so parked
         # messages are released when the pair heals.
         self._parked: List[Tuple[int, int, Any]] = []
+        scheduler.count_held(self.held_back)
 
     def register(self, proc: "SimProcess") -> None:
         """Attach a process; its pid must be unique."""
         if proc.pid in self.processes:
             raise ValueError(f"duplicate pid {proc.pid}")
         self.processes[proc.pid] = proc
+
+    @property
+    def counts_by_kind(self) -> "Counter[str]":
+        """Messages sent so far, by protocol kind (a snapshot)."""
+        return Counter(self._kinds)
+
+    def held_back(self) -> int:
+        """Deliveries queued behind a channel head, outside the heap.
+        O(channels); :meth:`Scheduler.pending` adds it to its count."""
+        return sum(len(ch.waiting) for ch in self._channels.values())
 
     def add_trace_hook(self, hook: TraceHook) -> None:
         """Register ``hook(src, dst, msg, depart_time)`` on every send."""
@@ -223,15 +285,16 @@ class Network:
                 f"pids must be in [0, {_PID_STRIDE}) for channel keying, "
                 f"got ({src}, {dst})"
             )
+        heap = self.scheduler._heap
         if src == dst:
-            ch = _Channel(receiver._enqueue_cb, True, False, 0.0, 0.0, 0.0)
+            ch = _Channel(receiver, heap, True, False, 0.0, 0.0, 0.0)
         else:
             params = self.latency.pair_params(src, dst)
             if params is None:
-                ch = _Channel(receiver._enqueue_cb, False, False, 0.0, 0.0, 0.0)
+                ch = _Channel(receiver, heap, False, False, 0.0, 0.0, 0.0)
             else:
                 mean, stddev, floor = params
-                ch = _Channel(receiver._enqueue_cb, False, True, mean, stddev, floor)
+                ch = _Channel(receiver, heap, False, True, mean, stddev, floor)
         self._channels[key] = ch
         return ch
 
@@ -246,8 +309,7 @@ class Network:
         This is the hottest function of the substrate: every wire message
         of every protocol passes through it once. The body is the fast
         path — interceptors, trace hooks and fault injection only cost
-        when actually in use, and delivery is inlined rather than
-        delegated.
+        when actually in use; the delivery itself is :meth:`_deliver`.
         """
         if self._interceptors:
             for interceptor in self._interceptors:
@@ -264,7 +326,8 @@ class Network:
         except AttributeError:
             kind = None
         if kind is not None:
-            self.counts_by_kind[kind] += 1
+            kinds = self._kinds
+            kinds[kind] = kinds.get(kind, 0) + 1
         if self.trace_hooks:
             for hook in self.trace_hooks:
                 hook(src, dst, msg, depart_time)
@@ -273,12 +336,29 @@ class Network:
             self._parked.append((src, dst, msg))
             return
 
+        self._deliver(src, dst, msg, depart_time)
+
+    def _deliver(self, src: int, dst: int, msg: Any, depart_time: float) -> None:
+        """Sample the arrival of ``msg`` and queue it on its channel.
+
+        Every delivery goes through here: from :meth:`transmit` and when
+        parked traffic is released.
+        """
         try:
             ch = self._channels[src * _PID_STRIDE + dst]
         except KeyError:
             ch = self._channel(src, dst, src * _PID_STRIDE + dst)
+        sched = self.scheduler
         if ch.is_self:
             arrival = depart_time
+            if arrival < ch.last and ch.busy:
+                # A self-send has no FIFO clamp, so an interceptor that
+                # delayed an earlier departure can leave this one ahead
+                # of the queue's tail. It cannot join the queue without
+                # breaking its order; it takes a heap entry of its own.
+                heappush(sched._heap, (arrival, sched._seq, ch.deliver, (src, msg)))
+                sched._seq += 1
+                return
         else:
             if ch.direct:
                 # Inlined LatencyModel.sample: same RNG consumption, same
@@ -296,32 +376,13 @@ class Network:
             # previously sent message on the same channel.
             if arrival <= ch.last:
                 arrival = ch.last + _FIFO_EPSILON
-            ch.last = arrival
-        # Equivalent to scheduler.schedule(...) with the past-check
-        # elided: arrival >= depart_time >= now by construction.
-        sched = self.scheduler
-        heappush(sched._heap, (arrival, sched._seq, ch.enqueue, (src, msg)))
+        ch.last = arrival
+        # arrival >= depart_time >= now by construction, so the
+        # scheduler's past-check is elided.
+        entry = (arrival, sched._seq, ch.release, (src, msg))
         sched._seq += 1
-
-    def _deliver(self, src: int, dst: int, msg: Any, depart_time: float) -> None:
-        """Slow-path delivery, used when parked traffic is released."""
-        ch = self._channels.get(src * _PID_STRIDE + dst)
-        if ch is None:
-            ch = self._channel(src, dst, src * _PID_STRIDE + dst)
-        if ch.is_self:
-            arrival = depart_time
+        if ch.busy:
+            ch.waiting.append(entry)
         else:
-            if ch.direct:
-                stddev = ch.stddev
-                if stddev != 0.0:
-                    value = self._gauss(ch.mean, stddev)
-                    floor = ch.floor
-                    arrival = depart_time + (value if value > floor else floor)
-                else:
-                    arrival = depart_time + ch.mean
-            else:
-                arrival = depart_time + self.latency.sample(src, dst, self.rng)
-            if arrival <= ch.last:
-                arrival = ch.last + _FIFO_EPSILON
-            ch.last = arrival
-        self.scheduler.schedule(arrival, ch.enqueue, (src, msg))
+            ch.busy = True
+            heappush(sched._heap, entry)

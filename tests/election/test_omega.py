@@ -92,6 +92,27 @@ def test_attach_omegas_one_per_process():
     assert sched.events_processed == 12 + 12
 
 
+def test_attach_after_first_transmit():
+    """Channels built before ``attach_omegas`` still reach the wrapped
+    receive callback: the early heartbeats are stamped and dropped (not
+    handed to the protocol), and no live leader is suspected."""
+    config = uniform_groups(1, 3)
+    sched = Scheduler()
+    net = Network(sched, ConstantLatency(1.0), child_rng(1, "o"))
+    procs = {pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids}
+    for src in procs:
+        for dst in procs:
+            if dst != src:
+                net.transmit(src, dst, HEARTBEAT, 0.0)
+    omegas = attach_omegas(procs, SUSPECT_MS)
+    changes = []
+    for omega in omegas.values():
+        omega.subscribe(lambda gid, pid: changes.append(pid))
+    sched.run(until=1000.0)
+    assert changes == [0, 0, 0]
+    assert outputs(omegas) == {0: 0, 1: 0, 2: 0}
+
+
 def test_empty_group_rejected():
     with pytest.raises(ValueError):
         HeartbeatOmega(0, [], 0, Scheduler(), lambda: None)

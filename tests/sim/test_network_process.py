@@ -1,13 +1,20 @@
 """Unit tests for the network and the CPU-queue process model."""
 
-import pytest
+from math import inf
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.harness.runner import build_system
 from repro.sim.costs import CostModel
 from repro.sim.events import Scheduler
 from repro.sim.latency import ConstantLatency, JitteredLatency
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
 from repro.sim.rng import child_rng
+from repro.workload.generator import make_clients
+from repro.workload.scenarios import wan_colocated_leaders
 
 
 class Msg:
@@ -245,3 +252,175 @@ class TestCpuQueue:
         procs[0].send(1, Msg())  # departs at 2.0, arrives 3.0
         sched.run()
         assert procs[1].received[0][2] == pytest.approx(3.0)
+
+
+class TestChannelHeads:
+    """Only a channel's head is in the scheduler's heap; the messages
+    behind it wait in the channel and still count as pending."""
+
+    def test_heap_holds_one_entry_per_busy_channel(self):
+        sched, net, procs = build(JitteredLatency(5.0, 0.9))
+        for i in range(50):
+            procs[0].send(1, Msg("m", i))
+        procs[0].send(2, Msg("m", 50))
+        assert len(sched._heap) == 2
+        assert sched.pending() == 51
+        sched.run()
+        assert [m.tag for _, m, _ in procs[1].received] == list(range(50))
+        assert sched.pending() == 0 and not sched._heap
+
+    def test_pending_counts_messages_behind_the_head(self):
+        sched, net, procs = build()
+        for _ in range(3):
+            procs[0].send(1, Msg())
+        assert sched.pending() == 3
+        sched.run()
+        assert sched.pending() == 0
+
+    def test_delayed_self_send_is_overtaken(self):
+        """A self-send has no FIFO clamp: one whose departure an
+        interceptor delays is overtaken by the next, exactly as when
+        every delivery had its own heap entry."""
+        sched, net, procs = build()
+        net.add_transmit_interceptor(
+            lambda s, d, m, t: t + 10.0 if m.tag == "late" else t
+        )
+        procs[0].send(0, Msg("m", "late"))
+        procs[0].send(0, Msg("m", "early"))
+        procs[0].send(0, Msg("m", "early2"))
+        assert sched.pending() == 3
+        sched.run()
+        assert [(m.tag, t) for _, m, t in procs[0].received] == [
+            ("early", 0.0), ("early2", 0.0), ("late", 10.0)
+        ]
+
+    def test_wan_heap_bounded_by_channels_processes_and_timers(self):
+        """The benchmark's simulator load point (8x3 WAN, 2 destination
+        groups, 32 outstanding per client) for 100 simulated ms: at every
+        send the heap holds at most one entry per channel, one CPU
+        service per process and the armed timers, never one entry per
+        message in flight."""
+        system = build_system(
+            "primcast", wan_colocated_leaders(), compaction_interval_ms=0
+        )
+        clients = make_clients(
+            system.replicas, 2, system.config.n_groups, 32, child_rng(1, "workload")
+        )
+        sched, net = system.scheduler, system.network
+        heap = sched._heap
+        largest = [0, 0]  # (heap size, in-flight messages) at the fullest point
+
+        def check(src, dst, msg, depart):
+            size = len(heap)
+            timers = sum(1 for entry in heap if entry[2] is None)
+            assert size <= len(net._channels) + len(net.processes) + timers
+            if size > largest[0]:
+                largest[:] = [size, sched.pending()]
+
+        net.add_trace_hook(check)
+        for client in clients:
+            client.start()
+        sched.run(until=100.0)
+        assert net.messages_sent > 10_000
+        # The optimisation is visible: far more messages are in flight
+        # than the heap holds.
+        assert largest[1] > 5 * largest[0]
+
+
+class OneHeapNetwork(Network):
+    """Reference transport: every delivery is its own heap entry, with
+    its arrival sampled through ``LatencyModel.sample``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.last = {}
+
+    def _deliver(self, src, dst, msg, depart_time):
+        receiver = self.processes[dst]
+        arrival = depart_time
+        if src != dst:
+            arrival += self.latency.sample(src, dst, self.rng)
+            last = self.last.get((src, dst), -inf)
+            if arrival <= last:
+                arrival = last + 1e-9
+            self.last[(src, dst)] = arrival
+        self.scheduler.schedule(
+            arrival, lambda: receiver._enqueue_cb(src, msg)
+        )
+
+
+class Bouncer(SimProcess):
+    """Echoes a message back while its hop budget lasts; every third hop
+    also goes to itself. Appends each receipt to a shared log."""
+
+    def __init__(self, log, *args):
+        super().__init__(*args)
+        self.log = log
+
+    def on_message(self, src, msg):
+        hops, tag = msg.tag
+        self.log.append((self.scheduler.now, self.pid, src, msg.tag))
+        if hops > 0:
+            self.send(src, Msg("echo", (hops - 1, tag)))
+            if hops % 3 == 0:
+                self.send(self.pid, Msg("self", (hops - 1, tag)))
+
+
+_pid = st.integers(0, 4)
+_scenarios = st.fixed_dictionaries({
+    "n": st.integers(2, 5),
+    "latency": st.one_of(
+        st.builds(ConstantLatency, st.sampled_from([1.0, 2.0])),
+        st.builds(JitteredLatency, st.floats(1.0, 8.0), st.floats(0.0, 0.9)),
+    ),
+    "seed": st.integers(0, 2**16),
+    # (time, src, dst, hops): dst == src makes a self-send
+    "sends": st.lists(
+        st.tuples(st.integers(0, 20).map(float), _pid, _pid, st.integers(0, 6)),
+        min_size=1, max_size=25,
+    ),
+    "partition": st.tuples(st.integers(0, 30), st.integers(1, 30), _pid),
+    "delay": st.tuples(st.integers(2, 5), st.floats(0.5, 15.0)),
+    "crash": st.tuples(st.integers(0, 60), _pid),
+    "slices": st.lists(st.floats(0.5, 20.0), max_size=5),
+})
+
+
+def _replay(network_cls, sc):
+    sched = Scheduler()
+    net = network_cls(sched, sc["latency"], child_rng(sc["seed"], "net"))
+    cost = CostModel(
+        recv_costs={"echo": 0.3}, send_costs={"self": 0.2}, default_recv=0.1,
+        default_send=0.05,
+    )
+    log = []
+    procs = [Bouncer(log, pid, sched, net, cost) for pid in range(sc["n"])]
+    n = sc["n"]
+    every, delay = sc["delay"]
+    net.add_transmit_interceptor(
+        lambda s, d, m, t: t + delay if m.tag[0] % every == 0 else t
+    )
+    for i, (t, src, dst, hops) in enumerate(sc["sends"]):
+        sched.call_at(t, procs[src % n].send, dst % n, Msg("m", (hops, i)))
+    start, length, who = sc["partition"]
+    sched.call_at(float(start), net.partition, [who % n], [p for p in range(n) if p != who % n])
+    sched.call_at(float(start + length), net.heal)
+    at, victim = sc["crash"]
+    sched.call_at(float(at), procs[victim % n].crash)
+    horizon = 0.0
+    for step in sc["slices"]:
+        horizon += step
+        sched.run(until=horizon)
+    sched.run()
+    return log, sched.events_processed
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_scenarios)
+def test_channel_heads_match_one_heap_reference(sc):
+    """Same seed, same faults: the channel-head transport runs the same
+    events, in the same order, as the one-entry-per-message reference."""
+    log, events = _replay(Network, sc)
+    ref_log, ref_events = _replay(OneHeapNetwork, sc)
+    assert log == ref_log
+    assert events == ref_events
