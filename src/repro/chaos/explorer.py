@@ -24,7 +24,9 @@ Safety checking is two-layered, violations captured as data:
 * after the horizon, one :func:`~repro.verify.collect_violations` call
   checks the §2.2 properties and truncation safety over every process's
   delivery log, a crashed process's prefix included (the properties are
-  uniform); only correct processes owe agreement.
+  uniform; only correct processes owe agreement), and genuineness over
+  every wire message; integrity against the multicasts recorded at
+  submission.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from ..harness.parallel import SweepExecutor
 from ..harness.runner import build_system
 from ..sim.failures import FailureInjector
 from ..sim.rng import child_rng
+from ..sim.trace import record_flights
 from ..verify import PropertyViolation, Violation, attach_monitors, collect_violations
 from ..workload.scenarios import (
     Scenario,
@@ -283,15 +286,6 @@ def run_case(spec: CaseSpec) -> CaseResult:
     )
     nemesis.install()
 
-    logs: Dict[int, List[Tuple[MessageId, int, float]]] = {
-        pid: [] for pid in config.all_pids
-    }
-    multicasts: Dict[MessageId, Multicast] = {}
-
-    def on_deliver(proc: Any, multicast: Multicast, final_ts: int) -> None:
-        logs[proc.pid].append((multicast.mid, final_ts, system.scheduler.now))
-        multicasts.setdefault(multicast.mid, multicast)
-
     # Record which T entries each process truncated via state GC, and
     # when: the "truncate" probe carries the dropped mids, and the
     # post-hoc truncation-safety property judges each against the
@@ -299,29 +293,34 @@ def run_case(spec: CaseSpec) -> CaseResult:
     truncated: Dict[int, Dict[MessageId, float]] = {pid: {} for pid in config.all_pids}
 
     def on_probe(proc: Any, event: str, data: Any) -> None:
-        if event == "truncate":
-            now = system.scheduler.now
-            for mid in data:
-                truncated[proc.pid].setdefault(mid, now)
+        now = system.scheduler.now
+        for mid in data:
+            truncated[proc.pid].setdefault(mid, now)
 
     for proc in processes.values():
-        proc.add_deliver_hook(on_deliver)
-        proc.add_probe_hook(on_probe)
+        proc.add_probe_hook(on_probe, ("truncate",))
+    # Every wire message, for the genuineness verdict.
+    flights = record_flights(system.network)
 
     # Workload: bursts of multicasts from random senders inside the send
     # window, all derived from the case seed (independent stream from
     # the schedule's so shrinking events never perturbs the workload).
     wl_rng = child_rng(spec.seed, f"chaos-workload:{spec.scenario}")
+    multicasts: Dict[MessageId, Multicast] = {}
+
+    def submit(sender: int, dest: FrozenSet[int], payload: str) -> None:
+        multicast = processes[sender].a_multicast(dest, payload)
+        multicasts[multicast.mid] = multicast
+
     for i in range(scn.n_messages):
         sender = wl_rng.choice(config.all_pids)
         dest: FrozenSet[int] = frozenset(
             wl_rng.sample(range(config.n_groups), wl_rng.randint(1, config.n_groups))
         )
         when = wl_rng.uniform(0.0, scn.send_window_ms)
-        system.scheduler.call_at(
-            when, processes[sender].a_multicast, dest, f"m{i}"
-        )
+        system.scheduler.call_at(when, submit, sender, dest, f"m{i}")
 
+    logs = {pid: processes[pid].delivery_log for pid in config.all_pids}
     aborted = False
     violations: List[Violation]
     try:
@@ -340,7 +339,8 @@ def run_case(spec: CaseSpec) -> CaseResult:
             mid: set(config.dest_pids(m.dest)) for mid, m in multicasts.items()
         }
         violations = collect_violations(
-            logs, set(multicasts), dest_pids_of, correct, truncated=truncated
+            logs, set(multicasts), dest_pids_of, correct, truncated=truncated,
+            flights=flights, group_of=config.group_of,
         )
 
     return CaseResult(

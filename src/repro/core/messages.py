@@ -2,7 +2,7 @@
 
 Every message carries a short ``kind`` string used by the CPU cost model
 (:mod:`repro.sim.costs`) and, where applicable, the multicast id ``mid``
-used by the genuineness tracer. ``start`` and ``ack`` both carry the
+judged by the genuineness check. ``start`` and ``ack`` both carry the
 :class:`Multicast`, payload included (a remote ack doubles as a start,
 Algorithm 2 line 47) — so on a real wire every ack still carries a
 payload copy, which the simulator, sharing one object and charging by

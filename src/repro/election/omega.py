@@ -154,7 +154,7 @@ class HeartbeatOmega:
 
 class _Heartbeat:
     """What a simulated Ω round sends: it has no ``mid``, so the
-    genuineness tracer files it with the group's housekeeping."""
+    genuineness check files it with the group's housekeeping."""
 
     __slots__ = ()
     kind = "heartbeat"

@@ -29,6 +29,7 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional
 
+from ..election.omega import DEFAULT_SUSPECT_MS
 from .host import ClusterSpec, run_node
 
 
@@ -45,7 +46,7 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
         "--kill-after", type=int, default=4, metavar="N",
         help="kill once the driver has delivered N messages",
     )
-    parser.add_argument("--suspect-ms", type=float, default=500.0)
+    parser.add_argument("--suspect-ms", type=float, default=DEFAULT_SUSPECT_MS)
     parser.add_argument(
         "--codec", choices=("json", "binary"), default="json",
         help="wire encoding (receivers auto-detect per frame)",

@@ -39,13 +39,14 @@ harness and the verification layer:
   plain dict: a ``Counter`` defines ``__delitem__`` in Python, which
   routes every item store through a Python-level slot (~4x the cost of
   a dict store, once per wire message).
-* ``trace_hooks`` — callbacks invoked on every send, used by the
-  genuineness checker to assert that only the sender and destinations of
-  a multicast exchange messages for it.
-* ``add_transmit_interceptor`` — callbacks that may delay or swallow a
-  departure (fault injection, flight recording). Replaces the historical
-  pattern of assigning over ``network.transmit`` on the instance, which
-  a slotted Network cannot support.
+* ``add_transmit_interceptor`` — the one transmit seam: callbacks that
+  see every departure and may delay or swallow it (the chaos nemesis's
+  delay spikes). An observer is an interceptor that returns the
+  departure time unchanged — the flight recorder of :mod:`.trace`,
+  whose records the genuineness verdict of :mod:`repro.verify` judges.
+  Replaces the historical pattern of assigning over
+  ``network.transmit`` on the instance, which a slotted Network cannot
+  support.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ from .latency import LatencyModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from .process import SimProcess
-
-TraceHook = Callable[[int, int, Any, float], None]
 
 #: An interceptor sees every departure before the transport does. It
 #: returns the (possibly adjusted) departure time to let the message
@@ -159,7 +158,6 @@ class Network:
         "processes",
         "_kinds",
         "messages_sent",
-        "trace_hooks",
         "_interceptors",
         "_channels",
         "_blocked_pairs",
@@ -179,7 +177,6 @@ class Network:
         self.processes: Dict[int, "SimProcess"] = {}
         self._kinds: Dict[str, int] = {}
         self.messages_sent = 0
-        self.trace_hooks: List[TraceHook] = []
         self._interceptors: List[TransmitInterceptor] = []
         # Directed pair -> channel, keyed by src * _PID_STRIDE + dst.
         self._channels: Dict[int, _Channel] = {}
@@ -212,14 +209,10 @@ class Network:
         O(channels); :meth:`Scheduler.pending` adds it to its count."""
         return sum(len(ch.waiting) for ch in self._channels.values())
 
-    def add_trace_hook(self, hook: TraceHook) -> None:
-        """Register ``hook(src, dst, msg, depart_time)`` on every send."""
-        self.trace_hooks.append(hook)
-
     def add_transmit_interceptor(self, interceptor: TransmitInterceptor) -> None:
         """Register an interceptor on the transmit path (see
         :data:`TransmitInterceptor`). Used by the chaos nemesis (delay
-        spikes) and the flight recorder."""
+        spikes) and the flight recorder (:func:`.trace.record_flights`)."""
         self._interceptors.append(interceptor)
 
     # ------------------------------------------------------------------
@@ -308,7 +301,7 @@ class Network:
 
         This is the hottest function of the substrate: every wire message
         of every protocol passes through it once. The body is the fast
-        path — interceptors, trace hooks and fault injection only cost
+        path — interceptors and fault injection only cost
         when actually in use; the delivery itself is :meth:`_deliver`.
         """
         if self._interceptors:
@@ -328,10 +321,6 @@ class Network:
         if kind is not None:
             kinds = self._kinds
             kinds[kind] = kinds.get(kind, 0) + 1
-        if self.trace_hooks:
-            for hook in self.trace_hooks:
-                hook(src, dst, msg, depart_time)
-
         if self._blocked_pairs and (src, dst) in self._blocked_pairs:
             self._parked.append((src, dst, msg))
             return

@@ -3,8 +3,9 @@
 Opt-in recording of every wire message's (src, dst, kind, mid, depart,
 arrival), plus a renderer producing a chronological message-exchange
 listing — the textual equivalent of the paper's Figure 1 space-time
-diagram. Used by the Figure 1 bench and available for debugging any
-execution.
+diagram. The recorder is a transmit interceptor that returns each
+departure unchanged. :func:`repro.verify.check_genuineness` judges its
+flights in every chaos case, and the Figure 1 bench renders them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from .network import Network
 
 
 class Flight(NamedTuple):
-    """One message's trip across the network."""
+    """One protocol message's trip across the network (a ``Batch`` is
+    one flight per envelope it carries)."""
 
     src: int
     dst: int
@@ -38,16 +40,11 @@ def record_flights(network: Network) -> List[Flight]:
 
     def intercept(src: int, dst: int, msg: Any, depart_time: float) -> float:
         arrival = depart_time if src == dst else depart_time + latency.mean(src, dst)
-        flights.append(
-            Flight(
-                src,
-                dst,
-                getattr(msg, "kind", type(msg).__name__),
-                getattr(msg, "mid", None),
-                depart_time,
-                arrival,
-            )
-        )
+        # A Batch (repro.rmcast.fifo) has no mid of its own.
+        carried = msg.envelopes if getattr(msg, "kind", None) == "batch" else (msg,)
+        for one in carried:
+            kind = getattr(one, "kind", type(one).__name__)
+            flights.append(Flight(src, dst, kind, getattr(one, "mid", None), depart_time, arrival))
         return depart_time
 
     network.add_transmit_interceptor(intercept)

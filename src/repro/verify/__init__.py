@@ -1,11 +1,14 @@
-"""Property checkers for atomic multicast runs (§2.2 properties)."""
+"""Property checkers for atomic multicast runs (§2.2 properties), all
+judged by one :func:`collect_violations` call (genuineness over the
+flights of :func:`repro.sim.trace.record_flights`), and runtime
+invariant monitors."""
 
-from .genuineness import GenuinenessTracer
 from .invariants import InvariantMonitor, attach_monitors
 from .properties import (
     PropertyViolation,
     Violation,
     check_acyclic_order,
+    check_genuineness,
     check_integrity,
     check_prefix_order,
     check_timestamp_order,
@@ -23,8 +26,8 @@ __all__ = [
     "check_prefix_order",
     "check_timestamp_order",
     "check_truncation_safety",
+    "check_genuineness",
     "collect_violations",
-    "GenuinenessTracer",
     "InvariantMonitor",
     "attach_monitors",
 ]

@@ -18,16 +18,22 @@ These run over per-process delivery logs collected after a simulation:
 * **Timestamp order** — per-process deliveries happen in non-decreasing
   ``(final_ts, mid)`` order, and all processes agree on each message's
   final timestamp (protocol-level sanity, stronger than required).
+* **Genuineness** — only the sender and the destinations of m take
+  steps for it (judged over the run's wire traffic, not its logs).
 
-Each checker raises :class:`PropertyViolation` with a counterexample.
+Each checker raises :class:`PropertyViolation` with a counterexample;
+:func:`collect_violations` returns them as :class:`Violation` records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.messages import MessageId
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sim.trace import Flight
 
 # One process's log: [(mid, final_ts, time), ...] in delivery order.
 DeliveryLog = List[Tuple[MessageId, int, float]]
@@ -42,8 +48,8 @@ class PropertyViolation(AssertionError):
 
     * ``prop`` — short property name (``"integrity"``,
       ``"uniform-agreement"``, ``"acyclic-order"``, ``"prefix-order"``,
-      ``"timestamp-order"``, ``"truncation-safety"``, or
-      ``"invariant"`` for runtime monitors);
+      ``"timestamp-order"``, ``"truncation-safety"``,
+      ``"genuineness"``, or ``"invariant"`` for runtime monitors);
     * ``mids`` — the offending message id(s), possibly empty.
     """
 
@@ -129,7 +135,9 @@ def check_uniform_agreement(
     for mids in delivered_by.values():
         anyone |= mids
     for mid in anyone:
-        for pid in dest_pids_of[mid]:
+        # A mid that was never a-multicast has no destinations; it is
+        # integrity's counterexample, not agreement's.
+        for pid in dest_pids_of.get(mid, ()):
             if pid in correct_pids and mid not in delivered_by.get(pid, set()):
                 raise PropertyViolation(
                     f"{mid} was delivered somewhere but not at correct "
@@ -192,16 +200,19 @@ def check_prefix_order(
         for pid, log in logs.items()
     }
     pids = sorted(logs)
+    no_dests: Set[int] = set()  # a never-multicast mid: integrity's case
     for i, p in enumerate(pids):
         for q in pids[i + 1 :]:
             pos_p, pos_q = positions[p], positions[q]
             for m in pos_p:
-                if p not in dest_pids_of[m] or q not in dest_pids_of[m]:
+                dests = dest_pids_of.get(m, no_dests)
+                if p not in dests or q not in dests:
                     continue
                 for m2 in pos_q:
                     if m2 == m:
                         continue
-                    if p not in dest_pids_of[m2] or q not in dest_pids_of[m2]:
+                    dests2 = dest_pids_of.get(m2, no_dests)
+                    if p not in dests2 or q not in dests2:
                         continue
                     # p delivered m, q delivered m2; one of them must
                     # have delivered the other message first.
@@ -283,6 +294,38 @@ def check_timestamp_order(logs: Dict[int, DeliveryLog]) -> None:
             finals.setdefault(mid, (final, pid))
 
 
+def check_genuineness(
+    flights: Sequence["Flight"],
+    dest_pids_of: Dict[MessageId, Set[int]],
+    group_of: Dict[int, int],
+) -> None:
+    """Only the sender and the destinations of m take steps for it: a
+    flight (see :func:`repro.sim.trace.record_flights`) carrying a mid
+    travels only between members of ``dest(m) ∪ {mid[0]}``, and a
+    mid-less one (a bump, epoch-change traffic, a heartbeat) stays
+    inside one group. Self-sends are no traffic."""
+    for flight in flights:
+        src, dst, mid = flight.src, flight.dst, flight.mid
+        if src == dst:
+            continue
+        if mid is None:
+            if group_of.get(src) != group_of.get(dst):
+                raise PropertyViolation(
+                    f"cross-group housekeeping message {flight.kind}: {src} -> {dst}",
+                    prop="genuineness",
+                )
+            continue
+        # A mid nobody a-multicast has only its origin to talk to.
+        allowed = dest_pids_of.get(mid, set()) | {mid[0]}
+        if src not in allowed or dst not in allowed:
+            raise PropertyViolation(
+                f"non-genuine {flight.kind} traffic for {mid}: {src} -> {dst} "
+                f"(allowed: {sorted(allowed)})",
+                prop="genuineness",
+                mids=(mid,),
+            )
+
+
 def collect_violations(
     logs: Dict[int, DeliveryLog],
     multicast_mids: Set[MessageId],
@@ -290,6 +333,8 @@ def collect_violations(
     correct_pids: Set[int],
     prefix: bool = True,
     truncated: Optional[Dict[int, Dict[MessageId, float]]] = None,
+    flights: Optional[Sequence["Flight"]] = None,
+    group_of: Optional[Dict[int, int]] = None,
 ) -> List[Violation]:
     """Run every checker; return the violations as :class:`Violation`
     records, one per failing property (each checker stops at its first
@@ -300,7 +345,9 @@ def collect_violations(
     (§2.2) and bind it too, while only ``correct_pids`` carry the
     agreement obligation. Prefix order is optional (it is quadratic).
     ``truncated`` (pid -> {mid: time}, see
-    :func:`check_truncation_safety`) adds the state-GC check.
+    :func:`check_truncation_safety`) adds the state-GC check, and
+    ``flights`` with the run's ``group_of`` (pid -> group, see
+    :func:`check_genuineness`) the genuineness check.
     """
     checkers: List[Callable[[], None]] = [
         lambda: check_integrity(logs, multicast_mids),
@@ -315,6 +362,11 @@ def collect_violations(
         checkers.append(
             lambda: check_truncation_safety(timed, logs, dest_pids_of, correct_pids)
         )
+    if flights is not None:
+        if group_of is None:
+            raise ValueError("judging flights for genuineness needs group_of")
+        traffic, groups = flights, group_of
+        checkers.append(lambda: check_genuineness(traffic, dest_pids_of, groups))
     violations: List[Violation] = []
     for checker in checkers:
         try:

@@ -11,6 +11,7 @@ from repro.chaos.explorer import (
     run_case,
 )
 from repro.chaos.schedule import FaultEvent, Trigger
+from repro.core.messages import Ack, Multicast
 from repro.core.process import PrimCastProcess
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SweepExecutor
@@ -56,20 +57,11 @@ class TestRunCase:
         victim = 1
 
         class SwapsFirstTwo(PrimCastProcess):
-            def add_deliver_hook(self, hook):
-                if self.pid != victim:
-                    return super().add_deliver_hook(hook)
-                held = []
-
-                def swapped(proc, multicast, final_ts):
-                    if len(proc.delivery_log) == 1:  # its first delivery
-                        held.append((multicast, final_ts))
-                        return
-                    hook(proc, multicast, final_ts)
-                    if held:
-                        hook(proc, *held.pop())
-
-                super().add_deliver_hook(swapped)
+            def _record_delivery(self, multicast, final_ts):
+                super()._record_delivery(multicast, final_ts)
+                log = self.delivery_log
+                if self.pid == victim and len(log) == 2:
+                    log[0], log[1] = log[1], log[0]
 
         monkeypatch.setitem(PROTOCOLS, "primcast", SwapsFirstTwo)
         spec = CaseSpec(scenario=SCN, seed=1)
@@ -81,6 +73,44 @@ class TestRunCase:
         assert not result.aborted
         props = {v.prop for v in result.violations}
         assert {"acyclic-order", "prefix-order", "timestamp-order"} <= props
+
+    def test_delivery_never_multicast_breaks_integrity(self, monkeypatch):
+        # pid 1 logs a made-up mid after its first real delivery. The
+        # multicasts are recorded at submission, so integrity sees that
+        # nobody a-multicast it.
+        victim, forged = 1, Multicast((99, 0), frozenset({0}))
+
+        class Forges(PrimCastProcess):
+            def _record_delivery(self, multicast, final_ts):
+                super()._record_delivery(multicast, final_ts)
+                if self.pid == victim and len(self.delivery_log) == 1:
+                    super()._record_delivery(forged, final_ts)
+
+        monkeypatch.setitem(PROTOCOLS, "primcast", Forges)
+        result = run_case(CaseSpec(scenario=SCN, seed=1))
+        assert not result.aborted
+        integrity = [v for v in result.violations if v.prop == "integrity"]
+        assert [v.mids for v in integrity] == [(forged.mid,)]
+
+    def test_ack_to_a_non_destination_breaks_genuineness(self, monkeypatch):
+        # Every ack also goes to one process outside dest(m) ∪ {origin}.
+        send_ack = PrimCastProcess._send_ack
+
+        def leaky(self, multicast, epoch, ts):
+            send_ack(self, multicast, epoch, ts)
+            dests = self.config.dest_pids(multicast.dest)
+            outsiders = [
+                pid for pid in self.config.all_pids
+                if pid not in dests and pid != multicast.mid[0]
+            ]
+            if outsiders:
+                ack = Ack(multicast, self.gid, epoch, ts, self.pid, None)
+                self.r_multicast(ack, outsiders[:1])
+
+        monkeypatch.setattr(PrimCastProcess, "_send_ack", leaky)
+        result = run_case(CaseSpec(scenario="fig3-reduced", seed=3))
+        assert not result.aborted
+        assert "genuineness" in {v.prop for v in result.violations}
 
     def test_delay_spike_does_not_stall_a_correct_process(self):
         # Seed 14 has a delay rule with dst=4 and a wildcard src. Were it

@@ -111,8 +111,9 @@ def test_epoch_promise_carries_only_live_suffix():
         payload = getattr(msg, "payload", None)
         if payload is not None and getattr(payload, "kind", None) == "promise":
             promises.append(payload)
+        return depart
 
-    sys_.network.add_trace_hook(trace)
+    sys_.network.add_transmit_interceptor(trace)
     sys_.injector.crash_at(0, 120.0)
     sys_.scheduler.run(until=300.0)
     assert promises, "no epoch promise observed after the crash"

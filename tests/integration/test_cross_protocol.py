@@ -4,7 +4,8 @@ import pytest
 
 from helpers import MiniSystem, random_workload
 from repro.sim.latency import JitteredLatency
-from repro.verify import GenuinenessTracer, collect_violations
+from repro.sim.trace import record_flights
+from repro.verify import collect_violations
 
 PROTOCOLS = ["primcast", "whitebox", "fastcast", "classic"]
 
@@ -18,14 +19,17 @@ def test_full_property_suite_under_jitter(protocol, seed):
         latency=JitteredLatency(3.0, 0.4),
         seed=seed,
     )
-    tracer = GenuinenessTracer(sys_.config)
-    sys_.network.add_trace_hook(tracer)
+    flights = record_flights(sys_.network)
     random_workload(sys_, 60, seed=seed * 100, spread_ms=60)
     sys_.run_to_quiescence()
     assert collect_violations(
-        sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
+        sys_.logs,
+        set(sys_.multicasts),
+        sys_.dest_pids_of(),
+        sys_.correct_pids(),
+        flights=flights,
+        group_of=sys_.config.group_of,
     ) == []
-    tracer.check(sys_.dest_pids_of(), {mid: mid[0] for mid in sys_.multicasts})
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

@@ -88,7 +88,12 @@ class TestNetworkBasics:
     def test_trace_hook_sees_every_send(self):
         sched, net, procs = build()
         seen = []
-        net.add_trace_hook(lambda s, d, m, t: seen.append((s, d, m.kind)))
+
+        def observe(s, d, m, t):
+            seen.append((s, d, m.kind))
+            return t
+
+        net.add_transmit_interceptor(observe)
         procs[0].send(1, Msg("x"))
         procs[1].send(2, Msg("y"))
         sched.run()
@@ -316,8 +321,9 @@ class TestChannelHeads:
             assert size <= len(net._channels) + len(net.processes) + timers
             if size > largest[0]:
                 largest[:] = [size, sched.pending()]
+            return depart
 
-        net.add_trace_hook(check)
+        net.add_transmit_interceptor(check)
         for client in clients:
             client.start()
         sched.run(until=100.0)
