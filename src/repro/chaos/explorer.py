@@ -20,9 +20,9 @@ Safety checking is two-layered, violations captured as data:
 
 * during the run, :class:`~repro.verify.InvariantMonitor` rides along on
   every PrimCast process; a structural violation aborts the case and is
-  recorded as an ``"invariant"`` violation;
-* after the horizon, one :func:`~repro.verify.collect_violations` call
-  checks the §2.2 properties and truncation safety over every process's
+  recorded, first, as an ``"invariant"`` violation;
+* after the horizon or the abort, one
+  :func:`~repro.verify.collect_violations` call checks the §2.2 properties and truncation safety over every process's
   delivery log, a crashed process's prefix included (the properties are
   uniform; only correct processes owe agreement), and genuineness over
   every wire message; integrity against the multicasts recorded at
@@ -322,26 +322,29 @@ def run_case(spec: CaseSpec) -> CaseResult:
 
     logs = {pid: processes[pid].delivery_log for pid in config.all_pids}
     aborted = False
-    violations: List[Violation]
+    violations: List[Violation] = []
+    correct: Set[int]
     try:
         system.scheduler.run(until=scn.horizon_ms)
     except PropertyViolation as exc:
-        # An invariant monitor fired mid-run: the case is over, the
-        # violation is the result. Post-hoc checks are skipped — the
-        # run never quiesced, so they would not be sound.
+        # An invariant monitor fired mid-run: the case is over and that
+        # violation leads the result. The run never quiesced, so no
+        # process owes any delivery: with no correct process, agreement
+        # and truncation's every-destination clause hold vacuously,
+        # while integrity, the order properties, truncation's own-log
+        # clause and genuineness are sound over the prefix that ran.
         aborted = True
-        violations = [Violation.from_exception(exc)]
+        violations.append(Violation.from_exception(exc))
+        correct = set()
     else:
-        correct: Set[int] = {
-            pid for pid, proc in processes.items() if not proc.crashed
-        }
-        dest_pids_of = {
-            mid: set(config.dest_pids(m.dest)) for mid, m in multicasts.items()
-        }
-        violations = collect_violations(
-            logs, set(multicasts), dest_pids_of, correct, truncated=truncated,
-            flights=flights, group_of=config.group_of,
-        )
+        correct = {pid for pid, proc in processes.items() if not proc.crashed}
+    dest_pids_of = {
+        mid: set(config.dest_pids(m.dest)) for mid, m in multicasts.items()
+    }
+    violations += collect_violations(
+        logs, set(multicasts), dest_pids_of, correct, truncated=truncated,
+        flights=flights, group_of=config.group_of,
+    )
 
     return CaseResult(
         spec=spec,

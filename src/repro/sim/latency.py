@@ -6,20 +6,19 @@ delay in milliseconds, optionally with jitter. The paper's deployments
 deviation; :class:`SiteMatrixLatency` reproduces that. All models return
 **one-way** latency (half the RTT).
 
-For the hot transmit path the network asks once per directed pair for
-:meth:`LatencyModel.pair_params` — the ``(mean, stddev, floor)`` triple
-behind :meth:`LatencyModel.sample` — and then draws the truncated-normal
-sample inline with **exactly** the arithmetic and RNG consumption of
-``sample()``: one ``rng.gauss(mean, stddev)`` call iff ``stddev != 0``,
-clamped below at ``floor``. Models that cannot express their delay this
-way return ``None`` and the network falls back to calling ``sample()``
-per message.
+A model is its :meth:`LatencyModel.pair_params`: the ``(mean, stddev,
+floor)`` triple of one directed pair. :meth:`LatencyModel.sample` and
+:meth:`LatencyModel.mean` are defined once, from it: one
+``rng.gauss(mean, stddev)`` call iff ``stddev != 0``, clamped below at
+``floor``. The network asks for the triple once per directed pair and
+draws inline with **exactly** that arithmetic and RNG consumption;
+``sample()`` is the reference formula the tests compare it against.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: The per-pair sampling recipe: (mean_ms, stddev_ms, floor_ms). A zero
 #: stddev means the delay is exactly the mean and no randomness is drawn.
@@ -31,21 +30,21 @@ class LatencyModel:
 
     __slots__ = ()
 
+    def pair_params(self, src: int, dst: int) -> PairParams:
+        """``(mean, stddev, floor)`` of the one-way delay from src to dst."""
+        raise NotImplementedError
+
     def sample(self, src: int, dst: int, rng: random.Random) -> float:
         """Return a one-way latency in ms for a message from src to dst."""
-        raise NotImplementedError
+        mean, stddev, floor = self.pair_params(src, dst)
+        if stddev == 0.0:
+            return mean
+        value = rng.gauss(mean, stddev)
+        return value if value > floor else floor
 
     def mean(self, src: int, dst: int) -> float:
         """Return the mean one-way latency in ms (no jitter)."""
-        raise NotImplementedError
-
-    def pair_params(self, src: int, dst: int) -> Optional[PairParams]:
-        """``(mean, stddev, floor)`` such that drawing
-        ``rng.gauss(mean, stddev)`` (iff ``stddev != 0``) clamped at
-        ``floor`` is bit-identical to :meth:`sample` for this pair, or
-        ``None`` when the model cannot be expressed this way (the
-        network then calls ``sample()`` per message)."""
-        return None
+        return self.pair_params(src, dst)[0]
 
 
 class ConstantLatency(LatencyModel):
@@ -62,13 +61,7 @@ class ConstantLatency(LatencyModel):
             raise ValueError("delay must be non-negative")
         self.delay_ms = delay_ms
 
-    def sample(self, src: int, dst: int, rng: random.Random) -> float:
-        return self.delay_ms
-
-    def mean(self, src: int, dst: int) -> float:
-        return self.delay_ms
-
-    def pair_params(self, src: int, dst: int) -> Optional[PairParams]:
+    def pair_params(self, src: int, dst: int) -> PairParams:
         return (self.delay_ms, 0.0, 0.0)
 
     def __repr__(self) -> str:
@@ -93,20 +86,8 @@ class JitteredLatency(LatencyModel):
         self.mean_ms = mean_ms
         self.stddev_frac = stddev_frac
 
-    def sample(self, src: int, dst: int, rng: random.Random) -> float:
-        if self.mean_ms == 0 or self.stddev_frac == 0:
-            return self.mean_ms
-        value = rng.gauss(self.mean_ms, self.mean_ms * self.stddev_frac)
-        floor = 0.1 * self.mean_ms
-        return value if value > floor else floor
-
-    def mean(self, src: int, dst: int) -> float:
-        return self.mean_ms
-
-    def pair_params(self, src: int, dst: int) -> Optional[PairParams]:
+    def pair_params(self, src: int, dst: int) -> PairParams:
         mean = self.mean_ms
-        if mean == 0 or self.stddev_frac == 0:
-            return (mean, 0.0, 0.0)
         return (mean, mean * self.stddev_frac, 0.1 * mean)
 
     def __repr__(self) -> str:
@@ -127,7 +108,7 @@ class SiteMatrixLatency(LatencyModel):
     One-way latency is half the RTT, with truncated-normal jitter.
     """
 
-    __slots__ = ("site_of", "rtt_ms", "stddev_frac", "_pair_cache")
+    __slots__ = ("site_of", "rtt_ms", "stddev_frac")
 
     def __init__(
         self,
@@ -151,35 +132,10 @@ class SiteMatrixLatency(LatencyModel):
         self.site_of = dict(site_of)
         self.rtt_ms: List[List[float]] = [list(row) for row in rtt_ms]
         self.stddev_frac = stddev_frac
-        # (src, dst) -> (mean, stddev, floor), filled on first use. The
-        # pair space is tiny (n_processes²) and each entry is consulted
-        # once per wire message (or once per pair via pair_params), so
-        # the two dict lookups + division are worth caching away.
-        self._pair_cache: Dict[Tuple[int, int], PairParams] = {}
 
-    def mean(self, src: int, dst: int) -> float:
-        return self.rtt_ms[self.site_of[src]][self.site_of[dst]] / 2.0
-
-    def _params(self, src: int, dst: int) -> PairParams:
-        entry = self._pair_cache.get((src, dst))
-        if entry is None:
-            mean = self.rtt_ms[self.site_of[src]][self.site_of[dst]] / 2.0
-            entry = (mean, mean * self.stddev_frac, 0.1 * mean)
-            self._pair_cache[(src, dst)] = entry
-        return entry
-
-    def sample(self, src: int, dst: int, rng: random.Random) -> float:
-        mean, stddev, floor = self._params(src, dst)
-        if mean == 0 or stddev == 0:
-            return mean
-        value = rng.gauss(mean, stddev)
-        return value if value > floor else floor
-
-    def pair_params(self, src: int, dst: int) -> Optional[PairParams]:
-        mean, stddev, floor = self._params(src, dst)
-        if mean == 0 or stddev == 0:
-            return (mean, 0.0, 0.0)
-        return (mean, stddev, floor)
+    def pair_params(self, src: int, dst: int) -> PairParams:
+        mean = self.rtt_ms[self.site_of[src]][self.site_of[dst]] / 2.0
+        return (mean, mean * self.stddev_frac, 0.1 * mean)
 
     def __repr__(self) -> str:
         n_sites = len(self.rtt_ms)

@@ -4,17 +4,20 @@ Channels are pairwise, reliable and FIFO (the paper's prototype relies on
 TCP, §7.1): messages between a given ``(src, dst)`` pair are delivered in
 send order even when sampled latencies would reorder them. Channels never
 create, corrupt or duplicate messages. A crashed process neither sends
-nor receives.
+nor receives. Faults on the wire are transmit interceptors (below): a
+partition before the GST is a window that holds each departure across
+the cut until the window ends — traffic is delayed, not lost (§2.1).
 
 The transport keeps one :class:`_Channel` object per directed pair,
 created lazily on first use. A channel caches everything the hot path
 needs — its receiver, the latency model's ``(mean, stddev, floor)``
 sampling recipe and the FIFO arrival clamp — so delivering a message
 costs one dict lookup instead of four (receiver, latency cache, arrival
-clamp read, arrival clamp write). The inline sampling consumes the RNG
-and performs float arithmetic **exactly** as ``LatencyModel.sample``
-does, so the event schedule is bit-identical to the per-call form
-(pinned by the golden determinism suite).
+clamp read, arrival clamp write). Every latency model is its
+``pair_params``, so this inline draw is the only sampling path; it
+consumes the RNG and performs float arithmetic **exactly** as
+``LatencyModel.sample`` does, so the event schedule is bit-identical to
+the per-call form (pinned by the golden determinism suite).
 
 Only a channel's **head** — its earliest undelivered message — sits in
 the scheduler's heap; the messages behind it wait in the channel's own
@@ -41,8 +44,8 @@ harness and the verification layer:
   a dict store, once per wire message).
 * ``add_transmit_interceptor`` — the one transmit seam: callbacks that
   see every departure and may delay or swallow it (the chaos nemesis's
-  delay spikes). An observer is an interceptor that returns the
-  departure time unchanged — the flight recorder of :mod:`.trace`,
+  delay spikes, a test's partition window). An observer is an
+  interceptor that returns the departure time unchanged — the flight recorder of :mod:`.trace`,
   whose records the genuineness verdict of :mod:`repro.verify` judges.
   Replaces the historical pattern of assigning over
   ``network.transmit`` on the instance, which a slotted Network cannot
@@ -90,7 +93,7 @@ class _Channel:
 
     __slots__ = (
         "receiver", "heap", "mean", "stddev", "floor", "last", "is_self",
-        "direct", "busy", "waiting", "release",
+        "busy", "waiting", "release",
     )
 
     def __init__(
@@ -98,7 +101,6 @@ class _Channel:
         receiver: "SimProcess",
         heap: List[Tuple[float, int, Any, Any]],
         is_self: bool,
-        direct: bool,
         mean: float,
         stddev: float,
         floor: float,
@@ -111,9 +113,7 @@ class _Channel:
         self.heap = heap
         #: src == dst: zero latency, no FIFO clamp (not a wire)
         self.is_self = is_self
-        #: latency params known — sample inline; else fall back to
-        #: ``latency.sample`` per message (custom models)
-        self.direct = direct
+        #: the latency model's ``pair_params``, drawn inline per message
         self.mean = mean
         self.stddev = stddev
         self.floor = floor
@@ -137,7 +137,8 @@ class _Channel:
         self.receiver._enqueue_cb(src, msg)
 
     def deliver(self, src: int, msg: Any) -> None:
-        """Deliver a message that bypassed the queue (see ``_deliver``)."""
+        """Deliver a message that bypassed the queue (a self-send an
+        interceptor left ahead of the queue's tail, see ``transmit``)."""
         self.receiver._enqueue_cb(src, msg)
 
 
@@ -160,8 +161,6 @@ class Network:
         "messages_sent",
         "_interceptors",
         "_channels",
-        "_blocked_pairs",
-        "_parked",
         "_gauss",
     )
 
@@ -180,17 +179,6 @@ class Network:
         self._interceptors: List[TransmitInterceptor] = []
         # Directed pair -> channel, keyed by src * _PID_STRIDE + dst.
         self._channels: Dict[int, _Channel] = {}
-        # Directed pair -> number of active blocks. Refcounting (rather
-        # than a plain set) makes overlapping partitions compose: a pair
-        # blocked by two partitions stays blocked until *both* are
-        # lifted, so healing one partition cannot prematurely release
-        # parked traffic of the other (which would break channel FIFO
-        # for messages parked behind the still-standing block).
-        self._blocked_pairs: Dict[Tuple[int, int], int] = {}
-        # Messages caught by a partition. Channels are reliable (§2.1):
-        # before the GST traffic is *delayed*, not lost, so parked
-        # messages are released when the pair heals.
-        self._parked: List[Tuple[int, int, Any]] = []
         scheduler.count_held(self.held_back)
 
     def register(self, proc: "SimProcess") -> None:
@@ -212,57 +200,9 @@ class Network:
     def add_transmit_interceptor(self, interceptor: TransmitInterceptor) -> None:
         """Register an interceptor on the transmit path (see
         :data:`TransmitInterceptor`). Used by the chaos nemesis (delay
-        spikes) and the flight recorder (:func:`.trace.record_flights`)."""
+        spikes), the flight recorder (:func:`.trace.record_flights`) and
+        the tests' partition windows."""
         self._interceptors.append(interceptor)
-
-    # ------------------------------------------------------------------
-    # fault injection
-    # ------------------------------------------------------------------
-
-    def block_pair(self, a: int, b: int) -> None:
-        """Park all traffic between a and b (both directions): partition.
-
-        Blocks are refcounted: blocking the same pair twice (e.g. via
-        two overlapping :meth:`partition` calls) requires two unblocks
-        before traffic flows again.
-        """
-        blocked = self._blocked_pairs
-        blocked[(a, b)] = blocked.get((a, b), 0) + 1
-        blocked[(b, a)] = blocked.get((b, a), 0) + 1
-
-    def unblock_pair(self, a: int, b: int) -> None:
-        """Drop one block on the pair; parked traffic is released once no
-        block remains (and never sooner — see ``_blocked_pairs``)."""
-        blocked = self._blocked_pairs
-        for pair in ((a, b), (b, a)):
-            count = blocked.get(pair, 0)
-            if count > 1:
-                blocked[pair] = count - 1
-            elif count == 1:
-                del blocked[pair]
-        self._release_parked()
-
-    def partition(self, side_a: List[int], side_b: List[int]) -> None:
-        """Block all pairs across the two sides (traffic is delayed, not
-        lost — the pre-GST asynchrony of §2.1)."""
-        for a in side_a:
-            for b in side_b:
-                self.block_pair(a, b)
-
-    def heal(self) -> None:
-        """Remove all partitions and release parked traffic in order."""
-        self._blocked_pairs.clear()
-        self._release_parked()
-
-    def _release_parked(self) -> None:
-        if not self._parked:
-            return
-        parked, self._parked = self._parked, []
-        for src, dst, msg in parked:
-            if (src, dst) in self._blocked_pairs:
-                self._parked.append((src, dst, msg))
-            else:
-                self._deliver(src, dst, msg, self.scheduler.now)
 
     # ------------------------------------------------------------------
     # transport
@@ -280,14 +220,10 @@ class Network:
             )
         heap = self.scheduler._heap
         if src == dst:
-            ch = _Channel(receiver, heap, True, False, 0.0, 0.0, 0.0)
+            ch = _Channel(receiver, heap, True, 0.0, 0.0, 0.0)
         else:
-            params = self.latency.pair_params(src, dst)
-            if params is None:
-                ch = _Channel(receiver, heap, False, False, 0.0, 0.0, 0.0)
-            else:
-                mean, stddev, floor = params
-                ch = _Channel(receiver, heap, False, True, mean, stddev, floor)
+            mean, stddev, floor = self.latency.pair_params(src, dst)
+            ch = _Channel(receiver, heap, False, mean, stddev, floor)
         self._channels[key] = ch
         return ch
 
@@ -300,9 +236,9 @@ class Network:
         receiver's inbox, so handling them costs CPU like any other.
 
         This is the hottest function of the substrate: every wire message
-        of every protocol passes through it once. The body is the fast
-        path — interceptors and fault injection only cost
-        when actually in use; the delivery itself is :meth:`_deliver`.
+        of every protocol passes through it once. Interceptors only cost
+        when installed; then the arrival is sampled and the message is
+        queued on its channel.
         """
         if self._interceptors:
             for interceptor in self._interceptors:
@@ -321,18 +257,6 @@ class Network:
         if kind is not None:
             kinds = self._kinds
             kinds[kind] = kinds.get(kind, 0) + 1
-        if self._blocked_pairs and (src, dst) in self._blocked_pairs:
-            self._parked.append((src, dst, msg))
-            return
-
-        self._deliver(src, dst, msg, depart_time)
-
-    def _deliver(self, src: int, dst: int, msg: Any, depart_time: float) -> None:
-        """Sample the arrival of ``msg`` and queue it on its channel.
-
-        Every delivery goes through here: from :meth:`transmit` and when
-        parked traffic is released.
-        """
         try:
             ch = self._channels[src * _PID_STRIDE + dst]
         except KeyError:
@@ -349,18 +273,15 @@ class Network:
                 sched._seq += 1
                 return
         else:
-            if ch.direct:
-                # Inlined LatencyModel.sample: same RNG consumption, same
-                # float arithmetic (see latency.pair_params).
-                stddev = ch.stddev
-                if stddev != 0.0:
-                    value = self._gauss(ch.mean, stddev)
-                    floor = ch.floor
-                    arrival = depart_time + (value if value > floor else floor)
-                else:
-                    arrival = depart_time + ch.mean
+            # Inlined LatencyModel.sample: same RNG consumption, same
+            # float arithmetic (see latency.pair_params).
+            stddev = ch.stddev
+            if stddev != 0.0:
+                value = self._gauss(ch.mean, stddev)
+                floor = ch.floor
+                arrival = depart_time + (value if value > floor else floor)
             else:
-                arrival = depart_time + self.latency.sample(src, dst, self.rng)
+                arrival = depart_time + ch.mean
             # Enforce per-channel FIFO (TCP-like): never deliver before a
             # previously sent message on the same channel.
             if arrival <= ch.last:

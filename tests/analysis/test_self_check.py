@@ -31,7 +31,7 @@ PLANTED_BUGS = [
         "sim/network.py",
         "value = self._gauss(ch.mean, stddev)",
         "value = random.gauss(ch.mean, stddev)",
-        "repro.sim.network::Network._deliver",
+        "repro.sim.network::Network.transmit",
         id="DET001",
     ),
     pytest.param(
@@ -59,7 +59,7 @@ PLANTED_BUGS = [
         "sim/network.py",
         "if arrival <= ch.last:",
         "if arrival == ch.last:",
-        "repro.sim.network::Network._deliver",
+        "repro.sim.network::Network.transmit",
         id="DET004",
     ),
     pytest.param(

@@ -112,6 +112,35 @@ class TestRunCase:
         assert not result.aborted
         assert "genuineness" in {v.prop for v in result.violations}
 
+    def test_aborted_case_is_still_judged(self, monkeypatch):
+        # The first ack also goes to one process outside dest(m) ∪
+        # {origin}; a later ack then runs the sender's clock backwards,
+        # which its invariant monitor catches mid-run. The abort leads
+        # the verdict, and the prefix is still judged for genuineness.
+        send_ack = PrimCastProcess._send_ack
+        leaked_at = []
+
+        def leaky_then_backwards(self, multicast, epoch, ts):
+            send_ack(self, multicast, epoch, ts)
+            if leaked_at:
+                if self.scheduler.now > leaked_at[0]:  # the leak has left
+                    self.clock = -1
+                return
+            dests = self.config.dest_pids(multicast.dest)
+            outsiders = [
+                pid for pid in self.config.all_pids
+                if pid not in dests and pid != multicast.mid[0]
+            ]
+            if outsiders:
+                ack = Ack(multicast, self.gid, epoch, ts, self.pid, None)
+                self.r_multicast(ack, outsiders[:1])
+                leaked_at.append(self.scheduler.now)
+
+        monkeypatch.setattr(PrimCastProcess, "_send_ack", leaky_then_backwards)
+        result = run_case(CaseSpec(scenario="fig3-reduced", seed=3))
+        assert result.aborted
+        assert [v.prop for v in result.violations] == ["invariant", "genuineness"]
+
     def test_delay_spike_does_not_stall_a_correct_process(self):
         # Seed 14 has a delay rule with dst=4 and a wildcard src. Were it
         # to shift pid 4's self-messages, a later one would overtake an

@@ -4,6 +4,7 @@ from typing import Dict
 
 import pytest
 
+from helpers import partition
 from repro.core import PrimCastProcess, uniform_groups
 from repro.core.epoch import Epoch
 from repro.core.process import CANDIDATE, FOLLOWER, PRIMARY
@@ -176,8 +177,7 @@ def test_stale_primary_cannot_disrupt_new_epoch():
     no conflicting deliveries."""
     sys_ = FailoverSystem()
     sched, procs = sys_.scheduler, sys_.processes
-    sched.call_at(10.0, sys_.network.partition, [0], [1, 2])
-    sched.call_at(250.0, sys_.network.heal)
+    partition(sys_.network, [0], [1, 2], 10.0, 250.0)
     mids = []
     senders = (0, 4, 1, 5)
     for i in range(40):
@@ -192,7 +192,7 @@ def test_stale_primary_cannot_disrupt_new_epoch():
     assert (p0.role, p0.e_cur) == (PRIMARY, Epoch(0, 0))
     assert (p1.role, p1.e_cur) == (PRIMARY, Epoch(1, 1))
     sched.run(until=1000)
-    # After the heal, p0 learns of the new epoch and follows it.
+    # After the GST at 250, p0 learns of the new epoch and follows it.
     assert (p0.role, p0.e_cur) == (FOLLOWER, p1.e_cur)
     for pid in sys_.config.all_pids:
         assert sorted(delivered_mids(sys_, pid)) == sorted(mids), f"pid {pid}"

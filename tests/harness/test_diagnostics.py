@@ -37,7 +37,7 @@ def test_crafted_convoy_shows_in_gap():
     # A conflicting global message from group 0's primary inside the
     # convoy window.
     sys_.scheduler.call_at(
-        sys_.scheduler.now + 1.5, sys_.processes[0].a_multicast, {0, 1}, None
+        sys_.scheduler.now + 1.5, sys_.multicast, 0, {0, 1}
     )
     sys_.run_to_quiescence()
     gaps = {mid: gap for mid, _, gap in probe.records}

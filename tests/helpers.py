@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.baselines import ClassicProcess
 from repro.core import Multicast, uniform_groups
@@ -20,8 +20,28 @@ from repro.sim import (
 from repro.sim.clock import US_PER_MS
 
 
+def partition(
+    network: Network, side_a: Iterable[int], side_b: Iterable[int], start: float, end: float
+) -> None:
+    """Cut every pair across ``side_a``/``side_b`` (both directions)
+    during ``[start, end)``: a departure across the cut in the window
+    leaves at ``end``, the GST. Traffic is delayed, not lost (§2.1), and
+    the channel's FIFO clamp keeps its order. Windows compose in
+    installation order."""
+    a, b = frozenset(side_a), frozenset(side_b)
+
+    def window(src: int, dst: int, msg: Any, depart_time: float) -> float:
+        if start <= depart_time < end and (
+            (src in a and dst in b) or (src in b and dst in a)
+        ):
+            return end
+        return depart_time
+
+    network.add_transmit_interceptor(window)
+
+
 class MiniSystem:
-    """A small deployment plus recording of every a-delivery."""
+    """A small deployment plus the multicasts submitted through it."""
 
     def __init__(
         self,
@@ -64,17 +84,9 @@ class MiniSystem:
                 cost_model,
                 clocks,
             )
-        # pid -> [(mid, final_ts, time)]
-        self.deliveries: Dict[int, List[Tuple[Any, int, float]]] = {
-            pid: [] for pid in self.config.all_pids
-        }
+        #: every multicast submitted through :meth:`multicast` or
+        #: :func:`random_workload` — integrity's reference set
         self.multicasts: Dict[Any, Multicast] = {}
-        for proc in self.processes.values():
-            proc.add_deliver_hook(self._hook)
-
-    def _hook(self, proc: Any, multicast: Multicast, final_ts: int) -> None:
-        self.deliveries[proc.pid].append((multicast.mid, final_ts, self.scheduler.now))
-        self.multicasts[multicast.mid] = multicast
 
     # ------------------------------------------------------------------
 
@@ -95,8 +107,11 @@ class MiniSystem:
     # ------------------------------------------------------------------
 
     @property
-    def logs(self) -> Dict[int, List[Tuple[Any, int, float]]]:
-        return self.deliveries
+    def deliveries(self) -> Dict[int, List[Tuple[Any, int, float]]]:
+        """pid -> its ``delivery_log``, ``[(mid, final_ts, time)]``."""
+        return {pid: proc.delivery_log for pid, proc in self.processes.items()}
+
+    logs = deliveries
 
     def dest_pids_of(self) -> Dict[Any, Set[int]]:
         return {
@@ -155,15 +170,13 @@ def random_workload(
     sent = []
     all_pids = system.config.all_pids
     for _ in range(n_messages):
-        sender = system.processes[rng.choice(all_pids)]
+        sender = rng.choice(all_pids)
         n_dest = rng.randint(1, max_d)
         dest = set(rng.sample(range(n_groups), n_dest))
         when = rng.uniform(0, spread_ms)
 
-        def issue(proc=sender, d=frozenset(dest)) -> None:
-            m = proc.a_multicast(d, payload=None)
-            system.multicasts[m.mid] = m
-            sent.append(m)
+        def issue(pid: int = sender, d: Set[int] = dest) -> None:
+            sent.append(system.multicast(pid, d))
 
         system.scheduler.call_at(when, issue)
     return sent

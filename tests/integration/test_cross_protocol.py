@@ -53,7 +53,7 @@ def test_pipeline_sequential_from_one_sender(protocol):
     mids = []
     for i in range(10):
         sys_.scheduler.call_at(
-            i * 0.5, lambda: mids.append(sys_.processes[1].a_multicast({0, 1}).mid)
+            i * 0.5, lambda: mids.append(sys_.multicast(1, {0, 1}).mid)
         )
     sys_.run_to_quiescence()
     for pid in range(6):

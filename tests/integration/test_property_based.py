@@ -40,16 +40,9 @@ def run_protocol(protocol, workload, seed=1, jitter=False, hybrid=False):
     sys_ = MiniSystem(
         protocol=protocol, n_groups=3, latency=latency, seed=seed, hybrid_clock=hybrid
     )
-    sent = []
     for sender, dest, when in workload:
-        sys_.scheduler.call_at(
-            when,
-            lambda s=sender, d=frozenset(dest): sent.append(
-                sys_.processes[s].a_multicast(d)
-            ),
-        )
+        sys_.scheduler.call_at(when, sys_.multicast, sender, frozenset(dest))
     sys_.run_to_quiescence()
-    sys_.multicasts = {m.mid: m for m in sent}
     # Validity: with no failures, every multicast is delivered somewhere.
     delivered = set()
     for log in sys_.logs.values():

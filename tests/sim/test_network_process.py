@@ -6,10 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import partition
 from repro.harness.runner import build_system
 from repro.sim.costs import CostModel
 from repro.sim.events import Scheduler
-from repro.sim.latency import ConstantLatency, JitteredLatency
+from repro.sim.latency import ConstantLatency, JitteredLatency, SiteMatrixLatency
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
 from repro.sim.rng import child_rng
@@ -135,36 +136,41 @@ class TestCrashAndPartition:
 
     def test_partition_blocks_both_directions(self):
         sched, net, procs = build()
-        net.partition([0], [1])
+        partition(net, [0], [1], 0.0, 1000.0)  # outlasts the run
         procs[0].send(1, Msg())
         procs[1].send(0, Msg())
         procs[0].send(2, Msg())
-        sched.run()
+        sched.run(until=500.0)
         assert procs[1].received == []
         assert procs[0].received == []
         assert len(procs[2].received) == 1
 
     def test_heal_restores_traffic(self):
+        """A departure inside the window leaves at its end (the GST);
+        one after it is not held, and FIFO keeps it behind."""
         sched, net, procs = build()
-        net.partition([0], [1])
-        net.heal()
-        procs[0].send(1, Msg())
+        partition(net, [0], [1], 0.0, 5.0)
+        procs[0].send(1, Msg("m", "held"))
+        sched.run(until=5.0)
+        assert procs[1].received == []
+        procs[0].send(1, Msg("m", "after"))
         sched.run()
-        assert len(procs[1].received) == 1
+        assert [(m.tag, t) for _, m, t in procs[1].received] == [
+            ("held", 6.0), ("after", pytest.approx(6.0))
+        ]
 
     def test_fifo_preserved_across_block_unblock(self):
-        """Messages parked during a partition must be released in send
-        order and never overtake messages sent after the heal — the
-        per-channel FIFO contract spans the block/unblock cycle."""
+        """Messages held by a partition leave in send order and never
+        overtake messages sent after it ends — the per-channel FIFO
+        contract spans the window."""
         sched, net, procs = build(JitteredLatency(5.0, 0.9))
         for i in range(10):
             procs[0].send(1, Msg("m", i))
-        net.block_pair(0, 1)
+        partition(net, [0], [1], 1.0, 50.0)
         for i in range(10, 20):
-            procs[0].send(1, Msg("m", i))  # parked
+            sched.call_at(1.0, procs[0].send, 1, Msg("m", i))  # held
         sched.run(until=50.0)
         assert [m.tag for _, m, _ in procs[1].received] == list(range(10))
-        net.unblock_pair(0, 1)  # releases the parked train
         for i in range(20, 30):
             procs[0].send(1, Msg("m", i))
         sched.run()
@@ -172,20 +178,16 @@ class TestCrashAndPartition:
         assert tags == list(range(30))
 
     def test_overlapping_partitions_keep_pair_blocked(self):
-        """A pair caught in two overlapping partitions must stay blocked
-        until *both* are lifted. With a plain blocked-pairs set, healing
-        the first partition would release the pair's parked messages
-        while the second partition still stands — breaking FIFO for
-        traffic parked behind it. Refcounted blocks keep the park."""
+        """A pair caught in two overlapping windows stays cut until the
+        later one ends: a departure the first window holds to its end
+        is still inside the second, which holds it again."""
         sched, net, procs = build(JitteredLatency(5.0, 0.9))
-        net.partition([0], [1])  # first partition blocks (0, 1)
-        net.partition([0], [1, 2])  # overlapping: blocks (0, 1) again
+        partition(net, [0], [1], 0.0, 20.0)
+        partition(net, [0], [1, 2], 0.0, 50.0)
         for i in range(10):
-            procs[0].send(1, Msg("m", i))  # parked under two blocks
-        net.unblock_pair(0, 1)  # lift the first partition's block only
+            procs[0].send(1, Msg("m", i))  # held by both windows
         sched.run(until=50.0)
-        assert procs[1].received == []  # second block still stands
-        net.unblock_pair(0, 1)  # lift the second -> parked train flows
+        assert procs[1].received == []  # the first window ended at 20
         for i in range(10, 20):
             procs[0].send(1, Msg("m", i))
         sched.run()
@@ -193,13 +195,14 @@ class TestCrashAndPartition:
         assert tags == list(range(20))
 
     def test_heal_clears_all_block_refcounts(self):
+        """Two identical windows hold a departure once, to their common
+        end; nothing of either outlives it."""
         sched, net, procs = build()
-        net.partition([0], [1])
-        net.partition([0], [1])  # double-blocked
-        net.heal()  # heal drops every refcount at once
+        partition(net, [0], [1], 0.0, 5.0)
+        partition(net, [0], [1], 0.0, 5.0)
         procs[0].send(1, Msg())
         sched.run()
-        assert len(procs[1].received) == 1
+        assert [t for _, _, t in procs[1].received] == [6.0]
 
 
 class TestCpuQueue:
@@ -334,14 +337,19 @@ class TestChannelHeads:
 
 
 class OneHeapNetwork(Network):
-    """Reference transport: every delivery is its own heap entry, with
-    its arrival sampled through ``LatencyModel.sample``."""
+    """Reference transport: the interceptors, then every delivery is its
+    own heap entry, with its arrival sampled through
+    ``LatencyModel.sample``."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.last = {}
 
-    def _deliver(self, src, dst, msg, depart_time):
+    def transmit(self, src, dst, msg, depart_time):
+        for interceptor in self._interceptors:
+            depart_time = interceptor(src, dst, msg, depart_time)
+            if depart_time is None:
+                return
         receiver = self.processes[dst]
         arrival = depart_time
         if src != dst:
@@ -372,12 +380,19 @@ class Bouncer(SimProcess):
                 self.send(self.pid, Msg("self", (hops - 1, tag)))
 
 
+def _two_sites(local, remote, stddev_frac):
+    """Even pids at one site, odd pids at the other."""
+    rtt = [[local, remote], [remote, local]]
+    return SiteMatrixLatency({pid: pid % 2 for pid in range(5)}, rtt, stddev_frac)
+
+
 _pid = st.integers(0, 4)
 _scenarios = st.fixed_dictionaries({
     "n": st.integers(2, 5),
     "latency": st.one_of(
         st.builds(ConstantLatency, st.sampled_from([1.0, 2.0])),
         st.builds(JitteredLatency, st.floats(1.0, 8.0), st.floats(0.0, 0.9)),
+        st.builds(_two_sites, st.floats(0.0, 4.0), st.floats(2.0, 16.0), st.floats(0.0, 0.9)),
     ),
     "seed": st.integers(0, 2**16),
     # (time, src, dst, hops): dst == src makes a self-send
@@ -409,8 +424,8 @@ def _replay(network_cls, sc):
     for i, (t, src, dst, hops) in enumerate(sc["sends"]):
         sched.call_at(t, procs[src % n].send, dst % n, Msg("m", (hops, i)))
     start, length, who = sc["partition"]
-    sched.call_at(float(start), net.partition, [who % n], [p for p in range(n) if p != who % n])
-    sched.call_at(float(start + length), net.heal)
+    others = [p for p in range(n) if p != who % n]
+    partition(net, [who % n], others, float(start), float(start + length))
     at, victim = sc["crash"]
     sched.call_at(float(at), procs[victim % n].crash)
     horizon = 0.0

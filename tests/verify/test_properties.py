@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import MiniSystem
+from repro.core import Multicast
 from repro.verify.properties import (
     PropertyViolation,
     check_acyclic_order,
@@ -31,6 +33,20 @@ class TestIntegrity:
     def test_phantom_message_caught(self):
         with pytest.raises(PropertyViolation, match="never"):
             check_integrity({0: log((A, 1))}, set())
+
+    def test_mini_system_reports_a_forged_delivery(self):
+        # A MiniSystem records multicasts at submission only, so a
+        # delivery nobody a-multicast is judged, not whitelisted.
+        sys_ = MiniSystem(n_groups=1)
+        sys_.multicast(0, {0})
+        sys_.run(until=50)
+        forged = Multicast((9, 0), frozenset({0}))
+        sys_.processes[1]._record_delivery(forged, 99)
+        violations = collect_violations(
+            sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
+        )
+        integrity = [v for v in violations if v.prop == "integrity"]
+        assert [v.mids for v in integrity] == [(forged.mid,)]
 
 
 class TestUniformAgreement:
