@@ -83,5 +83,5 @@ def test_fig1_without_bumps_p2_stalls(benchmark):
     # ...but no member of group g ever can (the figure's exact point).
     assert all(pid not in deliveries for pid in (1, 2, 3))
     assert procs[2].quorum_clock() < procs[2].final_ts(
-        next(iter(procs[2].pending))
+        next(iter(procs[2].queue.pending))
     )

@@ -33,7 +33,6 @@ from typing import Any, Dict, Optional, Set
 
 from ..core.endpoint import GroupProtocolProcess
 from ..core.messages import MessageId, Multicast
-from .delivery import DeliveryQueue
 
 
 class ClStart:
@@ -115,7 +114,6 @@ class ClassicProcess(GroupProtocolProcess):
         self._local_ts: Dict[MessageId, int] = {}  # this group's ts
         self._remote_ts: Dict[MessageId, Dict[int, int]] = {}
         self._finals: Dict[MessageId, int] = {}  # committed finals
-        self._queue = DeliveryQueue(self._min_bound)
         # --- group log ---
         self._next_slot = 0  # leader: next slot to assign
         self._votes: Dict[int, Set[int]] = {}  # slot -> ClAccepted senders
@@ -205,7 +203,7 @@ class ClassicProcess(GroupProtocolProcess):
             self.clock += 1
             self._local_ts[mid] = self.clock
             if mid not in self.delivered:
-                self._queue.add_pending(mid)
+                self.queue.add_pending(mid)
             if self.is_leader:
                 # Inform the other destination groups (their leaders).
                 others = [
@@ -222,9 +220,9 @@ class ClassicProcess(GroupProtocolProcess):
             self._finals[mid] = final
             if final > self.clock:
                 self.clock = final
-            self._queue.add_pending(mid)  # no-op if already pending
-            self._queue.commit(mid, final)
-        self._try_deliver()
+            self.queue.add_pending(mid)  # no-op if already pending
+            self.queue.commit(mid, final)
+        self._deliver_ready(self.clock)
 
     def _min_bound(self, mid: MessageId) -> int:
         """Pending lower bound: the exact final once committed, else the
@@ -237,10 +235,5 @@ class ClassicProcess(GroupProtocolProcess):
             return final
         return self._local_ts.get(mid, 0)
 
-    def _try_deliver(self) -> None:
-        while True:
-            popped = self._queue.pop_deliverable(self.clock)
-            if popped is None:
-                return
-            mid, final = popped
-            self._record_delivery(self._multicasts[mid], final)
+    def _deliver(self, mid: MessageId, final: int) -> None:
+        self._record_delivery(self._multicasts[mid], final)

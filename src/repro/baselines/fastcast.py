@@ -36,7 +36,6 @@ from typing import Any, Dict, Set, Tuple
 
 from ..core.endpoint import GroupProtocolProcess
 from ..core.messages import MessageId, Multicast
-from .delivery import DeliveryQueue
 
 # Consensus round ids.
 ROUND_LOCAL = 1  # decide the group's local timestamp
@@ -138,7 +137,6 @@ class FastCastProcess(GroupProtocolProcess):
         self._final: Dict[MessageId, int] = {}
         self._opt_proposed: Set[MessageId] = set()
         self._slow_proposed: Set[MessageId] = set()
-        self._queue = DeliveryQueue(self._min_final)
         self._r_dispatch.update({
             Fc2B: self._on_2b,
             Fc2A: self._on_2a,
@@ -176,7 +174,7 @@ class FastCastProcess(GroupProtocolProcess):
         if msg.round == ROUND_LOCAL:
             self._local_ts[mid] = msg.ts
             if mid not in self.delivered:
-                self._queue.add_pending(mid)
+                self.queue.add_pending(mid)
             if msg.ts > self.clock:
                 self.clock = msg.ts
         self.r_multicast(Fc2B(mid, msg.round, msg.ts, self.pid), self.group_members)
@@ -201,7 +199,7 @@ class FastCastProcess(GroupProtocolProcess):
             if msg.ts > self.clock:
                 self.clock = msg.ts
             self._maybe_commit(msg.mid)
-            self._try_deliver()
+            self._deliver_ready(self.clock)
 
     def _on_soft(self, origin: int, msg: FcSoft) -> None:
         mid = msg.mid
@@ -235,7 +233,7 @@ class FastCastProcess(GroupProtocolProcess):
         if len(hards) == len(multicast.dest):
             self._final[mid] = max(hards.values())
             self._maybe_commit(mid)
-            self._try_deliver()
+            self._deliver_ready(self.clock)
 
     # ------------------------------------------------------------------
     # delivery
@@ -245,14 +243,14 @@ class FastCastProcess(GroupProtocolProcess):
         """Fast path: optimistic decision equals the final timestamp.
         Slow path: a ROUND_FINAL decision matching the final timestamp.
         The leader starts the slow path on a fast-path mismatch."""
-        if self._queue.is_committed(mid):
+        if mid in self.delivered or self.queue.is_committed(mid):
             return
         final = self._final.get(mid)
         if final is None:
             return
         opt = self._decided.get((mid, ROUND_OPT))
         if opt == final or self._decided.get((mid, ROUND_FINAL)) == final:
-            self._queue.commit(mid, final)
+            self.queue.commit(mid, final)
             return
         if opt is not None and opt != final and self.is_leader:
             if mid not in self._slow_proposed:
@@ -262,7 +260,7 @@ class FastCastProcess(GroupProtocolProcess):
                     Fc2A(multicast, ROUND_FINAL, final), self.group_members
                 )
 
-    def _min_final(self, mid: MessageId) -> int:
+    def _min_bound(self, mid: MessageId) -> int:
         """Lower bound on another pending message's final timestamp: the
         largest proposal seen for it from any source."""
         bound = self._local_ts.get(mid, 0)
@@ -274,13 +272,5 @@ class FastCastProcess(GroupProtocolProcess):
             bound = max(bound, max(hards.values()))
         return bound
 
-    def _try_deliver(self) -> None:
-        # Deliver committed messages in (final, id) order; a message is
-        # held back while another pending one could still end up with a
-        # smaller final timestamp (queue bound = largest proposal seen).
-        while True:
-            popped = self._queue.pop_deliverable(self.clock)
-            if popped is None:
-                return
-            mid, final = popped
-            self._record_delivery(self._multicasts[mid], final)
+    def _deliver(self, mid: MessageId, final: int) -> None:
+        self._record_delivery(self._multicasts[mid], final)

@@ -32,7 +32,6 @@ from typing import Any, Dict, Set
 
 from ..core.endpoint import GroupProtocolProcess
 from ..core.messages import MessageId, Multicast
-from .delivery import DeliveryQueue
 
 
 class WbStart:
@@ -111,7 +110,6 @@ class WhiteBoxProcess(GroupProtocolProcess):
         self._my_ts: Dict[MessageId, int] = {}
         self._acks: Dict[MessageId, Dict[int, Set[int]]] = {}
         self._final: Dict[MessageId, int] = {}
-        self._queue = DeliveryQueue(self._min_final)
         self._r_dispatch.update({
             WbAccept: self._on_accept,
             WbAck: self._on_ack,
@@ -143,7 +141,7 @@ class WhiteBoxProcess(GroupProtocolProcess):
         self._multicasts[mid] = multicast
         self.clock += 1
         self._my_ts[mid] = self.clock
-        self._queue.add_pending(mid)
+        self.queue.add_pending(mid)
         accept = WbAccept(multicast, self.gid, self.clock, self.pid)
         self.r_multicast(accept, self.config.dest_pids(multicast.dest))
 
@@ -166,14 +164,14 @@ class WhiteBoxProcess(GroupProtocolProcess):
             if self.is_primary:
                 self._final[mid] = highest
                 self._maybe_commit(mid)
-                self._try_deliver()
+                self._deliver_ready(self.clock)
 
     def _on_ack(self, origin: int, msg: WbAck) -> None:
         if not self.is_primary:
             return
         self._acks.setdefault(msg.mid, {}).setdefault(msg.group, set()).add(msg.sender)
         self._maybe_commit(msg.mid)
-        self._try_deliver()
+        self._deliver_ready(self.clock)
 
     def _on_deliver_msg(self, origin: int, msg: WbDeliver) -> None:
         """Step 5: followers deliver in the primary's order (FIFO link)."""
@@ -189,7 +187,7 @@ class WhiteBoxProcess(GroupProtocolProcess):
     def _maybe_commit(self, mid: MessageId) -> None:
         """Step 4 commit check: all accepts (final known) plus a quorum
         of acks from every destination group."""
-        if self._queue.is_committed(mid) or mid not in self._queue.pending:
+        if self.queue.is_committed(mid) or mid not in self.queue.pending:
             return
         final = self._final.get(mid)
         if final is None:
@@ -199,27 +197,21 @@ class WhiteBoxProcess(GroupProtocolProcess):
         for gid in multicast.dest:
             if not self.config.has_quorum(gid, acks.get(gid, ())):
                 return
-        self._queue.commit(mid, final)
+        self.queue.commit(mid, final)
 
-    def _min_final(self, mid: MessageId) -> int:
+    def _min_bound(self, mid: MessageId) -> int:
         """Lower bound on the final timestamp of a pending message: the
-        largest proposal known for it (at least our own local ts)."""
+        largest proposal known for it (at least our own local ts). The
+        queue runs at ``self.clock``: new messages get ts > clock >=
+        final."""
         accepts = self._accepts.get(mid)
         bound = self._my_ts.get(mid, 0)
         if accepts:
             bound = max(bound, max(accepts.values()))
         return bound
 
-    def _try_deliver(self) -> None:
-        # New messages get ts > clock >= final; other pending messages
-        # cannot drop below the largest proposal seen for them (the
-        # queue's monotone bound).
-        while True:
-            popped = self._queue.pop_deliverable(self.clock)
-            if popped is None:
-                return
-            mid, final = popped
-            multicast = self._multicasts[mid]
-            self._record_delivery(multicast, final)
-            followers = [p for p in self.group_members if p != self.pid]
-            self.r_multicast(WbDeliver(multicast, final), followers)
+    def _deliver(self, mid: MessageId, final: int) -> None:
+        multicast = self._multicasts[mid]
+        self._record_delivery(multicast, final)
+        followers = [p for p in self.group_members if p != self.pid]
+        self.r_multicast(WbDeliver(multicast, final), followers)

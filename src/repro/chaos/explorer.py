@@ -31,7 +31,6 @@ Safety checking is two-layered, violations captured as data:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import asdict, dataclass, field
 from typing import (
     Any,
@@ -74,13 +73,18 @@ def _deliver_on_decision(proc: PrimCastProcess) -> None:
         if proc.role not in (PRIMARY, FOLLOWER):
             return
         proc._order_blocked = True
-        finals, pending = proc._finals_heap, proc.pending  # an epoch change rebinds both
-        while finals:
-            final, mid = heapq.heappop(finals)
-            if mid in pending:
-                proc._deliver(mid, final)
+        queue = proc.queue  # an epoch change replaces it
+        while queue._commit_heap:
+            proc._deliver(*queue._pop_head())
 
     proc._try_deliver = try_deliver  # type: ignore[method-assign]
+
+
+def _drop_all(proc: PrimCastProcess) -> None:
+    """The ``drop-all`` mutant: a-multicast returns at once, so nothing
+    is delivered anywhere. Every safety property holds of that run;
+    validity must catch it."""
+    proc.a_multicast_m = lambda multicast: None  # type: ignore[method-assign]
 
 
 #: Mutations the explorer can inject for shrinker self-validation: each
@@ -89,6 +93,7 @@ def _deliver_on_decision(proc: PrimCastProcess) -> None:
 MUTATIONS: Dict[str, Optional[Callable[[PrimCastProcess], None]]] = {
     "": None,
     "no-quorum-wait": _deliver_on_decision,
+    "drop-all": _drop_all,
 }
 
 
@@ -341,9 +346,18 @@ def run_case(spec: CaseSpec) -> CaseResult:
     dest_pids_of = {
         mid: set(config.dest_pids(m.dest)) for mid, m in multicasts.items()
     }
+    # Validity is owed at the horizon, and only while every group keeps
+    # a quorum of correct members: a group an over-budget crash left
+    # without one decides nothing, and a message it shares with another
+    # group then holds back that group's later deliveries too (an
+    # aborted case has no correct member at all).
+    quorate = all(
+        config.has_quorum(gid, correct.intersection(config.members(gid)))
+        for gid in range(config.n_groups)
+    )
     violations += collect_violations(
         logs, set(multicasts), dest_pids_of, correct, truncated=truncated,
-        flights=flights, group_of=config.group_of,
+        flights=flights, group_of=config.group_of, validity=quorate,
     )
 
     return CaseResult(

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, FrozenSet, Iterable, List, Opti
 from ..rmcast.fifo import RMcastProcess
 from ..sim.costs import CostModel
 from .config import GroupConfig
+from .delivery import DeliveryQueue
 from .messages import MessageId, Multicast
 
 if TYPE_CHECKING:
@@ -42,8 +43,9 @@ ProbeHook = Callable[[Any, str, Any], None]
 class GroupProtocolProcess(RMcastProcess):
     """Base for group-based atomic multicast processes.
 
-    Subclasses implement :meth:`a_multicast_m` and end every a-delivery
-    in :meth:`_record_delivery`.
+    Subclasses implement :meth:`a_multicast_m`, the bound their
+    :attr:`queue` orders by (:meth:`_min_bound`) and :meth:`_deliver`,
+    and end every a-delivery in :meth:`_record_delivery`.
     """
 
     #: The events this protocol's probe hooks can subscribe to.
@@ -73,6 +75,7 @@ class GroupProtocolProcess(RMcastProcess):
         self.probe_hooks: Optional[List[Tuple[ProbeHook, FrozenSet[str]]]] = None
         self.probed: FrozenSet[str] = frozenset()
         self._next_seq = 0
+        self.queue = DeliveryQueue(self._min_bound)
 
     def a_multicast(self, dest: Iterable[int], payload: Any = None) -> Multicast:
         """Atomically multicast ``payload`` to the destination groups.
@@ -93,6 +96,27 @@ class GroupProtocolProcess(RMcastProcess):
     def a_multicast_m(self, multicast: Multicast) -> None:
         """Protocol-specific submission; override."""
         raise NotImplementedError
+
+    def _min_bound(self, mid: MessageId) -> int:
+        """The :class:`~repro.core.delivery.DeliveryQueue` bound: a
+        monotone lower bound on pending ``mid``'s final timestamp;
+        override."""
+        raise NotImplementedError
+
+    def _deliver(self, mid: MessageId, final: int) -> None:
+        """a-deliver ``mid``, which :attr:`queue` released; override."""
+        raise NotImplementedError
+
+    def _deliver_ready(self, clock: int) -> bool:
+        """a-deliver, in ``(final-ts, mid)`` order, every message
+        :attr:`queue` releases at ``clock``. True iff it stopped at the
+        clock guard, the one stop a larger clock can lift."""
+        queue = self.queue
+        popped = queue.pop_deliverable(clock)
+        while popped is not None:
+            self._deliver(*popped)
+            popped = queue.pop_deliverable(clock)
+        return queue.at_clock_guard
 
     def add_deliver_hook(self, hook: DeliverHook) -> None:
         """Register ``hook(process, multicast, final_ts)`` on a-deliver."""

@@ -14,12 +14,12 @@ rule (``clock = max(clock + 1, real-clock())``), enabled with
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..sim.clock import PhysicalClock
 from ..sim.costs import CostModel
 from .config import GroupConfig
+from .delivery import DeliveryQueue
 from .endpoint import GroupProtocolProcess
 
 if TYPE_CHECKING:
@@ -154,25 +154,16 @@ class PrimCastProcess(GroupProtocolProcess):
         self._new_state_sent: Set[Epoch] = set()
 
         # --- delivery bookkeeping ---
-        self.pending: Set[MessageId] = set()  # in T, not delivered
+        # ``self.queue`` (the endpoint's DeliveryQueue) holds the pending
+        # messages — in T, not delivered — bounded by _min_bound.
         self._final_cache: Dict[MessageId, int] = {}
-        # Heap of (final_ts, mid) for pending messages whose final ts is
-        # decided; stale entries (delivered mids) are skipped lazily.
-        self._finals_heap: List[Tuple[int, MessageId]] = []
-        # Lazy min-heap over pending messages, keyed by
-        # ``max(largest decided local ts, own T timestamp)`` — a
-        # per-message monotone surrogate for min-ts that is exact
-        # wherever it can affect a delivery decision (see
-        # _pending_min_excluding). Stale keys are valid lower bounds and
-        # entries are refreshed on demand.
-        self._min_heap: List[Tuple[int, MessageId]] = []
         # Delivery gate: True while the last _try_deliver ended at a stop
         # no clock observation can lift — line 30, or no decided final
-        # among the pending. Both depend only on the two heaps, whose
-        # keys hold no clock term (see _pending_min_excluding), so the
-        # clock-only call sites skip their attempt until something a
-        # decision feeds clears the flag: a local or final timestamp
-        # decided, a final pushed, T installed, an epoch activated.
+        # among the pending. Both depend only on the queue, whose bounds
+        # hold no clock term (see _min_bound), so the clock-only call
+        # sites skip their attempt until something a decision feeds
+        # clears the flag: a local or final timestamp decided, a final
+        # committed, T installed, an epoch activated.
         self._order_blocked = False
 
         # Cached quorum-clock() value; invalidated whenever the clock
@@ -390,19 +381,21 @@ class PrimCastProcess(GroupProtocolProcess):
         # for as long as m sits in T.
         self.started[mid] = multicast
         if mid not in self.delivered:
-            self.pending.add(mid)
-            # Seed the lazy heaps; the bound is refreshed on demand.
-            # ts is a valid lower bound of the heap key (see
-            # _pending_min_excluding).
-            heapq.heappush(self._min_heap, (ts, mid))
-            final = self._final_cache.get(mid)
-            if final is not None:
-                heapq.heappush(self._finals_heap, (final, mid))
-                self._order_blocked = False
-            else:
-                # Computes, caches and enqueues the final timestamp if
-                # all local timestamps happen to be decided already.
-                self.final_ts(mid)
+            self._enqueue(mid, ts)
+
+    def _enqueue(self, mid: MessageId, ts: int) -> None:
+        """Make ``mid`` (in T at ``ts``, not delivered) pending in the
+        delivery queue, committed at once if its final timestamp is
+        known. ``ts`` seeds its bound (see :meth:`_min_bound`)."""
+        self.queue.add_pending(mid, ts)
+        final = self._final_cache.get(mid)
+        if final is not None:
+            self.queue.commit(mid, final)
+            self._order_blocked = False
+        else:
+            # Computes, caches and commits the final timestamp if all
+            # local timestamps happen to be decided already.
+            self.final_ts(mid)
 
     def _send_ack(self, multicast: Multicast, epoch: Epoch, ts: int) -> None:
         self.my_acks.add((multicast.mid, epoch, ts))
@@ -535,8 +528,8 @@ class PrimCastProcess(GroupProtocolProcess):
             if ts > final:
                 final = ts
         self._final_cache[mid] = final
-        if mid in self.pending:
-            heapq.heappush(self._finals_heap, (final, mid))
+        if mid in self.queue.pending:
+            self.queue.commit(mid, final)
             self._order_blocked = False
         return final
 
@@ -569,137 +562,71 @@ class PrimCastProcess(GroupProtocolProcess):
         return cached
 
     def min_ts(self, mid: MessageId) -> int:
-        """Line 19: lower bound for final-ts(mid). Public wrapper used by
-        tests; delivery uses the inlined version."""
-        leader_clock = self.clocks.min_clock(self.e_cur.leader)
-        qclock = self.quorum_clock()
-        return self._min_ts(mid, leader_clock, qclock)
-
-    def _min_ts(self, mid: MessageId, leader_clock: int, qclock: int) -> int:
-        multicast = self.started[mid]
-        known_max = 0
-        trackers = self.acks.get(mid)
-        if trackers is not None:
-            for gid in multicast.dest:
-                tracker = trackers[gid]
-                if tracker is not None:
-                    ts = tracker.decided_ts
-                    if ts is not None and ts > known_max:
-                        known_max = ts
-        lower = leader_clock + 1 if leader_clock <= qclock else qclock + 1
+        """Line 19: lower bound for final-ts(mid). Delivery uses its
+        clock-free form, :meth:`_min_bound`."""
+        lower = min(self.clocks.min_clock(self.e_cur.leader), self.quorum_clock()) + 1
         entry = self.t_by_mid.get(mid)
         if entry is not None and entry[1] < lower:
             lower = entry[1]
-        return known_max if known_max > lower else lower
+        trackers = self.acks.get(mid)
+        if trackers is not None:
+            for gid in self.started[mid].dest:
+                tracker = trackers[gid]
+                if tracker is not None:
+                    ts = tracker.decided_ts
+                    if ts is not None and ts > lower:
+                        lower = ts
+        return lower
 
     # ------------------------------------------------------------------
     # delivery (lines 26-30 and 53-56)
     # ------------------------------------------------------------------
 
-    def _pending_min_excluding(
-        self, exclude: MessageId
-    ) -> Optional[Tuple[int, MessageId]]:
-        """Smallest heap entry over pending messages other than
-        ``exclude``, for the line-30 comparison in :meth:`_try_deliver`.
+    def _min_bound(self, mid: MessageId) -> int:
+        """The delivery queue's bound for pending ``mid``, for the line-30
+        comparison: ``max(known_max, t_ts)``.
 
-        Every pending message is in T (pending is only populated by
-        ``_t_append``), so its min-ts is
-        ``max(known_max, min(base_lower, t_ts))`` where ``known_max`` is
-        the largest decided local ts, ``t_ts`` its timestamp in T and
-        ``base_lower = min(leader-clock, quorum-clock) + 1``. The heap
-        key used here is ``max(known_max, t_ts)`` — it drops the
-        ``base_lower`` term, making keys *per-message monotone* (so lazy
-        refreshing needs no global input) while preserving every
-        delivery decision: _try_deliver only consults the result after
-        establishing ``final < base_lower``, and wherever the key
-        differs from true min-ts (``t_ts >= base_lower``) both exceed
-        ``final``, so neither can satisfy the blocking comparison.
-
-        Stale tops are recomputed and pushed back until the top is
-        current; entries for delivered messages are dropped.
+        Every pending message is in T (only ``_enqueue`` makes one
+        pending), so its min-ts is ``max(known_max, min(base_lower,
+        t_ts))`` where ``known_max`` is the largest decided local ts,
+        ``t_ts`` its timestamp in T and ``base_lower = min(leader-clock,
+        quorum-clock) + 1``. The bound drops the ``base_lower`` term,
+        making it *per-message monotone* (so lazy refreshing needs no
+        global input) while preserving every delivery decision: the
+        queue consults it only after the clock guard established
+        ``final < base_lower``, and wherever the bound differs from true
+        min-ts (``t_ts >= base_lower``) both exceed ``final``, so
+        neither can satisfy the blocking comparison.
         """
-        heap = self._min_heap
-        set_aside: Optional[List[Tuple[int, MessageId]]] = None
-        result: Optional[Tuple[int, MessageId]] = None
-        pending = self.pending
-        started = self.started
-        acks = self.acks
-        t_by_mid = self.t_by_mid
-        heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-        while heap:
-            top = heap[0]
-            mid = top[1]
-            if mid not in pending:
-                heappop(heap)
-                continue
-            if mid == exclude:
-                if set_aside is None:
-                    set_aside = []
-                set_aside.append(heappop(heap))
-                continue
-            current = t_by_mid[mid][1]
-            trackers = acks.get(mid)
-            if trackers is not None:
-                for gid in started[mid].dest:
-                    tracker = trackers[gid]
-                    if tracker is not None:
-                        ts = tracker.decided_ts
-                        if ts is not None and ts > current:
-                            current = ts
-            if current > top[0]:
-                heapreplace(heap, (current, mid))
-                continue
-            result = top
-            break
-        if set_aside:
-            for entry in set_aside:
-                heapq.heappush(heap, entry)
-        return result
+        current = self.t_by_mid[mid][1]
+        trackers = self.acks.get(mid)
+        if trackers is not None:
+            for gid in self.started[mid].dest:
+                tracker = trackers[gid]
+                if tracker is not None:
+                    ts = tracker.decided_ts
+                    if ts is not None and ts > current:
+                        current = ts
+        return current
 
     def _try_deliver(self) -> None:
         """Deliver every message whose ``deliverable`` predicate holds.
 
-        It suffices to repeatedly examine the pending message with the
-        smallest ``(final-ts, id)``: if that one is not deliverable, no
-        other pending message can be — line 30 would fail against it,
-        since min-ts(m) <= final-ts(m) for every pending m.
-
-        Ends with ``_order_blocked`` set unless it stopped at the clock
-        guard of lines 28-29 (or the role forbids delivery): the only
-        stops a later clock observation can lift.
+        The queue's clock is ``min(leader-clock, quorum-clock)``: lines
+        28-29 hold iff the final timestamp is at or below both. Ends
+        with ``_order_blocked`` set unless it stopped at that clock
+        guard (or the role forbids delivery): the only stops a later
+        clock observation can lift.
         """
         if self.role not in (PRIMARY, FOLLOWER):
             return
+        clock = min(self.clocks.values.get(self.e_cur.leader, 0), self.quorum_clock())
         self._order_blocked = True  # until the clock guard says otherwise
-        finals = self._finals_heap
-        if not finals:
-            return
-        leader_clock = self.clocks.values.get(self.e_cur.leader, 0)
-        qclock = self.quorum_clock()
-        pending = self.pending
-        heappop = heapq.heappop
-        while finals:
-            best_final, best_mid = finals[0]
-            if best_mid not in pending:
-                heappop(finals)
-                continue
-            # Lines 28-29: no new proposal in E_cur or in any later
-            # epoch may be smaller than final-ts(m).
-            if best_final > leader_clock or best_final > qclock:
-                self._order_blocked = False
-                return
-            # Line 30: strictly smaller than the smallest possible
-            # timestamp of any other pending message.
-            other = self._pending_min_excluding(best_mid)
-            if other is not None and (best_final, best_mid) >= other:
-                return
-            heappop(finals)
-            self._deliver(best_mid, best_final)
+        if self._deliver_ready(clock):
+            self._order_blocked = False
 
     def _deliver(self, mid: MessageId, final: int) -> None:
         """Lines 54-56."""
-        self.pending.discard(mid)
         self._record_delivery(self.started[mid], final)
 
     # ------------------------------------------------------------------
@@ -783,25 +710,15 @@ class PrimCastProcess(GroupProtocolProcess):
         self._t_delivered_prefix = 0
         self._dp_cache = None
         self.t_by_mid = {m.mid: (epoch, ts) for epoch, m, ts in self.t_list}
-        self.pending = {
-            m.mid for _, m, _ in self.t_list if m.mid not in self.delivered
-        }
         for _, multicast, _ in self.t_list:
             self.started.setdefault(multicast.mid, multicast)
-        # Rebuild the delivery heaps from the new T (the T timestamps,
-        # which seed the min-heap keys, may have changed).
-        self._min_heap = [(self.t_by_mid[mid][1], mid) for mid in sorted(self.pending)]
-        heapq.heapify(self._min_heap)
-        self._finals_heap = [
-            (self._final_cache[mid], mid)
-            for mid in sorted(self.pending)
-            if mid in self._final_cache
-        ]
-        heapq.heapify(self._finals_heap)
+        # A fresh delivery queue over the new T (its timestamps, which
+        # the bounds read, may have changed).
+        self.queue = DeliveryQueue(self._min_bound)
+        for mid, (_, ts) in sorted(self.t_by_mid.items()):
+            if mid not in self.delivered:
+                self._enqueue(mid, ts)
         self._order_blocked = False
-        for mid in sorted(self.pending):
-            if mid not in self._final_cache:
-                self.final_ts(mid)
         self.e_cur = msg.epoch
         self.clocks.advance_epoch(self.e_cur)
         self._qclock_cache = None

@@ -168,11 +168,14 @@ def verify_cluster_logs(result: ClusterResult) -> List[Violation]:
     times — the (mid, final, t) triple shape ``repro.verify``'s
     checkers consume. Killed nodes stay in the logs (their prefix is
     checked) but drop out of ``correct_pids``, exactly the paper's
-    uniform-agreement obligation. The ``truncate-*.jsonl`` logs feed the
-    same call's truncation-safety check: the state GC may only have
-    dropped T entries its node had already delivered and every correct
-    destination delivers. This is the battery the chaos explorer runs
-    on the simulator, called the same way.
+    uniform-agreement obligation. A run ends only after every live node
+    delivered all it expected, so validity is owed too: a mid a correct
+    node submitted reached every correct destination. The
+    ``truncate-*.jsonl`` logs feed the same call's truncation-safety
+    check: the state GC may only have dropped T entries its node had
+    already delivered and every correct destination delivers. This is
+    the battery the chaos explorer runs on the simulator, called the
+    same way.
     """
     rundir = result.rundir
     config = result.topology.make_config()
@@ -204,5 +207,6 @@ def verify_cluster_logs(result: ClusterResult) -> List[Violation]:
     killed = {pid for pid, o in result.outcomes.items() if o.killed}
     correct_pids = {pid for pid in pids if pid not in killed}
     return collect_violations(
-        logs, multicast_mids, dest_pids_of, correct_pids, truncated=truncated
+        logs, multicast_mids, dest_pids_of, correct_pids, truncated=truncated,
+        validity=True,
     )

@@ -14,6 +14,7 @@ from .properties import (
     check_timestamp_order,
     check_truncation_safety,
     check_uniform_agreement,
+    check_validity,
     collect_violations,
 )
 
@@ -27,6 +28,7 @@ __all__ = [
     "check_timestamp_order",
     "check_truncation_safety",
     "check_genuineness",
+    "check_validity",
     "collect_violations",
     "InvariantMonitor",
     "attach_monitors",

@@ -113,7 +113,7 @@ class InvariantMonitor:
             entry = proc.t_by_mid.get(multicast.mid)
             if entry is None:
                 self._fail(f"T entry {multicast.mid} missing from index")
-        for mid in proc.pending:
+        for mid in proc.queue.pending:
             if mid not in proc.t_by_mid:
                 self._fail(f"pending {mid} not in T")
             if mid in proc.delivered:

@@ -6,6 +6,8 @@ These run over per-process delivery logs collected after a simulation:
   only if it was multicast.
 * **Uniform agreement** — at quiescence, every correct destination
   process delivered every message any process delivered.
+* **Validity** — at quiescence, every correct destination process
+  delivered every message a correct process a-multicast.
 * **Global total order** — the ≺ relation (m ≺ m' iff some process
   delivers m before m') is acyclic. ≺ is the transitive closure of the
   union of the per-process delivery orders, and a cycle in a closure
@@ -49,7 +51,8 @@ class PropertyViolation(AssertionError):
     * ``prop`` — short property name (``"integrity"``,
       ``"uniform-agreement"``, ``"acyclic-order"``, ``"prefix-order"``,
       ``"timestamp-order"``, ``"truncation-safety"``,
-      ``"genuineness"``, or ``"invariant"`` for runtime monitors);
+      ``"genuineness"``, ``"validity"``, or ``"invariant"`` for
+      runtime monitors);
     * ``mids`` — the offending message id(s), possibly empty.
     """
 
@@ -143,6 +146,34 @@ def check_uniform_agreement(
                     f"{mid} was delivered somewhere but not at correct "
                     f"destination {pid}",
                     prop="uniform-agreement",
+                    mids=(mid,),
+                )
+
+
+def check_validity(
+    logs: Dict[int, DeliveryLog],
+    multicast_mids: Set[MessageId],
+    dest_pids_of: Dict[MessageId, Set[int]],
+    correct_pids: Set[int],
+) -> None:
+    """If a correct process a-multicast m, every correct destination
+    delivered m. A mid's origin is its first field.
+
+    Only sound after the run has quiesced, and only where every
+    destination group kept a quorum of correct processes.
+    """
+    delivered_by: Dict[int, Set[MessageId]] = {
+        pid: {mid for mid, _, _ in log} for pid, log in logs.items()
+    }
+    for mid in sorted(multicast_mids):
+        if mid[0] not in correct_pids:
+            continue
+        for pid in sorted(dest_pids_of.get(mid, set())):
+            if pid in correct_pids and mid not in delivered_by.get(pid, set()):
+                raise PropertyViolation(
+                    f"{mid} from correct process {mid[0]} was never "
+                    f"delivered at correct destination {pid}",
+                    prop="validity",
                     mids=(mid,),
                 )
 
@@ -335,6 +366,7 @@ def collect_violations(
     truncated: Optional[Dict[int, Dict[MessageId, float]]] = None,
     flights: Optional[Sequence["Flight"]] = None,
     group_of: Optional[Dict[int, int]] = None,
+    validity: bool = False,
 ) -> List[Violation]:
     """Run every checker; return the violations as :class:`Violation`
     records, one per failing property (each checker stops at its first
@@ -347,7 +379,8 @@ def collect_violations(
     ``truncated`` (pid -> {mid: time}, see
     :func:`check_truncation_safety`) adds the state-GC check, and
     ``flights`` with the run's ``group_of`` (pid -> group, see
-    :func:`check_genuineness`) the genuineness check.
+    :func:`check_genuineness`) the genuineness check. ``validity`` adds
+    :func:`check_validity`, owed only at quiescence.
     """
     checkers: List[Callable[[], None]] = [
         lambda: check_integrity(logs, multicast_mids),
@@ -367,6 +400,10 @@ def collect_violations(
             raise ValueError("judging flights for genuineness needs group_of")
         traffic, groups = flights, group_of
         checkers.append(lambda: check_genuineness(traffic, dest_pids_of, groups))
+    if validity:
+        checkers.append(
+            lambda: check_validity(logs, multicast_mids, dest_pids_of, correct_pids)
+        )
     violations: List[Violation] = []
     for checker in checkers:
         try:

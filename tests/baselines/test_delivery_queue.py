@@ -1,8 +1,11 @@
-"""Unit tests for the shared timestamp-order delivery queue."""
+"""Unit tests for the timestamp-order delivery queue PrimCast and the
+three baselines share."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines.delivery import DeliveryQueue
+from repro.core.delivery import DeliveryQueue
 
 A, B, C = ("a", 1), ("b", 1), ("c", 1)
 
@@ -148,3 +151,80 @@ def test_many_messages_scale(bounds):
         out.append(popped[1])
     assert out == sorted(out)
     assert len(out) == n
+
+
+def test_delivered_mids_leave_no_state(bounds):
+    """The queue holds only pending mids: after 1,000 deliveries, the
+    committed set and both heaps name none of the delivered ones."""
+    q = DeliveryQueue(bounds)
+    delivered = 0
+    for i in range(1_010):
+        bounds.set(("m", i), i)
+        q.add_pending(("m", i))
+        if i >= 10:  # the last ten stay pending
+            q.commit(("m", i - 10), i - 10)
+            while q.pop_deliverable(clock=i) is not None:
+                delivered += 1
+    assert delivered == 1_000
+    assert q.pending == {("m", i) for i in range(1_000, 1_010)}
+    assert q._committed == set() and q._commit_heap == []
+    assert sorted(mid for _, mid in q._bound_heap) == sorted(q.pending)
+
+
+def _brute_force(pending, bound, final, clock):
+    """The rule scanned literally: the smallest committed ``(final,
+    mid)`` goes if it is at or below the clock and strictly below every
+    other pending ``(bound, mid)``. Returns (popped, at_clock_guard)."""
+    committed = sorted((final[mid], mid) for mid in pending if mid in final)
+    if not committed:
+        return None, False
+    f, mid = committed[0]
+    if f > clock:
+        return None, True
+    if all((f, mid) < (bound[o], o) for o in pending if o != mid):
+        return (mid, f), False
+    return None, False
+
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "commit", "raise", "pop"]),
+        st.integers(0, 7),
+        st.integers(0, 12),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(OPS)
+def test_pop_deliverable_matches_a_brute_force_scan(ops):
+    """Random add_pending / commit / monotone bound raises / pops at
+    random clocks: every pop agrees with :func:`_brute_force`, and the
+    queue holds state for pending mids only."""
+    bound, final, pending, delivered = {}, {}, set(), set()
+    q = DeliveryQueue(lambda mid: bound[mid])
+    for op, i, n in ops:
+        mid = ("m", i)
+        if op == "add" and mid not in delivered:
+            bound.setdefault(mid, n)
+            q.add_pending(mid, bound[mid] // 2)  # any lower bound seeds it
+            pending.add(mid)
+        elif op == "commit":
+            q.commit(mid, bound.get(mid, 0) + n)
+            if mid in pending and mid not in final:
+                final[mid] = bound[mid] + n
+        elif op == "raise" and mid in bound:
+            # Monotone, and never above a committed final.
+            bound[mid] = min(bound[mid] + n, final.get(mid, bound[mid] + n))
+        elif op == "pop":
+            want, at_guard = _brute_force(pending, bound, final, clock=n)
+            assert q.pop_deliverable(clock=n) == want
+            assert q.at_clock_guard == at_guard
+            if want is not None:
+                pending.discard(want[0])
+                delivered.add(want[0])
+        assert q.pending == pending
+        assert q._committed == {m for m in final if m in pending}
+        assert {m for _, m in q._commit_heap} == q._committed
+        assert sorted(m for _, m in q._bound_heap) == sorted(pending)

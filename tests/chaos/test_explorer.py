@@ -141,6 +141,30 @@ class TestRunCase:
         assert result.aborted
         assert [v.prop for v in result.violations] == ["invariant", "genuineness"]
 
+    def test_drop_all_is_caught_by_validity_alone(self):
+        # A protocol that delivers nothing holds every safety property;
+        # validity, owed at the horizon of a case that did not abort,
+        # is what sees it.
+        result = run_case(CaseSpec(scenario="fig3-reduced", seed=0, mutation="drop-all"))
+        assert not result.aborted and not any(result.delivered.values())
+        assert [v.prop for v in result.violations] == ["validity"]
+
+    def test_a_group_without_a_quorum_owes_no_validity(self):
+        # Two of group 1's three members crash over budget before the
+        # first send: nothing addressed to group 1 is ever decided, and
+        # the global messages pending at group 0 hold back its own ones
+        # too, so no process delivers anything. The case is not judged
+        # for validity.
+        spec = CaseSpec(scenario=SCN, seed=1, allow_over_budget=True)
+        crashes = [
+            FaultEvent(kind="crash", trigger=Trigger(kind="at", time_ms=0.0),
+                       target=f"pid:{pid}", over_budget=True)
+            for pid in (4, 5)
+        ]
+        result = run_case(spec.with_schedule(spec.resolve_schedule().replace_events(crashes)))
+        assert result.crashed == (4, 5) and not any(result.delivered.values())
+        assert result.violations == []
+
     def test_delay_spike_does_not_stall_a_correct_process(self):
         # Seed 14 has a delay rule with dst=4 and a wildcard src. Were it
         # to shift pid 4's self-messages, a later one would overtake an

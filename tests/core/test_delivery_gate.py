@@ -16,6 +16,7 @@ import pytest
 
 from helpers import MiniSystem, random_workload
 from repro.chaos.explorer import CaseSpec, run_campaign, run_case
+from repro.core.delivery import DeliveryQueue
 from repro.core.epoch import Epoch
 from repro.core.messages import Ack, Bump, Multicast, Start
 from repro.core.process import FOLLOWER, PRIMARY, PrimCastProcess
@@ -43,13 +44,13 @@ def literally_deliverable(proc, rec):
     leader_clock = rec.min_clock(config, e_cur, e_cur.leader)
     qclock = rec.quorum_clock(config, e_cur)
     found = []
-    for mid in sorted(proc.pending):
+    for mid in sorted(proc.queue.pending):
         final = rec.final_ts(config, mid)
         if final is None or final > leader_clock or final > qclock:
             continue
         if all(
             (final, mid) < (rec.min_ts(config, e_cur, other), other)
-            for other in proc.pending
+            for other in proc.queue.pending
             if other != mid
         ):
             found.append(mid)
@@ -127,7 +128,7 @@ def test_nothing_pending_is_deliverable_after_any_r_delivery(seed, monkeypatch):
     random_workload(sys_, 30, seed=seed, spread_ms=20)
     sys_.run_to_quiescence()
     procs = sys_.processes.values()
-    assert all(not p.pending and p.delivery_log for p in procs)
+    assert all(not p.queue.pending and p.delivery_log for p in procs)
     assert sum(p.checks for p in procs) > 1000
 
 
@@ -137,7 +138,7 @@ def test_nothing_pending_is_deliverable_with_jitter(seed, monkeypatch):
                  latency=JitteredLatency(2.0, 0.3), seed=seed)
     random_workload(sys_, 40, seed=seed, spread_ms=15)
     sys_.run_to_quiescence()
-    assert all(not p.pending and p.delivery_log for p in sys_.processes.values())
+    assert all(not p.queue.pending and p.delivery_log for p in sys_.processes.values())
 
 
 def test_nothing_pending_is_deliverable_under_chaos(monkeypatch):
@@ -238,7 +239,7 @@ def _record_dispatch(proc):
 def _state(proc):
     return (
         [(e, m.mid, ts) for e, m, ts in proc.t_list], proc.clock, dict(proc.clocks.values),
-        dict(proc.rm._dedupe_high), sorted(proc.pending), sorted(proc.my_acks),
+        dict(proc.rm._dedupe_high), sorted(proc.queue.pending), sorted(proc.my_acks),
         list(proc.delivery_log), dict(proc.network.counts_by_kind),
     )
 
@@ -330,7 +331,7 @@ def _convoy_follower(n=14):
     for i, m in enumerate(ms[1:], 1):
         for sender in (3, 4):
             proc.on_message(sender, Envelope(sender, i, Ack(m, 1, e1, 1, sender), everyone))
-    assert len(proc.pending) == n and len(proc._finals_heap) == n - 1 and not proc.delivery_log
+    assert len(proc.queue.pending) == n and len(proc.queue._commit_heap) == n - 1 and not proc.delivery_log
     late = (Envelope(2, i, Ack(m, 0, e0, i + 1, 2), everyone) for i, m in enumerate(ms))
     return proc, Batch(tuple(late))
 
@@ -340,13 +341,13 @@ def test_call_count_to_handle_a_14_ack_batch_at_a_follower():
 
     Parent: 129 — per envelope ``handle`` → ``on_r_deliver`` → ``_on_ack``
     → ``add_ack``, then a delivery attempt (``_try_deliver``,
-    ``quorum_clock``, ``quorum_clock_value``, ``_pending_min_excluding``)
+    ``quorum_clock``, ``quorum_clock_value``, the blocker scan)
     that re-finds the same line-30 blocker. Now: 30 — one loop, and no
     attempt while the gate is closed. Ceiling = the new count + 10 %.
     """
     proc, batch = _convoy_follower()
     assert _python_calls(lambda: proc.on_message(2, batch)) <= 33
-    assert proc.clocks.values[2] == 14 and len(proc.pending) == 14  # all handled, none delivered
+    assert proc.clocks.values[2] == 14 and len(proc.queue.pending) == 14  # all handled, none delivered
     # The gate opens with the decision the convoy waited for.
     m0 = proc.started[(0, 0)]
     for sender in (3, 4):
@@ -355,15 +356,16 @@ def test_call_count_to_handle_a_14_ack_batch_at_a_follower():
 
 
 def test_call_count_blocker_scans_per_delivered_message():
-    """``_pending_min_excluding`` calls per delivered message on a fixed
-    sim point (LAN 8x3, d=2, 16 outstanding, seed 1, 20 + 60 ms; 205,528
-    events, 12,470 deliveries).
+    """Blocker scans (``DeliveryQueue._min_bound_excluding``) per message
+    PrimCast delivers on a fixed sim point (LAN 8x3, d=2, 16
+    outstanding, seed 1, 20 + 60 ms; 205,528 events, 12,470
+    deliveries).
 
     Parent: 53,542 calls = 4.29 per delivery; now 34,458 = 2.76 (ratio
     0.64). Ceiling 3.0.
     """
     calls = deliveries = 0
-    scan = PrimCastProcess._pending_min_excluding
+    scan = DeliveryQueue._min_bound_excluding
     deliver = PrimCastProcess._deliver
 
     def counted_scan(self, exclude):
@@ -376,13 +378,13 @@ def test_call_count_blocker_scans_per_delivered_message():
         deliveries += 1
         deliver(self, mid, final)
 
-    PrimCastProcess._pending_min_excluding = counted_scan
+    DeliveryQueue._min_bound_excluding = counted_scan
     PrimCastProcess._deliver = counted_deliver
     try:
         result = run_load_point("primcast", lan_scenario(), 2, 16, seed=1,
                                 warmup_ms=20.0, measure_ms=60.0)
     finally:
-        PrimCastProcess._pending_min_excluding = scan
+        DeliveryQueue._min_bound_excluding = scan
         PrimCastProcess._deliver = deliver
     assert result.events == 205_528 and deliveries == 12_470  # the point did not move
     assert calls / deliveries <= 3.0

@@ -154,7 +154,7 @@ class TestEpochBookkeeping:
         follower._on_new_state(
             2, NewState(epoch, [(epoch, m1, 1), (epoch, m2, 2)], 2)
         )
-        assert follower.pending == {m1.mid, m2.mid}
+        assert follower.queue.pending == {m1.mid, m2.mid}
         assert follower.t_by_mid[m2.mid] == (epoch, 2)
 
     def test_promise_rejected_below_promised_epoch(self):

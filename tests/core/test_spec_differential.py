@@ -42,7 +42,7 @@ def _assert_equivalent(sys_, recorders):
                 f"final-ts({mid}) mismatch at {pid}"
             )
         # min-ts for pending messages
-        for mid in proc.pending:
+        for mid in proc.queue.pending:
             assert proc.min_ts(mid) == rec.min_ts(config, proc.e_cur, mid), (
                 f"min-ts({mid}) mismatch at {pid}"
             )

@@ -21,6 +21,7 @@ import pytest
 import repro.net.cluster as cluster_module
 from repro.core.process import PrimCastProcess
 from repro.net.cluster import (
+    ClusterResult,
     ClusterSpec,
     launch_cluster,
     make_topology,
@@ -774,3 +775,19 @@ def test_no_false_suspicion_and_few_heartbeats_under_steady_global_traffic(tmp_p
     heartbeats = sum(s["heartbeats_sent"] for s in summaries)
     frames = sum(s["transport"]["frames_sent"] for s in summaries)
     assert heartbeats < 0.1 * frames, (heartbeats, frames)
+
+
+def test_a_message_a_correct_node_submitted_must_reach_every_correct_destination(tmp_path):
+    # Node 0 submitted (0, 0) to its own group and only node 1 delivered
+    # it: the drained run owes it to every correct destination.
+    topology = make_topology(ClusterSpec(n_groups=1, group_size=3))
+    (tmp_path / "submit-0.jsonl").write_text('{"mid": [0, 0], "dest": [0], "t": 1.0}\n')
+    (tmp_path / "delivery-1.jsonl").write_text('{"mid": [0, 0], "final": 1, "t": 5.0}\n')
+    violations = verify_cluster_logs(ClusterResult(topology, {}, 0.0, tmp_path))
+    assert [(v.prop, v.mids) for v in violations] == [
+        ("uniform-agreement", ((0, 0),)), ("validity", ((0, 0),)),
+    ]
+    # Delivered nowhere: agreement holds vacuously, validity does not.
+    (tmp_path / "delivery-1.jsonl").write_text("")
+    violations = verify_cluster_logs(ClusterResult(topology, {}, 0.0, tmp_path))
+    assert [(v.prop, v.mids) for v in violations] == [("validity", ((0, 0),))]

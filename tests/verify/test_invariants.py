@@ -70,7 +70,7 @@ def test_role_inconsistency_detected():
 def test_pending_not_in_t_detected():
     sys_ = MiniSystem(n_groups=2)
     monitor = InvariantMonitor(sys_.processes[0])
-    sys_.processes[0].pending.add(("ghost", 0))
+    sys_.processes[0].queue.pending.add(("ghost", 0))
     with pytest.raises(PropertyViolation, match="not in T"):
         monitor.check()
 

@@ -12,6 +12,7 @@ from repro.verify.properties import (
     check_timestamp_order,
     check_truncation_safety,
     check_uniform_agreement,
+    check_validity,
     collect_violations,
 )
 
@@ -66,6 +67,26 @@ class TestUniformAgreement:
     def test_non_destinations_excused(self):
         logs = {0: log((A, 1)), 1: []}
         check_uniform_agreement(logs, {A: {0}}, {0, 1})
+
+
+class TestValidity:
+    # Validity reads a mid's origin from its first field: M is process
+    # 0's, N process 2's.
+    M, N = (0, 1), (2, 1)
+
+    def test_ok_when_every_correct_destination_delivers(self):
+        logs = {0: log((self.M, 1)), 1: log((self.M, 1))}
+        check_validity(logs, {self.M}, {self.M: {0, 1}}, {0, 1})
+
+    def test_message_of_a_correct_origin_must_be_delivered(self):
+        logs = {0: log((self.M, 1)), 1: []}
+        with pytest.raises(PropertyViolation, match="correct destination 1"):
+            check_validity(logs, {self.M}, {self.M: {0, 1}}, {0, 1})
+
+    def test_crashed_origin_and_destinations_excused(self):
+        logs = {0: log((self.M, 1)), 1: []}
+        check_validity(logs, {self.M}, {self.M: {0, 1}}, {0})
+        check_validity({0: [], 1: []}, {self.N}, {self.N: {0, 1}}, {0, 1})
 
 
 class TestAcyclicOrder:
@@ -204,6 +225,14 @@ class TestCollectViolations:
         assert collect_violations(*args) == []
         (v,) = collect_violations(*args, truncated=early)
         assert (v.prop, v.mids) == ("truncation-safety", (B,))
+
+    def test_validity_is_judged_only_when_asked(self):
+        # Nothing delivered holds every safety property.
+        mid = (0, 1)
+        args = ({0: [], 1: []}, {mid}, {mid: {0, 1}}, {0, 1})
+        assert collect_violations(*args) == []
+        (v,) = collect_violations(*args, validity=True)
+        assert (v.prop, v.mids) == ("validity", (mid,))
 
 
 class TestTruncationSafety:
