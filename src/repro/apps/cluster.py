@@ -1,23 +1,19 @@
 """Convenience cluster wiring for the KV store.
 
-Bundles a simulated substrate (``Scheduler`` + ``Network``), a
-protocol deployment and one
-:class:`~repro.apps.kvstore.KvReplica` per process, with key-based
-routing for client commands. Primarily a demonstration vehicle (examples
-and tests); the pieces compose manually just as well.
+Bundles a protocol deployment built by
+:func:`~repro.harness.runner.build_system` (an exact 1 ms network, free
+CPUs, static leaders) with one :class:`~repro.apps.kvstore.KvReplica`
+per process, and key-based routing for client commands. Primarily a
+demonstration vehicle (examples and tests).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from ..core.config import uniform_groups
-from ..harness.runner import make_processes
-from ..sim.costs import CostModel
-from ..sim.events import Scheduler
-from ..sim.latency import ConstantLatency, LatencyModel
-from ..sim.network import Network
-from ..sim.rng import child_rng
+from ..harness.runner import build_system
+from ..sim.costs import zero_cost_model
+from ..workload.scenarios import exact_network
 from .kvstore import Command, KvReplica, partition_of
 
 
@@ -29,19 +25,16 @@ class KvCluster:
         n_partitions: int = 3,
         replicas_per_partition: int = 3,
         protocol: str = "primcast",
-        latency: Optional[LatencyModel] = None,
-        cost_model: Optional[CostModel] = None,
         seed: int = 1,
     ):
         self.n_partitions = n_partitions
-        self.config = uniform_groups(n_partitions, replicas_per_partition)
-        self.scheduler = Scheduler()
-        self.network = Network(
-            self.scheduler, latency or ConstantLatency(1.0), child_rng(seed, "kv")
-        )
-        self.processes: Dict[int, Any] = make_processes(
-            protocol, self.config, self.scheduler, self.network, cost_model, None
-        )
+        scenario = exact_network(n_partitions, replicas_per_partition, delta_ms=1.0)
+        system = build_system(protocol, scenario, seed=seed,
+                              cost_model=zero_cost_model(), compaction_interval_ms=0.0)
+        self.config = system.config
+        self.scheduler = system.scheduler
+        self.network = system.network
+        self.processes: Dict[int, Any] = system.processes
         self.replicas: Dict[int, KvReplica] = {
             pid: KvReplica(proc, n_partitions) for pid, proc in self.processes.items()
         }

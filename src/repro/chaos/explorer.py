@@ -31,7 +31,7 @@ Safety checking is two-layered, violations captured as data:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -87,6 +87,19 @@ def _drop_all(proc: PrimCastProcess) -> None:
     proc.a_multicast_m = lambda multicast: None  # type: ignore[method-assign]
 
 
+def _drop_global(proc: PrimCastProcess) -> None:
+    """The ``drop-global`` mutant: a-multicast to more than one group
+    returns at once, so only local messages are delivered; validity must
+    catch it."""
+    submit = proc.a_multicast_m
+
+    def a_multicast_m(multicast: Multicast) -> None:
+        if len(multicast.dest) == 1:
+            submit(multicast)
+
+    proc.a_multicast_m = a_multicast_m  # type: ignore[method-assign]
+
+
 #: Mutations the explorer can inject for shrinker self-validation: each
 #: name maps to a patch that :func:`run_case` applies to every built
 #: process (``""``, no mutation, to none).
@@ -94,12 +107,14 @@ MUTATIONS: Dict[str, Optional[Callable[[PrimCastProcess], None]]] = {
     "": None,
     "no-quorum-wait": _deliver_on_decision,
     "drop-all": _drop_all,
+    "drop-global": _drop_global,
 }
 
 
 @dataclass(frozen=True)
 class ChaosScenario:
-    """A deployment + workload sized for fault exploration."""
+    """A deployment (which sets Ω's ``suspect_ms``) + workload sized for
+    fault exploration."""
 
     name: str
     deployment: Scenario
@@ -107,7 +122,6 @@ class ChaosScenario:
     horizon_ms: float = 3000.0
     n_messages: int = 40
     send_window_ms: float = 45.0
-    suspect_ms: float = 150.0
 
     @property
     def hybrid_clock(self) -> bool:
@@ -127,29 +141,28 @@ class ChaosScenario:
 #: leaders) at a reduced 3×3 shape so 8 seeds finish in seconds.
 CHAOS_SCENARIOS: Dict[str, ChaosScenario] = {
     "lan-small": ChaosScenario(
-        name="lan-small", deployment=lan_scenario(2, 3),
-        horizon_ms=2000.0, suspect_ms=150.0,
+        name="lan-small", horizon_ms=2000.0,
+        deployment=replace(lan_scenario(2, 3), suspect_ms=150.0),
     ),
     "fig3-reduced": ChaosScenario(
-        name="fig3-reduced", deployment=wan_colocated_leaders(3, 3),
-        horizon_ms=6000.0, suspect_ms=250.0,
+        name="fig3-reduced", horizon_ms=6000.0,
+        deployment=replace(wan_colocated_leaders(3, 3), suspect_ms=250.0),
     ),
     "fig4-reduced": ChaosScenario(
-        name="fig4-reduced", deployment=wan_distributed_leaders(2, 3),
-        horizon_ms=5000.0, suspect_ms=200.0,
+        name="fig4-reduced", horizon_ms=5000.0,
+        deployment=replace(wan_distributed_leaders(2, 3), suspect_ms=200.0),
     ),
     "fig3-reduced-hc": ChaosScenario(
-        name="fig3-reduced-hc", deployment=wan_colocated_leaders(3, 3),
-        protocol="primcast-hc", horizon_ms=6000.0, suspect_ms=250.0,
+        name="fig3-reduced-hc", protocol="primcast-hc", horizon_ms=6000.0,
+        deployment=replace(wan_colocated_leaders(3, 3), suspect_ms=250.0),
     ),
     # Long-horizon LAN campaign: enough traffic past the fault window
     # that the state-GC watermark advances and truncation actually
     # happens under crashes/partitions/epoch changes — the case-level
     # truncation-safety check is only interesting when it does.
     "lan-sustained": ChaosScenario(
-        name="lan-sustained", deployment=lan_sustained(2, 3),
-        horizon_ms=20000.0, n_messages=400,
-        send_window_ms=18000.0, suspect_ms=150.0,
+        name="lan-sustained", horizon_ms=20000.0, n_messages=400, send_window_ms=18000.0,
+        deployment=replace(lan_sustained(2, 3), suspect_ms=150.0),
     ),
 }
 
@@ -266,12 +279,7 @@ def run_case(spec: CaseSpec) -> CaseResult:
         raise ValueError(f"unknown mutation {spec.mutation!r}; pick from {tuple(MUTATIONS)}")
     scn = CHAOS_SCENARIOS[spec.scenario]
     schedule = spec.resolve_schedule()
-    system = build_system(
-        scn.protocol,
-        scn.deployment,
-        seed=spec.seed,
-        suspect_ms=scn.suspect_ms,
-    )
+    system = build_system(scn.protocol, scn.deployment, seed=spec.seed)
     processes = system.processes
     config = system.config
     mutate = MUTATIONS[spec.mutation]

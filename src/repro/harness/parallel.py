@@ -79,9 +79,10 @@ class PointSpec:
     Every field is JSON-safe — the :class:`~repro.workload.scenarios.
     Scenario` travels by value, a customized one included — and
     ``canonical()`` is the stable dict the cache hashes. A point runs
-    with the calibrated default cost model, the scenario's skew bound,
-    batching off and state GC at its default interval; callers that vary
-    those call ``run_load_point`` directly.
+    with the scenario's skew bound, Ω and batching window (so a sweep
+    varies those with ``dataclasses.replace`` on its scenario), the
+    calibrated default cost model and state GC at its default interval;
+    callers that vary the last two call ``run_load_point`` directly.
 
     This is the one declaration of a load point's parameters and their
     defaults: :func:`expand_sweep` forwards its keywords here, and

@@ -97,7 +97,7 @@ class System:
     network: Network
     config: GroupConfig
     processes: Dict[int, Any]
-    #: pid -> its Ω (``build_system(suspect_ms=...)`` only)
+    #: pid -> its Ω (scenarios that set ``suspect_ms`` only)
     oracles: Optional[Dict[int, HeartbeatOmega]] = None
     #: periodic state-GC driver (PrimCast protocols, interval > 0 only)
     compaction: Optional[CompactionDaemon] = None
@@ -112,26 +112,20 @@ def build_system(
     scenario: Scenario,
     seed: int = 1,
     cost_model: Optional[CostModel] = None,
-    suspect_ms: Optional[float] = None,
-    epsilon_ms: Optional[float] = None,
-    batching_ms: float = 0.0,
     compaction_interval_ms: float = DEFAULT_COMPACTION_INTERVAL_MS,
 ) -> System:
-    """Instantiate one protocol deployment on one scenario.
+    """Instantiate one protocol deployment on one scenario: the one place
+    a simulated scheduler, network and processes are wired.
+
+    The scenario supplies the latency model, ε, the batching window and
+    ``suspect_ms``, which attaches a heartbeat Ω to every PrimCast
+    process (:func:`repro.election.attach_omegas`; heartbeats are sim
+    messages, so partitions and delay windows reach Ω).
 
     Args:
         protocol: one of :data:`PROTOCOLS`.
         seed: root seed; all randomness derives from it.
         cost_model: CPU cost model (defaults to the calibrated one).
-        suspect_ms: give every PrimCast process its own heartbeat Ω
-            (:func:`repro.election.attach_omegas`) that suspects a group
-            peer silent for this long; heartbeats are sim messages, so
-            partitions and delay windows reach Ω. None = static leaders,
-            no Ω and no heartbeat events (stable-leader experiments).
-        epsilon_ms: clock skew bound override for the HC variant.
-        batching_ms: opt-in ack/bump coalescing window per channel
-            (models the prototype's §7.1 TCP batching); 0 = off, which
-            is wire-identical to the seed behaviour.
         compaction_interval_ms: periodic state-GC sweep interval for the
             PrimCast protocols (default on). 0 disables compaction;
             delivery order and timestamps are bit-identical either way —
@@ -146,16 +140,16 @@ def build_system(
         scheduler, scenario.make_latency(config), child_rng(seed, "latency")
     )
     costs = cost_model if cost_model is not None else default_cost_model()
-    eps = epsilon_ms if epsilon_ms is not None else scenario.epsilon_ms
+    eps = scenario.epsilon_ms
     clocks = make_clocks(scheduler, config.all_pids, eps, child_rng(seed, "clock-skew"))
     processes = make_processes(
-        protocol, config, scheduler, network, costs, clocks, batching_ms
+        protocol, config, scheduler, network, costs, clocks, scenario.batching_ms
     )
     oracles: Optional[Dict[int, HeartbeatOmega]] = None
     compaction: Optional[CompactionDaemon] = None
     if issubclass(PROTOCOLS[protocol], PrimCastProcess):
-        if suspect_ms is not None:
-            oracles = attach_omegas(processes, suspect_ms)
+        if scenario.suspect_ms is not None:
+            oracles = attach_omegas(processes, scenario.suspect_ms)
         if compaction_interval_ms > 0.0:
             compaction = attach_compaction(
                 scheduler, processes, compaction_interval_ms
@@ -246,9 +240,7 @@ def run_load_point(
     warmup_ms: float = 500.0,
     measure_ms: float = 1000.0,
     cost_model: Optional[CostModel] = None,
-    epsilon_ms: Optional[float] = None,
     keep_samples: bool = True,
-    batching_ms: float = 0.0,
     compaction_interval_ms: float = DEFAULT_COMPACTION_INTERVAL_MS,
     streaming_stats: bool = False,
 ) -> RunResult:
@@ -256,9 +248,6 @@ def run_load_point(
 
     Clients issue messages from t=0; samples delivered inside
     ``[warmup_ms, warmup_ms + measure_ms)`` are counted.
-
-    ``batching_ms > 0`` enables the per-channel ack/bump coalescing layer
-    (§7.1 batching); the default of 0 is wire-identical to no batching.
 
     ``streaming_stats`` bounds collection-side memory for long runs:
     clients keep a ring of recent samples plus exact running aggregates,
@@ -273,8 +262,6 @@ def run_load_point(
         scenario,
         seed=seed,
         cost_model=cost_model,
-        epsilon_ms=epsilon_ms,
-        batching_ms=batching_ms,
         compaction_interval_ms=compaction_interval_ms,
     )
     rng = child_rng(seed, "workload")

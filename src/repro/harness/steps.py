@@ -1,23 +1,23 @@
 """Communication-step measurements (empirical side of Table 1).
 
 These helpers run crafted single-message (and crafted-convoy) executions
-on a unit-latency, zero-CPU-cost network, so delivery times are exact
-multiples of the communication step Δ and can be compared with the
-analytic model in :mod:`repro.harness.analytic`.
+on the exact-Δ network of :func:`~repro.workload.scenarios.exact_network`
+with zero-cost CPUs, so delivery times are exact multiples of the
+communication step Δ and can be compared with the analytic model in
+:mod:`repro.harness.analytic`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from ..core.config import GroupConfig, uniform_groups
-from ..sim.clock import US_PER_MS, PhysicalClock
+from ..core.config import GroupConfig
+from ..sim.clock import US_PER_MS
 from ..sim.costs import zero_cost_model
 from ..sim.events import Scheduler
-from ..sim.latency import ConstantLatency
 from ..sim.network import Network
-from ..sim.rng import child_rng
-from .runner import make_processes
+from ..workload.scenarios import exact_network
+from .runner import build_system
 
 
 def build_bare_system(
@@ -27,23 +27,17 @@ def build_bare_system(
     delta_ms: float = 10.0,
     clock_offsets_ms: Optional[Dict[int, float]] = None,
 ) -> Tuple[Scheduler, Network, GroupConfig, Dict[int, Any]]:
-    """A deployment on an exact-Δ network with free CPUs.
+    """A deployment on an exact-Δ network with free CPUs, no Ω and no
+    state-GC daemon.
 
-    ``clock_offsets_ms`` assigns adversarial physical-clock offsets for
-    the HC variant (pids not listed get offset 0).
+    ``clock_offsets_ms`` assigns adversarial physical-clock offsets to
+    PrimCast processes for the HC variant (pids not listed get offset 0).
     """
-    config = uniform_groups(n_groups, group_size)
-    scheduler = Scheduler()
-    network = Network(scheduler, ConstantLatency(delta_ms), child_rng(0, "steps"))
-    offsets = clock_offsets_ms or {}
-    clocks = {
-        pid: PhysicalClock(scheduler, offsets.get(pid, 0.0) * US_PER_MS)
-        for pid in config.all_pids
-    }
-    processes = make_processes(
-        protocol, config, scheduler, network, zero_cost_model(), clocks
-    )
-    return scheduler, network, config, processes
+    system = build_system(protocol, exact_network(n_groups, group_size, delta_ms),
+                          seed=0, cost_model=zero_cost_model(), compaction_interval_ms=0.0)
+    for pid, offset_ms in (clock_offsets_ms or {}).items():
+        system.processes[pid].physical_clock.offset_us = offset_ms * US_PER_MS
+    return system.scheduler, system.network, system.config, system.processes
 
 
 def measure_collision_free(

@@ -38,13 +38,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.config import GroupConfig
-from ..core.process import PrimCastProcess
-from ..sim.costs import CostModel
-from ..sim.events import Scheduler
-from ..sim.latency import ConstantLatency
-from ..sim.network import Network
-from ..sim.rng import child_rng
+from ..harness.runner import build_system
+from ..sim.costs import zero_cost_model
 from ..verify.properties import Violation, collect_violations
+from ..workload.scenarios import exact_network
 from .cluster import ClusterResult, read_jsonl
 from .host import DRIVER_PID, ClusterSpec
 from .workload import PlanClient
@@ -54,33 +51,27 @@ DeliveryMap = Dict[int, List[Tuple[MessageId, int]]]
 
 
 def run_sim_reference(topology: ClusterSpec) -> DeliveryMap:
-    """Run the topology's plan on the simulator (1 ms constant latency),
-    one client with one outstanding message on :data:`DRIVER_PID`;
+    """Run the topology's plan on the simulator (exact 1 ms links, free
+    CPUs), one client with one outstanding message on :data:`DRIVER_PID`;
     pid -> deliveries.
 
     Failure-free (the kill, if any, happens only on the net side; the
     sim reference defines the full no-failure outcome that survivors
-    must still produce). No oracle is attached, so the event heap
-    drains when the protocol quiesces and the run terminates on its
-    own.
+    must still produce). No oracle and no state-GC daemon are attached,
+    so the event heap drains when the protocol quiesces and the run
+    terminates on its own.
     """
     if topology.clients != 1:
         raise ValueError("the sim reference is defined for one client only")
-    config = topology.make_config()
-    scheduler = Scheduler()
-    network = Network(
-        scheduler, ConstantLatency(1.0), child_rng(topology.seed, "latency")
-    )
-    procs = {
-        pid: PrimCastProcess(pid, config, scheduler, network, CostModel())
-        for pid in config.all_pids
-    }
+    scenario = exact_network(topology.n_groups, topology.group_size, delta_ms=1.0)
+    system = build_system("primcast", scenario, seed=topology.seed,
+                          cost_model=zero_cost_model(), compaction_interval_ms=0.0)
     (plan,) = topology.client_plans()
-    PlanClient(procs[DRIVER_PID], scheduler, 0, plan).start()
-    scheduler.run(until=10_000_000.0)
+    PlanClient(system.processes[DRIVER_PID], system.scheduler, 0, plan).start()
+    system.scheduler.run(until=10_000_000.0)
     return {
         pid: [(mid, final) for mid, final, _t in proc.delivery_log]
-        for pid, proc in procs.items()
+        for pid, proc in system.processes.items()
     }
 
 

@@ -1,12 +1,15 @@
-"""The seeded workload and the one client that drives it on either backend.
+"""The seeded workload of a net cluster and the client that drives it.
 
 The paper has one workload shape (§7.2): a client colocated with a
 replica keeps a fixed number of multicasts outstanding and issues the
 next when its own replica a-delivers one. :class:`PlanClient` is that
-client, written against the process seam only (``post_job`` /
-``a_multicast`` / ``add_deliver_hook`` / ``scheduler.call_after`` /
-``scheduler.now``), so the simulator and a :class:`~repro.net.host.NetNode`
-run the same object.
+client on a :class:`~repro.net.host.NetNode`, written against the
+process seam only (``post_job`` / ``a_multicast`` / ``add_deliver_hook``
+/ ``scheduler.call_after`` / ``scheduler.now``), so the differential's
+sim reference runs the same object. The simulator's load points run
+:class:`repro.workload.generator.Client`, which submits inline in the
+deliver hook where ``PlanClient`` posts a job; merging the two would
+move every sim golden.
 
 *What* it submits is a destination plan (:func:`make_client_plans`): a
 pure function of the seed, so every node can compute how many messages

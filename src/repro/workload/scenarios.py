@@ -1,6 +1,9 @@
-"""Deployment scenarios (the paper's Table 2).
+"""Deployment scenarios (the paper's Table 2, and Table 1's network).
 
-All three scenarios deploy 8 groups of 3 replicas (configurable). WAN
+A :class:`Scenario` is the one description of a simulated deployment,
+run knobs included; :func:`repro.harness.runner.build_system` reads it.
+
+All three Table 2 scenarios deploy 8 groups of 3 replicas (configurable). WAN
 latencies are emulated with a site RTT matrix and 5% standard deviation,
 exactly as the paper does with Linux ``tc``:
 
@@ -24,11 +27,11 @@ WAN — distributed leaders      90 ms              30 ms
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional
 
 from ..core.config import GroupConfig, uniform_groups
-from ..sim.latency import JitteredLatency, LatencyModel, SiteMatrixLatency
+from ..sim.latency import ConstantLatency, JitteredLatency, LatencyModel, SiteMatrixLatency
 
 #: RTT between two machines in the same datacenter (the paper's cluster).
 LAN_RTT_MS = 0.09
@@ -46,12 +49,12 @@ DISTRIBUTED_INTRA_REGION_RTT_MS = 30.0
 DEFAULT_EPSILON_MS = 2.0
 
 
-def lan_latency(config: GroupConfig) -> LatencyModel:
+def lan_latency(scenario: "Scenario", config: GroupConfig) -> LatencyModel:
     """Every process in one cluster."""
     return JitteredLatency(LAN_RTT_MS / 2.0, stddev_frac=0.05)
 
 
-def colocated_latency(config: GroupConfig) -> LatencyModel:
+def colocated_latency(scenario: "Scenario", config: GroupConfig) -> LatencyModel:
     """3 regions; replica i of every group in region i."""
     r01, r02, r12 = COLOCATED_REGION_RTTS
     rtt = [
@@ -66,7 +69,7 @@ def colocated_latency(config: GroupConfig) -> LatencyModel:
     return SiteMatrixLatency(site_of, rtt, stddev_frac=0.05)
 
 
-def distributed_latency(config: GroupConfig) -> LatencyModel:
+def distributed_latency(scenario: "Scenario", config: GroupConfig) -> LatencyModel:
     """One region per group, one datacenter per replica."""
     n_regions = config.n_groups
     dcs_per_region = max(len(config.members(g)) for g in range(n_regions))
@@ -87,17 +90,23 @@ def distributed_latency(config: GroupConfig) -> LatencyModel:
     return SiteMatrixLatency(site_of, rtt, stddev_frac=0.05)
 
 
+def exact_latency(scenario: "Scenario", config: GroupConfig) -> LatencyModel:
+    """Every link is one step Δ, half the scenario's RTT, no jitter."""
+    return ConstantLatency(scenario.cross_group_rtt_ms / 2.0)
+
+
 #: Latency geometry name -> the function building its model.
-GEOMETRIES: Dict[str, Callable[[GroupConfig], LatencyModel]] = {
+GEOMETRIES: Dict[str, Callable[["Scenario", GroupConfig], LatencyModel]] = {
     "lan": lan_latency,
     "colocated": colocated_latency,
     "distributed": distributed_latency,
+    "exact": exact_latency,
 }
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A deployment: groups, placement and latency geometry.
+    """A deployment: groups, placement, latency geometry and run knobs.
 
     Every field is JSON-safe, so a scenario — a customized copy made
     with ``dataclasses.replace`` included — travels by value: a sweep
@@ -108,7 +117,8 @@ class Scenario:
     description: str
     n_groups: int
     group_size: int
-    #: one-way mean latency between two group leaders (for reporting)
+    #: round-trip time between two group leaders (Table 2's "Cross-group
+    #: RTT"); the ``exact`` geometry's step Δ is half of it
     cross_group_rtt_ms: float
     #: representative intra-group RTT(s) (for reporting)
     intra_group_rtt_ms: str
@@ -116,6 +126,11 @@ class Scenario:
     geometry: str
     #: clock skew bound used by the HC variant in this scenario
     epsilon_ms: float = DEFAULT_EPSILON_MS
+    #: every PrimCast process runs a heartbeat Ω suspecting a group peer
+    #: silent this long; None = static leaders and no heartbeat events
+    suspect_ms: Optional[float] = None
+    #: per-channel ack/bump coalescing window (§7.1 batching); 0 = off
+    batching_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.geometry not in GEOMETRIES:
@@ -129,7 +144,7 @@ class Scenario:
 
     def make_latency(self, config: GroupConfig) -> LatencyModel:
         """Latency model for this scenario's placement."""
-        return GEOMETRIES[self.geometry](config)
+        return GEOMETRIES[self.geometry](self, config)
 
     def table2_row(self) -> List[str]:
         """The scenario's Table 2 row."""
@@ -165,16 +180,11 @@ def lan_sustained(n_groups: int = 2, group_size: int = 3) -> Scenario:
     experiments run roughly 10× longer than a figure load point, and the
     interesting quantity — per-process state growth vs the state-GC
     watermark — is independent of group count."""
-    return Scenario(
+    return replace(
+        lan_scenario(n_groups, group_size),
         name="LAN - sustained",
         description=f"{n_groups} groups inside a cluster, sized for "
         "long steady-state (memory/GC) runs.",
-        n_groups=n_groups,
-        group_size=group_size,
-        cross_group_rtt_ms=LAN_RTT_MS,
-        intra_group_rtt_ms=f"{LAN_RTT_MS}ms",
-        geometry="lan",
-        epsilon_ms=0.005,
     )
 
 
@@ -187,16 +197,11 @@ def lan_fleet(n_groups: int = 20, group_size: int = 3) -> Scenario:
     set, so a fleet this wide is mostly independent 2–3 group traffic;
     the scenario exists to exercise (and benchmark) the harness at
     60+ simulated processes, beyond the paper's 24."""
-    return Scenario(
+    return replace(
+        lan_scenario(n_groups, group_size),
         name="LAN - fleet",
         description=f"{n_groups} groups inside a cluster ({n_groups * group_size} "
         "processes), the scale-out orchestration target.",
-        n_groups=n_groups,
-        group_size=group_size,
-        cross_group_rtt_ms=LAN_RTT_MS,
-        intra_group_rtt_ms=f"{LAN_RTT_MS}ms",
-        geometry="lan",
-        epsilon_ms=0.005,
     )
 
 
@@ -210,7 +215,6 @@ def wan_colocated_leaders(n_groups: int = 8, group_size: int = 3) -> Scenario:
         cross_group_rtt_ms=LAN_RTT_MS,
         intra_group_rtt_ms="60ms, 76ms, 130ms",
         geometry="colocated",
-        epsilon_ms=DEFAULT_EPSILON_MS,
     )
 
 
@@ -225,7 +229,20 @@ def wan_distributed_leaders(n_groups: int = 8, group_size: int = 3) -> Scenario:
         cross_group_rtt_ms=DISTRIBUTED_CROSS_REGION_RTT_MS,
         intra_group_rtt_ms=f"{DISTRIBUTED_INTRA_REGION_RTT_MS}ms",
         geometry="distributed",
-        epsilon_ms=DEFAULT_EPSILON_MS,
+    )
+
+
+def exact_network(n_groups: int = 2, group_size: int = 3, delta_ms: float = 1.0) -> Scenario:
+    """Table 1's network: every link is one step ``delta_ms``, no jitter, ε = 0."""
+    return Scenario(
+        name="Exact",
+        description=f"{n_groups} groups, every link exactly {delta_ms}ms one way.",
+        n_groups=n_groups,
+        group_size=group_size,
+        cross_group_rtt_ms=2.0 * delta_ms,
+        intra_group_rtt_ms=f"{2.0 * delta_ms}ms",
+        geometry="exact",
+        epsilon_ms=0.0,
     )
 
 

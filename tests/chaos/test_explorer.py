@@ -149,6 +149,13 @@ class TestRunCase:
         assert not result.aborted and not any(result.delivered.values())
         assert [v.prop for v in result.violations] == ["validity"]
 
+    def test_drop_global_is_caught_by_validity_alone(self):
+        # Local messages still flow, so the run is not empty; only the
+        # global ones vanish, and validity is what sees it.
+        result = run_case(CaseSpec(scenario="fig3-reduced", seed=0, mutation="drop-global"))
+        assert not result.aborted and all(result.delivered.values())
+        assert [v.prop for v in result.violations] == ["validity"]
+
     def test_a_group_without_a_quorum_owes_no_validity(self):
         # Two of group 1's three members crash over budget before the
         # first send: nothing addressed to group 1 is ever decided, and

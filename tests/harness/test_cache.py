@@ -99,17 +99,17 @@ def test_cache_keys_are_pinned():
         "primcast", wan_colocated_leaders(), 2, 8, seed=1, warmup_ms=300, measure_ms=400
     )
     assert spec_key(defaults) == (
-        "225d0192c7103b6706576d35582a9ac2b1a8939117181ec78f25df586206d8a8"
+        "fe0c0da1c771ced6d3c79f15d566f6755a354d24377eb7f1aed478ec70c8e12d"
     )
     every_field = PointSpec(
         "primcast-hc", lan_scenario(2, 3), 2, 4, seed=7, keep_samples=True
     )
     assert spec_key(every_field) == (
-        "702d9bdfd4c24ccc092a0127005bff9b02a5218feaf930a72b4f3fc968c6f766"
+        "360093c5e3a5714226ebaa08f74314d292ad822d2ab7b631fd90ba31d0db000f"
     )
     assert [spec_key(s) for s in tiny_specs()] == [
-        "a163bd99201fb11b9f531bb6e332aaf4210f62a65e12c6e682bf128c2545a1fa",
-        "9c1bd7d71a2cfce6f74707810ad4e935c215f51c0382b59dd6c45885906d1b3f",
+        "6181207e7738e5c30503511ce1e7bba92221788bc2446b3314fb964ddd655e07",
+        "e2af01d07cb522316e777e6d98cdd41f9dc08b4a135ca4ecd298d18564f95c18",
     ]
 
 

@@ -197,6 +197,19 @@ def test_point_spec_runs_customized_registry_scenario():
     assert default.latency != want.latency
 
 
+def test_point_spec_sweep_batches_when_its_scenario_does():
+    # Batching is a property of the deployment: a sweep turns it on by
+    # customizing its scenario, with no run_load_point keyword.
+    batched = replace(lan_scenario(2, 3), batching_ms=5.0)
+    point = dict(seed=1, warmup_ms=20.0, measure_ms=40.0)
+    specs = expand_sweep(("primcast",), batched, 2, (2,), **point)
+    specs += expand_sweep(("primcast",), lan_scenario(2, 3), 2, (2,), **point)
+    on, off = SweepExecutor(jobs=1).run(specs)
+    assert on.message_counts["batch"] > 0
+    assert "batch" not in off.message_counts
+    assert sum(on.message_counts.values()) < sum(off.message_counts.values())
+
+
 def test_sweep_runs_customized_scenario_on_workers(tmp_path):
     from repro.harness.cache import ResultCache
 

@@ -1,5 +1,7 @@
 """Tests for the experiment runner and reporting."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.harness.report import (
@@ -30,12 +32,16 @@ class TestBuildSystem:
             build_system("zab", small_scenario())
 
     def test_primcast_with_oracles(self):
-        system = build_system("primcast", small_scenario(), suspect_ms=100.0)
+        system = build_system("primcast", replace(small_scenario(), suspect_ms=100.0))
         assert system.oracles is not None
         assert set(system.oracles) == set(system.config.all_pids)
+        for pid, proc in system.processes.items():
+            assert proc.omega is system.oracles[pid]
+            assert proc.omega.suspect_ms == 100.0
+        assert build_system("primcast", small_scenario()).oracles is None
 
     def test_hc_gets_physical_clocks(self):
-        system = build_system("primcast-hc", small_scenario(), epsilon_ms=1.5)
+        system = build_system("primcast-hc", replace(small_scenario(), epsilon_ms=1.5))
         for proc in system.replicas:
             assert proc.hybrid_clock
             assert abs(proc.physical_clock.offset_us) <= 1500

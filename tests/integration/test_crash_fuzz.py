@@ -6,7 +6,9 @@ the safety properties over every process's log, a crashed process's
 prefix included — integrity, acyclic, prefix and timestamp order — and
 agreement among *correct* processes. The invariant
 monitors additionally fail fast on any structural violation during the
-run.
+run. Validity is checked too: every multicast is recorded at
+submission, and every correct destination of one whose sender stayed
+correct must deliver it.
 """
 
 import random
@@ -40,14 +42,17 @@ def run_fuzz(seed: int, n_groups: int = 2, group_size: int = 3, crashes: int = 2
     injector = FailureInjector(sched, procs)
 
     logs = {pid: [] for pid in procs}
-    multicasts = {}
     for pid, p in procs.items():
         p.add_deliver_hook(
-            lambda proc, m, ts: (
-                logs[proc.pid].append((m.mid, ts, sched.now)),
-                multicasts.setdefault(m.mid, m),
-            )
+            lambda proc, m, ts: logs[proc.pid].append((m.mid, ts, sched.now))
         )
+    # Recorded at submission, so integrity can see a delivery nobody
+    # multicast and validity a multicast nobody delivered.
+    multicasts = {}
+
+    def submit(sender, dest, payload):
+        m = procs[sender].a_multicast(dest, payload)
+        multicasts[m.mid] = m
 
     # Crash within the quorum budget of each group.
     budget = {g: max_failures(group_size) for g in range(n_groups)}
@@ -69,7 +74,7 @@ def run_fuzz(seed: int, n_groups: int = 2, group_size: int = 3, crashes: int = 2
         sender = rng.choice(config.all_pids)
         dest = frozenset(rng.sample(range(n_groups), rng.randint(1, n_groups)))
         when = rng.uniform(0.0, 45.0)
-        sched.call_at(when, procs[sender].a_multicast, dest, f"p{i}")
+        sched.call_at(when, submit, sender, dest, f"p{i}")
         senders.append((sender, dest, when))
 
     sched.run(until=3000.0)
@@ -78,7 +83,12 @@ def run_fuzz(seed: int, n_groups: int = 2, group_size: int = 3, crashes: int = 2
     dest_pids = {
         mid: set(config.dest_pids(m.dest)) for mid, m in multicasts.items()
     }
-    assert collect_violations(logs, set(multicasts), dest_pids, correct) == []
+    # Crashes stay within every group's budget and the run quiesces
+    # well before its horizon, so validity is owed too.
+    assert (
+        collect_violations(logs, set(multicasts), dest_pids, correct, validity=True)
+        == []
+    )
     return logs, crashed, monitors
 
 

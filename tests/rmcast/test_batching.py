@@ -8,6 +8,8 @@ go through the ``repro.verify`` battery, so the layer is checked for
 order and agreement, not only for how many wire messages it saves.
 """
 
+from dataclasses import replace
+
 import repro.harness.runner as runner
 from repro.verify import collect_violations
 from repro.workload.scenarios import wan_colocated_leaders
@@ -16,14 +18,13 @@ from repro.workload.scenarios import wan_colocated_leaders
 def run_point(batching_ms):
     return runner.run_load_point(
         "primcast",
-        wan_colocated_leaders(),
+        replace(wan_colocated_leaders(), batching_ms=batching_ms),
         2,
         8,
         seed=1,
         warmup_ms=300,
         measure_ms=400,
         keep_samples=False,
-        batching_ms=batching_ms,
     )
 
 

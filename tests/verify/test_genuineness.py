@@ -1,5 +1,7 @@
 """Genuineness tests: only senders and destinations take steps (§2.2)."""
 
+from dataclasses import replace
+
 import pytest
 
 from helpers import MiniSystem, random_workload
@@ -95,7 +97,7 @@ def test_bumps_stay_inside_groups_in_real_runs():
 def test_batched_run_is_genuine():
     """A Batch carries no mid of its own: each envelope it carries is
     judged, so coalesced acks and bumps pass like unbatched ones."""
-    system = build_system("primcast", lan_scenario(2, 3), batching_ms=5.0)
+    system = build_system("primcast", replace(lan_scenario(2, 3), batching_ms=5.0))
     flights = record_flights(system.network)
     config = system.config
     multicasts = {}

@@ -7,6 +7,7 @@ import pytest
 from repro.workload.scenarios import (
     LAN_RTT_MS,
     all_scenarios,
+    exact_network,
     lan_scenario,
     wan_colocated_leaders,
     wan_distributed_leaders,
@@ -34,6 +35,17 @@ def test_lan_latency_uniform(rng):
     # One-way mean = RTT/2 everywhere.
     assert model.mean(0, 23) == pytest.approx(LAN_RTT_MS / 2)
     assert model.mean(5, 6) == pytest.approx(LAN_RTT_MS / 2)
+
+
+def test_exact_network_is_constant_delta_without_jitter():
+    s = exact_network(3, 3, delta_ms=10.0)
+    assert s.cross_group_rtt_ms == 20.0 and s.epsilon_ms == 0.0
+    model = s.make_latency(s.make_config())
+    pids = s.make_config().all_pids
+    for src in pids:
+        for dst in pids:
+            mean, stddev, _floor = model.pair_params(src, dst)
+            assert (mean, stddev) == (10.0, 0.0)
 
 
 class TestColocatedLeaders:
