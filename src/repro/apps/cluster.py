@@ -1,8 +1,8 @@
 """Convenience cluster wiring for the KV store.
 
 Bundles a protocol deployment built by
-:func:`~repro.harness.runner.build_system` (an exact 1 ms network, free
-CPUs, static leaders) with one :class:`~repro.apps.kvstore.KvReplica`
+:func:`~repro.harness.steps.build_bare_system` (an exact 1 ms network,
+free CPUs, static leaders) with one :class:`~repro.apps.kvstore.KvReplica`
 per process, and key-based routing for client commands. Primarily a
 demonstration vehicle (examples and tests).
 """
@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..harness.runner import build_system
-from ..sim.costs import zero_cost_model
-from ..workload.scenarios import exact_network
+from ..harness.steps import build_bare_system
 from .kvstore import Command, KvReplica, partition_of
 
 
@@ -25,16 +23,11 @@ class KvCluster:
         n_partitions: int = 3,
         replicas_per_partition: int = 3,
         protocol: str = "primcast",
-        seed: int = 1,
     ):
         self.n_partitions = n_partitions
-        scenario = exact_network(n_partitions, replicas_per_partition, delta_ms=1.0)
-        system = build_system(protocol, scenario, seed=seed,
-                              cost_model=zero_cost_model(), compaction_interval_ms=0.0)
-        self.config = system.config
-        self.scheduler = system.scheduler
-        self.network = system.network
-        self.processes: Dict[int, Any] = system.processes
+        self.scheduler, self.network, self.config, self.processes = build_bare_system(
+            protocol, n_partitions, replicas_per_partition, delta_ms=1.0
+        )
         self.replicas: Dict[int, KvReplica] = {
             pid: KvReplica(proc, n_partitions) for pid, proc in self.processes.items()
         }

@@ -8,15 +8,8 @@
 All three subclass :class:`repro.core.endpoint.GroupProtocolProcess`.
 """
 
-from .classic import CLASSIC_KINDS, ClassicProcess
-from .fastcast import FASTCAST_KINDS, FastCastProcess
-from .whitebox import WHITEBOX_KINDS, WhiteBoxProcess
+from .classic import ClassicProcess
+from .fastcast import FastCastProcess
+from .whitebox import WhiteBoxProcess
 
-__all__ = [
-    "ClassicProcess",
-    "CLASSIC_KINDS",
-    "FastCastProcess",
-    "FASTCAST_KINDS",
-    "WhiteBoxProcess",
-    "WHITEBOX_KINDS",
-]
+__all__ = ["ClassicProcess", "FastCastProcess", "WhiteBoxProcess"]

@@ -98,9 +98,6 @@ class ClAccepted:
         self.entry = entry
 
 
-CLASSIC_KINDS = ("start", "cl-ts", "paxos-2a", "paxos-2b")
-
-
 class ClassicProcess(GroupProtocolProcess):
     """One group member of the classic consensus-based multicast."""
 

@@ -116,9 +116,6 @@ class Fc2B:
         self.sender = sender
 
 
-FASTCAST_KINDS = ("start", "fc-soft", "fc-hard", "fc-2a", "fc-2b")
-
-
 class FastCastProcess(GroupProtocolProcess):
     """One group member of FastCast (stable leaders)."""
 

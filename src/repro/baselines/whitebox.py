@@ -92,9 +92,6 @@ class WbDeliver:
         return self.multicast.mid
 
 
-WHITEBOX_KINDS = ("start", "wb-accept", "wb-ack", "wb-deliver")
-
-
 class WhiteBoxProcess(GroupProtocolProcess):
     """One group member of the White-Box protocol (stable primaries)."""
 

@@ -430,22 +430,21 @@ def run_campaign(
     seeds: Sequence[int],
     mutation: str = "",
     allow_over_budget: bool = False,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
-    cache: Optional[Any] = None,
     progress: Optional[ProgressFn] = None,
 ) -> CampaignReport:
     """Run one case per seed and aggregate the violations.
 
-    Cases are dispatched through the persistent workers of a
-    :class:`~repro.harness.parallel.SweepExecutor` (work-stealing for
-    heterogeneous case lengths) and merged in seed order regardless of
-    ``jobs``, so the report is byte-identical across parallelism
-    settings. With a ``cache``, every completed case streams into the
-    content-addressed result cache the moment it finishes: a killed
-    campaign re-run with the same cache resumes with zero re-executions
-    of completed cases, and the resumed report is byte-identical to an
-    uninterrupted run.
+    Cases are dispatched through ``executor`` (default: a serial,
+    uncached :class:`~repro.harness.parallel.SweepExecutor`, closed on
+    return; the caller closes one it passes). Its persistent workers
+    steal work across heterogeneous case lengths, and results merge in
+    seed order regardless of its ``jobs``, so the report is
+    byte-identical across parallelism settings. With the executor's
+    ``cache``, every completed case streams into the content-addressed
+    result cache the moment it finishes: a killed campaign re-run with
+    the same cache resumes with zero re-executions of completed cases,
+    and the resumed report is byte-identical to an uninterrupted run.
 
     ``progress`` (see :data:`ProgressFn`) fires after every completed
     case; it is keyed on case counts, not wall-clock, so the report
@@ -467,7 +466,7 @@ def run_campaign(
     ]
     owns_executor = executor is None
     if executor is None:
-        executor = SweepExecutor(jobs=jobs, cache=cache)
+        executor = SweepExecutor()
 
     done = 0
     violations_so_far = 0

@@ -24,15 +24,14 @@ argument cares about:
   on matching ``(src, dst)`` links inside a time window is delayed by a
   constant extra, modeling a congested or flapping path before GST.
 * ``"skew"`` — a clock-skew perturbation: one process's physical clock
-  offset jumps at a given time (only observable under the §6
-  hybrid-clock variant, harmless otherwise).
+  offset jumps at a given time (only a §6 hybrid-clock process has a
+  clock; the nemesis skips any other).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.process import PROBE_EVENTS
@@ -41,6 +40,11 @@ from ..sim.rng import child_rng
 
 #: Fault kinds understood by the nemesis.
 FAULT_KINDS = ("crash", "delay", "skew")
+
+#: Most delay windows, and most clock skews (HC deployments only), one
+#: generated schedule holds; the generator draws each count from 0 up.
+MAX_DELAYS = 3
+MAX_SKEWS = 2
 
 #: Probe events the generator draws crash triggers from. "deliver" is
 #: excluded: crashing on delivery is covered by time triggers and makes
@@ -166,13 +170,6 @@ class FaultSchedule:
         """Same case, different event list (used by the shrinker)."""
         return FaultSchedule(self.scenario, self.seed, tuple(events))
 
-    def save(self, path: Path) -> None:
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: Path) -> "FaultSchedule":
-        return cls.from_json(path.read_text(encoding="utf-8"))
-
 
 @dataclass(frozen=True)
 class ScheduleShape:
@@ -195,8 +192,6 @@ def generate_schedule(
     seed: int,
     shape: ScheduleShape,
     allow_over_budget: bool = False,
-    max_delays: int = 3,
-    max_skews: int = 2,
 ) -> FaultSchedule:
     """Derive a fault schedule for ``(scenario, seed)`` deterministically.
 
@@ -251,7 +246,7 @@ def generate_schedule(
 
     # --- per-link delay spikes -----------------------------------------
     all_pids = list(range(shape.n_groups * shape.group_size))
-    for _ in range(rng.randint(0, max_delays)):
+    for _ in range(rng.randint(0, MAX_DELAYS)):
         src = rng.choice(all_pids + [-1])
         dst = rng.choice([p for p in all_pids if p != src] + [-1])
         start = round(rng.uniform(0.0, shape.horizon_ms * 0.3), 3)
@@ -268,7 +263,7 @@ def generate_schedule(
 
     # --- clock-skew perturbations (HC variant only) --------------------
     if shape.hybrid_clock:
-        for _ in range(rng.randint(0, max_skews)):
+        for _ in range(rng.randint(0, MAX_SKEWS)):
             events.append(
                 FaultEvent(
                     kind="skew",

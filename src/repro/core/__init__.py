@@ -23,7 +23,6 @@ from .messages import (
     Multicast,
     NewEpoch,
     NewState,
-    PRIMCAST_KINDS,
     Start,
 )
 from .process import CANDIDATE, FOLLOWER, PRIMARY, PROMISED, PrimCastProcess
@@ -45,7 +44,6 @@ __all__ = [
     "EpochPromise",
     "NewState",
     "AcceptEpoch",
-    "PRIMCAST_KINDS",
     "PRIMARY",
     "FOLLOWER",
     "CANDIDATE",

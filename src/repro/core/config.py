@@ -9,18 +9,7 @@ explicitly and are validated for pairwise intersection.
 
 from __future__ import annotations
 
-import sys
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence
-
-if sys.version_info >= (3, 10):
-
-    def _popcount(mask: int) -> int:
-        return mask.bit_count()
-
-else:  # pragma: no cover - exercised only on 3.9
-
-    def _popcount(mask: int) -> int:
-        return bin(mask).count("1")
 
 
 class GroupConfig:
@@ -77,11 +66,11 @@ class GroupConfig:
         # protocol fan-out; destination sets repeat constantly, so the
         # sorted-flattened pid list is memoised per destination set.
         self._dest_pids_cache: Dict[FrozenSet[int], List[int]] = {}
-        # Bitmask view of membership for the allocation-free ack
-        # trackers: pid -> single-bit mask of the pid's position within
-        # its group (0 for non-members), plus each explicit quorum as a
-        # mask over the same positions. Majority quorums reduce to a
-        # popcount compare.
+        # Bitmask view of membership, read directly by the
+        # allocation-free AckTracker.add_ack: pid -> single-bit mask of
+        # the pid's position within its group (0 for non-members), plus
+        # each explicit quorum as a mask over the same positions.
+        # Majority quorums reduce to a popcount compare.
         self._member_bits: List[Dict[int, int]] = [
             {pid: 1 << i for i, pid in enumerate(g)} for g in self.groups
         ]
@@ -169,23 +158,6 @@ class GroupConfig:
                         return True
             return False
         return any(q <= pid_set for q in quorums)
-
-    def member_bit(self, gid: int, pid: int) -> int:
-        """``pid``'s single-bit position mask within group ``gid``, or 0
-        when the pid is not a member. Masks from different groups are
-        not comparable."""
-        return self._member_bits[gid].get(pid, 0)
-
-    def has_quorum_mask(self, gid: int, mask: int) -> bool:
-        """Mask form of :meth:`has_quorum`: ``mask`` is an OR of
-        :meth:`member_bit` values of group ``gid``."""
-        quorums = self._quorum_masks.get(gid)
-        if quorums is None:
-            return _popcount(mask) >= self._majority_sizes[gid]
-        for qm in quorums:
-            if qm & mask == qm:
-                return True
-        return False
 
     def quorum_clock_value(self, gid: int, min_clocks: Dict[int, int]) -> int:
         """quorum-clock() (Algorithm 1, line 17): the largest ``ts`` such

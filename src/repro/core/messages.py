@@ -218,14 +218,3 @@ class AcceptEpoch:
     def __init__(self, epoch: Epoch, sender: int) -> None:
         self.epoch = epoch
         self.sender = sender
-
-
-PRIMCAST_KINDS = (
-    "start",
-    "ack",
-    "bump",
-    "new-epoch",
-    "promise",
-    "new-state",
-    "accept-epoch",
-)

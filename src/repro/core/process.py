@@ -7,9 +7,10 @@ evaluated incrementally with the trackers in :mod:`repro.core.state`; the
 literal scan-based predicates live in :mod:`repro.core.spec` and the test
 suite cross-checks the two.
 
-The hybrid-clock modification of §6 is a one-line change to the proposal
-rule (``clock = max(clock + 1, real-clock())``), enabled with
-``hybrid_clock=True`` and a :class:`~repro.sim.clock.PhysicalClock`.
+The hybrid-clock modification of §6 (PrimCast HC) is a one-line change
+to the proposal rule (``clock = max(clock + 1, real-clock())``), taken
+exactly when the process is given a
+:class:`~repro.sim.clock.PhysicalClock`.
 """
 
 from __future__ import annotations
@@ -76,11 +77,13 @@ class PrimCastProcess(GroupProtocolProcess):
         pid: this process's id (must belong to a group in ``config``).
         config: group membership and quorum system.
         scheduler / network / cost_model: simulation substrate.
-        omega: leader oracle for this process's group; ``None`` pins the
-            initial leader (no primary changes possible).
-        physical_clock: loosely synchronized clock, required when
-            ``hybrid_clock`` is set.
-        hybrid_clock: enable the §6 proposal rule.
+        physical_clock: loosely synchronized clock; with one, the process
+            proposes by the §6 rule (PrimCast HC), without one by
+            ``clock + 1``.
+
+    Ω is attached after construction (``attach_omegas`` on the
+    simulator, ``NetNode`` on ``repro.net``); until then ``omega`` is
+    ``None`` and the initial leader stays primary.
     """
 
     #: The events of the table above.
@@ -93,19 +96,14 @@ class PrimCastProcess(GroupProtocolProcess):
         scheduler: "SchedulerAPI",
         network: "TransportAPI",
         cost_model: Optional[CostModel] = None,
-        omega: Optional["LeaderOracle"] = None,
         physical_clock: Optional[PhysicalClock] = None,
-        hybrid_clock: bool = False,
         enable_bumps: bool = True,
         batching_ms: float = 0.0,
     ) -> None:
         super().__init__(
             pid, config, scheduler, network, cost_model, batching_ms=batching_ms
         )
-        if hybrid_clock and physical_clock is None:
-            raise ValueError("hybrid_clock requires a physical_clock")
         self.physical_clock = physical_clock
-        self.hybrid_clock = hybrid_clock
         # Ablation switch (§5.2.5): without bump messages, quorum-clock()
         # cannot advance past remote timestamps and messages whose final
         # timestamp comes from a remote group stall. Tests/benches only.
@@ -180,9 +178,7 @@ class PrimCastProcess(GroupProtocolProcess):
             AcceptEpoch: self._on_accept_epoch,
         })
 
-        self.omega = omega
-        if omega is not None:
-            omega.subscribe(self._on_omega_output)
+        self.omega: Optional["LeaderOracle"] = None
 
     # ------------------------------------------------------------------
     # public API
@@ -358,9 +354,8 @@ class PrimCastProcess(GroupProtocolProcess):
         return tracker is None or tracker.local_ts is None
 
     def _propose(self, multicast: Multicast) -> None:
-        """Lines 36-39 (with the §6 hybrid-clock rule when enabled)."""
-        if self.hybrid_clock:
-            assert self.physical_clock is not None  # enforced in __init__
+        """Lines 36-39 (with the §6 hybrid-clock rule given a clock)."""
+        if self.physical_clock is not None:
             self.clock = max(self.clock + 1, self.physical_clock.read_us())
         else:
             self.clock += 1

@@ -35,7 +35,7 @@ class AckTracker:
     ``m`` from a quorum of ``h``, all from the same epoch, are in M.
 
     Ack senders are tracked as a bitmask over the group's member
-    positions (:meth:`GroupConfig.member_bit`) rather than a per-epoch
+    positions (``GroupConfig._member_bits``) rather than a per-epoch
     set: with one tracker per (message, group) and every member acking
     every message, set allocation and hashing dominated ``_on_ack``. In
     the overwhelmingly common case — all acks from one epoch — a tracker
@@ -86,9 +86,9 @@ class AckTracker:
                         f"epoch {epoch}: {entry[0]} vs {ts}"
                     )
             return False
-        # Inlined config.member_bit / has_quorum_mask: this method runs
-        # once per ack of every run, so the intermediate call frames are
-        # worth the reach into GroupConfig's precomputed tables.
+        # Reads GroupConfig's precomputed tables (_member_bits,
+        # _quorum_masks, _majority_sizes) directly: this method runs once
+        # per ack of every run, where a call frame per lookup shows.
         bit = config._member_bits[group].get(sender, 0)
         if self.epoch0 is None:
             self.epoch0 = epoch

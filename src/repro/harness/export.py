@@ -1,4 +1,4 @@
-"""Result export: CSV and JSON serialization of experiment runs.
+"""Result export: CSV serialization of experiment runs.
 
 The benches print human-readable tables; this module writes the same
 data in machine-readable form so results can be archived, diffed across
@@ -9,8 +9,7 @@ dependency-free).
 from __future__ import annotations
 
 import csv
-import json
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .runner import RunResult
 
@@ -31,7 +30,7 @@ CSV_FIELDS = (
 
 
 def result_row(result: RunResult) -> Dict[str, object]:
-    """Flatten one RunResult into a CSV/JSON-friendly dict.
+    """Flatten one RunResult into a CSV-friendly dict.
 
     Built on :meth:`RunResult.to_dict` (the shared full serialization,
     also used by the result cache); this view keeps only the flat,
@@ -61,13 +60,6 @@ def write_csv(path: str, results: Iterable[RunResult]) -> None:
         writer.writeheader()
         for result in results:
             writer.writerow(result_row(result))
-
-
-def write_json(path: str, results: Iterable[RunResult]) -> None:
-    """Write a sweep's results to ``path`` as a JSON array."""
-    with open(path, "w") as handle:
-        json.dump([result_row(r) for r in results], handle, indent=2)
-        handle.write("\n")
 
 
 def write_cdf_csv(

@@ -58,8 +58,8 @@ def make_processes(
 ) -> Dict[int, Any]:
     """One process of ``protocol`` per pid of ``config``, in pid order.
 
-    ``clocks`` are the PrimCast processes' physical clocks (required by
-    ``primcast-hc``); the baselines ignore them.
+    ``clocks`` are the physical clocks ``primcast-hc`` requires (§6: HC
+    is PrimCast with a clock); every other protocol gets none.
     """
     try:
         cls = PROTOCOLS[protocol]
@@ -67,21 +67,17 @@ def make_processes(
         raise ValueError(
             f"unknown protocol {protocol!r}; pick from {tuple(PROTOCOLS)}"
         ) from None
-    if not issubclass(cls, PrimCastProcess):
+    if protocol != "primcast-hc":
         return {
             pid: cls(pid, config, scheduler, network, costs, batching_ms=batching_ms)
             for pid in config.all_pids
         }
+    if clocks is None:
+        raise ValueError(f"{protocol!r} needs a physical clock per process")
     return {
         pid: cls(
-            pid,
-            config,
-            scheduler,
-            network,
-            costs,
-            physical_clock=clocks[pid] if clocks is not None else None,
-            hybrid_clock=protocol == "primcast-hc",
-            batching_ms=batching_ms,
+            pid, config, scheduler, network, costs,
+            physical_clock=clocks[pid], batching_ms=batching_ms,
         )
         for pid in config.all_pids
     }
@@ -140,8 +136,11 @@ def build_system(
         scheduler, scenario.make_latency(config), child_rng(seed, "latency")
     )
     costs = cost_model if cost_model is not None else default_cost_model()
-    eps = scenario.epsilon_ms
-    clocks = make_clocks(scheduler, config.all_pids, eps, child_rng(seed, "clock-skew"))
+    clocks = None
+    if protocol == "primcast-hc":
+        clocks = make_clocks(
+            scheduler, config.all_pids, scenario.epsilon_ms, child_rng(seed, "clock-skew")
+        )
     processes = make_processes(
         protocol, config, scheduler, network, costs, clocks, scenario.batching_ms
     )

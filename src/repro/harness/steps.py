@@ -28,15 +28,21 @@ def build_bare_system(
     clock_offsets_ms: Optional[Dict[int, float]] = None,
 ) -> Tuple[Scheduler, Network, GroupConfig, Dict[int, Any]]:
     """A deployment on an exact-Δ network with free CPUs, no Ω and no
-    state-GC daemon.
+    state-GC daemon: Table 1's measurements, ``KvCluster`` and the net
+    differential's sim reference all build it. It draws no randomness
+    (constant links, ε = 0), so it takes no seed.
 
     ``clock_offsets_ms`` assigns adversarial physical-clock offsets to
-    PrimCast processes for the HC variant (pids not listed get offset 0).
+    ``primcast-hc`` processes (pids not listed get offset 0); no other
+    protocol has a physical clock to offset.
     """
     system = build_system(protocol, exact_network(n_groups, group_size, delta_ms),
                           seed=0, cost_model=zero_cost_model(), compaction_interval_ms=0.0)
     for pid, offset_ms in (clock_offsets_ms or {}).items():
-        system.processes[pid].physical_clock.offset_us = offset_ms * US_PER_MS
+        clock = getattr(system.processes[pid], "physical_clock", None)
+        if clock is None:
+            raise ValueError(f"{protocol!r} processes have no physical clock to offset")
+        clock.offset_us = offset_ms * US_PER_MS
     return system.scheduler, system.network, system.config, system.processes
 
 
@@ -111,8 +117,8 @@ def measure_primcast_convoy(
     """
     protocol = "primcast-hc" if hybrid else "primcast"
     # Adversarial skew: group 1's primary runs epsilon fast, group 0's
-    # epsilon slow (§6's worst case).
-    offsets = {3: epsilon_ms, 0: -epsilon_ms}
+    # epsilon slow (§6's worst case). Plain PrimCast has no clock to skew.
+    offsets = {3: epsilon_ms, 0: -epsilon_ms} if hybrid else None
     scheduler, network, config, processes = build_bare_system(
         protocol, 2, 3, delta_ms, clock_offsets_ms=offsets
     )

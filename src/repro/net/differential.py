@@ -38,10 +38,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.config import GroupConfig
-from ..harness.runner import build_system
-from ..sim.costs import zero_cost_model
+from ..harness.steps import build_bare_system
 from ..verify.properties import Violation, collect_violations
-from ..workload.scenarios import exact_network
 from .cluster import ClusterResult, read_jsonl
 from .host import DRIVER_PID, ClusterSpec
 from .workload import PlanClient
@@ -63,15 +61,15 @@ def run_sim_reference(topology: ClusterSpec) -> DeliveryMap:
     """
     if topology.clients != 1:
         raise ValueError("the sim reference is defined for one client only")
-    scenario = exact_network(topology.n_groups, topology.group_size, delta_ms=1.0)
-    system = build_system("primcast", scenario, seed=topology.seed,
-                          cost_model=zero_cost_model(), compaction_interval_ms=0.0)
+    scheduler, _network, _config, processes = build_bare_system(
+        "primcast", topology.n_groups, topology.group_size, delta_ms=1.0
+    )
     (plan,) = topology.client_plans()
-    PlanClient(system.processes[DRIVER_PID], system.scheduler, 0, plan).start()
-    system.scheduler.run(until=10_000_000.0)
+    PlanClient(processes[DRIVER_PID], scheduler, 0, plan).start()
+    scheduler.run(until=10_000_000.0)
     return {
         pid: [(mid, final) for mid, final, _t in proc.delivery_log]
-        for pid, proc in system.processes.items()
+        for pid, proc in processes.items()
     }
 
 

@@ -93,7 +93,11 @@ class Envelope:
 
     @property
     def mid(self) -> Any:
-        """Multicast id of the payload if it has one (for tracing)."""
+        """Multicast id of the payload if it has one. The genuineness
+        verdict reads it (``repro.sim.trace.record_flights``, one flight
+        per envelope), and so does the bench tracer (``bench/trace.py``),
+        both through ``getattr``: not every wire message is an envelope
+        (a heartbeat is not)."""
         return getattr(self.payload, "mid", None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

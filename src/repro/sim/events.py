@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import sys
 from math import inf
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -193,18 +192,12 @@ class Scheduler:
     # main loop
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run events in order until the queue drains.
 
         Args:
             until: if given, stop once the next event would fire strictly
                 after this time; ``now`` is advanced to ``until``.
-            max_events: if given, stop after executing this many events
-                (safety valve against runaway simulations).
 
         Returns:
             The simulated time at which the run stopped.
@@ -215,9 +208,6 @@ class Scheduler:
         heappop = heapq.heappop
         heappush = heapq.heappush
         time_limit = inf if until is None else until
-        # An int bound: comparing the int count with a float inf would
-        # cost a mixed-type comparison per event.
-        event_limit = sys.maxsize if max_events is None else max_events
         # The event loop allocates millions of short-lived heap-entry
         # tuples and next to no cyclic garbage; the generational GC would
         # run a collection every ~700 of those allocations for nothing,
@@ -234,8 +224,6 @@ class Scheduler:
             # (at most one) over-limit entry avoids a peek + re-index of
             # the tuple on every iteration of the hot path.
             while heap and not self._stopped:
-                if executed >= event_limit:
-                    break
                 entry = heappop(heap)
                 time, _, fn, payload = entry
                 if fn is None:

@@ -147,7 +147,7 @@ class TestRouting:
 class TestAcrossProtocols:
     @pytest.mark.parametrize("protocol", ["primcast", "whitebox", "fastcast"])
     def test_random_workload_converges(self, protocol):
-        cluster = KvCluster(protocol=protocol, seed=5)
+        cluster = KvCluster(protocol=protocol)
         rng = random.Random(42)
         total = 0
         for i in range(60):

@@ -189,9 +189,10 @@ class TestRunCampaign:
         assert a.to_json() == b.to_json()
 
     def test_report_identical_across_jobs(self):
-        serial = run_campaign(SCN, SEEDS, jobs=1)
+        serial = run_campaign(SCN, SEEDS)
         for jobs in (2, 4):
-            parallel = run_campaign(SCN, SEEDS, jobs=jobs)
+            with SweepExecutor(jobs=jobs) as executor:
+                parallel = run_campaign(SCN, SEEDS, executor=executor)
             assert serial.to_json() == parallel.to_json()
 
     def test_unknown_scenario_rejected(self):

@@ -78,12 +78,6 @@ class TestFaultSchedule:
             json.loads(text), sort_keys=True, separators=(",", ":")
         )
 
-    def test_save_load(self, tmp_path):
-        schedule = generate_schedule("fig3-reduced", 2, SHAPE)
-        path = tmp_path / "sched.json"
-        schedule.save(path)
-        assert FaultSchedule.load(path) == schedule
-
     def test_replace_events(self):
         schedule = generate_schedule("fig3-reduced", 5, SHAPE)
         trimmed = schedule.replace_events([])

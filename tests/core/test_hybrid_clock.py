@@ -3,8 +3,8 @@
 import pytest
 
 from helpers import MiniSystem, random_workload
-from repro.core.process import PrimCastProcess
 from repro.core.config import uniform_groups
+from repro.harness.runner import make_processes
 from repro.harness.steps import measure_primcast_convoy
 from repro.sim import ConstantLatency, Network, Scheduler, child_rng
 from repro.verify import collect_violations
@@ -14,8 +14,8 @@ def test_hybrid_requires_physical_clock():
     config = uniform_groups(1, 3)
     sched = Scheduler()
     net = Network(sched, ConstantLatency(1.0), child_rng(1, "n"))
-    with pytest.raises(ValueError):
-        PrimCastProcess(0, config, sched, net, hybrid_clock=True)
+    with pytest.raises(ValueError, match="primcast-hc"):
+        make_processes("primcast-hc", config, sched, net, None, clocks=None)
 
 
 def test_hybrid_timestamps_track_real_time():

@@ -8,14 +8,12 @@ message class cannot silently fall back to the slow/kindless path.
 """
 
 from repro.baselines.classic import (
-    CLASSIC_KINDS,
     ClAccept,
     ClAccepted,
     ClStart,
     ClTimestamp,
 )
 from repro.baselines.fastcast import (
-    FASTCAST_KINDS,
     Fc2A,
     Fc2B,
     FcHard,
@@ -23,14 +21,12 @@ from repro.baselines.fastcast import (
     FcStart,
 )
 from repro.baselines.whitebox import (
-    WHITEBOX_KINDS,
     WbAccept,
     WbAck,
     WbDeliver,
     WbStart,
 )
 from repro.core.messages import (
-    PRIMCAST_KINDS,
     Ack,
     AcceptEpoch,
     Bump,
@@ -66,13 +62,6 @@ def test_every_wire_class_declares_class_level_kind():
         slots = vars(cls).get("__slots__")
         if slots is not None:
             assert "kind" not in slots, f"{cls.__name__} stores kind per instance"
-
-
-def test_kind_tuples_match_declared_classes():
-    assert set(PRIMCAST_KINDS) == {cls.kind for cls in PRIMCAST_CLASSES}
-    assert set(WHITEBOX_KINDS) == {cls.kind for cls in WHITEBOX_CLASSES}
-    assert set(FASTCAST_KINDS) == {cls.kind for cls in FASTCAST_CLASSES}
-    assert set(CLASSIC_KINDS) == {cls.kind for cls in CLASSIC_CLASSES}
 
 
 def test_envelope_mirrors_payload_kind():

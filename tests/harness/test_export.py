@@ -1,6 +1,4 @@
-"""Tests for result export (CSV/JSON)."""
-
-import json
+"""Tests for result export (CSV)."""
 
 import pytest
 
@@ -10,7 +8,6 @@ from repro.harness.export import (
     result_row,
     write_cdf_csv,
     write_csv,
-    write_json,
 )
 from repro.harness.runner import RunResult
 
@@ -46,15 +43,6 @@ def test_csv_round_trip(tmp_path, results):
     assert rows[0]["protocol"] == "primcast"
     assert float(rows[0]["p95_ms"]) == 2.0
     assert rows[1]["protocol"] == "fastcast"
-
-
-def test_json_export(tmp_path, results):
-    path = tmp_path / "out.json"
-    write_json(str(path), results)
-    data = json.loads(path.read_text())
-    assert len(data) == 2
-    assert data[0]["scenario"] == "LAN"
-    assert data[1]["throughput"] == 2345.0
 
 
 def test_cdf_csv(tmp_path):

@@ -41,10 +41,14 @@ class TestBuildSystem:
         assert build_system("primcast", small_scenario()).oracles is None
 
     def test_hc_gets_physical_clocks(self):
-        system = build_system("primcast-hc", replace(small_scenario(), epsilon_ms=1.5))
+        scenario = replace(small_scenario(), epsilon_ms=1.5)
+        system = build_system("primcast-hc", scenario)
         for proc in system.replicas:
-            assert proc.hybrid_clock
+            assert proc.physical_clock is not None
             assert abs(proc.physical_clock.offset_us) <= 1500
+        # Plain PrimCast has no clock, so it proposes by clock + 1 (§6).
+        for proc in build_system("primcast", scenario).replicas:
+            assert proc.physical_clock is None
 
     def test_deterministic_by_seed(self):
         r1 = run_load_point(

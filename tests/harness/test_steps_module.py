@@ -26,6 +26,13 @@ class TestBuildBareSystem:
         assert procs[0].physical_clock.offset_us == 5000.0
         assert procs[1].physical_clock.offset_us == 0.0
 
+    @pytest.mark.parametrize("proto", ["primcast", "whitebox", "fastcast"])
+    def test_clock_offsets_need_a_physical_clock(self, proto):
+        # Only primcast-hc has a physical clock; offsets for any other
+        # protocol are a mistake, named as such.
+        with pytest.raises(ValueError, match=proto):
+            build_bare_system(proto, 2, 3, clock_offsets_ms={0: 5.0})
+
     def test_zero_cost_cpu(self):
         sched, net, config, procs = build_bare_system("primcast", 2, 3)
         assert procs[0].cost_model.recv_cost(type("M", (), {"kind": "start"})()) == 0

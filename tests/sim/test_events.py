@@ -91,15 +91,6 @@ def test_negative_delay_rejected():
         sched.call_after(-1.0, lambda: None)
 
 
-def test_max_events_limits_execution():
-    sched = Scheduler()
-    fired = []
-    for i in range(10):
-        sched.call_at(float(i), fired.append, i)
-    sched.run(max_events=3)
-    assert fired == [0, 1, 2]
-
-
 def test_stop_from_within_event():
     sched = Scheduler()
     fired = []
