@@ -24,11 +24,6 @@ def run_case(enable_bumps: bool):
         )
         for pid in config.all_pids
     }
-    deliveries = {pid: [] for pid in procs}
-    for pid, p in procs.items():
-        p.add_deliver_hook(
-            lambda proc, m, ts: deliveries[proc.pid].append((m.mid, sched.now))
-        )
     # Raise group 1's clock so the global message's final timestamp comes
     # from the remote group (from group 0's perspective).
     for _ in range(3):
@@ -36,8 +31,8 @@ def run_case(enable_bumps: bool):
     sched.run(until=50)
     m = procs[4].a_multicast({0, 1}, payload="global")
     sched.run(until=500)
-    delivered_at_g0 = [t for mid, t in deliveries[1] if mid == m.mid]
-    delivered_at_g1 = [t for mid, t in deliveries[4] if mid == m.mid]
+    delivered_at_g0 = [t for mid, _, t in procs[1].delivery_log if mid == m.mid]
+    delivered_at_g1 = [t for mid, _, t in procs[4].delivery_log if mid == m.mid]
     return delivered_at_g0, delivered_at_g1, net.counts_by_kind.get("bump", 0)
 
 

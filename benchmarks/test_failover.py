@@ -7,12 +7,14 @@ primary crashes; we report delivery-gap duration at group 0 and verify
 ordering afterwards.
 """
 
-from repro.core import uniform_groups
-from repro.core.process import PrimCastProcess
-from repro.election import HB_INTERVAL_MS, attach_omegas
+from dataclasses import replace
+
+from repro.election import HB_INTERVAL_MS
 from repro.harness.report import format_table
-from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
+from repro.harness.runner import build_system
+from repro.sim import FailureInjector, zero_cost_model
 from repro.verify import check_acyclic_order, check_timestamp_order
+from repro.workload.scenarios import exact_network
 
 DELTA = 1.0
 SUSPECT_MS = 100.0
@@ -20,19 +22,14 @@ CRASH_AT = 50.0
 
 
 def run_failover():
-    config = uniform_groups(2, 3)
-    sched = Scheduler()
-    net = Network(sched, ConstantLatency(DELTA), child_rng(2, "failover"))
-    procs = {
-        pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids
-    }
-    attach_omegas(procs, SUSPECT_MS)
+    # 2x3 groups on an exact Δ network, free CPUs, a heartbeat Ω per
+    # process and no state-GC daemon.
+    system = build_system(
+        "primcast", replace(exact_network(2, 3, DELTA), suspect_ms=SUSPECT_MS),
+        cost_model=zero_cost_model(), compaction_interval_ms=0.0,
+    )
+    sched, procs = system.scheduler, system.processes
     injector = FailureInjector(sched, procs)
-    logs = {pid: [] for pid in procs}
-    for pid, p in procs.items():
-        p.add_deliver_hook(
-            lambda proc, m, ts: logs[proc.pid].append((m.mid, ts, sched.now))
-        )
 
     # Steady workload: one multicast to {0, 1} every 1 ms from p4.
     def issue(i=0):
@@ -43,6 +40,7 @@ def run_failover():
     sched.call_at(0.0, issue)
     injector.crash_at(0, CRASH_AT)
     sched.run(until=1000)
+    logs = {pid: proc.delivery_log for pid, proc in procs.items()}
 
     # Delivery gap at a group-0 survivor around the crash.
     times = sorted(t for _, _, t in logs[1])

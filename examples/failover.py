@@ -13,11 +13,14 @@ Run:
     python examples/failover.py
 """
 
-from repro.core import PrimCastProcess, uniform_groups
+from dataclasses import replace
+
 from repro.core.process import PRIMARY
-from repro.election import HB_INTERVAL_MS, attach_omegas
-from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
+from repro.election import HB_INTERVAL_MS
+from repro.harness.runner import build_system
+from repro.sim import FailureInjector, zero_cost_model
 from repro.verify import check_acyclic_order, check_timestamp_order
+from repro.workload.scenarios import exact_network
 
 DELTA_MS = 1.0
 SUSPECT_MS = 100.0
@@ -26,21 +29,14 @@ N_MESSAGES = 80
 
 
 def main() -> None:
-    config = uniform_groups(n_groups=2, group_size=3)
-    scheduler = Scheduler()
-    network = Network(scheduler, ConstantLatency(DELTA_MS), child_rng(3, "net"))
-    processes = {
-        pid: PrimCastProcess(pid, config, scheduler, network)
-        for pid in config.all_pids
-    }
-    attach_omegas(processes, SUSPECT_MS)
+    # Two groups of three on an exact 1 ms network with free CPUs; the
+    # scenario's suspect_ms gives every replica a heartbeat Ω.
+    system = build_system(
+        "primcast", replace(exact_network(2, 3, DELTA_MS), suspect_ms=SUSPECT_MS),
+        cost_model=zero_cost_model(), compaction_interval_ms=0.0,
+    )
+    config, scheduler, processes = system.config, system.scheduler, system.processes
     injector = FailureInjector(scheduler, processes)
-
-    logs = {pid: [] for pid in processes}
-    for pid, proc in processes.items():
-        proc.add_deliver_hook(
-            lambda p, m, ts: logs[p.pid].append((m.mid, ts, scheduler.now))
-        )
 
     # Steady traffic: one global message per millisecond from group 1.
     def issue(i: int = 0) -> None:
@@ -59,14 +55,14 @@ def main() -> None:
           f"epoch = {survivor.e_cur} (leader {survivor.e_cur.leader})")
     assert survivor.role == PRIMARY, "replica 1 should have taken over"
 
-    correct_logs = {pid: logs[pid] for pid in (1, 2, 3, 4, 5)}
+    correct_logs = {pid: processes[pid].delivery_log for pid in (1, 2, 3, 4, 5)}
     for pid, log in correct_logs.items():
         assert len(log) == N_MESSAGES, f"replica {pid} delivered {len(log)}"
     check_acyclic_order(correct_logs)
     check_timestamp_order(correct_logs)
 
     # Where was the outage? Look at delivery-time gaps at replica 1.
-    times = [t for _, _, t in logs[1]]
+    times = [t for _, _, t in processes[1].delivery_log]
     gaps = sorted(
         ((b - a), a) for a, b in zip(times, times[1:])
     )

@@ -8,9 +8,11 @@ partition, and cross-partition transactions are *global* multicasts that
 atomic multicast orders consistently at every involved partition — no
 ad-hoc timestamping or two-phase commit required.
 
-The demo runs a little bank: accounts are sharded by key across 3
-partitions (x 3 replicas), clients issue deposits (local) and transfers
-(cross-partition), and at the end we check that
+The demo runs a little bank on :class:`repro.apps.cluster.KvCluster`:
+accounts are sharded by key across 3 partitions (x 3 replicas), clients
+issue deposits (an ``Increment``, local) and transfers (a two-op
+``Transaction``, cross-partition when the accounts live apart), and at
+the end we check that
 
 * all replicas of a partition hold identical state (replication), and
 * the total balance across partitions matches deposits (transfers
@@ -23,10 +25,9 @@ Run:
 from __future__ import annotations
 
 import random
-from typing import Dict
 
-from repro.core import Multicast, PrimCastProcess, uniform_groups
-from repro.sim import JitteredLatency, Network, Scheduler, child_rng
+from repro.apps.cluster import KvCluster
+from repro.apps.kvstore import Increment, Transaction
 
 N_PARTITIONS = 3
 REPLICAS_PER_PARTITION = 3
@@ -34,88 +35,43 @@ N_ACCOUNTS = 30
 N_OPS = 120
 
 
-def partition_of(account: int) -> int:
-    """Shard accounts across partitions by key."""
-    return account % N_PARTITIONS
-
-
-class KvReplica:
-    """Applies delivered operations to its partition's state."""
-
-    def __init__(self, process: PrimCastProcess):
-        self.process = process
-        self.partition = process.gid
-        self.balances: Dict[int, int] = {}
-        self.applied = 0
-        process.add_deliver_hook(self._apply)
-
-    def _apply(self, proc: PrimCastProcess, m: Multicast, final_ts: int) -> None:
-        op = m.payload
-        self.applied += 1
-        if op["type"] == "deposit":
-            account = op["account"]
-            if partition_of(account) == self.partition:
-                self.balances[account] = self.balances.get(account, 0) + op["amount"]
-        elif op["type"] == "transfer":
-            src, dst, amount = op["src"], op["dst"], op["amount"]
-            # Each partition applies its side of the transfer; atomic
-            # multicast guarantees both sides see it in a consistent
-            # order relative to every other operation.
-            if partition_of(src) == self.partition:
-                self.balances[src] = self.balances.get(src, 0) - amount
-            if partition_of(dst) == self.partition:
-                self.balances[dst] = self.balances.get(dst, 0) + amount
-
-
 def main() -> None:
-    config = uniform_groups(N_PARTITIONS, REPLICAS_PER_PARTITION)
-    scheduler = Scheduler()
-    network = Network(scheduler, JitteredLatency(1.0, 0.05), child_rng(7, "net"))
-    processes = {
-        pid: PrimCastProcess(pid, config, scheduler, network)
-        for pid in config.all_pids
-    }
-    replicas = [KvReplica(p) for p in processes.values()]
+    cluster = KvCluster(N_PARTITIONS, REPLICAS_PER_PARTITION)
 
     rng = random.Random(1234)
     total_deposited = 0
     n_transfers = 0
     for i in range(N_OPS):
-        when = i * 0.4
         if rng.random() < 0.5:
             account = rng.randrange(N_ACCOUNTS)
             amount = rng.randint(1, 100)
             total_deposited += amount
-            op = {"type": "deposit", "account": account, "amount": amount}
-            dest = frozenset({partition_of(account)})
+            command = Increment(f"acct{account}", amount)
         else:
+            # Each partition applies its side of the transfer; atomic
+            # multicast orders both sides consistently relative to every
+            # other operation.
             src, dst = rng.sample(range(N_ACCOUNTS), 2)
-            op = {"type": "transfer", "src": src, "dst": dst,
-                  "amount": rng.randint(1, 20)}
-            dest = frozenset({partition_of(src), partition_of(dst)})
-            if len(dest) > 1:
+            amount = rng.randint(1, 20)
+            command = Transaction(
+                [("incr", f"acct{src}", -amount), ("incr", f"acct{dst}", amount)]
+            )
+            if len(command.partitions(N_PARTITIONS)) > 1:
                 n_transfers += 1
-        submitter = processes[config.members(min(dest))[0]]
-        scheduler.call_at(when, submitter.a_multicast, dest, op)
+        cluster.scheduler.call_at(i * 0.4, cluster.submit, command)
 
-    scheduler.run(until=5000.0)
+    cluster.run(until=5000.0)
 
     # Replication: all replicas of a partition hold identical state.
-    for gid in range(N_PARTITIONS):
-        states = [
-            r.balances for r in replicas if r.partition == gid
-        ]
-        assert all(s == states[0] for s in states), f"partition {gid} diverged"
+    cluster.assert_replicas_converged()
 
     # Atomicity: money is conserved across partitions.
     total = sum(
-        sum(r.balances.values())
-        for r in replicas
-        if r.process.pid == config.members(r.partition)[0]
+        sum(cluster.partition_states(gid)[0].values()) for gid in range(N_PARTITIONS)
     )
+    applied = sorted({len(r.applied_log) for r in cluster.replicas.values()})
     print(f"partitions: {N_PARTITIONS} x {REPLICAS_PER_PARTITION} replicas")
-    print(f"operations applied per replica: "
-          f"{sorted(set(r.applied for r in replicas))}")
+    print(f"operations applied per replica: {applied}")
     print(f"cross-partition transfers: {n_transfers}")
     print(f"total deposited: {total_deposited}, total held: {total}")
     assert total == total_deposited, "transfers must conserve money"

@@ -23,17 +23,15 @@ def main() -> None:
         pid: PrimCastProcess(pid, config, sched, net)
         for pid in config.all_pids
     }
-    deliveries = []
-    for pid, p in procs.items():
-        p.add_deliver_hook(
-            lambda proc, m, ts: deliveries.append((sched.now, proc.pid, ts))
-        )
 
     print("p5 a-multicasts m to both groups (g = p1..p3, h = p4..p6):\n")
     procs[5].a_multicast({0, 1}, payload="m")
     sched.run(until=20)
 
     print(render_exchanges(flights))
+    deliveries = [
+        (when, pid, ts) for pid, p in procs.items() for _mid, ts, when in p.delivery_log
+    ]
     print("\ndeliveries (time, process, final timestamp):")
     for when, pid, ts in sorted(deliveries):
         print(f"  t={when:4.1f}  p{pid}  ts={ts}")

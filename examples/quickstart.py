@@ -12,46 +12,37 @@ Run:
     python examples/quickstart.py
 """
 
-from repro.core import PrimCastProcess, uniform_groups
-from repro.sim import ConstantLatency, Network, Scheduler, child_rng
+from repro.harness.steps import build_bare_system
 
 
 def main() -> None:
-    # 1. Membership: two disjoint groups of three replicas.
-    config = uniform_groups(n_groups=2, group_size=3)
+    # 1. The deployment: two disjoint groups of three PrimCast replicas
+    #    on a network whose every link takes exactly 1 ms, free CPUs.
+    scheduler, _network, config, replicas = build_bare_system(
+        "primcast", n_groups=2, group_size=3, delta_ms=1.0
+    )
     print(f"deployment: {config}")
     print(f"  group 0 = {config.members(0)}, group 1 = {config.members(1)}")
 
-    # 2. Simulation substrate: scheduler + 1 ms constant-latency network.
-    scheduler = Scheduler()
-    network = Network(scheduler, ConstantLatency(1.0), child_rng(42, "net"))
-
-    # 3. One PrimCast process per replica.
-    replicas = {
-        pid: PrimCastProcess(pid, config, scheduler, network)
-        for pid in config.all_pids
-    }
-
-    # 4. Observe deliveries.
-    logs = {pid: [] for pid in replicas}
-    for pid, replica in replicas.items():
-        replica.add_deliver_hook(
-            lambda proc, m, final_ts: logs[proc.pid].append(
-                (m.payload, final_ts, scheduler.now)
-            )
-        )
-
-    # 5. Multicast: two local messages and two global ones, from
+    # 2. Multicast: two local messages and two global ones, from
     #    different senders.
-    replicas[0].a_multicast({0}, payload="local to group 0")
-    replicas[4].a_multicast({0, 1}, payload="global A")
-    replicas[3].a_multicast({1}, payload="local to group 1")
-    replicas[1].a_multicast({0, 1}, payload="global B")
+    sent = [
+        replicas[0].a_multicast({0}, payload="local to group 0"),
+        replicas[4].a_multicast({0, 1}, payload="global A"),
+        replicas[3].a_multicast({1}, payload="local to group 1"),
+        replicas[1].a_multicast({0, 1}, payload="global B"),
+    ]
+    payload_of = {m.mid: m.payload for m in sent}
 
-    # 6. Run the simulation to quiescence.
+    # 3. Run the simulation to quiescence.
     scheduler.run(until=100.0)
 
-    # 7. Show per-replica delivery orders.
+    # 4. Show per-replica delivery orders: every replica logs
+    #    (mid, final timestamp, sim time) per delivery.
+    logs = {
+        pid: [(payload_of[mid], final_ts, when) for mid, final_ts, when in replica.delivery_log]
+        for pid, replica in replicas.items()
+    }
     print("\ndelivery logs (payload, final timestamp, sim time ms):")
     for pid in sorted(logs):
         print(f"  replica {pid} (group {config.group_of[pid]}):")

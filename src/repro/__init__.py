@@ -8,17 +8,13 @@ regenerates every table and figure of §7.
 
 Quick start::
 
-    from repro.sim import Scheduler, Network, ConstantLatency, child_rng
-    from repro.core import uniform_groups, PrimCastProcess
+    from repro.harness.steps import build_bare_system
 
-    config = uniform_groups(n_groups=2, group_size=3)
-    sched = Scheduler()
-    net = Network(sched, ConstantLatency(1.0), child_rng(42, "net"))
-    procs = {pid: PrimCastProcess(pid, config, sched, net)
-             for pid in config.all_pids}
-    procs[0].add_deliver_hook(lambda p, m, ts: print("delivered", m.mid, ts))
+    # two groups of three PrimCast replicas, every link exactly 1 ms
+    sched, net, config, procs = build_bare_system("primcast", 2, 3, delta_ms=1.0)
     procs[4].a_multicast({0, 1}, payload="hello")
     sched.run(until=100)
+    print(procs[0].delivery_log)  # [(mid, final_ts, time)]
 
 Subpackages (``import repro`` loads none of them):
 

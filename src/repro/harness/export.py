@@ -72,9 +72,3 @@ def write_cdf_csv(
         for series in sorted(curves):
             for latency, fraction in curves[series]:
                 writer.writerow([series, latency, fraction])
-
-
-def read_csv(path: str) -> List[Dict[str, str]]:
-    """Round-trip helper (used by tests and comparisons)."""
-    with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))

@@ -28,9 +28,9 @@ def build_bare_system(
     clock_offsets_ms: Optional[Dict[int, float]] = None,
 ) -> Tuple[Scheduler, Network, GroupConfig, Dict[int, Any]]:
     """A deployment on an exact-Δ network with free CPUs, no Ω and no
-    state-GC daemon: Table 1's measurements, ``KvCluster`` and the net
-    differential's sim reference all build it. It draws no randomness
-    (constant links, ε = 0), so it takes no seed.
+    state-GC daemon: Table 1's measurements, ``KvCluster``, the net
+    differential's sim reference and ``examples/quickstart.py`` build
+    it. It draws no randomness (constant links, ε = 0): no seed.
 
     ``clock_offsets_ms`` assigns adversarial physical-clock offsets to
     ``primcast-hc`` processes (pids not listed get offset 0); no other

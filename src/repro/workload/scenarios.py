@@ -188,23 +188,6 @@ def lan_sustained(n_groups: int = 2, group_size: int = 3) -> Scenario:
     )
 
 
-def lan_fleet(n_groups: int = 20, group_size: int = 3) -> Scenario:
-    """LAN geometry scaled past the paper: a 20-group, 60-process fleet.
-
-    Same cluster latency model as :func:`lan_scenario`, defaulting to
-    20×3 — the scale-out target of the campaign-orchestration work.
-    Genuineness keeps per-message cost proportional to the destination
-    set, so a fleet this wide is mostly independent 2–3 group traffic;
-    the scenario exists to exercise (and benchmark) the harness at
-    60+ simulated processes, beyond the paper's 24."""
-    return replace(
-        lan_scenario(n_groups, group_size),
-        name="LAN - fleet",
-        description=f"{n_groups} groups inside a cluster ({n_groups * group_size} "
-        "processes), the scale-out orchestration target.",
-    )
-
-
 def wan_colocated_leaders(n_groups: int = 8, group_size: int = 3) -> Scenario:
     """Table 2, row 2: 3 regions, leaders share a region."""
     return Scenario(

@@ -8,29 +8,21 @@ from repro.sim import ConstantLatency, JitteredLatency, Network, Scheduler, chil
 from repro.verify import check_acyclic_order, check_timestamp_order, collect_violations
 
 
-def build(n_groups=2, group_size=3, latency=None, seed=1):
-    config = uniform_groups(n_groups, group_size)
+def build(n_groups=2, latency=None):
+    config = uniform_groups(n_groups, 3)
     sched = Scheduler()
-    net = Network(sched, latency or ConstantLatency(1.0), child_rng(seed, "cl"))
+    net = Network(sched, latency or ConstantLatency(1.0), child_rng(1, "cl"))
     procs = {
         pid: ClassicProcess(pid, config, sched, net) for pid in config.all_pids
     }
-    logs = {pid: [] for pid in procs}
-    multicasts = {}
-    for pid, p in procs.items():
-        p.add_deliver_hook(
-            lambda proc, m, ts: (
-                logs[proc.pid].append((m.mid, ts, sched.now)),
-                multicasts.setdefault(m.mid, m),
-            )
-        )
-    return config, sched, net, procs, logs, multicasts
+    logs = {pid: proc.delivery_log for pid, proc in procs.items()}
+    return config, sched, net, procs, logs
 
 
 def test_six_step_collision_free_delivery():
     """1 (start) + 2 (propose consensus) + 1 (ts exchange) + 2 (commit
     consensus) = 6 steps for a global message."""
-    config, sched, net, procs, logs, _ = build()
+    config, sched, net, procs, logs = build()
     procs[4].a_multicast({0, 1})
     sched.run(until=50)
     times = [t for pid in range(6) for _, _, t in logs[pid]]
@@ -40,7 +32,7 @@ def test_six_step_collision_free_delivery():
 
 def test_local_message_skips_ts_exchange():
     """A single-group message needs no timestamp exchange: 1 + 2 + 2."""
-    config, sched, net, procs, logs, _ = build()
+    config, sched, net, procs, logs = build()
     procs[1].a_multicast({0})
     sched.run(until=50)
     times = [t for pid in (0, 1, 2) for _, _, t in logs[pid]]
@@ -53,7 +45,7 @@ def test_slower_than_primcast():
     from repro.harness.steps import measure_collision_free
 
     primcast = measure_collision_free("primcast", 2, n_groups=4)
-    config, sched, net, procs, logs, _ = build(n_groups=4)
+    config, sched, net, procs, logs = build(n_groups=4)
     procs[4].a_multicast({0, 1})
     sched.run(until=50)
     classic_steps = max(t for pid in range(6) for _, _, t in logs[pid])
@@ -63,7 +55,7 @@ def test_slower_than_primcast():
 def test_ordering_properties_random_run():
     import random
 
-    config, sched, net, procs, logs, multicasts = build(
+    config, sched, net, procs, logs = build(
         n_groups=3, latency=JitteredLatency(1.0, 0.2)
     )
     rng = random.Random(3)
@@ -84,7 +76,7 @@ def test_ordering_properties_random_run():
 
 
 def test_group_members_deliver_identically():
-    config, sched, net, procs, logs, _ = build(n_groups=2)
+    config, sched, net, procs, logs = build(n_groups=2)
     for i in range(10):
         sched.call_at(i * 0.8, procs[i % 6].a_multicast, {0, 1}, None)
     sched.run(until=500)
@@ -94,7 +86,7 @@ def test_group_members_deliver_identically():
 
 
 def test_uses_group_consensus_messages():
-    config, sched, net, procs, logs, _ = build()
+    config, sched, net, procs, logs = build()
     procs[0].a_multicast({0, 1})
     sched.run(until=50)
     # Two consensus instances per group (propose + commit).
@@ -103,7 +95,7 @@ def test_uses_group_consensus_messages():
 
 
 def test_clock_advances_with_log():
-    config, sched, net, procs, logs, _ = build()
+    config, sched, net, procs, logs = build()
     for _ in range(5):
         procs[1].a_multicast({0})
     sched.run(until=100)
@@ -122,7 +114,7 @@ def test_clock_advances_with_log():
 def test_wire_counts_and_events_are_pinned(sender, dest, counts, events):
     """A PROPOSE and a COMMIT slot per destination group: the leader's
     2a to its 3 members, and 2b from each of them to all 3."""
-    config, sched, net, procs, logs, _ = build()
+    config, sched, net, procs, logs = build()
     procs[sender].a_multicast(dest)
     sched.run(until=50)
     assert dict(net.counts_by_kind) == counts

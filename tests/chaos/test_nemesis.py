@@ -1,36 +1,20 @@
 """Unit tests for the nemesis: crash targeting, budgets, delays, hooks."""
 
+from helpers import MiniSystem
 from repro.chaos.nemesis import Nemesis
 from repro.chaos.schedule import FaultEvent, FaultSchedule, Trigger
-from repro.core import PrimCastProcess, uniform_groups
-from repro.election import attach_omegas
-from repro.sim import (
-    ConstantLatency,
-    FailureInjector,
-    Network,
-    Scheduler,
-    child_rng,
-)
 
 
-def build(seed=1, n_groups=2, group_size=3, omega=True):
-    config = uniform_groups(n_groups, group_size)
-    sched = Scheduler()
-    net = Network(sched, ConstantLatency(1.0), child_rng(seed, "nemesis-test"))
-    procs = {
-        pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids
-    }
-    if omega:
-        attach_omegas(procs, suspect_ms=100.0)
-    return config, sched, net, procs
-
-
-def nemesis_for(events, config, sched, net, procs, seed=1):
-    schedule = FaultSchedule("test", seed, tuple(events))
-    injector = FailureInjector(sched, procs)
-    nem = Nemesis(schedule, sched, net, config, procs, injector)
+def nemesis_for(events, omega=True):
+    """A 2x3 PrimCast deployment (with Ω unless ``omega`` is false) and
+    the installed nemesis of ``events``."""
+    sys_ = MiniSystem(suspect_ms=100.0 if omega else None)
+    nem = Nemesis(
+        FaultSchedule("test", 1, tuple(events)), sys_.scheduler, sys_.network,
+        sys_.config, sys_.processes, sys_.injector,
+    )
     nem.install()
-    return nem, injector
+    return sys_, nem
 
 
 def crash(target, trigger, over_budget=False):
@@ -41,114 +25,99 @@ def crash(target, trigger, over_budget=False):
 
 class TestCrashInjection:
     def test_time_triggered_pid_crash(self):
-        config, sched, net, procs = build()
-        nem, inj = nemesis_for(
+        sys_, nem = nemesis_for(
             [crash("pid:4", Trigger(kind="at", time_ms=5.0))],
-            config, sched, net, procs,
         )
-        sched.run(until=20.0)
-        assert procs[4].crashed
-        assert inj.crashed_pids == [4]
+        sys_.run(until=20.0)
+        assert sys_.processes[4].crashed
+        assert sys_.injector.crashed_pids == [4]
         assert nem.applied["crashes"] == 1
 
     def test_leader_target_kills_group_primary(self):
-        config, sched, net, procs = build()
-        nem, inj = nemesis_for(
+        sys_, nem = nemesis_for(
             [crash("leader:1", Trigger(kind="at", time_ms=5.0))],
-            config, sched, net, procs,
         )
-        sched.run(until=20.0)
+        sys_.run(until=20.0)
         assert nem.applied["crashes"] == 1
-        assert inj.crashed_pids and inj.crashed_pids[0] in config.members(1)
+        crashed = sys_.injector.crashed_pids
+        assert crashed and crashed[0] in sys_.config.members(1)
 
     def test_budget_guard_refuses_second_crash_in_group(self):
-        config, sched, net, procs = build()
-        nem, inj = nemesis_for(
+        sys_, nem = nemesis_for(
             [
                 crash("pid:0", Trigger(kind="at", time_ms=5.0)),
                 crash("pid:1", Trigger(kind="at", time_ms=6.0)),
             ],
-            config, sched, net, procs,
         )
-        sched.run(until=20.0)
-        assert inj.crashed_pids == [0]
+        sys_.run(until=20.0)
+        assert sys_.injector.crashed_pids == [0]
         assert nem.applied["crashes"] == 1
         assert nem.applied["budget_refused"] == 1
 
     def test_over_budget_flag_bypasses_guard(self):
-        config, sched, net, procs = build()
-        nem, inj = nemesis_for(
+        sys_, nem = nemesis_for(
             [
                 crash("pid:0", Trigger(kind="at", time_ms=5.0)),
                 crash("pid:1", Trigger(kind="at", time_ms=6.0), over_budget=True),
             ],
-            config, sched, net, procs,
         )
-        sched.run(until=20.0)
-        assert inj.crashed_pids == [0, 1]
+        sys_.run(until=20.0)
+        assert sys_.injector.crashed_pids == [0, 1]
         assert nem.applied["crashes"] == 2
 
     def test_crashed_target_counts_unresolved(self):
-        config, sched, net, procs = build()
-        nem, _ = nemesis_for(
+        sys_, nem = nemesis_for(
             [
                 crash("pid:3", Trigger(kind="at", time_ms=5.0)),
                 crash("pid:3", Trigger(kind="at", time_ms=6.0)),
             ],
-            config, sched, net, procs,
         )
-        sched.run(until=20.0)
+        sys_.run(until=20.0)
         assert nem.applied["crashes"] == 1
         assert nem.applied["unresolved"] == 1
 
     def test_install_is_idempotent(self):
-        config, sched, net, procs = build()
-        nem, inj = nemesis_for(
+        sys_, nem = nemesis_for(
             [crash("pid:4", Trigger(kind="at", time_ms=5.0))],
-            config, sched, net, procs,
         )
         nem.install()
-        sched.run(until=20.0)
-        assert inj.crashed_pids == [4]
+        sys_.run(until=20.0)
+        assert sys_.injector.crashed_pids == [4]
 
 
 class TestHookTriggers:
     def test_hook_crash_fires_at_step_boundary(self):
-        config, sched, net, procs = build()
-        nem, inj = nemesis_for(
+        sys_, nem = nemesis_for(
             [
                 crash(
                     "leader:0",
                     Trigger(kind="on", event="ack_quorum", nth=1),
                 )
             ],
-            config, sched, net, procs,
         )
-        procs[0].a_multicast(frozenset({0, 1}), "m0")
-        sched.run(until=200.0)
+        sys_.processes[0].a_multicast(frozenset({0, 1}), "m0")
+        sys_.run(until=200.0)
         assert nem.applied["crashes"] == 1
-        assert inj.crashed_pids and inj.crashed_pids[0] in config.members(0)
+        crashed = sys_.injector.crashed_pids
+        assert crashed and crashed[0] in sys_.config.members(0)
 
     def test_nth_counts_matching_probes(self):
-        config, sched, net, procs = build()
-        nem, _ = nemesis_for(
+        sys_, nem = nemesis_for(
             [
                 crash(
                     "leader:0",
                     Trigger(kind="on", event="ack_quorum", nth=3, pid=0),
                 )
             ],
-            config, sched, net, procs,
         )
         for i in range(2):
-            procs[0].a_multicast(frozenset({0}), f"m{i}")
-        sched.run(until=200.0)
+            sys_.processes[0].a_multicast(frozenset({0}), f"m{i}")
+        sys_.run(until=200.0)
         # Only two ack quorums can have been observed at pid 0.
         assert nem.applied["crashes"] == 0
 
     def test_offset_defers_the_crash(self):
-        config, sched, net, procs = build()
-        nem, inj = nemesis_for(
+        sys_, nem = nemesis_for(
             [
                 crash(
                     "pid:0",
@@ -157,21 +126,19 @@ class TestHookTriggers:
                     ),
                 )
             ],
-            config, sched, net, procs,
         )
-        procs[0].a_multicast(frozenset({0}), "m0")
-        sched.run(until=30.0)
-        assert not procs[0].crashed
-        sched.run(until=200.0)
-        assert procs[0].crashed
+        sys_.processes[0].a_multicast(frozenset({0}), "m0")
+        sys_.run(until=30.0)
+        assert not sys_.processes[0].crashed
+        sys_.run(until=200.0)
+        assert sys_.processes[0].crashed
         assert nem.applied["crashes"] == 1
-        assert inj.crashed_pids == [0]
+        assert sys_.injector.crashed_pids == [0]
 
 
 class TestDelaysAndSkew:
     def test_delay_rule_shifts_matching_departures(self):
-        config, sched, net, procs = build(omega=False)
-        nem, _ = nemesis_for(
+        sys_, nem = nemesis_for(
             [
                 FaultEvent(
                     kind="delay",
@@ -182,27 +149,26 @@ class TestDelaysAndSkew:
                     duration_ms=100.0,
                 )
             ],
-            config, sched, net, procs,
+            omega=False,
         )
         assert nem.applied["delays"] == 1
         arrivals = []
-        original = procs[3].on_message
+        original = sys_.processes[3].on_message
 
         def spy(src, msg):
-            arrivals.append((sched.now, src))
+            arrivals.append((sys_.scheduler.now, src))
             original(src, msg)
 
-        procs[3].on_message = spy
-        procs[0].a_multicast(frozenset({1}), "m0")
-        sched.run(until=300.0)
+        sys_.processes[3].on_message = spy
+        sys_.processes[0].a_multicast(frozenset({1}), "m0")
+        sys_.run(until=300.0)
         assert arrivals, "pid 3 never heard from pid 0"
         # ConstantLatency(1.0) plus the 40ms spike dominates every
         # 0->3 arrival inside the window.
         assert min(t for t, _ in arrivals) >= 40.0
 
     def test_delay_outside_window_does_not_apply(self):
-        config, sched, net, procs = build(omega=False)
-        nemesis_for(
+        sys_, nem = nemesis_for(
             [
                 FaultEvent(
                     kind="delay",
@@ -213,25 +179,24 @@ class TestDelaysAndSkew:
                     duration_ms=50.0,
                 )
             ],
-            config, sched, net, procs,
+            omega=False,
         )
         arrivals = []
-        original = procs[3].on_message
+        original = sys_.processes[3].on_message
 
         def spy(src, msg):
-            arrivals.append(sched.now)
+            arrivals.append(sys_.scheduler.now)
             original(src, msg)
 
-        procs[3].on_message = spy
-        procs[0].a_multicast(frozenset({1}), "m0")
-        sched.run(until=100.0)
+        sys_.processes[3].on_message = spy
+        sys_.processes[0].a_multicast(frozenset({1}), "m0")
+        sys_.run(until=100.0)
         assert arrivals and min(arrivals) < 40.0
 
     def test_wildcard_delay_leaves_the_self_channel_alone(self):
         # A spike models a congested link; the self-channel is none, and
         # shifting it would let a later self-message overtake this one.
-        config, sched, net, procs = build(omega=False)
-        nem, _ = nemesis_for(
+        sys_, nem = nemesis_for(
             [
                 FaultEvent(
                     kind="delay",
@@ -241,7 +206,7 @@ class TestDelaysAndSkew:
                     duration_ms=100.0,
                 )
             ],
-            config, sched, net, procs,
+            omega=False,
         )
         assert nem._delay_interceptor(3, 3, None, 10.0) == 10.0
         assert nem._delay_interceptor(0, 3, None, 10.0) == 50.0
@@ -249,10 +214,7 @@ class TestDelaysAndSkew:
     def test_skew_event_shifts_physical_clock(self):
         from repro.sim.clock import PhysicalClock
 
-        config, sched, net, procs = build(omega=False)
-        clock = PhysicalClock(sched)
-        procs[2].physical_clock = clock
-        nem, _ = nemesis_for(
+        sys_, nem = nemesis_for(
             [
                 FaultEvent(
                     kind="skew",
@@ -261,8 +223,9 @@ class TestDelaysAndSkew:
                     skew_us=1500,
                 )
             ],
-            config, sched, net, procs,
+            omega=False,
         )
-        sched.run(until=10.0)
+        clock = sys_.processes[2].physical_clock = PhysicalClock(sys_.scheduler)
+        sys_.run(until=10.0)
         assert clock.offset_us == 1500
         assert nem.applied["skews"] == 1

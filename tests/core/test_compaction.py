@@ -3,7 +3,6 @@
 import pytest
 
 from helpers import MiniSystem, random_workload
-from repro.verify import collect_violations
 
 
 def test_compaction_frees_delivered_state():
@@ -44,9 +43,7 @@ def test_periodic_compaction_does_not_change_results():
     plain, _ = run(compact=False)
     compacted, sys_ = run(compact=True)
     assert plain == compacted
-    assert collect_violations(
-        sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    ) == []
+    assert sys_.violations() == []
 
 
 def test_straggler_ack_after_compaction_is_harmless():

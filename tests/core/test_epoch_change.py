@@ -1,67 +1,13 @@
 """Primary-change tests (Algorithm 3): crash the primary, keep going."""
 
-from typing import Dict
-
-import pytest
-
-from helpers import partition
-from repro.core import PrimCastProcess, uniform_groups
+from helpers import MiniSystem, partition
 from repro.core.epoch import Epoch
-from repro.core.process import CANDIDATE, FOLLOWER, PRIMARY
-from repro.election import HB_INTERVAL_MS, attach_omegas
-from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
-from repro.verify import (
-    check_acyclic_order,
-    check_integrity,
-    check_timestamp_order,
-    collect_violations,
-)
+from repro.core.process import FOLLOWER, PRIMARY
+from repro.election import HB_INTERVAL_MS
 
 #: Ω's suspicion timeout: a crash is detected within SUSPECT_MS plus one
 #: heartbeat round.
 SUSPECT_MS = 100.0
-
-
-class FailoverSystem:
-    """PrimCast deployment with a heartbeat Ω per process and crash
-    injection."""
-
-    def __init__(self, n_groups=2, group_size=3, delta=1.0, suspect_ms=SUSPECT_MS, seed=1):
-        self.config = uniform_groups(n_groups, group_size)
-        self.scheduler = Scheduler()
-        self.network = Network(
-            self.scheduler, ConstantLatency(delta), child_rng(seed, "net")
-        )
-        self.processes: Dict[int, PrimCastProcess] = {}
-        for pid in self.config.all_pids:
-            self.processes[pid] = PrimCastProcess(
-                pid, self.config, self.scheduler, self.network
-            )
-        self.oracles = attach_omegas(self.processes, suspect_ms)
-        self.injector = FailureInjector(self.scheduler, self.processes)
-        self.deliveries = {pid: [] for pid in self.config.all_pids}
-        for proc in self.processes.values():
-            proc.add_deliver_hook(
-                lambda p, m, ts: self.deliveries[p.pid].append(
-                    (m.mid, ts, self.scheduler.now)
-                )
-            )
-
-    def logs(self):
-        return self.deliveries
-
-    def correct(self):
-        return {p for p, proc in self.processes.items() if not proc.crashed}
-
-    def check_safety(self):
-        check_integrity(
-            self.logs(),
-            set().union(*(set(m for m, _, _ in log) for log in self.deliveries.values()))
-            if any(self.deliveries.values())
-            else set(),
-        )
-        check_acyclic_order(self.logs())
-        check_timestamp_order(self.logs())
 
 
 def delivered_mids(sys_, pid):
@@ -69,17 +15,17 @@ def delivered_mids(sys_, pid):
 
 
 def test_crash_primary_before_start_arrives_message_still_delivered():
-    sys_ = FailoverSystem()
+    sys_ = MiniSystem(suspect_ms=SUSPECT_MS)
     sys_.injector.crash_at(0, 0.5)  # group 0 primary dies before anything
-    m = sys_.processes[4].a_multicast({0, 1}, payload="x")
+    m = sys_.multicast(4, {0, 1}, "x")
     sys_.scheduler.run(until=200)
     for pid in (1, 2, 3, 4, 5):
         assert delivered_mids(sys_, pid) == [m.mid], f"pid {pid}"
-    sys_.check_safety()
+    assert sys_.violations() == []
 
 
 def test_new_primary_role_and_epoch_after_crash():
-    sys_ = FailoverSystem()
+    sys_ = MiniSystem(suspect_ms=SUSPECT_MS)
     sys_.injector.crash_at(0, 1.0)
     sys_.scheduler.run(until=300)
     p1, p2 = sys_.processes[1], sys_.processes[2]
@@ -92,15 +38,15 @@ def test_new_primary_role_and_epoch_after_crash():
 
 def test_crash_primary_mid_protocol_no_safety_violation():
     """Crash the primary right after it proposed (acks in flight)."""
-    sys_ = FailoverSystem()
-    m = sys_.processes[4].a_multicast({0, 1}, payload="x")
+    sys_ = MiniSystem(suspect_ms=SUSPECT_MS)
+    m = sys_.multicast(4, {0, 1}, "x")
     # Start arrives at the group-0 primary at t=1, its ack departs then;
     # crash it at t=1.2, after the ack has been sent.
     sys_.injector.crash_at(0, 1.2)
     sys_.scheduler.run(until=300)
     for pid in (1, 2, 3, 4, 5):
         assert m.mid in delivered_mids(sys_, pid), f"pid {pid}"
-    sys_.check_safety()
+    assert sys_.violations() == []
     finals = {ts for pid in (1, 2, 3, 4, 5) for mid, ts, _ in sys_.deliveries[pid]}
     assert len(finals) == 1
 
@@ -108,23 +54,23 @@ def test_crash_primary_mid_protocol_no_safety_violation():
 def test_crash_primary_before_proposal_reaches_followers():
     """Crash so the ack reaches remote group but (relay-free) semantics
     still converge via the epoch change re-proposal."""
-    sys_ = FailoverSystem()
-    m = sys_.processes[4].a_multicast({0, 1}, payload="x")
+    sys_ = MiniSystem(suspect_ms=SUSPECT_MS)
+    m = sys_.multicast(4, {0, 1}, "x")
     sys_.injector.crash_at(0, 0.9)  # before the start (t=1.0) arrives
     sys_.scheduler.run(until=300)
     for pid in (1, 2, 3, 4, 5):
         assert m.mid in delivered_mids(sys_, pid)
-    sys_.check_safety()
+    assert sys_.violations() == []
 
 
 def test_traffic_during_failover_is_ordered():
-    sys_ = FailoverSystem(n_groups=2)
+    sys_ = MiniSystem(n_groups=2, suspect_ms=SUSPECT_MS)
     mids = []
     for i, (sender, when) in enumerate(
         [(4, 0.0), (1, 2.0), (5, 4.0), (2, 6.0), (4, 8.0), (1, 12.0), (5, 20.0)]
     ):
         def issue(s=sender):
-            mids.append(sys_.processes[s].a_multicast({0, 1}).mid)
+            mids.append(sys_.multicast(s, {0, 1}).mid)
 
         sys_.scheduler.call_at(when, issue)
     sys_.injector.crash_at(0, 3.0)
@@ -134,55 +80,55 @@ def test_traffic_during_failover_is_ordered():
     # All correct destinations deliver in one common order.
     orders = {tuple(delivered_mids(sys_, pid)) for pid in (1, 2)}
     assert len(orders) == 1
-    sys_.check_safety()
+    assert sys_.violations() == []
 
 
 def test_quorum_clock_prevents_smaller_timestamps_after_failover():
     """New-epoch proposals must exceed everything the old quorum saw."""
-    sys_ = FailoverSystem()
+    sys_ = MiniSystem(suspect_ms=SUSPECT_MS)
     for _ in range(5):
-        sys_.processes[1].a_multicast({0})
+        sys_.multicast(1, {0})
     sys_.scheduler.run(until=50)
     old_clock = max(sys_.processes[pid].clock for pid in (1, 2))
     sys_.injector.crash_at(0, 50.5)
     sys_.scheduler.run(until=300)
     new_primary = sys_.processes[1]
     assert new_primary.role == PRIMARY
-    m = sys_.processes[2].a_multicast({0})
+    m = sys_.multicast(2, {0})
     sys_.scheduler.run(until=350)
     final = [ts for mid, ts, _ in sys_.deliveries[2] if mid == m.mid][0]
     assert final > old_clock
-    sys_.check_safety()
+    assert sys_.violations() == []
 
 
 def test_successive_failovers():
-    sys_ = FailoverSystem(n_groups=1, group_size=5)
-    m1 = sys_.processes[3].a_multicast({0})
+    sys_ = MiniSystem(n_groups=1, group_size=5, suspect_ms=SUSPECT_MS)
+    m1 = sys_.multicast(3, {0})
     sys_.injector.crash_at(0, 1.2)
     sys_.scheduler.run(until=300)
-    m2 = sys_.processes[3].a_multicast({0})
+    m2 = sys_.multicast(3, {0})
     sys_.injector.crash_at(1, 301.0)
     sys_.scheduler.run(until=600)
-    m3 = sys_.processes[3].a_multicast({0})
+    m3 = sys_.multicast(3, {0})
     sys_.scheduler.run(until=900)
     for pid in (2, 3, 4):
         assert delivered_mids(sys_, pid) == [m1.mid, m2.mid, m3.mid]
     assert sys_.processes[2].role == PRIMARY
-    sys_.check_safety()
+    assert sys_.violations() == []
 
 
 def test_stale_primary_cannot_disrupt_new_epoch():
     """A primary that is cut off from its group, not crashed, is deposed
     by Ω while it still runs: two primaries in overlapping epochs, and
     no conflicting deliveries."""
-    sys_ = FailoverSystem()
+    sys_ = MiniSystem(suspect_ms=SUSPECT_MS)
     sched, procs = sys_.scheduler, sys_.processes
     partition(sys_.network, [0], [1, 2], 10.0, 250.0)
     mids = []
     senders = (0, 4, 1, 5)
     for i in range(40):
         def issue(s=senders[i % len(senders)]):
-            mids.append(procs[s].a_multicast({0, 1}).mid)
+            mids.append(sys_.multicast(s, {0, 1}).mid)
 
         sched.call_at(5.0 * i, issue)
     sched.run(until=180)
@@ -196,16 +142,15 @@ def test_stale_primary_cannot_disrupt_new_epoch():
     assert (p0.role, p0.e_cur) == (FOLLOWER, p1.e_cur)
     for pid in sys_.config.all_pids:
         assert sorted(delivered_mids(sys_, pid)) == sorted(mids), f"pid {pid}"
-    dest_pids_of = {mid: set(sys_.config.all_pids) for mid in mids}
-    assert collect_violations(sys_.logs(), set(mids), dest_pids_of, sys_.correct()) == []
+    assert sys_.violations() == []
 
 
 def test_failover_delivery_latency_bounded():
     """After the failure is detected, delivery resumes within a few
     communication steps (liveness, §5.2.7)."""
-    sys_ = FailoverSystem(suspect_ms=SUSPECT_MS)
+    sys_ = MiniSystem(suspect_ms=SUSPECT_MS)
     sys_.injector.crash_at(0, 0.5)
-    m = sys_.processes[4].a_multicast({0, 1})
+    m = sys_.multicast(4, {0, 1})
     sys_.scheduler.run(until=300)
     times = [t for pid in (1, 2) for mid, _, t in sys_.deliveries[pid] if mid == m.mid]
     assert times, "message not delivered after failover"

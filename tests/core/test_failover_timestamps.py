@@ -5,42 +5,21 @@ in the inherited T with the *original* epoch and timestamp, so quorums
 formed partially under the old primary complete consistently.
 """
 
-import pytest
-
-from repro.core import PrimCastProcess, uniform_groups
+from helpers import MiniSystem
 from repro.core.epoch import Epoch
-from repro.election import attach_omegas
-from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
-
-
-def build(suspect_ms=100.0):
-    config = uniform_groups(2, 3)
-    sched = Scheduler()
-    net = Network(sched, ConstantLatency(1.0), child_rng(10, "fts"))
-    procs = {
-        pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids
-    }
-    attach_omegas(procs, suspect_ms)
-    inj = FailureInjector(sched, procs)
-    logs = {pid: [] for pid in procs}
-    for pid, p in procs.items():
-        p.add_deliver_hook(
-            lambda proc, m, ts: logs[proc.pid].append((m.mid, ts))
-        )
-    return config, sched, procs, inj, logs
 
 
 def test_inherited_tuples_keep_original_epoch_and_ts():
-    config, sched, procs, inj, logs = build()
+    sys_ = MiniSystem(suspect_ms=100.0)
     # Propose a batch, then crash the primary after its acks left but
     # before delivery completes at the remote group.
     mids = []
     for i in range(5):
-        sched.call_at(i * 0.1, lambda: mids.append(procs[4].a_multicast({0, 1}).mid))
-    inj.crash_at(0, 1.3)  # after the proposals were acked out
-    sched.run(until=400)
+        sys_.scheduler.call_at(i * 0.1, lambda: mids.append(sys_.multicast(4, {0, 1}).mid))
+    sys_.injector.crash_at(0, 1.3)  # after the proposals were acked out
+    sys_.run(until=400)
 
-    new_primary = procs[1]
+    new_primary = sys_.processes[1]
     assert new_primary.e_cur.number >= 1
     # Messages the dead primary proposed keep their epoch-0 tuples in
     # the inherited T; messages it never got to propose are re-proposed
@@ -60,7 +39,7 @@ def test_inherited_tuples_keep_original_epoch_and_ts():
     # Deliveries at the surviving members agree on final timestamps.
     finals = {}
     for pid in (1, 2, 3, 4, 5):
-        for mid, ts in logs[pid]:
+        for mid, ts, _ in sys_.logs[pid]:
             assert finals.setdefault(mid, ts) == ts
     assert set(finals) == set(mids)
 
@@ -68,26 +47,24 @@ def test_inherited_tuples_keep_original_epoch_and_ts():
 def test_resent_acks_complete_old_quorums():
     """A follower that saw only the dead primary's ack still decides the
     same local timestamp once survivors re-send theirs."""
-    config, sched, procs, inj, logs = build()
-    m = procs[4].a_multicast({0, 1})
-    inj.crash_at(0, 1.4)
-    sched.run(until=400)
+    sys_ = MiniSystem(suspect_ms=100.0)
+    m = sys_.multicast(4, {0, 1})
+    sys_.injector.crash_at(0, 1.4)
+    sys_.run(until=400)
     # All survivors decided local-ts(m, g0) = 1 (the dead primary's
     # proposal), not a re-proposed value.
     for pid in (1, 2, 3, 4, 5):
-        assert procs[pid].local_ts(m.mid, 0) == 1, f"pid {pid}"
+        assert sys_.processes[pid].local_ts(m.mid, 0) == 1, f"pid {pid}"
 
 
 def test_unproposed_message_reproposed_in_new_epoch():
     """A message the old primary never proposed gets a fresh proposal
     from the new primary, in the new epoch."""
-    config, sched, procs, inj, logs = build()
-    inj.crash_at(0, 0.5)  # dies before the start arrives
-    m = procs[4].a_multicast({0, 1})
-    sched.run(until=400)
-    new_primary = procs[1]
-    epoch, ts = new_primary.t_by_mid[m.mid]
+    sys_ = MiniSystem(suspect_ms=100.0)
+    sys_.injector.crash_at(0, 0.5)  # dies before the start arrives
+    m = sys_.multicast(4, {0, 1})
+    sys_.run(until=400)
+    epoch, ts = sys_.processes[1].t_by_mid[m.mid]
     assert epoch.leader == 1
     assert epoch.number >= 1
-    for pid in (1, 2, 3, 4, 5):
-        assert m.mid in {x[0] for x in logs[pid]}
+    assert sys_.violations() == []

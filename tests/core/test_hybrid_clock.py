@@ -7,7 +7,6 @@ from repro.core.config import uniform_groups
 from repro.harness.runner import make_processes
 from repro.harness.steps import measure_primcast_convoy
 from repro.sim import ConstantLatency, Network, Scheduler, child_rng
-from repro.verify import collect_violations
 
 
 def test_hybrid_requires_physical_clock():
@@ -19,7 +18,7 @@ def test_hybrid_requires_physical_clock():
 
 
 def test_hybrid_timestamps_track_real_time():
-    sys_ = MiniSystem(n_groups=2, hybrid_clock=True, epsilon_ms=0.1)
+    sys_ = MiniSystem("primcast-hc", n_groups=2, epsilon_ms=0.1)
     sys_.scheduler.call_at(50.0, lambda: sys_.multicast(0, {0, 1}))
     sys_.run_to_quiescence()
     (mid, final, _), = sys_.deliveries[3]
@@ -31,7 +30,7 @@ def test_hybrid_timestamps_track_real_time():
 def test_hybrid_still_monotone_when_clock_behind():
     """clock = max(clock+1, real-clock): with a badly lagging hardware
     clock the logical +1 still guarantees monotonicity."""
-    sys_ = MiniSystem(n_groups=1, hybrid_clock=True, epsilon_ms=0.0)
+    sys_ = MiniSystem("primcast-hc", n_groups=1, epsilon_ms=0.0)
     proc = sys_.processes[0]
     proc.physical_clock.offset_us = -10_000_000  # 10s in the past
     for _ in range(5):
@@ -43,16 +42,14 @@ def test_hybrid_still_monotone_when_clock_behind():
 
 
 def test_hybrid_ordering_properties_hold():
-    sys_ = MiniSystem(n_groups=3, hybrid_clock=True, epsilon_ms=2.0)
+    sys_ = MiniSystem("primcast-hc", n_groups=3, epsilon_ms=2.0)
     random_workload(sys_, 60, seed=13)
     sys_.run_to_quiescence()
-    assert collect_violations(
-        sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    ) == []
+    assert sys_.violations() == []
 
 
 def test_hybrid_collision_free_latency_unchanged():
-    sys_ = MiniSystem(n_groups=2, hybrid_clock=True, epsilon_ms=0.5)
+    sys_ = MiniSystem("primcast-hc", n_groups=2, epsilon_ms=0.5)
     sys_.multicast(4, {0, 1})
     sys_.run()
     for pid in range(6):
@@ -79,9 +76,7 @@ def test_hybrid_bound_scales_with_epsilon():
 
 def test_unsynchronized_clocks_do_not_break_correctness():
     """§6: the modification cannot hurt correctness even with wild skew."""
-    sys_ = MiniSystem(n_groups=2, hybrid_clock=True, epsilon_ms=500.0, seed=3)
+    sys_ = MiniSystem("primcast-hc", n_groups=2, epsilon_ms=500.0, seed=3)
     random_workload(sys_, 40, seed=17)
     sys_.run_to_quiescence()
-    assert collect_violations(
-        sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    ) == []
+    assert sys_.violations() == []

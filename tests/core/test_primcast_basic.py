@@ -4,7 +4,6 @@ import pytest
 
 from helpers import MiniSystem, random_workload
 from repro.core.process import FOLLOWER, PRIMARY
-from repro.verify import collect_violations
 
 
 def test_local_message_delivered_by_own_group_only():
@@ -65,6 +64,7 @@ def test_same_final_timestamp_at_all_destinations():
     sys_ = MiniSystem(n_groups=3)
     random_workload(sys_, 40, seed=3)
     sys_.run_to_quiescence()
+    assert sys_.violations() == []
     finals = {}
     for pid, log in sys_.deliveries.items():
         for mid, ts, _ in log:
@@ -75,6 +75,7 @@ def test_deliveries_in_final_timestamp_order():
     sys_ = MiniSystem(n_groups=3)
     random_workload(sys_, 60, seed=5)
     sys_.run_to_quiescence()
+    assert sys_.violations() == []
     for pid, log in sys_.deliveries.items():
         keys = [(ts, mid) for mid, ts, _ in log]
         assert keys == sorted(keys)
@@ -84,12 +85,7 @@ def test_atomic_multicast_properties_random_run():
     sys_ = MiniSystem(n_groups=3)
     random_workload(sys_, 80, seed=11)
     sys_.run_to_quiescence()
-    assert collect_violations(
-        sys_.logs,
-        set(sys_.multicasts),
-        sys_.dest_pids_of(),
-        sys_.correct_pids(),
-    ) == []
+    assert sys_.violations() == []
 
 
 def test_ties_broken_by_message_id():
@@ -99,6 +95,7 @@ def test_ties_broken_by_message_id():
     a = sys_.multicast(1, {0, 1})
     b = sys_.multicast(4, {0, 1})
     sys_.run_to_quiescence()
+    assert sys_.violations() == []
     orders = set()
     for pid in range(6):
         mids = [mid for mid, _, _ in sys_.deliveries[pid]]
@@ -119,6 +116,7 @@ def test_clock_advances_past_delivered_finals():
     sys_ = MiniSystem(n_groups=2)
     sys_.multicast(0, {0, 1})
     sys_.run_to_quiescence()
+    assert sys_.violations() == []
     for pid in range(6):
         proc = sys_.processes[pid]
         for mid, ts, _ in sys_.deliveries[pid]:
@@ -141,6 +139,7 @@ def test_throughput_pipeline_no_message_lost():
     sys_ = MiniSystem(n_groups=4)
     sent = random_workload(sys_, 150, seed=23, spread_ms=30)
     sys_.run_to_quiescence()
+    assert sys_.violations() == []
     assert len(sent) == 150
     delivered_mids = set()
     for log in sys_.deliveries.values():

@@ -1,69 +1,25 @@
 """Watermark-based state GC: truncation safety across epoch changes,
 O(suffix) epoch-change payloads, and the bounded-memory steady state."""
 
-from typing import Dict
-
 from helpers import MiniSystem, random_workload
-from repro.core import PrimCastProcess, uniform_groups
 from repro.core.gc import attach_compaction
-from repro.election import attach_omegas
-from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
-from repro.verify import collect_violations
-
-
-class GcFailoverSystem:
-    """PrimCast deployment with live Ω, crash injection and optional
-    periodic state GC (mirrors ``tests/core/test_epoch_change.py``)."""
-
-    def __init__(
-        self,
-        n_groups=2,
-        group_size=3,
-        suspect_ms=100.0,
-        seed=1,
-        compaction_interval_ms=0.0,
-    ):
-        self.config = uniform_groups(n_groups, group_size)
-        self.scheduler = Scheduler()
-        self.network = Network(
-            self.scheduler, ConstantLatency(1.0), child_rng(seed, "net")
-        )
-        self.processes: Dict[int, PrimCastProcess] = {}
-        for pid in self.config.all_pids:
-            self.processes[pid] = PrimCastProcess(
-                pid, self.config, self.scheduler, self.network
-            )
-        self.oracles = attach_omegas(self.processes, suspect_ms)
-        self.injector = FailureInjector(self.scheduler, self.processes)
-        self.compaction = None
-        if compaction_interval_ms > 0.0:
-            self.compaction = attach_compaction(
-                self.scheduler, self.processes, compaction_interval_ms
-            )
-        self.deliveries = {pid: [] for pid in self.config.all_pids}
-        for proc in self.processes.values():
-            proc.add_deliver_hook(
-                lambda p, m, ts: self.deliveries[p.pid].append(
-                    (m.mid, ts, self.scheduler.now)
-                )
-            )
 
 
 def _epoch_change_heavy_run(compaction_interval_ms):
-    """Traffic spanning a primary crash; returns (deliveries, system)."""
-    sys_ = GcFailoverSystem(
-        n_groups=2, compaction_interval_ms=compaction_interval_ms
-    )
+    """Traffic spanning a primary crash, with the periodic state GC for
+    an interval > 0; returns (system, daemon or None)."""
+    sys_ = MiniSystem(suspect_ms=100.0)
+    daemon = None
+    if compaction_interval_ms > 0.0:
+        daemon = attach_compaction(sys_.scheduler, sys_.processes, compaction_interval_ms)
     for i, (sender, when) in enumerate(
         [(4, 0.0), (1, 2.0), (5, 4.0), (2, 6.0)]
         + [(1 + (i % 2) * 3, 10.0 + 4.0 * i) for i in range(25)]
     ):
-        sys_.scheduler.call_at(
-            when, sys_.processes[sender].a_multicast, frozenset({0, 1}), f"m{i}"
-        )
+        sys_.scheduler.call_at(when, sys_.multicast, sender, frozenset({0, 1}), f"m{i}")
     sys_.injector.crash_at(0, 30.0)
     sys_.scheduler.run(until=600.0)
-    return sys_.deliveries, sys_
+    return sys_, daemon
 
 
 def test_gc_on_off_delivery_logs_bit_identical_across_epoch_change():
@@ -72,22 +28,23 @@ def test_gc_on_off_delivery_logs_bit_identical_across_epoch_change():
     (mids, final timestamps, delivery times) is bit-identical to the
     GC-off run — truncation never changes what the protocol does."""
     plain, _ = _epoch_change_heavy_run(0.0)
-    compacted, sys_ = _epoch_change_heavy_run(5.0)
-    assert plain == compacted
+    sys_, daemon = _epoch_change_heavy_run(5.0)
+    assert plain.deliveries == sys_.deliveries
+    assert sys_.violations() == []
     # The comparison is only meaningful if GC actually truncated state:
     # group 1 saw no epoch change, so its members' reports stay fresh
     # and their T prefixes shrink.
     assert any(
         sys_.processes[pid]._t_base > 0 for pid in sys_.config.members(1)
     )
-    assert sys_.compaction.freed > 0
+    assert daemon.freed > 0
 
 
 def test_watermark_freezes_for_group_with_stale_member_report():
     """After group 0's epoch change, the crashed member's report is
     forever stale, so the survivors' watermark pins at the installed
     base — conservative, never unsafe."""
-    _, sys_ = _epoch_change_heavy_run(5.0)
+    sys_, _ = _epoch_change_heavy_run(5.0)
     for pid in (1, 2):
         proc = sys_.processes[pid]
         assert proc._stable_watermark() == proc._t_base
@@ -97,9 +54,8 @@ def test_epoch_promise_carries_only_live_suffix():
     """A promise sent after sustained delivered traffic reports
     ``t_base > 0`` and a t_seq of only the untruncated tail — the
     primary change is O(undelivered), not O(messages ever ordered)."""
-    sys_ = GcFailoverSystem(
-        n_groups=1, group_size=3, compaction_interval_ms=5.0
-    )
+    sys_ = MiniSystem(n_groups=1, suspect_ms=100.0)
+    attach_compaction(sys_.scheduler, sys_.processes, 5.0)
     n = 40
     for i in range(n):
         sys_.scheduler.call_at(
@@ -150,6 +106,4 @@ def test_steady_state_t_list_stays_bounded():
             f"pid {proc.pid}: t_list {len(proc.t_list)} after "
             f"{delivered} deliveries"
         )
-    assert collect_violations(
-        sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    ) == []
+    assert sys_.violations() == []

@@ -4,6 +4,7 @@ network (:func:`attach_omegas`)."""
 
 import pytest
 
+from helpers import MiniSystem
 from repro.core import PrimCastProcess, uniform_groups
 from repro.election import HB_INTERVAL_MS, HEARTBEAT, HeartbeatOmega, attach_omegas
 from repro.sim.events import Scheduler
@@ -14,25 +15,17 @@ from repro.sim.rng import child_rng
 SUSPECT_MS = 100.0
 
 
-def build(n_groups=1, suspect_ms=SUSPECT_MS):
-    config = uniform_groups(n_groups, 3)
-    sched = Scheduler()
-    net = Network(sched, ConstantLatency(1.0), child_rng(1, "o"))
-    procs = {pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids}
-    return sched, net, procs, attach_omegas(procs, suspect_ms)
-
-
 def outputs(omegas):
     return {pid: omega.leader for pid, omega in omegas.items()}
 
 
 def test_initial_output_is_first_member():
-    _, _, _, omegas = build()
+    omegas = MiniSystem(n_groups=1, suspect_ms=SUSPECT_MS).oracles
     assert outputs(omegas) == {0: 0, 1: 0, 2: 0}
 
 
 def test_subscribe_fires_immediately():
-    _, _, _, omegas = build()
+    omegas = MiniSystem(n_groups=1, suspect_ms=SUSPECT_MS).oracles
     seen = []
     omegas[1].subscribe(lambda gid, pid: seen.append((gid, pid)))
     assert seen == [(0, 0)]
@@ -47,7 +40,8 @@ def test_static_oracle_never_changes_without_polling():
 
 
 def test_detects_crash_within_one_interval():
-    sched, _, procs, omegas = build()
+    sys_ = MiniSystem(n_groups=1, suspect_ms=SUSPECT_MS)
+    sched, procs, omegas = sys_.scheduler, sys_.processes, sys_.oracles
     seen = []
     omegas[1].subscribe(lambda gid, pid: seen.append((sched.now, pid)))
     procs[0].crash()
@@ -58,7 +52,8 @@ def test_detects_crash_within_one_interval():
 
 
 def test_cascading_crashes_elect_next_correct():
-    sched, _, procs, omegas = build()
+    sys_ = MiniSystem(n_groups=1, suspect_ms=SUSPECT_MS)
+    sched, procs, omegas = sys_.scheduler, sys_.processes, sys_.oracles
     procs[0].crash()
     procs[1].crash()
     sched.run(until=400.0)
@@ -66,7 +61,8 @@ def test_cascading_crashes_elect_next_correct():
 
 
 def test_all_crashed_keeps_last_output():
-    sched, _, procs, omegas = build()
+    sys_ = MiniSystem(n_groups=1, suspect_ms=SUSPECT_MS)
+    sched, procs, omegas = sys_.scheduler, sys_.processes, sys_.oracles
     for p in procs.values():
         p.crash()
     sched.run(until=400.0)
@@ -77,7 +73,8 @@ def test_all_crashed_keeps_last_output():
 
 
 def test_attach_omegas_one_per_process():
-    sched, net, procs, omegas = build(n_groups=2)
+    sys_ = MiniSystem(suspect_ms=SUSPECT_MS)
+    sched, net, procs, omegas = sys_.scheduler, sys_.network, sys_.processes, sys_.oracles
     assert set(omegas) == set(procs)
     for pid, omega in omegas.items():
         assert procs[pid].omega is omega
@@ -122,11 +119,12 @@ def test_bad_suspect_timeout_rejected():
     with pytest.raises(ValueError):
         HeartbeatOmega(0, [0], 0, Scheduler(), lambda: None, suspect_ms=0.0)
     with pytest.raises(ValueError):
-        build(suspect_ms=-1.0)
+        MiniSystem(n_groups=1, suspect_ms=-1.0)
 
 
 def test_stability_no_spurious_changes():
-    sched, _, _, omegas = build()
+    sys_ = MiniSystem(n_groups=1, suspect_ms=SUSPECT_MS)
+    sched, omegas = sys_.scheduler, sys_.oracles
     changes = []
     for omega in omegas.values():
         omega.subscribe(lambda gid, pid: changes.append(pid))

@@ -1,5 +1,7 @@
 """Tests for the command-line experiment runner."""
 
+import csv
+
 import pytest
 
 from repro.harness.cli import build_parser, main
@@ -116,7 +118,6 @@ def test_no_cache_builds_cacheless_executor(tmp_path):
 
 def test_figure5_csv_writes_the_curves(tmp_path, monkeypatch, capsys):
     import repro.harness.cli as cli
-    from repro.harness.export import read_csv
 
     curves = {
         2: {"primcast": [(10.0, 0.5), (20.0, 1.0)]},
@@ -126,7 +127,9 @@ def test_figure5_csv_writes_the_curves(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out.csv"
     assert main(["figure5", "--no-cache", "--csv", str(out)]) == 0
     assert f"wrote {out}" in capsys.readouterr().out
-    assert [(r["series"], float(r["latency_ms"]), float(r["fraction"])) for r in read_csv(out)] == [
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r["series"], float(r["latency_ms"]), float(r["fraction"])) for r in rows] == [
         ("primcast@128", 30.0, 1.0),
         ("primcast@2", 10.0, 0.5),
         ("primcast@2", 20.0, 1.0),

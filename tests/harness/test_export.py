@@ -1,14 +1,10 @@
 """Tests for result export (CSV)."""
 
+import csv
+
 import pytest
 
-from repro.harness.export import (
-    CSV_FIELDS,
-    read_csv,
-    result_row,
-    write_cdf_csv,
-    write_csv,
-)
+from repro.harness.export import CSV_FIELDS, result_row, write_cdf_csv, write_csv
 from repro.harness.runner import RunResult
 
 
@@ -38,7 +34,8 @@ def test_result_row_fields(results):
 def test_csv_round_trip(tmp_path, results):
     path = tmp_path / "out.csv"
     write_csv(str(path), results)
-    rows = read_csv(str(path))
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == 2
     assert rows[0]["protocol"] == "primcast"
     assert float(rows[0]["p95_ms"]) == 2.0
@@ -51,7 +48,8 @@ def test_cdf_csv(tmp_path):
         str(path),
         {"primcast": [(100.0, 0.5), (110.0, 1.0)], "whitebox": [(120.0, 1.0)]},
     )
-    rows = read_csv(str(path))
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == 3
     assert rows[0]["series"] == "primcast"
     assert float(rows[2]["latency_ms"]) == 120.0

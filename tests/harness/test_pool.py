@@ -22,11 +22,7 @@ import pytest
 
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import PointSpec, SweepExecutor, expand_sweep
-from repro.workload.scenarios import (
-    lan_fleet,
-    lan_scenario,
-    wan_colocated_leaders,
-)
+from repro.workload.scenarios import lan_scenario, wan_colocated_leaders
 
 
 # Specs must be module-level so they pickle by reference into workers.
@@ -169,9 +165,9 @@ def test_eight_group_scenario_through_pool():
 
 
 def test_twenty_group_fleet_through_pool():
-    """The 20-group (60-process) LAN fleet scenario, pooled == serial."""
+    """A 20-group (60-process) LAN fleet, pooled == serial."""
     spec = PointSpec(
-        "primcast", lan_fleet(20, 3), 2, 1, warmup_ms=2.0, measure_ms=5.0
+        "primcast", lan_scenario(20, 3), 2, 1, warmup_ms=2.0, measure_ms=5.0
     )
     assert spec.scenario.n_groups * spec.scenario.group_size == 60
     with SweepExecutor(jobs=1) as serial:

@@ -7,17 +7,19 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.baselines import ClassicProcess
 from repro.core import Multicast, uniform_groups
+from repro.election import attach_omegas
 from repro.harness.runner import make_processes
 from repro.sim import (
     ConstantLatency,
     CostModel,
+    FailureInjector,
     LatencyModel,
     Network,
-    PhysicalClock,
     Scheduler,
     child_rng,
+    make_clocks,
 )
-from repro.sim.clock import US_PER_MS
+from repro.verify import Violation, collect_violations
 
 
 def partition(
@@ -41,7 +43,12 @@ def partition(
 
 
 class MiniSystem:
-    """A small deployment plus the multicasts submitted through it."""
+    """A small deployment plus the multicasts submitted through it: the
+    suite's one builder of a uniform-group deployment on one latency
+    model. ``primcast-hc`` processes get clocks skewed within
+    ``epsilon_ms``; ``suspect_ms`` attaches a heartbeat Ω to every
+    PrimCast process, whose rounds keep the event heap busy, so such a
+    system runs with :meth:`run`, never :meth:`run_to_quiescence`."""
 
     def __init__(
         self,
@@ -51,8 +58,8 @@ class MiniSystem:
         latency: Optional[LatencyModel] = None,
         cost_model: Optional[CostModel] = None,
         seed: int = 1,
-        hybrid_clock: bool = False,
         epsilon_ms: float = 1.0,
+        suspect_ms: Optional[float] = None,
     ):
         self.config = uniform_groups(n_groups, group_size)
         self.scheduler = Scheduler()
@@ -68,22 +75,20 @@ class MiniSystem:
                 for pid in self.config.all_pids
             }
         else:
-            skew_rng = child_rng(seed, "skew")
-            clocks = {
-                pid: PhysicalClock(
-                    self.scheduler,
-                    skew_rng.uniform(-epsilon_ms, epsilon_ms) * US_PER_MS,
+            clocks = None
+            if protocol == "primcast-hc":
+                clocks = make_clocks(
+                    self.scheduler, self.config.all_pids, epsilon_ms,
+                    child_rng(seed, "skew"),
                 )
-                for pid in self.config.all_pids
-            }
             self.processes = make_processes(
-                "primcast-hc" if hybrid_clock else protocol,
-                self.config,
-                self.scheduler,
-                self.network,
-                cost_model,
-                clocks,
+                protocol, self.config, self.scheduler, self.network, cost_model, clocks
             )
+        #: pid -> its Ω (``suspect_ms`` set only)
+        self.oracles = (
+            attach_omegas(self.processes, suspect_ms) if suspect_ms is not None else None
+        )
+        self.injector = FailureInjector(self.scheduler, self.processes)
         #: every multicast submitted through :meth:`multicast` or
         #: :func:`random_workload` — integrity's reference set
         self.multicasts: Dict[Any, Multicast] = {}
@@ -123,6 +128,15 @@ class MiniSystem:
         return {
             pid for pid, proc in self.processes.items() if not proc.crashed
         }
+
+    def violations(self, **extra: Any) -> List[Violation]:
+        """Every §2.2 property over every process's log, Validity
+        included, so call it once the run has quiesced; ``extra`` goes
+        on to :func:`repro.verify.collect_violations`."""
+        return collect_violations(
+            self.logs, set(self.multicasts), self.dest_pids_of(), self.correct_pids(),
+            validity=True, **extra,
+        )
 
 
 class LogHost(ClassicProcess):

@@ -41,11 +41,7 @@ def run_fuzz(seed: int, n_groups: int = 2, group_size: int = 3, crashes: int = 2
     attach_omegas(procs, suspect_ms=100.0)
     injector = FailureInjector(sched, procs)
 
-    logs = {pid: [] for pid in procs}
-    for pid, p in procs.items():
-        p.add_deliver_hook(
-            lambda proc, m, ts: logs[proc.pid].append((m.mid, ts, sched.now))
-        )
+    logs = {pid: proc.delivery_log for pid, proc in procs.items()}
     # Recorded at submission, so integrity can see a delivery nobody
     # multicast and validity a multicast nobody delivered.
     multicasts = {}

@@ -5,7 +5,6 @@ import pytest
 from helpers import MiniSystem, random_workload
 from repro.sim.latency import JitteredLatency
 from repro.sim.trace import record_flights
-from repro.verify import collect_violations
 
 PROTOCOLS = ["primcast", "whitebox", "fastcast", "classic"]
 
@@ -22,14 +21,7 @@ def test_full_property_suite_under_jitter(protocol, seed):
     flights = record_flights(sys_.network)
     random_workload(sys_, 60, seed=seed * 100, spread_ms=60)
     sys_.run_to_quiescence()
-    assert collect_violations(
-        sys_.logs,
-        set(sys_.multicasts),
-        sys_.dest_pids_of(),
-        sys_.correct_pids(),
-        flights=flights,
-        group_of=sys_.config.group_of,
-    ) == []
+    assert sys_.violations(flights=flights, group_of=sys_.config.group_of) == []
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -41,6 +33,7 @@ def test_burst_of_conflicting_globals(protocol):
     for pid in sys_.config.all_pids:
         sys_.multicast(pid, all_groups)
     sys_.run_to_quiescence()
+    assert sys_.violations() == []
     # Atomic broadcast: all processes deliver all messages in ONE order.
     orders = {tuple(mid for mid, _, _ in log) for log in sys_.logs.values()}
     assert len(orders) == 1
@@ -56,6 +49,7 @@ def test_pipeline_sequential_from_one_sender(protocol):
             i * 0.5, lambda: mids.append(sys_.multicast(1, {0, 1}).mid)
         )
     sys_.run_to_quiescence()
+    assert sys_.violations() == []
     for pid in range(6):
         assert [m for m, _, _ in sys_.logs[pid]] == mids
 
@@ -69,6 +63,7 @@ def test_disjoint_destinations_proceed_independently(protocol):
         sys_.multicast(8, {2, 3})
     m = sys_.multicast(1, {0, 1})
     sys_.run_to_quiescence()
+    assert sys_.violations() == []
     times = [t for pid in (0, 1, 2, 3, 4, 5) for mid, _, t in sys_.logs[pid] if mid == m.mid]
     expected = {
         "primcast": 3.0,

@@ -12,19 +12,10 @@ suite holds over the correct processes' logs.
 
 import pytest
 
+from helpers import MiniSystem
 from repro.chaos.nemesis import Nemesis
 from repro.chaos.schedule import FaultEvent, FaultSchedule, Trigger
-from repro.core import PrimCastProcess, uniform_groups
-from repro.election import attach_omegas
-from repro.sim import (
-    ConstantLatency,
-    FailureInjector,
-    Network,
-    Scheduler,
-    child_rng,
-)
 from repro.verify import attach_monitors
-from repro.verify.properties import collect_violations
 
 #: Step boundaries where the timestamping group's leader gets killed.
 BOUNDARIES = ("start", "propose", "ack_quorum", "deliver")
@@ -33,71 +24,42 @@ BOUNDARIES = ("start", "propose", "ack_quorum", "deliver")
 def run_failover(seed, events, group_size=3, horizon=3000.0):
     """Run a 2-group deployment under the given fault events.
 
-    Returns (correct pids, logs, multicasts, nemesis) after asserting
-    the property suite over the correct processes.
+    Returns (system, nemesis) after asserting the property suite over
+    every process's log.
     """
-    config = uniform_groups(2, group_size)
-    sched = Scheduler()
-    net = Network(sched, ConstantLatency(1.0), child_rng(seed, "failover"))
-    procs = {
-        pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids
-    }
-    attach_monitors(procs)
-    attach_omegas(procs, suspect_ms=100.0)
-    injector = FailureInjector(sched, procs)
+    sys_ = MiniSystem(group_size=group_size, suspect_ms=100.0)
+    attach_monitors(sys_.processes)
     nemesis = Nemesis(
         FaultSchedule("failover", seed, tuple(events)),
-        scheduler=sched,
-        network=net,
-        config=config,
-        processes=procs,
-        injector=injector,
+        scheduler=sys_.scheduler,
+        network=sys_.network,
+        config=sys_.config,
+        processes=sys_.processes,
+        injector=sys_.injector,
     )
     nemesis.install()
-
-    logs = {pid: [] for pid in procs}
-    for proc in procs.values():
-        proc.add_deliver_hook(
-            lambda p, m, ts: logs[p.pid].append((m.mid, ts, sched.now))
-        )
     # Senders that are never crash targets: a group-0 follower and a
     # group-1 member. Every message is timestamped by group 0, so the
     # leader crash sits on each message's critical path.
     dest = frozenset({0, 1})
-    senders = (config.members(0)[-1], config.members(1)[0])
-    # Recorded at submission, so integrity can see a delivery nobody
-    # multicast and validity a multicast nobody delivered.
-    multicasts = {}
-
-    def submit(sender, payload):
-        m = procs[sender].a_multicast(dest, payload)
-        multicasts[m.mid] = m
-
+    senders = (sys_.config.members(0)[-1], sys_.config.members(1)[0])
     for i in range(6):
-        sched.call_at(1.0 + i * 2.0, submit, senders[i % 2], f"early{i}")
+        sys_.scheduler.call_at(1.0 + i * 2.0, sys_.multicast, senders[i % 2], dest, f"early{i}")
     for i in range(6):
-        sched.call_at(800.0 + i * 2.0, submit, senders[i % 2], f"late{i}")
-    sched.run(until=horizon)
-
-    correct = {pid for pid, proc in procs.items() if not proc.crashed}
-    dest_pids_of = {
-        mid: set(config.dest_pids(m.dest)) for mid, m in multicasts.items()
-    }
+        sys_.scheduler.call_at(800.0 + i * 2.0, sys_.multicast, senders[i % 2], dest, f"late{i}")
+    sys_.run(until=horizon)
     # Every schedule here crashes within the groups' budgets and the run
     # quiesces before its horizon, so validity is owed too.
-    assert (
-        collect_violations(logs, set(multicasts), dest_pids_of, correct, validity=True)
-        == []
-    )
-    return correct, logs, multicasts, nemesis
+    assert sys_.violations() == []
+    return sys_, nemesis
 
 
-def assert_all_delivered(correct, logs, multicasts, prefix, expected):
+def assert_all_delivered(sys_, prefix, expected):
     """Every correct process delivered all `prefix*` messages."""
-    mids = {m.mid for m in multicasts.values() if str(m.payload).startswith(prefix)}
+    mids = {m.mid for m in sys_.multicasts.values() if str(m.payload).startswith(prefix)}
     assert len(mids) == expected, f"{prefix}* messages lost: {len(mids)}/{expected}"
-    for pid in correct:
-        seen = {mid for mid, _, _ in logs[pid]}
+    for pid in sys_.correct_pids():
+        seen = {mid for mid, _, _ in sys_.logs[pid]}
         assert mids <= seen, f"pid {pid} missing {prefix}* deliveries"
 
 
@@ -111,11 +73,11 @@ class TestLeaderCrashAtStepBoundaries:
                 target="leader:0",
             )
         ]
-        correct, logs, multicasts, nemesis = run_failover(1, events)
+        sys_, nemesis = run_failover(1, events)
         assert nemesis.applied["crashes"] == 1
-        assert 0 not in correct, "the group-0 leader must actually crash"
-        assert_all_delivered(correct, logs, multicasts, "early", 6)
-        assert_all_delivered(correct, logs, multicasts, "late", 6)
+        assert sys_.processes[0].crashed, "the group-0 leader must actually crash"
+        assert_all_delivered(sys_, "early", 6)
+        assert_all_delivered(sys_, "late", 6)
 
     @pytest.mark.parametrize("boundary", ("propose", "ack_quorum"))
     def test_deferred_crash_at_boundary(self, boundary):
@@ -130,10 +92,10 @@ class TestLeaderCrashAtStepBoundaries:
                 target="leader:0",
             )
         ]
-        correct, logs, multicasts, nemesis = run_failover(2, events)
+        sys_, nemesis = run_failover(2, events)
         assert nemesis.applied["crashes"] == 1
-        assert_all_delivered(correct, logs, multicasts, "early", 6)
-        assert_all_delivered(correct, logs, multicasts, "late", 6)
+        assert_all_delivered(sys_, "early", 6)
+        assert_all_delivered(sys_, "late", 6)
 
 
 class TestLeaderCrashDuringEpochChange:
@@ -153,12 +115,12 @@ class TestLeaderCrashDuringEpochChange:
                 target="leader:0",
             ),
         ]
-        correct, logs, multicasts, nemesis = run_failover(
+        sys_, nemesis = run_failover(
             3, events, group_size=5, horizon=4000.0
         )
         assert nemesis.applied["crashes"] == 2
-        crashed = set(range(10)) - correct
+        crashed = set(range(10)) - sys_.correct_pids()
         assert len(crashed) == 2
         assert crashed <= set(range(5)), "both crashes hit group 0"
-        assert_all_delivered(correct, logs, multicasts, "early", 6)
-        assert_all_delivered(correct, logs, multicasts, "late", 6)
+        assert_all_delivered(sys_, "early", 6)
+        assert_all_delivered(sys_, "late", 6)

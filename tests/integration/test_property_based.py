@@ -15,7 +15,6 @@ from helpers import MiniSystem
 from repro.core.config import GroupConfig
 from repro.harness.metrics import percentile
 from repro.sim.latency import JitteredLatency
-from repro.verify import collect_violations
 
 # Keep runs small: each example spins a full simulation.
 FAST = settings(
@@ -35,65 +34,46 @@ workload_st = st.lists(
 )
 
 
-def run_protocol(protocol, workload, seed=1, jitter=False, hybrid=False):
+def run_protocol(protocol, workload, seed=1, jitter=False):
+    """Run ``workload`` to quiescence; every §2.2 property holds,
+    Validity included (nothing fails, so every multicast is owed)."""
     latency = JitteredLatency(1.0, 0.3) if jitter else None
-    sys_ = MiniSystem(
-        protocol=protocol, n_groups=3, latency=latency, seed=seed, hybrid_clock=hybrid
-    )
+    sys_ = MiniSystem(protocol=protocol, n_groups=3, latency=latency, seed=seed)
     for sender, dest, when in workload:
         sys_.scheduler.call_at(when, sys_.multicast, sender, frozenset(dest))
     sys_.run_to_quiescence()
-    # Validity: with no failures, every multicast is delivered somewhere.
-    delivered = set()
-    for log in sys_.logs.values():
-        delivered.update(mid for mid, _, _ in log)
-    assert delivered == set(sys_.multicasts)
+    assert sys_.violations() == []
     return sys_
 
 
 @FAST
 @given(workload=workload_st, seed=st.integers(min_value=0, max_value=10**6))
 def test_primcast_properties_hold(workload, seed):
-    sys_ = run_protocol("primcast", workload, seed=seed, jitter=True)
-    assert collect_violations(
-        sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    ) == []
+    run_protocol("primcast", workload, seed=seed, jitter=True)
 
 
 @FAST
 @given(workload=workload_st)
 def test_primcast_hc_properties_hold(workload):
-    sys_ = run_protocol("primcast", workload, jitter=True, hybrid=True)
-    assert collect_violations(
-        sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    ) == []
+    run_protocol("primcast-hc", workload, jitter=True)
 
 
 @FAST
 @given(workload=workload_st)
 def test_whitebox_properties_hold(workload):
-    sys_ = run_protocol("whitebox", workload, jitter=True)
-    assert collect_violations(
-        sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    ) == []
+    run_protocol("whitebox", workload, jitter=True)
 
 
 @FAST
 @given(workload=workload_st)
 def test_fastcast_properties_hold(workload):
-    sys_ = run_protocol("fastcast", workload, jitter=True)
-    assert collect_violations(
-        sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    ) == []
+    run_protocol("fastcast", workload, jitter=True)
 
 
 @FAST
 @given(workload=workload_st)
 def test_classic_properties_hold(workload):
-    sys_ = run_protocol("classic", workload, jitter=True)
-    assert collect_violations(
-        sys_.logs, set(sys_.multicasts), sys_.dest_pids_of(), sys_.correct_pids()
-    ) == []
+    run_protocol("classic", workload, jitter=True)
 
 
 @FAST

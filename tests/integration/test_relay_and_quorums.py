@@ -5,18 +5,14 @@ from repro.sim import ConstantLatency, Network, Scheduler, child_rng
 from repro.verify import check_acyclic_order
 
 
-def build(config, delta=1.0):
+def build(config):
     sched = Scheduler()
-    net = Network(sched, ConstantLatency(delta), child_rng(6, "rq"))
+    net = Network(sched, ConstantLatency(1.0), child_rng(6, "rq"))
     procs = {
         pid: PrimCastProcess(pid, config, sched, net)
         for pid in config.all_pids
     }
-    logs = {pid: [] for pid in procs}
-    for pid, p in procs.items():
-        p.add_deliver_hook(
-            lambda proc, m, ts: logs[proc.pid].append((m.mid, ts, sched.now))
-        )
+    logs = {pid: proc.delivery_log for pid, proc in procs.items()}
     return sched, net, procs, logs
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from helpers import MiniSystem, random_workload
-from repro.verify import collect_violations
 
 
 def test_three_step_delivery_with_groups_of_five():
@@ -36,13 +35,7 @@ def test_properties_at_paper_scale():
     sys_ = MiniSystem(n_groups=8, group_size=3)
     random_workload(sys_, 100, seed=77, max_dest_groups=4)
     sys_.run_to_quiescence()
-    assert collect_violations(
-        sys_.logs,
-        set(sys_.multicasts),
-        sys_.dest_pids_of(),
-        sys_.correct_pids(),
-        prefix=False,  # quadratic; covered at smaller scales
-    ) == []
+    assert sys_.violations(prefix=False) == []  # prefix order is quadratic
 
 
 def test_single_process_groups_degenerate_to_skeen_like():
@@ -65,10 +58,7 @@ def test_mixed_group_sizes():
     sched = Scheduler()
     net = Network(sched, ConstantLatency(1.0), child_rng(2, "mixed"))
     procs = {pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids}
-    logs = {pid: [] for pid in procs}
-    for pid, p in procs.items():
-        p.add_deliver_hook(lambda proc, m, ts: logs[proc.pid].append(m.mid))
     m = procs[6].a_multicast({0, 1, 2})
     sched.run(until=50)
     for pid in config.all_pids:
-        assert logs[pid] == [m.mid]
+        assert [mid for mid, _, _ in procs[pid].delivery_log] == [m.mid]

@@ -19,7 +19,7 @@ from dataclasses import replace
 import pytest
 
 import repro.net.cluster as cluster_module
-from repro.core.process import PrimCastProcess
+from repro.harness.steps import build_bare_system
 from repro.net.cluster import (
     ClusterResult,
     ClusterSpec,
@@ -37,7 +37,6 @@ from repro.net.__main__ import main
 from repro.net.host import EXIT_ERROR, EXIT_TIMEOUT, NetNode, _wake
 from repro.net.transport import PeerConnection, Transport
 from repro.net.workload import PlanClient, make_client_plans, plans_expected_count
-from repro.sim import ConstantLatency, CostModel, Network, Scheduler, child_rng
 
 
 def _run(spec: ClusterSpec, tmp_path):
@@ -217,13 +216,9 @@ def test_plan_client_issues_the_same_plan_in_the_same_order_on_both_backends(tmp
     result = _run(ClusterSpec(n_messages=8, seed=5), tmp_path)
     topology = result.topology
     (plan,) = topology.client_plans()
-    scheduler = Scheduler()
-    network = Network(scheduler, ConstantLatency(1.0), child_rng(topology.seed, "latency"))
-    config = topology.make_config()
-    procs = {
-        pid: PrimCastProcess(pid, config, scheduler, network, CostModel())
-        for pid in config.all_pids
-    }
+    scheduler, _, _, procs = build_bare_system(
+        "primcast", topology.n_groups, topology.group_size, delta_ms=1.0
+    )
     on_sim = []
     client = PlanClient(
         procs[0], scheduler, 0, plan,

@@ -19,21 +19,12 @@ def test_monitors_pass_on_clean_runs():
 
 
 def test_monitors_pass_during_failover():
-    from repro.core import PrimCastProcess, uniform_groups
-    from repro.election import attach_omegas
-    from repro.sim import ConstantLatency, FailureInjector, Network, Scheduler, child_rng
-
-    config = uniform_groups(2, 3)
-    sched = Scheduler()
-    net = Network(sched, ConstantLatency(1.0), child_rng(1, "inv"))
-    procs = {pid: PrimCastProcess(pid, config, sched, net) for pid in config.all_pids}
-    monitors = attach_monitors(procs)
-    attach_omegas(procs, 100.0)
-    injector = FailureInjector(sched, procs)
+    sys_ = MiniSystem(suspect_ms=100.0)
+    monitors = attach_monitors(sys_.processes)
     for i in range(20):
-        sched.call_at(i * 1.0, procs[4].a_multicast, {0, 1}, None)
-    injector.crash_at(0, 3.0)
-    sched.run(until=300)
+        sys_.scheduler.call_at(i * 1.0, sys_.processes[4].a_multicast, {0, 1}, None)
+    sys_.injector.crash_at(0, 3.0)
+    sys_.run(until=300)
     # No PropertyViolation raised and the survivors kept making checks.
     assert all(m.checks_run > 0 for m in monitors if m.proc.pid != 0)
 
