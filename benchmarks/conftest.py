@@ -1,10 +1,10 @@
 """Benchmark configuration.
 
-``pytest benchmarks/ --benchmark-only`` regenerates every table and
-figure of the paper's evaluation (§7) at reduced sweep sizes; set
-``REPRO_FULL=1`` for the paper-scale sweeps recorded in EXPERIMENTS.md.
-Each bench prints the regenerated rows/series and uses pytest-benchmark
-to time one representative simulation run.
+``pytest benchmarks/ -s`` regenerates every table and figure of the
+paper's evaluation (§7) at reduced sweep sizes; set ``REPRO_FULL=1`` for
+the paper-scale sweeps recorded in EXPERIMENTS.md. Each bench prints the
+regenerated rows/series and asserts the paper's claims about them; speed
+is measured by ``bench/run.py``, not here.
 """
 
 import os

@@ -36,11 +36,9 @@ def run_case(enable_bumps: bool):
     return delivered_at_g0, delivered_at_g1, net.counts_by_kind.get("bump", 0)
 
 
-def test_bump_ablation(benchmark):
+def test_bump_ablation():
     with_g0, with_g1, bumps_on = run_case(enable_bumps=True)
-    without_g0, without_g1, bumps_off = benchmark.pedantic(
-        run_case, args=(False,), rounds=1, iterations=1
-    )
+    without_g0, without_g1, bumps_off = run_case(False)
 
     rows = [
         ["with bumps", "yes" if with_g0 else "STALLED", "yes" if with_g1 else "STALLED", bumps_on],

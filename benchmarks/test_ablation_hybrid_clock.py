@@ -19,7 +19,7 @@ DELTA_MS = 10.0
 EPSILONS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def test_hybrid_clock_epsilon_sweep(benchmark):
+def test_hybrid_clock_epsilon_sweep():
     plain = measure_primcast_convoy(hybrid=False, delta_ms=DELTA_MS)
     rows = [
         [
@@ -42,12 +42,6 @@ def test_hybrid_clock_epsilon_sweep(benchmark):
                 f"{r['measured_steps']:.2f}",
             ]
         )
-    benchmark.pedantic(
-        measure_primcast_convoy,
-        kwargs=dict(hybrid=True, delta_ms=DELTA_MS, epsilon_ms=1.0),
-        rounds=1,
-        iterations=1,
-    )
     print("\n== Ablation: hybrid-clock skew sweep (worst-case convoy, steps of delta) ==")
     print(
         format_table(

@@ -49,10 +49,8 @@ def run_failover():
     return logs, max_gap, gap_start
 
 
-def test_failover_under_load(benchmark):
-    logs, max_gap, gap_start = benchmark.pedantic(
-        run_failover, rounds=1, iterations=1
-    )
+def test_failover_under_load():
+    logs, max_gap, gap_start = run_failover()
     correct = [pid for pid in logs if pid != 0]
     counts = {pid: len(logs[pid]) for pid in correct}
     print("\n== Failover: primary of group 0 crashes at t=50ms under load ==")

@@ -46,10 +46,8 @@ def run_example(enable_bumps=True):
     return procs, deliveries, flights, t0
 
 
-def test_fig1_example_execution(benchmark):
-    procs, deliveries, flights, t0 = benchmark.pedantic(
-        run_example, rounds=1, iterations=1
-    )
+def test_fig1_example_execution():
+    procs, deliveries, flights, t0 = run_example()
     p2_time, p2_final = deliveries[2]
 
     print("\n== Figure 1: example execution (messages up to p2's a-deliver) ==")

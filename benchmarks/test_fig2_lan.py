@@ -16,20 +16,11 @@ from conftest import full_mode
 
 from repro.harness.experiments import figure2
 from repro.harness.report import max_throughput_by_protocol, print_results
-from repro.harness.runner import run_load_point
-from repro.workload.scenarios import lan_scenario
 
 
-def test_fig2_lan_throughput_latency(benchmark):
+def test_fig2_lan_throughput_latency():
     results = figure2(full=full_mode())
     print_results("Figure 2: LAN, messages to 2 groups", results)
-    benchmark.pedantic(
-        run_load_point,
-        args=("primcast", lan_scenario(), 2, 4),
-        kwargs=dict(warmup_ms=50, measure_ms=100, keep_samples=False),
-        rounds=1,
-        iterations=1,
-    )
 
     peak = max_throughput_by_protocol(results)
     # Paper: PrimCast sustains the highest throughput, FastCast the

@@ -18,22 +18,13 @@ from conftest import full_mode
 
 from repro.harness.experiments import figure3
 from repro.harness.report import max_throughput_by_protocol, print_results
-from repro.harness.runner import run_load_point
-from repro.workload.scenarios import wan_colocated_leaders
 
 
-def test_fig3_wan_colocated(benchmark):
+def test_fig3_wan_colocated():
     dest_counts = (1, 2, 4, 8) if full_mode() else (1, 2, 4)
     by_dest = figure3(full=full_mode(), dest_counts=dest_counts)
     for d, results in by_dest.items():
         print_results(f"Figure 3: WAN colocated leaders, {d} destination group(s)", results)
-    benchmark.pedantic(
-        run_load_point,
-        args=("primcast", wan_colocated_leaders(), 2, 4),
-        kwargs=dict(warmup_ms=300, measure_ms=400, keep_samples=False),
-        rounds=1,
-        iterations=1,
-    )
 
     for d, results in by_dest.items():
         peak = max_throughput_by_protocol(results)

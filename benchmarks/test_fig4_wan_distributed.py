@@ -21,23 +21,14 @@ from conftest import full_mode
 
 from repro.harness.experiments import figure4
 from repro.harness.report import max_throughput_by_protocol, print_results
-from repro.harness.runner import run_load_point
-from repro.workload.scenarios import wan_distributed_leaders
 
 
-def test_fig4_wan_distributed(benchmark):
+def test_fig4_wan_distributed():
     by_dest = figure4(full=full_mode())
     for d, results in by_dest.items():
         print_results(
             f"Figure 4: WAN distributed leaders, {d} destination groups", results
         )
-    benchmark.pedantic(
-        run_load_point,
-        args=("primcast", wan_distributed_leaders(), 2, 4),
-        kwargs=dict(warmup_ms=400, measure_ms=500, keep_samples=False),
-        rounds=1,
-        iterations=1,
-    )
 
     for d, results in by_dest.items():
         by_key = {(r.protocol, r.outstanding): r for r in results}

@@ -18,8 +18,6 @@ from conftest import full_mode
 
 from repro.harness.experiments import figure5
 from repro.harness.report import format_table
-from repro.harness.runner import run_load_point
-from repro.workload.scenarios import wan_distributed_leaders
 
 
 def _median(curve):
@@ -37,16 +35,9 @@ def _p(curve, q):
     return curve[-1][0]
 
 
-def test_fig5_latency_cdfs(benchmark):
+def test_fig5_latency_cdfs():
     loads = (2, 128) if full_mode() else (2, 64)
     curves_by_load = figure5(full=full_mode(), loads=loads)
-    benchmark.pedantic(
-        run_load_point,
-        args=("primcast", wan_distributed_leaders(), 2, 2),
-        kwargs=dict(warmup_ms=400, measure_ms=500, keep_samples=False),
-        rounds=1,
-        iterations=1,
-    )
 
     for load, curves in curves_by_load.items():
         rows = []

@@ -25,9 +25,8 @@ from repro.harness.steps import measure_collision_free, measure_primcast_convoy
 PROTOCOLS = ("fastcast", "whitebox", "primcast")
 
 
-def test_table1_latency_rows(benchmark):
+def test_table1_latency_rows():
     results = {p: measure_collision_free(p, 2, n_groups=8) for p in PROTOCOLS}
-    benchmark(measure_collision_free, "primcast", 2, 8)
 
     convoy_plain = measure_primcast_convoy(hybrid=False, delta_ms=10.0)
     convoy_hc = measure_primcast_convoy(hybrid=True, delta_ms=10.0, epsilon_ms=1.0)
@@ -84,7 +83,7 @@ def test_table1_latency_rows(benchmark):
     assert convoy_hc["measured_steps"] < convoy_plain["measured_steps"]
 
 
-def test_table1_message_complexity(benchmark):
+def test_table1_message_complexity():
     n = 3
     rows = []
     for proto in PROTOCOLS:
@@ -108,7 +107,6 @@ def test_table1_message_complexity(benchmark):
             exact = exact_message_count(proto, k, n)
             mandatory = exact["total"] - exact.get("bump(max)", 0)
             assert mandatory <= r["messages"] <= formula_total
-    benchmark(measure_collision_free, "primcast", 8, 8)
     print("\n== Table 1 (message complexity for a-multicast to k groups of n=3) ==")
     print(
         format_table(

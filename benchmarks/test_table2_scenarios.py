@@ -11,8 +11,8 @@ from repro.harness.report import format_table
 from repro.workload.scenarios import all_scenarios, lan_scenario, wan_colocated_leaders, wan_distributed_leaders
 
 
-def test_table2_rows(benchmark):
-    scenarios = benchmark(all_scenarios)
+def test_table2_rows():
+    scenarios = all_scenarios()
     print("\n== Table 2 (deployment scenarios) ==")
     print(
         format_table(

@@ -28,7 +28,6 @@ from .nemesis import Nemesis
 from .schedule import (
     FaultEvent,
     FaultSchedule,
-    ScheduleShape,
     Trigger,
     generate_schedule,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "Nemesis",
-    "ScheduleShape",
     "ShrinkResult",
     "Trigger",
     "generate_schedule",

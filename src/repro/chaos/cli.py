@@ -42,7 +42,7 @@ from .explorer import (
 from .shrink import shrink_case
 
 #: Replay file format version (bumped on incompatible changes).
-REPLAY_VERSION = 1
+REPLAY_VERSION = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,7 +222,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(
             f"chaos run: scenario={args.scenario} cases={summary['cases']} "
             f"crashes={summary['crashes_applied']} "
-            f"violations={summary['violations']}"
+            f"violations={summary['violations']} "
+            f"validity_not_owed={len(summary['validity_not_owed_seeds'])}"
         )
         for case in report.failing_cases:
             for violation in case.violations:
@@ -241,16 +242,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: unsupported replay file version {version!r}", file=sys.stderr)
         return 2
     try:
-        spec = CaseSpec(**payload["spec"])
-        if spec.scenario not in CHAOS_SCENARIOS:
-            raise ValueError(f"unknown scenario {spec.scenario!r}")
-        if spec.mutation not in MUTATIONS:
-            raise ValueError(f"unknown mutation {spec.mutation!r}")
-        spec.resolve_schedule()
+        spec = CaseSpec.from_dict(payload["spec"])
     except (KeyError, TypeError, ValueError) as exc:
         # A missing "spec" or schedule key, an extra or missing spec
-        # field, or a schedule_json that does not parse: a usage error,
-        # not a replay that failed to reproduce.
+        # field, an unknown scenario or mutation, or a schedule that
+        # does not decode: a usage error, not a replay that failed to
+        # reproduce.
         print(f"error: bad replay file: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     expect = payload.get("expect")

@@ -60,7 +60,7 @@ from ..workload.scenarios import (
     wan_distributed_leaders,
 )
 from .nemesis import Nemesis
-from .schedule import FaultSchedule, ScheduleShape, generate_schedule
+from .schedule import FaultSchedule, generate_schedule
 
 
 def _deliver_on_decision(proc: PrimCastProcess) -> None:
@@ -123,18 +123,6 @@ class ChaosScenario:
     n_messages: int = 40
     send_window_ms: float = 45.0
 
-    @property
-    def hybrid_clock(self) -> bool:
-        return self.protocol.endswith("-hc")
-
-    def shape(self) -> ScheduleShape:
-        return ScheduleShape(
-            n_groups=self.deployment.n_groups,
-            group_size=self.deployment.group_size,
-            horizon_ms=self.horizon_ms,
-            hybrid_clock=self.hybrid_clock,
-        )
-
 
 #: Named chaos scenarios the CLI accepts. ``fig3-reduced`` is the
 #: CI smoke campaign's deployment: the Figure 3 WAN geometry (colocated
@@ -171,38 +159,50 @@ CHAOS_SCENARIOS: Dict[str, ChaosScenario] = {
 class CaseSpec:
     """One chaos case, fully described and picklable (a ``WorkSpec``).
 
-    ``schedule_json`` is empty for generated schedules (derived from the
-    seed) or a canonical :meth:`FaultSchedule.to_json` string for
-    replay/shrink candidates.
+    ``schedule`` is None for a schedule generated from the seed, or the
+    pinned schedule of a replay or shrink candidate. An unknown scenario
+    or mutation is rejected here, so every other entry point takes a
+    spec as valid.
     """
 
     scenario: str
     seed: int
     mutation: str = ""
     allow_over_budget: bool = False
-    schedule_json: str = ""
+    schedule: Optional[FaultSchedule] = None
+
+    def __post_init__(self) -> None:
+        if self.scenario not in CHAOS_SCENARIOS:
+            raise ValueError(
+                f"unknown chaos scenario {self.scenario!r}; pick from "
+                f"{sorted(CHAOS_SCENARIOS)}"
+            )
+        if self.mutation not in MUTATIONS:
+            raise ValueError(
+                f"unknown mutation {self.mutation!r}; pick from {tuple(MUTATIONS)}"
+            )
 
     def canonical(self) -> Dict[str, Any]:
         return asdict(self)
 
-    def resolve_schedule(self) -> FaultSchedule:
-        if self.schedule_json:
-            return FaultSchedule.from_json(self.schedule_json)
-        scn = CHAOS_SCENARIOS[self.scenario]
-        return generate_schedule(
-            self.scenario,
-            self.seed,
-            scn.shape(),
-            allow_over_budget=self.allow_over_budget,
-        )
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "CaseSpec":
+        """Inverse of :meth:`canonical`; ``scenario`` and ``seed`` are
+        required, an unknown key is a ``TypeError``."""
+        fields = dict(data)
+        schedule = fields.pop("schedule", None)
+        if schedule is not None:
+            fields["schedule"] = FaultSchedule.from_dict(schedule)
+        return cls(**fields)
 
-    def with_schedule(self, schedule: FaultSchedule) -> "CaseSpec":
-        return CaseSpec(
-            scenario=self.scenario,
-            seed=self.seed,
-            mutation=self.mutation,
+    def resolve_schedule(self) -> FaultSchedule:
+        """The pinned schedule, or the one generated from the seed."""
+        if self.schedule is not None:
+            return self.schedule
+        return generate_schedule(
+            CHAOS_SCENARIOS[self.scenario],
+            self.seed,
             allow_over_budget=self.allow_over_budget,
-            schedule_json=schedule.to_json(),
         )
 
     @staticmethod
@@ -216,12 +216,18 @@ class CaseSpec:
 
 @dataclass
 class CaseResult:
-    """Outcome of one chaos case (JSON-safe via :meth:`to_dict`)."""
+    """Outcome of one chaos case (JSON-safe via :meth:`to_dict`).
+
+    ``validity_owed`` is False when an over-budget crash left some group
+    without a quorum of correct members (or the case aborted): such a
+    case was judged for safety only.
+    """
 
     spec: CaseSpec
     schedule: FaultSchedule
     violations: List[Violation]
     aborted: bool
+    validity_owed: bool
     delivered: Dict[int, int]
     crashed: Tuple[int, ...]
     nemesis_applied: Dict[str, int]
@@ -237,6 +243,7 @@ class CaseResult:
             "schedule": self.schedule.canonical(),
             "violations": [v.to_dict() for v in self.violations],
             "aborted": self.aborted,
+            "validity_owed": self.validity_owed,
             "delivered": {str(pid): n for pid, n in sorted(self.delivered.items())},
             "crashed": list(self.crashed),
             "nemesis_applied": dict(sorted(self.nemesis_applied.items())),
@@ -252,18 +259,12 @@ class CaseResult:
         from cache entries and its report must stay byte-identical to an
         uninterrupted run (pinned by ``tests/chaos/test_explorer.py``).
         """
-        spec_d = payload["spec"]
         return cls(
-            spec=CaseSpec(
-                scenario=str(spec_d["scenario"]),
-                seed=int(spec_d["seed"]),
-                mutation=str(spec_d.get("mutation", "")),
-                allow_over_budget=bool(spec_d.get("allow_over_budget", False)),
-                schedule_json=str(spec_d.get("schedule_json", "")),
-            ),
+            spec=CaseSpec.from_dict(payload["spec"]),
             schedule=FaultSchedule.from_dict(payload["schedule"]),
             violations=[Violation.from_dict(v) for v in payload["violations"]],
             aborted=bool(payload["aborted"]),
+            validity_owed=bool(payload["validity_owed"]),
             delivered={int(pid): int(n) for pid, n in payload["delivered"].items()},
             crashed=tuple(int(pid) for pid in payload["crashed"]),
             nemesis_applied={
@@ -275,8 +276,6 @@ class CaseResult:
 
 def run_case(spec: CaseSpec) -> CaseResult:
     """Run one chaos case to its horizon and check every property."""
-    if spec.mutation not in MUTATIONS:
-        raise ValueError(f"unknown mutation {spec.mutation!r}; pick from {tuple(MUTATIONS)}")
     scn = CHAOS_SCENARIOS[spec.scenario]
     schedule = spec.resolve_schedule()
     system = build_system(scn.protocol, scn.deployment, seed=spec.seed)
@@ -359,13 +358,13 @@ def run_case(spec: CaseSpec) -> CaseResult:
     # without one decides nothing, and a message it shares with another
     # group then holds back that group's later deliveries too (an
     # aborted case has no correct member at all).
-    quorate = all(
+    validity_owed = all(
         config.has_quorum(gid, correct.intersection(config.members(gid)))
         for gid in range(config.n_groups)
     )
     violations += collect_violations(
         logs, set(multicasts), dest_pids_of, correct, truncated=truncated,
-        flights=flights, group_of=config.group_of, validity=quorate,
+        flights=flights, group_of=config.group_of, validity=validity_owed,
     )
 
     return CaseResult(
@@ -373,6 +372,7 @@ def run_case(spec: CaseSpec) -> CaseResult:
         schedule=schedule,
         violations=violations,
         aborted=aborted,
+        validity_owed=validity_owed,
         delivered={pid: len(log) for pid, log in logs.items()},
         crashed=tuple(sorted(injector.crashed_pids)),
         nemesis_applied=dict(nemesis.applied),
@@ -396,7 +396,7 @@ class CampaignReport:
     def to_dict(self) -> Dict[str, Any]:
         failing = self.failing_cases
         return {
-            "version": 3,
+            "version": 4,
             "scenario": self.scenario,
             "mutation": self.mutation,
             "seeds": list(self.seeds),
@@ -405,6 +405,9 @@ class CampaignReport:
                 "violating_cases": len(failing),
                 "violations": sum(len(c.violations) for c in failing),
                 "violating_seeds": [c.spec.seed for c in failing],
+                "validity_not_owed_seeds": [
+                    c.spec.seed for c in self.cases if not c.validity_owed
+                ],
                 "crashes_applied": sum(
                     c.nemesis_applied.get("crashes", 0) for c in self.cases
                 ),
@@ -450,11 +453,6 @@ def run_campaign(
     case; it is keyed on case counts, not wall-clock, so the report
     stays deterministic.
     """
-    if scenario not in CHAOS_SCENARIOS:
-        raise ValueError(
-            f"unknown chaos scenario {scenario!r}; pick from "
-            f"{sorted(CHAOS_SCENARIOS)}"
-        )
     specs = [
         CaseSpec(
             scenario=scenario,

@@ -6,8 +6,8 @@ them to a built scenario, the shrinker *minimizes* them, and the CLI
 *replays* them from a file. Determinism is the contract at every step:
 
 * :func:`generate_schedule` derives every choice from
-  ``child_rng(seed, "chaos-schedule")`` — same seed, same schedule,
-  byte-identical canonical JSON;
+  ``child_rng(seed, "chaos-schedule:<scenario name>")`` — same case,
+  same schedule, byte-identical canonical JSON;
 * a schedule round-trips through :meth:`FaultSchedule.to_json` /
   :meth:`FaultSchedule.from_json` without loss, so a replay file
   re-triggers the exact event sequence of the run that produced it.
@@ -31,12 +31,15 @@ argument cares about:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.process import PROBE_EVENTS
 from ..sim.failures import max_failures
 from ..sim.rng import child_rng
+
+if TYPE_CHECKING:
+    from .explorer import ChaosScenario
 
 #: Fault kinds understood by the nemesis.
 FAULT_KINDS = ("crash", "delay", "skew")
@@ -131,24 +134,17 @@ class FaultEvent:
 
 @dataclass(frozen=True)
 class FaultSchedule:
-    """An ordered list of fault events bound to one chaos case.
+    """An ordered list of fault events.
 
-    ``scenario`` names a chaos scenario (see
-    :data:`repro.chaos.explorer.CHAOS_SCENARIOS`), ``seed`` the case
-    seed the schedule was generated for (the same seed also drives the
-    workload and the simulation substrate on replay).
+    A schedule always travels inside the
+    :class:`~repro.chaos.explorer.CaseSpec` that names its scenario and
+    seed, so it holds nothing else.
     """
 
-    scenario: str
-    seed: int
-    events: Tuple[FaultEvent, ...] = field(default=())
+    events: Tuple[FaultEvent, ...] = ()
 
     def canonical(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "events": [event.canonical() for event in self.events],
-        }
+        return {"events": [event.canonical() for event in self.events]}
 
     def to_json(self) -> str:
         """Stable serialization: sorted keys, compact separators."""
@@ -156,41 +152,20 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSchedule":
-        return cls(
-            scenario=data["scenario"],
-            seed=int(data["seed"]),
-            events=tuple(FaultEvent.from_dict(e) for e in data["events"]),
-        )
+        return cls(tuple(FaultEvent.from_dict(e) for e in data["events"]))
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSchedule":
         return cls.from_dict(json.loads(text))
 
     def replace_events(self, events: List[FaultEvent]) -> "FaultSchedule":
-        """Same case, different event list (used by the shrinker)."""
-        return FaultSchedule(self.scenario, self.seed, tuple(events))
-
-
-@dataclass(frozen=True)
-class ScheduleShape:
-    """What the generator needs to know about the target deployment."""
-
-    n_groups: int
-    group_size: int
-    horizon_ms: float
-    hybrid_clock: bool = False
-
-    def members(self, gid: int) -> List[int]:
-        """Pids of group ``gid`` under the uniform placement every chaos
-        scenario uses (mirrors ``repro.core.config.uniform_groups``)."""
-        base = gid * self.group_size
-        return list(range(base, base + self.group_size))
+        """Another event list for the same case (used by the shrinker)."""
+        return FaultSchedule(tuple(events))
 
 
 def generate_schedule(
-    scenario: str,
+    scenario: ChaosScenario,
     seed: int,
-    shape: ScheduleShape,
     allow_over_budget: bool = False,
 ) -> FaultSchedule:
     """Derive a fault schedule for ``(scenario, seed)`` deterministically.
@@ -202,14 +177,17 @@ def generate_schedule(
     Delay windows and extras are bounded well inside the horizon so a
     quiesced run is actually quiescent — no fault may still be holding
     traffic when the post-run property checkers assume quiescence.
+    Clock skews are drawn only for ``primcast-hc``, the one protocol
+    whose processes have a physical clock.
     """
-    rng = child_rng(seed, f"chaos-schedule:{scenario}")
+    rng = child_rng(seed, f"chaos-schedule:{scenario.name}")
+    config = scenario.deployment.make_config()
     events: List[FaultEvent] = []
 
     # --- crashes, budgeted per group -----------------------------------
-    budget = {g: max_failures(shape.group_size) for g in range(shape.n_groups)}
+    budget = {g: max_failures(len(members)) for g, members in enumerate(config.groups)}
     n_crashes = rng.randint(0, sum(budget.values()))
-    fault_window = shape.horizon_ms * 0.25
+    fault_window = scenario.horizon_ms * 0.25
     for _ in range(n_crashes):
         open_groups = sorted(g for g, left in budget.items() if left > 0)
         if not open_groups:
@@ -220,7 +198,7 @@ def generate_schedule(
         if style < 0.4:
             target = f"leader:{gid}"
         else:
-            target = f"pid:{rng.choice(shape.members(gid))}"
+            target = f"pid:{rng.choice(config.members(gid))}"
         if rng.random() < 0.5:
             trigger = Trigger(kind="at", time_ms=round(rng.uniform(1.0, fault_window), 3))
         else:
@@ -233,8 +211,8 @@ def generate_schedule(
         events.append(FaultEvent(kind="crash", trigger=trigger, target=target))
 
     if allow_over_budget and rng.random() < 0.5:
-        gid = rng.randrange(shape.n_groups)
-        target = f"pid:{rng.choice(shape.members(gid))}"
+        gid = rng.randrange(config.n_groups)
+        target = f"pid:{rng.choice(config.members(gid))}"
         events.append(
             FaultEvent(
                 kind="crash",
@@ -245,11 +223,11 @@ def generate_schedule(
         )
 
     # --- per-link delay spikes -----------------------------------------
-    all_pids = list(range(shape.n_groups * shape.group_size))
+    all_pids = sorted(config.all_pids)
     for _ in range(rng.randint(0, MAX_DELAYS)):
         src = rng.choice(all_pids + [-1])
         dst = rng.choice([p for p in all_pids if p != src] + [-1])
-        start = round(rng.uniform(0.0, shape.horizon_ms * 0.3), 3)
+        start = round(rng.uniform(0.0, scenario.horizon_ms * 0.3), 3)
         events.append(
             FaultEvent(
                 kind="delay",
@@ -257,23 +235,23 @@ def generate_schedule(
                 src=src,
                 dst=dst,
                 extra_ms=round(rng.uniform(5.0, 100.0), 3),
-                duration_ms=round(rng.uniform(10.0, shape.horizon_ms * 0.1), 3),
+                duration_ms=round(rng.uniform(10.0, scenario.horizon_ms * 0.1), 3),
             )
         )
 
     # --- clock-skew perturbations (HC variant only) --------------------
-    if shape.hybrid_clock:
+    if scenario.protocol == "primcast-hc":
         for _ in range(rng.randint(0, MAX_SKEWS)):
             events.append(
                 FaultEvent(
                     kind="skew",
                     trigger=Trigger(
                         kind="at",
-                        time_ms=round(rng.uniform(0.0, shape.horizon_ms * 0.3), 3),
+                        time_ms=round(rng.uniform(0.0, scenario.horizon_ms * 0.3), 3),
                     ),
                     pid=rng.choice(all_pids),
                     skew_us=rng.randint(-3000, 3000),
                 )
             )
 
-    return FaultSchedule(scenario=scenario, seed=seed, events=tuple(events))
+    return FaultSchedule(tuple(events))

@@ -20,7 +20,7 @@ property checker itself, not a heuristic. Candidates are memoized on
 their canonical JSON, and the whole search is bounded by ``max_runs``
 so a pathological case cannot loop forever. The result replays
 deterministically: the shrunk schedule is pinned into the returned
-spec's ``schedule_json``, so ``run_case`` on it reproduces the same
+spec's ``schedule``, so ``run_case`` on it reproduces the same
 violation bit-for-bit.
 """
 
@@ -40,7 +40,7 @@ class ShrinkResult:
     original: CaseSpec
     #: original violation being chased (property name)
     prop: str
-    #: spec with the minimized schedule pinned into ``schedule_json``
+    #: spec with the minimized schedule pinned into ``schedule``
     minimized: CaseSpec
     #: case result of the final minimized schedule (still violating)
     final: CaseResult
@@ -92,7 +92,7 @@ class _Search:
         if self.out_of_budget():
             return None
         self.runs += 1
-        result = run_case(self.spec.with_schedule(candidate))
+        result = run_case(replace(self.spec, schedule=candidate))
         failing = any(v.prop == self.prop for v in result.violations)
         outcome = result if failing else None
         self._seen[key] = outcome
@@ -195,23 +195,22 @@ def shrink_case(
     """Minimize ``spec``'s schedule; None if the case does not violate.
 
     The returned :attr:`ShrinkResult.minimized` spec has the shrunk
-    schedule pinned in ``schedule_json`` — running it through
+    schedule pinned in ``schedule`` — running it through
     :func:`run_case` (or ``python -m repro.chaos replay``) reproduces
     the violation deterministically.
     """
     schedule = spec.resolve_schedule()
     search = _Search(spec, schedule, prop="", max_runs=max_runs)
     search.runs += 1
-    original = run_case(spec.with_schedule(schedule))
+    original = run_case(replace(spec, schedule=schedule))
     if not original.violations:
         return None
     prop = original.violations[0].prop
     search.prop = prop
     search._seen[schedule.to_json()] = original
 
-    scn = CHAOS_SCENARIOS[spec.scenario]
-    shape = scn.shape()
-    group_members = {g: shape.members(g) for g in range(shape.n_groups)}
+    config = CHAOS_SCENARIOS[spec.scenario].deployment.make_config()
+    group_members = {g: config.members(g) for g in range(config.n_groups)}
 
     events = list(schedule.events)
     best = original
@@ -229,7 +228,7 @@ def shrink_case(
     return ShrinkResult(
         original=spec,
         prop=prop,
-        minimized=spec.with_schedule(minimized_schedule),
+        minimized=replace(spec, schedule=minimized_schedule),
         final=best,
         original_events=len(schedule.events),
         minimized_events=len(events),

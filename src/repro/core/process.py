@@ -24,7 +24,7 @@ from .delivery import DeliveryQueue
 from .endpoint import GroupProtocolProcess
 
 if TYPE_CHECKING:
-    from ..net.runtime import LeaderOracle, SchedulerAPI, TransportAPI
+    from ..net.runtime import SchedulerAPI, TransportAPI
 from .epoch import Epoch, initial_epoch
 from .messages import (
     Ack,
@@ -82,8 +82,9 @@ class PrimCastProcess(GroupProtocolProcess):
             ``clock + 1``.
 
     Ω is attached after construction (``attach_omegas`` on the
-    simulator, ``NetNode`` on ``repro.net``); until then ``omega`` is
-    ``None`` and the initial leader stays primary.
+    simulator, ``NetNode`` on ``repro.net``), which subscribe
+    :meth:`_on_omega_output` to it; until then the initial leader stays
+    primary.
     """
 
     #: The events of the table above.
@@ -177,8 +178,6 @@ class PrimCastProcess(GroupProtocolProcess):
             NewState: self._on_new_state,
             AcceptEpoch: self._on_accept_epoch,
         })
-
-        self.omega: Optional["LeaderOracle"] = None
 
     # ------------------------------------------------------------------
     # public API

@@ -186,7 +186,6 @@ def attach_omegas(
             suspect_ms,
         )
         proc._enqueue_cb = _stamping(proc._enqueue_cb, omega.heard_from)
-        proc.omega = omega
         omega.subscribe(proc._on_omega_output)
         omega.start()
     return omegas

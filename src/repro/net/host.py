@@ -566,7 +566,6 @@ class NetNode:
             self._omega_round,
             suspect_ms=topo.suspect_ms,
         )
-        proc.omega = omega
         omega.subscribe(proc._on_omega_output)
         omega.start()
         self.compaction = attach_compaction(sched, {self.pid: proc})

@@ -20,7 +20,7 @@ class TestRun:
         code = main(["run", "--scenario", SCN, "--seeds", "2", "--json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert report["version"] == 3
+        assert report["version"] == 4
         assert report["scenario"] == SCN
         assert report["summary"]["cases"] == 2
         assert len(report["cases"]) == 2
@@ -99,7 +99,9 @@ class TestShrinkAndReplay:
             ]
         )
         assert code == 0
-        assert repro_file.exists()
+        # The spec carries its schedule as a JSON object, not a string.
+        spec = json.loads(repro_file.read_text(encoding="utf-8"))["spec"]
+        assert isinstance(spec["schedule"]["events"], list)
         capsys.readouterr()
 
         code = main(["replay", str(repro_file), "--json"])
@@ -122,15 +124,27 @@ class TestShrinkAndReplay:
         bad.write_text(json.dumps({"version": 99}), encoding="utf-8")
         assert main(["replay", str(bad)]) == 2
 
+    def test_replay_version_one_file_exits_two(self, tmp_path, capsys):
+        # Version 1 held the schedule as a JSON string beside the spec.
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({
+            "version": 1,
+            "spec": {"scenario": SCN, "seed": 0, "mutation": "", "allow_over_budget": False,
+                     "schedule_json": '{"events":[],"scenario":"lan-small","seed":0}'},
+        }), encoding="utf-8")
+        assert main(["replay", str(old)]) == 2
+        assert "version 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "payload",
         [
-            {"version": 1},
-            {"version": 1, "spec": {"scenario": "nope", "seed": 0}},
-            {"version": 1, "spec": {"scenario": SCN, "seed": 0, "bogus": 1}},
-            {"version": 1, "spec": {"scenario": SCN}},
-            {"version": 1, "spec": {"scenario": SCN, "seed": 0, "mutation": "nope"}},
-            {"version": 1, "spec": {"scenario": SCN, "seed": 0, "schedule_json": "{"}},
+            {"version": 2},
+            {"version": 2, "spec": {"scenario": "nope", "seed": 0}},
+            {"version": 2, "spec": {"scenario": SCN, "seed": 0, "bogus": 1}},
+            {"version": 2, "spec": {"scenario": SCN}},
+            {"version": 2, "spec": {"scenario": SCN, "seed": 0, "mutation": "nope"}},
+            {"version": 2, "spec": {"scenario": SCN, "seed": 0, "schedule": {
+                "events": [{"kind": "meteor", "trigger": {"kind": "at"}}]}}},
             [1],
         ],
         ids=["no-spec", "unknown-scenario", "extra-key", "missing-key",

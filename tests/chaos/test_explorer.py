@@ -1,16 +1,19 @@
 """Campaign runner tests: determinism, parallel equality, mutations,
 checkpoint/resume through the sweep executor's process pool."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos.explorer import (
     CHAOS_SCENARIOS,
+    CampaignReport,
     CaseResult,
     CaseSpec,
     run_campaign,
     run_case,
 )
-from repro.chaos.schedule import FaultEvent, Trigger
+from repro.chaos.schedule import FaultEvent, FaultSchedule, Trigger
 from repro.core.messages import Ack, Multicast
 from repro.core.process import PrimCastProcess
 from repro.harness.cache import ResultCache
@@ -28,13 +31,13 @@ class TestRunCase:
         assert a.to_dict() == b.to_dict()
 
     def test_unknown_mutation_rejected(self):
-        with pytest.raises(ValueError):
-            run_case(CaseSpec(scenario=SCN, seed=1, mutation="chaos-monkey"))
+        with pytest.raises(ValueError, match="no-quorum-wait"):
+            CaseSpec(scenario=SCN, seed=1, mutation="chaos-monkey")
 
     def test_pinned_schedule_overrides_generation(self):
         spec = CaseSpec(scenario=SCN, seed=1)
         schedule = spec.resolve_schedule().replace_events([])
-        pinned = spec.with_schedule(schedule)
+        pinned = replace(spec, schedule=schedule)
         result = run_case(pinned)
         assert result.schedule.events == ()
         assert result.crashed == ()
@@ -44,7 +47,7 @@ class TestRunCase:
         # delivered counts may differ (crashes), but the multicast set
         # a correct run produces is the full workload either way.
         spec = CaseSpec(scenario=SCN, seed=3)
-        bare = run_case(spec.with_schedule(spec.resolve_schedule().replace_events([])))
+        bare = run_case(replace(spec, schedule=FaultSchedule()))
         scn = CHAOS_SCENARIOS[SCN]
         assert sum(bare.delivered.values()) > 0
         assert bare.events > 0
@@ -68,7 +71,7 @@ class TestRunCase:
         crash = FaultEvent(
             kind="crash", trigger=Trigger(kind="at", time_ms=40.0), target=f"pid:{victim}"
         )
-        result = run_case(spec.with_schedule(spec.resolve_schedule().replace_events([crash])))
+        result = run_case(replace(spec, schedule=FaultSchedule((crash,))))
         assert result.crashed == (victim,)
         assert not result.aborted
         props = {v.prop for v in result.violations}
@@ -168,9 +171,28 @@ class TestRunCase:
                        target=f"pid:{pid}", over_budget=True)
             for pid in (4, 5)
         ]
-        result = run_case(spec.with_schedule(spec.resolve_schedule().replace_events(crashes)))
+        result = run_case(replace(spec, schedule=FaultSchedule(tuple(crashes))))
         assert result.crashed == (4, 5) and not any(result.delivered.values())
         assert result.violations == []
+
+    def test_quorum_lost_case_is_reported_apart(self):
+        # Group 1 loses pids 3 and 4 over budget at t = 1 ms: the case
+        # delivers nothing anywhere and reports no violation, so only
+        # validity_owed (and the summary's seed list) says it was judged
+        # for safety alone. A clean case owes validity.
+        spec = CaseSpec(scenario=SCN, seed=1, allow_over_budget=True)
+        crashes = tuple(
+            FaultEvent(kind="crash", trigger=Trigger(kind="at", time_ms=1.0),
+                       target=f"pid:{pid}", over_budget=True)
+            for pid in (3, 4)
+        )
+        lost = run_case(replace(spec, schedule=FaultSchedule(crashes)))
+        assert not any(lost.delivered.values()) and lost.violations == []
+        assert lost.validity_owed is False
+        clean = run_case(CaseSpec(scenario=SCN, seed=2))
+        assert clean.validity_owed is True
+        report = CampaignReport(scenario=SCN, seeds=[1, 2], mutation="", cases=[lost, clean])
+        assert report.to_dict()["summary"]["validity_not_owed_seeds"] == [1]
 
     def test_delay_spike_does_not_stall_a_correct_process(self):
         # Seed 14 has a delay rule with dst=4 and a wildcard src. Were it
@@ -196,7 +218,7 @@ class TestRunCampaign:
             assert serial.to_json() == parallel.to_json()
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lan-small"):
             run_campaign("atlantis", SEEDS)
 
     def test_case_result_dict_round_trip(self):

@@ -10,7 +10,7 @@ def nemesis_for(events, omega=True):
     the installed nemesis of ``events``."""
     sys_ = MiniSystem(suspect_ms=100.0 if omega else None)
     nem = Nemesis(
-        FaultSchedule("test", 1, tuple(events)), sys_.scheduler, sys_.network,
+        FaultSchedule(tuple(events)), sys_.scheduler, sys_.network,
         sys_.config, sys_.processes, sys_.injector,
     )
     nem.install()

@@ -2,6 +2,8 @@
 minimized, and deterministically reproduced (the chaos pipeline's own
 end-to-end regression)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos.explorer import CaseSpec, run_case
@@ -78,6 +80,6 @@ class TestShrinkMechanics:
             for i in range(3)
         ]
         padded = schedule.replace_events(list(schedule.events) + padding)
-        result = shrink_case(violating_spec.with_schedule(padded), max_runs=120)
+        result = shrink_case(replace(violating_spec, schedule=padded), max_runs=120)
         assert result is not None
         assert result.minimized_events <= len(schedule.events)

@@ -77,7 +77,7 @@ def test_attach_omegas_one_per_process():
     sched, net, procs, omegas = sys_.scheduler, sys_.network, sys_.processes, sys_.oracles
     assert set(omegas) == set(procs)
     for pid, omega in omegas.items():
-        assert procs[pid].omega is omega
+        assert omega.own_pid == pid
         assert omega.group_id == procs[pid].gid
         assert omega.members == procs[pid].group_members
     assert outputs(omegas) == {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 3}

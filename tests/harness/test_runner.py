@@ -36,8 +36,9 @@ class TestBuildSystem:
         assert system.oracles is not None
         assert set(system.oracles) == set(system.config.all_pids)
         for pid, proc in system.processes.items():
-            assert proc.omega is system.oracles[pid]
-            assert proc.omega.suspect_ms == 100.0
+            oracle = system.oracles[pid]
+            assert (oracle.own_pid, oracle.group_id) == (pid, proc.gid)
+            assert oracle.suspect_ms == 100.0
         assert build_system("primcast", small_scenario()).oracles is None
 
     def test_hc_gets_physical_clocks(self):

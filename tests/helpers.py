@@ -271,7 +271,6 @@ def serving_node(rundir: Any, loop: CountingLoop, pid: int = 0) -> Tuple[Any, Re
     omega = node.omega = HeartbeatOmega(
         node.gid, node.config.members(node.gid), pid, sched, lambda: None
     )
-    node.proc.omega = omega
     omega.subscribe(node.proc._on_omega_output)
     omega.start()
     return node, transport

@@ -21,7 +21,7 @@ from repro.verify import attach_monitors
 BOUNDARIES = ("start", "propose", "ack_quorum", "deliver")
 
 
-def run_failover(seed, events, group_size=3, horizon=3000.0):
+def run_failover(events, group_size=3, horizon=3000.0):
     """Run a 2-group deployment under the given fault events.
 
     Returns (system, nemesis) after asserting the property suite over
@@ -30,7 +30,7 @@ def run_failover(seed, events, group_size=3, horizon=3000.0):
     sys_ = MiniSystem(group_size=group_size, suspect_ms=100.0)
     attach_monitors(sys_.processes)
     nemesis = Nemesis(
-        FaultSchedule("failover", seed, tuple(events)),
+        FaultSchedule(tuple(events)),
         scheduler=sys_.scheduler,
         network=sys_.network,
         config=sys_.config,
@@ -73,7 +73,7 @@ class TestLeaderCrashAtStepBoundaries:
                 target="leader:0",
             )
         ]
-        sys_, nemesis = run_failover(1, events)
+        sys_, nemesis = run_failover(events)
         assert nemesis.applied["crashes"] == 1
         assert sys_.processes[0].crashed, "the group-0 leader must actually crash"
         assert_all_delivered(sys_, "early", 6)
@@ -92,7 +92,7 @@ class TestLeaderCrashAtStepBoundaries:
                 target="leader:0",
             )
         ]
-        sys_, nemesis = run_failover(2, events)
+        sys_, nemesis = run_failover(events)
         assert nemesis.applied["crashes"] == 1
         assert_all_delivered(sys_, "early", 6)
         assert_all_delivered(sys_, "late", 6)
@@ -115,9 +115,7 @@ class TestLeaderCrashDuringEpochChange:
                 target="leader:0",
             ),
         ]
-        sys_, nemesis = run_failover(
-            3, events, group_size=5, horizon=4000.0
-        )
+        sys_, nemesis = run_failover(events, group_size=5, horizon=4000.0)
         assert nemesis.applied["crashes"] == 2
         crashed = set(range(10)) - sys_.correct_pids()
         assert len(crashed) == 2
