@@ -3,10 +3,11 @@
 Without truncation every process keeps tracking state for every message
 ever ordered, O(messages sent); with the compaction daemon it is
 O(in-flight). The same sustained load point runs twice under
-tracemalloc — daemon at its default interval, then disabled — with
-streaming stats, so the harness side is O(1) and the peaks are protocol
-state. Allocation counting is stable on shared machines (unlike wall
-time), so CI runs this as a hard gate (~3 min)::
+tracemalloc — daemon at its default interval, then disabled. Both peaks
+also hold what every run keeps, the same on both sides: each process's
+``delivery_log`` and each client's latency samples. Allocation counting
+is stable on shared machines (unlike wall time), so CI runs this as a
+hard gate (~3 min)::
 
     PYTHONPATH=src python -m pytest benchmarks/test_steady_state_memory.py -q -s
 """
@@ -29,7 +30,6 @@ def traced_run(**compaction):
             warmup_ms=500.0,
             measure_ms=6500.0,
             keep_samples=False,
-            streaming_stats=True,
             **compaction,
         )
         return tracemalloc.get_traced_memory()[1], result

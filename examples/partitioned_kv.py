@@ -58,7 +58,7 @@ def main() -> None:
             )
             if len(command.partitions(N_PARTITIONS)) > 1:
                 n_transfers += 1
-        cluster.scheduler.call_at(i * 0.4, cluster.submit, command)
+        cluster.system.scheduler.call_at(i * 0.4, cluster.submit, command)
 
     cluster.run(until=5000.0)
 

@@ -18,9 +18,8 @@ from repro.harness.steps import build_bare_system
 def main() -> None:
     # 1. The deployment: two disjoint groups of three PrimCast replicas
     #    on a network whose every link takes exactly 1 ms, free CPUs.
-    scheduler, _network, config, replicas = build_bare_system(
-        "primcast", n_groups=2, group_size=3, delta_ms=1.0
-    )
+    system = build_bare_system("primcast", n_groups=2, group_size=3, delta_ms=1.0)
+    config, replicas = system.config, system.processes
     print(f"deployment: {config}")
     print(f"  group 0 = {config.members(0)}, group 1 = {config.members(1)}")
 
@@ -35,7 +34,7 @@ def main() -> None:
     payload_of = {m.mid: m.payload for m in sent}
 
     # 3. Run the simulation to quiescence.
-    scheduler.run(until=100.0)
+    system.scheduler.run(until=100.0)
 
     # 4. Show per-replica delivery orders: every replica logs
     #    (mid, final timestamp, sim time) per delivery.

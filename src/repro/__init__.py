@@ -11,10 +11,10 @@ Quick start::
     from repro.harness.steps import build_bare_system
 
     # two groups of three PrimCast replicas, every link exactly 1 ms
-    sched, net, config, procs = build_bare_system("primcast", 2, 3, delta_ms=1.0)
-    procs[4].a_multicast({0, 1}, payload="hello")
-    sched.run(until=100)
-    print(procs[0].delivery_log)  # [(mid, final_ts, time)]
+    system = build_bare_system("primcast", 2, 3, delta_ms=1.0)
+    system.processes[4].a_multicast({0, 1}, payload="hello")
+    system.scheduler.run(until=100)
+    print(system.processes[0].delivery_log)  # [(mid, final_ts, time)]
 
 Subpackages (``import repro`` loads none of them):
 

@@ -25,17 +25,18 @@ class KvCluster:
         protocol: str = "primcast",
     ):
         self.n_partitions = n_partitions
-        self.scheduler, self.network, self.config, self.processes = build_bare_system(
+        self.system = build_bare_system(
             protocol, n_partitions, replicas_per_partition, delta_ms=1.0
         )
         self.replicas: Dict[int, KvReplica] = {
-            pid: KvReplica(proc, n_partitions) for pid, proc in self.processes.items()
+            pid: KvReplica(proc, n_partitions)
+            for pid, proc in self.system.processes.items()
         }
 
     def replica_for(self, command: Command, index: int = 0) -> KvReplica:
         """A replica serving one of the command's partitions."""
         target = min(command.partitions(self.n_partitions))
-        pid = self.config.members(target)[index]
+        pid = self.system.config.members(target)[index]
         return self.replicas[pid]
 
     def submit(self, command: Command, on_done=None) -> None:
@@ -44,7 +45,7 @@ class KvCluster:
 
     def run(self, until: float = 1000.0) -> None:
         """Advance simulated time to ``until`` ms."""
-        self.scheduler.run(until=until)
+        self.system.scheduler.run(until=until)
 
     # -- verification helpers ---------------------------------------------
 

@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
-from ..harness.parallel import SweepExecutor
+from ..harness.parallel import SweepExecutor, positive_int
 from .explorer import (
     CHAOS_SCENARIOS,
     MUTATIONS,
@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--seeds",
-        type=int,
+        type=positive_int,
         default=8,
         metavar="N",
         help="number of seeds to explore (default: 8)",
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="J",
         help="worker processes (default: 1; report is identical either way)",
@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     shrink_p.add_argument(
         "--max-runs",
-        type=int,
+        type=positive_int,
         default=200,
         metavar="N",
         help="simulation-run budget for the search (default: 200)",

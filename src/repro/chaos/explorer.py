@@ -161,8 +161,9 @@ class CaseSpec:
 
     ``schedule`` is None for a schedule generated from the seed, or the
     pinned schedule of a replay or shrink candidate. An unknown scenario
-    or mutation is rejected here, so every other entry point takes a
-    spec as valid.
+    or mutation, a ``seed`` that is not an ``int`` (a ``bool`` included)
+    and an ``allow_over_budget`` that is not a ``bool`` are rejected
+    here, so every other entry point takes a spec as valid.
     """
 
     scenario: str
@@ -180,6 +181,12 @@ class CaseSpec:
         if self.mutation not in MUTATIONS:
             raise ValueError(
                 f"unknown mutation {self.mutation!r}; pick from {tuple(MUTATIONS)}"
+            )
+        if type(self.seed) is not int:
+            raise TypeError(f"seed must be an int, got {self.seed!r}")
+        if type(self.allow_over_budget) is not bool:
+            raise TypeError(
+                f"allow_over_budget must be a bool, got {self.allow_over_budget!r}"
             )
 
     def canonical(self) -> Dict[str, Any]:

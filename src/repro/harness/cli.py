@@ -38,7 +38,7 @@ from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .export import write_cdf_csv, write_csv
 from .experiments import figure2, figure3, figure4, figure5
 from .metrics import percentile
-from .parallel import SweepExecutor
+from .parallel import SweepExecutor, positive_int
 from .report import format_table, print_results
 from .runner import PROTOCOLS, run_load_point
 from .steps import measure_collision_free, measure_primcast_convoy
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", help="also write the rows to this CSV file")
         p.add_argument(
             "--jobs",
-            type=int,
+            type=positive_int,
             default=1,
             help="worker processes for the sweep (1 = serial; results are "
             "bit-identical at any job count)",
@@ -241,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("point", help="run one load point")
     pp.add_argument("--protocol", choices=PROTOCOLS, required=True)
     pp.add_argument("--scenario", choices=sorted(SCENARIOS), required=True)
-    pp.add_argument("--dests", type=int, default=2)
-    pp.add_argument("--outstanding", type=int, default=4)
+    pp.add_argument("--dests", type=positive_int, default=2)
+    pp.add_argument("--outstanding", type=positive_int, default=4)
     pp.add_argument("--warmup", type=float, default=500.0)
     pp.add_argument("--measure", type=float, default=1000.0)
     pp.add_argument("--seed", type=int, default=1)

@@ -43,6 +43,7 @@ static-analysis scope (see ``repro.analysis.config.DET_SCOPE``).
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
 
@@ -131,6 +132,16 @@ def expand_sweep(
         for protocol in protocols
         for outstanding in loads
     ]
+
+
+def positive_int(text: str) -> int:
+    """The argparse ``type`` of a command-line count (``--jobs``,
+    ``--seeds``, ``--max-runs``, ``--outstanding``, ...): below 1 is a
+    usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 class SweepExecutor:

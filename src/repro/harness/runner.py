@@ -11,7 +11,6 @@ client, from submission to a-delivery at its replica — both exactly as
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -30,7 +29,7 @@ from ..sim.costs import CostModel, default_cost_model
 from ..sim.events import Scheduler
 from ..sim.network import Network
 from ..sim.rng import child_rng
-from ..workload.generator import Client, make_clients
+from ..workload.generator import make_clients
 from ..workload.scenarios import Scenario
 from .metrics import summarize
 
@@ -223,13 +222,6 @@ class RunResult:
         )
 
 
-#: Streaming-stats ring sizes: per-client latency samples kept for the
-#: percentile estimate, and per-process delivery_log entries kept for
-#: debugging. Aggregate count/mean/throughput stay exact either way.
-STREAM_SAMPLE_KEEP = 2048
-STREAM_LOG_KEEP = 512
-
-
 def run_load_point(
     protocol: str,
     scenario: Scenario,
@@ -241,20 +233,11 @@ def run_load_point(
     cost_model: Optional[CostModel] = None,
     keep_samples: bool = True,
     compaction_interval_ms: float = DEFAULT_COMPACTION_INTERVAL_MS,
-    streaming_stats: bool = False,
 ) -> RunResult:
     """Run one (protocol, scenario, destinations, load) point.
 
     Clients issue messages from t=0; samples delivered inside
     ``[warmup_ms, warmup_ms + measure_ms)`` are counted.
-
-    ``streaming_stats`` bounds collection-side memory for long runs:
-    clients keep a ring of recent samples plus exact running aggregates,
-    and every replica's ``delivery_log`` becomes a bounded deque. The
-    returned latency ``count``/``mean`` and the throughput are exact;
-    p50/p95/p99 are estimated over the ring contents (the most recent
-    ``STREAM_SAMPLE_KEEP`` samples per client) and ``samples`` is empty.
-    The simulation schedule is identical to the non-streaming run.
     """
     system = build_system(
         protocol,
@@ -270,12 +253,7 @@ def run_load_point(
         system.config.n_groups,
         outstanding,
         rng,
-        sample_limit=STREAM_SAMPLE_KEEP if streaming_stats else None,
-        measure_from_ms=warmup_ms if streaming_stats else 0.0,
     )
-    if streaming_stats:
-        for proc in system.replicas:
-            proc.delivery_log = deque(maxlen=STREAM_LOG_KEEP)
     for client in clients:
         client.start()
     end = warmup_ms + measure_ms
@@ -283,43 +261,25 @@ def run_load_point(
     for client in clients:
         client.stop()
 
+    # Latencies are collected unconditionally (the summary needs them);
+    # the per-sample (pid, when, lat) tuples only when the caller asked
+    # — at high load a full sweep would otherwise hold every sample of
+    # every point in memory just to throw them away.
     samples: List[Tuple[int, float, float]] = []
     latencies: List[float] = []
-    if streaming_stats:
-        # Exact aggregates from the running counters; percentiles over
-        # the ring window (documented approximation).
-        total = 0
-        lat_sum = 0.0
-        for client in clients:
-            total += client.stat_count
-            lat_sum += client.stat_sum_ms
-            for pid, when, lat in client.samples:
-                if warmup_ms <= when < end:
-                    latencies.append(lat)
-        latency = summarize(latencies)
-        latency["count"] = total
-        latency["mean"] = lat_sum / total if total else 0.0
-        throughput = total / (measure_ms / 1000.0)
-    else:
-        # Latencies are collected unconditionally (the summary needs
-        # them); the per-sample (pid, when, lat) tuples only when the
-        # caller asked — at high load a full sweep would otherwise hold
-        # every sample of every point in memory just to throw them away.
-        for client in clients:
-            for pid, when, lat in client.samples:
-                if warmup_ms <= when < end:
-                    latencies.append(lat)
-                    if keep_samples:
-                        samples.append((pid, when, lat))
-        throughput = len(latencies) / (measure_ms / 1000.0)
-        latency = summarize(latencies)
+    for client in clients:
+        for pid, when, lat in client.samples:
+            if warmup_ms <= when < end:
+                latencies.append(lat)
+                if keep_samples:
+                    samples.append((pid, when, lat))
     return RunResult(
         protocol=protocol,
         scenario=scenario.name,
         n_dest_groups=n_dest_groups,
         outstanding=outstanding,
-        throughput=throughput,
-        latency=latency,
+        throughput=len(latencies) / (measure_ms / 1000.0),
+        latency=summarize(latencies),
         samples=samples,
         message_counts=dict(system.network.counts_by_kind),
         events=system.scheduler.events_processed,

@@ -9,15 +9,13 @@ communication step Δ and can be compared with the analytic model in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..core.config import GroupConfig
+from ..core.messages import MessageId
 from ..sim.clock import US_PER_MS
 from ..sim.costs import zero_cost_model
-from ..sim.events import Scheduler
-from ..sim.network import Network
 from ..workload.scenarios import exact_network
-from .runner import build_system
+from .runner import System, build_system
 
 
 def build_bare_system(
@@ -26,7 +24,7 @@ def build_bare_system(
     group_size: int,
     delta_ms: float = 10.0,
     clock_offsets_ms: Optional[Dict[int, float]] = None,
-) -> Tuple[Scheduler, Network, GroupConfig, Dict[int, Any]]:
+) -> System:
     """A deployment on an exact-Δ network with free CPUs, no Ω and no
     state-GC daemon: Table 1's measurements, ``KvCluster``, the net
     differential's sim reference and ``examples/quickstart.py`` build
@@ -43,7 +41,18 @@ def build_bare_system(
         if clock is None:
             raise ValueError(f"{protocol!r} processes have no physical clock to offset")
         clock.offset_us = offset_ms * US_PER_MS
-    return system.scheduler, system.network, system.config, system.processes
+    return system
+
+
+def _delivery_times(system: System, mid: MessageId) -> Dict[int, float]:
+    """pid -> when ``mid`` was a-delivered there, read off every
+    process's ``delivery_log`` (pids that never delivered it are absent)."""
+    return {
+        pid: when
+        for pid, proc in system.processes.items()
+        for logged, _final, when in proc.delivery_log
+        if logged == mid
+    }
 
 
 def measure_collision_free(
@@ -59,21 +68,14 @@ def measure_collision_free(
     delivery latency: time to the *last* destination's a-delivery), the
     leader-only worst case, and the wire-message count.
     """
-    scheduler, network, config, processes = build_bare_system(
-        protocol, n_groups, group_size, delta_ms
-    )
-    deliveries: Dict[int, float] = {}
-
-    def hook(proc: Any, multicast: Any, final_ts: int) -> None:
-        deliveries[proc.pid] = scheduler.now
-
-    for proc in processes.values():
-        proc.add_deliver_hook(hook)
-    sender = processes[config.members(0)[1 % group_size]]
+    system = build_bare_system(protocol, n_groups, group_size, delta_ms)
+    scheduler, config, network = system.scheduler, system.config, system.network
+    sender = system.processes[config.members(0)[1 % group_size]]
     start_time = scheduler.now
-    sender.a_multicast(set(range(k)), payload="probe")
+    probe = sender.a_multicast(set(range(k)), payload="probe")
     scheduler.run(until=start_time + 40 * delta_ms)
 
+    deliveries = _delivery_times(system, probe.mid)
     dest_pids = config.dest_pids(range(k))
     steps = {
         pid: round((deliveries[pid] - start_time) / delta_ms, 6)
@@ -119,16 +121,8 @@ def measure_primcast_convoy(
     # Adversarial skew: group 1's primary runs epsilon fast, group 0's
     # epsilon slow (§6's worst case). Plain PrimCast has no clock to skew.
     offsets = {3: epsilon_ms, 0: -epsilon_ms} if hybrid else None
-    scheduler, network, config, processes = build_bare_system(
-        protocol, 2, 3, delta_ms, clock_offsets_ms=offsets
-    )
-    deliveries: Dict[Any, Dict[int, float]] = {}
-
-    def hook(proc: Any, multicast: Any, final_ts: int) -> None:
-        deliveries.setdefault(multicast.mid, {})[proc.pid] = scheduler.now
-
-    for proc in processes.values():
-        proc.add_deliver_hook(hook)
+    system = build_bare_system(protocol, 2, 3, delta_ms, clock_offsets_ms=offsets)
+    scheduler, config, processes = system.scheduler, system.config, system.processes
 
     p_g1 = processes[config.members(1)[0]]  # primary of group 1
     p_g0 = processes[config.members(0)[0]]  # primary of group 0
@@ -161,7 +155,7 @@ def measure_primcast_convoy(
     p_g0.post_job(send_m2, delay=window - margin)
     scheduler.run(until=t0 + 40 * delta_ms)
 
-    m_deliveries = deliveries.get(m.mid, {})
+    m_deliveries = _delivery_times(system, m.mid)
     dest_pids = config.dest_pids({0, 1})
     latency_steps = max(m_deliveries[pid] - t0 for pid in dest_pids) / delta_ms
     analytic = (

@@ -61,15 +61,15 @@ def run_sim_reference(topology: ClusterSpec) -> DeliveryMap:
     """
     if topology.clients != 1:
         raise ValueError("the sim reference is defined for one client only")
-    scheduler, _network, _config, processes = build_bare_system(
+    system = build_bare_system(
         "primcast", topology.n_groups, topology.group_size, delta_ms=1.0
     )
     (plan,) = topology.client_plans()
-    PlanClient(processes[DRIVER_PID], scheduler, 0, plan).start()
-    scheduler.run(until=10_000_000.0)
+    PlanClient(system.processes[DRIVER_PID], system.scheduler, 0, plan).start()
+    system.scheduler.run(until=10_000_000.0)
     return {
         pid: [(mid, final) for mid, final, _t in proc.delivery_log]
-        for pid, proc in processes.items()
+        for pid, proc in system.processes.items()
     }
 
 

@@ -14,8 +14,7 @@ random from the others.
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Any, Dict, List, MutableSequence, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from ..core.messages import MessageId, Multicast
 
@@ -33,18 +32,8 @@ class Client:
         n_groups: total groups in the system.
         outstanding: how many multicasts to keep in flight.
         rng: destination-choice randomness.
-        payload: opaque payload attached to every message.
-        sample_limit: when set, ``samples`` becomes a bounded ring of
-            the most recent samples (streaming-stats mode for long runs)
-            while the exact running aggregates below keep counting; None
-            (the default) keeps every sample, exactly as before.
-        measure_from_ms: samples delivered before this simulated time are
-            not recorded (they are still completed/reissued) — lets the
-            streaming mode skip the warmup window without keeping it.
 
-    Running aggregates (exact regardless of ``sample_limit``):
-    ``stat_count`` / ``stat_sum_ms`` / ``stat_min_ms`` / ``stat_max_ms``
-    over every *recorded* sample.
+    Every completed message appends one :data:`Sample` to ``samples``.
     """
 
     def __init__(
@@ -54,9 +43,6 @@ class Client:
         n_groups: int,
         outstanding: int,
         rng: random.Random,
-        payload: Any = None,
-        sample_limit: Optional[int] = None,
-        measure_from_ms: float = 0.0,
     ):
         if not 1 <= n_dest_groups <= n_groups:
             raise ValueError(
@@ -69,16 +55,7 @@ class Client:
         self.n_groups = n_groups
         self.outstanding = outstanding
         self.rng = rng
-        self.payload = payload
-        self.sample_limit = sample_limit
-        self.measure_from_ms = measure_from_ms
-        self.samples: MutableSequence[Sample] = (
-            deque(maxlen=sample_limit) if sample_limit is not None else []
-        )
-        self.stat_count = 0
-        self.stat_sum_ms = 0.0
-        self.stat_min_ms = float("inf")
-        self.stat_max_ms = 0.0
+        self.samples: List[Sample] = []
         self.issued = 0
         self.completed = 0
         self.stopped = False
@@ -107,7 +84,7 @@ class Client:
     def _issue_one(self) -> None:
         if self.stopped:
             return
-        multicast = self.replica.a_multicast(self._pick_dest(), self.payload)
+        multicast = self.replica.a_multicast(self._pick_dest())
         self._in_flight[multicast.mid] = self.replica.scheduler.now
         self.issued += 1
 
@@ -116,15 +93,7 @@ class Client:
         if sent_at is None:
             return
         now = proc.scheduler.now
-        if now >= self.measure_from_ms:
-            lat = now - sent_at
-            self.samples.append((self.replica.pid, now, lat))
-            self.stat_count += 1
-            self.stat_sum_ms += lat
-            if lat < self.stat_min_ms:
-                self.stat_min_ms = lat
-            if lat > self.stat_max_ms:
-                self.stat_max_ms = lat
+        self.samples.append((self.replica.pid, now, now - sent_at))
         self.completed += 1
         self._issue_one()
 
@@ -139,24 +108,12 @@ def make_clients(
     n_groups: int,
     outstanding: int,
     rng: random.Random,
-    payload: Any = None,
-    sample_limit: Optional[int] = None,
-    measure_from_ms: float = 0.0,
 ) -> List[Client]:
     """One client per replica, each with its own derived RNG stream."""
     clients = []
     for replica in replicas:
         client_rng = random.Random(rng.getrandbits(64))
         clients.append(
-            Client(
-                replica,
-                n_dest_groups,
-                n_groups,
-                outstanding,
-                client_rng,
-                payload,
-                sample_limit=sample_limit,
-                measure_from_ms=measure_from_ms,
-            )
+            Client(replica, n_dest_groups, n_groups, outstanding, client_rng)
         )
     return clients

@@ -37,7 +37,7 @@ class KvModelMachine(RuleBasedStateMachine):
 
     def _settle(self):
         # Commands complete within a handful of steps; quiesce fully.
-        self.cluster.run(until=self.cluster.scheduler.now + 100.0)
+        self.cluster.run(until=self.cluster.system.scheduler.now + 100.0)
 
     @rule(key=key_st, value=value_st)
     def put(self, key, value):

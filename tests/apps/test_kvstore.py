@@ -130,7 +130,7 @@ class TestTransactions:
 class TestRouting:
     def test_submit_through_wrong_partition_rejected(self, cluster):
         key = next(f"k{i}" for i in range(50) if partition_of(f"k{i}", 3) == 1)
-        wrong = cluster.replicas[cluster.config.members(0)[0]]
+        wrong = cluster.replicas[cluster.system.config.members(0)[0]]
         with pytest.raises(ValueError, match="route the"):
             wrong.submit(Put(key, 1))
 

@@ -146,9 +146,13 @@ class TestShrinkAndReplay:
             {"version": 2, "spec": {"scenario": SCN, "seed": 0, "schedule": {
                 "events": [{"kind": "meteor", "trigger": {"kind": "at"}}]}}},
             [1],
+            {"version": 2, "spec": {"scenario": SCN, "seed": "0"}},
+            {"version": 2, "spec": {"scenario": SCN, "seed": True}},
+            {"version": 2, "spec": {"scenario": SCN, "seed": 1, "allow_over_budget": "false"}},
         ],
         ids=["no-spec", "unknown-scenario", "extra-key", "missing-key",
-             "unknown-mutation", "bad-schedule", "not-an-object"],
+             "unknown-mutation", "bad-schedule", "not-an-object",
+             "string-seed", "bool-seed", "string-allow-over-budget"],
     )
     def test_replay_malformed_file_exits_two(self, tmp_path, capsys, payload):
         # Exit 1 means "not reproduced"; a file that cannot describe a
@@ -166,6 +170,22 @@ class TestUsage:
 
     def test_unknown_scenario_exits_two(self, capsys):
         assert main(["run", "--scenario", "atlantis"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--seeds", "0", "--mutation", "drop-all"],
+            ["run", "--seeds", "-3"],
+            ["run", "--seeds", "1", "--jobs", "0"],
+            ["shrink", "--seed", "4", "--max-runs", "0"],
+        ],
+        ids=["no-seeds", "negative-seeds", "no-jobs", "no-runs"],
+    )
+    def test_count_below_one_exits_two(self, argv, capsys):
+        # A campaign of no seeds would pass vacuously (exit 0), and 1
+        # means violations found: a count below 1 is a usage error.
+        assert main(argv) == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -34,6 +34,18 @@ class TestRunCase:
         with pytest.raises(ValueError, match="no-quorum-wait"):
             CaseSpec(scenario=SCN, seed=1, mutation="chaos-monkey")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"seed": "1"}, {"seed": True}, {"seed": 1.0},
+         {"seed": 1, "allow_over_budget": "false"}, {"seed": 1, "allow_over_budget": 0}],
+        ids=["str-seed", "bool-seed", "float-seed", "str-over-budget", "int-over-budget"],
+    )
+    def test_mistyped_field_rejected(self, fields):
+        # A replay file's "false" is truthy: decoded as is, it would
+        # generate an over-budget schedule the file never asked for.
+        with pytest.raises(TypeError):
+            CaseSpec(scenario=SCN, **fields)
+
     def test_pinned_schedule_overrides_generation(self):
         spec = CaseSpec(scenario=SCN, seed=1)
         schedule = spec.resolve_schedule().replace_events([])

@@ -72,6 +72,24 @@ def test_figure_commands_accept_executor_flags():
         assert args.cache_dir == "/tmp/x"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure2", "--jobs", "0"],
+        ["figure3", "--jobs", "-1"],
+        ["point", "--protocol", "primcast", "--scenario", "lan", "--outstanding", "0"],
+        ["point", "--protocol", "primcast", "--scenario", "lan", "--dests", "0"],
+    ],
+    ids=["figure2-jobs", "figure3-jobs", "point-outstanding", "point-dests"],
+)
+def test_count_below_one_is_a_usage_error(argv, capsys):
+    # Exit 2 with argparse's message, before anything is built or run.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{argv[-2]}: must be at least 1, got {argv[-1]}" in capsys.readouterr().err
+
+
 def test_executor_flag_defaults_are_serial_with_cache():
     from repro.harness.cache import DEFAULT_CACHE_DIR
 

@@ -102,32 +102,6 @@ class TestRunLoadPoint:
         assert set(subset) <= set(all_lats)
 
 
-class TestStreamingStats:
-    def test_streaming_aggregates_match_exact_run(self):
-        """Streaming mode bounds collection memory without perturbing the
-        run: the schedule, counts and running aggregates are identical;
-        only per-sample retention changes."""
-        kw = dict(warmup_ms=20, measure_ms=80, seed=3, cost_model=zero_cost_model())
-        exact = run_load_point("primcast", small_scenario(), 2, 2, **kw)
-        streamed = run_load_point(
-            "primcast", small_scenario(), 2, 2, streaming_stats=True, **kw
-        )
-        assert streamed.events == exact.events  # same simulation schedule
-        assert streamed.message_counts == exact.message_counts
-        assert streamed.latency["count"] == exact.latency["count"] > 0
-        assert streamed.throughput == exact.throughput
-        # Mean comes from running sums, so accumulation order differs.
-        assert streamed.latency["mean"] == pytest.approx(
-            exact.latency["mean"], rel=1e-12
-        )
-        # At this size no client ring overflows: percentiles exact too.
-        for key in ("p50", "p95", "p99"):
-            assert streamed.latency[key] == exact.latency[key]
-        # The memory saving: no per-sample list is retained.
-        assert streamed.samples == []
-        assert exact.samples
-
-
 class TestReport:
     def _results(self):
         return [

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.runner import System
 from repro.harness.steps import (
     build_bare_system,
     measure_collision_free,
@@ -12,17 +13,27 @@ from repro.harness.steps import (
 class TestBuildBareSystem:
     def test_builds_all_protocols(self):
         for proto in ("primcast", "primcast-hc", "whitebox", "fastcast"):
-            sched, net, config, procs = build_bare_system(proto, 2, 3)
-            assert len(procs) == 6
+            system = build_bare_system(proto, 2, 3)
+            assert isinstance(system, System) and system.protocol == proto
+            assert len(system.processes) == 6
+            assert system.oracles is None and system.compaction is None
+
+    @pytest.mark.parametrize("proto", ["primcast", "primcast-hc", "whitebox", "fastcast"])
+    def test_a_multicast_lands_in_every_destination_delivery_log(self, proto):
+        system = build_bare_system(proto, 2, 3)
+        multicast = system.processes[4].a_multicast({0, 1}, payload="hello")
+        system.scheduler.run()
+        for pid in system.config.dest_pids({0, 1}):
+            assert [mid for mid, _ts, _at in system.processes[pid].delivery_log] == [
+                multicast.mid
+            ]
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             build_bare_system("zab", 2, 3)
 
     def test_clock_offsets_applied(self):
-        sched, net, config, procs = build_bare_system(
-            "primcast-hc", 2, 3, clock_offsets_ms={0: 5.0}
-        )
+        procs = build_bare_system("primcast-hc", 2, 3, clock_offsets_ms={0: 5.0}).processes
         assert procs[0].physical_clock.offset_us == 5000.0
         assert procs[1].physical_clock.offset_us == 0.0
 
@@ -34,7 +45,7 @@ class TestBuildBareSystem:
             build_bare_system(proto, 2, 3, clock_offsets_ms={0: 5.0})
 
     def test_zero_cost_cpu(self):
-        sched, net, config, procs = build_bare_system("primcast", 2, 3)
+        procs = build_bare_system("primcast", 2, 3).processes
         assert procs[0].cost_model.recv_cost(type("M", (), {"kind": "start"})()) == 0
 
 

@@ -44,9 +44,8 @@ workload_st = st.lists(
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(workload=workload_st)
 def test_every_delivery_is_within_table1_bound(protocol, workload):
-    sched, _net, config, processes = build_bare_system(
-        protocol, N_GROUPS, GROUP_SIZE, delta_ms=DELTA_MS
-    )
+    system = build_bare_system(protocol, N_GROUPS, GROUP_SIZE, delta_ms=DELTA_MS)
+    sched, config, processes = system.scheduler, system.config, system.processes
     submitted = {}
 
     def submit(sender, dest):

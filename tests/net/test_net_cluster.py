@@ -216,16 +216,16 @@ def test_plan_client_issues_the_same_plan_in_the_same_order_on_both_backends(tmp
     result = _run(ClusterSpec(n_messages=8, seed=5), tmp_path)
     topology = result.topology
     (plan,) = topology.client_plans()
-    scheduler, _, _, procs = build_bare_system(
+    system = build_bare_system(
         "primcast", topology.n_groups, topology.group_size, delta_ms=1.0
     )
     on_sim = []
     client = PlanClient(
-        procs[0], scheduler, 0, plan,
+        system.processes[0], system.scheduler, 0, plan,
         on_submit=lambda mid, dests, now: on_sim.append((mid, dests)),
     )
     client.start()
-    scheduler.run(until=10_000_000.0)
+    system.scheduler.run(until=10_000_000.0)
     on_net = [
         (row["mid"], frozenset(row["dest"]))
         for row in read_jsonl(tmp_path / "submit-0.jsonl")
@@ -233,7 +233,7 @@ def test_plan_client_issues_the_same_plan_in_the_same_order_on_both_backends(tmp
     assert on_sim == on_net == [((0, i), dests) for i, dests in enumerate(plan)]
     assert len(client.latencies) == 8 and client.next == 8
     # One outstanding: message i+1 left only after message i came back.
-    payloads = [m.payload for _mid, m, _final in procs[0].t_list]
+    payloads = [m.payload for _mid, m, _final in system.processes[0].t_list]
     assert payloads == [{"c": 0, "i": i} for i in range(8)]
 
 

@@ -41,18 +41,3 @@ def test_no_duplicate_groups_in_destination():
 def test_all_groups_destination_includes_everyone():
     client = make_client(n_dest=8)
     assert client._pick_dest() == set(range(8))
-
-
-def test_payload_passed_through():
-    scenario = lan_scenario(n_groups=2, group_size=3)
-    system = build_system("primcast", scenario, cost_model=zero_cost_model())
-    client = Client(
-        system.processes[0], 1, 2, 1, random.Random(0), payload={"op": "x"}
-    )
-    client.start()
-    system.scheduler.run(until=5.0)
-    # The replica delivered its own message; the payload survived.
-    delivered = system.processes[0].delivery_log
-    assert delivered
-    mid = delivered[0][0]
-    assert system.processes[0].started[mid].payload == {"op": "x"}
