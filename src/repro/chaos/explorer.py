@@ -72,10 +72,10 @@ def _deliver_on_decision(proc: PrimCastProcess) -> None:
     def try_deliver() -> None:
         if proc.role not in (PRIMARY, FOLLOWER):
             return
-        proc._order_blocked = True
         queue = proc.queue  # an epoch change replaces it
         while queue._commit_heap:
             proc._deliver(*queue._pop_head())
+        queue.lifted = False  # an empty commit heap: the next commit lifts it
 
     proc._try_deliver = try_deliver  # type: ignore[method-assign]
 

@@ -18,6 +18,12 @@ carry it:
 Work per event is O(log P) in the P pending messages, and delivery
 forgets a mid with both its heap entries: the queue holds pending
 messages only.
+
+The queue also remembers where its last :meth:`~DeliveryQueue.pop_deliverable`
+stopped, so a caller can skip an attempt that must find the same stop:
+``at_clock_guard`` (only a larger clock lifts it), ``blocker`` (the
+pending message whose bound held the head back at line 30: only a rise
+of that bound lifts it) and ``lifted`` (a commit became the head since).
 """
 
 from __future__ import annotations
@@ -48,6 +54,15 @@ class DeliveryQueue:
         #: True iff the last :meth:`pop_deliverable` stopped at the clock
         #: guard: the one stop a larger clock can lift.
         self.at_clock_guard = False
+        #: The mid whose ``(bound, mid)`` held the head back at line 30
+        #: in the last :meth:`pop_deliverable`, else None. That stop
+        #: lifts only when this bound rises or a new head is committed.
+        self.blocker: Optional[MessageId] = None
+        #: True while a pop may get past the last stop without a larger
+        #: clock: set by a commit that becomes the head (or fills an
+        #: empty heap) and by the caller when the blocker's bound rises;
+        #: a new queue has no stop yet. Every pop clears it.
+        self.lifted = True
         self._committed: Set[MessageId] = set()
         self._commit_heap: List[Entry] = []
         self._bound_heap: List[Entry] = []
@@ -64,7 +79,11 @@ class DeliveryQueue:
         no-op for a mid that is not pending or committed already."""
         if mid in self.pending and mid not in self._committed:
             self._committed.add(mid)
-            heapq.heappush(self._commit_heap, (final_ts, mid))
+            entry = (final_ts, mid)
+            heap = self._commit_heap
+            heapq.heappush(heap, entry)
+            if heap[0] is entry:
+                self.lifted = True
 
     def is_committed(self, mid: MessageId) -> bool:
         return mid in self._committed
@@ -105,6 +124,8 @@ class DeliveryQueue:
         committed message is held back, so is every other.
         """
         self.at_clock_guard = False
+        self.blocker = None
+        self.lifted = False
         heap = self._commit_heap
         if not heap:
             return None
@@ -116,6 +137,7 @@ class DeliveryQueue:
         if other is not None and (final, mid) >= other:
             if own is not None:
                 heapq.heappush(self._bound_heap, own)
+            self.blocker = other[1]
             return None
         return self._pop_head()
 

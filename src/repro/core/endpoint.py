@@ -107,16 +107,15 @@ class GroupProtocolProcess(RMcastProcess):
         """a-deliver ``mid``, which :attr:`queue` released; override."""
         raise NotImplementedError
 
-    def _deliver_ready(self, clock: int) -> bool:
+    def _deliver_ready(self, clock: int) -> None:
         """a-deliver, in ``(final-ts, mid)`` order, every message
-        :attr:`queue` releases at ``clock``. True iff it stopped at the
-        clock guard, the one stop a larger clock can lift."""
+        :attr:`queue` releases at ``clock``; the queue keeps where it
+        stopped (``at_clock_guard``, ``blocker``)."""
         queue = self.queue
         popped = queue.pop_deliverable(clock)
         while popped is not None:
             self._deliver(*popped)
             popped = queue.pop_deliverable(clock)
-        return queue.at_clock_guard
 
     def add_deliver_hook(self, hook: DeliverHook) -> None:
         """Register ``hook(process, multicast, final_ts)`` on a-deliver."""

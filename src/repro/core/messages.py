@@ -16,9 +16,10 @@ PrimCast's throughput today; header-only follower acks are ROADMAP
 item 5, sized at wire bytes and sender copies. What an ack costs its
 *receiver* is the other half of §7.1's argument, and it is paid per
 decision, not per ack: a ``Batch`` of acks is handled in one loop
-(``RMcastProcess.on_message``) and an ack that only moves a clock
-re-attempts delivery only if the last attempt stopped at the delivery
-queue's clock guard (``_order_blocked``, DESIGN.md §9).
+(``RMcastProcess.on_message``) and an ack re-attempts delivery only if
+it can lift the delivery queue's last stop: a clock that moved past
+its clock guard, a decision for its line-30 ``blocker``, or a commit
+that became its head (``DeliveryQueue.lifted``, DESIGN.md §9).
 """
 
 from __future__ import annotations

@@ -155,15 +155,14 @@ class PrimCastProcess(GroupProtocolProcess):
         # --- delivery bookkeeping ---
         # ``self.queue`` (the endpoint's DeliveryQueue) holds the pending
         # messages — in T, not delivered — bounded by _min_bound.
+        # Delivery gate: a trigger (an ack that decided a local ts or
+        # moved a clock, a bump that moved one) attempts delivery only if
+        # ``queue.lifted or (clock moved and queue.at_clock_guard)``: the
+        # last stop is then one the trigger can lift. The queue sets
+        # ``lifted`` when a commit becomes its head; _on_ack sets it when
+        # the decided mid is the queue's line-30 ``blocker``; a new queue
+        # starts lifted. DESIGN.md §9.
         self._final_cache: Dict[MessageId, int] = {}
-        # Delivery gate: True while the last _try_deliver ended at a stop
-        # no clock observation can lift — line 30, or no decided final
-        # among the pending. Both depend only on the queue, whose bounds
-        # hold no clock term (see _min_bound), so the clock-only call
-        # sites skip their attempt until something a decision feeds
-        # clears the flag: a local or final timestamp decided, a final
-        # committed, T installed, an epoch activated.
-        self._order_blocked = False
 
         # Cached quorum-clock() value; invalidated whenever the clock
         # observations it derives from change (see quorum_clock()).
@@ -385,7 +384,6 @@ class PrimCastProcess(GroupProtocolProcess):
         final = self._final_cache.get(mid)
         if final is not None:
             self.queue.commit(mid, final)
-            self._order_blocked = False
         else:
             # Computes, caches and commits the final timestamp if all
             # local timestamps happen to be decided already.
@@ -474,16 +472,18 @@ class PrimCastProcess(GroupProtocolProcess):
                 # The piggybacked start makes m proposable (line 35).
                 self._propose(multicast)
         if decided_now:
-            # Cache (and enqueue for delivery) the final timestamp as
+            # Cache (and commit for delivery) the final timestamp as
             # soon as the last local timestamp is decided.
             self.final_ts(mid)
             if "ack_quorum" in self.probed:
                 self._probe("ack_quorum", mid)
-            # A decided local ts moves m's key in the min-heap.
-            self._order_blocked = False
-            self._try_deliver()
-        elif changed and not self._order_blocked:
-            self._try_deliver()
+            if mid == self.queue.blocker:
+                # m's bound, which held the head back at line 30, rose.
+                self.queue.lifted = True
+        if decided_now or changed:
+            queue = self.queue
+            if queue.lifted or (changed and queue.at_clock_guard):
+                self._try_deliver()
 
     def _on_bump(self, origin: int, bump: Bump) -> None:
         """Lines 51-52: record the clock observation."""
@@ -492,7 +492,8 @@ class PrimCastProcess(GroupProtocolProcess):
             self._peer_dp[bump.sender] = rep
         if self.clocks.observe(self.e_cur, bump.epoch, bump.ts, bump.sender):
             self._qclock_cache = None
-            if not self._order_blocked:
+            queue = self.queue
+            if queue.lifted or queue.at_clock_guard:
                 self._try_deliver()
 
     # ------------------------------------------------------------------
@@ -524,7 +525,6 @@ class PrimCastProcess(GroupProtocolProcess):
         self._final_cache[mid] = final
         if mid in self.queue.pending:
             self.queue.commit(mid, final)
-            self._order_blocked = False
         return final
 
     def local_ts(self, mid: MessageId, gid: int) -> Optional[int]:
@@ -607,17 +607,15 @@ class PrimCastProcess(GroupProtocolProcess):
         """Deliver every message whose ``deliverable`` predicate holds.
 
         The queue's clock is ``min(leader-clock, quorum-clock)``: lines
-        28-29 hold iff the final timestamp is at or below both. Ends
-        with ``_order_blocked`` set unless it stopped at that clock
-        guard (or the role forbids delivery): the only stops a later
-        clock observation can lift.
+        28-29 hold iff the final timestamp is at or below both. The
+        queue records where it stopped, which gates the next attempt.
+        Under a role that forbids delivery it returns before any pop,
+        leaving that record as it was; activation attempts anyway.
         """
         if self.role not in (PRIMARY, FOLLOWER):
             return
         clock = min(self.clocks.values.get(self.e_cur.leader, 0), self.quorum_clock())
-        self._order_blocked = True  # until the clock guard says otherwise
-        if self._deliver_ready(clock):
-            self._order_blocked = False
+        self._deliver_ready(clock)
 
     def _deliver(self, mid: MessageId, final: int) -> None:
         """Lines 54-56."""
@@ -707,12 +705,11 @@ class PrimCastProcess(GroupProtocolProcess):
         for _, multicast, _ in self.t_list:
             self.started.setdefault(multicast.mid, multicast)
         # A fresh delivery queue over the new T (its timestamps, which
-        # the bounds read, may have changed).
+        # the bounds read, may have changed); it starts lifted.
         self.queue = DeliveryQueue(self._min_bound)
         for mid, (_, ts) in sorted(self.t_by_mid.items()):
             if mid not in self.delivered:
                 self._enqueue(mid, ts)
-        self._order_blocked = False
         self.e_cur = msg.epoch
         self.clocks.advance_epoch(self.e_cur)
         self._qclock_cache = None
@@ -752,5 +749,4 @@ class PrimCastProcess(GroupProtocolProcess):
             for multicast in list(self.started.values()):
                 if self._proposable(multicast):
                     self._propose(multicast)
-        self._order_blocked = False
         self._try_deliver()

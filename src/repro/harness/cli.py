@@ -25,6 +25,7 @@ an unrelated edit is instant and any source change re-simulates.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -176,6 +177,24 @@ def cmd_figure5(args: argparse.Namespace) -> None:
         print(f"\nwrote {args.csv}")
 
 
+def non_negative_ms(text: str) -> float:
+    """The argparse ``type`` of ``point --warmup``: below 0 (or not
+    finite) is a usage error (exit 2)."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number of ms >= 0, got {text}")
+    return value
+
+
+def positive_ms(text: str) -> float:
+    """The argparse ``type`` of ``point --measure``: 0 or below (or not
+    finite) is a usage error (exit 2)."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number of ms > 0, got {text}")
+    return value
+
+
 def cmd_point(args: argparse.Namespace) -> None:
     scenario = SCENARIOS[args.scenario]()
     result = run_load_point(
@@ -243,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--scenario", choices=sorted(SCENARIOS), required=True)
     pp.add_argument("--dests", type=positive_int, default=2)
     pp.add_argument("--outstanding", type=positive_int, default=4)
-    pp.add_argument("--warmup", type=float, default=500.0)
-    pp.add_argument("--measure", type=float, default=1000.0)
+    pp.add_argument("--warmup", type=non_negative_ms, default=500.0)
+    pp.add_argument("--measure", type=positive_ms, default=1000.0)
     pp.add_argument("--seed", type=int, default=1)
     pp.set_defaults(fn=cmd_point)
     return parser

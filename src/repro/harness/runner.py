@@ -11,6 +11,7 @@ client, from submission to a-delivery at its replica — both exactly as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -237,8 +238,14 @@ def run_load_point(
     """Run one (protocol, scenario, destinations, load) point.
 
     Clients issue messages from t=0; samples delivered inside
-    ``[warmup_ms, warmup_ms + measure_ms)`` are counted.
+    ``[warmup_ms, warmup_ms + measure_ms)`` are counted. A negative
+    ``warmup_ms`` or a ``measure_ms`` of 0 or below (or either not
+    finite) is a ``ValueError``.
     """
+    if not 0.0 <= warmup_ms < math.inf:
+        raise ValueError(f"warmup_ms must be finite and >= 0, got {warmup_ms}")
+    if not 0.0 < measure_ms < math.inf:
+        raise ValueError(f"measure_ms must be finite and > 0, got {measure_ms}")
     system = build_system(
         protocol,
         scenario,

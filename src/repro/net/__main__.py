@@ -16,8 +16,9 @@
   ``truncate-*.jsonl`` logs against those delivery logs).
 
 An invalid cluster spec (``--groups 0``, ``--kill -1``, ``open
---clients 0``, ...) prints ``error: <reason>`` and exits 2 before any
-node starts; exit 1 always means a run or a check FAILED.
+--clients 0``, ``--messages 0``, ``open --rate -5``, ...) prints
+``error: <reason>`` and exits 2 before any node starts; exit 1 always
+means a run or a check FAILED.
 """
 
 from __future__ import annotations
@@ -192,6 +193,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_node(args)
     spec = _spec_from_args(args)
     try:
+        # A spec may carry no messages (a bench cluster's own driver
+        # submits them); a command-line run that checks nothing may not.
+        if args.messages < 1:
+            raise ValueError(f"--messages must be at least 1, got {args.messages}")
         spec.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -357,6 +357,10 @@ class ClusterSpec:
             raise ValueError(f"unknown codec {self.codec!r}")
         if self.driver_mode not in ("seq", "open"):
             raise ValueError(f"unknown driver mode {self.driver_mode!r}")
+        if self.n_messages < 0:
+            raise ValueError(f"n_messages must be non-negative, got {self.n_messages}")
+        if not self.rate_hz >= 0:
+            raise ValueError(f"rate_hz must be non-negative, got {self.rate_hz}")
         # Each node rejects these at start (Ω, rmcast, its own deadline).
         if self.suspect_ms <= 0:
             raise ValueError(f"suspect_ms must be positive, got {self.suspect_ms}")

@@ -182,13 +182,11 @@ class FifoReliableMulticast:
                 send(dst, env)
             return
         if owner._in_handler and not owner.crashed:
-            # Fast path: sends from inside a handler only append to the
-            # owner's outgoing queue — skip the per-destination
-            # ``send()`` frame (this loop runs for every multicast of
-            # every protocol).
-            append = owner._outgoing.append
-            for dst in dests:
-                append((dst, env))
+            # Fast path: sends from inside a handler only queue on the
+            # owner's CPU — one ``(dests, env)`` entry for the whole
+            # fan-out instead of a ``send()`` per destination (this runs
+            # for every multicast of every protocol).
+            owner._outgoing.append((dests, env))
             return
         for dst in dests:
             send(dst, env)

@@ -58,7 +58,10 @@ class SimProcess:
         self.busy_until = 0.0
         self._inbox: Deque[Tuple[Any, ...]] = deque()
         self._serving = False
-        self._outgoing: List[Tuple[int, Any]] = []
+        # The current handler's sends, one ``(destinations, msg)`` entry
+        # per send call: an r-multicast appends its whole destination
+        # tuple once (``repro.rmcast.fifo``), a ``send`` a 1-tuple.
+        self._outgoing: List[Tuple[Tuple[int, ...], Any]] = []
         self._in_handler = False
         # Pre-bound hot callbacks: the network and the event loop fetch
         # these without creating a fresh bound-method object per event
@@ -98,7 +101,7 @@ class SimProcess:
         if self.crashed:
             return
         if self._in_handler:
-            self._outgoing.append((dst, msg))
+            self._outgoing.append(((dst,), msg))
         else:
             # Sent from outside the CPU loop (e.g. test drivers): charge
             # the send cost and transmit right away.
@@ -185,11 +188,16 @@ class SimProcess:
         if outgoing:
             send_costs = self._send_costs
             default_send = self._default_send
-            for _, out_msg in outgoing:
+            for dsts, out_msg in outgoing:
                 try:
-                    cost += send_costs.get(out_msg.kind, default_send)
+                    each = send_costs.get(out_msg.kind, default_send)
                 except AttributeError:
-                    cost += default_send
+                    each = default_send
+                # One addition per destination, in send order: the sum
+                # rounds exactly as charging each copy on its own does
+                # (``each * len(dsts)`` would not).
+                for _ in dsts:
+                    cost += each
         sched = self.scheduler
         completion = sched.now + cost
         self.busy_until = completion
@@ -197,8 +205,9 @@ class SimProcess:
             if outgoing:
                 transmit = self._transmit_cb
                 pid = self.pid
-                for dst, out_msg in outgoing:
-                    transmit(pid, dst, out_msg, completion)
+                for dsts, out_msg in outgoing:
+                    for dst in dsts:
+                        transmit(pid, dst, out_msg, completion)
             if self._inbox:
                 # completion = now + cost >= now: past-check elided.
                 heappush(sched._heap, (completion, sched._seq, self._serve_cb, ()))

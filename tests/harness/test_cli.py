@@ -90,6 +90,45 @@ def test_count_below_one_is_a_usage_error(argv, capsys):
     assert f"{argv[-2]}: must be at least 1, got {argv[-1]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--measure", "0", "must be a finite number of ms > 0, got 0"),
+        ("--measure", "-100", "must be a finite number of ms > 0, got -100"),
+        ("--measure", "inf", "must be a finite number of ms > 0, got inf"),
+        ("--warmup", "-5", "must be a finite number of ms >= 0, got -5"),
+        ("--warmup", "nan", "must be a finite number of ms >= 0, got nan"),
+    ],
+    ids=["measure-0", "measure-minus-100", "measure-inf", "warmup-minus-5", "warmup-nan"],
+)
+def test_a_bad_duration_is_a_usage_error(flag, value, message, capsys):
+    # Before this check ``--measure 0`` died in a ZeroDivisionError and
+    # ``--measure -100`` printed a 0-sample row; both now exit 2 unrun.
+    argv = ["point", "--protocol", "primcast", "--scenario", "lan", flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{flag}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "warmup_ms,measure_ms", [(0.0, 0.0), (50.0, -100.0), (-5.0, 10.0)]
+)
+def test_run_load_point_rejects_a_bad_window(warmup_ms, measure_ms):
+    from repro.harness.runner import run_load_point
+    from repro.workload.scenarios import lan_scenario
+
+    with pytest.raises(ValueError, match="_ms must be finite"):
+        run_load_point("primcast", lan_scenario(), 1, 1,
+                       warmup_ms=warmup_ms, measure_ms=measure_ms)
+
+
+def test_a_zero_warmup_is_a_valid_point(capsys):
+    assert main(["point", "--protocol", "primcast", "--scenario", "lan",
+                 "--warmup", "0", "--measure", "5"]) == 0
+    assert "primcast" in capsys.readouterr().out
+
+
 def test_executor_flag_defaults_are_serial_with_cache():
     from repro.harness.cache import DEFAULT_CACHE_DIR
 

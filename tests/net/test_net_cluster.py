@@ -438,16 +438,34 @@ def test_cluster_spec_validation():
         ClusterSpec(window=1, rate_hz=50.0, **one).validate()
 
 
+def test_cluster_spec_rejects_negative_counts_and_rates():
+    # n_messages=0 stays a valid spec: a bench cluster boots its nodes
+    # with no built-in workload and drives them itself.
+    ClusterSpec(n_groups=2, group_size=3, n_messages=0).validate()
+    with pytest.raises(ValueError, match="n_messages must be non-negative, got -1"):
+        ClusterSpec(n_groups=2, group_size=3, n_messages=-1).validate()
+    for rate in (-5.0, float("nan")):
+        with pytest.raises(ValueError, match="rate_hz must be non-negative"):
+            ClusterSpec(
+                n_groups=2, group_size=3, n_messages=4, driver_mode="open", rate_hz=rate
+            ).validate()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["diff", "--groups", "0"], ["diff", "--kill", "-1"], ["open", "--clients", "0"],
         ["diff", "--suspect-ms", "0"], ["diff", "--batching-ms", "-1"],
         ["open", "--timeout", "0"],
+        # A run that checks nothing must not pass.
+        ["diff", "--messages", "0"], ["diff", "--messages", "-3"],
+        ["cluster", "--messages", "-1"], ["open", "--rate", "-5"],
     ],
     ids=[
         "groups-0", "kill-minus-1", "open-clients-0",
         "suspect-ms-0", "batching-ms-minus-1", "timeout-0",
+        "diff-messages-0", "diff-messages-minus-3", "cluster-messages-minus-1",
+        "open-rate-minus-5",
     ],
 )
 def test_an_invalid_spec_exits_2_before_any_node_starts(tmp_path, capsys, argv):

@@ -445,3 +445,98 @@ def test_channel_heads_match_one_heap_reference(sc):
     ref_log, ref_events = _replay(OneHeapNetwork, sc)
     assert log == ref_log
     assert events == ref_events
+
+
+class Fanout(SimProcess):
+    """Runs ``plans[hops % len(plans)]`` on every receipt while hops
+    last: each step is a multicast to several pids, queued as one
+    ``(destinations, msg)`` CPU entry the way an r-multicast queues it,
+    or a single ``send``. Appends each receipt to a shared log."""
+
+    def __init__(self, log, plans, *args):
+        super().__init__(*args)
+        self.log = log
+        self.plans = plans
+
+    def multicast(self, dests, msg):
+        self._outgoing.append((tuple(dests), msg))
+
+    def run_plan(self, hops, tag):
+        n = len(self.network.processes)
+        for step, (op, dsts, kind) in enumerate(self.plans[hops % len(self.plans)]):
+            msg = Msg(kind, (hops - 1, tag, step))
+            if op == "mcast":
+                self.multicast([d % n for d in dsts], msg)
+            else:
+                self.send(dsts[0] % n, msg)
+
+    def on_message(self, src, msg):
+        hops, tag, _ = msg.tag
+        self.log.append((self.scheduler.now, self.pid, src, msg.tag))
+        if hops > 0:
+            self.run_plan(hops, tag)
+
+
+class PerCopyFanout(Fanout):
+    """Reference: the same multicast queued as one ``(dst, msg)`` entry
+    per destination."""
+
+    def multicast(self, dests, msg):
+        for dst in dests:
+            self.send(dst, msg)
+
+
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["mcast", "send"]),
+        st.lists(_pid, min_size=1, max_size=6),
+        st.sampled_from(["a", "b", "c"]),
+    ),
+    max_size=4,
+)
+
+
+def _fan_out(process_cls, sc):
+    sched = Scheduler()
+    net = Network(sched, JitteredLatency(2.0, 0.5), child_rng(sc["seed"], "net"))
+    # Costs with no exact binary form: summing a multicast's copies one
+    # by one and multiplying once round apart.
+    cost = CostModel(
+        recv_costs={"a": 0.1, "b": 0.3}, send_costs={"a": 0.1, "b": 0.3},
+        default_recv=0.7, default_send=0.7,
+    )
+    log, departures = [], []
+
+    def record(src, dst, msg, depart):
+        departures.append((src, dst, msg.tag, depart, sched._seq))
+        return depart
+
+    net.add_transmit_interceptor(record)
+    procs = [process_cls(log, sc["plans"], pid, sched, net, cost) for pid in range(sc["n"])]
+    for i, (t, src, hops) in enumerate(sc["starts"]):
+        proc = procs[src % sc["n"]]
+        sched.call_at(t, proc.post_job, lambda proc=proc, hops=hops, i=i: proc.run_plan(hops, i))
+    sched.run()
+    return log, departures, sched.events_processed
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({
+    "n": st.integers(2, 5),
+    "seed": st.integers(0, 2**16),
+    "plans": st.lists(_steps, min_size=1, max_size=4),
+    # (time, pid, hops) of each posted job that runs a plan
+    "starts": st.lists(
+        st.tuples(st.integers(0, 10).map(float), _pid, st.integers(1, 4)),
+        min_size=1, max_size=6,
+    ),
+}))
+def test_one_entry_per_multicast_matches_one_entry_per_copy(sc):
+    """A multicast's copies leave with the completion time, the
+    ``(arrival, seq)`` keys and the per-channel order they have when
+    every copy is its own CPU-queue entry."""
+    log, departures, events = _fan_out(Fanout, sc)
+    ref_log, ref_departures, ref_events = _fan_out(PerCopyFanout, sc)
+    assert departures == ref_departures
+    assert log == ref_log
+    assert events == ref_events
