@@ -1,26 +1,18 @@
 """Framework primitives for the repro static-analysis pass.
 
-The pass is a set of small AST rules, each checking one determinism or
-scheduler-context hazard that the runtime monitors
-(:mod:`repro.verify.invariants`) could only catch after the fact — or
-not at all, when the hazard happens to be latent on the tested schedules.
+The pass is a set of small AST rules, each checking one determinism
+hazard that the goldens could only catch after the fact — or not at
+all, when the hazard happens to be latent on the tested schedules.
 Rules are registered in a module-level registry keyed by rule id
-(``DET0xx`` for determinism, ``RACE2xx`` for scheduler context) and
-run by :mod:`repro.analysis.engine` over parsed source modules.
-
-A rule yields :class:`Finding` objects; the engine filters them through
-the per-rule allowlist of the active
-:class:`~repro.analysis.config.AnalysisConfig`.
+(``DET0xx``) and run by :mod:`repro.analysis.engine` over parsed source
+modules; a rule yields :class:`Finding` objects.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Type
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .config import AnalysisConfig
+from typing import Dict, Iterable, Iterator, List, Type
 
 
 @dataclass(frozen=True)
@@ -32,8 +24,7 @@ class Finding:
     line: int
     col: int
     message: str
-    #: ``module::qualname`` of the enclosing scope — the key the
-    #: allowlist matches against (see ``AnalysisConfig.is_allowed``).
+    #: ``module::qualname`` of the enclosing scope.
     context: str
 
     def format(self) -> str:
@@ -60,17 +51,17 @@ class Rule:
     """Base class for all analysis rules.
 
     Subclasses set the class attributes and implement :meth:`check`;
-    each family narrows :meth:`applies_to` to its configured scope.
+    each family narrows :meth:`applies_to` to its scope.
     """
 
     rule_id: str = ""
     title: str = ""
 
-    def applies_to(self, module: str, config: "AnalysisConfig") -> bool:
+    def applies_to(self, module: str) -> bool:
         """True when ``module`` falls inside this rule's scope."""
         return True
 
-    def check(self, mod: ModuleInfo, config: "AnalysisConfig") -> Iterator[Finding]:
+    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
         """Yield every violation of this rule in ``mod``."""
         raise NotImplementedError
 
@@ -110,9 +101,8 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 class ContextVisitor(ast.NodeVisitor):
     """Node visitor tracking the enclosing class/function qualname.
 
-    Rules subclass this to report the scope a violation occurred in; the
-    allowlist matches against ``module::qualname`` strings built from
-    :attr:`context`.
+    Rules subclass this to report the scope a violation occurred in
+    (``module::qualname`` strings built from :attr:`context`).
     """
 
     def __init__(self) -> None:

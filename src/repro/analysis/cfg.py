@@ -1,9 +1,8 @@
 """Intra-procedural control-flow graphs over ``ast`` function bodies.
 
-The flow-sensitive rules (RACE2xx, the ordered-provenance form of
-DET002) need *paths*, not just syntax: "a mutation after a send on the
-same path" or "a value proven sorted on every path reaching this loop"
-are statements about control flow. This module builds a conventional
+The ordered-provenance form of DET002 needs *paths*, not just syntax:
+"a value proven sorted on every path reaching this loop" is a
+statement about control flow. This module builds a conventional
 basic-block CFG for one function:
 
 * **Block entries** are statements *or* the expression parts of control
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 #: What a basic block holds: plain statements, header expressions, or
 #: (for loop headers) the ``ast.For`` / ``ast.AsyncFor`` node itself.
@@ -371,30 +370,23 @@ def iter_child_expressions(entry: CFGEntry) -> List[ast.AST]:
     return out
 
 
-def iter_functions(
-    tree: ast.Module,
-) -> List[Tuple[str, FunctionNode, Optional[str]]]:
-    """Every function in a module, with qualname and enclosing class.
+def iter_functions(tree: ast.Module) -> List[Tuple[str, FunctionNode]]:
+    """Every function in a module as ``(qualname, node)``, nested ones
+    included. Deterministic: syntactic order."""
+    out: List[Tuple[str, FunctionNode]] = []
 
-    Yields ``(qualname, node, class_name)`` where ``class_name`` is the
-    *immediately* enclosing class (None for free / nested functions) —
-    the granularity the effect summaries and RACE rules key on.
-    Deterministic: syntactic order.
-    """
-    out: List[Tuple[str, FunctionNode, Optional[str]]] = []
-
-    def walk(node: ast.AST, prefix: str, cls: Optional[str]) -> None:
+    def walk(node: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{prefix}{child.name}"
-                out.append((qual, child, cls))
-                walk(child, f"{qual}.", None)
+                out.append((qual, child))
+                walk(child, f"{qual}.")
             elif isinstance(child, ast.ClassDef):
-                walk(child, f"{prefix}{child.name}.", child.name)
+                walk(child, f"{prefix}{child.name}.")
             else:
-                # Prefix/class only change at def/class boundaries, so
+                # The prefix only changes at def/class boundaries, so
                 # plain recursion finds defs under loops, withs, tries…
-                walk(child, prefix, cls)
+                walk(child, prefix)
 
-    walk(tree, "", None)
+    walk(tree, "")
     return out

@@ -15,15 +15,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .base import RULES
-from .config import DEFAULT_CONFIG, AnalysisConfig
 from .engine import AnalysisError, analyze_paths, iter_python_files
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Determinism & scheduler-context static analysis for the "
-        "PrimCast reproduction.",
+        description="Determinism static analysis for the PrimCast reproduction.",
     )
     parser.add_argument(
         "paths",
@@ -42,11 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="run only the given rule id (repeatable)",
     )
-    parser.add_argument(
-        "--no-default-allow",
-        action="store_true",
-        help="ignore the built-in allowlist (show reviewed exemptions too)",
-    )
     return parser
 
 
@@ -59,10 +52,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule_id}  {RULES[rule_id].title}")
         return 0
 
-    config: AnalysisConfig = DEFAULT_CONFIG
-    if args.no_default_allow:
-        config = AnalysisConfig(allow={})
-
     rules = None
     if args.rule:
         unknown = [r for r in args.rule if r not in RULES]
@@ -74,7 +63,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     paths = [Path(p) for p in args.paths]
     try:
         files = iter_python_files(paths)
-        findings = analyze_paths(paths, config, rules)
+        findings = analyze_paths(paths, rules)
     except (FileNotFoundError, SyntaxError, AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,14 +25,18 @@ at review time instead of test time:
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple, Union
+from typing import Iterator, List, Optional, Set, Tuple, Union
 
 from .base import ContextVisitor, Finding, ModuleInfo, Rule, in_scope, register
 from .cfg import CFGEntry, build_cfg, iter_child_expressions, iter_functions
+from .config import (
+    DET_SCOPE,
+    EMISSION_CALLS,
+    FLOAT_TIME_ATTRS,
+    FLOAT_TIME_NAMES,
+    KNOWN_SET_ATTRS,
+)
 from .dataflow import ForwardAnalysis, analyze
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .config import AnalysisConfig
 
 #: Wall-clock functions of the ``time`` module.
 _TIME_FUNCS = frozenset(
@@ -142,10 +146,10 @@ class _Det001Visitor(ContextVisitor):
 
 
 class _DetRule(Rule):
-    """Shared scoping: DET rules run over the configured determinism scope."""
+    """Shared scoping: DET rules run over the determinism scope."""
 
-    def applies_to(self, module: str, config: "AnalysisConfig") -> bool:
-        return in_scope(module, config.det_scope)
+    def applies_to(self, module: str) -> bool:
+        return in_scope(module, DET_SCOPE)
 
 
 @register
@@ -153,7 +157,7 @@ class NoAmbientNondeterminism(_DetRule):
     rule_id = "DET001"
     title = "no ambient randomness or wall-clock reads on the event path"
 
-    def check(self, mod: ModuleInfo, config: "AnalysisConfig") -> Iterator[Finding]:
+    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
         visitor = _Det001Visitor(self, mod)
         visitor.visit(mod.tree)
         return iter(visitor.findings)
@@ -369,7 +373,7 @@ class NoUnsortedSetIterationOnEmissionPaths(_DetRule):
 
     Runs the ordered-provenance dataflow over every function in an
     emission context, so ``x = sorted(self.pending)`` followed by
-    ``for m in x`` is proven clean (no allowlisting needed), while
+    ``for m in x`` is proven clean, while
     ``x = self.pending`` followed by ``for m in x`` is caught even
     though ``x`` itself is never annotated as a set.
     """
@@ -377,21 +381,19 @@ class NoUnsortedSetIterationOnEmissionPaths(_DetRule):
     rule_id = "DET002"
     title = "no unsorted set/dict-keys iteration where messages are emitted"
 
-    def check(self, mod: ModuleInfo, config: "AnalysisConfig") -> Iterator[Finding]:
+    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
         collector = _SetTypeCollector()
         collector.visit(mod.tree)
-        set_attrs = collector.attrs | set(config.known_set_attrs)
-        emission = set(config.emission_calls)
+        set_attrs = collector.attrs | set(KNOWN_SET_ATTRS)
+        emission = set(EMISSION_CALLS)
         findings: List[Finding] = []
 
         functions = iter_functions(mod.tree)
         # A function is in emission context when its own body (incl.
         # nested defs — ast.walk) emits, or any enclosing function does.
-        emitting = {
-            qual for qual, node, _cls in functions if _function_emits(node, emission)
-        }
+        emitting = {qual for qual, node in functions if _function_emits(node, emission)}
 
-        for qualname, node, _cls in functions:
+        for qualname, node in functions:
             active = qualname in emitting or any(
                 qualname.startswith(parent + ".") for parent in emitting
             )
@@ -489,7 +491,7 @@ class NoIdentityOrdering(_DetRule):
     rule_id = "DET003"
     title = "no ordering by id() or default hash()"
 
-    def check(self, mod: ModuleInfo, config: "AnalysisConfig") -> Iterator[Finding]:
+    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
         visitor = _Det003Visitor(self, mod)
         visitor.visit(mod.tree)
         return iter(visitor.findings)
@@ -546,12 +548,9 @@ class NoFloatTimestampEquality(_DetRule):
     rule_id = "DET004"
     title = "no ==/!= on simulated wall-clock floats"
 
-    def check(self, mod: ModuleInfo, config: "AnalysisConfig") -> Iterator[Finding]:
+    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
         visitor = _Det004Visitor(
-            self,
-            mod,
-            set(config.float_time_attrs),
-            set(config.float_time_names),
+            self, mod, set(FLOAT_TIME_ATTRS), set(FLOAT_TIME_NAMES)
         )
         visitor.visit(mod.tree)
         return iter(visitor.findings)

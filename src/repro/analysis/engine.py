@@ -1,10 +1,10 @@
 """Analysis driver: file discovery, module naming, rule execution.
 
 The engine turns paths into :class:`~repro.analysis.base.ModuleInfo`
-records, runs every registered rule whose scope matches, then applies
-the config's allowlist. Findings come back sorted
-by ``(path, line, rule)`` so output is stable across runs and platforms
-— the analysis tool holds itself to the determinism policy it enforces.
+records and runs every registered rule whose scope matches. Findings
+come back sorted by ``(path, line, rule)`` so output is stable across
+runs and platforms — the analysis tool holds itself to the determinism
+policy it enforces.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
 from .base import RULES, Finding, ModuleInfo, Rule
-from .config import DEFAULT_CONFIG, AnalysisConfig
 
 
 class AnalysisError(Exception):
@@ -74,34 +73,28 @@ def load_module(path: Path) -> ModuleInfo:
 
 
 def analyze_module(
-    mod: ModuleInfo,
-    config: AnalysisConfig = DEFAULT_CONFIG,
-    rules: Optional[Iterable[Rule]] = None,
+    mod: ModuleInfo, rules: Optional[Iterable[Rule]] = None
 ) -> List[Finding]:
-    """Run rules over one parsed module, applying the allowlist."""
+    """Run rules over one parsed module."""
     active = list(rules) if rules is not None else list(RULES.values())
     findings: List[Finding] = []
     for rule in active:
-        if not rule.applies_to(mod.module, config):
+        if not rule.applies_to(mod.module):
             continue
         try:
-            for finding in rule.check(mod, config):
-                if not config.is_allowed(finding.rule, finding.context):
-                    findings.append(finding)
+            findings.extend(rule.check(mod))
         except Exception as exc:
             raise AnalysisError(mod.path, rule.rule_id, exc) from exc
     return findings
 
 
 def analyze_paths(
-    paths: Sequence[Path],
-    config: AnalysisConfig = DEFAULT_CONFIG,
-    rules: Optional[Iterable[Rule]] = None,
+    paths: Sequence[Path], rules: Optional[Iterable[Rule]] = None
 ) -> List[Finding]:
-    """Analyse every python file under ``paths``; sorted, filtered."""
+    """Analyse every python file under ``paths``; sorted."""
     active = list(rules) if rules is not None else list(RULES.values())
     findings: List[Finding] = []
     for path in iter_python_files(paths):
-        findings.extend(analyze_module(load_module(path), config, active))
+        findings.extend(analyze_module(load_module(path), active))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

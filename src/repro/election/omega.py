@@ -26,6 +26,7 @@ runs attach no Ω, and their event schedule is untouched.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 
 from ..core.gc import next_grid_time
@@ -55,7 +56,8 @@ class HeartbeatOmega:
         on_round: the node's part of a round (its heartbeats to the
             group peers), run every :data:`HB_INTERVAL_MS` of scheduler
             time before the election.
-        suspect_ms: silence threshold before a peer is suspected.
+        suspect_ms: silence threshold before a peer is suspected;
+            positive and finite (a NaN threshold would never suspect).
     """
 
     def __init__(
@@ -69,8 +71,8 @@ class HeartbeatOmega:
     ) -> None:
         if not members:
             raise ValueError("group must have at least one member")
-        if suspect_ms <= 0:
-            raise ValueError("the suspicion timeout must be positive")
+        if not 0.0 < suspect_ms < math.inf:
+            raise ValueError(f"suspect_ms must be positive and finite, got {suspect_ms}")
         self.group_id = group_id
         self.members = list(members)
         self.own_pid = own_pid

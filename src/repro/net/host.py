@@ -17,8 +17,8 @@ module implements both halves over asyncio:
   process pushes is due immediately, so draining preserves the exact
   *relative* order the sim would execute — and because the drain loop
   runs each callback to completion on the single-threaded event loop,
-  per-process **handler atomicity** (the RACE202 standing-proposal
-  contract, DESIGN.md §10/§12) holds exactly as it does on the
+  per-process **handler atomicity** (the contract the standing-proposal
+  sites rely on, DESIGN.md §10/§12) holds exactly as it does on the
   simulator's event loop.
 * :class:`TransportFacade` — ``transmit`` delivers self-addressed
   messages synchronously (the sim's zero-latency self-channel) and
@@ -361,12 +361,13 @@ class ClusterSpec:
             raise ValueError(f"n_messages must be non-negative, got {self.n_messages}")
         if not self.rate_hz >= 0:
             raise ValueError(f"rate_hz must be non-negative, got {self.rate_hz}")
-        # Each node rejects these at start (Ω, rmcast, its own deadline).
-        if self.suspect_ms <= 0:
-            raise ValueError(f"suspect_ms must be positive, got {self.suspect_ms}")
-        if self.batching_ms < 0:
-            raise ValueError(f"batching_ms must be non-negative, got {self.batching_ms}")
-        if self.run_timeout_s <= 0:
+        # Ω and rmcast reject the first two at a node's start, too late
+        # for exit 2. Each test is spelt so that NaN fails it.
+        if not 0.0 < self.suspect_ms < math.inf:
+            raise ValueError(f"suspect_ms must be positive and finite, got {self.suspect_ms}")
+        if not 0.0 <= self.batching_ms < math.inf:
+            raise ValueError(f"batching_ms must be finite and >= 0, got {self.batching_ms}")
+        if not self.run_timeout_s > 0:
             raise ValueError(f"run_timeout_s must be positive, got {self.run_timeout_s}")
         if self.driver_mode == "open" and (self.clients < 1 or self.window < 1):
             raise ValueError("open-loop driver needs clients >= 1, window >= 1")
@@ -380,6 +381,13 @@ class ClusterSpec:
                 raise ValueError(f"cannot kill the driver (pid {DRIVER_PID})")
             if not 0 <= self.kill_pid < self.n_groups * self.group_size:
                 raise ValueError(f"kill_pid {self.kill_pid} not in the cluster")
+            # The kill mark is the driver's kill_after-th delivery; it
+            # delivers n_messages.
+            if not 0 <= self.kill_after <= self.n_messages:
+                raise ValueError(
+                    f"kill_after must be in [0, n_messages={self.n_messages}], "
+                    f"got {self.kill_after}"
+                )
             if self.group_size < 3:
                 raise ValueError(
                     "killing a node needs group_size >= 3 so the group "

@@ -54,7 +54,7 @@ class SchedulerAPI(Protocol):
 
     Any conforming scheduler must execute heap entries in ``(time,
     seq)`` order, run each callback to completion before the next
-    (handler atomicity — the RACE202 standing-proposal contract,
+    (handler atomicity, which the standing-proposal sites rely on:
     DESIGN.md §10/§12), and never run a callback concurrently with
     another of the same runtime.
     """

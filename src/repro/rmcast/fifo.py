@@ -42,6 +42,7 @@ completely inert and the wire trace is identical to the unbatched one.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Type
 
 from ..sim.costs import CostModel
@@ -128,14 +129,14 @@ class FifoReliableMulticast:
 
     Args:
         owner: the process this endpoint belongs to.
-        batching_ms: flush window for ack/bump coalescing; 0 disables
-            batching entirely (the default — wire-identical to the
-            unbatched protocol).
+        batching_ms: flush window for ack/bump coalescing, finite and
+            >= 0; 0 disables batching entirely (the default —
+            wire-identical to the unbatched protocol).
     """
 
     def __init__(self, owner: SimProcess, batching_ms: float = 0.0):
-        if batching_ms < 0:
-            raise ValueError(f"batching_ms must be non-negative, got {batching_ms}")
+        if not 0.0 <= batching_ms < math.inf:
+            raise ValueError(f"batching_ms must be finite and >= 0, got {batching_ms}")
         self.owner = owner
         self.batching_ms = batching_ms
         self._next_seq = 0

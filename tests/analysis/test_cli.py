@@ -86,10 +86,10 @@ class _CrashingRule:
     rule_id = "CRASH999"
     title = "deliberately crashing test rule"
 
-    def applies_to(self, module, config):
+    def applies_to(self, module):
         return True
 
-    def check(self, mod, config):
+    def check(self, mod):
         raise ZeroDivisionError("rule bug")
 
 

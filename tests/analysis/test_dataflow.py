@@ -1,7 +1,7 @@
 """Unit tests for the forward dataflow engine.
 
 The client analyses here are tiny on purpose: a may-have-called-send
-boolean (the RACE202 shape) and an assigned-names set. They exercise the
+boolean and an assigned-names set. They exercise the
 engine's contract — joins at merges, loop convergence, the replay order
 of :func:`walk`, and the all-blocks-seeded worklist (a regression test:
 a block whose transfer generates facts must be processed even when its
@@ -31,7 +31,7 @@ def _calls(entry):
 
 
 class SentAnalysis(ForwardAnalysis):
-    """May-have-called-send() — the boolean lattice RACE202 uses."""
+    """May-have-called-send(): a boolean lattice."""
 
     def initial(self):
         return False
@@ -142,8 +142,8 @@ def test_loop_body_fact_reaches_the_code_after_the_loop():
     """Regression: the worklist must seed *every* block. A send inside
     a loop body generates a fact even though the body block's entry
     state never changes from bottom (False); with only the entry block
-    seeded, the post-loop block stayed False and RACE202 missed the
-    real send-then-mutate in _check_epoch_activation."""
+    seeded, the post-loop block stayed False, so a fact generated in a
+    loop body never reached the code after the loop."""
     (state,) = _state_at(
         """
         def f(self, xs):

@@ -116,10 +116,13 @@ def test_empty_group_rejected():
 
 
 def test_bad_suspect_timeout_rejected():
-    with pytest.raises(ValueError):
-        HeartbeatOmega(0, [0], 0, Scheduler(), lambda: None, suspect_ms=0.0)
-    with pytest.raises(ValueError):
-        MiniSystem(n_groups=1, suspect_ms=-1.0)
+    # A NaN threshold fails every comparison, so no peer would ever be
+    # suspected; an infinite one never suspects either.
+    for suspect_ms in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="suspect_ms must be positive and finite"):
+            HeartbeatOmega(0, [0], 0, Scheduler(), lambda: None, suspect_ms=suspect_ms)
+        with pytest.raises(ValueError, match="suspect_ms must be positive and finite"):
+            MiniSystem(n_groups=1, suspect_ms=suspect_ms)
 
 
 def test_stability_no_spurious_changes():

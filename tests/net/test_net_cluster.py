@@ -415,6 +415,14 @@ def test_cluster_spec_validation():
     with pytest.raises(ValueError, match="kill_pid -1 not in the cluster"):
         ClusterSpec(n_groups=2, group_size=3, n_messages=4, kill_pid=-1).validate()
     ClusterSpec(n_groups=2, group_size=3, n_messages=4, kill_pid=3).validate()
+    # The kill mark is one of the driver's n_messages deliveries; without
+    # a kill, kill_after is not read.
+    for kill_after in (0, 4):
+        ClusterSpec(n_messages=4, kill_pid=3, kill_after=kill_after).validate()
+    for kill_after in (-2, 5):
+        with pytest.raises(ValueError, match="kill_after must be in"):
+            ClusterSpec(n_messages=4, kill_pid=3, kill_after=kill_after).validate()
+    ClusterSpec(n_messages=4, kill_after=5).validate()
     # Open-driver validation: needs clients/window >= 1, no kill.
     with pytest.raises(ValueError):
         ClusterSpec(
@@ -436,6 +444,20 @@ def test_cluster_spec_validation():
         ClusterSpec(window=2, rate_hz=0.0, **one).validate()
     with pytest.raises(ValueError):
         ClusterSpec(window=1, rate_hz=50.0, **one).validate()
+
+
+def test_cluster_spec_rejects_nan_and_infinite_durations():
+    # NaN fails every comparison a node makes, so each check must be
+    # spelt to reject it.
+    nan, inf = float("nan"), float("inf")
+    for field, values in (
+        ("suspect_ms", (0.0, -1.0, nan, inf)),
+        ("batching_ms", (-1.0, nan, inf)),
+        ("run_timeout_s", (0.0, nan)),
+    ):
+        for value in values:
+            with pytest.raises(ValueError, match=field):
+                ClusterSpec(**{field: value}).validate()
 
 
 def test_cluster_spec_rejects_negative_counts_and_rates():
@@ -460,12 +482,19 @@ def test_cluster_spec_rejects_negative_counts_and_rates():
         # A run that checks nothing must not pass.
         ["diff", "--messages", "0"], ["diff", "--messages", "-3"],
         ["cluster", "--messages", "-1"], ["open", "--rate", "-5"],
+        # Values the run cannot honour: a kill mark past the last
+        # delivery, and NaNs that fail every comparison a node makes.
+        ["diff", "--kill", "3", "--kill-after", "17"],
+        ["diff", "--kill", "3", "--kill-after", "-2"],
+        ["diff", "--suspect-ms", "nan", "--kill", "3", "--kill-after", "2"],
+        ["diff", "--timeout", "nan"], ["diff", "--batching-ms", "nan"],
     ],
     ids=[
         "groups-0", "kill-minus-1", "open-clients-0",
         "suspect-ms-0", "batching-ms-minus-1", "timeout-0",
         "diff-messages-0", "diff-messages-minus-3", "cluster-messages-minus-1",
-        "open-rate-minus-5",
+        "open-rate-minus-5", "kill-after-17", "kill-after-minus-2",
+        "suspect-ms-nan", "timeout-nan", "batching-ms-nan",
     ],
 )
 def test_an_invalid_spec_exits_2_before_any_node_starts(tmp_path, capsys, argv):

@@ -10,6 +10,8 @@ order and agreement, not only for how many wire messages it saves.
 
 from dataclasses import replace
 
+import pytest
+
 import repro.harness.runner as runner
 from repro.verify import collect_violations
 from repro.workload.scenarios import wan_colocated_leaders
@@ -67,3 +69,10 @@ def test_batching_halves_wire_messages_and_keeps_the_order(monkeypatch):
         {mid: set(system.config.dest_pids(dest)) for mid, dest in dest_of.items()},
         set(system.config.all_pids),
     ) == []
+
+
+@pytest.mark.parametrize("batching_ms", [-1.0, float("nan"), float("inf")])
+def test_a_batching_window_that_is_not_finite_and_non_negative_is_rejected(batching_ms):
+    # With NaN, ``batching_ms > 0`` is false: the run would go unbatched.
+    with pytest.raises(ValueError, match="batching_ms must be finite and >= 0"):
+        runner.build_system("primcast", replace(wan_colocated_leaders(), batching_ms=batching_ms))
