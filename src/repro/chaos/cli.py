@@ -1,9 +1,8 @@
 """Command-line entry point: ``python -m repro.chaos <command>``.
 
-Three subcommands, mirroring the ``repro.analysis`` CLI conventions
-(exit 0 — clean, 1 — violations found / not reproduced, 2 — usage
-error; ``--json`` swaps the human-readable summary for a
-machine-readable report):
+Three subcommands, each with the same exit codes (0 — clean,
+1 — violations found / not reproduced, 2 — usage error); ``--json``
+swaps the human-readable summary for a machine-readable report:
 
 ``run``
     Run a seeded campaign: ``python -m repro.chaos run --seeds 8
@@ -43,6 +42,15 @@ from .shrink import shrink_case
 
 #: Replay file format version (bumped on incompatible changes).
 REPLAY_VERSION = 2
+
+
+def non_negative_int(text: str) -> int:
+    """The argparse ``type`` of ``--progress-every``, where 0 means
+    "never": below 0 is a usage error (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--progress-every",
-        type=int,
+        type=non_negative_int,
         default=0,
         metavar="N",
         help="print campaign progress to stderr every N completed cases "

@@ -25,7 +25,7 @@ Corrupt or unreadable entries are treated as misses and deleted, never
 raised.
 
 The cache never touches the wall clock and derives nothing from ambient
-randomness (it is inside the DET001 static-analysis scope); entry writes
+randomness; entry writes
 go through ``os.replace`` so concurrent executors can share a cache
 directory without torn reads.
 """

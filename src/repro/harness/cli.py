@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..workload.scenarios import (
     lan_scenario,
@@ -122,11 +122,10 @@ def cmd_figure2(args: argparse.Namespace) -> None:
 
 
 def cmd_figure3(args: argparse.Namespace) -> None:
-    dests = [int(d) for d in args.dests.split(",")] if args.dests else (1, 2, 4, 8)
     all_results = []
     with _executor(args) as executor:
         for d, results in figure3(
-            full=args.full, seed=args.seed, dest_counts=dests, executor=executor
+            full=args.full, seed=args.seed, dest_counts=args.dests, executor=executor
         ).items():
             print_results(f"Figure 3: WAN colocated leaders, {d} destination(s)", results)
             all_results.extend(results)
@@ -135,11 +134,10 @@ def cmd_figure3(args: argparse.Namespace) -> None:
 
 
 def cmd_figure4(args: argparse.Namespace) -> None:
-    dests = [int(d) for d in args.dests.split(",")] if args.dests else (2, 4)
     all_results = []
     with _executor(args) as executor:
         for d, results in figure4(
-            full=args.full, seed=args.seed, dest_counts=dests, executor=executor
+            full=args.full, seed=args.seed, dest_counts=args.dests, executor=executor
         ).items():
             print_results(f"Figure 4: WAN distributed leaders, {d} destinations", results)
             all_results.extend(results)
@@ -195,6 +193,29 @@ def positive_ms(text: str) -> float:
     return value
 
 
+def dest_counts(n_groups: int) -> Callable[[str], List[int]]:
+    """The argparse ``type`` of ``figure3|figure4 --dests``: a
+    comma-separated list of counts, each in ``[1, n_groups]`` (the
+    figure's deployment), or a usage error (exit 2) before any point
+    runs."""
+
+    def parse(text: str) -> List[int]:
+        try:
+            counts = [int(part) for part in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be comma-separated integers, got {text!r}"
+            ) from None
+        for count in counts:
+            if not 1 <= count <= n_groups:
+                raise argparse.ArgumentTypeError(
+                    f"each count must be in [1, {n_groups}], got {count}"
+                )
+        return counts
+
+    return parse
+
+
 def cmd_point(args: argparse.Namespace) -> None:
     scenario = SCENARIOS[args.scenario]()
     result = run_load_point(
@@ -248,10 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
     p2 = sub.add_parser("figure2")
     common(p2)
     p2.set_defaults(fn=cmd_figure2)
-    for name, fn in (("figure3", cmd_figure3), ("figure4", cmd_figure4)):
+    for name, fn, scenario, default in (
+        ("figure3", cmd_figure3, wan_colocated_leaders, "1,2,4,8"),
+        ("figure4", cmd_figure4, wan_distributed_leaders, "2,4"),
+    ):
         p = sub.add_parser(name)
         common(p)
-        p.add_argument("--dests", help="comma-separated destination counts")
+        p.add_argument(
+            "--dests",
+            type=dest_counts(scenario().n_groups),
+            default=default,
+            help=f"comma-separated destination counts (default: {default})",
+        )
         p.set_defaults(fn=fn)
     p5 = sub.add_parser("figure5")
     common(p5)

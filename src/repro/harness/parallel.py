@@ -37,8 +37,7 @@ are load-bearing (pinned by ``tests/harness/test_pool.py``):
 Determinism: workers receive the per-point seed inside the spec — the
 same seed the serial path would pass — and ``run_load_point`` derives
 every RNG stream from it through ``child_rng``. This module itself draws
-no randomness and never reads a clock; it is inside the DET001
-static-analysis scope (see ``repro.analysis.config.DET_SCOPE``).
+no randomness and never reads a clock.
 """
 
 from __future__ import annotations

@@ -187,5 +187,10 @@ class TestUsage:
         assert main(argv) == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    def test_negative_progress_count_exits_two(self, capsys):
+        # It used to run the campaign silently, as if it were 0 (exit 0).
+        assert main(["run", "--seeds", "1", "--progress-every", "-3"]) == 2
+        assert "--progress-every: must be at least 0, got -3" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -91,6 +91,33 @@ def test_count_below_one_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["figure3", "--dests", "x"], "must be comma-separated integers, got 'x'"),
+        (["figure3", "--dests", "2,"], "must be comma-separated integers, got '2,'"),
+        (["figure3", "--dests", "0"], "each count must be in [1, 8], got 0"),
+        (["figure3", "--dests", "2,9"], "each count must be in [1, 8], got 9"),
+        (["figure4", "--dests", "9"], "each count must be in [1, 8], got 9"),
+    ],
+    ids=["figure3-word", "figure3-empty-entry", "figure3-zero", "figure3-nine", "figure4-nine"],
+)
+def test_a_bad_dests_list_is_a_usage_error(argv, message, capsys):
+    # Each of these used to start the sweep and die on a traceback
+    # (exit 1); now it exits 2 before any point runs.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"--dests: {message}" in capsys.readouterr().err
+
+
+def test_dests_lists_and_defaults_parse():
+    parser = build_parser()
+    assert parser.parse_args(["figure3", "--dests", "1,8"]).dests == [1, 8]
+    assert parser.parse_args(["figure3"]).dests == [1, 2, 4, 8]
+    assert parser.parse_args(["figure4"]).dests == [2, 4]
+
+
+@pytest.mark.parametrize(
     "flag,value,message",
     [
         ("--measure", "0", "must be a finite number of ms > 0, got 0"),

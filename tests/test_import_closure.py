@@ -22,7 +22,7 @@ SRC = ROOT / "src"
 
 #: Subpackages a serving ``repro.net`` node runs none of.
 NOT_IN_A_NODE = [f"repro.{name}" for name in (
-    "harness", "apps", "baselines", "chaos", "analysis", "verify",
+    "harness", "apps", "baselines", "chaos", "verify",
 )] + ["repro.net.differential"]
 
 
